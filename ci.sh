@@ -28,9 +28,17 @@ echo "== go test"
 # surface in CI instead of in the field.
 go test -shuffle=on ./...
 
+echo "== go test -count=5 -cpu 1,2,4 (session layer and its station-side owner)"
+# Session bugs are scheduling-dependent — the reply that overtook its
+# waiter hung at GOMAXPROCS >= 2 and passed at 1 — so they surface under
+# repetition across CPU counts here, not in the field.
+go test -count=5 -cpu 1,2,4 ./internal/session ./internal/backend
+
 echo "== go test -race (parallel pipeline + session + serving layers)"
-# The backend/proto/faultnet trio includes the seeded chunk-dedup chaos
-# equivalence test — reconnect, resume, and replay-dedup all race-checked.
+# session is the one managed wire session both station↔backend and
+# front-tier↔shard run on. The backend/proto/faultnet trio includes the
+# seeded chunk-dedup chaos equivalence test — reconnect, resume, and
+# replay-dedup all race-checked.
 # serve hosts the HTTP query layer's 40-client mixed-workload storm plus
 # the epoch-swap storm: a background writer publishing world updates
 # while readers and SSE subscribers race the atomic snapshot swap.
@@ -41,8 +49,8 @@ echo "== go test -race (parallel pipeline + session + serving layers)"
 # seeded chaos kill/rejoin convergence run). optimize fans whole sim
 # runs over the pool with a shared memo cache — the newest racer.
 go test -race ./internal/passes ./internal/sim ./internal/core ./internal/pool ./internal/poscache ./internal/linkbudget \
-    ./internal/backend ./internal/proto ./internal/faultnet ./internal/serve ./internal/spatial ./internal/sgp4 \
-    ./internal/optimize
+    ./internal/session ./internal/backend ./internal/proto ./internal/faultnet ./internal/serve ./internal/spatial \
+    ./internal/sgp4 ./internal/optimize
 
 echo "== serve smoke (dgs-api + loadgen, live-update round trip)"
 # Boot the API on an ephemeral port over a small world, drive it with the
@@ -133,6 +141,29 @@ cmp "$smokedir/fed_plan.json" "$smokedir/mono_plan.json"
 kill -INT "$front1_pid"; wait "$front1_pid" || { cat "$smokedir/front1.log" >&2; exit 1; }
 kill "$solo_pid" "$shard0_pid" "$shard1_pid" "$mono_pid" 2>/dev/null || true
 wait "$solo_pid" "$shard0_pid" "$shard1_pid" "$mono_pid" 2>/dev/null || true
+
+echo "== ack-relay smoke (dgs-backend + dgs-station)"
+# The station↔backend hop end to end, as binaries: a backend planning a
+# small world every second and one transmit-capable station on a managed
+# session. The station must log a received schedule (dial, Hello, Resume,
+# broadcast), and both must exit 0 on SIGINT.
+go build -o "$smokedir/dgs-backend" ./cmd/dgs-backend
+go build -o "$smokedir/dgs-station" ./cmd/dgs-station
+"$smokedir/dgs-backend" -listen 127.0.0.1:0 -sats 8 -stations 6 -plan-every 1s > "$smokedir/backend.log" 2>&1 &
+backend_pid=$!
+backend_addr=$(wait_addr "$smokedir/backend.log" "listening on")
+"$smokedir/dgs-station" -backend "$backend_addr" -id 0 -tx > "$smokedir/station.log" 2>&1 &
+station_pid=$!
+for _ in $(seq 1 50); do
+    grep -q "received schedule v" "$smokedir/station.log" && break
+    sleep 0.2
+done
+grep -q "received schedule v" "$smokedir/station.log" \
+    || { echo "dgs-station never received a schedule:" >&2; cat "$smokedir/station.log" "$smokedir/backend.log" >&2; exit 1; }
+kill -INT "$station_pid"
+wait "$station_pid" || { echo "dgs-station did not shut down cleanly:" >&2; cat "$smokedir/station.log" >&2; exit 1; }
+kill -INT "$backend_pid"
+wait "$backend_pid" || { echo "dgs-backend did not shut down cleanly:" >&2; cat "$smokedir/backend.log" >&2; exit 1; }
 
 echo "== mega smoke (Walker population, spatial index differential)"
 # A small Walker shell through the pass predictor with the spatial

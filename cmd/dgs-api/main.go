@@ -39,17 +39,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:8041", "listen address (use :0 for an ephemeral port)")
-	sats := flag.Int("sats", 259, "constellation size")
-	stations := flag.Int("stations", 173, "ground-station count")
-	seed := cliutil.SeedFlag("population")
-	txFraction := flag.Float64("tx-fraction", 0.1, "fraction of transmit-capable stations")
-	clearSky := flag.Bool("clear-sky", false, "disable weather attenuation")
-	forecastErr := flag.Float64("forecast-err", 0.3, "saturated forecast error fraction")
-	genGB := flag.Float64("gen-gb", 100, "per-satellite capture volume assumed for plan queries, GB/day")
-	slot := flag.Duration("slot", time.Minute, "query time grid and default plan slot")
-	maxSpan := flag.Duration("max-span", 48*time.Hour, "servable horizon past the epoch")
-	planHorizon := flag.Duration("plan-horizon", time.Hour, "live-plan horizon maintained across epoch swaps")
-	workers := flag.Int("workers", 0, "propagation/planning workers (0 = GOMAXPROCS)")
+	world := serve.WorldFlags()
 	cache := flag.Int("cache", 4096, "response cache entries (negative disables)")
 	inflight := flag.Int("inflight", 0, "max concurrent compute-path requests (0 = 2x workers)")
 	watchTLE := flag.String("watch-tle", "", "TLE file to poll; on modification its elements are applied live by catalog number")
@@ -60,17 +50,7 @@ func main() {
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on a dedicated address (e.g. localhost:6060), independent of the API listener")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	flag.Parse()
-	cliutil.Seed("seed", *seed)
-
-	cliutil.PositiveInt("sats", *sats)
-	cliutil.PositiveInt("stations", *stations)
-	cliutil.Fraction("tx-fraction", *txFraction)
-	cliutil.Fraction("forecast-err", *forecastErr)
-	cliutil.PositiveFloat("gen-gb", *genGB)
-	cliutil.PositiveDuration("slot", *slot)
-	cliutil.PositiveDuration("max-span", *maxSpan)
-	cliutil.PositiveDuration("plan-horizon", *planHorizon)
-	cliutil.NonNegativeInt("workers", *workers)
+	snapCfg, planHorizon := world()
 	cliutil.NonNegativeInt("inflight", *inflight)
 	cliutil.PositiveDuration("watch-interval", *watchInterval)
 	cliutil.PositiveDuration("drain", *drain)
@@ -107,22 +87,11 @@ func main() {
 		log.Printf("dgs-api: federating %d shards: %d satellites / %d stations in %v (front epoch %d)",
 			len(addrs), view.Sats(), view.Stations(), time.Since(t0).Round(time.Millisecond), fed.Epoch())
 	} else {
-		snap, err := serve.NewSnapshot(serve.SnapshotConfig{
-			Satellites:  *sats,
-			Stations:    *stations,
-			Seed:        *seed,
-			TxFraction:  *txFraction,
-			ClearSky:    *clearSky,
-			ForecastErr: *forecastErr,
-			GenGBPerDay: *genGB,
-			Slot:        *slot,
-			MaxSpan:     *maxSpan,
-			Workers:     *workers,
-		})
+		snap, err := serve.NewSnapshot(snapCfg)
 		if err != nil {
 			log.Fatalf("dgs-api: %v", err)
 		}
-		store = serve.NewStore(snap, serve.StoreConfig{PlanHorizon: *planHorizon})
+		store = serve.NewStore(snap, serve.StoreConfig{PlanHorizon: planHorizon})
 		src = store
 		log.Printf("dgs-api: loaded %d satellites / %d stations in %v (world epoch %d)",
 			snap.Sats(), snap.Stations(), time.Since(t0).Round(time.Millisecond), store.Epoch())

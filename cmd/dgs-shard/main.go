@@ -34,54 +34,25 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:9050", "listen address (use :0 for an ephemeral port)")
 	shardIdx := flag.Int("shard", 0, "this backend's shard index in [0, shards)")
 	shards := flag.Int("shards", 1, "total shard count in the fleet")
-	sats := flag.Int("sats", 259, "constellation size (full fleet, pre-partition)")
-	stations := flag.Int("stations", 173, "ground-station count (shared by every shard)")
-	seed := cliutil.SeedFlag("population")
-	txFraction := flag.Float64("tx-fraction", 0.1, "fraction of transmit-capable stations")
-	clearSky := flag.Bool("clear-sky", false, "disable weather attenuation")
-	forecastErr := flag.Float64("forecast-err", 0.3, "saturated forecast error fraction")
-	genGB := flag.Float64("gen-gb", 100, "per-satellite capture volume assumed for plan queries, GB/day")
-	slot := flag.Duration("slot", time.Minute, "query time grid and default plan slot")
-	maxSpan := flag.Duration("max-span", 48*time.Hour, "servable horizon past the epoch")
-	planHorizon := flag.Duration("plan-horizon", time.Hour, "live-plan horizon maintained across epoch swaps")
-	workers := flag.Int("workers", 0, "propagation/planning workers (0 = GOMAXPROCS)")
+	world := serve.WorldFlags()
+	flag.Lookup("sats").Usage += " (full fleet, pre-partition)"
+	flag.Lookup("stations").Usage += " (shared by every shard)"
 	flag.Parse()
-	cliutil.Seed("seed", *seed)
-
 	cliutil.PositiveInt("shards", *shards)
 	cliutil.NonNegativeInt("shard", *shardIdx)
 	if *shardIdx >= *shards {
 		cliutil.Failf("invalid -shard: index %d out of range for %d shards", *shardIdx, *shards)
 	}
-	cliutil.PositiveInt("sats", *sats)
-	cliutil.PositiveInt("stations", *stations)
-	cliutil.Fraction("tx-fraction", *txFraction)
-	cliutil.Fraction("forecast-err", *forecastErr)
-	cliutil.PositiveFloat("gen-gb", *genGB)
-	cliutil.PositiveDuration("slot", *slot)
-	cliutil.PositiveDuration("max-span", *maxSpan)
-	cliutil.PositiveDuration("plan-horizon", *planHorizon)
-	cliutil.NonNegativeInt("workers", *workers)
+	snapCfg, planHorizon := world()
 
 	t0 := time.Now()
-	snap, part, err := serve.NewShardWorld(serve.SnapshotConfig{
-		Satellites:  *sats,
-		Stations:    *stations,
-		Seed:        *seed,
-		TxFraction:  *txFraction,
-		ClearSky:    *clearSky,
-		ForecastErr: *forecastErr,
-		GenGBPerDay: *genGB,
-		Slot:        *slot,
-		MaxSpan:     *maxSpan,
-		Workers:     *workers,
-	}, *shardIdx, *shards)
+	snap, part, err := serve.NewShardWorld(snapCfg, *shardIdx, *shards)
 	if err != nil {
 		log.Fatalf("dgs-shard: %v", err)
 	}
-	store := serve.NewStore(snap, serve.StoreConfig{PlanHorizon: *planHorizon})
+	store := serve.NewStore(snap, serve.StoreConfig{PlanHorizon: planHorizon})
 	log.Printf("dgs-shard: loaded partition %d/%d (%d of %d satellites) in %v (world epoch %d)",
-		part.Shard, part.Shards, part.Len(), *sats, time.Since(t0).Round(time.Millisecond), store.Epoch())
+		part.Shard, part.Shards, part.Len(), snapCfg.Satellites, time.Since(t0).Round(time.Millisecond), store.Epoch())
 
 	srv := serve.NewShardServer(store, part)
 	srv.Logf = log.Printf

@@ -2,7 +2,6 @@ package backend
 
 import (
 	"context"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -232,28 +231,6 @@ func TestEmptyReportRejectedClientSide(t *testing.T) {
 	a := dialAgent(t, addr, 1, false)
 	if err := a.Report(&proto.ChunkReport{StationID: 1, Sat: 1}); err == nil {
 		t.Fatal("empty report accepted")
-	}
-}
-
-func TestServerRejectsNonHelloHandshake(t *testing.T) {
-	_, addr := startServer(t)
-	a := &StationAgent{ID: 1, Name: "x"}
-	// Bypass Dial: speak garbage first. Use a raw connection.
-	_ = a
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := proto.Write(conn, &proto.OK{}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := proto.Read(conn)
-	if err != nil {
-		return // connection dropped, also acceptable
-	}
-	if _, ok := msg.(*proto.Error); !ok {
-		t.Fatalf("expected error frame, got type %d", msg.Type())
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"dgs/internal/session"
 )
 
 // The backoff policy is part of the federation determinism story: the
@@ -12,7 +14,7 @@ import (
 // the semantics that replay depends on.
 
 func TestBackoffDefaults(t *testing.T) {
-	var b Backoff // zero value → documented defaults
+	var b session.Backoff // zero value → documented defaults
 	if d := b.Delay(0, nil); d != 50*time.Millisecond {
 		t.Fatalf("attempt 0 = %v, want the 50ms default base", d)
 	}
@@ -25,7 +27,7 @@ func TestBackoffDefaults(t *testing.T) {
 }
 
 func TestBackoffNilRngDisablesJitter(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.5}
+	b := session.Backoff{Base: 10 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.5}
 	for attempt := 0; attempt < 8; attempt++ {
 		want := 10 * time.Millisecond << attempt
 		if want > time.Second {
@@ -41,7 +43,7 @@ func TestBackoffNilRngDisablesJitter(t *testing.T) {
 // seeded rngs replay the identical jittered delay sequence — and that a
 // different seed actually produces a different one (the jitter is real).
 func TestBackoffDeterministicUnderSeededSource(t *testing.T) {
-	b := Backoff{Base: 20 * time.Millisecond, Max: 2 * time.Second, Factor: 2, Jitter: 0.2}
+	b := session.Backoff{Base: 20 * time.Millisecond, Max: 2 * time.Second, Factor: 2, Jitter: 0.2}
 	seq := func(seed int64) []time.Duration {
 		rng := rand.New(rand.NewSource(seed))
 		out := make([]time.Duration, 12)
@@ -74,7 +76,7 @@ func TestBackoffDeterministicUnderSeededSource(t *testing.T) {
 // including attempts whose grown delay already sits at the ceiling, where
 // upward jitter must be clamped back to Max.
 func TestBackoffJitterBounds(t *testing.T) {
-	b := Backoff{Base: 30 * time.Millisecond, Max: 500 * time.Millisecond, Factor: 2, Jitter: 0.2}
+	b := session.Backoff{Base: 30 * time.Millisecond, Max: 500 * time.Millisecond, Factor: 2, Jitter: 0.2}
 	rng := rand.New(rand.NewSource(1))
 	for attempt := 0; attempt < 16; attempt++ {
 		base := b.Delay(attempt, nil) // unjittered, already capped
@@ -98,7 +100,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 // TestBackoffCapsAtCeiling pins that growth saturates: once the grown
 // delay passes Max, every later attempt returns exactly Max (unjittered).
 func TestBackoffCapsAtCeiling(t *testing.T) {
-	b := Backoff{Base: time.Millisecond, Max: 64 * time.Millisecond, Factor: 4}
+	b := session.Backoff{Base: time.Millisecond, Max: 64 * time.Millisecond, Factor: 4}
 	saturated := false
 	prev := time.Duration(0)
 	for attempt := 0; attempt < 10; attempt++ {

@@ -10,6 +10,7 @@ import (
 
 	"dgs/internal/faultnet"
 	"dgs/internal/proto"
+	"dgs/internal/session"
 )
 
 // chaosWorkload is the deterministic station workload used by the
@@ -55,7 +56,7 @@ func runChaosWorkload(t *testing.T, wrap func(net.Listener) net.Listener) ([]byt
 			a := &StationAgent{
 				ID: id, Name: "chaos",
 				HeartbeatEvery: 50 * time.Millisecond,
-				Backoff:        Backoff{Base: 5 * time.Millisecond, Max: 100 * time.Millisecond},
+				Backoff:        session.Backoff{Base: 5 * time.Millisecond, Max: 100 * time.Millisecond},
 				Logf:           func(string, ...any) {}, // keep -v output readable
 			}
 			if err := a.Connect(ctx, ln.Addr().String()); err != nil {

@@ -6,23 +6,25 @@
 //
 // The package has two halves: Collator, the pure state machine (also usable
 // in-process), and Server/StationAgent, the TCP endpoints speaking
-// internal/proto.
+// internal/proto over a managed session (internal/session).
 //
 // # Fault tolerance
 //
 // Station↔backend links ride commodity Internet connections, so churn is
-// the norm (Zhao et al.; Kim et al.). The session layer is built around
-// that:
+// the norm (Zhao et al.; Kim et al.). internal/session supplies what any
+// such hop needs — the Hello version gate, an I/O deadline on every read
+// and write on both ends, heartbeats that keep idle sessions inside those
+// deadlines and expose dead peers, and for a managed agent (Connect)
+// automatic redial under exponential backoff plus jitter. This package adds
+// what is specific to relaying chunk receipts:
 //
-//   - Every read and write on both ends carries an I/O deadline; a wedged
-//     peer is dropped instead of leaking a goroutine.
-//   - Agents send application-level heartbeats so idle sessions stay
-//     inside the server's read deadline, and detect dead servers through
-//     their own.
-//   - A managed agent (Connect) redials automatically with exponential
-//     backoff plus jitter, then resumes its session: the backend answers a
-//     Resume probe with the last collated report sequence number, and the
-//     agent replays only newer reports.
+//   - The backend answers the session's Resume probe with the station's
+//     last collated report sequence number, and the agent replays only
+//     newer reports (a report the resume state shows collated is
+//     acknowledged locally).
+//   - The agent matches replies to requests in order, one in flight, and
+//     registers the reply's waiter before the request is written, so a
+//     reply can never overtake it.
 //   - ChunkReports carry per-station monotonic sequence numbers; the
 //     Collator applies each at most once. Receipts are therefore delivered
 //     at-least-once but collated exactly-once, and the digest stream is

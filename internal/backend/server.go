@@ -1,54 +1,28 @@
 package backend
 
 import (
-	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	"dgs/internal/proto"
+	"dgs/internal/session"
 )
 
-// Default server-side session timings. The server's read deadline must
-// comfortably exceed the agents' heartbeat interval.
-const (
-	// DefaultServerReadTimeout bounds the wait for the next frame from a
-	// station; heartbeats keep healthy idle stations inside it.
-	DefaultServerReadTimeout = 90 * time.Second
-	// DefaultWriteTimeout bounds any single frame write on either end.
-	DefaultWriteTimeout = 10 * time.Second
-)
-
-// Server is the backend's TCP listener. Stations connect, introduce
-// themselves with Hello (which must carry the current protocol version),
-// then stream ChunkReports; transmit-capable stations receive AckDigests
-// on request (a report with zero chunks acts as a digest poll in this
-// minimal RPC). Schedules are broadcast to every connected station.
-//
-// Every connection carries per-frame read and write deadlines, answers
-// heartbeat pings, and serves Resume probes from the Collator's per-station
-// sequence state so reconnecting stations can replay exactly the reports
-// that were lost.
+// Server is the backend's TCP listener. Stations connect over a managed
+// session (internal/session: Hello version gate, heartbeats, per-frame
+// deadlines — Listen, Serve, Close, ReadTimeout, WriteTimeout and Logf are
+// the embedded session.Server's), then stream ChunkReports;
+// transmit-capable stations receive AckDigests on request (a report with
+// zero chunks acts as a digest poll in this minimal RPC). Schedules are
+// broadcast to every connected station. Resume probes are answered from the
+// Collator's per-station sequence state so reconnecting stations can replay
+// exactly the reports that were lost.
 type Server struct {
+	session.Server
 	Collator *Collator
-	// Logf, when set, receives diagnostic messages.
-	Logf func(format string, args ...any)
-	// ReadTimeout and WriteTimeout override the per-frame I/O deadlines
-	// (defaults above). Chaos tests shrink them to minutes-per-second
-	// scale.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
 
 	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]*connState
 	schedule *proto.Schedule
-	closed   bool
-}
-
-type connState struct {
-	hello proto.Hello
-	wmu   sync.Mutex // serializes frames on the connection
 }
 
 // NewServer creates a server around a collator (a fresh one when nil).
@@ -56,177 +30,49 @@ func NewServer(c *Collator) *Server {
 	if c == nil {
 		c = NewCollator()
 	}
-	return &Server{Collator: c, conns: make(map[net.Conn]*connState)}
+	s := &Server{Collator: c}
+	s.Init("backend", "station", s.admit)
+	return s
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
-	}
-}
-
-func (s *Server) readTimeout() time.Duration {
-	if s.ReadTimeout > 0 {
-		return s.ReadTimeout
-	}
-	return DefaultServerReadTimeout
-}
-
-func (s *Server) writeTimeout() time.Duration {
-	if s.WriteTimeout > 0 {
-		return s.WriteTimeout
-	}
-	return DefaultWriteTimeout
-}
-
-// Listen starts accepting stations on addr ("127.0.0.1:0" for tests) and
-// returns the bound address.
-func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.Serve(ln)
-	return ln.Addr(), nil
-}
-
-// Serve accepts stations from an existing listener — the seam chaos tests
-// use to interpose a faultnet.Listener. It returns immediately; the accept
-// loop runs in the background until the listener closes.
-func (s *Server) Serve(ln net.Listener) {
+// admit greets a station with the current schedule (late joiners need not
+// wait for the next broadcast) and serves its frames.
+func (s *Server) admit(c *session.Conn) (func(proto.Message), func()) {
 	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	go s.acceptLoop(ln)
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		go s.serve(conn)
-	}
-}
-
-// write sends one frame under the connection's write lock and deadline.
-func (s *Server) write(conn net.Conn, st *connState, m proto.Message) error {
-	st.wmu.Lock()
-	defer st.wmu.Unlock()
-	conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
-	return proto.Write(conn, m)
-}
-
-// read waits for the next frame under the read deadline.
-func (s *Server) read(conn net.Conn) (proto.Message, error) {
-	conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
-	return proto.Read(conn)
-}
-
-func (s *Server) serve(conn net.Conn) {
-	defer conn.Close()
-	st := &connState{}
-
-	msg, err := s.read(conn)
-	if err != nil {
-		s.logf("backend: handshake read: %v", err)
-		return
-	}
-	hello, ok := msg.(*proto.Hello)
-	if !ok {
-		_ = s.write(conn, st, &proto.Error{Code: proto.CodeBadRequest, Msg: "expected hello"})
-		return
-	}
-	if hello.Version != proto.Version {
-		_ = s.write(conn, st, &proto.Error{
-			Code: proto.CodeVersion,
-			Msg:  fmt.Sprintf("station speaks v%d, backend speaks v%d", hello.Version, proto.Version),
-		})
-		s.logf("backend: rejected %s: protocol v%d != v%d", hello.Name, hello.Version, proto.Version)
-		return
-	}
-	st.hello = *hello
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.conns[conn] = st
 	sched := s.schedule
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-
-	err = s.write(conn, st, &proto.OK{})
-	if err == nil && sched != nil {
-		// Late joiners immediately get the current schedule.
-		err = s.write(conn, st, sched)
+	if sched != nil {
+		_ = c.Send(sched)
 	}
-	if err != nil {
-		return
-	}
+	return func(msg proto.Message) { s.frame(c, msg) }, nil
+}
 
-	for {
-		msg, err := s.read(conn)
-		if err != nil {
-			// Read deadline, reset, or garbage on the stream: the framing
-			// may be desynced, so the only safe recovery is a fresh
-			// connection. The station's resume handshake makes that cheap.
-			return
-		}
-		switch m := msg.(type) {
-		case *proto.Heartbeat:
-			if m.Ack {
-				continue // stray pong
-			}
-			if err := s.write(conn, st, &proto.Heartbeat{Seq: m.Seq, Ack: true}); err != nil {
-				return
-			}
-		case *proto.Resume:
-			reply := &proto.Resume{StationID: m.StationID, LastSeq: s.Collator.LastSeq(m.StationID)}
-			if err := s.write(conn, st, reply); err != nil {
-				return
-			}
-		case *proto.ChunkReport:
-			if len(m.Chunks) > 0 {
-				// Replays are acked like originals: the station only needs
-				// to know the report is collated, however many times it
-				// was delivered.
-				s.Collator.Report(m)
-				err = s.write(conn, st, &proto.OK{})
-			} else {
-				// Zero-chunk report = digest poll (TX stations fetching the
-				// cumulative acks they should upload next pass).
-				if !st.hello.TxCapable {
-					err = s.write(conn, st, &proto.Error{
-						Code: proto.CodeBadRequest,
-						Msg:  "receive-only stations cannot fetch digests",
-					})
-					if err != nil {
-						return
-					}
-					continue
-				}
-				d := s.Collator.Digest(m.Sat, time.Now().Add(time.Hour))
-				err = s.write(conn, st, d)
-			}
-			if err != nil {
-				return
-			}
-		default:
-			err := s.write(conn, st, &proto.Error{
+// frame answers one station frame. Send errors need no handling: a failed
+// Send closes the connection, which ends the session's read loop.
+func (s *Server) frame(c *session.Conn, msg proto.Message) {
+	switch m := msg.(type) {
+	case *proto.Resume:
+		_ = c.Send(&proto.Resume{StationID: m.StationID, LastSeq: s.Collator.LastSeq(m.StationID)})
+	case *proto.ChunkReport:
+		switch {
+		case len(m.Chunks) > 0:
+			// Replays are acked like originals: the station only needs to
+			// know the report is collated, however many times it was
+			// delivered.
+			s.Collator.Report(m)
+			_ = c.Send(&proto.OK{})
+		case !c.Hello.TxCapable:
+			_ = c.Send(&proto.Error{
 				Code: proto.CodeBadRequest,
-				Msg:  fmt.Sprintf("unexpected message type %d", msg.Type()),
+				Msg:  "receive-only stations cannot fetch digests",
 			})
-			if err != nil {
-				return
-			}
+		default:
+			// Zero-chunk report = digest poll (TX stations fetching the
+			// cumulative acks they should upload next pass).
+			_ = c.Send(s.Collator.Digest(m.Sat, time.Now().Add(time.Hour)))
 		}
+	default:
+		c.Reject(msg)
 	}
 }
 
@@ -235,34 +81,10 @@ func (s *Server) serve(conn net.Conn) {
 func (s *Server) Broadcast(sched *proto.Schedule) {
 	s.mu.Lock()
 	s.schedule = sched
-	conns := make(map[net.Conn]*connState, len(s.conns))
-	for c, st := range s.conns {
-		conns[c] = st
-	}
 	s.mu.Unlock()
-	for conn, st := range conns {
-		if err := s.write(conn, st, sched); err != nil {
-			s.logf("backend: broadcast to %s: %v", st.hello.Name, err)
+	for _, c := range s.Conns() {
+		if err := c.Send(sched); err != nil && s.Logf != nil {
+			s.Logf("backend: broadcast to %s: %v", c.Hello.Name, err)
 		}
 	}
-}
-
-// Close stops the listener and closes every connection.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	return err
 }

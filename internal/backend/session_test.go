@@ -3,120 +3,18 @@ package backend
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"dgs/internal/proto"
+	"dgs/internal/session"
 )
 
-func TestBackoffDelayGrowthAndCap(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2}
-	want := []time.Duration{10, 20, 40, 80, 80, 80}
-	for i, w := range want {
-		if got := b.Delay(i, nil); got != w*time.Millisecond {
-			t.Fatalf("delay(%d) = %v, want %v", i, got, w*time.Millisecond)
-		}
-	}
-}
-
-func TestBackoffJitterBounded(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: time.Minute, Factor: 2, Jitter: 0.2}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		d := b.Delay(0, rng)
-		if d < 80*time.Millisecond || d > 120*time.Millisecond {
-			t.Fatalf("jittered delay %v outside ±20%% of 100ms", d)
-		}
-	}
-	// Nil rng: deterministic, no jitter.
-	if d := b.Delay(0, nil); d != 100*time.Millisecond {
-		t.Fatalf("nil-rng delay = %v", d)
-	}
-}
-
-func TestVersionMismatchRejected(t *testing.T) {
-	_, addr := startServer(t)
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := proto.Write(conn, &proto.Hello{Version: proto.Version + 1, StationID: 1, Name: "old"}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := proto.Read(conn)
-	if err != nil {
-		t.Fatalf("read reply: %v", err)
-	}
-	e, ok := msg.(*proto.Error)
-	if !ok {
-		t.Fatalf("expected error frame, got type %d", msg.Type())
-	}
-	if !errors.Is(e, proto.ErrVersion) {
-		t.Fatalf("error %v does not match proto.ErrVersion", e)
-	}
-}
-
-func TestHeartbeatKeepsIdleSessionAlive(t *testing.T) {
-	// Server read deadline far shorter than the test; agent heartbeats keep
-	// the otherwise-idle session open.
-	srv := NewServer(nil)
-	srv.ReadTimeout = 200 * time.Millisecond
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-
-	a := &StationAgent{ID: 3, Name: "hb", HeartbeatEvery: 50 * time.Millisecond}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := a.Dial(ctx, addr.String()); err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-
-	time.Sleep(600 * time.Millisecond) // 3× the server deadline, all idle
-	err = a.Report(&proto.ChunkReport{StationID: 3, Sat: 1,
-		Chunks: []proto.ChunkInfo{{ID: 1, Bits: 1, Received: rxTime}}})
-	if err != nil {
-		t.Fatalf("report after idle period: %v (heartbeats failed to keep the session alive)", err)
-	}
-}
-
-func TestIdleSessionDroppedWithoutHeartbeats(t *testing.T) {
-	// Inverse of the above: an agent with a huge heartbeat interval gets
-	// dropped by the server's read deadline while idle. Guards against the
-	// deadline being silently disabled.
-	srv := NewServer(nil)
-	srv.ReadTimeout = 100 * time.Millisecond
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-
-	a := &StationAgent{ID: 4, Name: "lazy", HeartbeatEvery: time.Hour}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := a.Dial(ctx, addr.String()); err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		err = a.Report(&proto.ChunkReport{StationID: 4, Sat: 1,
-			Chunks: []proto.ChunkInfo{{ID: 1, Bits: 1, Received: rxTime}}})
-		if err != nil {
-			return // dropped, as expected
-		}
-		time.Sleep(150 * time.Millisecond)
-	}
-	t.Fatal("server never dropped a silent station past its read deadline")
-}
+// The session layer itself (version gate, deadlines, heartbeats, redial) is
+// tested in internal/session; what follows is what the Collator and the
+// StationAgent add on top of it.
 
 func TestCollatorSeqDedup(t *testing.T) {
 	c := NewCollator()
@@ -150,13 +48,39 @@ func TestCollatorSeqDedup(t *testing.T) {
 	}
 }
 
+// connLog is a listener that remembers what it accepted, so a test can cut
+// the server side of every live session.
+type connLog struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *connLog) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
 func TestManagedAgentReconnectsAndResumes(t *testing.T) {
-	srv, addr := startServer(t)
+	srv := NewServer(nil)
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &connLog{Listener: inner}
+	srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	addr := inner.Addr().String()
 
 	a := &StationAgent{
 		ID: 21, Name: "managed",
 		HeartbeatEvery: 50 * time.Millisecond,
-		Backoff:        Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
+		Backoff:        session.Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
@@ -178,11 +102,11 @@ func TestManagedAgentReconnectsAndResumes(t *testing.T) {
 
 	// Kill every server-side connection; the managed agent must redial,
 	// resume, and carry on.
-	srv.mu.Lock()
-	for c := range srv.conns {
+	ln.mu.Lock()
+	for _, c := range ln.conns {
 		c.Close()
 	}
-	srv.mu.Unlock()
+	ln.mu.Unlock()
 
 	report(2)
 	report(3)
@@ -192,51 +116,6 @@ func TestManagedAgentReconnectsAndResumes(t *testing.T) {
 	}
 	if got := srv.Collator.LastSeq(21); got != 3 {
 		t.Fatalf("lastSeq = %d, want 3", got)
-	}
-}
-
-func TestManagedAgentSurvivesServerRestart(t *testing.T) {
-	srv := NewServer(nil)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	a := &StationAgent{
-		ID: 30, Name: "restart",
-		Backoff: Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	if err := a.Connect(ctx, addr.String()); err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-
-	if err := a.Report(&proto.ChunkReport{StationID: 30, Sat: 1,
-		Chunks: []proto.ChunkInfo{{ID: 1, Bits: 1, Received: rxTime}}}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Restart the backend on the same address with a fresh collator: seq
-	// state is gone, which is fine — the agent adopts the new (lower)
-	// resume point only when it is higher, so its own counter keeps rising
-	// and dedup stays monotonic per backend lifetime.
-	srv.Close()
-	srv2 := NewServer(nil)
-	ln, err := net.Listen("tcp", addr.String())
-	if err != nil {
-		t.Skipf("address %s not immediately reusable: %v", addr, err)
-	}
-	srv2.Serve(ln)
-	t.Cleanup(func() { srv2.Close() })
-
-	if err := a.Report(&proto.ChunkReport{StationID: 30, Sat: 1,
-		Chunks: []proto.ChunkInfo{{ID: 2, Bits: 1, Received: rxTime}}}); err != nil {
-		t.Fatalf("report after backend restart: %v", err)
-	}
-	if got := srv2.Collator.ReceivedChunks(1); got != 1 {
-		t.Fatalf("new backend collated %d chunks, want 1", got)
 	}
 }
 
@@ -264,7 +143,7 @@ func TestConnectFailsFastOnVersionMismatch(t *testing.T) {
 		}
 	}()
 
-	a := &StationAgent{ID: 40, Name: "v?", Backoff: Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond}}
+	a := &StationAgent{ID: 40, Name: "v?", Backoff: session.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond}}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	err = a.Connect(ctx, ln.Addr().String())

@@ -64,6 +64,19 @@
 // not_ready, internal. Wrong-method requests get 405 plus an Allow
 // header (Go 1.22 method patterns with a method-less fallback route).
 //
+// # Federation
+//
+// A Federator implements the same WorldSource over a fleet of ShardServers,
+// each exposing one partition's Store. The hop between them is the managed
+// session of internal/session — the one stations use toward the backend:
+// version-gated Hello, heartbeats, per-frame deadlines, seeded-backoff
+// redial, and a Resume probe whose LastSeq carries the shard's world epoch,
+// so a reconnect is also the rejoin. This package adds the ShardQuery
+// dispatch and epoch pusher on the shard side, and on the front tier reply
+// correlation by ShardReply.ID that fails fast while a session is down: a
+// lost shard degrades the merged plan (degraded:true + missing_shards)
+// instead of erroring, and is folded back in when its session comes up.
+//
 // # The query hot path
 //
 // The layer is built for load, not just correctness:

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"dgs/internal/backend"
 	"dgs/internal/faultnet"
+	"dgs/internal/session"
 )
 
 // The chaos suite proves the failover contract end to end: a shard fleet
@@ -60,7 +60,7 @@ func startChaosFederator(t *testing.T, addrs []string) *Federator {
 		CallTimeout:  3 * time.Second,
 		StartTimeout: 20 * time.Second,
 		Heartbeat:    100 * time.Millisecond,
-		Backoff:      backend.Backoff{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond},
+		Backoff:      session.Backoff{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond},
 		Logf:         t.Logf,
 	})
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"dgs/internal/backend"
+	"dgs/internal/session"
 )
 
 // The federation test world: small enough that a fleet of shards plus a
@@ -76,7 +76,7 @@ func startTestFederator(t *testing.T, addrs []string) *Federator {
 		CallTimeout:  10 * time.Second,
 		StartTimeout: 10 * time.Second,
 		Heartbeat:    200 * time.Millisecond,
-		Backoff:      backend.Backoff{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond},
+		Backoff:      session.Backoff{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond},
 		Logf:         t.Logf,
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -9,10 +10,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dgs/internal/backend"
 	"dgs/internal/core"
 	"dgs/internal/passes"
 	"dgs/internal/proto"
+	"dgs/internal/session"
 	"dgs/internal/shard"
 	"dgs/internal/tle"
 )
@@ -27,8 +28,8 @@ type FederatorConfig struct {
 	Heartbeat time.Duration
 	// StartTimeout bounds the initial topology exchange (default 30 s).
 	StartTimeout time.Duration
-	// Backoff paces shard reconnects (zero value = backend defaults).
-	Backoff backend.Backoff
+	// Backoff paces shard reconnects (zero value = session defaults).
+	Backoff session.Backoff
 	// Dial overrides the shard dialer — the seam chaos tests use to
 	// interpose faultnet connections.
 	Dial func(addr string) (net.Conn, error)
@@ -118,7 +119,7 @@ func NewFederator(addrs []string, cfg FederatorConfig) (*Federator, error) {
 		}
 	}
 	for i, addr := range addrs {
-		f.clients = append(f.clients, newShardClient(i, addr, cfg.Dial, cfg.Heartbeat, cfg.CallTimeout, cfg.Backoff, cfg.Logf, onEvent))
+		f.clients = append(f.clients, newShardClient(i, addr, cfg, f.logf, onEvent))
 	}
 
 	infos, err := f.fetchInfos()
@@ -178,7 +179,8 @@ func (f *Federator) fetchInfos() ([]shardInfoDoc, error) {
 				}
 				break
 			}
-			if time.Now().After(deadline) {
+			// A version mismatch is permanent: the session has given up.
+			if time.Now().After(deadline) || errors.Is(err, proto.ErrVersion) {
 				return nil, fmt.Errorf("serve: shard %d (%s) unreachable during startup: %w", i, c.addr, err)
 			}
 			select {

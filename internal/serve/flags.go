@@ -1,0 +1,52 @@
+package serve
+
+import (
+	"flag"
+	"time"
+
+	"dgs/internal/cliutil"
+)
+
+// WorldFlags registers, on the command line's flag set, the eleven flags
+// that define a served world, and returns the function that — after
+// flag.Parse — validates them (a bad value exits with the usage status)
+// and yields the snapshot configuration and the live-plan horizon. dgs-api
+// and every dgs-shard of a fleet must agree on all of them (the front tier
+// refuses a fleet that does not), so they are declared once, here.
+func WorldFlags() func() (SnapshotConfig, time.Duration) {
+	sats := flag.Int("sats", 259, "constellation size")
+	stations := flag.Int("stations", 173, "ground-station count")
+	seed := cliutil.SeedFlag("population")
+	txFraction := flag.Float64("tx-fraction", 0.1, "fraction of transmit-capable stations")
+	clearSky := flag.Bool("clear-sky", false, "disable weather attenuation")
+	forecastErr := flag.Float64("forecast-err", 0.3, "saturated forecast error fraction")
+	genGB := flag.Float64("gen-gb", 100, "per-satellite capture volume assumed for plan queries, GB/day")
+	slot := flag.Duration("slot", time.Minute, "query time grid and default plan slot")
+	maxSpan := flag.Duration("max-span", 48*time.Hour, "servable horizon past the epoch")
+	planHorizon := flag.Duration("plan-horizon", time.Hour, "live-plan horizon maintained across epoch swaps")
+	workers := flag.Int("workers", 0, "propagation/planning workers (0 = GOMAXPROCS)")
+	return func() (SnapshotConfig, time.Duration) {
+		cliutil.Seed("seed", *seed)
+		cliutil.PositiveInt("sats", *sats)
+		cliutil.PositiveInt("stations", *stations)
+		cliutil.Fraction("tx-fraction", *txFraction)
+		cliutil.Fraction("forecast-err", *forecastErr)
+		cliutil.PositiveFloat("gen-gb", *genGB)
+		cliutil.PositiveDuration("slot", *slot)
+		cliutil.PositiveDuration("max-span", *maxSpan)
+		cliutil.PositiveDuration("plan-horizon", *planHorizon)
+		cliutil.NonNegativeInt("workers", *workers)
+		return SnapshotConfig{
+			Satellites:  *sats,
+			Stations:    *stations,
+			Seed:        *seed,
+			TxFraction:  *txFraction,
+			ClearSky:    *clearSky,
+			ForecastErr: *forecastErr,
+			GenGBPerDay: *genGB,
+			Slot:        *slot,
+			MaxSpan:     *maxSpan,
+			Workers:     *workers,
+		}, *planHorizon
+	}
+}

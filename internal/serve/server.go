@@ -761,7 +761,12 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st.hits.Add(1) // prebuilt: the live plan is always a cache hit
-	writeBody(w, append(world.planJSON, '\n'))
+	// Every request at this epoch shares planJSON, so the closing newline is
+	// written after it, never appended into its backing array.
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(world.planJSON)+1))
+	w.Write(world.planJSON)
+	io.WriteString(w, "\n")
 }
 
 // ---- /v2/updates ----

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -8,57 +10,72 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dgs/internal/backend"
 	"dgs/internal/proto"
+	"dgs/internal/session"
 )
 
-// shardClient is the front tier's managed session to one shard backend:
-// it dials, handshakes (Hello → OK, then a Resume probe that doubles as
-// the rejoin path — LastSeq carries the shard's world epoch), correlates
-// ShardQuery/ShardReply pairs, heartbeats across idle stretches, and
-// reconnects with deterministic-under-seed exponential backoff when the
-// session dies. Connectivity transitions and epoch pushes kick onEvent so
-// the Federator can rebuild its merged world.
+// shardClient is the front tier's end of one shard session. The connection
+// underneath is a session.Client under Run (dial, handshake, heartbeats,
+// seeded-backoff redial; the Resume reply's LastSeq carries the shard's
+// world epoch, which makes the handshake double as the rejoin path); the
+// shardClient adds what is the front tier's own: ShardQuery/ShardReply
+// pairs correlated by ID, failing fast while the session is down so the
+// Federator degrades rather than blocks. Connectivity transitions and epoch
+// pushes kick onEvent so the Federator can rebuild its merged world.
 type shardClient struct {
 	idx     int
 	addr    string
-	dial    func(addr string) (net.Conn, error)
 	logf    func(format string, args ...any)
 	onEvent func()
-	bo      backend.Backoff
-	hb      time.Duration // heartbeat interval
-	timeout time.Duration // per-frame I/O deadline
+	sess    *session.Client
 
 	epoch atomic.Uint64 // last pushed/resumed shard world epoch
 
-	wmu sync.Mutex // serializes frames on the live connection
-
 	mu      sync.Mutex
-	conn    net.Conn
-	alive   bool
+	conn    *session.Conn // nil while the session is down
 	pending map[uint64]chan *proto.ShardReply
 	nextID  uint64
-	closed  bool
-	done    chan struct{}
+	fatal   error // why no session will ever come up again
 }
 
-func newShardClient(idx int, addr string, dial func(string) (net.Conn, error), hb, timeout time.Duration, bo backend.Backoff, logf func(string, ...any), onEvent func()) *shardClient {
+func newShardClient(idx int, addr string, cfg FederatorConfig, logf func(string, ...any), onEvent func()) *shardClient {
+	dial := cfg.Dial
 	if dial == nil {
 		dial = func(a string) (net.Conn, error) { return net.DialTimeout("tcp", a, 5*time.Second) }
 	}
 	c := &shardClient{
 		idx:     idx,
 		addr:    addr,
-		dial:    dial,
 		logf:    logf,
 		onEvent: onEvent,
-		bo:      bo,
-		hb:      hb,
-		timeout: timeout,
 		pending: make(map[uint64]chan *proto.ShardReply),
-		done:    make(chan struct{}),
 	}
-	go c.run()
+	c.sess = &session.Client{
+		Dial:           func(context.Context) (net.Conn, error) { return dial(addr) },
+		Hello:          proto.Hello{StationID: uint32(idx), Name: fmt.Sprintf("front/%d", idx)},
+		HeartbeatEvery: cfg.Heartbeat,
+		// A shard busy planning still answers pings, but give a reply as
+		// long as a query gets before calling the session dead.
+		ReadTimeout:  max(3*cfg.Heartbeat, cfg.CallTimeout),
+		WriteTimeout: cfg.CallTimeout,
+		Backoff:      cfg.Backoff,
+		// Seeded by the shard index, so a chaos schedule replays the same
+		// reconnect cadence every run.
+		Rand:  rand.New(rand.NewSource(0x5eed<<8 | int64(idx))),
+		Up:    c.up,
+		Frame: c.frame,
+		Down:  c.down,
+	}
+	go func() {
+		err := c.sess.Run(context.Background())
+		if !errors.Is(err, session.ErrClosed) {
+			c.logf("serve: shard %d (%s): giving up: %v", idx, addr, err)
+		}
+		c.mu.Lock()
+		c.fatal = err
+		c.mu.Unlock()
+		onEvent()
+	}()
 	return c
 }
 
@@ -66,215 +83,70 @@ func newShardClient(idx int, addr string, dial func(string) (net.Conn, error), h
 func (c *shardClient) Alive() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.alive
+	return c.conn != nil
 }
 
 // Epoch returns the shard's last known world epoch.
 func (c *shardClient) Epoch() uint64 { return c.epoch.Load() }
 
-func (c *shardClient) Close() {
+// Close ends the session for good; in-flight calls fail as lost mid-call.
+func (c *shardClient) Close() { c.sess.Close() }
+
+func (c *shardClient) up(conn *session.Conn, epoch uint64) {
+	c.epoch.Store(epoch)
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	close(c.done)
-	conn := c.conn
+	c.conn = conn
 	c.mu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
+	c.onEvent()
 }
 
-// run is the session lifecycle loop: dial, serve, tear down, back off,
-// repeat. The backoff rng is seeded by the shard index, so a chaos
-// schedule replays the same reconnect cadence every run.
-func (c *shardClient) run() {
-	rng := rand.New(rand.NewSource(0x5eed<<8 | int64(c.idx)))
-	attempt := 0
-	for {
-		select {
-		case <-c.done:
-			return
-		default:
-		}
-		conn, err := c.dialSession()
-		if err != nil {
-			d := c.bo.Delay(attempt, rng)
-			attempt++
-			select {
-			case <-time.After(d):
-			case <-c.done:
-				return
-			}
-			continue
-		}
-		attempt = 0
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			conn.Close()
-			return
-		}
-		c.conn = conn
-		c.alive = true
-		c.mu.Unlock()
-		c.kick()
-
-		hbDone := make(chan struct{})
-		go c.heartbeatLoop(conn, hbDone)
-		c.readLoop(conn)
-		close(hbDone)
-
-		c.mu.Lock()
-		c.alive = false
-		c.conn = nil
-		// Fail every in-flight call: the reply can never arrive on a new
-		// session (IDs are session-scoped on the wire but unique here, and
-		// the server's state died with the connection).
-		for id, ch := range c.pending {
-			delete(c.pending, id)
-			close(ch)
-		}
-		c.mu.Unlock()
-		conn.Close()
-		c.kick()
+// down fails every in-flight call: the reply can never arrive on a new
+// session (the server's state died with the connection).
+func (c *shardClient) down(*session.Conn, error) {
+	c.mu.Lock()
+	c.conn = nil
+	for id, ch := range c.pending {
+		delete(c.pending, id)
+		close(ch)
 	}
+	c.mu.Unlock()
+	c.onEvent()
 }
 
-func (c *shardClient) kick() {
-	if c.onEvent != nil {
-		c.onEvent()
-	}
-}
-
-// dialSession establishes one authenticated session: Hello/OK then the
-// Resume probe. Unsolicited epoch pushes may interleave; they are
-// absorbed here like everywhere else.
-func (c *shardClient) dialSession() (net.Conn, error) {
-	conn, err := c.dial(c.addr)
-	if err != nil {
-		return nil, err
-	}
-	fail := func(err error) (net.Conn, error) {
-		conn.Close()
-		return nil, err
-	}
-	conn.SetWriteDeadline(time.Now().Add(c.timeout))
-	if err := proto.Write(conn, &proto.Hello{Version: proto.Version, StationID: uint32(c.idx), Name: fmt.Sprintf("front/%d", c.idx)}); err != nil {
-		return fail(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(c.timeout))
-	msg, err := proto.Read(conn)
-	if err != nil {
-		return fail(err)
-	}
+func (c *shardClient) frame(msg proto.Message) {
 	switch m := msg.(type) {
-	case *proto.OK:
-	case *proto.Error:
-		return fail(m)
+	case *proto.ShardReply:
+		c.mu.Lock()
+		ch, ok := c.pending[m.ID]
+		delete(c.pending, m.ID)
+		c.mu.Unlock()
+		if ok {
+			ch <- m
+		}
+	case *proto.ShardEpoch:
+		c.epoch.Store(m.Epoch)
+		c.onEvent()
 	default:
-		return fail(fmt.Errorf("serve: unexpected handshake reply %T", msg))
-	}
-	if err := proto.Write(conn, &proto.Resume{StationID: uint32(c.idx)}); err != nil {
-		return fail(err)
-	}
-	for {
-		conn.SetReadDeadline(time.Now().Add(c.timeout))
-		msg, err := proto.Read(conn)
-		if err != nil {
-			return fail(err)
-		}
-		switch m := msg.(type) {
-		case *proto.Resume:
-			c.epoch.Store(m.LastSeq)
-			return conn, nil
-		case *proto.ShardEpoch:
-			c.epoch.Store(m.Epoch)
-		case *proto.Heartbeat:
-		default:
-			return fail(fmt.Errorf("serve: unexpected resume reply %T", msg))
-		}
-	}
-}
-
-func (c *shardClient) heartbeatLoop(conn net.Conn, done chan struct{}) {
-	t := time.NewTicker(c.hb)
-	defer t.Stop()
-	seq := uint64(0)
-	for {
-		select {
-		case <-t.C:
-			seq++
-			if err := c.write(conn, &proto.Heartbeat{Seq: seq}); err != nil {
-				conn.Close()
-				return
-			}
-		case <-done:
-			return
-		case <-c.done:
-			return
-		}
-	}
-}
-
-func (c *shardClient) write(conn net.Conn, m proto.Message) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	conn.SetWriteDeadline(time.Now().Add(c.timeout))
-	return proto.Write(conn, m)
-}
-
-// readLoop demultiplexes the session until it dies. The read deadline is
-// refreshed per frame; heartbeat acks (echoed every hb) keep a healthy
-// idle session inside it.
-func (c *shardClient) readLoop(conn net.Conn) {
-	deadline := 3 * c.hb
-	if deadline < c.timeout {
-		deadline = c.timeout
-	}
-	for {
-		conn.SetReadDeadline(time.Now().Add(deadline))
-		msg, err := proto.Read(conn)
-		if err != nil {
-			return
-		}
-		switch m := msg.(type) {
-		case *proto.ShardReply:
-			c.mu.Lock()
-			ch, ok := c.pending[m.ID]
-			if ok {
-				delete(c.pending, m.ID)
-			}
-			c.mu.Unlock()
-			if ok {
-				ch <- m
-			}
-		case *proto.ShardEpoch:
-			c.epoch.Store(m.Epoch)
-			c.kick()
-		case *proto.Heartbeat:
-			// ack of our ping (or a stray ping — either refreshes liveness)
-		default:
-			return // protocol confusion: reconnect
-		}
+		c.logf("serve: shard %d: unsolicited message type %d", c.idx, msg.Type())
 	}
 }
 
 // call issues one correlated query and waits for its reply. Fails fast
 // when the session is down — the Federator degrades rather than blocks.
 func (c *shardClient) call(kind uint8, body []byte, timeout time.Duration) ([]byte, error) {
+	ch := make(chan *proto.ShardReply, 1)
 	c.mu.Lock()
-	if !c.alive {
+	conn, fatal := c.conn, c.fatal
+	if conn == nil {
 		c.mu.Unlock()
+		if fatal != nil {
+			return nil, fmt.Errorf("serve: shard %d: %w", c.idx, fatal)
+		}
 		return nil, fmt.Errorf("serve: shard %d unreachable", c.idx)
 	}
-	conn := c.conn
 	id := c.nextID
 	c.nextID++
-	ch := make(chan *proto.ShardReply, 1)
-	c.pending[id] = ch
+	c.pending[id] = ch // before the query is written: the reply cannot beat it
 	c.mu.Unlock()
 
 	drop := func() {
@@ -282,13 +154,10 @@ func (c *shardClient) call(kind uint8, body []byte, timeout time.Duration) ([]by
 		delete(c.pending, id)
 		c.mu.Unlock()
 	}
-	if err := c.write(conn, &proto.ShardQuery{ID: id, Kind: kind, Body: body}); err != nil {
+	if err := conn.Send(&proto.ShardQuery{ID: id, Kind: kind, Body: body}); err != nil {
 		drop()
-		conn.Close()
 		return nil, fmt.Errorf("serve: shard %d: %w", c.idx, err)
 	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
 	select {
 	case reply, ok := <-ch:
 		if !ok {
@@ -298,11 +167,8 @@ func (c *shardClient) call(kind uint8, body []byte, timeout time.Duration) ([]by
 			return nil, fmt.Errorf("serve: shard %d: %s", c.idx, reply.Err)
 		}
 		return reply.Body, nil
-	case <-t.C:
+	case <-time.After(timeout):
 		drop()
 		return nil, fmt.Errorf("serve: shard %d query timed out", c.idx)
-	case <-c.done:
-		drop()
-		return nil, fmt.Errorf("serve: federator closed")
 	}
 }

@@ -3,197 +3,54 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"sync"
-	"time"
 
 	"dgs/internal/core"
 	"dgs/internal/proto"
+	"dgs/internal/session"
 	"dgs/internal/shard"
 )
 
-// Default shard-session timings, mirroring the station backend: the read
-// deadline must comfortably exceed the front tier's heartbeat interval.
-const (
-	defaultShardReadTimeout  = 90 * time.Second
-	defaultShardWriteTimeout = 10 * time.Second
-)
-
 // ShardServer exposes one control-plane shard over the framed wire
-// protocol. A front tier connects, handshakes with Hello (version-checked)
-// and Resume (whose LastSeq carries the shard's current world epoch — the
-// same rejoin path reconnecting stations use), then issues correlated
+// protocol. A front tier connects over a managed session (internal/session:
+// Hello version gate, heartbeats, per-frame deadlines — Listen, Serve,
+// Close, ReadTimeout, WriteTimeout and Logf are the embedded
+// session.Server's; Close leaves the store to the caller), sends a Resume
+// probe whose reply's LastSeq carries the shard's current world epoch — the
+// same rejoin path reconnecting stations use — then issues correlated
 // ShardQuery frames answered out of the shard's Store. Every epoch swap is
 // pushed unsolicited as a ShardEpoch frame so the front tier can rebuild
 // its merged world without polling.
 type ShardServer struct {
-	// Logf, when set, receives diagnostic messages.
-	Logf func(format string, args ...any)
-	// ReadTimeout and WriteTimeout override the per-frame I/O deadlines;
-	// chaos tests shrink them.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
+	session.Server
 
 	store   *Store
 	part    shard.Partition
 	localOf map[int32]int32
-
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]*shardConn
-	closed bool
-}
-
-type shardConn struct {
-	wmu sync.Mutex // serializes frames on the connection
 }
 
 // NewShardServer wraps a shard's store. part must be the partition the
 // store's snapshot was loaded from (NewShardWorld).
 func NewShardServer(store *Store, part shard.Partition) *ShardServer {
-	return &ShardServer{
-		store:   store,
-		part:    part,
-		localOf: part.LocalOf(),
-		conns:   make(map[net.Conn]*shardConn),
-	}
+	s := &ShardServer{store: store, part: part, localOf: part.LocalOf()}
+	s.Init("shard", "front tier", s.admit)
+	return s
 }
 
-func (s *ShardServer) logf(format string, args ...any) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
-	}
-}
-
-func (s *ShardServer) readTimeout() time.Duration {
-	if s.ReadTimeout > 0 {
-		return s.ReadTimeout
-	}
-	return defaultShardReadTimeout
-}
-
-func (s *ShardServer) writeTimeout() time.Duration {
-	if s.WriteTimeout > 0 {
-		return s.WriteTimeout
-	}
-	return defaultShardWriteTimeout
-}
-
-// Listen starts accepting front tiers on addr and returns the bound
-// address.
-func (s *ShardServer) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.Serve(ln)
-	return ln.Addr(), nil
-}
-
-// Serve accepts connections from an existing listener — the seam chaos
-// tests use to interpose a faultnet.Listener. Returns immediately.
-func (s *ShardServer) Serve(ln net.Listener) {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			go s.serve(conn)
-		}
-	}()
-}
-
-// Close stops the listener and closes every connection. The store is the
-// caller's to close.
-func (s *ShardServer) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	return err
-}
-
-func (s *ShardServer) write(conn net.Conn, st *shardConn, m proto.Message) error {
-	st.wmu.Lock()
-	defer st.wmu.Unlock()
-	conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
-	return proto.Write(conn, m)
-}
-
-func (s *ShardServer) read(conn net.Conn) (proto.Message, error) {
-	conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
-	return proto.Read(conn)
-}
-
-func (s *ShardServer) serve(conn net.Conn) {
-	defer conn.Close()
-	st := &shardConn{}
-
-	msg, err := s.read(conn)
-	if err != nil {
-		return
-	}
-	hello, ok := msg.(*proto.Hello)
-	if !ok {
-		_ = s.write(conn, st, &proto.Error{Code: proto.CodeBadRequest, Msg: "expected hello"})
-		return
-	}
-	if hello.Version != proto.Version {
-		_ = s.write(conn, st, &proto.Error{
-			Code: proto.CodeVersion,
-			Msg:  fmt.Sprintf("front tier speaks v%d, shard speaks v%d", hello.Version, proto.Version),
-		})
-		return
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.conns[conn] = st
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-
-	if err := s.write(conn, st, &proto.OK{}); err != nil {
-		return
-	}
-
-	// Epoch pusher: forward every world swap as a ShardEpoch frame. The
-	// goroutine ends when the store closes the subscription or the
-	// connection dies (the next write fails, closing conn via the serve
-	// defer; a subsequent event then fails fast too).
+// admit starts one front-tier connection's epoch pusher and serves its
+// frames. A failed Send closes the connection, so neither needs to handle
+// one beyond stopping.
+func (s *ShardServer) admit(c *session.Conn) (func(proto.Message), func()) {
+	// Epoch pusher: forward every world swap as a ShardEpoch frame, until
+	// the store closes the subscription or the connection ends.
+	done := make(chan struct{})
 	if id, ch, _, err := s.store.Subscribe(); err == nil {
-		done := make(chan struct{})
-		defer close(done)
 		go func() {
 			defer s.store.Unsubscribe(id)
 			for {
 				select {
 				case _, ok := <-ch:
-					if !ok {
-						return
-					}
-					if err := s.write(conn, st, &proto.ShardEpoch{Epoch: s.store.Epoch()}); err != nil {
+					if !ok || c.Send(&proto.ShardEpoch{Epoch: s.store.Epoch()}) != nil {
 						return
 					}
 				case <-done:
@@ -203,48 +60,29 @@ func (s *ShardServer) serve(conn net.Conn) {
 		}()
 	}
 
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		msg, err := s.read(conn)
-		if err != nil {
-			return // deadline, reset, or framing desync: reconnect is the recovery
-		}
+	var queries sync.WaitGroup
+	frame := func(msg proto.Message) {
 		switch m := msg.(type) {
-		case *proto.Heartbeat:
-			if m.Ack {
-				continue
-			}
-			if err := s.write(conn, st, &proto.Heartbeat{Seq: m.Seq, Ack: true}); err != nil {
-				return
-			}
 		case *proto.Resume:
 			// The rejoin probe: LastSeq carries the shard's world epoch so
 			// a reconnecting front tier knows whether its last merged view
 			// of this shard is still current.
-			if err := s.write(conn, st, &proto.Resume{StationID: m.StationID, LastSeq: s.store.Epoch()}); err != nil {
-				return
-			}
+			_ = c.Send(&proto.Resume{StationID: m.StationID, LastSeq: s.store.Epoch()})
 		case *proto.ShardQuery:
 			// Queries run concurrently (a scratch plan can take a while);
-			// replies serialize on the write lock.
-			wg.Add(1)
-			go func(q *proto.ShardQuery) {
-				defer wg.Done()
-				reply := s.answer(q)
-				if err := s.write(conn, st, reply); err != nil {
-					conn.Close()
-				}
-			}(m)
+			// replies serialize on the connection's write lock.
+			queries.Add(1)
+			go func() {
+				defer queries.Done()
+				_ = c.Send(s.answer(m))
+			}()
 		default:
-			err := s.write(conn, st, &proto.Error{
-				Code: proto.CodeBadRequest,
-				Msg:  fmt.Sprintf("unexpected message type %d", msg.Type()),
-			})
-			if err != nil {
-				return
-			}
+			c.Reject(msg)
 		}
+	}
+	return frame, func() {
+		close(done)
+		queries.Wait()
 	}
 }
 

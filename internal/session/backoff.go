@@ -1,4 +1,4 @@
-package backend
+package session
 
 import (
 	"math"
@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// Backoff is an exponential backoff policy with jitter, used by managed
-// StationAgents between reconnect attempts. The zero value gets sane
-// defaults: 50 ms base, 5 s cap, factor 2, ±20% jitter.
+// Backoff is an exponential backoff policy with jitter, pacing Client.Run
+// between failed connection attempts. The zero value gets sane defaults:
+// 50 ms base, 5 s cap, factor 2, ±20% jitter.
 type Backoff struct {
 	// Base is the first delay.
 	Base time.Duration
@@ -17,7 +17,7 @@ type Backoff struct {
 	// Factor multiplies the delay per attempt.
 	Factor float64
 	// Jitter is the fraction of the delay randomized symmetrically around
-	// it, in [0,1]. Jitter decorrelates reconnect storms after a backend
+	// it, in [0,1]. Jitter decorrelates reconnect storms after a server
 	// restart or partition heal.
 	Jitter float64
 }
