@@ -1,6 +1,7 @@
-# DGS reproduction — build/test/bench entry points.
+# DGS reproduction — build/test entry points. `make ci` is the gate;
+# performance is measured by `go run ./bench` (see bench/README.md).
 
-.PHONY: all build test ci bench race serve federate bench-epoch bench-optimize
+.PHONY: all build test ci serve federate
 
 all: build
 
@@ -9,9 +10,6 @@ build:
 
 test:
 	go test ./...
-
-race:
-	go test -race ./internal/sim ./internal/core ./internal/pool ./internal/poscache ./internal/linkbudget
 
 ci:
 	./ci.sh
@@ -33,30 +31,3 @@ federate:
 	sleep 1; \
 	bin/dgs-api -listen 127.0.0.1:8045 -shards 127.0.0.1:9050,127.0.0.1:9051 & \
 	wait
-
-# bench records the perf trajectory: wall-clock (ns/op) plus each figure
-# bench's headline metrics, written to BENCH_sim.json. The file keeps a
-# "baseline" snapshot (the serial pre-pipeline numbers) next to "current"
-# so future PRs can compare. Includes the 2-day 10k×500 mega sim, so a
-# full run takes tens of minutes.
-bench:
-	( go test -run '^$$' -bench 'BenchmarkFig3aBacklog|BenchmarkFig2StationMap|BenchmarkMegaScale|BenchmarkMegaSim' -benchmem -timeout 60m . ; \
-	  go test -run '^$$' -bench 'BenchmarkEpochSwap' -benchmem -timeout 30m ./internal/core ; \
-	  go test -run '^$$' -bench 'BenchmarkOptimizeGreedy' -benchmem -timeout 30m ./internal/optimize ) \
-		| tee /dev/stderr \
-		| go run ./tools/benchjson -o BENCH_sim.json
-
-# bench-epoch refreshes only the incremental-replan (epoch swap) benches
-# in BENCH_sim.json, preserving every other recorded result (-merge).
-bench-epoch:
-	go test -run '^$$' -bench 'BenchmarkEpochSwap' -benchmem -timeout 30m ./internal/core \
-		| tee /dev/stderr \
-		| go run ./tools/benchjson -merge -o BENCH_sim.json
-
-# bench-optimize refreshes only the network-design search bench (one full
-# greedy K=2 run over a 4-candidate instance: optimizer speed IS sim
-# speed), preserving every other recorded result (-merge).
-bench-optimize:
-	go test -run '^$$' -bench 'BenchmarkOptimizeGreedy' -benchmem -timeout 30m ./internal/optimize \
-		| tee /dev/stderr \
-		| go run ./tools/benchjson -merge -o BENCH_sim.json

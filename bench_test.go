@@ -9,10 +9,6 @@ import (
 
 	"dgs/internal/core"
 	"dgs/internal/match"
-	"dgs/internal/orbit"
-	"dgs/internal/passes"
-	"dgs/internal/poscache"
-	"dgs/internal/sgp4"
 	"dgs/internal/sim"
 )
 
@@ -30,18 +26,6 @@ func benchOpt() Options {
 		GenGBPerDay: 25,
 		Seed:        1,
 		Step:        2 * time.Minute,
-	}
-}
-
-// BenchmarkFig2StationMap measures synthesizing the SatNOGS-like network
-// and constellation of Fig. 2 at full paper scale (173 stations, 259 sats).
-func BenchmarkFig2StationMap(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tles, net := Population(Options{Seed: int64(i)})
-		if len(tles) != 259 || len(net) != 173 {
-			b.Fatal("population size wrong")
-		}
 	}
 }
 
@@ -115,30 +99,6 @@ func BenchmarkSummaryDataVolume(b *testing.B) {
 		b.ReportMetric(r.DeliveredGB, "GB-delivered")
 		b.ReportMetric(100*r.DeliveredGB/r.GeneratedGB, "pct-delivered")
 	})
-}
-
-// BenchmarkPassWindows measures the coarse-to-fine contact-window
-// predictor over the full paper-scale population and a 12 h horizon — the
-// work that replaces per-slot exhaustive visibility sweeps in planning.
-func BenchmarkPassWindows(b *testing.B) {
-	tles, net := Population(Options{Seed: 1})
-	props := make([]orbit.Propagator, 0, len(tles))
-	for _, el := range tles {
-		p, err := sgp4.New(el)
-		if err != nil {
-			b.Fatal(err)
-		}
-		props = append(props, p)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var nWin int
-	for i := 0; i < b.N; i++ {
-		pred := passes.New(poscache.New(props), net, passes.Config{})
-		ws := pred.WindowsBetween(nil, Start, Start.Add(12*time.Hour))
-		nWin = len(ws)
-	}
-	b.ReportMetric(float64(nWin), "windows")
 }
 
 // ---- ablation benches (DESIGN.md §4) ----

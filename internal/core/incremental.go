@@ -30,7 +30,6 @@ import (
 	"dgs/internal/linkbudget"
 	"dgs/internal/orbit"
 	"dgs/internal/passes"
-	"dgs/internal/pool"
 	"dgs/internal/poscache"
 	"dgs/internal/station"
 	"dgs/internal/weather"
@@ -137,14 +136,8 @@ func NewIncrementalPlanner(sats []SatSnapshot, net station.Network, cfg Incremen
 		Positions:  ip.positions,
 		FullScan:   cfg.FullScan,
 	}
-	ip.pcfg = passes.Config{
-		CoarseStep: coarseStepFor(cfg.Slot),
-		Tol:        coarseStepFor(cfg.Slot),
-		MaxRangeKm: ip.sched.maxRange(),
-		FullScan:   cfg.FullScan,
-		Workers:    cfg.Workers,
-	}
-	if err := ip.pcfg.Validate(cfg.Slot); err != nil {
+	var err error
+	if ip.pcfg, err = ip.sched.passConfig(cfg.Slot); err != nil {
 		return nil, err
 	}
 	ip.rebuildAll()
@@ -269,11 +262,14 @@ func (ip *IncrementalPlanner) Replan() *Plan {
 	}
 
 	ip.buildDirtyMask()
+	// Bin the freshly scanned windows (all of dirty pairs; none under a
+	// weather-only revision) onto the slot grid: the keys merged back
+	// into each slot's candidate set.
+	var fresh passes.Windows
 	if len(ip.dirtySats) > 0 || len(ip.dirtyStations) > 0 {
-		ip.binAdded(ip.patchWindows())
-	} else {
-		ip.clearAdded()
+		fresh = ip.patchWindows()
 	}
+	ip.added = ip.sched.binWindows(ip.added, fresh, ip.cfg.Start, ip.n, ip.cfg.Slot)
 
 	// A slot needs re-evaluation when a dirty pair appears in its old
 	// candidate set or a fresh window opened one there (covers windows
@@ -317,11 +313,9 @@ func (ip *IncrementalPlanner) rebuildAll() {
 		ip.spare = make([][]int32, ip.n)
 		ip.added = make([][]int32, ip.n)
 	}
-	all := make([]int, ip.n)
-	for k := range all {
-		all[k] = k
-	}
-	ip.recomputeSlots(all)
+	ip.sched.forEachSlot(ip.n, func(k int, cs *condScratch) {
+		ip.edges[k] = ip.slotEdges(k, ip.pairs[k], cs)
+	})
 	ip.lastChanged = ip.n
 	ip.lastIncr = false
 	ip.plan = ip.sched.planFromEdges(ip.sats, ip.cfg.Start, ip.cfg.Slot, ip.edges, ip.cfg.GenBitsPerSec)
@@ -360,41 +354,6 @@ func (ip *IncrementalPlanner) anyMaskedKey(keys []int32) bool {
 		}
 	}
 	return false
-}
-
-// binAdded bins the freshly scanned windows (all of dirty pairs) onto the
-// slot grid, per slot sorted and deduplicated — the keys Replan merges
-// back into each slot's candidate set.
-func (ip *IncrementalPlanner) binAdded(fresh passes.Windows) {
-	ip.clearAdded()
-	nGs := len(ip.net)
-	start, slotDur := ip.cfg.Start, ip.cfg.Slot
-	for _, w := range fresh {
-		key := int32(w.Sat*nGs + w.Station)
-		k0 := 0
-		if w.Start.After(start) {
-			k0 = int((w.Start.Sub(start) + slotDur - 1) / slotDur)
-		}
-		k1 := ip.n - 1
-		if w.End.Before(ip.end) {
-			if v := int(w.End.Sub(start) / slotDur); v < k1 {
-				k1 = v
-			}
-		}
-		for k := k0; k <= k1; k++ {
-			ip.added[k] = append(ip.added[k], key)
-		}
-	}
-	for k := range ip.added {
-		slices.Sort(ip.added[k])
-		ip.added[k] = slices.Compact(ip.added[k])
-	}
-}
-
-func (ip *IncrementalPlanner) clearAdded() {
-	for k := range ip.added {
-		ip.added[k] = ip.added[k][:0]
-	}
 }
 
 // refreshPairs rebuilds slot k's candidate set: the clean survivors of
@@ -495,50 +454,24 @@ func sortedKeys(m map[int]bool) []int {
 // the surviving clean edges merge back in packed-key order — the exact
 // order a full visibilityPairs pass emits.
 func (ip *IncrementalPlanner) patchEdges(dirtySlots []int) {
-	workers := ip.sched.workers()
-	if workers > len(dirtySlots) {
-		workers = len(dirtySlots)
-	}
-	if workers == 0 {
-		return
-	}
-	ip.sched.stationIndex()
-	ip.sched.ensureCondScratch(workers)
-	start, slotDur := ip.cfg.Start, ip.cfg.Slot
 	full := ip.weatherDirty
-	pool.ForEachWorker(workers, len(dirtySlots), func(w, x int) {
+	ip.sched.forEachSlot(len(dirtySlots), func(x int, cs *condScratch) {
 		k := dirtySlots[x]
-		t := start.Add(time.Duration(k) * slotDur)
-		cs := &ip.sched.condScr[w]
 		if full {
-			ip.edges[k] = ip.sched.visibilityPairs(nil, ip.positions, t, t.Sub(start), ip.pairs[k], cs)
+			ip.edges[k] = ip.slotEdges(k, ip.pairs[k], cs)
 			return
 		}
 		// The dirty keys of the patched candidate set are exactly the
 		// freshly opened ones (closed dirty keys were already dropped).
-		fresh := ip.sched.visibilityPairs(nil, ip.positions, t, t.Sub(start), ip.added[k], cs)
-		ip.edges[k] = ip.mergeEdges(ip.edges[k], fresh)
+		ip.edges[k] = ip.mergeEdges(ip.edges[k], ip.slotEdges(k, ip.added[k], cs))
 	})
 }
 
-// recomputeSlots evaluates the listed slots' edges in full from their
-// candidate pairs.
-func (ip *IncrementalPlanner) recomputeSlots(slots []int) {
-	workers := ip.sched.workers()
-	if workers > len(slots) {
-		workers = len(slots)
-	}
-	if workers == 0 {
-		return
-	}
-	ip.sched.stationIndex()
-	ip.sched.ensureCondScratch(workers)
-	start, slotDur := ip.cfg.Start, ip.cfg.Slot
-	pool.ForEachWorker(workers, len(slots), func(w, x int) {
-		k := slots[x]
-		t := start.Add(time.Duration(k) * slotDur)
-		ip.edges[k] = ip.sched.visibilityPairs(nil, ip.positions, t, t.Sub(start), ip.pairs[k], &ip.sched.condScr[w])
-	})
+// slotEdges evaluates slot k's visible edges over the given candidate
+// pairs into a fresh slice.
+func (ip *IncrementalPlanner) slotEdges(k int, pairs []int32, cs *condScratch) []VisibleEdge {
+	lead := time.Duration(k) * ip.cfg.Slot
+	return ip.sched.visibilityPairs(nil, ip.positions, ip.cfg.Start.Add(lead), lead, pairs, cs)
 }
 
 // mergeEdges merges the clean survivors of old (dirty pairs dropped) with

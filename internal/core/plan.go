@@ -260,29 +260,21 @@ func (s *Scheduler) PlanEpoch(sats []SatSnapshot, start time.Time, horizon, slot
 	if n < 1 {
 		n = 1
 	}
-	// Resolve lazily initialized shared state once, then fan out. The
-	// clock only moves forward, so instants before this epoch can never
-	// be requested again: prune them from the shared position cache.
+	// The clock only moves forward, so instants before this epoch can
+	// never be requested again: prune them from the shared position cache.
 	positions := s.positionCache(sats)
 	positions.Prune(start)
 	s.pruneForecast(start)
-	s.stationIndex()
 
 	var pairsBySlot [][]int32
 	if !s.UseSweep {
 		pairsBySlot = s.predictPairs(positions, start, n, slotDur)
 	}
 
-	workers := s.workers()
-	if workers > n {
-		workers = n
-	}
-	s.ensureCondScratch(workers)
 	bufBySlot := make([]*edgeBuf, n)
 	edgesBySlot := make([][]VisibleEdge, n)
-	pool.ForEachWorker(workers, n, func(w, k int) {
+	s.forEachSlot(n, func(k int, cs *condScratch) {
 		t := start.Add(time.Duration(k) * slotDur)
-		cs := &s.condScr[w]
 		eb := edgeBufPool.Get().(*edgeBuf)
 		if pairsBySlot != nil {
 			eb.e = s.visibilityPairs(eb.e[:0], positions, t, t.Sub(start), pairsBySlot[k], cs)
@@ -298,6 +290,22 @@ func (s *Scheduler) PlanEpoch(sats []SatSnapshot, start time.Time, horizon, slot
 		edgeBufPool.Put(eb)
 	}
 	return plan
+}
+
+// forEachSlot is the slot fan-out every planning path shares: it resolves
+// the lazily initialized station index and per-worker condition scratch,
+// then runs fn(x, cs) for x in [0, n) over at most Workers goroutines, cs
+// being the calling worker's private scratch. fn's work must depend only
+// on x (never on evaluation order), which is what keeps plans identical
+// for any worker count.
+func (s *Scheduler) forEachSlot(n int, fn func(x int, cs *condScratch)) {
+	workers := min(s.workers(), n)
+	if workers == 0 {
+		return
+	}
+	s.stationIndex()
+	s.ensureCondScratch(workers)
+	pool.ForEachWorker(workers, n, func(w, x int) { fn(x, &s.condScr[w]) })
 }
 
 // ensureCondScratch sizes the per-worker condition scratch for a fan-out

@@ -21,6 +21,28 @@ func coarseStepFor(slotDur time.Duration) time.Duration {
 	return slotDur
 }
 
+// passConfig is the planner's predictor configuration for a slot duration.
+// Tol = stride disables AOS/LOS bisection: the planner consumes windows
+// only as conservative per-slot filters, so the one-stride bracket is all
+// it needs, and skipping the refinement saves its off-grid propagations
+// (every remaining scan instant then lands on the slot grid the simulator
+// propagates anyway). Wider brackets admit at most one extra candidate
+// slot per window edge, which the exact per-slot evaluation rejects —
+// plans are unchanged. The slot grid must be a subset of the stride grid
+// or the predictor could hide edges the sweep would see; coarseStepFor
+// guarantees it, so an error here is a scheduler bug, not input.
+func (s *Scheduler) passConfig(slotDur time.Duration) (passes.Config, error) {
+	coarse := coarseStepFor(slotDur)
+	cfg := passes.Config{
+		CoarseStep: coarse,
+		Tol:        coarse,
+		MaxRangeKm: s.maxRange(),
+		FullScan:   s.FullScan,
+		Workers:    s.Workers,
+	}
+	return cfg, cfg.Validate(slotDur)
+}
+
 // predictPairs returns, per slot, the sorted deduplicated packed
 // (sat·nGs + station) keys whose predicted contact windows cover the slot
 // instant. The predictor persists across epochs: overlapping horizons
@@ -29,24 +51,8 @@ func coarseStepFor(slotDur time.Duration) time.Duration {
 func (s *Scheduler) predictPairs(positions *poscache.Cache, start time.Time, n int, slotDur time.Duration) [][]int32 {
 	coarse := coarseStepFor(slotDur)
 	if s.pred == nil || s.predPos != positions || s.predStep != coarse {
-		// Tol = stride disables AOS/LOS bisection: the planner consumes
-		// windows only as conservative per-slot filters, so the one-stride
-		// bracket is all it needs, and skipping the refinement saves its
-		// off-grid propagations (every remaining scan instant then lands on
-		// the slot grid the simulator propagates anyway). Wider brackets
-		// admit at most one extra candidate slot per window edge, which the
-		// exact per-slot evaluation rejects — plans are unchanged.
-		cfg := passes.Config{
-			CoarseStep: coarse,
-			Tol:        coarse,
-			MaxRangeKm: s.maxRange(),
-			FullScan:   s.FullScan,
-			Workers:    s.Workers,
-		}
-		// The slot grid must be a subset of the stride grid or the
-		// predictor could hide edges the sweep would see; coarseStepFor
-		// guarantees it, so a failure here is a scheduler bug, not input.
-		if err := cfg.Validate(slotDur); err != nil {
+		cfg, err := s.passConfig(slotDur)
+		if err != nil {
 			panic(err)
 		}
 		s.pred = passes.New(positions, s.Stations, cfg)
@@ -62,8 +68,9 @@ func (s *Scheduler) predictPairs(positions *poscache.Cache, start time.Time, n i
 // binWindows bins contact windows onto the slot grid: per slot, the
 // sorted deduplicated packed (sat·nGs + station) keys whose windows cover
 // the slot instant. dst is reused when it has capacity (per-slot slices
-// are truncated and refilled). The incremental planner calls it only on
-// full rebuilds; incremental replans patch the binning per slot instead.
+// are truncated and refilled). The incremental planner bins every window
+// with it on full rebuilds and only the freshly scanned dirty-pair windows
+// on incremental replans, which patch each slot's candidate set in place.
 func (s *Scheduler) binWindows(dst [][]int32, wins passes.Windows, start time.Time, n int, slotDur time.Duration) [][]int32 {
 	if cap(dst) >= n {
 		dst = dst[:n]

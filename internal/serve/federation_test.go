@@ -2,9 +2,12 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -345,5 +348,110 @@ func TestFederationApplyRoutesUpdates(t *testing.T) {
 	_, err = fed.Apply(Update{TLEs: []TLEUpdate{{Sat: &bad, Line1: "x", Line2: "y"}}})
 	if err == nil || !IsUpdateError(err) {
 		t.Fatalf("out-of-range TLE update: err = %v, want a bad-update error", err)
+	}
+}
+
+// TestFederationEpochVectorNeverTears is the no-torn-federated-reads
+// probe, with the vector actually moving: readers poll /v2/plan through
+// the front-tier handler while TLE refreshes land alternately on a
+// satellite owned by shard 0 and one owned by shard 1. Every 200 must
+// carry a 2-component epoch_vector equal to its X-World-Epoch-Vector
+// header, no reader may ever see a component decrease, and every reader
+// must end having watched both components advance — otherwise the
+// monotonicity assertion was never exercised.
+func TestFederationEpochVectorNeverTears(t *testing.T) {
+	sh0 := startTestShard(t, 0, 2, "")
+	sh1 := startTestShard(t, 1, 2, "")
+	fed := startTestFederator(t, []string{sh0.addr, sh1.addr})
+	front := NewWithSource(fed, Config{}).Handler()
+
+	full, err := NewSnapshot(fedWorldCfg())
+	if err != nil {
+		t.Fatalf("full-population snapshot: %v", err)
+	}
+	initial := fed.Current().EpochVec
+	if len(initial) != 2 {
+		t.Fatalf("initial epoch vector %v, want 2 components", initial)
+	}
+
+	// readVec performs one poll and cross-checks body against header; a
+	// nil vector is a shed request (not a torn read).
+	readVec := func() ([]uint64, error) {
+		rec := get(t, front, "/v2/plan")
+		if rec.Code != http.StatusOK {
+			return nil, nil
+		}
+		var env struct {
+			EpochVec []uint64 `json:"epoch_vector"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			return nil, fmt.Errorf("decode: %v", err)
+		}
+		if len(env.EpochVec) != 2 {
+			return nil, fmt.Errorf("epoch_vector %v, want 2 components", env.EpochVec)
+		}
+		want := fmt.Sprintf("%d,%d", env.EpochVec[0], env.EpochVec[1])
+		if hv := rec.Header().Get("X-World-Epoch-Vector"); hv != want {
+			return nil, fmt.Errorf("body vector %s != header vector %q (torn world)", want, hv)
+		}
+		return env.EpochVec, nil
+	}
+
+	const readers = 4
+	var writerDone atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			last := initial
+			for {
+				final := writerDone.Load() // one more poll after the last update
+				vec, err := readVec()
+				if err != nil {
+					errs <- fmt.Errorf("reader %d: %v", r, err)
+					return
+				}
+				if vec == nil {
+					continue
+				}
+				for c := range vec {
+					if vec[c] < last[c] {
+						errs <- fmt.Errorf("reader %d: component %d moved backwards: %v after %v", r, c, vec, last)
+						return
+					}
+				}
+				last = vec
+				if final {
+					if last[0] <= initial[0] || last[1] <= initial[1] {
+						errs <- fmt.Errorf("reader %d: ended at %v from %v — a component never advanced", r, last, initial)
+					}
+					return
+				}
+			}
+		}(r)
+	}
+
+	// One satellite per shard, addressed by global index; each accepted
+	// update bumps exactly the owning shard's component.
+	globals := fed.topo.Load().globals
+	for i := 0; i < 6; i++ {
+		g := int(globals[i%2][0])
+		l1, l2 := tleLines(t, altTLE(t, full, g, int64(31+i)))
+		before := fed.Current().EpochVec
+		if _, err := fed.Apply(Update{TLEs: []TLEUpdate{{Sat: &g, Line1: l1, Line2: l2}}}); err != nil {
+			t.Fatalf("update %d (sat %d, shard %d): %v", i, g, i%2, err)
+		}
+		after := fed.Current().EpochVec
+		if after[i%2] <= before[i%2] || after[1-i%2] != before[1-i%2] {
+			t.Fatalf("update %d on shard %d moved the vector %v -> %v", i, i%2, before, after)
+		}
+	}
+	writerDone.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -82,11 +82,9 @@ type Federator struct {
 	topo    atomic.Pointer[fedTopo]
 	view    *fedView
 
-	cur atomic.Pointer[World]
-	hub *subHub
-
-	mu        sync.Mutex // serializes rebuild, apply, topology refresh
-	retired   []*World
+	// The embedded publisher's mutex serializes rebuild, apply, and
+	// topology refresh, and guards nextEpoch and closed.
+	worldPub
 	nextEpoch uint64
 	closed    bool
 
@@ -105,11 +103,11 @@ func NewFederator(addrs []string, cfg FederatorConfig) (*Federator, error) {
 	}
 	cfg = cfg.withDefaults()
 	f := &Federator{
-		cfg:    cfg,
-		n:      len(addrs),
-		hub:    newSubHub(cfg.SubBuffer),
-		kickCh: make(chan struct{}, 1),
-		doneCh: make(chan struct{}),
+		cfg:      cfg,
+		n:        len(addrs),
+		worldPub: newWorldPub(cfg.SubBuffer, "serve: federated world not ready", "serve: federator closed"),
+		kickCh:   make(chan struct{}, 1),
+		doneCh:   make(chan struct{}),
 	}
 	f.view = &fedView{f: f}
 	onEvent := func() {
@@ -330,95 +328,22 @@ func (f *Federator) rebuildLocked() error {
 		return fmt.Errorf("merge: %w", err)
 	}
 	f.nextEpoch++
-	w := &World{
+	f.publishLocked(&World{
 		Epoch:    f.nextEpoch,
 		Built:    time.Now(),
 		Snap:     f.view,
 		Plan:     merged,
 		EpochVec: vec,
 		Missing:  missing,
-	}
-	w.planJSON = marshalPlanV2(w)
-	f.cur.Store(w)
-	if old != nil {
-		f.retired = append(f.retired, old)
-		f.pruneRetiredLocked()
-		f.hub.broadcast(sseEvent("delta", w.Epoch, marshalPlanDelta(w, old.Plan)))
-	}
+	})
 	return nil
 }
 
-func (f *Federator) pruneRetiredLocked() {
-	kept := f.retired[:0]
-	for _, w := range f.retired {
-		if w.Refs() > 0 {
-			kept = append(kept, w)
-		}
-	}
-	for i := len(kept); i < len(f.retired); i++ {
-		f.retired[i] = nil
-	}
-	f.retired = kept
-}
-
-// ---- WorldSource ----
-
-// Acquire returns the current merged world with its refcount taken.
-func (f *Federator) Acquire() (*World, bool) {
-	w := f.cur.Load()
-	if w == nil {
-		return nil, false
-	}
-	w.refs.Add(1)
-	return w, true
-}
-
-// Current returns the current world without taking a reference.
-func (f *Federator) Current() *World { return f.cur.Load() }
-
-// Epoch returns the front tier's world epoch.
-func (f *Federator) Epoch() uint64 {
-	if w := f.cur.Load(); w != nil {
-		return w.Epoch
-	}
-	return 0
-}
+// ---- WorldSource (the read and stream half is the embedded worldPub) ----
 
 // Err reports a failed initial build; NewFederator fails hard instead,
 // so a live Federator has none.
 func (f *Federator) Err() error { return nil }
-
-// RetiredWorlds returns how many superseded worlds still have readers.
-func (f *Federator) RetiredWorlds() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := 0
-	for _, w := range f.retired {
-		if w.Refs() > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Subscribers returns the number of connected plan-stream subscribers.
-func (f *Federator) Subscribers() int { return f.hub.count() }
-
-// Subscribe mirrors Store.Subscribe over the merged plan stream.
-func (f *Federator) Subscribe() (id int, ch <-chan []byte, initial []byte, err error) {
-	w := f.cur.Load()
-	if w == nil {
-		return 0, nil, nil, fmt.Errorf("serve: federated world not ready")
-	}
-	id, c, ok := f.hub.add()
-	if !ok {
-		return 0, nil, nil, fmt.Errorf("serve: federator closed")
-	}
-	return id, c, sseEvent("plan", w.Epoch, w.planJSON), nil
-}
-
-// Unsubscribe removes a subscriber. Safe after eviction.
-func (f *Federator) Unsubscribe(id int) { f.hub.remove(id) }
 
 // Close shuts the front tier down: shard sessions close and stream
 // subscribers drain. Published worlds stay readable.
@@ -463,10 +388,10 @@ func (f *Federator) Apply(u Update) (ApplyResult, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return ApplyResult{}, fmt.Errorf("serve: federator closed")
+		return ApplyResult{}, f.errClosed
 	}
 	if f.cur.Load() == nil {
-		return ApplyResult{}, fmt.Errorf("serve: federated world not ready")
+		return ApplyResult{}, f.errNotReady
 	}
 	if len(u.TLEs) == 0 && u.Weather == nil && len(u.AddStations) == 0 && len(u.RemoveStations) == 0 {
 		return ApplyResult{}, badUpdate("empty update: no tles, weather, or station changes")

@@ -181,16 +181,23 @@ func newSnapshotLoaded(cfg SnapshotConfig, tles []tle.TLE, net station.Network) 
 		}
 		s.props[i] = p
 	}
-	s.positions = poscache.New(s.props)
-	s.positions.Workers = cfg.Workers
-
 	if !cfg.ClearSky {
 		field := weather.NewField(uint64(cfg.Seed) + 7)
 		s.fc = weather.NewForecast(field, cfg.ForecastErr)
 	}
+	s.derive()
+	return s, nil
+}
 
-	s.topo = make([]frames.Topocentric, len(net))
-	for j, gs := range net {
+// derive builds what a snapshot computes from its propagators and
+// network: the shared position cache, the station geometry, and the plan
+// queue state.
+func (s *Snapshot) derive() {
+	s.positions = poscache.New(s.props)
+	s.positions.Workers = s.cfg.Workers
+
+	s.topo = make([]frames.Topocentric, len(s.net))
+	for j, gs := range s.net {
 		s.topo[j] = frames.NewTopocentric(gs.Location)
 	}
 
@@ -205,7 +212,6 @@ func newSnapshotLoaded(cfg SnapshotConfig, tles []tle.TLE, net station.Network) 
 			OldestAge:   time.Hour,
 		}
 	}
-	return s, nil
 }
 
 // simConfig builds the simulation configuration whose world matches
@@ -247,20 +253,7 @@ func (s *Snapshot) rederive(ip *core.IncrementalPlanner, tles []tle.TLE, fc *wea
 	for i := range sats {
 		next.props[i] = sats[i].Prop
 	}
-	next.positions = poscache.New(next.props)
-	next.positions.Workers = s.cfg.Workers
-	next.topo = make([]frames.Topocentric, len(net))
-	for j, gs := range net {
-		next.topo[j] = frames.NewTopocentric(gs.Location)
-	}
-	next.planSnaps = make([]core.SatSnapshot, len(next.props))
-	for i := range next.planSnaps {
-		next.planSnaps[i] = core.SatSnapshot{
-			Prop:        next.props[i],
-			PendingBits: next.genRate * 3600,
-			OldestAge:   time.Hour,
-		}
-	}
+	next.derive()
 	return next
 }
 

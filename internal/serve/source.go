@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dgs/internal/core"
@@ -60,8 +62,122 @@ type WorldSource interface {
 	Close()
 }
 
-// subHub is the plan-stream subscriber registry shared by Store and
-// Federator: non-blocking broadcast with slow-consumer eviction.
+// worldPub is the world publisher Store and Federator both embed — the
+// half of the WorldSource contract that does not depend on where worlds
+// come from: the atomically swapped current World (readers are wait-free,
+// one atomic load), the drain queue of superseded worlds that still have
+// readers, and the plan-stream subscribers. mu is the owner's writer lock
+// (it serializes Apply and world derivation) and also guards retired.
+type worldPub struct {
+	cur atomic.Pointer[World]
+	hub *subHub
+
+	mu      sync.Mutex
+	retired []*World
+
+	// errNotReady and errClosed are what Subscribe (and the owner's Apply)
+	// return before the first publish and after Close.
+	errNotReady, errClosed error
+}
+
+func newWorldPub(subBuffer int, notReady, closed string) worldPub {
+	return worldPub{
+		hub:         newSubHub(subBuffer),
+		errNotReady: errors.New(notReady),
+		errClosed:   errors.New(closed),
+	}
+}
+
+// Acquire returns the current world with its refcount taken, or false
+// before the first world is published. Callers must Release.
+func (p *worldPub) Acquire() (*World, bool) {
+	w := p.cur.Load()
+	if w == nil {
+		return nil, false
+	}
+	w.refs.Add(1)
+	return w, true
+}
+
+// Current returns the current world without taking a reference (nil
+// before the first publish). For point-in-time inspection only.
+func (p *worldPub) Current() *World { return p.cur.Load() }
+
+// Epoch returns the current world epoch (0 before the first publish).
+func (p *worldPub) Epoch() uint64 {
+	if w := p.cur.Load(); w != nil {
+		return w.Epoch
+	}
+	return 0
+}
+
+// RetiredWorlds returns how many superseded worlds still have active
+// readers (the drain queue length).
+func (p *worldPub) RetiredWorlds() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, w := range p.retired {
+		if w.Refs() > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// publishLocked makes w the current world: its /v2/plan wire body is
+// built, the pointer swapped, and — when w supersedes a world — the old
+// one joins the drain queue and every stream subscriber gets the plan
+// delta. Callers hold mu.
+func (p *worldPub) publishLocked(w *World) {
+	w.planJSON = marshalPlanV2(w)
+	old := p.cur.Swap(w)
+	if old == nil {
+		return
+	}
+	p.retired = append(p.retired, old)
+	p.pruneRetiredLocked()
+	p.hub.broadcast(sseEvent("delta", w.Epoch, marshalPlanDelta(w, old.Plan)))
+}
+
+// pruneRetiredLocked drops retired worlds with no remaining readers.
+func (p *worldPub) pruneRetiredLocked() {
+	kept := p.retired[:0]
+	for _, w := range p.retired {
+		if w.Refs() > 0 {
+			kept = append(kept, w)
+		}
+	}
+	clear(p.retired[len(kept):])
+	p.retired = kept
+}
+
+// Subscribers returns the number of connected plan-stream subscribers.
+func (p *worldPub) Subscribers() int { return p.hub.count() }
+
+// Subscribe registers a plan-stream subscriber: the returned channel
+// first-in carries nothing (the caller writes the returned initial event
+// itself), then receives one prebuilt SSE event per epoch swap. The
+// channel is closed when the source shuts down or the subscriber falls too
+// far behind. Callers must Unsubscribe.
+func (p *worldPub) Subscribe() (id int, ch <-chan []byte, initial []byte, err error) {
+	w := p.cur.Load()
+	if w == nil {
+		return 0, nil, nil, p.errNotReady
+	}
+	id, c, ok := p.hub.add()
+	if !ok {
+		return 0, nil, nil, p.errClosed
+	}
+	return id, c, sseEvent("plan", w.Epoch, w.planJSON), nil
+}
+
+// Unsubscribe removes a subscriber. Safe after the source evicted it.
+func (p *worldPub) Unsubscribe(id int) { p.hub.remove(id) }
+
+// subHub is the subscriber registry behind the plan stream and the
+// optimizer's job streams: non-blocking broadcast with slow-consumer
+// eviction.
 type subHub struct {
 	mu   sync.Mutex
 	subs map[int]chan []byte

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -103,26 +102,22 @@ func (w *World) Refs() int64 { return w.refs.Load() }
 // Release returns a World acquired from Store.Acquire.
 func (w *World) Release() { w.refs.Add(-1) }
 
-// Store owns the versioned world: an atomic pointer to the current World,
-// the single-writer incremental planner that revises it, and the plan
-// stream subscribers. Readers are wait-free (one atomic load); writers
-// serialize on the store mutex.
+// Store owns the versioned world: the embedded publisher (current World,
+// drain queue, plan-stream subscribers) and the single-writer incremental
+// planner that revises it. Readers are wait-free (one atomic load);
+// writers serialize on the publisher's mutex, which also guards the
+// fields below it.
 type Store struct {
 	cfg StoreConfig
+	worldPub
 
-	cur atomic.Pointer[World]
-
-	mu       sync.Mutex // serializes Apply and world derivation
 	ip       *core.IncrementalPlanner
 	tles     []tle.TLE
 	fc       *weather.Forecast
-	retired  []*World
 	buildErr error
 	closed   bool
 
 	ready chan struct{} // closed once the first world (or buildErr) lands
-
-	hub *subHub
 }
 
 // NewStore builds a store over a loaded snapshot, synchronously building
@@ -156,9 +151,9 @@ func OpenStore(load func() (*Snapshot, error), cfg StoreConfig) *Store {
 func newStoreShell(cfg StoreConfig) *Store {
 	cfg = cfg.withDefaults()
 	return &Store{
-		cfg:   cfg,
-		ready: make(chan struct{}),
-		hub:   newSubHub(cfg.SubBuffer),
+		cfg:      cfg,
+		worldPub: newWorldPub(cfg.SubBuffer, "serve: store not ready", "serve: store closed"),
+		ready:    make(chan struct{}),
 	}
 }
 
@@ -182,15 +177,13 @@ func (s *Store) publishInitial(snap *Snapshot) {
 	s.ip = ip
 	s.tles = append([]tle.TLE(nil), snap.tles...)
 	s.fc = snap.fc
-	w := &World{
+	s.publishLocked(&World{
 		Epoch:        1,
 		Built:        time.Now(),
 		Snap:         snap,
 		Plan:         ip.Plan(),
 		ChangedSlots: ip.LastChangedSlots(),
-	}
-	w.planJSON = marshalPlanV2(w)
-	s.cur.Store(w)
+	})
 	close(s.ready)
 }
 
@@ -203,43 +196,6 @@ func (s *Store) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.buildErr
-}
-
-// Acquire returns the current world with its refcount taken, or false
-// before the first world is published. Callers must Release.
-func (s *Store) Acquire() (*World, bool) {
-	w := s.cur.Load()
-	if w == nil {
-		return nil, false
-	}
-	w.refs.Add(1)
-	return w, true
-}
-
-// Current returns the current world without taking a reference (nil
-// before the first publish). For point-in-time inspection only.
-func (s *Store) Current() *World { return s.cur.Load() }
-
-// Epoch returns the current world epoch (0 before the first publish).
-func (s *Store) Epoch() uint64 {
-	if w := s.cur.Load(); w != nil {
-		return w.Epoch
-	}
-	return 0
-}
-
-// RetiredWorlds returns how many superseded worlds still have active
-// readers (the drain queue length).
-func (s *Store) RetiredWorlds() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, w := range s.retired {
-		if w.Refs() > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // HasNorad reports whether a satellite with the given catalog number is
@@ -256,9 +212,6 @@ func (s *Store) HasNorad(id int) bool {
 	}
 	return false
 }
-
-// Subscribers returns the number of connected plan-stream subscribers.
-func (s *Store) Subscribers() int { return s.hub.count() }
 
 // ---- the delta-ingestion wire format ----
 
@@ -331,11 +284,11 @@ func (s *Store) Apply(u Update) (ApplyResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return ApplyResult{}, fmt.Errorf("serve: store closed")
+		return ApplyResult{}, s.errClosed
 	}
 	old := s.cur.Load()
 	if old == nil {
-		return ApplyResult{}, fmt.Errorf("serve: store not ready")
+		return ApplyResult{}, s.errNotReady
 	}
 	if len(u.TLEs) == 0 && u.Weather == nil && len(u.AddStations) == 0 && len(u.RemoveStations) == 0 {
 		return ApplyResult{}, badUpdate("empty update: no tles, weather, or station changes")
@@ -443,12 +396,7 @@ func (s *Store) Apply(u Update) (ApplyResult, error) {
 		Plan:         plan,
 		ChangedSlots: s.ip.LastChangedSlots(),
 	}
-	w.planJSON = marshalPlanV2(w)
-	delta := marshalPlanDelta(w, old.Plan)
-	s.cur.Store(w)
-	s.retired = append(s.retired, old)
-	s.pruneRetiredLocked()
-	s.broadcast(sseEvent("delta", w.Epoch, delta))
+	s.publishLocked(w)
 	return ApplyResult{
 		Epoch:        w.Epoch,
 		PlanVersion:  plan.Version,
@@ -456,43 +404,6 @@ func (s *Store) Apply(u Update) (ApplyResult, error) {
 		Incremental:  s.ip.LastReplanIncremental(),
 	}, nil
 }
-
-// pruneRetiredLocked drops retired worlds with no remaining readers.
-func (s *Store) pruneRetiredLocked() {
-	kept := s.retired[:0]
-	for _, w := range s.retired {
-		if w.Refs() > 0 {
-			kept = append(kept, w)
-		}
-	}
-	for i := len(kept); i < len(s.retired); i++ {
-		s.retired[i] = nil
-	}
-	s.retired = kept
-}
-
-// Subscribe registers a plan-stream subscriber: the returned channel
-// first-in carries nothing (the caller writes the returned initial event
-// itself), then receives one prebuilt SSE event per epoch swap. The
-// channel is closed when the store shuts down or the subscriber falls too
-// far behind. Callers must Unsubscribe.
-func (s *Store) Subscribe() (id int, ch <-chan []byte, initial []byte, err error) {
-	w := s.cur.Load()
-	if w == nil {
-		return 0, nil, nil, fmt.Errorf("serve: store not ready")
-	}
-	id, c, ok := s.hub.add()
-	if !ok {
-		return 0, nil, nil, fmt.Errorf("serve: store closed")
-	}
-	return id, c, sseEvent("plan", w.Epoch, w.planJSON), nil
-}
-
-// Unsubscribe removes a subscriber. Safe after the store evicted it.
-func (s *Store) Unsubscribe(id int) { s.hub.remove(id) }
-
-// broadcast delivers an event to every subscriber (see subHub.broadcast).
-func (s *Store) broadcast(ev []byte) { s.hub.broadcast(ev) }
 
 // Close shuts the store down: further Applies fail and every stream
 // subscriber's channel is closed so streaming handlers finish — the
