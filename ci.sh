@@ -53,6 +53,10 @@ go test -count=5 -cpu 1,2,4 ./internal/session ./internal/backend
 # Likewise the federated no-torn-reads probe: readers race real epoch-
 # vector movement, which only repetition across CPU counts explores.
 go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears' ./internal/serve
+# The pair-subset scan shards and refines like the unrestricted one, and
+# the incremental planner's window patch is two such scans merged: their
+# filter-after / from-scratch identities must hold at every worker split.
+go test -count=5 -cpu 1,2,4 -run 'Subset|IncrementalDifferential' ./internal/passes ./internal/core
 
 echo "== go test -race (parallel pipeline + session + serving layers)"
 # session is the one managed wire session both station↔backend and
@@ -97,7 +101,10 @@ grep -q "clean shutdown" "$smokedir/api.log"
 echo "== federation smoke (2 dgs-shard + front tier vs monolith)"
 # Boot two shard backends and a merging front tier over the same small
 # world as a monolith dgs-api, then require: (1) the front tier's
-# /v1/passes — shard-invariant facts — byte-identical to the monolith's;
+# /v1/passes — shard-invariant facts — byte-identical to the monolith's,
+# unfiltered and filtered (sat= is routed to the owning shard, whose
+# subset scan runs in local indices; station= fans out a subset scan to
+# every shard and re-sorts the union);
 # (2) /v2/plan to carry a 2-component epoch vector that a weather update
 # broadcast through the front tier moves on both components; (3) a
 # 1-shard fleet's /v1/plan byte-identical to the monolith's (the
@@ -122,9 +129,13 @@ shard1_addr=$(wait_addr "$smokedir/shard1.log" "satellites) on")
 "$smokedir/dgs-api" -listen 127.0.0.1:0 -shards "$shard0_addr,$shard1_addr" > "$smokedir/front2.log" 2>&1 &
 front2_pid=$!
 front2_addr=$(wait_addr "$smokedir/front2.log" "serving on")
-curl -sf "http://$front2_addr/v1/passes?hours=2" > "$smokedir/fed_passes.json"
-curl -sf "http://$mono_addr/v1/passes?hours=2" > "$smokedir/mono_passes.json"
-cmp "$smokedir/fed_passes.json" "$smokedir/mono_passes.json"
+# (the pair meets only after 4 h in this world, hence its longer range)
+for q in "hours=2" "hours=2&sat=3" "hours=2&station=5" "hours=6&sat=3&station=5"; do
+    curl -sf "http://$front2_addr/v1/passes?$q" > "$smokedir/fed_passes.json"
+    curl -sf "http://$mono_addr/v1/passes?$q" > "$smokedir/mono_passes.json"
+    grep -q '"windows":\[{' "$smokedir/mono_passes.json" || { echo "monolith /v1/passes?$q has no windows" >&2; exit 1; }
+    cmp "$smokedir/fed_passes.json" "$smokedir/mono_passes.json"
+done
 curl -sf "http://$front2_addr/v2/plan" | grep -q '"epoch_vector":\[1,1\]' \
     || { echo "front tier /v2/plan missing 2-component epoch vector" >&2; exit 1; }
 curl -sf -X POST "http://$front2_addr/v2/updates" -d '{"weather":{"seed":9,"err_fraction":0.25}}' > /dev/null

@@ -380,55 +380,41 @@ func (ip *IncrementalPlanner) refreshPairs(k int) {
 
 // patchWindows rebuilds the window set for the dirty satellites and
 // stations only, and returns the freshly scanned windows: clean pairs
-// keep their windows verbatim; each dirty satellite is re-scanned
-// against the whole network through a single-satellite cache, and each
-// dirty station against the whole constellation through the shared
-// (already patched) cache. Per-pair window formation is independent, and
-// every mini-scan covers the same [Start, end) grid with the same
-// config, so the union is exactly what a full re-scan would produce.
+// keep their windows verbatim; the dirty satellites are re-scanned against
+// the network and the dirty stations against the constellation, one
+// pair-subset scan each (passes.Config.Sats / Stations) over the shared,
+// already patched cache. Per-pair window formation is independent and
+// both scans use the full scan's grid and config, so the union is exactly
+// what a full re-scan would produce.
 func (ip *IncrementalPlanner) patchWindows() passes.Windows {
 	fresh := ip.freshBuf[:0]
-	for _, i := range sortedKeys(ip.dirtySats) {
-		mini := poscache.New([]orbit.Propagator{ip.sats[i].Prop})
-		mini.Workers = ip.cfg.Workers
-		pred := passes.New(mini, ip.net, ip.pcfg)
-		for _, w := range pred.WindowsBetween(nil, ip.cfg.Start, ip.end) {
-			w.Sat = i
-			fresh = append(fresh, w)
-		}
+	if len(ip.dirtySats) > 0 {
+		cfg := ip.pcfg
+		cfg.Sats = sortedKeys(ip.dirtySats)
+		fresh = passes.New(ip.positions, ip.net, cfg).WindowsBetween(fresh, ip.cfg.Start, ip.end)
 	}
-	for _, j := range sortedKeys(ip.dirtyStations) {
-		pred := passes.New(ip.positions, station.Network{ip.net[j]}, ip.pcfg)
-		for _, w := range pred.WindowsBetween(nil, ip.cfg.Start, ip.end) {
-			if ip.dirtySats[w.Sat] {
-				continue // already owned by that satellite's re-scan
-			}
-			w.Station = j
-			fresh = append(fresh, w)
-		}
+	if len(ip.dirtyStations) > 0 {
+		cfg := ip.pcfg
+		cfg.Stations = sortedKeys(ip.dirtyStations)
+		n := len(fresh)
+		fresh = passes.New(ip.positions, ip.net, cfg).WindowsBetween(fresh, ip.cfg.Start, ip.end)
+		// Dirty satellites' windows are already in fresh[:n], from their scan.
+		kept := slices.DeleteFunc(fresh[n:], func(w passes.Window) bool { return ip.dirtySats[w.Sat] })
+		fresh = fresh[:n+len(kept)]
 	}
 	ip.freshBuf = fresh
 
 	// Maintain the merged set in canonical (Start, Sat, Station) order by
 	// merging the kept subsequence (already ordered) with the sorted
 	// fresh windows — a linear pass instead of re-sorting the world.
-	cmp := func(a, b passes.Window) int {
-		if c := a.Start.Compare(b.Start); c != 0 {
-			return c
-		}
-		if a.Sat != b.Sat {
-			return a.Sat - b.Sat
-		}
-		return a.Station - b.Station
-	}
-	slices.SortFunc(fresh, cmp)
+	slices.SortFunc(fresh, passes.CompareWindows)
 	merged := ip.winScratch[:0]
 	fi := 0
 	for _, w := range ip.windows {
 		if ip.dirtySats[w.Sat] || ip.dirtyStations[w.Station] {
 			continue
 		}
-		for fi < len(fresh) && cmp(fresh[fi], w) < 0 {
+		for fi < len(fresh) && passes.CompareWindows(fresh[fi], w) < 0 {
 			merged = append(merged, fresh[fi])
 			fi++
 		}

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"dgs/internal/dataset"
 	"dgs/internal/linkbudget"
 	"dgs/internal/orbit"
+	"dgs/internal/passes"
 	"dgs/internal/sgp4"
 	"dgs/internal/station"
 	"dgs/internal/tle"
@@ -186,6 +189,69 @@ func TestIncrementalDifferentialSmall(t *testing.T) {
 	net := dataset.Stations(dataset.StationOptions{N: 24, Seed: 3})
 	for _, workers := range []int{1, 0} {
 		runIncrementalDifferential(t, els, refreshed, net, workers, 11+int64(workers))
+	}
+}
+
+// TestIncrementalDifferentialSatsAndStations puts two dirty satellites
+// and dirty stations in the same Replan, the case where patchWindows' two
+// subset scans overlap: a dirty satellite's windows at a dirty station
+// come out of both and must be kept once. Live stations are marked dirty
+// directly — no public delta re-scans a live station without resizing the
+// network, and a removed one has no windows left to overlap — beside a
+// real RemoveStation. The patched window set must equal a full re-scan of
+// the revised world, and the plan a from-scratch PlanEpoch, byte for byte.
+func TestIncrementalDifferentialSatsAndStations(t *testing.T) {
+	els := dataset.Satellites(dataset.SatelliteOptions{N: 40, Seed: 2, Epoch: epoch})
+	alt := propsFrom(t, dataset.Satellites(dataset.SatelliteOptions{N: 40, Seed: 3, Epoch: epoch.Add(10 * time.Minute)}))
+	net := dataset.Stations(dataset.StationOptions{N: 30, Seed: 3})
+	for _, workers := range []int{1, 4, 0} {
+		cfg := IncrementalConfig{
+			Start:         epoch,
+			Horizon:       time.Hour,
+			Slot:          time.Minute,
+			GenBitsPerSec: 100 * 8e9 / 86400.0,
+			Radio:         linkbudget.DefaultRadio(),
+			Forecast:      weather.NewForecast(weather.NewField(7), 0.3),
+			Workers:       workers,
+		}
+		ip, err := NewIncrementalPlanner(snapsFrom(propsFrom(t, els)), net, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirtySats := []int{7, 23}
+		for _, i := range dirtySats {
+			if err := ip.UpdateTLE(i, alt[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ip.RemoveStation(4); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < len(net); j += 3 {
+			ip.dirtyStations[j] = true
+		}
+		got := ip.Replan()
+		if !ip.LastReplanIncremental() {
+			t.Fatal("replan took the full-rebuild path; patchWindows never ran")
+		}
+
+		full := passes.New(ip.positions, ip.net, ip.pcfg).WindowsBetween(nil, ip.cfg.Start, ip.end)
+		if !reflect.DeepEqual(ip.windows, full) {
+			t.Fatalf("workers=%d: patched window set (%d) differs from a full re-scan (%d)", workers, len(ip.windows), len(full))
+		}
+		overlap := 0
+		for _, w := range full {
+			if slices.Contains(dirtySats, w.Sat) && w.Station%3 == 0 {
+				overlap++
+			}
+		}
+		if overlap == 0 {
+			t.Fatal("no window of a dirty satellite at a dirty station; the overlap rule went unexercised")
+		}
+		if ref := scratchPlan(ip, cfg, workers); !bytes.Equal(planJSON(t, got), planJSON(t, ref)) {
+			plansEqual(t, ref, got, "sats+stations")
+			t.Fatal("plans compare equal field-wise but render differently")
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ package passes
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -75,19 +76,21 @@ func (ws Windows) Covering(t time.Time) func(yield func(Window) bool) {
 	}
 }
 
-// sortWindows orders windows by (Start, Sat, Station); the tuple is unique
-// per window, so the order is total and deterministic.
-func sortWindows(ws []Window) {
-	slices.SortFunc(ws, func(a, b Window) int {
-		if c := a.Start.Compare(b.Start); c != 0 {
-			return c
-		}
-		if a.Sat != b.Sat {
-			return a.Sat - b.Sat
-		}
-		return a.Station - b.Station
-	})
+// CompareWindows is the canonical (Start, Sat, Station) order of a window
+// set; the tuple is unique per window, so the order is total and
+// deterministic. Callers merging window sets use it to stay in the order
+// WindowsBetween emits.
+func CompareWindows(a, b Window) int {
+	if c := a.Start.Compare(b.Start); c != 0 {
+		return c
+	}
+	if a.Sat != b.Sat {
+		return a.Sat - b.Sat
+	}
+	return a.Station - b.Station
 }
+
+func sortWindows(ws []Window) { slices.SortFunc(ws, CompareWindows) }
 
 // Config tunes the predictor. The zero value selects the defaults.
 type Config struct {
@@ -117,12 +120,28 @@ type Config struct {
 	// write results back by queue index — so the knob trades nothing but
 	// wall-clock.
 	Workers int
+	// Sats and Stations restrict prediction to a pair subset: only pairs
+	// whose satellite is in Sats and whose station is in Stations are
+	// scanned, refined and reported. nil means all; otherwise population
+	// indices, strictly ascending. Window formation has no cross-pair
+	// coupling and the (Start, Sat, Station) order of a subset is the
+	// subset of the order, so the result is exactly the unrestricted
+	// result filtered afterwards — Sat and Station stay population
+	// indices — at the cost of the requested pairs alone. A satellite
+	// subset is propagated directly (poscache.Cache.SatAtWith), neither
+	// reading nor filling the population-wide cache slots; a station
+	// subset is tested directly, without the candidate grid, which exists
+	// to prune the whole network and costs more per satellite-instant than
+	// the few slant-range cuts it would save.
+	Sats, Stations []int
 }
 
 // Validate reports whether the configuration can drive the scheduler's
 // bit-identity contract for a planning slot of the given duration: the
-// slot grid must be a subset of the stride grid, and the tunables must
-// not be negative (zero selects the documented default).
+// slot grid must be a subset of the stride grid, the tunables must not be
+// negative (zero selects the documented default), and a pair subset must
+// be strictly ascending non-negative indices. The subsets' upper bounds
+// need the population, which only New sees: it panics on an index past it.
 func (c Config) Validate(slotDur time.Duration) error {
 	if c.CoarseStep < 0 {
 		return fmt.Errorf("passes: CoarseStep %v is negative", c.CoarseStep)
@@ -138,6 +157,25 @@ func (c Config) Validate(slotDur time.Duration) error {
 	}
 	if slotDur%c.coarse() != 0 {
 		return fmt.Errorf("passes: CoarseStep %v does not divide the slot duration %v", c.coarse(), slotDur)
+	}
+	if err := checkSubset("Sats", c.Sats, math.MaxInt); err != nil {
+		return err
+	}
+	return checkSubset("Stations", c.Stations, math.MaxInt)
+}
+
+// checkSubset reports the first violation of the pair-subset contract:
+// strictly ascending indices in [0, n).
+func checkSubset(name string, idx []int, n int) error {
+	for k, v := range idx {
+		switch {
+		case v < 0:
+			return fmt.Errorf("passes: %s[%d] = %d is negative", name, k, v)
+		case v >= n:
+			return fmt.Errorf("passes: %s[%d] = %d is out of range [0, %d)", name, k, v, n)
+		case k > 0 && v <= idx[k-1]:
+			return fmt.Errorf("passes: %s is not strictly ascending: %s[%d] = %d after %s[%d] = %d", name, name, k, v, name, k-1, idx[k-1])
+		}
 	}
 	return nil
 }
@@ -189,8 +227,9 @@ type Stats struct {
 	// CandidatePairs is the number of (satellite, station) pairs the scan
 	// evaluated exactly (slant range + look angles).
 	CandidatePairs int64
-	// CrossPairs is the number of pairs a full cross-product scan would
-	// have evaluated over the same instants.
+	// CrossPairs is the number of pairs a full cross-product scan of the
+	// requested pair subset (the whole population without one) would have
+	// evaluated over the same instants.
 	CrossPairs int64
 	// RefineBisections is the number of bisection iterations spent
 	// refining AOS/LOS brackets: one per pending transition per halving
@@ -226,10 +265,15 @@ type Predictor struct {
 	// grid is the spatial candidate index over station locations; each
 	// stride instant only examines stations whose cell intersects a
 	// satellite's horizon disk (same index the scheduler's sweep uses).
-	grid *spatial.Grid
-	topo []frames.Topocentric
-	cand []int32 // reused AppendNear scratch (serial sweep path)
-	stat Stats
+	// direct replaces it when the stations to test are listed outright —
+	// Config.Stations, or the whole network under FullScan — and every
+	// visible satellite is tested against exactly that list.
+	grid   *spatial.Grid
+	direct []int32
+	topo   []frames.Topocentric
+	cand   []int32          // reused AppendNear scratch (serial sweep path)
+	satBuf []poscache.Entry // reused Config.Sats positions at one instant
+	stat   Stats
 
 	// Scan state: instants anchor + k·CoarseStep for k ≥ 0 are scanned in
 	// order; [covFrom, lastScanned] is the contiguous covered range.
@@ -263,20 +307,43 @@ type Predictor struct {
 }
 
 // New builds a predictor over a position cache and station network. Both
-// are retained; stations must not move or change masks afterwards.
+// are retained; stations must not move or change masks afterwards. It
+// panics when a Config.Sats or Config.Stations index lies outside the
+// population (a caller bug: the subsets are chosen by code, not input).
 func New(positions *poscache.Cache, stations station.Network, cfg Config) *Predictor {
+	if err := checkSubset("Sats", cfg.Sats, positions.Len()); err != nil {
+		panic(err)
+	}
+	if err := checkSubset("Stations", cfg.Stations, len(stations)); err != nil {
+		panic(err)
+	}
 	p := &Predictor{
 		positions: positions,
 		stations:  stations,
 		cfg:       cfg,
-		grid:      spatial.NewGrid(),
 		topo:      make([]frames.Topocentric, len(stations)),
 		runs:      make(map[int64]run),
 		pendOpen:  make(map[int64]int32),
 	}
 	for j, gs := range stations {
-		p.grid.Add(int32(j), gs.Location.LatRad, gs.Location.LonRad)
 		p.topo[j] = frames.NewTopocentric(gs.Location)
+	}
+	switch {
+	case cfg.Stations != nil:
+		p.direct = make([]int32, len(cfg.Stations))
+		for k, j := range cfg.Stations {
+			p.direct[k] = int32(j)
+		}
+	case cfg.FullScan:
+		p.direct = make([]int32, len(stations))
+		for j := range p.direct {
+			p.direct[j] = int32(j)
+		}
+	default:
+		p.grid = spatial.NewGrid()
+		for j, gs := range stations {
+			p.grid.Add(int32(j), gs.Location.LatRad, gs.Location.LonRad)
+		}
 	}
 	return p
 }
@@ -379,11 +446,31 @@ func (p *Predictor) ensure(from, to time.Time) {
 			ts = append(ts, t)
 		}
 		p.tsBuf = ts
+		if p.cfg.Sats != nil {
+			for _, t := range ts {
+				p.scan(t, p.subsetAt(t))
+			}
+			continue
+		}
 		for k, entries := range p.positions.AtRange(ts) {
 			p.scan(ts[k], entries)
 		}
 	}
 	p.flushRefine()
+}
+
+// subsetAt propagates the Config.Sats satellites to t, in subset order,
+// into a buffer reused across instants: one Julian date and Earth rotation
+// per instant, and no population-wide cache slot read, filled or allocated.
+func (p *Predictor) subsetAt(t time.Time) []poscache.Entry {
+	jd := astro.JulianDate(t)
+	rot := frames.NewEarthRotation(jd)
+	ents := p.satBuf[:0]
+	for _, i := range p.cfg.Sats {
+		ents = append(ents, p.positions.SatAtWith(i, t, jd, rot))
+	}
+	p.satBuf = ents
+	return ents
 }
 
 // reset discards all scan state and re-anchors the stride grid at from.
@@ -400,37 +487,43 @@ func (p *Predictor) reset(from time.Time) {
 	clear(p.pendOpen)
 }
 
-// scanRange appends the above-mask pair keys of satellites [lo, hi) to
-// keys, sorted, using cand as AppendNear scratch. It returns the keys,
-// the (possibly grown) scratch, and the number of pairs evaluated
-// exactly — the shard-local tally the caller sums in shard order.
+// scanRange appends the above-mask pair keys of entries [lo, hi) to keys,
+// sorted, using cand as AppendNear scratch. entries[i] is satellite i of
+// the population, or of Config.Sats when that is set — either way
+// ascending population indices, and keys carry the population index. It
+// returns the keys, the (possibly grown) scratch, and the number of pairs
+// evaluated exactly — the shard-local tally the caller sums in shard order.
 func (p *Predictor) scanRange(keys []int64, entries []poscache.Entry, lo, hi int, cand []int32) ([]int64, []int32, int64) {
 	maxRange := p.cfg.maxRange()
 	nGs := int64(len(p.stations))
+	sats, direct := p.cfg.Sats, p.direct
 	var pairs int64
 	for i := lo; i < hi; i++ {
 		e := entries[i]
 		if !e.OK {
 			continue
 		}
-		sp := spatial.SubPointOf(e.Pos)
-		if !sp.Visible() {
-			continue
-		}
-		if p.cfg.FullScan {
-			pairs += nGs
-			for j := range p.stations {
-				if p.aboveWith(e.Pos, j, maxRange) {
-					keys = append(keys, int64(i)*nGs+int64(j))
-				}
+		list := direct
+		if list == nil {
+			sp := spatial.SubPointOf(e.Pos)
+			if !sp.Visible() {
+				continue
 			}
+			cand = p.grid.AppendNear(cand[:0], sp, spatial.HorizonPsiDeg(sp.RKm))
+			list = cand
+		} else if e.Pos.Norm() <= astro.EarthRadiusKm {
+			// SubPoint.Visible's test without the sub-point's trigonometry,
+			// which only the grid query needs.
 			continue
 		}
-		cand = p.grid.AppendNear(cand[:0], sp, spatial.HorizonPsiDeg(sp.RKm))
-		pairs += int64(len(cand))
-		for _, j := range cand {
+		base := int64(i) * nGs
+		if sats != nil {
+			base = int64(sats[i]) * nGs
+		}
+		pairs += int64(len(list))
+		for _, j := range list {
 			if p.aboveWith(e.Pos, int(j), maxRange) {
-				keys = append(keys, int64(i)*nGs+int64(j))
+				keys = append(keys, base+int64(j))
 			}
 		}
 	}
@@ -440,18 +533,22 @@ func (p *Predictor) scanRange(keys []int64, entries []poscache.Entry, lo, hi int
 
 // scan evaluates one stride instant: which pairs are above the mask now,
 // and which transitions happened since the previous instant. entries are
-// the population positions at t, prefetched in blocks by ensure.
+// the positions at t of the population (prefetched in blocks by ensure) or
+// of the satellite subset.
 //
 // The per-satellite loop shards over the worker pool. Each shard owns a
-// contiguous satellite range and emits a private sorted key slice; shard
-// s covers keys in [lo·nGs, hi·nGs) — disjoint, ascending ranges — so
+// contiguous range of entries — ascending satellites — and emits a private
+// sorted key slice; shards cover disjoint, ascending key ranges, so
 // concatenating the shard slices in shard index order reproduces the
 // serial path's globally sorted key set exactly, for any worker count
 // and any scheduling of shards onto workers.
 func (p *Predictor) scan(t time.Time, entries []poscache.Entry) {
-	nGs := int64(len(p.stations))
+	nGs := len(p.stations)
+	if p.cfg.Stations != nil {
+		nGs = len(p.cfg.Stations)
+	}
 	p.stat.Instants++
-	p.stat.CrossPairs += int64(len(entries)) * nGs
+	p.stat.CrossPairs += int64(len(entries)) * int64(nGs)
 
 	const shardSats = 256
 	workers := p.cfg.workers()

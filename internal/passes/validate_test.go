@@ -20,6 +20,8 @@ func TestConfigValidate(t *testing.T) {
 		{name: "zero value defaults", cfg: Config{}, slotDur: slot},
 		{name: "explicit divisor", cfg: Config{CoarseStep: 30 * time.Second}, slotDur: slot},
 		{name: "stride equals slot", cfg: Config{CoarseStep: slot, Tol: slot}, slotDur: slot},
+		{name: "ascending subsets", cfg: Config{Sats: []int{0, 3, 258}, Stations: []int{5}}, slotDur: slot},
+		{name: "empty subsets", cfg: Config{Sats: []int{}, Stations: []int{}}, slotDur: slot},
 		{
 			name:    "negative coarse step",
 			cfg:     Config{CoarseStep: -time.Second},
@@ -62,6 +64,30 @@ func TestConfigValidate(t *testing.T) {
 			slotDur: 90 * time.Second,
 			wantErr: "passes: CoarseStep 1m0s does not divide the slot duration 1m30s",
 		},
+		{
+			name:    "unsorted satellite subset",
+			cfg:     Config{Sats: []int{5, 3}},
+			slotDur: slot,
+			wantErr: "passes: Sats is not strictly ascending: Sats[1] = 3 after Sats[0] = 5",
+		},
+		{
+			name:    "duplicate station subset",
+			cfg:     Config{Stations: []int{2, 7, 7}},
+			slotDur: slot,
+			wantErr: "passes: Stations is not strictly ascending: Stations[2] = 7 after Stations[1] = 7",
+		},
+		{
+			name:    "satellite subset below range",
+			cfg:     Config{Sats: []int{-1, 4}},
+			slotDur: slot,
+			wantErr: "passes: Sats[0] = -1 is negative",
+		},
+		{
+			name:    "station subset below range",
+			cfg:     Config{Sats: []int{1}, Stations: []int{-2}},
+			slotDur: slot,
+			wantErr: "passes: Stations[0] = -2 is negative",
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.cfg.Validate(tc.slotDur)
@@ -78,5 +104,28 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatalf("Validate(%v) = %q, want %q", tc.slotDur, err.Error(), tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestNewRejectsSubsetPastPopulation pins the half of the range check
+// Validate cannot make: only New knows the population sizes.
+func TestNewRejectsSubsetPastPopulation(t *testing.T) {
+	pos, net := world(t, 4, 3)
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Sats: []int{1, 4}}, "passes: Sats[1] = 4 is out of range [0, 4)"},
+		{Config{Stations: []int{3}}, "passes: Stations[0] = 3 is out of range [0, 3)"},
+	} {
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				if err == nil || err.Error() != tc.want {
+					t.Errorf("New(%+v) panicked with %v, want %q", tc.cfg, err, tc.want)
+				}
+			}()
+			New(pos, net, tc.cfg)
+		}()
 	}
 }

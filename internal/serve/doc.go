@@ -97,4 +97,11 @@
 // Query instants are quantized to the snapshot's slot grid, so distinct
 // clients asking about the same minute share cache entries, position-
 // cache instants, and in-flight computations.
+//
+// A miss costs what it asks about: the pass endpoints' sat= and station=
+// filters reach the predictor as a pair subset (passes.Config.Sats /
+// Stations) — sat= propagates one satellite and leaves the position cache
+// alone (≈1.5 ms for 3 h at 259 × 173), station= tests one station per
+// satellite-instant (≈25 ms); only the unfiltered query scans every pair
+// (≈275 ms). The windows are the unfiltered answer's, byte for byte.
 package serve

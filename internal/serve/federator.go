@@ -584,15 +584,7 @@ func (v *fedView) Passes(from, to time.Time, sat, gs int) passes.Windows {
 			all = append(all, r.ws...)
 		}
 	}
-	slices.SortFunc(all, func(a, b passes.Window) int {
-		if c := a.Start.Compare(b.Start); c != 0 {
-			return c
-		}
-		if a.Sat != b.Sat {
-			return a.Sat - b.Sat
-		}
-		return a.Station - b.Station
-	})
+	slices.SortFunc(all, passes.CompareWindows)
 	return all
 }
 

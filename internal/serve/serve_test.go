@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -123,40 +126,107 @@ func TestPassesEndpointCachesByteIdentical(t *testing.T) {
 	}
 }
 
+// TestPassesFilters holds the filtered pass queries to byte identity with
+// the unfiltered one: for a seeded set of (sat, station, from, hours) the
+// filtered body's windows array is, element for element, the matching
+// elements of the unfiltered body over the same range — on /v1 and /v2.
+// The filter runs inside the predictor (a pair-subset scan), so this is
+// what shows the subset path and the world scan agree on the wire.
 func TestPassesFilters(t *testing.T) {
-	s := New(testSnapshot(t), Config{})
-	h := s.Handler()
+	snap := testSnapshot(t)
+	h := New(snap, Config{}).Handler()
 
-	var all passesResponse
-	if err := json.Unmarshal(get(t, h, "/v1/passes?hours=3").Body.Bytes(), &all); err != nil {
-		t.Fatal(err)
+	windows := func(url string) []json.RawMessage {
+		t.Helper()
+		rec := get(t, h, url)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d body %s", url, rec.Code, rec.Body.String())
+		}
+		var body struct {
+			Count   int               `json:"count"`
+			Windows []json.RawMessage `json:"windows"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s: %v", url, err)
+		}
+		if body.Count != len(body.Windows) {
+			t.Fatalf("%s: count %d but %d windows", url, body.Count, len(body.Windows))
+		}
+		return body.Windows
 	}
-	if all.Count == 0 {
-		t.Fatal("no windows to filter")
-	}
-	want := all.Windows[0]
-	var one passesResponse
-	url := fmt.Sprintf("/v1/passes?hours=3&sat=%d&station=%d", want.Sat, want.Station)
-	if err := json.Unmarshal(get(t, h, url).Body.Bytes(), &one); err != nil {
-		t.Fatal(err)
-	}
-	if one.Count == 0 {
-		t.Fatal("filtered query lost the window")
-	}
-	for _, w := range one.Windows {
-		if w.Sat != want.Sat || w.Station != want.Station {
-			t.Fatalf("filter leak: %+v", w)
+
+	rng := rand.New(rand.NewSource(17))
+	filtered := 0
+	for q := 0; q < 24; q++ {
+		sat, gs := -1, -1
+		if q%3 != 1 {
+			sat = rng.Intn(snap.Sats())
+		}
+		if q%3 != 0 {
+			gs = rng.Intn(snap.Stations())
+		}
+		hours := 1 + rng.Intn(3)
+		from := snap.Config().Epoch.Add(time.Duration(rng.Intn(180)) * time.Minute)
+		for _, v := range []string{"v1", "v2"} {
+			base := fmt.Sprintf("/%s/passes?hours=%d&from=%s", v, hours, from.Format(time.RFC3339))
+			var want []json.RawMessage
+			for _, raw := range windows(base) {
+				var w passWindow
+				if err := json.Unmarshal(raw, &w); err != nil {
+					t.Fatal(err)
+				}
+				if (sat < 0 || w.Sat == sat) && (gs < 0 || w.Station == gs) {
+					want = append(want, raw)
+				}
+			}
+			url := base
+			if sat >= 0 {
+				url += fmt.Sprintf("&sat=%d", sat)
+			}
+			if gs >= 0 {
+				url += fmt.Sprintf("&station=%d", gs)
+			}
+			got := windows(url)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d windows, unfiltered body has %d matching", url, len(got), len(want))
+			}
+			for i := range got {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("%s: window %d differs from the unfiltered body:\n got %s\nwant %s", url, i, got[i], want[i])
+				}
+			}
+			filtered += len(got)
 		}
 	}
-	// The filtered set must be exactly the matching subset of the full set.
-	var matching int
-	for _, w := range all.Windows {
-		if w.Sat == want.Sat && w.Station == want.Station {
-			matching++
-		}
+	if filtered == 0 {
+		t.Fatal("no filtered query returned a window; the identity is vacuous")
 	}
-	if matching != one.Count {
-		t.Fatalf("filtered count %d != matching windows %d in full query", one.Count, matching)
+}
+
+// TestPassesSatQueryDoesNotFillWorld pins what the subset scan spends on
+// positions: a one-satellite query propagates that satellite alone and
+// leaves the shared grid cache untouched, while a one-station query still
+// needs the whole constellation and fills exactly the stride instants of
+// its range.
+func TestPassesSatQueryDoesNotFillWorld(t *testing.T) {
+	snap, err := NewSnapshot(SnapshotConfig{Satellites: 16, Stations: 12, Seed: 1, MaxSpan: 6 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := snap.Config().Epoch.Add(time.Hour)
+	to := from.Add(2 * time.Hour)
+	if n := snap.positions.Size(); n != 0 {
+		t.Fatalf("fresh snapshot already holds %d instants", n)
+	}
+	if len(snap.Passes(from, to, 3, -1)) == 0 {
+		t.Fatal("sat=3 saw no pass in 2 h; the pin is vacuous")
+	}
+	if n := snap.positions.Size(); n != 0 {
+		t.Fatalf("sat=3 query filled %d population instants, want 0", n)
+	}
+	snap.Passes(from, to, -1, 3)
+	if n, want := snap.positions.Size(), int(to.Sub(from)/snap.Config().Slot); n != want {
+		t.Fatalf("station=3 query filled %d instants, want the %d strides of its range", n, want)
 	}
 }
 
@@ -176,12 +246,46 @@ func TestPassesValidation(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", url, rec.Code)
 		}
 	}
+	checkNonFiniteHours(t, h, "/v1/passes")
 	req := httptest.NewRequest(http.MethodPost, "/v1/passes", nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST status = %d, want 405", rec.Code)
 	}
+}
+
+// checkNonFiniteHours requires hours=NaN/±Inf to be refused by the
+// parameter parser itself — NaN passes every range comparison, and what a
+// float→Duration conversion makes of it is platform-defined.
+func checkNonFiniteHours(t *testing.T, h http.Handler, path string) {
+	t.Helper()
+	for _, v := range []string{"NaN", "+Inf", "-Inf"} {
+		rec := get(t, h, path+"?hours="+url.QueryEscape(v))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s?hours=%s: status = %d, want 400", path, v, rec.Code)
+			continue
+		}
+		want := fmt.Sprintf(`{"error":{"code":"invalid_argument","message":"bad hours: %s is not finite"}}`, v)
+		if got := strings.TrimSpace(rec.Body.String()); got != want {
+			t.Errorf("%s?hours=%s: body %s, want %s", path, v, got, want)
+		}
+	}
+}
+
+func TestPlanValidation(t *testing.T) {
+	h := New(testSnapshot(t), Config{}).Handler()
+	for _, url := range []string{
+		"/v1/plan?hours=0",                           // empty horizon
+		"/v1/plan?hours=500",                         // beyond MaxSpan
+		"/v1/plan?slot=10ms",                         // slot below 1s
+		"/v1/plan?hours=2&from=2020-06-01T05:30:00Z", // runs past span end
+	} {
+		if rec := get(t, h, url); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", url, rec.Code)
+		}
+	}
+	checkNonFiniteHours(t, h, "/v1/plan")
 }
 
 func TestPlanEndpoint(t *testing.T) {

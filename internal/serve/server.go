@@ -5,6 +5,7 @@ import (
 	"expvar"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -374,7 +375,8 @@ func parseInt(r *http.Request, name string, def int) (int, *httpError) {
 	return n, nil
 }
 
-// parseFloat reads a float parameter, defaulting when absent.
+// parseFloat reads a finite float parameter, defaulting when absent. NaN
+// would slip through every range comparison a caller makes afterwards.
 func parseFloat(r *http.Request, name string, def float64) (float64, *httpError) {
 	v := r.URL.Query().Get(name)
 	if v == "" {
@@ -383,6 +385,9 @@ func parseFloat(r *http.Request, name string, def float64) (float64, *httpError)
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		return 0, badRequest("bad %s: %v", name, err)
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, badRequest("bad %s: %v is not finite", name, f)
 	}
 	return f, nil
 }

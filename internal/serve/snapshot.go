@@ -281,32 +281,29 @@ func (s *Snapshot) InSpan(t time.Time) bool {
 }
 
 // Passes predicts the contact windows overlapping [from, to), optionally
-// filtered to one satellite and/or one station (-1 = all). from must be
-// grid-aligned (use Quantize). Each call runs a fresh coarse-to-fine
-// predictor over the shared position cache, so concurrent queries never
-// contend on predictor state and identical queries produce identical
-// windows.
+// restricted to one satellite and/or one station (-1 = all; an index past
+// the population matches nothing). from must be grid-aligned (use
+// Quantize). The restriction is the predictor's pair subset: the windows
+// are the unrestricted query's, byte for byte, at the cost of the pairs
+// asked about. Each call runs a fresh predictor over the shared position
+// cache, so concurrent queries never contend on predictor state and
+// identical queries produce identical windows.
 func (s *Snapshot) Passes(from, to time.Time, sat, gs int) passes.Windows {
-	pred := passes.New(s.positions, s.net, passes.Config{
+	if sat >= len(s.props) || gs >= len(s.net) {
+		return passes.Windows{}
+	}
+	cfg := passes.Config{
 		CoarseStep: s.cfg.Slot,
 		Tol:        time.Second,
 		Workers:    s.cfg.Workers,
-	})
-	ws := pred.WindowsBetween(nil, from, to)
-	if sat < 0 && gs < 0 {
-		return ws
 	}
-	kept := ws[:0]
-	for _, w := range ws {
-		if sat >= 0 && w.Sat != sat {
-			continue
-		}
-		if gs >= 0 && w.Station != gs {
-			continue
-		}
-		kept = append(kept, w)
+	if sat >= 0 {
+		cfg.Sats = []int{sat}
 	}
-	return kept
+	if gs >= 0 {
+		cfg.Stations = []int{gs}
+	}
+	return passes.New(s.positions, s.net, cfg).WindowsBetween(nil, from, to)
 }
 
 // LinkBudget is the full SNR/rate/attenuation breakdown for one
