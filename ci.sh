@@ -56,7 +56,14 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears' ./interna
 # The pair-subset scan shards and refines like the unrestricted one, and
 # the incremental planner's window patch is two such scans merged: their
 # filter-after / from-scratch identities must hold at every worker split.
-go test -count=5 -cpu 1,2,4 -run 'Subset|IncrementalDifferential' ./internal/passes ./internal/core
+# So must the rolling planner's: carried link geometry plus the memo-free
+# rate kernel against fresh schedulers, the exhaustive sweep and the
+# attenuation memo, bit for bit, however the slots land on the workers.
+# (core rolls the paper's 12 h horizon six times against six fresh
+# schedulers per pass: fifteen passes take ≈9 min on two cores, hence the
+# explicit timeout.)
+go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|IncrementalDifferential|Rolling|Kernel|ClearSky' \
+    ./internal/passes ./internal/core ./internal/linkbudget ./internal/itu
 
 echo "== go test -race (parallel pipeline + session + serving layers)"
 # session is the one managed wire session both station↔backend and
@@ -71,7 +78,10 @@ echo "== go test -race (parallel pipeline + session + serving layers)"
 # spatial and sgp4 sit under every propagation worker; serve now also
 # hosts the federation suite (shard sessions, merge rebuilds, and the
 # seeded chaos kill/rejoin convergence run). optimize fans whole sim
-# runs over the pool with a shared memo cache — the newest racer.
+# runs over the pool with a shared memo cache. core's rate pass is the
+# newest racer: every worker reads the carried per-instant slices earlier
+# epochs built while the tail fill carries new ones and each writes its own
+# slot's rate buffer.
 go test -race ./internal/passes ./internal/sim ./internal/core ./internal/pool ./internal/poscache ./internal/linkbudget \
     ./internal/session ./internal/backend ./internal/proto ./internal/faultnet ./internal/serve ./internal/spatial \
     ./internal/sgp4 ./internal/optimize

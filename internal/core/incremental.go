@@ -1,23 +1,28 @@
 // Incremental replanning for a live world. The planner keeps the full
 // derivation chain of one plan epoch — positions, contact windows,
-// per-slot candidate pairs, per-slot visible edges — and, when the world
-// changes (a TLE refresh, a weather revision, a station joining or
-// leaving), recomputes only the pieces the delta invalidated:
+// per-slot carried edges, per-slot rates — and, when the world changes (a
+// TLE refresh, a weather revision, a station joining or leaving),
+// recomputes only the pieces the delta invalidated, with the carry / rate /
+// reduce primitives PlanEpoch is made of (carry.go):
 //
 //   - Window formation has no cross-pair coupling (each (sat, station)
 //     pair's windows depend only on that pair's geometry over the scan
 //     grid), so a one-satellite TLE delta re-scans one satellite against
 //     the network and a station delta re-scans one station against the
 //     constellation; every other pair's windows are reused verbatim.
-//   - Per-slot visible edges depend only on time, never on the evolving
-//     queue state, so only slots whose candidate pairs touch a dirty
-//     satellite or station re-evaluate — and only the dirty pairs within
-//     them; clean edges merge back in unchanged.
+//   - A slot's carried edges (feasibility and lead-independent link terms)
+//     depend only on geometry, so only slots holding an edge of a dirty
+//     satellite or station, or a freshly opened window, re-carry — and
+//     only the dirty pairs within them; clean edges merge back in
+//     unchanged. A weather revision re-carries nothing.
+//   - An edge's rate depends on its carried terms and the forecast: the
+//     re-carried edges are rated, and a weather revision re-rates every
+//     slot — no look angles, no pass scan.
 //   - The queue-dependent weighting/matching/drain reduction is cheap and
 //     global (a slot's matching depends on every earlier slot's drain),
-//     so it re-runs in full — it is the same planFromEdges reduction
-//     PlanEpoch uses, which is what makes the incremental plan
-//     byte-identical to a from-scratch rebuild on the new world.
+//     so it re-runs in full — it is the same reduction PlanEpoch uses,
+//     which is what makes the incremental plan byte-identical to a
+//     from-scratch rebuild on the new world.
 
 package core
 
@@ -71,16 +76,15 @@ type IncrementalPlanner struct {
 	net       station.Network // copy-on-write: mutations clone the slice
 	positions *poscache.Cache // private, per-satellite patched
 
-	windows passes.Windows  // current merged window set over [Start, end)
-	pairs   [][]int32       // per-slot packed keys from windows
-	edges   [][]VisibleEdge // per-slot visible edges
+	windows passes.Windows // current merged window set over [Start, end)
+	slots   []*carriedSlot // per-slot feasible edges and carried link terms
+	rates   [][]float64    // per-slot rates under the current forecast, aligned
 	plan    *Plan
 
-	// Replan scratch, reused across replans: per-slot pair-merge buffers,
-	// per-slot freshly opened keys, the flat dirty-pair mask (indexed by
-	// packed key; rebuilt per replan from the dirty sets), fresh-window
-	// and merged-window buffers, and the dirty-slot list.
-	spare      [][]int32
+	// Replan scratch, reused across replans: per-slot freshly opened keys,
+	// the flat dirty-pair mask (indexed by packed key; rebuilt per replan
+	// from the dirty sets), fresh-window and merged-window buffers, and
+	// the dirty-slot list.
 	added      [][]int32
 	dirtyMask  []bool
 	freshBuf   passes.Windows
@@ -192,8 +196,8 @@ func (ip *IncrementalPlanner) UpdateTLE(i int, prop orbit.Propagator) error {
 }
 
 // SetForecast replaces the weather forecast (a forecast revision). The
-// geometry — windows and candidate pairs — is weather-independent and
-// survives; every slot's edge rates are invalidated.
+// geometry — windows, feasible edges and their carried link terms — is
+// weather-independent and survives; every slot's rates are invalidated.
 func (ip *IncrementalPlanner) SetForecast(fc *weather.Forecast) {
 	ip.cfg.Forecast = fc
 	ip.sched.SetForecast(fc)
@@ -252,8 +256,7 @@ func (ip *IncrementalPlanner) Replan() *Plan {
 		ip.lastIncr = false
 		return ip.plan
 	}
-	// A resized network renumbers every packed pair key and rebuilds the
-	// attenuation memo the cached edges' rates came from; take the full
+	// A resized network renumbers every packed pair key; take the full
 	// rebuild path rather than diffing across incompatible keyspaces.
 	if ip.netResized {
 		ip.rebuildAll()
@@ -263,35 +266,44 @@ func (ip *IncrementalPlanner) Replan() *Plan {
 
 	ip.buildDirtyMask()
 	// Bin the freshly scanned windows (all of dirty pairs; none under a
-	// weather-only revision) onto the slot grid: the keys merged back
-	// into each slot's candidate set.
+	// weather-only revision) onto the slot grid: the candidate keys whose
+	// survivors merge back into each slot's carried edges.
 	var fresh passes.Windows
 	if len(ip.dirtySats) > 0 || len(ip.dirtyStations) > 0 {
 		fresh = ip.patchWindows()
 	}
 	ip.added = ip.sched.binWindows(ip.added, fresh, ip.cfg.Start, ip.n, ip.cfg.Slot)
 
-	// A slot needs re-evaluation when a dirty pair appears in its old
-	// candidate set or a fresh window opened one there (covers windows
-	// that opened, closed, or moved) — or everywhere, when the weather
-	// revision staled every rate. Dirty slots get their candidate set
-	// patched in place: dirty keys out, freshly opened keys merged in.
+	// A slot needs re-evaluation when it carries an edge of a dirty pair or
+	// a fresh window opened a candidate there (covers windows that opened,
+	// closed, or moved) — or everywhere, when the weather revision staled
+	// every rate.
 	dirtySlots := ip.slotBuf[:0]
 	for k := 0; k < ip.n; k++ {
-		removed := ip.anyMaskedKey(ip.pairs[k])
-		if removed || len(ip.added[k]) > 0 {
-			ip.refreshPairs(k)
-		} else if !ip.weatherDirty {
-			continue
+		if ip.weatherDirty || ip.geometryDirty(k) {
+			dirtySlots = append(dirtySlots, k)
 		}
-		dirtySlots = append(dirtySlots, k)
 	}
 	ip.slotBuf = dirtySlots
-	ip.patchEdges(dirtySlots)
+	ip.sched.forEachSlot(len(dirtySlots), func(x int, ws *workerScratch) {
+		k := dirtySlots[x]
+		if ip.geometryDirty(k) {
+			// Re-carry and rate the dirty pairs only — their candidates are
+			// exactly the freshly opened keys — and merge the survivors with
+			// the clean edges, whose rates still stand under an unchanged
+			// forecast, in packed-key order: the order a full carry emits.
+			t, lead := ip.slotTime(k)
+			fresh := ip.sched.carrySlot(ip.positions, t, ip.added[k], ws)
+			ip.slots[k], ip.rates[k] = ip.mergeCarried(ip.slots[k], ip.rates[k], fresh, ip.sched.rateSlot(nil, fresh, t, lead, ws))
+		}
+		if ip.weatherDirty {
+			ip.rateSlot(k, ws)
+		}
+	})
 	ip.lastChanged = len(dirtySlots)
 	ip.lastIncr = true
 	ip.clearPending()
-	ip.plan = ip.sched.planFromEdges(ip.sats, ip.cfg.Start, ip.cfg.Slot, ip.edges, ip.cfg.GenBitsPerSec)
+	ip.plan = ip.sched.reduce(ip.sats, ip.cfg.Start, ip.cfg.Slot, ip.slots, ip.rates, ip.cfg.GenBitsPerSec)
 	return ip.plan
 }
 
@@ -303,22 +315,49 @@ func (ip *IncrementalPlanner) clearPending() {
 }
 
 // rebuildAll recomputes the whole chain from scratch: full window scan,
-// binning, every slot's edges, and the reduction.
+// binning, every slot's carry and rates, and the reduction.
 func (ip *IncrementalPlanner) rebuildAll() {
 	pred := passes.New(ip.positions, ip.net, ip.pcfg)
 	ip.windows = pred.WindowsBetween(ip.windows[:0], ip.cfg.Start, ip.end)
-	ip.pairs = ip.sched.binWindows(ip.pairs, ip.windows, ip.cfg.Start, ip.n, ip.cfg.Slot)
-	if ip.edges == nil {
-		ip.edges = make([][]VisibleEdge, ip.n)
-		ip.spare = make([][]int32, ip.n)
-		ip.added = make([][]int32, ip.n)
+	pairs := ip.sched.binWindows(nil, ip.windows, ip.cfg.Start, ip.n, ip.cfg.Slot)
+	if ip.slots == nil {
+		ip.slots = make([]*carriedSlot, ip.n)
+		ip.rates = make([][]float64, ip.n)
 	}
-	ip.sched.forEachSlot(ip.n, func(k int, cs *condScratch) {
-		ip.edges[k] = ip.slotEdges(k, ip.pairs[k], cs)
+	ip.sched.forEachSlot(ip.n, func(k int, ws *workerScratch) {
+		t, _ := ip.slotTime(k)
+		ip.slots[k] = ip.sched.carrySlot(ip.positions, t, pairs[k], ws)
+		ip.rateSlot(k, ws)
 	})
 	ip.lastChanged = ip.n
 	ip.lastIncr = false
-	ip.plan = ip.sched.planFromEdges(ip.sats, ip.cfg.Start, ip.cfg.Slot, ip.edges, ip.cfg.GenBitsPerSec)
+	ip.plan = ip.sched.reduce(ip.sats, ip.cfg.Start, ip.cfg.Slot, ip.slots, ip.rates, ip.cfg.GenBitsPerSec)
+}
+
+// slotTime returns slot k's instant and its forecast lead from the anchor.
+func (ip *IncrementalPlanner) slotTime(k int) (time.Time, time.Duration) {
+	lead := time.Duration(k) * ip.cfg.Slot
+	return ip.cfg.Start.Add(lead), lead
+}
+
+// rateSlot re-rates slot k's carried edges under the current forecast.
+func (ip *IncrementalPlanner) rateSlot(k int, ws *workerScratch) {
+	t, lead := ip.slotTime(k)
+	ip.rates[k] = ip.sched.rateSlot(ip.rates[k], ip.slots[k], t, lead, ws)
+}
+
+// geometryDirty reports whether slot k's carried edges are stale: one of
+// them belongs to a dirty pair, or a fresh window opened a candidate.
+func (ip *IncrementalPlanner) geometryDirty(k int) bool {
+	if len(ip.added[k]) > 0 {
+		return true
+	}
+	for _, key := range ip.slots[k].keys {
+		if ip.dirtyMask[key] {
+			return true
+		}
+	}
+	return false
 }
 
 // buildDirtyMask flattens the dirty sets into a per-packed-key mask so
@@ -345,37 +384,6 @@ func (ip *IncrementalPlanner) buildDirtyMask() {
 			ip.dirtyMask[i*nGs+j] = true
 		}
 	}
-}
-
-func (ip *IncrementalPlanner) anyMaskedKey(keys []int32) bool {
-	for _, key := range keys {
-		if ip.dirtyMask[key] {
-			return true
-		}
-	}
-	return false
-}
-
-// refreshPairs rebuilds slot k's candidate set: the clean survivors of
-// the old set merged with the freshly opened keys, in sorted order. The
-// two are disjoint — survivors are clean by construction, fresh keys all
-// dirty — so a two-pointer merge suffices.
-func (ip *IncrementalPlanner) refreshPairs(k int) {
-	old, add := ip.pairs[k], ip.added[k]
-	out := ip.spare[k][:0]
-	ai := 0
-	for _, key := range old {
-		if ip.dirtyMask[key] {
-			continue
-		}
-		for ai < len(add) && add[ai] < key {
-			out = append(out, add[ai])
-			ai++
-		}
-		out = append(out, key)
-	}
-	out = append(out, add[ai:]...)
-	ip.pairs[k], ip.spare[k] = out, old[:0]
 }
 
 // patchWindows rebuilds the window set for the dirty satellites and
@@ -434,61 +442,31 @@ func sortedKeys(m map[int]bool) []int {
 	return out
 }
 
-// patchEdges re-evaluates the dirty slots' edges. Under a weather
-// revision every pair's rate is stale, so dirty slots recompute in full;
-// under satellite/station deltas only the dirty pairs re-evaluate, and
-// the surviving clean edges merge back in packed-key order — the exact
-// order a full visibilityPairs pass emits.
-func (ip *IncrementalPlanner) patchEdges(dirtySlots []int) {
-	full := ip.weatherDirty
-	ip.sched.forEachSlot(len(dirtySlots), func(x int, cs *condScratch) {
-		k := dirtySlots[x]
-		if full {
-			ip.edges[k] = ip.slotEdges(k, ip.pairs[k], cs)
-			return
-		}
-		// The dirty keys of the patched candidate set are exactly the
-		// freshly opened ones (closed dirty keys were already dropped).
-		ip.edges[k] = ip.mergeEdges(ip.edges[k], ip.slotEdges(k, ip.added[k], cs))
-	})
-}
-
-// slotEdges evaluates slot k's visible edges over the given candidate
-// pairs into a fresh slice.
-func (ip *IncrementalPlanner) slotEdges(k int, pairs []int32, cs *condScratch) []VisibleEdge {
-	lead := time.Duration(k) * ip.cfg.Slot
-	return ip.sched.visibilityPairs(nil, ip.positions, ip.cfg.Start.Add(lead), lead, pairs, cs)
-}
-
-// mergeEdges merges the clean survivors of old (dirty pairs dropped) with
-// the freshly evaluated dirty-pair edges, both satellite-major with
-// stations ascending, into a new slice in the same canonical order.
-func (ip *IncrementalPlanner) mergeEdges(old, fresh []VisibleEdge) []VisibleEdge {
-	nGs := len(ip.net)
-	out := make([]VisibleEdge, 0, len(old)+len(fresh))
-	oi, fi := 0, 0
-	for oi < len(old) && ip.dirtyMask[old[oi].Sat*nGs+old[oi].Station] {
-		oi++
+// mergeCarried merges the clean survivors of old (dirty pairs dropped) with
+// the freshly carried dirty-pair edges, both in ascending packed-key order
+// and disjoint — survivors are clean, fresh keys all dirty — into a new
+// slot in the same order, and their aligned rates likewise.
+func (ip *IncrementalPlanner) mergeCarried(old *carriedSlot, oldRates []float64, fresh *carriedSlot, freshRates []float64) (*carriedSlot, []float64) {
+	n := len(old.keys) + len(fresh.keys)
+	out := &carriedSlot{keys: make([]int32, 0, n), terms: make([]linkbudget.Carried, 0, n)}
+	rates := make([]float64, 0, n)
+	take := func(from *carriedSlot, fromRates []float64, x int) {
+		out.keys = append(out.keys, from.keys[x])
+		out.terms = append(out.terms, from.terms[x])
+		rates = append(rates, fromRates[x])
 	}
-	for oi < len(old) && fi < len(fresh) {
-		ok := old[oi].Sat*nGs + old[oi].Station
-		fk := fresh[fi].Sat*nGs + fresh[fi].Station
-		if ok < fk {
-			out = append(out, old[oi])
-			oi++
-		} else {
-			out = append(out, fresh[fi])
-			fi++
+	fi := 0
+	for oi, key := range old.keys {
+		if ip.dirtyMask[key] {
+			continue
 		}
-		for oi < len(old) && ip.dirtyMask[old[oi].Sat*nGs+old[oi].Station] {
-			oi++
+		for ; fi < len(fresh.keys) && fresh.keys[fi] < key; fi++ {
+			take(fresh, freshRates, fi)
 		}
+		take(old, oldRates, oi)
 	}
-	out = append(out, fresh[fi:]...)
-	for ; oi < len(old); oi++ {
-		if !ip.dirtyMask[old[oi].Sat*nGs+old[oi].Station] {
-			out = append(out, old[oi])
-		}
+	for ; fi < len(fresh.keys); fi++ {
+		take(fresh, freshRates, fi)
 	}
-	return out
+	return out, rates
 }

@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"dgs/internal/match"
 	"dgs/internal/pool"
+	"dgs/internal/poscache"
 )
 
 // Assignment is one scheduled link in one slot.
@@ -185,56 +185,58 @@ func (p *Plan) Covers(t time.Time) bool {
 	return !t.Before(p.Issued) && t.Before(p.Issued.Add(time.Duration(len(p.Slots))*p.SlotDur))
 }
 
-// edgeBuf wraps a reusable visible-edge slice so sync.Pool round-trips
-// don't allocate an interface box per Put.
-type edgeBuf struct{ e []VisibleEdge }
-
-var edgeBufPool = sync.Pool{New: func() any { return new(edgeBuf) }}
-
 // BuildGraph turns visibility into the weighted bipartite graph of §3.1.
 func (s *Scheduler) BuildGraph(sats []SatSnapshot, edges []VisibleEdge, slotDur time.Duration) *match.Graph {
 	g := match.NewGraph(len(sats), len(s.Stations))
 	for j, gs := range s.Stations {
 		g.SetCapacity(j, gs.Capacity())
 	}
-	s.buildGraphInto(g, nil, sats, edges, slotDur)
+	wt := s.weigher(slotDur)
+	for _, e := range edges {
+		wt.add(g, &sats[e.Sat], e.Sat, e.Station, e.RateBps)
+	}
 	return g
 }
 
-// buildGraphInto fills an already-shaped graph (capacities set) from the
-// slot's visible edges and appends the Φ weight of every edge — including
-// dropped non-positive ones — to weights, aligned with edges. The aligned
-// buffer replaces the per-slot weight map the reduction used to build:
-// the matched edge for a satellite is found by scanning edges, so its
-// weight is just weights[i].
-func (s *Scheduler) buildGraphInto(g *match.Graph, weights []float64, sats []SatSnapshot, edges []VisibleEdge, slotDur time.Duration) []float64 {
-	val := s.value()
-	sa, stationAware := val.(StationAware)
-	for _, e := range edges {
-		gs := s.Stations[e.Station]
-		v := val
-		if stationAware {
-			v = sa.WithStation(gs.ID)
-		}
-		ctx := EdgeContext{
-			RateBps:       e.RateBps,
-			SlotSeconds:   slotDur.Seconds(),
-			PendingBits:   sats[e.Sat].PendingBits,
-			OldestAge:     sats[e.Sat].OldestAge,
-			MaxPriority:   sats[e.Sat].MaxPriority,
-			StationLatRad: gs.Location.LatRad,
-			StationLonRad: gs.Location.LonRad,
-			StationTx:     gs.TxCapable,
-		}
-		w := v.Value(ctx)
-		weights = append(weights, w)
-		if w > 0 {
-			if err := g.AddEdge(e.Sat, e.Station, w); err != nil {
-				panic(fmt.Sprintf("core: internal edge error: %v", err))
-			}
+// weigher evaluates Φ for the edges of one plan's slots.
+type weigher struct {
+	s       *Scheduler
+	val     ValueFunc
+	sa      StationAware // val, when it specializes per station; else nil
+	slotSec float64
+}
+
+func (s *Scheduler) weigher(slotDur time.Duration) weigher {
+	wt := weigher{s: s, val: s.value(), slotSec: slotDur.Seconds()}
+	wt.sa, _ = wt.val.(StationAware)
+	return wt
+}
+
+// add computes the Φ weight of the edge (i, j) at the given rate against
+// satellite i's queue state, adds the edge to g when the weight is
+// positive, and returns the weight either way.
+func (wt *weigher) add(g *match.Graph, sat *SatSnapshot, i, j int, rateBps float64) float64 {
+	gs := wt.s.Stations[j]
+	v := wt.val
+	if wt.sa != nil {
+		v = wt.sa.WithStation(gs.ID)
+	}
+	w := v.Value(EdgeContext{
+		RateBps:       rateBps,
+		SlotSeconds:   wt.slotSec,
+		PendingBits:   sat.PendingBits,
+		OldestAge:     sat.OldestAge,
+		MaxPriority:   sat.MaxPriority,
+		StationLatRad: gs.Location.LatRad,
+		StationLonRad: gs.Location.LonRad,
+		StationTx:     gs.TxCapable,
+	})
+	if w > 0 {
+		if err := g.AddEdge(i, j, w); err != nil {
+			panic(fmt.Sprintf("core: internal edge error: %v", err))
 		}
 	}
-	return weights
+	return w
 }
 
 // PlanEpoch produces a plan covering [start, start+horizon) at slotDur
@@ -242,16 +244,20 @@ func (s *Scheduler) buildGraphInto(g *match.Graph, weights []float64, sats []Sat
 // scheduled transmissions drain PendingBits so later slots don't re-schedule
 // the same data, and capture feeds the queue at genBitsPerSec.
 //
-// The pass-window predictor first narrows each slot to the (satellite,
-// station) pairs whose contact windows cover it — typically a few percent
-// of the cross product — and persists its windows across the heavily
-// overlapping epochs. The remaining per-slot work (look angles and
-// forecast-rate evaluation) depends only on time, never on the evolving
-// queue state, so it fans out over the worker pool into pooled edge
-// buffers; the queue-dependent graph weighting, matching, and drain then
-// run as a sequential reduction over one reusable graph with warm-started
-// matching scratch. The produced plan is bit-identical to a fully serial
-// exhaustive sweep (UseSweep) for any worker count.
+// Successive epochs overlap heavily (the paper re-plans a 12 h horizon
+// every 30 minutes), and everything about a slot but the forecast lead is
+// a function of the instant alone. So the scheduler carries, per slot
+// instant, the feasible edges and their lead-independent link terms
+// (carry.go): an epoch asks the pass-window predictor for candidate pairs
+// — typically a few percent of the cross product — and computes look
+// angles only for the instants no earlier epoch covered, then re-rates
+// every slot's carried edges at its new lead. Both depend only on time,
+// never on the evolving queue state, so they fan out over the worker pool;
+// the queue-dependent graph weighting, matching, and drain then run as a
+// sequential reduction over one reusable graph with warm-started matching
+// scratch. The produced plan is bit-identical to a fresh scheduler's, and
+// to a fully serial exhaustive sweep (UseSweep), for any worker count and
+// any order of starts.
 func (s *Scheduler) PlanEpoch(sats []SatSnapshot, start time.Time, horizon, slotDur time.Duration, genBitsPerSec float64) *Plan {
 	if slotDur <= 0 {
 		slotDur = time.Minute
@@ -266,71 +272,65 @@ func (s *Scheduler) PlanEpoch(sats []SatSnapshot, start time.Time, horizon, slot
 	positions.Prune(start)
 	s.pruneForecast(start)
 
-	var pairsBySlot [][]int32
-	if !s.UseSweep {
-		pairsBySlot = s.predictPairs(positions, start, n, slotDur)
+	if s.UseSweep {
+		return s.planSweep(sats, positions, start, n, slotDur, genBitsPerSec)
 	}
+	slots, rates := s.carryAndRate(positions, start, n, slotDur)
+	return s.reduce(sats, start, slotDur, slots, rates, genBitsPerSec)
+}
 
-	bufBySlot := make([]*edgeBuf, n)
-	edgesBySlot := make([][]VisibleEdge, n)
-	s.forEachSlot(n, func(k int, cs *condScratch) {
-		t := start.Add(time.Duration(k) * slotDur)
-		eb := edgeBufPool.Get().(*edgeBuf)
-		if pairsBySlot != nil {
-			eb.e = s.visibilityPairs(eb.e[:0], positions, t, t.Sub(start), pairsBySlot[k], cs)
-		} else {
-			eb.e = s.visibilitySweep(eb.e[:0], sats, positions, t, t.Sub(start), cs)
+// planSweep is PlanEpoch on the reference path: every slot swept
+// exhaustively and rated through the attenuation memo (a private view per
+// worker), then handed to the same reduction as keys and rates.
+func (s *Scheduler) planSweep(sats []SatSnapshot, positions *poscache.Cache, start time.Time, n int, slotDur time.Duration, genBitsPerSec float64) *Plan {
+	memo, _ := s.rateMemo()
+	nGs := len(s.Stations)
+	slots := make([]*carriedSlot, n)
+	rates := make([][]float64, n)
+	s.forEachSlot(n, func(k int, ws *workerScratch) {
+		if ws.cond.view == nil {
+			ws.cond.view = memo.View()
 		}
-		bufBySlot[k] = eb
-		edgesBySlot[k] = eb.e
+		t := start.Add(time.Duration(k) * slotDur)
+		edges := s.visibilitySweep(nil, sats, positions, t, t.Sub(start), &ws.cond)
+		slots[k] = &carriedSlot{keys: make([]int32, len(edges))}
+		rates[k] = make([]float64, len(edges))
+		for x, e := range edges {
+			slots[k].keys[x] = int32(e.Sat*nGs + e.Station)
+			rates[k][x] = e.RateBps
+		}
 	})
-
-	plan := s.planFromEdges(sats, start, slotDur, edgesBySlot, genBitsPerSec)
-	for _, eb := range bufBySlot {
-		edgeBufPool.Put(eb)
-	}
-	return plan
+	return s.reduce(sats, start, slotDur, slots, rates, genBitsPerSec)
 }
 
 // forEachSlot is the slot fan-out every planning path shares: it resolves
-// the lazily initialized station index and per-worker condition scratch,
-// then runs fn(x, cs) for x in [0, n) over at most Workers goroutines, cs
-// being the calling worker's private scratch. fn's work must depend only
-// on x (never on evaluation order), which is what keeps plans identical
-// for any worker count.
-func (s *Scheduler) forEachSlot(n int, fn func(x int, cs *condScratch)) {
+// the lazily initialized station index and rate kernel, then runs
+// fn(x, ws) for x in [0, n) over at most Workers goroutines, ws being the
+// calling worker's private scratch. fn's work must depend only on x (never
+// on evaluation order), which is what keeps plans identical for any worker
+// count.
+func (s *Scheduler) forEachSlot(n int, fn func(x int, ws *workerScratch)) {
 	workers := min(s.workers(), n)
 	if workers == 0 {
 		return
 	}
 	s.stationIndex()
-	s.ensureCondScratch(workers)
-	pool.ForEachWorker(workers, n, func(w, x int) { fn(x, &s.condScr[w]) })
+	s.rateKernel()
+	for len(s.scr) < workers {
+		s.scr = append(s.scr, workerScratch{})
+	}
+	pool.ForEachWorker(workers, n, func(w, x int) { fn(x, &s.scr[w]) })
 }
 
-// ensureCondScratch sizes the per-worker condition scratch for a fan-out
-// of the given width, giving each worker a private front cache over the
-// shared attenuation memo.
-func (s *Scheduler) ensureCondScratch(workers int) {
-	memo, _ := s.rateMemo()
-	for len(s.condScr) < workers {
-		s.condScr = append(s.condScr, condScratch{})
-	}
-	for w := 0; w < workers; w++ {
-		if s.condScr[w].view == nil {
-			s.condScr[w].view = memo.View()
-		}
-	}
-}
-
-// planFromEdges is the queue-dependent sequential reduction behind every
-// plan: per-slot graph weighting, matching, and optimistic queue drain
-// over precomputed visible-edge lists. The per-slot edges depend only on
-// time (never on the evolving queue state), which is what lets PlanEpoch
-// fan their computation out — and lets the incremental planner patch only
-// the slots a world delta touched and re-run this reduction unchanged,
-// byte-identical to a from-scratch rebuild.
-func (s *Scheduler) planFromEdges(sats []SatSnapshot, start time.Time, slotDur time.Duration, edgesBySlot [][]VisibleEdge, genBitsPerSec float64) *Plan {
+// reduce is the queue-dependent sequential reduction behind every plan:
+// per-slot graph weighting, matching, and optimistic queue drain over each
+// slot's edges (slots[k].keys) and their rates (rates[k], aligned), skipping
+// edges whose rate is not positive. Edges and rates depend only on time
+// (never on the evolving queue state), which is what lets PlanEpoch fan
+// their computation out and carry them across epochs — and lets the
+// incremental planner patch only what a world delta touched and re-run
+// this reduction unchanged, byte-identical to a from-scratch rebuild.
+func (s *Scheduler) reduce(sats []SatSnapshot, start time.Time, slotDur time.Duration, slots []*carriedSlot, rates [][]float64, genBitsPerSec float64) *Plan {
 	// Work on a copy: planning must not mutate the caller's snapshots.
 	work := make([]SatSnapshot, len(sats))
 	copy(work, sats)
@@ -340,21 +340,35 @@ func (s *Scheduler) planFromEdges(sats []SatSnapshot, start time.Time, slotDur t
 		Version: s.nextVersion,
 		Issued:  start,
 		SlotDur: slotDur,
-		Slots:   make([]Slot, 0, len(edgesBySlot)),
+		Slots:   make([]Slot, 0, len(slots)),
 	}
 	if s.planG == nil {
 		s.planG = match.NewGraph(0, 0)
 	}
 	s.matchScr.Warm = true
-	for k := range edgesBySlot {
+	wt := s.weigher(slotDur)
+	nGs := len(s.Stations)
+	for k := range slots {
 		t := start.Add(time.Duration(k) * slotDur)
-		edges := edgesBySlot[k]
+		keys, rate := slots[k].keys, rates[k]
 		g := s.planG
-		g.Reset(len(work), len(s.Stations))
+		g.Reset(len(work), nGs)
 		for j, gs := range s.Stations {
 			g.SetCapacity(j, gs.Capacity())
 		}
-		s.wbuf = s.buildGraphInto(g, s.wbuf[:0], work, edges, slotDur)
+		// wbuf holds the Φ weight of every rated edge — including dropped
+		// non-positive ones — aligned with keys: the matched edge for a
+		// satellite is found by scanning keys, so its weight is wbuf[x].
+		wbuf := s.wbuf[:0]
+		for x, key := range keys {
+			w := 0.0
+			if rate[x] > 0 {
+				i := int(key) / nGs
+				w = wt.add(g, &work[i], i, int(key)-i*nGs, rate[x])
+			}
+			wbuf = append(wbuf, w)
+		}
+		s.wbuf = wbuf
 		var m match.Matching
 		if s.Match != nil {
 			m = s.Match(g)
@@ -367,25 +381,30 @@ func (s *Scheduler) planFromEdges(sats []SatSnapshot, start time.Time, slotDur t
 		// satellite holds at most one matched edge, so this scan emits
 		// assignments in ascending satellite order — the same order the
 		// LeftToRight iteration used to produce.
-		for ei, e := range edges {
-			if m.LeftToRight[e.Sat] != e.Station {
+		for x, key := range keys {
+			r := rate[x]
+			if r <= 0 {
 				continue
 			}
-			r := e.RateBps
+			i := int(key) / nGs
+			j := int(key) - i*nGs
+			if m.LeftToRight[i] != j {
+				continue
+			}
 			slot.Assignments = append(slot.Assignments, Assignment{
-				Sat:            e.Sat,
-				Station:        e.Station,
+				Sat:            i,
+				Station:        j,
 				PlannedRateBps: r,
-				Weight:         s.wbuf[ei],
+				Weight:         wbuf[x],
 			})
 			// Drain the modeled queue.
 			sent := r * slotDur.Seconds()
-			if sent > work[e.Sat].PendingBits {
-				sent = work[e.Sat].PendingBits
+			if sent > work[i].PendingBits {
+				sent = work[i].PendingBits
 			}
-			work[e.Sat].PendingBits -= sent
-			if work[e.Sat].PendingBits <= 0 {
-				work[e.Sat].OldestAge = 0
+			work[i].PendingBits -= sent
+			if work[i].PendingBits <= 0 {
+				work[i].OldestAge = 0
 			}
 		}
 		// Capture refills every queue.

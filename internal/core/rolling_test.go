@@ -1,0 +1,339 @@
+package core
+
+import (
+	"bytes"
+	"math"
+	"testing"
+	"time"
+
+	"dgs/internal/dataset"
+	"dgs/internal/linkbudget"
+	"dgs/internal/station"
+	"dgs/internal/tle"
+	"dgs/internal/weather"
+)
+
+const rollingGen = 100 * 8e9 / 86400.0
+
+// rollingWorld is the fixed problem the rolling tests plan over: every
+// scheduler they compare is built from it by sched.
+type rollingWorld struct {
+	sats []SatSnapshot
+	net  station.Network
+}
+
+func newRollingWorld(t testing.TB, els []tle.TLE, net station.Network) rollingWorld {
+	return rollingWorld{sats: snapsFrom(propsFrom(t, els)), net: net}
+}
+
+func smallRollingWorld(t testing.TB) rollingWorld {
+	return newRollingWorld(t,
+		dataset.Satellites(dataset.SatelliteOptions{N: 32, Seed: 4, Epoch: epoch}),
+		dataset.Stations(dataset.StationOptions{N: 48, Seed: 4}))
+}
+
+// rollingForecast returns a fresh forecast over the same fields every
+// time, so schedulers under comparison never share forecast state.
+func rollingForecast(on bool) *weather.Forecast {
+	if !on {
+		return nil
+	}
+	return weather.NewForecast(weather.NewField(11), 0.4)
+}
+
+func (w rollingWorld) sched(workers int, forecast bool, sweep bool) *Scheduler {
+	return &Scheduler{
+		Radio:    linkbudget.DefaultRadio(),
+		Stations: w.net,
+		Forecast: rollingForecast(forecast),
+		Workers:  workers,
+		UseSweep: sweep,
+	}
+}
+
+func (w rollingWorld) plan(t testing.TB, s *Scheduler, start time.Time, horizon, slot time.Duration) []byte {
+	return planJSON(t, s.PlanEpoch(w.sats, start, horizon, slot, rollingGen))
+}
+
+// rollingMatrix is the set of schedulers one differential run advances.
+type rollingMatrix struct {
+	horizon   time.Duration
+	advances  int
+	workers   []int
+	forecasts []bool
+	// sweep also holds every epoch's plan to the exhaustive sweep's.
+	sweep bool
+}
+
+// runRollingDifferential advances one scheduler per worker count through
+// successive 30-minute epochs and requires every plan to be byte-identical
+// to a fresh scheduler's plan of the same epoch — and, when asked, to the
+// exhaustive sweep's.
+func runRollingDifferential(t *testing.T, w rollingWorld, m rollingMatrix) {
+	t.Helper()
+	slots := int(m.horizon / time.Minute)
+	for _, forecast := range m.forecasts {
+		refs := make([][]byte, m.advances)
+		var sweep *Scheduler
+		if m.sweep {
+			sweep = w.sched(0, forecast, true)
+		}
+		assigned := 0
+		for e := range refs {
+			start := epoch.Add(time.Duration(e) * 30 * time.Minute)
+			fresh := w.sched(0, forecast, false).PlanEpoch(w.sats, start, m.horizon, time.Minute, rollingGen)
+			for _, sl := range fresh.Slots {
+				assigned += len(sl.Assignments)
+			}
+			refs[e] = planJSON(t, fresh)
+			if sweep != nil && !bytes.Equal(refs[e], w.plan(t, sweep, start, m.horizon, time.Minute)) {
+				t.Fatalf("forecast=%v epoch %d: fresh plan differs from the sweep's", forecast, e)
+			}
+		}
+		if assigned == 0 {
+			t.Fatal("differential fixture scheduled nothing; not a meaningful comparison")
+		}
+		for _, workers := range m.workers {
+			rolling := w.sched(workers, forecast, false)
+			for e, ref := range refs {
+				start := epoch.Add(time.Duration(e) * 30 * time.Minute)
+				if got := w.plan(t, rolling, start, m.horizon, time.Minute); !bytes.Equal(got, ref) {
+					t.Fatalf("forecast=%v workers=%d epoch %d: rolling plan differs from a fresh scheduler's", forecast, workers, e)
+				}
+				if len(rolling.carried) != slots {
+					t.Fatalf("epoch %d: %d instants carried, want the horizon's %d", e, len(rolling.carried), slots)
+				}
+			}
+		}
+	}
+}
+
+// The full matrix — workers {1, 4, default} × forecast on/off × the sweep —
+// runs at 32 × 48 over the paper's 12 h horizon and at the two large scales
+// over a horizon the sweep can afford; the large scales then roll the long
+// horizon once. A cold 12 h epoch costs seconds there, and every fresh
+// reference plan is one.
+var allWorkers, bothForecasts = []int{1, 4, 0}, []bool{false, true}
+
+// TestRollingDifferentialSmall is the always-on full matrix.
+func TestRollingDifferentialSmall(t *testing.T) {
+	runRollingDifferential(t, smallRollingWorld(t), rollingMatrix{12 * time.Hour, 6, allWorkers, bothForecasts, true})
+}
+
+// TestRollingDifferentialPaperScale is the rolling planner's acceptance
+// test at the paper's scale and horizon: 259 × 173, 12 h re-planned every
+// 30 minutes, six advances, so 690 of every epoch's 720 slots are carried.
+func TestRollingDifferentialPaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale differential in -short mode")
+	}
+	w := newRollingWorld(t,
+		dataset.Satellites(dataset.SatelliteOptions{N: 259, Seed: 2, Epoch: epoch}),
+		dataset.Stations(dataset.StationOptions{N: 173, Seed: 3}))
+	runRollingDifferential(t, w, rollingMatrix{12 * time.Hour, 6, []int{0}, []bool{true}, false})
+	runRollingDifferential(t, w, rollingMatrix{time.Hour, 3, allWorkers, bothForecasts, true})
+}
+
+// TestRollingDifferentialWalkerScale is the same over a 600-satellite
+// Walker shell and 150 stations, rolling 2 h.
+func TestRollingDifferentialWalkerScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Walker-scale differential in -short mode")
+	}
+	w := newRollingWorld(t,
+		dataset.Walker(dataset.WalkerOptions{T: 600, Epoch: epoch}),
+		dataset.Stations(dataset.StationOptions{N: 150, Seed: 3}))
+	runRollingDifferential(t, w, rollingMatrix{2 * time.Hour, 6, []int{0}, []bool{true}, false})
+	runRollingDifferential(t, w, rollingMatrix{time.Hour, 2, allWorkers, bothForecasts, true})
+}
+
+// TestRollingNonMonotone drives one scheduler through the uses a rolling
+// loop does not make — the same start twice, a start before the prune cut,
+// a gap longer than the horizon, another slot duration, a new network and
+// a new forecast between epochs — and requires each plan to equal a fresh
+// scheduler's and the sweep's for the same arguments.
+func TestRollingNonMonotone(t *testing.T) {
+	w := smallRollingWorld(t)
+	const horizon = 2 * time.Hour
+	at := func(m int) time.Time { return epoch.Add(time.Duration(m) * time.Minute) }
+	fewer := w
+	fewer.net = w.net[:40]
+	steps := []struct {
+		name     string
+		start    time.Time
+		slot     time.Duration
+		forecast bool
+		world    rollingWorld
+	}{
+		{"cold", at(0), time.Minute, true, w},
+		{"advance", at(30), time.Minute, true, w},
+		{"same start twice", at(30), time.Minute, true, w},
+		{"before the prune cut", at(10), time.Minute, true, w},
+		{"advance again", at(60), time.Minute, true, w},
+		{"gap longer than the horizon", at(400), time.Minute, true, w},
+		{"coarser slots", at(430), 90 * time.Second, true, w},
+		{"finer slots", at(431), 30 * time.Second, true, w},
+		{"back to minutes", at(460), time.Minute, true, w},
+		{"forecast dropped", at(490), time.Minute, false, w},
+		{"forecast back", at(520), time.Minute, true, w},
+		{"stations replaced", at(550), time.Minute, true, fewer},
+		{"stations restored", at(551), time.Minute, true, w},
+		{"off the grid", at(580).Add(17 * time.Second), time.Minute, true, w},
+	}
+	for _, workers := range []int{1, 4, 0} {
+		rolling := w.sched(workers, true, false)
+		forecast, world := true, w
+		for _, st := range steps {
+			if st.forecast != forecast {
+				forecast = st.forecast
+				rolling.SetForecast(rollingForecast(forecast))
+			}
+			if len(st.world.net) != len(world.net) {
+				world = st.world
+				rolling.SetStations(world.net)
+			}
+			got := world.plan(t, rolling, st.start, horizon, st.slot)
+			if ref := world.plan(t, world.sched(workers, forecast, false), st.start, horizon, st.slot); !bytes.Equal(got, ref) {
+				t.Fatalf("workers=%d %s: plan differs from a fresh scheduler's", workers, st.name)
+			}
+			if ref := world.plan(t, world.sched(workers, forecast, true), st.start, horizon, st.slot); !bytes.Equal(got, ref) {
+				t.Fatalf("workers=%d %s: plan differs from the sweep's", workers, st.name)
+			}
+		}
+	}
+}
+
+// TestClearSkyAfterForecast: a scheduler that planned under weather and is
+// then told there is no forecast must plan clear sky — not whatever rain
+// and cloud its workers last blended — on the carried and the sweep path.
+func TestClearSkyAfterForecast(t *testing.T) {
+	w := smallRollingWorld(t)
+	const horizon = 2 * time.Hour
+	for _, sweep := range []bool{false, true} {
+		for _, workers := range []int{1, 0} {
+			want := w.plan(t, w.sched(workers, false, sweep), epoch, horizon, time.Minute)
+			stormy := w.plan(t, w.sched(workers, true, sweep), epoch, horizon, time.Minute)
+			if bytes.Equal(want, stormy) {
+				t.Fatal("the forecast changes nothing in this fixture; not a meaningful comparison")
+			}
+			for _, drop := range []struct {
+				name string
+				do   func(*Scheduler)
+			}{
+				{"SetForecast(nil)", func(s *Scheduler) { s.SetForecast(nil) }},
+				{"Forecast = nil", func(s *Scheduler) { s.Forecast = nil }},
+			} {
+				s := w.sched(workers, true, sweep)
+				w.plan(t, s, epoch, horizon, time.Minute)
+				drop.do(s)
+				if got := w.plan(t, s, epoch, horizon, time.Minute); !bytes.Equal(got, want) {
+					t.Fatalf("sweep=%v workers=%d: plan after %s differs from a clear-sky scheduler's", sweep, workers, drop.name)
+				}
+			}
+		}
+	}
+}
+
+// TestRollingRatePassAllocFree pins the steady-state rate pass: with the
+// slot carried, the forecast components cached and the rate buffer and
+// worker scratch warm, re-rating a slot at a new lead allocates nothing.
+func TestRollingRatePassAllocFree(t *testing.T) {
+	w := smallRollingWorld(t)
+	s := w.sched(1, true, false)
+	w.plan(t, s, epoch, 2*time.Hour, time.Minute)
+	at := epoch.Add(47 * time.Minute)
+	cs := s.carried[at.UnixNano()]
+	if cs == nil || len(cs.keys) == 0 {
+		t.Skip("no carried edges at the chosen instant")
+	}
+	ws := &s.scr[0]
+	dst := s.rateSlot(nil, cs, at, 47*time.Minute, ws)
+	lead := time.Duration(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		lead += time.Minute
+		dst = s.rateSlot(dst, cs, at, lead, ws)
+	})
+	if allocs > 0 {
+		t.Fatalf("warm rate pass allocates %.1f times per slot, want 0", allocs)
+	}
+}
+
+// runKernelOnCarriedEdges rates every carried edge of the horizon both ways
+// — the planner's rate pass, and the attenuation memo on geometry and
+// forecast recomputed from scratch — with the forecast on and then off, and
+// requires the same bits.
+func runKernelOnCarriedEdges(t *testing.T, w rollingWorld, horizon time.Duration) {
+	t.Helper()
+	s := w.sched(0, true, false)
+	positions := s.positionCache(w.sats)
+	_, stGeo := s.stationIndex()
+	memo, memoPath := s.rateMemo()
+	view := memo.View()
+	n := int(horizon / time.Minute)
+	nGs := len(w.net)
+	for _, forecast := range []bool{true, false} {
+		if !forecast {
+			s.SetForecast(nil)
+		}
+		slots, rates := s.carryAndRate(positions, epoch, n, time.Minute)
+		edges, closed := 0, 0
+		conds := make([]linkbudget.Conditions, nGs)
+		for k, cs := range slots {
+			at := epoch.Add(time.Duration(k) * time.Minute)
+			cached := positions.At(at)
+			for j, gs := range w.net {
+				conds[j] = linkbudget.Conditions{}
+				if forecast {
+					b := s.Forecast.AtLead(gs.Location.LatRad, gs.Location.LonRad, at, at.Sub(epoch))
+					conds[j] = linkbudget.Conditions{RainMmH: b.RainMmH, CloudKgM2: b.CloudKgM2}
+				}
+			}
+			for x, key := range cs.keys {
+				i, j := int(key)/nGs, int(key)%nGs
+				gs := w.net[j]
+				look := stGeo[j].topo.Look(cached[i].Pos)
+				geo := linkbudget.Geometry{
+					RangeKm:         look.RangeKm,
+					ElevationRad:    look.ElevationRad,
+					StationLatRad:   gs.Location.LatRad,
+					StationHeightKm: gs.Location.AltKm,
+				}
+				want := view.RateBpsAt(memoPath[j], gs.EffectiveTerminal(), geo, conds[j])
+				if got := rates[k][x]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("forecast=%v slot %d pair (%d,%d): rate pass %v vs memo %v", forecast, k, i, j, got, want)
+				}
+				edges++
+				if want > 0 {
+					closed++
+				}
+			}
+		}
+		if edges == 0 || closed == 0 {
+			t.Fatalf("forecast=%v: %d carried edges, %d closing; not a meaningful comparison", forecast, edges, closed)
+		}
+	}
+}
+
+// TestKernelMatchesMemoOnCarriedEdgesPaperScale covers every carried edge
+// of a paper-scale (259 × 173) day.
+func TestKernelMatchesMemoOnCarriedEdgesPaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale differential in -short mode")
+	}
+	w := newRollingWorld(t,
+		dataset.Satellites(dataset.SatelliteOptions{N: 259, Seed: 2, Epoch: epoch}),
+		dataset.Stations(dataset.StationOptions{N: 173, Seed: 3}))
+	runKernelOnCarriedEdges(t, w, 24*time.Hour)
+}
+
+// TestKernelMatchesMemoOnCarriedEdgesWalkerScale covers every carried edge
+// of a Walker (600 × 150) epoch of 2 h.
+func TestKernelMatchesMemoOnCarriedEdgesWalkerScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Walker-scale differential in -short mode")
+	}
+	w := newRollingWorld(t,
+		dataset.Walker(dataset.WalkerOptions{T: 600, Epoch: epoch}),
+		dataset.Stations(dataset.StationOptions{N: 150, Seed: 3}))
+	runKernelOnCarriedEdges(t, w, 2*time.Hour)
+}

@@ -1,7 +1,9 @@
 // Scheduler state and its lazily built caches. The planning pipeline is
-// split across sibling files: plan.go (Plan type and PlanEpoch), sweep.go
-// (per-instant visibility evaluation), windows.go (pass-window candidate
-// prediction).
+// split across sibling files: plan.go (Plan type, PlanEpoch and the
+// reduction), carry.go (per-instant carried link geometry and the rate
+// pass), windows.go (pass-window candidate prediction), sweep.go (the
+// exhaustive per-instant visibility evaluation: Visibility, and the
+// reference UseSweep plans are compared against).
 
 package core
 
@@ -53,7 +55,7 @@ type Scheduler struct {
 	// with slack).
 	MaxRangeKm float64
 	// Workers bounds the planning worker pool: PlanEpoch fans its
-	// per-slot visibility sweeps out over this many goroutines. <= 0
+	// per-slot carry and rate passes out over this many goroutines. <= 0
 	// means GOMAXPROCS. The produced plan is bit-identical for any
 	// worker count.
 	Workers int
@@ -64,12 +66,15 @@ type Scheduler struct {
 	// handed.
 	Positions *poscache.Cache
 	// UseSweep forces PlanEpoch onto the exhaustive per-slot visibility
-	// sweep instead of the coarse-to-fine pass-window predictor. The two
-	// paths produce bit-identical plans (the differential tests enforce
+	// sweep, rated through the attenuation memo, instead of the pass-window
+	// predictor, carried link geometry and the memo-free rate kernel. The
+	// two paths produce bit-identical plans (the differential tests enforce
 	// it); the sweep exists for that cross-check and for ablation. Station
 	// locations and elevation masks are assumed fixed over the scheduler's
 	// lifetime on both paths (the cell index, station geometry, and pass
-	// windows are cached).
+	// windows are cached); the default path also holds each station's
+	// constraint bitmap and beam count as of the instant's first planning.
+	// SetStations is how a changed network is announced.
 	UseSweep bool
 	// FullScan disables the spatial candidate index inside the pass-window
 	// predictor: every stride instant evaluates the full sat × station
@@ -81,19 +86,29 @@ type Scheduler struct {
 	nextVersion int
 
 	// Single-threaded PlanEpoch scratch: the pass-window predictor with
-	// the cache/stride it was built for, window and per-slot pair-list
-	// buffers, the reusable matching graph with its aligned edge-weight
-	// buffer, the stable-matching scratch, and per-worker condition
-	// scratch for the visibility fan-out.
-	pred      *passes.Predictor
-	predPos   *poscache.Cache
-	predStep  time.Duration
-	winBuf    passes.Windows
-	slotPairs [][]int32
-	planG     *match.Graph
-	matchScr  match.Scratch
-	wbuf      []float64
-	condScr   []condScratch
+	// the cache/stride it was built for and the instant it was last pruned
+	// at, the reusable matching graph with its aligned edge-weight buffer,
+	// the stable-matching scratch, and the per-worker scratch of the slot
+	// fan-out.
+	pred     *passes.Predictor
+	predPos  *poscache.Cache
+	predStep time.Duration
+	predCut  time.Time
+	planG    *match.Graph
+	matchScr match.Scratch
+	wbuf     []float64
+	scr      []workerScratch
+
+	// carried maps a slot instant (UnixNano) to its exact-feasible edges
+	// and their lead-independent link terms, computed from carriedPos:
+	// what overlapping epochs share. PlanEpoch prunes it at each start;
+	// SetStations or a different position cache drops it; SetForecast
+	// leaves it alone. rates[k] holds the rates of the current epoch's
+	// slot k at this epoch's leads, aligned with the slot's carried edges
+	// (buffers reused across epochs).
+	carried    map[int64]*carriedSlot
+	carriedPos *poscache.Cache
+	rates      [][]float64
 
 	// mu guards the lazily initialized shared state below; Visibility
 	// must be callable from PlanEpoch's worker goroutines.
@@ -111,10 +126,15 @@ type Scheduler struct {
 	// nil; rebuilt whenever the snapshot population changes.
 	pos *poscache.Cache
 	// memo caches the ITU-R attenuation chain for Radio (quantized
-	// elevation and weather), shared across epochs; memoPath maps station
-	// index → registered path handle.
+	// elevation and weather) for the sweep; memoPath maps station index →
+	// registered path handle.
 	memo     *linkbudget.AttenMemo
 	memoPath []int
+	// kern is the memo-free link-rate kernel for Radio and sites its
+	// per-station constants (ground path, effective terminal): what every
+	// plan but UseSweep's is rated with.
+	kern  *linkbudget.Kernel
+	sites []linkbudget.Site
 	// fcMu guards fcCache, the per-instant forecast components (truth and
 	// error-field samples per station). Both are lead-independent, so
 	// overlapping epochs revisiting an instant blend cached samples
@@ -134,9 +154,10 @@ func (s *Scheduler) PlanVersion() int { return s.nextVersion }
 func (s *Scheduler) SetPlanVersion(v int) { s.nextVersion = v }
 
 // SetForecast replaces the weather forecast and drops every cached
-// per-instant forecast component (they sample the old fields). The
-// attenuation memo survives: its entries are pure functions of the
-// quantized conditions, so new weather simply probes new keys.
+// per-instant forecast component (they sample the old fields). Carried
+// link geometry survives — none of it depends on weather — so the next
+// epoch only re-rates; so does the sweep's attenuation memo, whose entries
+// are pure functions of the quantized conditions.
 func (s *Scheduler) SetForecast(fc *weather.Forecast) {
 	s.Forecast = fc
 	s.fcMu.Lock()
@@ -146,21 +167,24 @@ func (s *Scheduler) SetForecast(fc *weather.Forecast) {
 
 // SetStations replaces the ground network and drops every lazily built
 // structure derived from it: the spatial cell index and per-station
-// geometry, the attenuation memo's path registrations, the per-worker
-// memo views fronting it, cached forecast components (sized to the old
-// station count), and the pass predictor (bound to the old network).
+// geometry, the rate kernel's sites, the attenuation memo's path
+// registrations and the per-worker memo views fronting it, cached forecast
+// components (sized to the old station count), the pass predictor (bound
+// to the old network), and every carried edge (keyed and masked by it).
 // The caller must not be running PlanEpoch concurrently.
 func (s *Scheduler) SetStations(net station.Network) {
 	s.Stations = net
 	s.mu.Lock()
 	s.grid, s.stGeo = nil, nil
 	s.memo, s.memoPath = nil, nil
+	s.kern, s.sites = nil, nil
 	s.mu.Unlock()
 	s.fcMu.Lock()
 	s.fcCache = nil
 	s.fcMu.Unlock()
-	s.pred, s.predPos, s.predStep = nil, nil, 0
-	s.condScr = nil
+	s.pred, s.predPos, s.predStep, s.predCut = nil, nil, 0, time.Time{}
+	s.scr = nil
+	s.carried, s.carriedPos = nil, nil
 }
 
 // stationGeom is the fixed per-station geometry the visibility inner loop
@@ -207,6 +231,22 @@ func (s *Scheduler) rateMemo() (*linkbudget.AttenMemo, []int) {
 		}
 	}
 	return s.memo, s.memoPath
+}
+
+// rateKernel returns the link-rate kernel for the scheduler's radio plus
+// the per-station sites.
+func (s *Scheduler) rateKernel() (*linkbudget.Kernel, []linkbudget.Site) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.kern == nil {
+		k := linkbudget.NewKernel(s.Radio)
+		s.kern = k
+		s.sites = make([]linkbudget.Site, len(s.Stations))
+		for j, gs := range s.Stations {
+			s.sites[j] = k.Site(gs.Location.LatRad, gs.Location.AltKm, gs.EffectiveTerminal())
+		}
+	}
+	return s.kern, s.sites
 }
 
 // fcComponents returns the per-station forecast components (truth and

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"dgs/internal/astro"
 	"dgs/internal/frames"
 	"dgs/internal/linkbudget"
 	"dgs/internal/poscache"
@@ -18,12 +17,12 @@ type VisibleEdge struct {
 	RateBps      float64
 }
 
-// condScratch is the per-worker evaluation scratch: the per-station
-// blended weather conditions for one (instant, lead) evaluation, the
-// candidate buffer the spatial index appends into, plus the worker's
-// private front cache over the shared attenuation memo. The condition
-// buffers are reset per slot; the candidate buffer and memo view persist
-// across every slot (and epoch) the worker processes.
+// condScratch is the sweep's per-worker evaluation scratch: the
+// per-station blended weather conditions for one (instant, lead)
+// evaluation, the candidate buffer the spatial index appends into, plus
+// the worker's private front cache over the shared attenuation memo. The
+// condition buffers are reset per slot; the candidate buffer and memo view
+// persist across every slot (and epoch) the worker processes.
 type condScratch struct {
 	cond  []linkbudget.Conditions
 	known []bool
@@ -44,9 +43,10 @@ func (cs *condScratch) reset(n int) {
 	}
 }
 
-// evalCtx bundles the per-call state the edge evaluation needs, so the
-// sweep and the pass-window path run the exact same test (any divergence
-// would break their bit-identity contract).
+// evalCtx bundles the per-call state the sweep's edge evaluation needs.
+// The default planning path applies the same cuts in carrySlot and rates
+// with the memo-free kernel in rateSlot; any divergence between the two
+// breaks their bit-identity contract, which the differential tests hold.
 type evalCtx struct {
 	s        *Scheduler
 	stGeo    []stationGeom
@@ -59,8 +59,8 @@ type evalCtx struct {
 }
 
 // rateAt serves the forecast rate through the worker's private memo view
-// when it has one (PlanEpoch workers), else through the shared locked
-// memo (one-shot Visibility calls). Both return the identical value: a
+// when it has one (UseSweep's PlanEpoch workers), else through the shared
+// locked memo (one-shot Visibility calls). Both return the identical value: a
 // view only fronts memo entries, which are pure functions of the
 // quantized inputs.
 func (ec *evalCtx) rateAt(j int, t linkbudget.Terminal, geo linkbudget.Geometry, w linkbudget.Conditions) float64 {
@@ -73,6 +73,9 @@ func (ec *evalCtx) rateAt(j int, t linkbudget.Terminal, geo linkbudget.Geometry,
 func (ec *evalCtx) condFor(j int) linkbudget.Conditions {
 	cs := ec.cs
 	if !cs.known[j] {
+		// Without a forecast the sky is clear — written out, because the
+		// scratch outlives the forecast a worker last blended into it.
+		cs.cond[j] = linkbudget.Conditions{}
 		if ec.comp != nil {
 			w := ec.s.Forecast.BlendAtLead(ec.comp[2*j], ec.comp[2*j+1], ec.lead)
 			cs.cond[j] = linkbudget.Conditions{RainMmH: w.RainMmH, CloudKgM2: w.CloudKgM2}
@@ -119,8 +122,8 @@ func (ec *evalCtx) eval(dst []VisibleEdge, i, j int, ecef frames.Vec3) []Visible
 // A 10° geodetic cell index over the stations keeps the cost proportional
 // to stations actually near each ground track, not |S|·|G|.
 //
-// Visibility is safe for concurrent use (PlanEpoch invokes its internals
-// from a worker pool): satellite positions come from the shared
+// Visibility is safe for concurrent use (UseSweep's PlanEpoch invokes its
+// internals from a worker pool): satellite positions come from the shared
 // thread-safe position cache and the attenuation memo is lock-protected.
 // It always runs the exhaustive sweep; only PlanEpoch consults the
 // pass-window predictor.
@@ -166,46 +169,6 @@ func (s *Scheduler) visibilitySweep(dst []VisibleEdge, sats []SatSnapshot, posit
 		for _, j := range cs.cand {
 			dst = ec.eval(dst, i, int(j), ecef)
 		}
-	}
-	return dst
-}
-
-// visibilityPairs appends the feasible edges at t to dst, evaluating only
-// the packed (sat·nGs + station) candidate pairs whose predicted contact
-// windows cover t. pairs must be sorted ascending, which makes the edge
-// order satellite-major with stations ascending — every consumer of the
-// edge list is insensitive to the within-satellite station order, so the
-// resulting plans are bit-identical to the sweep's.
-func (s *Scheduler) visibilityPairs(dst []VisibleEdge, positions *poscache.Cache, t time.Time, lead time.Duration, pairs []int32, cs *condScratch) []VisibleEdge {
-	if len(pairs) == 0 {
-		return dst
-	}
-	_, stGeo := s.stationIndex()
-	memo, memoPath := s.rateMemo()
-	cs.reset(len(s.Stations))
-	ec := evalCtx{
-		s: s, stGeo: stGeo, memo: memo, memoPath: memoPath,
-		maxRange: s.maxRange(),
-		comp:     s.fcComponents(t), lead: lead, cs: cs,
-	}
-
-	cached := positions.At(t)
-	nGs := len(s.Stations)
-	lastSat := -1
-	var ecef frames.Vec3
-	ok := false
-	for _, key := range pairs {
-		i, j := int(key)/nGs, int(key)%nGs
-		if i != lastSat {
-			lastSat = i
-			e := cached[i]
-			ecef = e.Pos
-			ok = e.OK && ecef.Norm() > astro.EarthRadiusKm
-		}
-		if !ok {
-			continue
-		}
-		dst = ec.eval(dst, i, j, ecef)
 	}
 	return dst
 }

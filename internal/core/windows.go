@@ -43,14 +43,21 @@ func (s *Scheduler) passConfig(slotDur time.Duration) (passes.Config, error) {
 	return cfg, cfg.Validate(slotDur)
 }
 
-// predictPairs returns, per slot, the sorted deduplicated packed
-// (sat·nGs + station) keys whose predicted contact windows cover the slot
-// instant. The predictor persists across epochs: overlapping horizons
-// re-use the windows already found, so each stride instant is scanned
-// once per simulation, not once per epoch.
-func (s *Scheduler) predictPairs(positions *poscache.Cache, start time.Time, n int, slotDur time.Duration) [][]int32 {
+// predictPairs returns, for the n slots from `from`, the sorted
+// deduplicated packed (sat·nGs + station) keys whose predicted contact
+// windows cover the slot instant. The predictor's scan state persists
+// across epochs — each stride instant is scanned once per simulation, not
+// once per epoch — while its finished windows go as soon as they end before
+// from: the caller carries what it derives from them, and asks only for
+// slots it has not carried yet. The window and pair buffers are the
+// call's own, so a cold 12 h request does not leave its high-water mark
+// behind for the 30-minute requests that follow it.
+func (s *Scheduler) predictPairs(positions *poscache.Cache, from time.Time, n int, slotDur time.Duration) [][]int32 {
 	coarse := coarseStepFor(slotDur)
-	if s.pred == nil || s.predPos != positions || s.predStep != coarse {
+	// A request from before the last prune cut would find the windows that
+	// ended in between gone: it starts a new predictor, like a new cache or
+	// stride does.
+	if s.pred == nil || s.predPos != positions || s.predStep != coarse || from.Before(s.predCut) {
 		cfg, err := s.passConfig(slotDur)
 		if err != nil {
 			panic(err)
@@ -58,11 +65,10 @@ func (s *Scheduler) predictPairs(positions *poscache.Cache, start time.Time, n i
 		s.pred = passes.New(positions, s.Stations, cfg)
 		s.predPos, s.predStep = positions, coarse
 	}
-	s.pred.Prune(start)
-	end := start.Add(time.Duration(n) * slotDur)
-	s.winBuf = s.pred.WindowsBetween(s.winBuf[:0], start, end)
-	s.slotPairs = s.binWindows(s.slotPairs, s.winBuf, start, n, slotDur)
-	return s.slotPairs
+	s.pred.Prune(from)
+	s.predCut = from
+	wins := s.pred.WindowsBetween(nil, from, from.Add(time.Duration(n)*slotDur))
+	return s.binWindows(nil, wins, from, n, slotDur)
 }
 
 // binWindows bins contact windows onto the slot grid: per slot, the

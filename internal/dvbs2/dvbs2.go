@@ -128,3 +128,35 @@ func MinEsN0dB() float64 { return envelope[0].RequiredEsN0dB }
 
 // MaxSpectralEff is the top of the ladder (32APSK 9/10).
 func MaxSpectralEff() float64 { return envelope[len(envelope)-1].SpectralEff }
+
+// Ladder is Rate for one symbol rate with the per-MODCOD products hoisted:
+// callers that rate many links against the same carrier (the scheduler's
+// rate pass) build it once. Its Rate returns exactly what the package's
+// Rate returns.
+type Ladder struct {
+	// need holds the envelope's thresholds, ascending; rate[i] is the
+	// information rate of rung i.
+	need, rate []float64
+}
+
+// NewLadder builds the ladder for a symbol rate.
+func NewLadder(symbolRateHz float64) Ladder {
+	l := Ladder{need: make([]float64, len(envelope)), rate: make([]float64, len(envelope))}
+	for i, m := range envelope {
+		l.need[i] = m.RequiredEsN0dB
+		l.rate[i] = m.SpectralEff * symbolRateHz
+	}
+	return l
+}
+
+// Rate returns the information bit rate in bits/s of the most efficient
+// MODCOD that esN0dB less marginDB satisfies, or 0 when none does.
+func (l Ladder) Rate(esN0dB, marginDB float64) float64 {
+	avail := esN0dB - marginDB
+	for i := len(l.need) - 1; i >= 0; i-- {
+		if l.need[i] <= avail {
+			return l.rate[i]
+		}
+	}
+	return 0
+}

@@ -227,3 +227,78 @@ func TotalAttenuation(p SlantPath, freqGHz, rainMmH, cloudKgM2 float64, pol Pola
 		CloudPathAttenuation(p, freqGHz, cloudKgM2) +
 		GasPathAttenuation(p)
 }
+
+// The split chain. TotalAttenuation evaluates everything from scratch for
+// every (path, weather) pair, yet most of its cost depends on only part of
+// its input: k, α and K_l on the carrier alone, the cosecant and the rain
+// slant length on the path alone, L₀ and γ_R on the weather alone. The
+// types below compute each part once and Attenuation composes them with
+// the operations, operands and association TotalAttenuation uses, so the
+// result has the same bits; TotalAttenuation stays as the reference the
+// tests compare it against.
+
+// Carrier holds the coefficients that depend only on carrier frequency and
+// polarization: P.838-3's k and α, and P.840's K_l at the standard cloud
+// temperature.
+type Carrier struct {
+	K, Alpha, Kl float64
+}
+
+// NewCarrier evaluates the carrier coefficients once.
+func NewCarrier(freqGHz float64, pol Polarization) Carrier {
+	k, alpha := RainKAlpha(freqGHz, pol, 0)
+	return Carrier{K: k, Alpha: alpha, Kl: CloudSpecificCoefficient(freqGHz, 273.15)}
+}
+
+// PathTerms is the weather-independent half of the slant-path models for
+// one path: the sine of the (clamped) elevation that the cloud and gas
+// cosecants divide by, the rain slant length L_s, and L_s·cosθ of the
+// horizontal reduction factor. Ls and LsCos are zero for a station above
+// the rain height, which zeroes the rain term.
+type PathTerms struct {
+	SinEl, Ls, LsCos float64
+}
+
+// Terms evaluates the path's weather-independent terms.
+func (p SlantPath) Terms() PathTerms {
+	el := math.Max(p.ElevationRad, minElevationRad)
+	t := PathTerms{SinEl: math.Sin(el)}
+	if dh := RainHeightKm(p.LatitudeRad) - p.StationHeightKm; dh > 0 {
+		// RainPathAttenuation takes its sine from Sincos while the cloud
+		// and gas terms call Sin; keep each where it was.
+		sinEl, cosEl := math.Sincos(el)
+		t.Ls = dh / sinEl
+		t.LsCos = t.Ls * cosEl
+	}
+	return t
+}
+
+// Sky is the path-independent half: the horizontal-reduction length L₀ and
+// specific attenuation γ_R of the rain rate, and the zenith cloud
+// attenuation L·K_l of the columnar liquid water.
+type Sky struct {
+	L0, Gamma, Cloud float64
+}
+
+// Sky evaluates the weather terms for a rain rate (mm/h) and a columnar
+// cloud liquid water content (kg/m²).
+func (c Carrier) Sky(rainMmH, cloudKgM2 float64) Sky {
+	s := Sky{L0: 35}
+	if rainMmH > 0 {
+		s.L0 = 35 * math.Exp(-0.015*math.Min(rainMmH, 100))
+		s.Gamma = c.K * math.Pow(rainMmH, c.Alpha)
+	}
+	if cloudKgM2 > 0 {
+		s.Cloud = cloudKgM2 * c.Kl
+	}
+	return s
+}
+
+// Attenuation composes the two halves into TotalAttenuation's value for the
+// same path, carrier and weather: (rain + cloud) + gas. Without rain γ_R is
+// zero and without cloud L·K_l is, so those terms come out +0, which is
+// what the reference returns for them.
+func Attenuation(t PathTerms, s Sky) float64 {
+	r := 1 / (1 + t.LsCos/s.L0)
+	return s.Gamma*t.Ls*r + s.Cloud/t.SinEl + GasZenithDB/t.SinEl
+}

@@ -19,13 +19,14 @@ const (
 )
 
 // MemoView is an unsynchronized compute-through cache over an AttenMemo's
-// registered paths. The planner hands one to each worker: a lookup is a
-// single direct-mapped array probe, and a miss evaluates the ITU chain
-// right away from the quantized key — no locks, no shared map. (Measured
-// at paper scale, the forecast blend leaves the shared memo missing ~95%
-// of planner lookups, so its map machinery cost more than the ~150 ns
-// computation it saved; the view keeps the shared memo out of the hot
-// path entirely.)
+// registered paths. The scheduler's exhaustive sweep — the reference its
+// plans are held to; planning itself rates with Kernel, which needs no
+// cache — hands one to each worker: a lookup is a single direct-mapped
+// array probe, and a miss evaluates the ITU chain right away from the
+// quantized key — no locks, no shared map. (Measured at paper scale, the
+// forecast blend leaves the shared memo missing ~95% of planner lookups,
+// so its map machinery cost more than the ~150 ns computation it saved;
+// the view keeps the shared memo out of the sweep's hot path entirely.)
 //
 // Both the view's miss path and the shared memo compute a key's value with
 // the same pure function of (radio, path, quantized key) — so views never

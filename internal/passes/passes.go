@@ -410,13 +410,21 @@ func (p *Predictor) WindowsBetween(dst Windows, from, to time.Time) Windows {
 	return dst
 }
 
-// Prune drops completed windows that end before t.
+// Prune drops completed windows that end before t. When that leaves the
+// backing array mostly empty it is released too: a caller that scanned a
+// long horizon once and now advances in short steps (the rolling planner:
+// 12 h cold, 30 minutes per epoch after) must not pin the first scan's
+// high-water mark for the predictor's lifetime.
 func (p *Predictor) Prune(t time.Time) {
 	kept := p.windows[:0]
 	for _, w := range p.windows {
 		if !w.End.Before(t) {
 			kept = append(kept, w)
 		}
+	}
+	if cap(kept) > 1024 && cap(kept) > 4*len(kept) {
+		p.windows = append(make([]Window, 0, len(kept)), kept...)
+		return
 	}
 	clear(p.windows[len(kept):])
 	p.windows = kept

@@ -376,14 +376,14 @@ func (s *Snapshot) LinkBudgetAt(sat, gs int, t time.Time, lead time.Duration) Li
 // granularity against the snapshot's synthetic queue state.
 //
 // Every call runs a fresh scheduler. The simulator reuses one scheduler
-// because its epochs only move forward, and the scheduler's persistent
-// pass predictor and caches assume that monotonicity — API queries arrive
-// at arbitrary anchors, where reused incremental state would make the
-// answer depend on query order. A fresh scheduler makes the plan a pure
-// function of the query (version always 1), which is what lets responses
-// be cached and deduplicated byte-for-byte; it gets no shared Positions
-// cache because PlanEpoch prunes instants before its start, which must
-// not evict the never-pruned grid cache pass queries share.
+// because its epochs move forward and overlap, which its carried state
+// exploits; API queries arrive concurrently at arbitrary anchors, where a
+// shared scheduler would serialize them, number their plans by arrival
+// and prune its state at every start. A fresh scheduler makes the plan a
+// pure function of the query (version always 1), which is what lets
+// responses be cached and deduplicated byte-for-byte; it gets no shared
+// Positions cache because PlanEpoch prunes instants before its start,
+// which must not evict the never-pruned grid cache pass queries share.
 func (s *Snapshot) Plan(from time.Time, horizon, slot time.Duration) *core.Plan {
 	sched := &core.Scheduler{
 		Radio:    s.radio,

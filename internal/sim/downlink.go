@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"dgs/internal/frames"
 	"dgs/internal/linkbudget"
 	"dgs/internal/satellite"
 )
@@ -89,7 +88,7 @@ func (downlinkStage) run(e *Engine) error {
 		if !w.ecefs[i].OK {
 			continue
 		}
-		look := frames.Look(gs.Location, w.ecefs[i].Pos)
+		look := w.topo[gsIdx].Look(w.ecefs[i].Pos)
 		if look.ElevationRad <= gs.MinElevationRad {
 			continue
 		}

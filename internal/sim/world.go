@@ -60,6 +60,10 @@ type World struct {
 	positions  *poscache.Cache
 	sched      *core.Scheduler
 	txStations station.Network
+	// topo is each station's precomputed look-angle basis, by station
+	// index: the per-step visibility tests would otherwise rebuild it for
+	// every (satellite, station) pair.
+	topo []frames.Topocentric
 
 	// Backend state: per satellite, chunks received on the ground and the
 	// subset already acked to the satellite.
@@ -179,6 +183,10 @@ func newWorld(cfg Config) (*World, error) {
 	w.nextPlan = cfg.Start
 	w.nextDayMark = cfg.Start.Add(24 * time.Hour)
 	w.txStations = cfg.Stations.TxStations()
+	w.topo = make([]frames.Topocentric, len(cfg.Stations))
+	for j, gs := range cfg.Stations {
+		w.topo[j] = frames.NewTopocentric(gs.Location)
+	}
 
 	w.assigns = make([]slotAssign, len(w.sats))
 	w.claims = make(map[int][]claim)
@@ -195,7 +203,7 @@ func (w *World) txVisible(i int) bool {
 		return false
 	}
 	for _, gs := range w.txStations {
-		if frames.Look(gs.Location, w.ecefs[i].Pos).ElevationRad > gs.MinElevationRad {
+		if w.topo[gs.ID].Look(w.ecefs[i].Pos).ElevationRad > gs.MinElevationRad {
 			return true
 		}
 	}
