@@ -36,6 +36,10 @@ go vet ./...
 
 echo "== importcheck (zero-dependency policy)"
 go run ./tools/importcheck
+# The planner reads an instant's candidate pairs straight off its station
+# cell index; the pass predictor serves the pass endpoints and dgs-passes,
+# and must not grow back underneath core.
+if go list -deps ./internal/core | grep -qx dgs/internal/passes; then echo "core must not depend on passes" >&2; exit 1; fi
 
 echo "== go build"
 go build ./...
@@ -53,16 +57,17 @@ go test -count=5 -cpu 1,2,4 ./internal/session ./internal/backend
 # Likewise the federated no-torn-reads probe: readers race real epoch-
 # vector movement, which only repetition across CPU counts explores.
 go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears' ./internal/serve
-# The pair-subset scan shards and refines like the unrestricted one, and
-# the incremental planner's window patch is two such scans merged: their
-# filter-after / from-scratch identities must hold at every worker split.
-# So must the rolling planner's: carried link geometry plus the memo-free
-# rate kernel against fresh schedulers, the exhaustive sweep and the
-# attenuation memo, bit for bit, however the slots land on the workers.
-# (core rolls the paper's 12 h horizon six times against six fresh
-# schedulers per pass: fifteen passes take ≈9 min on two cores, hence the
-# explicit timeout.)
-go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|IncrementalDifferential|Rolling|Kernel|ClearSky' \
+# The pair-subset scan shards and refines like the unrestricted one: its
+# filter-after identity must hold at every worker split. The planner's
+# carry fan-out queries one shared station cell index from every worker
+# into per-worker candidate scratch, and the incremental planner re-carries
+# only dirty pairs and merges them into the clean edges: cell index ≡ cross
+# product, patched ≡ from scratch, and the rolling planner's carried link
+# geometry plus the memo-free rate kernel ≡ fresh schedulers ≡ the
+# exhaustive sweep and the attenuation memo, bit for bit, however the slots
+# land on the workers. (core rolls the paper's 12 h horizon six times
+# against six fresh schedulers per pass, hence the explicit timeout.)
+go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky' \
     ./internal/passes ./internal/core ./internal/linkbudget ./internal/itu
 
 echo "== go test -race (parallel pipeline + session + serving layers)"

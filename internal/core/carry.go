@@ -19,12 +19,13 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"dgs/internal/astro"
-	"dgs/internal/frames"
 	"dgs/internal/linkbudget"
 	"dgs/internal/poscache"
+	"dgs/internal/spatial"
 )
 
 // carriedSlot is one slot instant's exact-feasible edges — every edge some
@@ -41,7 +42,7 @@ type carriedSlot struct {
 // persisting across the slots and epochs it processes: the weather terms
 // per station for the slot being rated, the build buffers a slot is
 // carried into before it is copied out at its exact size, and the sweep's
-// condition scratch.
+// condition scratch (whose cell-index candidate buffer the carry shares).
 type workerScratch struct {
 	sky   []linkbudget.Sky
 	known []bool
@@ -50,58 +51,67 @@ type workerScratch struct {
 	cond  condScratch
 }
 
-// carrySlot applies the feasibility cuts — the ones evalCtx.eval applies
-// before it rates an edge, then the kernel's "never closes" — to the
-// candidate pairs at t and returns the survivors with their carried terms. pairs must be sorted ascending,
-// which makes the edge order satellite-major with stations ascending;
-// every consumer of the edge list is insensitive to the within-satellite
-// station order, so the resulting plans are bit-identical to the sweep's.
-func (s *Scheduler) carrySlot(positions *poscache.Cache, t time.Time, pairs []int32, ws *workerScratch) *carriedSlot {
-	if len(pairs) == 0 {
-		return &carriedSlot{}
-	}
-	_, stGeo := s.stationIndex()
+// carryPairs carries the instant t: every candidate pair goes through the
+// feasibility cuts — the ones evalCtx.eval applies before it rates an edge,
+// then the kernel's "never closes" — and the survivors come back as
+// ascending packed keys with their carried terms. A satellite's candidates
+// are the stations in the cells its horizon disk touches, sorted ascending:
+// a superset of the feasible stations (spatial.HorizonPsiDeg carries the
+// margin), so every feasible pair is evaluated, by the sweep's own exact
+// cuts. The edge order is satellite-major with stations ascending; every
+// consumer of the edge list is insensitive to the within-satellite station
+// order, so the resulting plans are bit-identical to the sweep's.
+//
+// Both restrictions nil carries every pair. Otherwise only dirty pairs are
+// carried: a satellite marked in dirtySats (indexed by satellite) against
+// its cell-index candidates, any other against just the dirtyStations
+// listed (ascending) — which, with every station listed, is the full cross
+// product without the index.
+func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats []bool, dirtyStations []int32, ws *workerScratch) *carriedSlot {
+	grid, stGeo := s.stationIndex()
 	kern, sites := s.rateKernel()
 	maxRange := s.maxRange()
+	restricted := dirtySats != nil || dirtyStations != nil
+	nGs := len(s.Stations)
 	keys, terms := ws.keys[:0], ws.terms[:0]
 
-	cached := positions.At(t)
-	nGs := len(s.Stations)
-	lastSat := -1
-	var ecef frames.Vec3
-	ok := false
-	for _, key := range pairs {
-		i, j := int(key)/nGs, int(key)%nGs
-		if i != lastSat {
-			lastSat = i
-			e := cached[i]
-			ecef = e.Pos
-			ok = e.OK && ecef.Norm() > astro.EarthRadiusKm
-		}
-		if !ok {
+	for i, e := range positions.At(t) {
+		if !e.OK || e.Pos.Norm() <= astro.EarthRadiusKm {
 			continue
 		}
-		gs := s.Stations[j]
-		if !gs.Allows(i) {
-			continue
+		ecef, cand := e.Pos, dirtyStations
+		if !restricted || (dirtySats != nil && dirtySats[i]) {
+			sp := spatial.SubPointOf(ecef)
+			ws.cond.cand = grid.AppendNear(ws.cond.cand[:0], sp, spatial.HorizonPsiDeg(sp.RKm))
+			slices.Sort(ws.cond.cand)
+			cand = ws.cond.cand
 		}
-		st := &stGeo[j]
-		if ecef.Sub(st.topo.ECEF).Norm() > maxRange {
-			continue
+		for _, j := range cand {
+			gs := s.Stations[j]
+			if !gs.Allows(i) {
+				continue
+			}
+			st := &stGeo[j]
+			if ecef.Sub(st.topo.ECEF).Norm() > maxRange {
+				continue
+			}
+			look := st.topo.Look(ecef)
+			if look.ElevationRad <= gs.MinElevationRad {
+				continue
+			}
+			c, closes := kern.Carry(&sites[j], look.RangeKm, look.ElevationRad)
+			if !closes {
+				continue
+			}
+			keys = append(keys, int32(i*nGs)+j)
+			terms = append(terms, c)
 		}
-		look := st.topo.Look(ecef)
-		if look.ElevationRad <= gs.MinElevationRad {
-			continue
-		}
-		c, closes := kern.Carry(&sites[j], look.RangeKm, look.ElevationRad)
-		if !closes {
-			continue
-		}
-		keys = append(keys, key)
-		terms = append(terms, c)
 	}
 	ws.keys, ws.terms = keys, terms
-	return &carriedSlot{keys: append([]int32(nil), keys...), terms: append([]linkbudget.Carried(nil), terms...)}
+	if len(keys) == 0 {
+		return &carriedSlot{}
+	}
+	return &carriedSlot{keys: slices.Clone(keys), terms: slices.Clone(terms)}
 }
 
 // rateSlot rates a slot's carried edges under the forecast for instant t
@@ -169,18 +179,17 @@ func (s *Scheduler) carryAndRate(positions *poscache.Cache, start time.Time, n i
 	for len(s.rates) < n {
 		s.rates = append(s.rates, nil)
 	}
-	// [lo, hi) spans the slots not carried yet: in the steady state the
-	// tail the horizon grew by since the last epoch.
-	lo, hi := n, 0
+	// The instants not carried yet — in the steady state the tail the
+	// horizon grew by since the last epoch — get their positions in one
+	// batched fill, which streams the propagation coefficients across all
+	// of them, before the fan-out reads them one by one.
+	var fresh []time.Time
 	for k := range slots {
 		if slots[k] = s.carried[instant(k).UnixNano()]; slots[k] == nil {
-			lo, hi = min(lo, k), k+1
+			fresh = append(fresh, instant(k))
 		}
 	}
-	var pairs [][]int32
-	if lo < hi {
-		pairs = s.predictPairs(positions, instant(lo), hi-lo, slotDur)
-	}
+	positions.AtRange(fresh)
 
 	// Carrying and rating depend only on time, never on the evolving queue
 	// state, so they fan out over the worker pool; every worker writes only
@@ -188,12 +197,12 @@ func (s *Scheduler) carryAndRate(positions *poscache.Cache, start time.Time, n i
 	s.forEachSlot(n, func(k int, ws *workerScratch) {
 		t := instant(k)
 		if slots[k] == nil {
-			slots[k] = s.carrySlot(positions, t, pairs[k-lo], ws)
+			slots[k] = s.carryPairs(positions, t, nil, nil, ws)
 		}
 		s.rates[k] = s.rateSlot(s.rates[k], slots[k], t, t.Sub(start), ws)
 	})
-	for k := lo; k < hi; k++ {
-		s.carried[instant(k).UnixNano()] = slots[k]
+	for _, t := range fresh {
+		s.carried[t.UnixNano()] = slots[int(t.Sub(start)/slotDur)]
 	}
 	return slots, s.rates[:n]
 }

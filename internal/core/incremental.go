@@ -1,23 +1,20 @@
 // Incremental replanning for a live world. The planner keeps the full
-// derivation chain of one plan epoch — positions, contact windows,
-// per-slot carried edges, per-slot rates — and, when the world changes (a
-// TLE refresh, a weather revision, a station joining or leaving),
-// recomputes only the pieces the delta invalidated, with the carry / rate /
-// reduce primitives PlanEpoch is made of (carry.go):
+// derivation chain of one plan epoch — positions, per-slot carried edges,
+// per-slot rates — and, when the world changes (a TLE refresh, a weather
+// revision, a station joining or leaving), recomputes only the pieces the
+// delta invalidated, with the carry / rate / reduce primitives PlanEpoch is
+// made of (carry.go):
 //
-//   - Window formation has no cross-pair coupling (each (sat, station)
-//     pair's windows depend only on that pair's geometry over the scan
-//     grid), so a one-satellite TLE delta re-scans one satellite against
-//     the network and a station delta re-scans one station against the
-//     constellation; every other pair's windows are reused verbatim.
-//   - A slot's carried edges (feasibility and lead-independent link terms)
-//     depend only on geometry, so only slots holding an edge of a dirty
-//     satellite or station, or a freshly opened window, re-carry — and
-//     only the dirty pairs within them; clean edges merge back in
-//     unchanged. A weather revision re-carries nothing.
+//   - A pair's carried edge at an instant (feasibility and lead-independent
+//     link terms) depends only on that pair's geometry, so a TLE delta
+//     re-carries the dirty satellites against their cell-index candidates
+//     and a station delta the dirty stations against the constellation
+//     (carryPairs under a restriction); clean edges merge back in
+//     unchanged, and a slot neither holding nor gaining a dirty edge is
+//     left alone. A weather revision re-carries nothing.
 //   - An edge's rate depends on its carried terms and the forecast: the
 //     re-carried edges are rated, and a weather revision re-rates every
-//     slot — no look angles, no pass scan.
+//     slot — no look angles.
 //   - The queue-dependent weighting/matching/drain reduction is cheap and
 //     global (a slot's matching depends on every earlier slot's drain),
 //     so it re-runs in full — it is the same reduction PlanEpoch uses,
@@ -30,11 +27,11 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"dgs/internal/linkbudget"
 	"dgs/internal/orbit"
-	"dgs/internal/passes"
 	"dgs/internal/poscache"
 	"dgs/internal/station"
 	"dgs/internal/weather"
@@ -42,8 +39,8 @@ import (
 
 // IncrementalConfig fixes the planning problem an IncrementalPlanner
 // maintains: the plan anchor and horizon never move (deltas revise the
-// world, not the question), which is what keeps reused windows and edges
-// valid across replans.
+// world, not the question), which is what keeps reused edges valid across
+// replans.
 type IncrementalConfig struct {
 	// Start anchors the plan; Horizon and Slot shape it (Slot defaults to
 	// one minute, Horizon to one hour).
@@ -52,14 +49,13 @@ type IncrementalConfig struct {
 	Slot    time.Duration
 	// GenBitsPerSec is the capture refill rate of the modeled queues.
 	GenBitsPerSec float64
-	// Radio, Forecast, Value, MaxRangeKm, Workers, FullScan mirror the
-	// Scheduler fields of the same names.
+	// Radio, Forecast, Value, MaxRangeKm, Workers mirror the Scheduler
+	// fields of the same names.
 	Radio      linkbudget.Radio
 	Forecast   *weather.Forecast
 	Value      ValueFunc
 	MaxRangeKm float64
 	Workers    int
-	FullScan   bool
 }
 
 // IncrementalPlanner maintains a plan and the state needed to revise it
@@ -68,28 +64,19 @@ type IncrementalConfig struct {
 type IncrementalPlanner struct {
 	cfg   IncrementalConfig
 	n     int // slots in the horizon
-	end   time.Time
 	sched *Scheduler
-	pcfg  passes.Config
 
 	sats      []SatSnapshot   // private copy; Prop patched by UpdateTLE
 	net       station.Network // copy-on-write: mutations clone the slice
 	positions *poscache.Cache // private, per-satellite patched
 
-	windows passes.Windows // current merged window set over [Start, end)
-	slots   []*carriedSlot // per-slot feasible edges and carried link terms
-	rates   [][]float64    // per-slot rates under the current forecast, aligned
-	plan    *Plan
+	slots []*carriedSlot // per-slot feasible edges and carried link terms
+	rates [][]float64    // per-slot rates under the current forecast, aligned
+	plan  *Plan
 
-	// Replan scratch, reused across replans: per-slot freshly opened keys,
-	// the flat dirty-pair mask (indexed by packed key; rebuilt per replan
-	// from the dirty sets), fresh-window and merged-window buffers, and
-	// the dirty-slot list.
-	added      [][]int32
-	dirtyMask  []bool
-	freshBuf   passes.Windows
-	winScratch passes.Windows
-	slotBuf    []int
+	// dirtyMask is the flat dirty-pair mask (indexed by packed key),
+	// rebuilt per replan from the dirty sets and reused across replans.
+	dirtyMask []bool
 
 	// Pending invalidation, cleared by Replan.
 	dirtySats     map[int]bool
@@ -118,7 +105,6 @@ func NewIncrementalPlanner(sats []SatSnapshot, net station.Network, cfg Incremen
 	ip := &IncrementalPlanner{
 		cfg:           cfg,
 		n:             n,
-		end:           cfg.Start.Add(time.Duration(n) * cfg.Slot),
 		sats:          slices.Clone(sats),
 		net:           slices.Clone(net),
 		dirtySats:     make(map[int]bool),
@@ -138,11 +124,6 @@ func NewIncrementalPlanner(sats []SatSnapshot, net station.Network, cfg Incremen
 		MaxRangeKm: cfg.MaxRangeKm,
 		Workers:    cfg.Workers,
 		Positions:  ip.positions,
-		FullScan:   cfg.FullScan,
-	}
-	var err error
-	if ip.pcfg, err = ip.sched.passConfig(cfg.Slot); err != nil {
-		return nil, err
 	}
 	ip.rebuildAll()
 	return ip, nil
@@ -170,8 +151,8 @@ func (ip *IncrementalPlanner) Snapshots() []SatSnapshot { return ip.sats }
 func (ip *IncrementalPlanner) LastChangedSlots() int { return ip.lastChanged }
 
 // LastReplanIncremental reports whether the last Replan took the
-// incremental path — patched windows and edges — rather than a full
-// rebuild (the initial build, or a network resize).
+// incremental path — patched edges — rather than a full rebuild (the
+// initial build, or a network resize).
 func (ip *IncrementalPlanner) LastReplanIncremental() bool { return ip.lastIncr }
 
 // Pending reports whether deltas have been applied since the last Replan.
@@ -180,8 +161,8 @@ func (ip *IncrementalPlanner) Pending() bool {
 }
 
 // UpdateTLE replaces satellite i's propagator (a TLE refresh). The
-// position cache is patched per-instant; the satellite's windows and the
-// slots they touch are invalidated for the next Replan.
+// position cache is patched per-instant; the satellite's edges are
+// invalidated for the next Replan.
 func (ip *IncrementalPlanner) UpdateTLE(i int, prop orbit.Propagator) error {
 	if i < 0 || i >= len(ip.sats) {
 		return fmt.Errorf("core: satellite %d out of range [0, %d)", i, len(ip.sats))
@@ -196,7 +177,7 @@ func (ip *IncrementalPlanner) UpdateTLE(i int, prop orbit.Propagator) error {
 }
 
 // SetForecast replaces the weather forecast (a forecast revision). The
-// geometry — windows, feasible edges and their carried link terms — is
+// geometry — feasible edges and their carried link terms — is
 // weather-independent and survives; every slot's rates are invalidated.
 func (ip *IncrementalPlanner) SetForecast(fc *weather.Forecast) {
 	ip.cfg.Forecast = fc
@@ -229,7 +210,7 @@ func (ip *IncrementalPlanner) AddStation(st *station.Station) (int, error) {
 // RemoveStation deactivates station j: it keeps its index (so satellite
 // and station indices in every plan stay comparable across epochs) but
 // gets an impossible elevation mask — no satellite is ever above it, so
-// its windows, edges, and assignments all vanish. Both the incremental
+// its edges and assignments all vanish. Both the incremental
 // path and a from-scratch rebuild see the same deactivated network,
 // which keeps them byte-identical. Removing a removed station is a no-op.
 func (ip *IncrementalPlanner) RemoveStation(j int) error {
@@ -264,43 +245,47 @@ func (ip *IncrementalPlanner) Replan() *Plan {
 		return ip.plan
 	}
 
-	ip.buildDirtyMask()
-	// Bin the freshly scanned windows (all of dirty pairs; none under a
-	// weather-only revision) onto the slot grid: the candidate keys whose
-	// survivors merge back into each slot's carried edges.
-	var fresh passes.Windows
+	// Under a TLE or station delta every slot re-carries its dirty pairs —
+	// dirty satellites against their cell-index candidates, clean ones
+	// against the dirty stations — and a slot changes when some survive or
+	// it held a dirty pair's edge (covers contacts that opened, closed, or
+	// moved). A weather revision stales every slot's rates instead.
+	var satDirty []bool
+	var stDirty []int32
 	if len(ip.dirtySats) > 0 || len(ip.dirtyStations) > 0 {
-		fresh = ip.patchWindows()
-	}
-	ip.added = ip.sched.binWindows(ip.added, fresh, ip.cfg.Start, ip.n, ip.cfg.Slot)
-
-	// A slot needs re-evaluation when it carries an edge of a dirty pair or
-	// a fresh window opened a candidate there (covers windows that opened,
-	// closed, or moved) — or everywhere, when the weather revision staled
-	// every rate.
-	dirtySlots := ip.slotBuf[:0]
-	for k := 0; k < ip.n; k++ {
-		if ip.weatherDirty || ip.geometryDirty(k) {
-			dirtySlots = append(dirtySlots, k)
+		ip.buildDirtyMask()
+		satDirty = make([]bool, len(ip.sats))
+		for i := range ip.dirtySats {
+			satDirty[i] = true
 		}
+		stDirty = make([]int32, 0, len(ip.dirtyStations))
+		for j := range ip.dirtyStations {
+			stDirty = append(stDirty, int32(j))
+		}
+		slices.Sort(stDirty)
 	}
-	ip.slotBuf = dirtySlots
-	ip.sched.forEachSlot(len(dirtySlots), func(x int, ws *workerScratch) {
-		k := dirtySlots[x]
-		if ip.geometryDirty(k) {
-			// Re-carry and rate the dirty pairs only — their candidates are
-			// exactly the freshly opened keys — and merge the survivors with
-			// the clean edges, whose rates still stand under an unchanged
-			// forecast, in packed-key order: the order a full carry emits.
+	var changed atomic.Int64
+	ip.sched.forEachSlot(ip.n, func(k int, ws *workerScratch) {
+		dirty := ip.weatherDirty
+		if satDirty != nil {
 			t, lead := ip.slotTime(k)
-			fresh := ip.sched.carrySlot(ip.positions, t, ip.added[k], ws)
-			ip.slots[k], ip.rates[k] = ip.mergeCarried(ip.slots[k], ip.rates[k], fresh, ip.sched.rateSlot(nil, fresh, t, lead, ws))
+			fresh := ip.sched.carryPairs(ip.positions, t, satDirty, stDirty, ws)
+			if len(fresh.keys) > 0 || slices.ContainsFunc(ip.slots[k].keys, func(key int32) bool { return ip.dirtyMask[key] }) {
+				// Rate the survivors and merge them with the clean edges,
+				// whose rates still stand under an unchanged forecast, in
+				// packed-key order: the order a full carry emits.
+				ip.slots[k], ip.rates[k] = ip.mergeCarried(ip.slots[k], ip.rates[k], fresh, ip.sched.rateSlot(nil, fresh, t, lead, ws))
+				dirty = true
+			}
 		}
 		if ip.weatherDirty {
 			ip.rateSlot(k, ws)
 		}
+		if dirty {
+			changed.Add(1)
+		}
 	})
-	ip.lastChanged = len(dirtySlots)
+	ip.lastChanged = int(changed.Load())
 	ip.lastIncr = true
 	ip.clearPending()
 	ip.plan = ip.sched.reduce(ip.sats, ip.cfg.Start, ip.cfg.Slot, ip.slots, ip.rates, ip.cfg.GenBitsPerSec)
@@ -314,19 +299,16 @@ func (ip *IncrementalPlanner) clearPending() {
 	ip.netResized = false
 }
 
-// rebuildAll recomputes the whole chain from scratch: full window scan,
-// binning, every slot's carry and rates, and the reduction.
+// rebuildAll recomputes the whole chain from scratch: every slot's carry
+// and rates, and the reduction.
 func (ip *IncrementalPlanner) rebuildAll() {
-	pred := passes.New(ip.positions, ip.net, ip.pcfg)
-	ip.windows = pred.WindowsBetween(ip.windows[:0], ip.cfg.Start, ip.end)
-	pairs := ip.sched.binWindows(nil, ip.windows, ip.cfg.Start, ip.n, ip.cfg.Slot)
 	if ip.slots == nil {
 		ip.slots = make([]*carriedSlot, ip.n)
 		ip.rates = make([][]float64, ip.n)
 	}
 	ip.sched.forEachSlot(ip.n, func(k int, ws *workerScratch) {
 		t, _ := ip.slotTime(k)
-		ip.slots[k] = ip.sched.carrySlot(ip.positions, t, pairs[k], ws)
+		ip.slots[k] = ip.sched.carryPairs(ip.positions, t, nil, nil, ws)
 		ip.rateSlot(k, ws)
 	})
 	ip.lastChanged = ip.n
@@ -344,20 +326,6 @@ func (ip *IncrementalPlanner) slotTime(k int) (time.Time, time.Duration) {
 func (ip *IncrementalPlanner) rateSlot(k int, ws *workerScratch) {
 	t, lead := ip.slotTime(k)
 	ip.rates[k] = ip.sched.rateSlot(ip.rates[k], ip.slots[k], t, lead, ws)
-}
-
-// geometryDirty reports whether slot k's carried edges are stale: one of
-// them belongs to a dirty pair, or a fresh window opened a candidate.
-func (ip *IncrementalPlanner) geometryDirty(k int) bool {
-	if len(ip.added[k]) > 0 {
-		return true
-	}
-	for _, key := range ip.slots[k].keys {
-		if ip.dirtyMask[key] {
-			return true
-		}
-	}
-	return false
 }
 
 // buildDirtyMask flattens the dirty sets into a per-packed-key mask so
@@ -384,62 +352,6 @@ func (ip *IncrementalPlanner) buildDirtyMask() {
 			ip.dirtyMask[i*nGs+j] = true
 		}
 	}
-}
-
-// patchWindows rebuilds the window set for the dirty satellites and
-// stations only, and returns the freshly scanned windows: clean pairs
-// keep their windows verbatim; the dirty satellites are re-scanned against
-// the network and the dirty stations against the constellation, one
-// pair-subset scan each (passes.Config.Sats / Stations) over the shared,
-// already patched cache. Per-pair window formation is independent and
-// both scans use the full scan's grid and config, so the union is exactly
-// what a full re-scan would produce.
-func (ip *IncrementalPlanner) patchWindows() passes.Windows {
-	fresh := ip.freshBuf[:0]
-	if len(ip.dirtySats) > 0 {
-		cfg := ip.pcfg
-		cfg.Sats = sortedKeys(ip.dirtySats)
-		fresh = passes.New(ip.positions, ip.net, cfg).WindowsBetween(fresh, ip.cfg.Start, ip.end)
-	}
-	if len(ip.dirtyStations) > 0 {
-		cfg := ip.pcfg
-		cfg.Stations = sortedKeys(ip.dirtyStations)
-		n := len(fresh)
-		fresh = passes.New(ip.positions, ip.net, cfg).WindowsBetween(fresh, ip.cfg.Start, ip.end)
-		// Dirty satellites' windows are already in fresh[:n], from their scan.
-		kept := slices.DeleteFunc(fresh[n:], func(w passes.Window) bool { return ip.dirtySats[w.Sat] })
-		fresh = fresh[:n+len(kept)]
-	}
-	ip.freshBuf = fresh
-
-	// Maintain the merged set in canonical (Start, Sat, Station) order by
-	// merging the kept subsequence (already ordered) with the sorted
-	// fresh windows — a linear pass instead of re-sorting the world.
-	slices.SortFunc(fresh, passes.CompareWindows)
-	merged := ip.winScratch[:0]
-	fi := 0
-	for _, w := range ip.windows {
-		if ip.dirtySats[w.Sat] || ip.dirtyStations[w.Station] {
-			continue
-		}
-		for fi < len(fresh) && passes.CompareWindows(fresh[fi], w) < 0 {
-			merged = append(merged, fresh[fi])
-			fi++
-		}
-		merged = append(merged, w)
-	}
-	merged = append(merged, fresh[fi:]...)
-	ip.windows, ip.winScratch = merged, ip.windows[:0]
-	return fresh
-}
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // mergeCarried merges the clean survivors of old (dirty pairs dropped) with

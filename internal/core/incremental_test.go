@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -12,7 +11,6 @@ import (
 	"dgs/internal/dataset"
 	"dgs/internal/linkbudget"
 	"dgs/internal/orbit"
-	"dgs/internal/passes"
 	"dgs/internal/sgp4"
 	"dgs/internal/station"
 	"dgs/internal/tle"
@@ -69,7 +67,6 @@ func scratchPlan(ip *IncrementalPlanner, cfg IncrementalConfig, workers int) *Pl
 		Forecast:   cfg.Forecast,
 		MaxRangeKm: cfg.MaxRangeKm,
 		Workers:    workers,
-		FullScan:   cfg.FullScan,
 	}
 	return sched.PlanEpoch(ip.Snapshots(), cfg.Start, cfg.Horizon, cfg.Slot, cfg.GenBitsPerSec)
 }
@@ -192,14 +189,16 @@ func TestIncrementalDifferentialSmall(t *testing.T) {
 	}
 }
 
-// TestIncrementalDifferentialSatsAndStations puts two dirty satellites
-// and dirty stations in the same Replan, the case where patchWindows' two
-// subset scans overlap: a dirty satellite's windows at a dirty station
-// come out of both and must be kept once. Live stations are marked dirty
-// directly — no public delta re-scans a live station without resizing the
-// network, and a removed one has no windows left to overlap — beside a
-// real RemoveStation. The patched window set must equal a full re-scan of
-// the revised world, and the plan a from-scratch PlanEpoch, byte for byte.
+// TestIncrementalDifferentialSatsAndStations puts dirty satellites and
+// dirty stations in the same Replan, the case where the two restrictions
+// overlap: a dirty satellite's edge at a dirty station is a candidate of
+// the satellite's cell-index carry and must not come out of the dirty-
+// station list a second time. Live stations are marked dirty directly — no
+// public delta re-carries a live station without resizing the network, and
+// a removed one has no edges left to overlap — beside a real RemoveStation.
+// Every slot's carried edges must be strictly ascending and equal, keys and
+// terms, to a from-scratch carry of the revised world, and the plan to a
+// from-scratch PlanEpoch, byte for byte.
 func TestIncrementalDifferentialSatsAndStations(t *testing.T) {
 	els := dataset.Satellites(dataset.SatelliteOptions{N: 40, Seed: 2, Epoch: epoch})
 	alt := propsFrom(t, dataset.Satellites(dataset.SatelliteOptions{N: 40, Seed: 3, Epoch: epoch.Add(10 * time.Minute)}))
@@ -218,7 +217,7 @@ func TestIncrementalDifferentialSatsAndStations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dirtySats := []int{7, 23}
+		dirtySats := []int{6, 27}
 		for _, i := range dirtySats {
 			if err := ip.UpdateTLE(i, alt[i]); err != nil {
 				t.Fatal(err)
@@ -232,21 +231,31 @@ func TestIncrementalDifferentialSatsAndStations(t *testing.T) {
 		}
 		got := ip.Replan()
 		if !ip.LastReplanIncremental() {
-			t.Fatal("replan took the full-rebuild path; patchWindows never ran")
+			t.Fatal("replan took the full-rebuild path; no slot was patched")
 		}
 
-		full := passes.New(ip.positions, ip.net, ip.pcfg).WindowsBetween(nil, ip.cfg.Start, ip.end)
-		if !reflect.DeepEqual(ip.windows, full) {
-			t.Fatalf("workers=%d: patched window set (%d) differs from a full re-scan (%d)", workers, len(ip.windows), len(full))
-		}
+		scratch := &Scheduler{Radio: cfg.Radio, Stations: ip.Stations()}
+		var ws workerScratch
+		nGs := len(ip.Stations())
 		overlap := 0
-		for _, w := range full {
-			if slices.Contains(dirtySats, w.Sat) && w.Station%3 == 0 {
-				overlap++
+		for k, cs := range ip.slots {
+			at, _ := ip.slotTime(k)
+			for x := 1; x < len(cs.keys); x++ {
+				if cs.keys[x] <= cs.keys[x-1] {
+					t.Fatalf("workers=%d slot %d: keys not strictly ascending at %d", workers, k, x)
+				}
+			}
+			if full := scratch.carryPairs(ip.positions, at, nil, nil, &ws); !sameCarried(cs, full) {
+				t.Fatalf("workers=%d slot %d: patched edges (%d) differ from a from-scratch carry (%d)", workers, k, len(cs.keys), len(full.keys))
+			}
+			for _, key := range cs.keys {
+				if slices.Contains(dirtySats, int(key)/nGs) && int(key)%nGs%3 == 0 {
+					overlap++
+				}
 			}
 		}
 		if overlap == 0 {
-			t.Fatal("no window of a dirty satellite at a dirty station; the overlap rule went unexercised")
+			t.Fatal("no edge of a dirty satellite at a dirty station; the overlap rule went unexercised")
 		}
 		if ref := scratchPlan(ip, cfg, workers); !bytes.Equal(planJSON(t, got), planJSON(t, ref)) {
 			plansEqual(t, ref, got, "sats+stations")

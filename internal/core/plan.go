@@ -248,14 +248,14 @@ func (wt *weigher) add(g *match.Graph, sat *SatSnapshot, i, j int, rateBps float
 // every 30 minutes), and everything about a slot but the forecast lead is
 // a function of the instant alone. So the scheduler carries, per slot
 // instant, the feasible edges and their lead-independent link terms
-// (carry.go): an epoch asks the pass-window predictor for candidate pairs
-// — typically a few percent of the cross product — and computes look
-// angles only for the instants no earlier epoch covered, then re-rates
-// every slot's carried edges at its new lead. Both depend only on time,
-// never on the evolving queue state, so they fan out over the worker pool;
-// the queue-dependent graph weighting, matching, and drain then run as a
-// sequential reduction over one reusable graph with warm-started matching
-// scratch. The produced plan is bit-identical to a fresh scheduler's, and
+// (carry.go): an epoch reads each satellite's candidate stations off the
+// station cell index — typically a few percent of the cross product — and
+// computes look angles only for the instants no earlier epoch covered,
+// then re-rates every slot's carried edges at its new lead. Both depend
+// only on time, never on the evolving queue state, so they fan out over the
+// worker pool; the queue-dependent graph weighting, matching, and drain
+// then run as a sequential reduction over one reusable graph with
+// warm-started matching scratch. The produced plan is bit-identical to a fresh scheduler's, and
 // to a fully serial exhaustive sweep (UseSweep), for any worker count and
 // any order of starts.
 func (s *Scheduler) PlanEpoch(sats []SatSnapshot, start time.Time, horizon, slotDur time.Duration, genBitsPerSec float64) *Plan {

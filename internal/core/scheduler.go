@@ -1,9 +1,8 @@
 // Scheduler state and its lazily built caches. The planning pipeline is
 // split across sibling files: plan.go (Plan type, PlanEpoch and the
 // reduction), carry.go (per-instant carried link geometry and the rate
-// pass), windows.go (pass-window candidate prediction), sweep.go (the
-// exhaustive per-instant visibility evaluation: Visibility, and the
-// reference UseSweep plans are compared against).
+// pass), sweep.go (the exhaustive per-instant visibility evaluation:
+// Visibility, and the reference UseSweep plans are compared against).
 
 package core
 
@@ -15,7 +14,6 @@ import (
 	"dgs/internal/linkbudget"
 	"dgs/internal/match"
 	"dgs/internal/orbit"
-	"dgs/internal/passes"
 	"dgs/internal/pool"
 	"dgs/internal/poscache"
 	"dgs/internal/spatial"
@@ -66,34 +64,22 @@ type Scheduler struct {
 	// handed.
 	Positions *poscache.Cache
 	// UseSweep forces PlanEpoch onto the exhaustive per-slot visibility
-	// sweep, rated through the attenuation memo, instead of the pass-window
-	// predictor, carried link geometry and the memo-free rate kernel. The
-	// two paths produce bit-identical plans (the differential tests enforce
-	// it); the sweep exists for that cross-check and for ablation. Station
-	// locations and elevation masks are assumed fixed over the scheduler's
-	// lifetime on both paths (the cell index, station geometry, and pass
-	// windows are cached); the default path also holds each station's
-	// constraint bitmap and beam count as of the instant's first planning.
-	// SetStations is how a changed network is announced.
+	// sweep, rated through the attenuation memo, instead of carried link
+	// geometry and the memo-free rate kernel. The two paths produce
+	// bit-identical plans (the differential tests enforce it); the sweep
+	// exists for that cross-check and for ablation. Station locations and
+	// elevation masks are assumed fixed over the scheduler's lifetime on
+	// both paths (the cell index and station geometry are cached); the
+	// default path also holds each station's constraint bitmap and beam
+	// count as of the instant's first planning. SetStations is how a
+	// changed network is announced.
 	UseSweep bool
-	// FullScan disables the spatial candidate index inside the pass-window
-	// predictor: every stride instant evaluates the full sat × station
-	// cross product. Plans are bit-identical either way (the index is
-	// conservative); the knob exists for differential tests and for
-	// measuring what the index saves.
-	FullScan bool
 
 	nextVersion int
 
-	// Single-threaded PlanEpoch scratch: the pass-window predictor with
-	// the cache/stride it was built for and the instant it was last pruned
-	// at, the reusable matching graph with its aligned edge-weight buffer,
-	// the stable-matching scratch, and the per-worker scratch of the slot
-	// fan-out.
-	pred     *passes.Predictor
-	predPos  *poscache.Cache
-	predStep time.Duration
-	predCut  time.Time
+	// Single-threaded PlanEpoch scratch: the reusable matching graph with
+	// its aligned edge-weight buffer, the stable-matching scratch, and the
+	// per-worker scratch of the slot fan-out.
 	planG    *match.Graph
 	matchScr match.Scratch
 	wbuf     []float64
@@ -114,8 +100,8 @@ type Scheduler struct {
 	// must be callable from PlanEpoch's worker goroutines.
 	mu sync.Mutex
 	// grid is the spatial candidate index over station locations, so
-	// visibility only examines stations near each satellite's ground
-	// track (the same index the pass predictor builds).
+	// carrying an instant and the sweep only examine stations near each
+	// satellite's ground track.
 	grid *spatial.Grid
 	// stGeo is the per-station fixed geometry (SEZ basis, effective
 	// terminal, elevation mask) precomputed alongside grid so the
@@ -169,8 +155,8 @@ func (s *Scheduler) SetForecast(fc *weather.Forecast) {
 // structure derived from it: the spatial cell index and per-station
 // geometry, the rate kernel's sites, the attenuation memo's path
 // registrations and the per-worker memo views fronting it, cached forecast
-// components (sized to the old station count), the pass predictor (bound
-// to the old network), and every carried edge (keyed and masked by it).
+// components (sized to the old station count), and every carried edge
+// (keyed and masked by it).
 // The caller must not be running PlanEpoch concurrently.
 func (s *Scheduler) SetStations(net station.Network) {
 	s.Stations = net
@@ -182,7 +168,6 @@ func (s *Scheduler) SetStations(net station.Network) {
 	s.fcMu.Lock()
 	s.fcCache = nil
 	s.fcMu.Unlock()
-	s.pred, s.predPos, s.predStep, s.predCut = nil, nil, 0, time.Time{}
 	s.scr = nil
 	s.carried, s.carriedPos = nil, nil
 }

@@ -44,7 +44,7 @@ func (cs *condScratch) reset(n int) {
 }
 
 // evalCtx bundles the per-call state the sweep's edge evaluation needs.
-// The default planning path applies the same cuts in carrySlot and rates
+// The default planning path applies the same cuts in carryPairs and rates
 // with the memo-free kernel in rateSlot; any divergence between the two
 // breaks their bit-identity contract, which the differential tests hold.
 type evalCtx struct {
@@ -125,8 +125,8 @@ func (ec *evalCtx) eval(dst []VisibleEdge, i, j int, ecef frames.Vec3) []Visible
 // Visibility is safe for concurrent use (UseSweep's PlanEpoch invokes its
 // internals from a worker pool): satellite positions come from the shared
 // thread-safe position cache and the attenuation memo is lock-protected.
-// It always runs the exhaustive sweep; only PlanEpoch consults the
-// pass-window predictor.
+// It always runs the exhaustive sweep; only PlanEpoch carries edges across
+// calls.
 func (s *Scheduler) Visibility(sats []SatSnapshot, t time.Time, lead time.Duration) []VisibleEdge {
 	return s.visibility(sats, s.positionCache(sats), t, lead)
 }
@@ -140,7 +140,7 @@ func (s *Scheduler) visibility(sats []SatSnapshot, positions *poscache.Cache, t 
 
 // visibilitySweep appends the feasible edges at t to dst, examining every
 // satellite against the stations near its ground track (the exhaustive
-// path: no pass-window filtering).
+// path: nothing carried from an earlier call).
 func (s *Scheduler) visibilitySweep(dst []VisibleEdge, sats []SatSnapshot, positions *poscache.Cache, t time.Time, lead time.Duration, cs *condScratch) []VisibleEdge {
 	idx, stGeo := s.stationIndex()
 	memo, memoPath := s.rateMemo()

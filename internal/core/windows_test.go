@@ -35,17 +35,18 @@ func plansEqual(t *testing.T, ref, got *Plan, label string) {
 }
 
 // TestPlanEpochWindowsMatchSweep is the differential acceptance test for
-// the pass-window predictor: across successive heavily overlapping epochs
-// (exercising the predictor's incremental coverage and pruning), with and
-// without a weather forecast, and at several worker counts, the window
-// path must produce plans bit-identical to the exhaustive sweep.
+// the default planning path: across successive heavily overlapping epochs
+// (exercising what the scheduler carries and prunes, and a gap that
+// strands all of it), with and without a weather forecast, and at several
+// worker counts, carried cell-index candidates rated by the kernel must
+// produce plans bit-identical to the exhaustive sweep rated by the memo.
 func TestPlanEpochWindowsMatchSweep(t *testing.T) {
 	gen := 100 * 8e9 / 86400.0
 	epochs := []time.Time{
 		epoch,
 		epoch.Add(30 * time.Minute),
 		epoch.Add(time.Hour),
-		epoch.Add(3 * time.Hour), // gap: forces a predictor rescan region
+		epoch.Add(3 * time.Hour), // gap: nothing carried reaches this epoch
 	}
 	for _, forecast := range []bool{false, true} {
 		for _, workers := range []int{1, 4, runtime.NumCPU()} {
@@ -81,8 +82,7 @@ func TestPlanEpochWindowsMatchSweep(t *testing.T) {
 }
 
 // TestPlanEpochWindowsMatchSweepOddSlot covers slot durations off the
-// round-minute grid, including one shorter than the predictor's default
-// standalone stride.
+// round-minute grid.
 func TestPlanEpochWindowsMatchSweepOddSlot(t *testing.T) {
 	gen := 100 * 8e9 / 86400.0
 	for _, slotDur := range []time.Duration{90 * time.Second, 77 * time.Second, 30 * time.Second} {

@@ -279,6 +279,7 @@ func TestPlanValidation(t *testing.T) {
 		"/v1/plan?hours=0",                           // empty horizon
 		"/v1/plan?hours=500",                         // beyond MaxSpan
 		"/v1/plan?slot=10ms",                         // slot below 1s
+		"/v1/plan?hours=6&slot=1s",                   // 21,600 slots on a 360-slot grid
 		"/v1/plan?hours=2&from=2020-06-01T05:30:00Z", // runs past span end
 	} {
 		if rec := get(t, h, url); rec.Code != http.StatusBadRequest {

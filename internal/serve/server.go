@@ -125,7 +125,7 @@ func (s *Server) Store() *Store {
 func (s *Server) Source() WorldSource { return s.store }
 
 // Stats snapshots one endpoint's counters ("passes", "plan",
-// "linkbudget", "updates").
+// "linkbudget", "updates", "optimize").
 func (s *Server) Stats(endpoint string) EndpointStats {
 	switch endpoint {
 	case "passes":
@@ -737,6 +737,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	from = snap.Quantize(from)
 	horizon := time.Duration(hours * float64(time.Hour))
+	// The largest plan the world's own grid describes: a fresh scheduler
+	// holds every slot's positions and edges, so the slot count — not just
+	// the span — bounds what one request can make the server allocate.
+	if slots, maxSlots := int64(horizon/slot), int64(snap.Config().MaxSpan/snap.Config().Slot); slots > maxSlots {
+		writeHTTPError(w, badRequest("hours %g at slot %v is %d slots, more than %d", hours, slot, slots, maxSlots))
+		return
+	}
 	if herr := checkSpan(snap, from, from.Add(horizon)); herr != nil {
 		writeHTTPError(w, herr)
 		return
@@ -1004,7 +1011,3 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, "{\"dgs_api\": %s}\n", s.vars.String())
 }
-
-// drainBody is kept for handlers that must consume a request body fully;
-// currently unused but retained for middleware symmetry.
-var _ = io.Discard

@@ -384,12 +384,20 @@ func (s *Snapshot) LinkBudgetAt(sat, gs int, t time.Time, lead time.Duration) Li
 // responses be cached and deduplicated byte-for-byte; it gets no shared
 // Positions cache because PlanEpoch prunes instants before its start,
 // which must not evict the never-pruned grid cache pass queries share.
+//
+// It plans on one worker: the server's unit of parallelism is the request
+// (admission lets 2×GOMAXPROCS run at once), the plan is the same for any
+// worker count, and a plan fanned out over every core for its whole
+// duration takes them from the queries running beside it (measured on two
+// cores: cold /v2/passes p50 2.8 ms next to a one-worker plan, 3.4 ms next
+// to a fanned-out one). SnapshotConfig.Workers governs the store's
+// IncrementalPlanner and the shared position cache, not this.
 func (s *Snapshot) Plan(from time.Time, horizon, slot time.Duration) *core.Plan {
 	sched := &core.Scheduler{
 		Radio:    s.radio,
 		Stations: s.net,
 		Forecast: s.fc,
-		Workers:  s.cfg.Workers,
+		Workers:  1,
 	}
 	return sched.PlanEpoch(s.planSnaps, from, horizon, slot, s.genRate)
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
@@ -10,10 +9,12 @@ import (
 )
 
 // TestMegaPathEquivalence is the end-to-end half of the mega-scale hot
-// path's bit-identity contract: a full simulation run through the spatial
-// candidate index and the batch SoA propagation must produce a
-// byte-identical Result to runs with either (or both) disabled. The
-// population is a Walker shell — the geometry the hot path exists for.
+// path's bit-identity contract: a full simulation run through the batch
+// SoA propagation must produce a byte-identical Result to a run on the
+// scalar fill. The population is a Walker shell — the geometry the hot path
+// exists for. (The other half of the hot path, the spatial candidate index,
+// is held to the full cross product per instant by
+// core.TestCarryGridMatchesCrossProduct.)
 func TestMegaPathEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end equivalence matrix skipped in -short; ci.sh runs the mega smoke instead")
@@ -30,22 +31,12 @@ func TestMegaPathEquivalence(t *testing.T) {
 		t.Fatalf("hot path: %v", err)
 	}
 
-	for _, tc := range []struct {
-		label             string
-		fullScan, noBatch bool
-	}{
-		{"full-scan", true, false},
-		{"scalar-propagation", false, true},
-		{"both-off", true, true},
-	} {
-		cfg := base
-		cfg.FullScanPasses = tc.fullScan
-		cfg.ScalarPropagation = tc.noBatch
-		cfg.Workers = 4
-		res, err := Run(context.Background(), cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.label, err)
-		}
-		resultsIdentical(t, ref, res, fmt.Sprintf("hot path vs %s", tc.label))
+	cfg := base
+	cfg.ScalarPropagation = true
+	cfg.Workers = 4
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("scalar-propagation: %v", err)
 	}
+	resultsIdentical(t, ref, res, "hot path vs scalar-propagation")
 }

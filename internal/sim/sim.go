@@ -110,18 +110,13 @@ type Config struct {
 	// GOMAXPROCS. The Result is bit-identical for any worker count.
 	Workers int
 	// SweepVisibility forces the scheduler onto the exhaustive per-slot
-	// visibility sweep instead of the pass-window predictor. Results are
+	// visibility sweep instead of carried link geometry. Results are
 	// bit-identical either way (the equivalence test enforces it); the
-	// knob exists for that cross-check and for ablating the predictor.
+	// knob exists for that cross-check and for ablating the carry.
 	SweepVisibility bool
-	// FullScanPasses disables the pass predictor's spatial candidate
-	// index, evaluating the full sat × station cross product at every
-	// stride instant. Results are bit-identical either way; the knob
-	// exists for the mega-scale differential tests and CI smoke.
-	FullScanPasses bool
 	// ScalarPropagation forces the position cache onto the per-propagator
 	// scalar fill instead of the batch SoA path. Results are bit-identical
-	// either way; differential knob like FullScanPasses.
+	// either way; differential knob like SweepVisibility.
 	ScalarPropagation bool
 	// Observers subscribe to simulation events (metrics mirrors, trace
 	// collection, the JSONL EventRecorder). Observers never change the

@@ -166,7 +166,6 @@ func newWorld(cfg Config) (*World, error) {
 		Workers:   cfg.Workers,
 		Positions: w.positions,
 		UseSweep:  cfg.SweepVisibility,
-		FullScan:  cfg.FullScanPasses,
 	}
 
 	w.received = make([]map[satellite.ChunkID]chunkRx, len(w.sats))
