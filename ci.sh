@@ -65,10 +65,17 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears' ./interna
 # product, patched ≡ from scratch, and the rolling planner's carried link
 # geometry plus the memo-free rate kernel ≡ fresh schedulers ≡ the
 # exhaustive sweep and the attenuation memo, bit for bit, however the slots
-# land on the workers. (core rolls the paper's 12 h horizon six times
-# against six fresh schedulers per pass, hence the explicit timeout.)
-go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky' \
-    ./internal/passes ./internal/core ./internal/linkbudget ./internal/itu
+# land on the workers. The planner streams: workers fill slots while the
+# caller reduces each one as it lands, so plans must not depend on the
+# order fills finish in (Stream: reverse and shuffled fill orders ≡ one
+# worker), and the carry's shortcuts must cut exactly what they replace
+# (SinFloor, MaskTable, RangeSinEl: the azimuth-free elevation ≡ Look;
+# ClearRates, Kernel: carried clear-sky rates ≡ the memo, never aliased;
+# Bidding: one station-bound Φ per plan). (core rolls the paper's 12 h
+# horizon six times against six fresh schedulers per pass, hence the
+# explicit timeout.)
+go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky|Stream|SinFloor|RangeSinEl|ClearRates|Bidding' \
+    ./internal/passes ./internal/core ./internal/linkbudget ./internal/itu ./internal/frames
 
 echo "== go test -race (parallel pipeline + session + serving layers)"
 # session is the one managed wire session both station↔backend and
@@ -83,10 +90,13 @@ echo "== go test -race (parallel pipeline + session + serving layers)"
 # spatial and sgp4 sit under every propagation worker; serve now also
 # hosts the federation suite (shard sessions, merge rebuilds, and the
 # seeded chaos kill/rejoin convergence run). optimize fans whole sim
-# runs over the pool with a shared memo cache. core's rate pass is the
-# newest racer: every worker reads the carried per-instant slices earlier
-# epochs built while the tail fill carries new ones and each writes its own
-# slot's rate buffer.
+# runs over the pool with a shared memo cache. core's streamed reducer is
+# the newest racer: the caller weighs, matches and drains slot k — reading
+# the edges and rates a worker just wrote, handed over on the readiness
+# channel — while other workers still carry and rate later slots, read the
+# carried per-instant slices earlier epochs built, and write their own
+# slots' rate buffers; fresh instants are published to the carried map only
+# after the last fill.
 go test -race ./internal/passes ./internal/sim ./internal/core ./internal/pool ./internal/poscache ./internal/linkbudget \
     ./internal/session ./internal/backend ./internal/proto ./internal/faultnet ./internal/serve ./internal/spatial \
     ./internal/sgp4 ./internal/optimize

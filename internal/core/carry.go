@@ -4,13 +4,14 @@
 //   - carry, per (pair, instant): is the pair feasible at all (constraint
 //     bitmap, slant range, elevation mask, a link that closes at least
 //     under a clear sky), and if so the link terms that no forecast lead
-//     can change (linkbudget.Carried). Computed once per instant and kept
-//     while epochs overlap it.
+//     can change (linkbudget.Carried) and the clear-sky rate. Computed once
+//     per instant and kept while epochs overlap it.
 //   - rate, per (edge, epoch): the forecast at this epoch's lead, blended
 //     and turned into weather terms once per (station, slot), composed
-//     with the carried terms into the edge's rate.
-//   - reduce, per epoch (plan.go): weighting, matching and queue drain over
-//     the edges whose rate is positive.
+//     with the carried terms into the edge's rate — or, under a clear sky,
+//     the carried clear-sky rate.
+//   - reduce, per slot (plan.go): weighting, matching and queue drain over
+//     the edges whose rate is positive, streamed behind the other two.
 //
 // From-scratch planning carries every slot, a rolling epoch only the new
 // tail, a weather revision nothing, and a TLE or station delta only the
@@ -19,6 +20,8 @@
 package core
 
 import (
+	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -26,41 +29,102 @@ import (
 	"dgs/internal/linkbudget"
 	"dgs/internal/poscache"
 	"dgs/internal/spatial"
+	"dgs/internal/station"
 )
 
 // carriedSlot is one slot instant's exact-feasible edges — every edge some
 // forecast could give a positive rate, including those whose rate is zero
 // at the current lead — as packed (sat·nGs + station) keys in ascending
-// order, with each edge's carried link terms aligned. Immutable once built:
-// epochs share it read-only.
+// order, with each edge's carried link terms and its clear-sky rate
+// aligned. Immutable once built: epochs share it read-only.
 type carriedSlot struct {
 	keys  []int32
 	terms []linkbudget.Carried
+	clear []float64
 }
 
 // workerScratch is the private scratch of one worker of the slot fan-out,
 // persisting across the slots and epochs it processes: the weather terms
-// per station for the slot being rated, the build buffers a slot is
-// carried into before it is copied out at its exact size, and the sweep's
-// condition scratch (whose cell-index candidate buffer the carry shares).
+// per station for the slot being rated, the build buffers a slot is carried
+// into before it is copied out at its exact size, the station bitmap that
+// puts a satellite's candidates in order, the per-station elevation-sine
+// floors of the instant being carried, and the sweep's condition scratch
+// (whose cell-index candidate buffer the carry shares).
 type workerScratch struct {
 	sky   []linkbudget.Sky
 	known []bool
 	keys  []int32
 	terms []linkbudget.Carried
+	clear []float64
+	bits  []uint64
+	floor []float64
 	cond  condScratch
+}
+
+// ascending rewrites ids — station indices below nGs — in place, in
+// ascending order without duplicates, by setting their bits in the
+// worker's station bitmap and walking it word by word (clearing it as it
+// goes): the set a sort would give, in O(len(ids) + nGs/64).
+func (ws *workerScratch) ascending(ids []int32, nGs int) []int32 {
+	words := (nGs + 63) / 64
+	if len(ws.bits) < words {
+		ws.bits = make([]uint64, words)
+	}
+	set := ws.bits[:words]
+	for _, j := range ids {
+		set[j>>6] |= 1 << (j & 63)
+	}
+	ids = ids[:0]
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			ids = append(ids, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+		set[w] = 0
+	}
+	return ids
+}
+
+// sinFloors returns, per station, a floor on the clamped elevation sine
+// below which the station's mask rejects the pair: sin(mask) less a 1e-9
+// margin — far wider than the error of sin and of asin, whose slope is at
+// least 1, so a sine under it has an arcsine below the mask — +Inf for a
+// mask at or past the zenith, which no elevation clears, and −Inf for a
+// mask at or below the nadir (or NaN), which the floor leaves to the exact
+// test. Masks are read live per instant, as the exact test reads them.
+func (ws *workerScratch) sinFloors(net station.Network) []float64 {
+	if cap(ws.floor) < len(net) {
+		ws.floor = make([]float64, len(net))
+	}
+	floor := ws.floor[:len(net)]
+	for j, gs := range net {
+		switch m := gs.MinElevationRad; {
+		case m >= math.Pi/2:
+			floor[j] = math.Inf(1)
+		case m > -math.Pi/2:
+			floor[j] = math.Sin(m) - 1e-9
+		default:
+			floor[j] = math.Inf(-1)
+		}
+	}
+	return floor
 }
 
 // carryPairs carries the instant t: every candidate pair goes through the
 // feasibility cuts — the ones evalCtx.eval applies before it rates an edge,
 // then the kernel's "never closes" — and the survivors come back as
-// ascending packed keys with their carried terms. A satellite's candidates
-// are the stations in the cells its horizon disk touches, sorted ascending:
-// a superset of the feasible stations (spatial.HorizonPsiDeg carries the
-// margin), so every feasible pair is evaluated, by the sweep's own exact
-// cuts. The edge order is satellite-major with stations ascending; every
-// consumer of the edge list is insensitive to the within-satellite station
-// order, so the resulting plans are bit-identical to the sweep's.
+// ascending packed keys with their carried terms and clear-sky rates. A
+// satellite's candidates are the stations in the cells its horizon disk
+// touches, put in ascending order: a superset of the feasible stations
+// (spatial.HorizonPsiDeg carries the margin), so every feasible pair is
+// evaluated, by the sweep's own exact cuts. The edge order is
+// satellite-major with stations ascending; every consumer of the edge list
+// is insensitive to the within-satellite station order, so the resulting
+// plans are bit-identical to the sweep's.
+//
+// The elevation cut is Look's — asin of the clamped sine, against the mask
+// — without the azimuth nobody reads, and a pair whose sine is under its
+// station's floor (sinFloors) is rejected before the arcsine: it fails the
+// exact cut anyway.
 //
 // Both restrictions nil carries every pair. Otherwise only dirty pairs are
 // carried: a satellite marked in dirtySats (indexed by satellite) against
@@ -73,7 +137,8 @@ func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats
 	maxRange := s.maxRange()
 	restricted := dirtySats != nil || dirtyStations != nil
 	nGs := len(s.Stations)
-	keys, terms := ws.keys[:0], ws.terms[:0]
+	floor := ws.sinFloors(s.Stations)
+	keys, terms, clearBps := ws.keys[:0], ws.terms[:0], ws.clear[:0]
 
 	for i, e := range positions.At(t) {
 		if !e.OK || e.Pos.Norm() <= astro.EarthRadiusKm {
@@ -82,8 +147,7 @@ func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats
 		ecef, cand := e.Pos, dirtyStations
 		if !restricted || (dirtySats != nil && dirtySats[i]) {
 			sp := spatial.SubPointOf(ecef)
-			ws.cond.cand = grid.AppendNear(ws.cond.cand[:0], sp, spatial.HorizonPsiDeg(sp.RKm))
-			slices.Sort(ws.cond.cand)
+			ws.cond.cand = ws.ascending(grid.AppendNear(ws.cond.cand[:0], sp, spatial.HorizonPsiDeg(sp.RKm)), nGs)
 			cand = ws.cond.cand
 		}
 		for _, j := range cand {
@@ -95,23 +159,28 @@ func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats
 			if ecef.Sub(st.topo.ECEF).Norm() > maxRange {
 				continue
 			}
-			look := st.topo.Look(ecef)
-			if look.ElevationRad <= gs.MinElevationRad {
+			rangeKm, sinEl := st.topo.RangeSinEl(ecef)
+			if sinEl < floor[j] {
 				continue
 			}
-			c, closes := kern.Carry(&sites[j], look.RangeKm, look.ElevationRad)
+			el := math.Asin(sinEl)
+			if el <= gs.MinElevationRad {
+				continue
+			}
+			c, rate, closes := kern.Carry(&sites[j], rangeKm, el)
 			if !closes {
 				continue
 			}
 			keys = append(keys, int32(i*nGs)+j)
 			terms = append(terms, c)
+			clearBps = append(clearBps, rate)
 		}
 	}
-	ws.keys, ws.terms = keys, terms
+	ws.keys, ws.terms, ws.clear = keys, terms, clearBps
 	if len(keys) == 0 {
 		return &carriedSlot{}
 	}
-	return &carriedSlot{keys: slices.Clone(keys), terms: slices.Clone(terms)}
+	return &carriedSlot{keys: slices.Clone(keys), terms: slices.Clone(terms), clear: slices.Clone(clearBps)}
 }
 
 // rateSlot rates a slot's carried edges under the forecast for instant t
@@ -119,6 +188,12 @@ func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats
 // cs.keys and grown when too small. A rate of zero or less means the link
 // does not close at this lead: the reduction skips the edge, where the
 // sweep never lists it.
+//
+// An edge whose station's quantized sky is the kernel's clear one —
+// every edge without a forecast — takes its carried clear-sky rate: the
+// same Rate of the same operands Carry already evaluated, so the same
+// bits. The rates are copied, never aliased: a carried slot is shared by
+// every epoch that plans its instant, while dst is rewritten each epoch.
 func (s *Scheduler) rateSlot(dst []float64, cs *carriedSlot, t time.Time, lead time.Duration, ws *workerScratch) []float64 {
 	n := len(cs.keys)
 	if cap(dst) < n {
@@ -130,7 +205,15 @@ func (s *Scheduler) rateSlot(dst []float64, cs *carriedSlot, t time.Time, lead t
 	if n == 0 {
 		return dst
 	}
+	// The lead-independent field samples come from the shared per-instant
+	// cache (hot across overlapping epochs); the per-lead blend is cheap.
+	comp := s.fcComponents(t)
+	if comp == nil {
+		copy(dst, cs.clear)
+		return dst
+	}
 	kern, sites := s.rateKernel()
+	clearSky := kern.Weather(linkbudget.Conditions{})
 	nGs := len(s.Stations)
 	if cap(ws.sky) < nGs {
 		ws.sky = make([]linkbudget.Sky, nGs)
@@ -138,30 +221,28 @@ func (s *Scheduler) rateSlot(dst []float64, cs *carriedSlot, t time.Time, lead t
 	}
 	sky, known := ws.sky[:nGs], ws.known[:nGs]
 	clear(known)
-	// The lead-independent field samples come from the shared per-instant
-	// cache (hot across overlapping epochs); the per-lead blend is cheap.
-	comp := s.fcComponents(t)
 	for x, key := range cs.keys {
 		j := int(key) % nGs
 		if !known[j] {
-			var w linkbudget.Conditions
-			if comp != nil {
-				b := s.Forecast.BlendAtLead(comp[2*j], comp[2*j+1], lead)
-				w = linkbudget.Conditions{RainMmH: b.RainMmH, CloudKgM2: b.CloudKgM2}
-			}
-			sky[j] = kern.Weather(w)
+			b := s.Forecast.BlendAtLead(comp[2*j], comp[2*j+1], lead)
+			sky[j] = kern.Weather(linkbudget.Conditions{RainMmH: b.RainMmH, CloudKgM2: b.CloudKgM2})
 			known[j] = true
 		}
-		dst[x] = kern.Rate(&sites[j], &cs.terms[x], &sky[j])
+		if sky[j] == clearSky {
+			dst[x] = cs.clear[x]
+		} else {
+			dst[x] = kern.Rate(&sites[j], &cs.terms[x], &sky[j])
+		}
 	}
 	return dst
 }
 
-// carryAndRate brings the scheduler's carried state to cover the n slots
-// from start and rates every slot at this epoch's leads. It returns slot
-// k's carried edges and, aligned with them, their rates; the rates are
-// valid until the next call.
-func (s *Scheduler) carryAndRate(positions *poscache.Cache, start time.Time, n int, slotDur time.Duration) ([]*carriedSlot, [][]float64) {
+// planCarried is PlanEpoch on the default path. It brings the scheduler's
+// carried state to cover the n slots from start — in one streamed fan-out
+// that carries each instant not carried yet and rates every slot at this
+// epoch's lead, into per-slot rate buffers reused across epochs — and
+// reduces each slot as soon as it is rated.
+func (s *Scheduler) planCarried(sats []SatSnapshot, positions *poscache.Cache, start time.Time, n int, slotDur time.Duration, genBitsPerSec float64) *Plan {
 	if s.carriedPos != positions || s.carried == nil {
 		s.carried, s.carriedPos = make(map[int64]*carriedSlot, n), positions
 	}
@@ -192,17 +273,19 @@ func (s *Scheduler) carryAndRate(positions *poscache.Cache, start time.Time, n i
 	positions.AtRange(fresh)
 
 	// Carrying and rating depend only on time, never on the evolving queue
-	// state, so they fan out over the worker pool; every worker writes only
+	// state, so they stream over the worker pool; every worker writes only
 	// its own slot's entries.
-	s.forEachSlot(n, func(k int, ws *workerScratch) {
+	rates := s.rates[:n]
+	plan := s.planStream(sats, start, slotDur, genBitsPerSec, slots, rates, func(k int, ws *workerScratch) {
 		t := instant(k)
 		if slots[k] == nil {
 			slots[k] = s.carryPairs(positions, t, nil, nil, ws)
 		}
-		s.rates[k] = s.rateSlot(s.rates[k], slots[k], t, t.Sub(start), ws)
+		rates[k] = s.rateSlot(rates[k], slots[k], t, t.Sub(start), ws)
 	})
+	// Published once the last fill is done: no worker reads the map.
 	for _, t := range fresh {
 		s.carried[t.UnixNano()] = slots[int(t.Sub(start)/slotDur)]
 	}
-	return slots, s.rates[:n]
+	return plan
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -13,10 +14,129 @@ import (
 	"dgs/internal/tle"
 )
 
-// sameCarried reports whether two slots hold the same keys and the same
-// carried terms, bit for bit (an empty slot may be nil or zero-length).
+// sameCarried reports whether two slots hold the same keys, carried terms
+// and clear-sky rates, bit for bit (an empty slot may be nil or
+// zero-length).
 func sameCarried(a, b *carriedSlot) bool {
-	return slices.Equal(a.keys, b.keys) && slices.Equal(a.terms, b.terms)
+	return slices.Equal(a.keys, b.keys) && slices.Equal(a.terms, b.terms) &&
+		slices.EqualFunc(a.clear, b.clear, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// TestCarryMaskTableMatchesSweep holds the carry's elevation cut — the
+// clamped sine tested against a per-station floor before the arcsine, and
+// no azimuth — to the sweep's Visibility, which takes Look's elevation, at
+// station masks from below the nadir to past the zenith: per instant, the
+// carried keys are the sweep's edges (sorted) and the carried clear-sky
+// rates its rates, bit for bit, under a clear sky.
+func TestCarryMaskTableMatchesSweep(t *testing.T) {
+	masksDeg := []float64{-95, -5, 0, 5, 89.99, 90, 120, 180}
+	for _, tc := range []struct {
+		name     string
+		els      []tle.TLE
+		stations int
+	}{
+		{"paper", dataset.Satellites(dataset.SatelliteOptions{N: 259, Seed: 2, Epoch: epoch}), 173},
+		{"walker", dataset.Walker(dataset.WalkerOptions{T: 600, Epoch: epoch}), 150},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := dataset.Stations(dataset.StationOptions{N: tc.stations, Seed: 3})
+			for j := range net {
+				gs := *net[j]
+				gs.MinElevationRad = masksDeg[j%len(masksDeg)] * math.Pi / 180
+				net[j] = &gs
+			}
+			sched := &Scheduler{Radio: linkbudget.DefaultRadio(), Stations: net}
+			sats := snapsFrom(propsFrom(t, tc.els))
+			positions := sched.positionCache(sats)
+			nGs := len(net)
+			perMask := make([]int, len(masksDeg))
+			var ws workerScratch
+			for k := 0; k < 24; k++ {
+				at := epoch.Add(time.Duration(k) * 11 * time.Minute)
+				got := sched.carryPairs(positions, at, nil, nil, &ws)
+				want := sched.Visibility(sats, at, 0)
+				slices.SortFunc(want, func(a, b VisibleEdge) int { return (a.Sat*nGs + a.Station) - (b.Sat*nGs + b.Station) })
+				if len(got.keys) != len(want) {
+					t.Fatalf("%v: %d carried edges, the sweep lists %d", at, len(got.keys), len(want))
+				}
+				for x, e := range want {
+					if got.keys[x] != int32(e.Sat*nGs+e.Station) || math.Float64bits(got.clear[x]) != math.Float64bits(e.RateBps) {
+						t.Fatalf("%v edge %d: carried key %d at %v bps, the sweep's (%d,%d) at %v bps", at, x, got.keys[x], got.clear[x], e.Sat, e.Station, e.RateBps)
+					}
+					perMask[e.Station%len(masksDeg)]++
+				}
+			}
+			// Every mask the geometry can clear must be represented.
+			for m, deg := range masksDeg {
+				if deg < 10 && perMask[m] == 0 {
+					t.Fatalf("no edge at a %v° mask; not a meaningful comparison", deg)
+				}
+				if deg >= 90 && perMask[m] != 0 {
+					t.Fatalf("%d edges at a %v° mask, which no elevation clears", perMask[m], deg)
+				}
+			}
+		})
+	}
+}
+
+// TestSinFloorsAreSound: a clamped elevation sine under its station's floor
+// always has an arcsine at or below the mask, so the carry's early rejection
+// only ever drops a pair the exact cut drops. Checked at the mask table's
+// masks and at 10 k seeded ones, for sines at, just below and just above
+// sin(mask) — by one and a few ulps and by 1e-12 to 1e-8 — and at ±1;
+// a mask past the zenith must reject every sine, one below the nadir none.
+// The worker's floors follow the live masks: the same scratch is asked
+// again after every station's mask has moved.
+func TestSinFloorsAreSound(t *testing.T) {
+	masks := []float64{-95, -90, -5, 0, 5, 45, 89.99, 90, 120, 180}
+	for i := range masks {
+		masks[i] *= math.Pi / 180
+	}
+	masks = append(masks, math.Pi/2, math.Nextafter(math.Pi/2, 0), -math.Pi/2, math.NaN())
+	rng := rand.New(rand.NewSource(9))
+	for range 10_000 {
+		masks = append(masks, (rng.Float64()-0.5)*math.Pi)
+	}
+	net := make(station.Network, len(masks))
+	for j := range masks {
+		net[j] = &station.Station{ID: j}
+	}
+	var ws workerScratch
+	for _, shift := range []int{0, 1} {
+		for j := range net {
+			net[j].MinElevationRad = masks[(j+shift)%len(masks)]
+		}
+		checkSinFloors(t, net, ws.sinFloors(net))
+	}
+}
+
+func checkSinFloors(t *testing.T, net station.Network, floors []float64) {
+	t.Helper()
+	for j, gs := range net {
+		m := gs.MinElevationRad
+		sin := math.Sin(m)
+		probes := []float64{-1, 1, sin}
+		for _, d := range []float64{1e-12, 1e-10, 1e-9, 1e-8} {
+			probes = append(probes, sin-d, sin+d)
+		}
+		up, down := sin, sin
+		for range 4 {
+			up, down = math.Nextafter(up, 2), math.Nextafter(down, -2)
+			probes = append(probes, up, down)
+		}
+		for _, p := range probes {
+			p = max(-1, min(p, 1))
+			if p < floors[j] && !(math.Asin(p) <= m) {
+				t.Fatalf("mask %v: sine %v under the floor %v has arcsine %v above the mask", m, p, floors[j], math.Asin(p))
+			}
+		}
+		switch {
+		case m >= math.Pi/2 && !(1 < floors[j]):
+			t.Fatalf("mask %v at or past the zenith: floor %v lets a sine of 1 through", m, floors[j])
+		case (m < -math.Pi/2 || math.IsNaN(m)) && !(-1 >= floors[j]):
+			t.Fatalf("mask %v below the nadir: floor %v rejects a sine of -1", m, floors[j])
+		}
+	}
 }
 
 // TestCarryGridMatchesCrossProduct holds the cell index to its contract

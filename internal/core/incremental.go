@@ -18,8 +18,9 @@
 //   - The queue-dependent weighting/matching/drain reduction is cheap and
 //     global (a slot's matching depends on every earlier slot's drain),
 //     so it re-runs in full — it is the same reduction PlanEpoch uses,
-//     which is what makes the incremental plan byte-identical to a
-//     from-scratch rebuild on the new world.
+//     streamed behind the patching the same way, which is what makes the
+//     incremental plan byte-identical to a from-scratch rebuild on the new
+//     world.
 
 package core
 
@@ -265,7 +266,7 @@ func (ip *IncrementalPlanner) Replan() *Plan {
 		slices.Sort(stDirty)
 	}
 	var changed atomic.Int64
-	ip.sched.forEachSlot(ip.n, func(k int, ws *workerScratch) {
+	ip.plan = ip.sched.planStream(ip.sats, ip.cfg.Start, ip.cfg.Slot, ip.cfg.GenBitsPerSec, ip.slots, ip.rates, func(k int, ws *workerScratch) {
 		dirty := ip.weatherDirty
 		if satDirty != nil {
 			t, lead := ip.slotTime(k)
@@ -285,10 +286,10 @@ func (ip *IncrementalPlanner) Replan() *Plan {
 			changed.Add(1)
 		}
 	})
+	// Read once the last fill is done.
 	ip.lastChanged = int(changed.Load())
 	ip.lastIncr = true
 	ip.clearPending()
-	ip.plan = ip.sched.reduce(ip.sats, ip.cfg.Start, ip.cfg.Slot, ip.slots, ip.rates, ip.cfg.GenBitsPerSec)
 	return ip.plan
 }
 
@@ -300,20 +301,19 @@ func (ip *IncrementalPlanner) clearPending() {
 }
 
 // rebuildAll recomputes the whole chain from scratch: every slot's carry
-// and rates, and the reduction.
+// and rates, streamed into the reduction.
 func (ip *IncrementalPlanner) rebuildAll() {
 	if ip.slots == nil {
 		ip.slots = make([]*carriedSlot, ip.n)
 		ip.rates = make([][]float64, ip.n)
 	}
-	ip.sched.forEachSlot(ip.n, func(k int, ws *workerScratch) {
+	ip.plan = ip.sched.planStream(ip.sats, ip.cfg.Start, ip.cfg.Slot, ip.cfg.GenBitsPerSec, ip.slots, ip.rates, func(k int, ws *workerScratch) {
 		t, _ := ip.slotTime(k)
 		ip.slots[k] = ip.sched.carryPairs(ip.positions, t, nil, nil, ws)
 		ip.rateSlot(k, ws)
 	})
 	ip.lastChanged = ip.n
 	ip.lastIncr = false
-	ip.plan = ip.sched.reduce(ip.sats, ip.cfg.Start, ip.cfg.Slot, ip.slots, ip.rates, ip.cfg.GenBitsPerSec)
 }
 
 // slotTime returns slot k's instant and its forecast lead from the anchor.
@@ -357,14 +357,16 @@ func (ip *IncrementalPlanner) buildDirtyMask() {
 // mergeCarried merges the clean survivors of old (dirty pairs dropped) with
 // the freshly carried dirty-pair edges, both in ascending packed-key order
 // and disjoint — survivors are clean, fresh keys all dirty — into a new
-// slot in the same order, and their aligned rates likewise.
+// slot in the same order, carried terms and clear-sky rates with them, and
+// their aligned rates likewise.
 func (ip *IncrementalPlanner) mergeCarried(old *carriedSlot, oldRates []float64, fresh *carriedSlot, freshRates []float64) (*carriedSlot, []float64) {
 	n := len(old.keys) + len(fresh.keys)
-	out := &carriedSlot{keys: make([]int32, 0, n), terms: make([]linkbudget.Carried, 0, n)}
+	out := &carriedSlot{keys: make([]int32, 0, n), terms: make([]linkbudget.Carried, 0, n), clear: make([]float64, 0, n)}
 	rates := make([]float64, 0, n)
 	take := func(from *carriedSlot, fromRates []float64, x int) {
 		out.keys = append(out.keys, from.keys[x])
 		out.terms = append(out.terms, from.terms[x])
+		out.clear = append(out.clear, from.clear[x])
 		rates = append(rates, fromRates[x])
 	}
 	fi := 0

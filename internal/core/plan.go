@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"dgs/internal/match"
-	"dgs/internal/pool"
 	"dgs/internal/poscache"
 )
 
@@ -200,15 +202,23 @@ func (s *Scheduler) BuildGraph(sats []SatSnapshot, edges []VisibleEdge, slotDur 
 
 // weigher evaluates Φ for the edges of one plan's slots.
 type weigher struct {
-	s       *Scheduler
-	val     ValueFunc
-	sa      StationAware // val, when it specializes per station; else nil
-	slotSec float64
+	s   *Scheduler
+	val ValueFunc
+	// byStation is val bound to each station's ID, when val specializes
+	// per station (StationAware); else nil. Bound once per plan, not per
+	// edge: binding boxes a fresh value into the interface.
+	byStation []ValueFunc
+	slotSec   float64
 }
 
 func (s *Scheduler) weigher(slotDur time.Duration) weigher {
 	wt := weigher{s: s, val: s.value(), slotSec: slotDur.Seconds()}
-	wt.sa, _ = wt.val.(StationAware)
+	if sa, ok := wt.val.(StationAware); ok {
+		wt.byStation = make([]ValueFunc, len(s.Stations))
+		for j, gs := range s.Stations {
+			wt.byStation[j] = sa.WithStation(gs.ID)
+		}
+	}
 	return wt
 }
 
@@ -218,8 +228,8 @@ func (s *Scheduler) weigher(slotDur time.Duration) weigher {
 func (wt *weigher) add(g *match.Graph, sat *SatSnapshot, i, j int, rateBps float64) float64 {
 	gs := wt.s.Stations[j]
 	v := wt.val
-	if wt.sa != nil {
-		v = wt.sa.WithStation(gs.ID)
+	if wt.byStation != nil {
+		v = wt.byStation[j]
 	}
 	w := v.Value(EdgeContext{
 		RateBps:       rateBps,
@@ -247,17 +257,20 @@ func (wt *weigher) add(g *match.Graph, sat *SatSnapshot, i, j int, rateBps float
 // Successive epochs overlap heavily (the paper re-plans a 12 h horizon
 // every 30 minutes), and everything about a slot but the forecast lead is
 // a function of the instant alone. So the scheduler carries, per slot
-// instant, the feasible edges and their lead-independent link terms
-// (carry.go): an epoch reads each satellite's candidate stations off the
-// station cell index — typically a few percent of the cross product — and
-// computes look angles only for the instants no earlier epoch covered,
-// then re-rates every slot's carried edges at its new lead. Both depend
-// only on time, never on the evolving queue state, so they fan out over the
-// worker pool; the queue-dependent graph weighting, matching, and drain
-// then run as a sequential reduction over one reusable graph with
-// warm-started matching scratch. The produced plan is bit-identical to a fresh scheduler's, and
-// to a fully serial exhaustive sweep (UseSweep), for any worker count and
-// any order of starts.
+// instant, the feasible edges, their lead-independent link terms and their
+// clear-sky rates (carry.go): an epoch reads each satellite's candidate
+// stations off the station cell index — typically a few percent of the
+// cross product — and computes look angles only for the instants no
+// earlier epoch covered, then re-rates every slot's carried edges at its
+// new lead. Both depend only on time, never on the evolving queue state,
+// so they fan out over the worker pool in slot order; the queue-dependent
+// graph weighting, matching, and drain run on the calling goroutine as a
+// streamed reduction — slot k as soon as it is rated, while later slots
+// are still being carried and rated — over one reusable graph with
+// warm-started matching scratch. The produced plan is bit-identical to a
+// fresh scheduler's, and to a fully serial exhaustive sweep (UseSweep), for
+// any worker count, any order in which the slots finish, and any order of
+// starts.
 func (s *Scheduler) PlanEpoch(sats []SatSnapshot, start time.Time, horizon, slotDur time.Duration, genBitsPerSec float64) *Plan {
 	if slotDur <= 0 {
 		slotDur = time.Minute
@@ -275,19 +288,18 @@ func (s *Scheduler) PlanEpoch(sats []SatSnapshot, start time.Time, horizon, slot
 	if s.UseSweep {
 		return s.planSweep(sats, positions, start, n, slotDur, genBitsPerSec)
 	}
-	slots, rates := s.carryAndRate(positions, start, n, slotDur)
-	return s.reduce(sats, start, slotDur, slots, rates, genBitsPerSec)
+	return s.planCarried(sats, positions, start, n, slotDur, genBitsPerSec)
 }
 
 // planSweep is PlanEpoch on the reference path: every slot swept
 // exhaustively and rated through the attenuation memo (a private view per
-// worker), then handed to the same reduction as keys and rates.
+// worker), then handed to the same streamed reduction as keys and rates.
 func (s *Scheduler) planSweep(sats []SatSnapshot, positions *poscache.Cache, start time.Time, n int, slotDur time.Duration, genBitsPerSec float64) *Plan {
 	memo, _ := s.rateMemo()
 	nGs := len(s.Stations)
 	slots := make([]*carriedSlot, n)
 	rates := make([][]float64, n)
-	s.forEachSlot(n, func(k int, ws *workerScratch) {
+	return s.planStream(sats, start, slotDur, genBitsPerSec, slots, rates, func(k int, ws *workerScratch) {
 		if ws.cond.view == nil {
 			ws.cond.view = memo.View()
 		}
@@ -300,122 +312,195 @@ func (s *Scheduler) planSweep(sats []SatSnapshot, positions *poscache.Cache, sta
 			rates[k][x] = e.RateBps
 		}
 	})
-	return s.reduce(sats, start, slotDur, slots, rates, genBitsPerSec)
 }
 
-// forEachSlot is the slot fan-out every planning path shares: it resolves
-// the lazily initialized station index and rate kernel, then runs
-// fn(x, ws) for x in [0, n) over at most Workers goroutines, ws being the
-// calling worker's private scratch. fn's work must depend only on x (never
-// on evaluation order), which is what keeps plans identical for any worker
-// count.
-func (s *Scheduler) forEachSlot(n int, fn func(x int, ws *workerScratch)) {
-	workers := min(s.workers(), n)
-	if workers == 0 {
-		return
-	}
+// planStream is the one planning fan-out, behind every path: it runs
+// fill(k, ws) for each slot k in [0, len(slots)) on Workers goroutines,
+// which claim slots in ascending order (ws is the claiming worker's private
+// scratch), and reduces slot k on the calling goroutine as soon as fill(k)
+// has returned, while later slots are still being filled. fill must leave
+// slot k's edges in slots[k] and their rates in rates[k] and write nothing
+// else that another fill or the reduction reads; its work must depend only
+// on k. The reduction consumes the slots strictly in order, so the plan is
+// the same for any worker count and any order the fills finish in. At one
+// worker no goroutine starts: each slot is filled, then reduced, inline.
+//
+// Readiness — a channel the workers post finished slots on, and the
+// caller's record of the ones that arrived early — lives on the scheduler
+// and is reused across plans: warm, the stream allocates nothing per slot.
+func (s *Scheduler) planStream(sats []SatSnapshot, start time.Time, slotDur time.Duration, genBitsPerSec float64, slots []*carriedSlot, rates [][]float64, fill func(k int, ws *workerScratch)) *Plan {
+	n := len(slots)
 	s.stationIndex()
 	s.rateKernel()
+	workers := max(min(s.workers(), n), 1)
 	for len(s.scr) < workers {
 		s.scr = append(s.scr, workerScratch{})
 	}
-	pool.ForEachWorker(workers, n, func(w, x int) { fn(x, &s.scr[w]) })
+	r := s.newReducer(sats, start, slotDur, n, genBitsPerSec)
+	if workers == 1 {
+		for k := range n {
+			fill(k, &s.scr[0])
+			r.slot(slots[k].keys, rates[k])
+		}
+		return r.finish()
+	}
+
+	// filled holds room for every slot, so no worker ever waits on the
+	// caller, and it is empty again once the last slot is received.
+	if cap(s.filled) < n {
+		s.filled = make(chan int, n)
+	}
+	if len(s.early) < n {
+		s.early = make([]bool, n)
+	}
+	filled, early := s.filled, s.early[:n]
+	var order []int
+	if s.fillOrder != nil {
+		order = s.fillOrder(n)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := range workers {
+		go func(ws *workerScratch) {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1) - 1)
+				if k >= n {
+					return
+				}
+				if order != nil {
+					k = order[k]
+				}
+				fill(k, ws)
+				filled <- k
+			}
+		}(&s.scr[w])
+	}
+	for k := 0; k < n; {
+		early[<-filled] = true
+		for ; k < n && early[k]; k++ {
+			early[k] = false
+			r.slot(slots[k].keys, rates[k])
+		}
+	}
+	wg.Wait()
+	return r.finish()
 }
 
-// reduce is the queue-dependent sequential reduction behind every plan:
+// reducer is the queue-dependent sequential reduction behind every plan:
 // per-slot graph weighting, matching, and optimistic queue drain over each
-// slot's edges (slots[k].keys) and their rates (rates[k], aligned), skipping
-// edges whose rate is not positive. Edges and rates depend only on time
-// (never on the evolving queue state), which is what lets PlanEpoch fan
-// their computation out and carry them across epochs — and lets the
-// incremental planner patch only what a world delta touched and re-run
-// this reduction unchanged, byte-identical to a from-scratch rebuild.
-func (s *Scheduler) reduce(sats []SatSnapshot, start time.Time, slotDur time.Duration, slots []*carriedSlot, rates [][]float64, genBitsPerSec float64) *Plan {
-	// Work on a copy: planning must not mutate the caller's snapshots.
-	work := make([]SatSnapshot, len(sats))
-	copy(work, sats)
+// slot's edges (packed keys) and their rates (aligned), skipping edges
+// whose rate is not positive. Edges and rates depend only on time (never
+// on the evolving queue state), which is what lets PlanEpoch compute them
+// ahead of the reduction on other goroutines and carry them across epochs
+// — and lets the incremental planner patch only what a world delta touched
+// and re-run this reduction unchanged, byte-identical to a from-scratch
+// rebuild. Slot k's matching depends on the queues every earlier slot
+// drained, so the slots are reduced in order, on one goroutine.
+type reducer struct {
+	s       *Scheduler
+	work    []SatSnapshot
+	wt      weigher
+	plan    *Plan
+	genBits float64 // capture refill per slot
+}
 
+// newReducer starts a plan of n slots from start.
+func (s *Scheduler) newReducer(sats []SatSnapshot, start time.Time, slotDur time.Duration, n int, genBitsPerSec float64) reducer {
 	s.nextVersion++
-	plan := &Plan{
-		Version: s.nextVersion,
-		Issued:  start,
-		SlotDur: slotDur,
-		Slots:   make([]Slot, 0, len(slots)),
-	}
 	if s.planG == nil {
 		s.planG = match.NewGraph(0, 0)
 	}
 	s.matchScr.Warm = true
-	wt := s.weigher(slotDur)
-	nGs := len(s.Stations)
-	for k := range slots {
-		t := start.Add(time.Duration(k) * slotDur)
-		keys, rate := slots[k].keys, rates[k]
-		g := s.planG
-		g.Reset(len(work), nGs)
-		for j, gs := range s.Stations {
-			g.SetCapacity(j, gs.Capacity())
-		}
-		// wbuf holds the Φ weight of every rated edge — including dropped
-		// non-positive ones — aligned with keys: the matched edge for a
-		// satellite is found by scanning keys, so its weight is wbuf[x].
-		wbuf := s.wbuf[:0]
-		for x, key := range keys {
-			w := 0.0
-			if rate[x] > 0 {
-				i := int(key) / nGs
-				w = wt.add(g, &work[i], i, int(key)-i*nGs, rate[x])
-			}
-			wbuf = append(wbuf, w)
-		}
-		s.wbuf = wbuf
-		var m match.Matching
-		if s.Match != nil {
-			m = s.Match(g)
-		} else {
-			m = s.matchScr.Stable(g)
-		}
-
-		slot := Slot{Start: t}
-		// The edge list is satellite-major on both visibility paths and a
-		// satellite holds at most one matched edge, so this scan emits
-		// assignments in ascending satellite order — the same order the
-		// LeftToRight iteration used to produce.
-		for x, key := range keys {
-			r := rate[x]
-			if r <= 0 {
-				continue
-			}
-			i := int(key) / nGs
-			j := int(key) - i*nGs
-			if m.LeftToRight[i] != j {
-				continue
-			}
-			slot.Assignments = append(slot.Assignments, Assignment{
-				Sat:            i,
-				Station:        j,
-				PlannedRateBps: r,
-				Weight:         wbuf[x],
-			})
-			// Drain the modeled queue.
-			sent := r * slotDur.Seconds()
-			if sent > work[i].PendingBits {
-				sent = work[i].PendingBits
-			}
-			work[i].PendingBits -= sent
-			if work[i].PendingBits <= 0 {
-				work[i].OldestAge = 0
-			}
-		}
-		// Capture refills every queue.
-		for i := range work {
-			work[i].PendingBits += genBitsPerSec * slotDur.Seconds()
-			if work[i].PendingBits > 0 {
-				work[i].OldestAge += slotDur
-			}
-		}
-		plan.Slots = append(plan.Slots, slot)
+	return reducer{
+		s: s,
+		// Work on a copy: planning must not mutate the caller's snapshots.
+		work: slices.Clone(sats),
+		wt:   s.weigher(slotDur),
+		plan: &Plan{
+			Version: s.nextVersion,
+			Issued:  start,
+			SlotDur: slotDur,
+			Slots:   make([]Slot, 0, n),
+		},
+		genBits: genBitsPerSec * slotDur.Seconds(),
 	}
-	plan.BuildIndex()
-	return plan
+}
+
+// slot reduces the plan's next slot over its edges (keys) and their rates.
+func (r *reducer) slot(keys []int32, rate []float64) {
+	s, work, plan := r.s, r.work, r.plan
+	slotDur := plan.SlotDur
+	nGs := len(s.Stations)
+	g := s.planG
+	g.Reset(len(work), nGs)
+	for j, gs := range s.Stations {
+		g.SetCapacity(j, gs.Capacity())
+	}
+	// wbuf holds the Φ weight of every rated edge — including dropped
+	// non-positive ones — aligned with keys: the matched edge for a
+	// satellite is found by scanning keys, so its weight is wbuf[x].
+	wbuf := s.wbuf[:0]
+	for x, key := range keys {
+		w := 0.0
+		if rate[x] > 0 {
+			i := int(key) / nGs
+			w = r.wt.add(g, &work[i], i, int(key)-i*nGs, rate[x])
+		}
+		wbuf = append(wbuf, w)
+	}
+	s.wbuf = wbuf
+	var m match.Matching
+	if s.Match != nil {
+		m = s.Match(g)
+	} else {
+		m = s.matchScr.Stable(g)
+	}
+
+	slot := Slot{Start: plan.Issued.Add(time.Duration(len(plan.Slots)) * slotDur)}
+	// The edge list is satellite-major on both visibility paths and a
+	// satellite holds at most one matched edge, so this scan emits
+	// assignments in ascending satellite order — the same order the
+	// LeftToRight iteration used to produce.
+	for x, key := range keys {
+		rt := rate[x]
+		if rt <= 0 {
+			continue
+		}
+		i := int(key) / nGs
+		j := int(key) - i*nGs
+		if m.LeftToRight[i] != j {
+			continue
+		}
+		slot.Assignments = append(slot.Assignments, Assignment{
+			Sat:            i,
+			Station:        j,
+			PlannedRateBps: rt,
+			Weight:         wbuf[x],
+		})
+		// Drain the modeled queue.
+		sent := rt * slotDur.Seconds()
+		if sent > work[i].PendingBits {
+			sent = work[i].PendingBits
+		}
+		work[i].PendingBits -= sent
+		if work[i].PendingBits <= 0 {
+			work[i].OldestAge = 0
+		}
+	}
+	// Capture refills every queue.
+	for i := range work {
+		work[i].PendingBits += r.genBits
+		if work[i].PendingBits > 0 {
+			work[i].OldestAge += slotDur
+		}
+	}
+	plan.Slots = append(plan.Slots, slot)
+}
+
+// finish indexes the plan once every slot is reduced.
+func (r *reducer) finish() *Plan {
+	r.plan.BuildIndex()
+	return r.plan
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -234,6 +235,38 @@ func TestClearSkyAfterForecast(t *testing.T) {
 	}
 }
 
+// TestClearRatesNeverAliased: without a forecast the rate pass copies the
+// carried clear-sky rates into the epoch's rate buffers. Were a buffer the
+// carried slice itself, the next epoch's rates under weather would be
+// written into carried state every later epoch reads. A scheduler that plans
+// clear, then under weather, then clear again at the same start must leave
+// every carried clear-sky rate as it was and plan the first plan again.
+func TestClearRatesNeverAliased(t *testing.T) {
+	w := smallRollingWorld(t)
+	const horizon = 2 * time.Hour
+	for _, workers := range []int{1, 4} {
+		s := w.sched(workers, false, false)
+		want := w.plan(t, s, epoch, horizon, time.Minute)
+		before := make(map[int64][]float64, len(s.carried))
+		for at, cs := range s.carried {
+			before[at] = slices.Clone(cs.clear)
+		}
+		s.SetForecast(rollingForecast(true))
+		if stormy := w.plan(t, s, epoch, horizon, time.Minute); bytes.Equal(stormy, want) {
+			t.Fatal("the forecast changes nothing in this fixture; not a meaningful comparison")
+		}
+		s.SetForecast(nil)
+		if got := w.plan(t, s, epoch, horizon, time.Minute); !bytes.Equal(got, want) {
+			t.Fatalf("workers=%d: clear-sky plan after a forecast differs from the first", workers)
+		}
+		for at, cs := range s.carried {
+			if !slices.Equal(cs.clear, before[at]) {
+				t.Fatalf("workers=%d: carried clear-sky rates of %v changed", workers, time.Unix(0, at).UTC())
+			}
+		}
+	}
+}
+
 // TestRollingRatePassAllocFree pins the steady-state rate pass: with the
 // slot carried, the forecast components cached and the rate buffer and
 // worker scratch warm, re-rating a slot at a new lead allocates nothing.
@@ -259,8 +292,9 @@ func TestRollingRatePassAllocFree(t *testing.T) {
 }
 
 // runKernelOnCarriedEdges rates every carried edge of the horizon both ways
-// — the planner's rate pass, and the attenuation memo on geometry and
-// forecast recomputed from scratch — with the forecast on and then off, and
+// — the planner's rate pass, as PlanEpoch leaves it in the carried slots
+// and the rate buffers, and the attenuation memo on geometry and forecast
+// recomputed from scratch — with the forecast on and then off, and
 // requires the same bits.
 func runKernelOnCarriedEdges(t *testing.T, w rollingWorld, horizon time.Duration) {
 	t.Helper()
@@ -275,11 +309,15 @@ func runKernelOnCarriedEdges(t *testing.T, w rollingWorld, horizon time.Duration
 		if !forecast {
 			s.SetForecast(nil)
 		}
-		slots, rates := s.carryAndRate(positions, epoch, n, time.Minute)
+		s.PlanEpoch(w.sats, epoch, horizon, time.Minute, rollingGen)
 		edges, closed := 0, 0
 		conds := make([]linkbudget.Conditions, nGs)
-		for k, cs := range slots {
+		for k := range n {
 			at := epoch.Add(time.Duration(k) * time.Minute)
+			cs, rates := s.carried[at.UnixNano()], s.rates
+			if cs == nil {
+				t.Fatalf("slot %d: instant not carried", k)
+			}
 			cached := positions.At(at)
 			for j, gs := range w.net {
 				conds[j] = linkbudget.Conditions{}

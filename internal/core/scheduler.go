@@ -52,10 +52,12 @@ type Scheduler struct {
 	// exact look angles. Defaults to 3500 km (horizon range for 600 km LEO
 	// with slack).
 	MaxRangeKm float64
-	// Workers bounds the planning worker pool: PlanEpoch fans its
-	// per-slot carry and rate passes out over this many goroutines. <= 0
-	// means GOMAXPROCS. The produced plan is bit-identical for any
-	// worker count.
+	// Workers bounds the planning worker pool: PlanEpoch's per-slot carry
+	// and rate passes run on this many goroutines while the calling
+	// goroutine reduces each slot (weighting, matching, queue drain) as
+	// soon as it is rated. One runs everything on the caller, starting no
+	// goroutine. <= 0 means GOMAXPROCS. The produced plan is bit-identical
+	// for any worker count.
 	Workers int
 	// Positions, when non-nil, is the shared satellite position cache
 	// (typically owned by the simulator so the scheduler and the sim
@@ -78,12 +80,19 @@ type Scheduler struct {
 	nextVersion int
 
 	// Single-threaded PlanEpoch scratch: the reusable matching graph with
-	// its aligned edge-weight buffer, the stable-matching scratch, and the
-	// per-worker scratch of the slot fan-out.
+	// its aligned edge-weight buffer, the stable-matching scratch, the
+	// per-worker scratch of the slot fan-out, and the stream's readiness
+	// state (planStream).
 	planG    *match.Graph
 	matchScr match.Scratch
 	wbuf     []float64
 	scr      []workerScratch
+	filled   chan int
+	early    []bool
+	// fillOrder, when set, permutes the order in which the stream's
+	// workers claim slots (order[i] is the i-th claimed): tests make the
+	// slots finish out of order with it.
+	fillOrder func(n int) []int
 
 	// carried maps a slot instant (UnixNano) to its exact-feasible edges
 	// and their lead-independent link terms, computed from carriedPos:

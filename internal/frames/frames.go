@@ -227,21 +227,38 @@ func NewTopocentric(observer Geodetic) Topocentric {
 // Look computes the look angles from the precomputed observer basis to a
 // target in ECEF kilometres. Identical arithmetic to the package-level Look.
 func (tp Topocentric) Look(targetECEF Vec3) LookAngles {
-	rho := targetECEF.Sub(tp.ECEF)
-
-	// Rotate the range vector into SEZ.
-	s := tp.sinLat*tp.cosLon*rho.X + tp.sinLat*tp.sinLon*rho.Y - tp.cosLat*rho.Z
-	e := -tp.sinLon*rho.X + tp.cosLon*rho.Y
-	z := tp.cosLat*tp.cosLon*rho.X + tp.cosLat*tp.sinLon*rho.Y + tp.sinLat*rho.Z
-
-	rng := math.Sqrt(s*s + e*e + z*z)
-	el := math.Asin(astro.Clamp(z/rng, -1, 1))
+	s, e, z := tp.sez(targetECEF)
+	rng, sinEl := rangeSinEl(s, e, z)
 	az := math.Atan2(e, -s)
 	return LookAngles{
 		AzimuthRad:   astro.NormalizeAngle(az),
-		ElevationRad: el,
+		ElevationRad: math.Asin(sinEl),
 		RangeKm:      rng,
 	}
+}
+
+// RangeSinEl is Look without the azimuth: the slant range to a target in
+// ECEF kilometres and the sine of its elevation, clamped to [-1, 1], by
+// Look's own arithmetic — math.Asin of the sine is Look's ElevationRad bit
+// for bit. A caller that tests the elevation against a mask can reject on
+// the sine before paying for the arcsine.
+func (tp Topocentric) RangeSinEl(targetECEF Vec3) (rangeKm, sinEl float64) {
+	return rangeSinEl(tp.sez(targetECEF))
+}
+
+// sez rotates the observer→target range vector into the SEZ frame.
+func (tp Topocentric) sez(targetECEF Vec3) (s, e, z float64) {
+	rho := targetECEF.Sub(tp.ECEF)
+	s = tp.sinLat*tp.cosLon*rho.X + tp.sinLat*tp.sinLon*rho.Y - tp.cosLat*rho.Z
+	e = -tp.sinLon*rho.X + tp.cosLon*rho.Y
+	z = tp.cosLat*tp.cosLon*rho.X + tp.cosLat*tp.sinLon*rho.Y + tp.sinLat*rho.Z
+	return s, e, z
+}
+
+// rangeSinEl is the range and clamped elevation sine of an SEZ vector.
+func rangeSinEl(s, e, z float64) (rng, sinEl float64) {
+	rng = math.Sqrt(s*s + e*e + z*z)
+	return rng, astro.Clamp(z/rng, -1, 1)
 }
 
 // GreatCircleKm returns the great-circle surface distance between two

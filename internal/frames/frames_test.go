@@ -178,6 +178,83 @@ func TestLookAnglesBelowHorizon(t *testing.T) {
 	}
 }
 
+// lookRef is Topocentric.Look's arithmetic written out in one piece, as it
+// stood before the azimuth-free RangeSinEl shared it: the fence below holds
+// both methods to it.
+func lookRef(tp Topocentric, target Vec3) LookAngles {
+	rho := target.Sub(tp.ECEF)
+	s := tp.sinLat*tp.cosLon*rho.X + tp.sinLat*tp.sinLon*rho.Y - tp.cosLat*rho.Z
+	e := -tp.sinLon*rho.X + tp.cosLon*rho.Y
+	z := tp.cosLat*tp.cosLon*rho.X + tp.cosLat*tp.sinLon*rho.Y + tp.sinLat*rho.Z
+	rng := math.Sqrt(s*s + e*e + z*z)
+	return LookAngles{
+		AzimuthRad:   astro.NormalizeAngle(math.Atan2(e, -s)),
+		ElevationRad: math.Asin(astro.Clamp(z/rng, -1, 1)),
+		RangeKm:      rng,
+	}
+}
+
+// checkRangeSinEl requires Look and RangeSinEl to reproduce lookRef's range
+// and elevation bit for bit (asin of RangeSinEl's sine for the latter), and
+// Look its azimuth.
+func checkRangeSinEl(t *testing.T, name string, tp Topocentric, target Vec3) {
+	t.Helper()
+	want := lookRef(tp, target)
+	look := tp.Look(target)
+	rng, sinEl := tp.RangeSinEl(target)
+	for _, c := range []struct {
+		what      string
+		got, want float64
+	}{
+		{"Look range", look.RangeKm, want.RangeKm},
+		{"Look elevation", look.ElevationRad, want.ElevationRad},
+		{"Look azimuth", look.AzimuthRad, want.AzimuthRad},
+		{"RangeSinEl range", rng, want.RangeKm},
+		{"RangeSinEl elevation", math.Asin(sinEl), want.ElevationRad},
+	} {
+		if math.Float64bits(c.got) != math.Float64bits(c.want) {
+			t.Fatalf("%s: %s %v (%#x), want %v (%#x)", name, c.what, c.got, math.Float64bits(c.got), c.want, math.Float64bits(c.want))
+		}
+	}
+	if sinEl < -1 || sinEl > 1 {
+		t.Fatalf("%s: sine %v outside [-1, 1]", name, sinEl)
+	}
+}
+
+// TestRangeSinElMatchesLook fences the azimuth-free look-up: on 100 k seeded
+// observer/target pairs — targets from the ground to past GEO, above and
+// below the horizon — and on the zenith, horizon, below-horizon and
+// coincident rows, range and elevation are Float64bits-equal to Look's.
+func TestRangeSinElMatchesLook(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for i := 0; i < 100_000; i++ {
+		obs := Geodetic{
+			LatRad: (rng.Float64() - 0.5) * math.Pi,
+			LonRad: (rng.Float64() - 0.5) * 2 * math.Pi,
+			AltKm:  rng.Float64() * 5,
+		}
+		r := astro.EarthRadiusKm + rng.ExpFloat64()*2000
+		u := Vec3{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+		checkRangeSinEl(t, "random", NewTopocentric(obs), u.Scale(r/u.Norm()))
+	}
+	obs := NewGeodeticDeg(47, 8, 0.5)
+	tp := NewTopocentric(obs)
+	east := Vec3{-tp.sinLon, tp.cosLon, 0}
+	for _, row := range []struct {
+		name   string
+		target Vec3
+	}{
+		{"zenith", Geodetic{LatRad: obs.LatRad, LonRad: obs.LonRad, AltKm: obs.AltKm + 550}.ECEF()},
+		{"horizon", tp.ECEF.Add(east.Scale(1200))},
+		{"below the horizon", NewGeodeticDeg(-47, -172, 550).ECEF()},
+		{"coincident", tp.ECEF},
+		{"pole observer", NewGeodeticDeg(90, 0, 0).ECEF().Add(Vec3{0, 0, 700})},
+	} {
+		checkRangeSinEl(t, row.name, tp, row.target)
+		checkRangeSinEl(t, row.name+" from the pole", NewTopocentric(NewGeodeticDeg(90, 0, 0)), row.target)
+	}
+}
+
 func TestGreatCircleKm(t *testing.T) {
 	// Quarter of the equatorial circumference.
 	a := NewGeodeticDeg(0, 0, 0)

@@ -68,17 +68,20 @@ type Carried struct {
 	path         itu.PathTerms
 }
 
-// Carry computes the weather-independent part for a path geometry. ok is
-// false when the link never closes whatever the weather: RateBpsAt is 0
-// for such a geometry under every Conditions and there is nothing to carry.
-// That is a link with no line of sight, and one that does not close under
-// a clear sky. Rain and cloud only add attenuation: on a path up to the
-// zenith their terms are never negative, every operation from there to the
-// rate rounds monotonically, and the ladder's rates ascend with its
-// thresholds — so no weather rates a link above its clear-sky rate.
-func (k *Kernel) Carry(s *Site, rangeKm, elevRad float64) (c Carried, ok bool) {
+// Carry computes the weather-independent part for a path geometry, and the
+// link's clear-sky rate: Rate(s, &c, Weather(Conditions{})), which it needs
+// anyway and a caller rating under a clear sky can keep instead of
+// recomputing. ok is false when the link never closes whatever the
+// weather: RateBpsAt is 0 for such a geometry under every Conditions and
+// there is nothing to carry. That is a link with no line of sight, and one
+// that does not close under a clear sky. Rain and cloud only add
+// attenuation: on a path up to the zenith their terms are never negative,
+// every operation from there to the rate rounds monotonically, and the
+// ladder's rates ascend with its thresholds — so no weather rates a link
+// above its clear-sky rate.
+func (k *Kernel) Carry(s *Site, rangeKm, elevRad float64) (c Carried, clearBps float64, ok bool) {
 	if elevRad <= 0 || rangeKm <= 0 {
-		return Carried{}, false
+		return Carried{}, 0, false
 	}
 	elevQ, _, _ := quantize(elevRad, Conditions{})
 	sp := itu.SlantPath{
@@ -90,10 +93,11 @@ func (k *Kernel) Carry(s *Site, rangeKm, elevRad float64) (c Carried, ok bool) {
 		eirpLessFSPL: k.radio.EIRPdBW - FSPLdB(rangeKm, k.radio.FreqGHz),
 		path:         sp.Terms(),
 	}
-	if elevRad <= math.Pi/2 && k.Rate(s, &c, &k.clear) <= 0 {
-		return Carried{}, false
+	clearBps = k.Rate(s, &c, &k.clear)
+	if elevRad <= math.Pi/2 && clearBps <= 0 {
+		return Carried{}, 0, false
 	}
-	return c, true
+	return c, clearBps, true
 }
 
 // Sky is the part of a rate evaluation fixed by the weather sample.

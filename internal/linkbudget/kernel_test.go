@@ -9,14 +9,15 @@ import (
 )
 
 // kernelRate is the kernel's evaluation of one RateBpsAt call: 0 when Carry
-// reports that the link never closes.
-func kernelRate(k *Kernel, s *Site, g Geometry, w Conditions) (rate float64, carried bool) {
-	c, ok := k.Carry(s, g.RangeKm, g.ElevationRad)
+// reports that the link never closes. clearBps is Carry's clear-sky rate,
+// and reClear the same link rated again under Weather(Conditions{}).
+func kernelRate(k *Kernel, s *Site, g Geometry, w Conditions) (rate, clearBps, reClear float64, carried bool) {
+	c, clearBps, ok := k.Carry(s, g.RangeKm, g.ElevationRad)
 	if !ok {
-		return 0, false
+		return 0, 0, 0, false
 	}
-	sky := k.Weather(w)
-	return k.Rate(s, &c, &sky), true
+	sky, clearSky := k.Weather(w), k.Weather(Conditions{})
+	return k.Rate(s, &c, &sky), clearBps, k.Rate(s, &c, &clearSky), true
 }
 
 // kernelCase is one station and link state to compare on.
@@ -44,19 +45,31 @@ func newKernelRigFor(r Radio) *kernelRig {
 }
 
 // check compares the two on one case and returns the rate, and whether the
-// kernel carried the link at all.
+// kernel carried the link at all. A carried link's clear-sky rate from
+// Carry must also equal Rate under Weather(Conditions{}) and the memo at
+// zero weather, bit for bit.
 func (rig *kernelRig) check(t *testing.T, c kernelCase) (float64, bool) {
 	t.Helper()
 	path := rig.am.Register(c.lat, c.height)
 	site := rig.k.Site(c.lat, c.height, c.term)
 	c.g.StationLatRad, c.g.StationHeightKm = c.lat, c.height
 	want := rig.am.RateBpsAt(path, c.term, c.g, c.w)
-	got, carried := kernelRate(rig.k, &site, c.g, c.w)
+	got, clearBps, reClear, carried := kernelRate(rig.k, &site, c.g, c.w)
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("kernel %v (%#x) vs memo %v (%#x): pol=%v case %+v",
 			got, math.Float64bits(got), want, math.Float64bits(want), rig.am.Radio().Polarization, c)
 	}
-	return got, carried
+	if !carried {
+		return got, false
+	}
+	clearWant := rig.am.RateBpsAt(path, c.term, c.g, Conditions{})
+	for _, other := range []float64{reClear, clearWant} {
+		if math.Float64bits(clearBps) != math.Float64bits(other) {
+			t.Fatalf("Carry's clear-sky rate %v (%#x) vs Rate under Weather(Conditions{}) %v and memo at zero weather %v: pol=%v case %+v",
+				clearBps, math.Float64bits(clearBps), reClear, clearWant, rig.am.Radio().Polarization, c)
+		}
+	}
+	return got, true
 }
 
 // TestKernelMatchesMemoRandom holds the kernel to the memo bit for bit over
