@@ -40,6 +40,12 @@ go run ./tools/importcheck
 # cell index; the pass predictor serves the pass endpoints and dgs-passes,
 # and must not grow back underneath core.
 if go list -deps ./internal/core | grep -qx dgs/internal/passes; then echo "core must not depend on passes" >&2; exit 1; fi
+# One visibility path: only spatial.Sites builds the station cell index and
+# topocentric bases the planner and the pass scan test pairs with, so the
+# plan and the pass API cannot disagree about who sees whom.
+if git grep -nE 'spatial\.NewGrid|frames\.NewTopocentric' -- internal/core internal/passes ':!*_test.go'; then
+    echo "core and passes must take station geometry from spatial.Sites" >&2; exit 1
+fi
 
 echo "== go build"
 go build ./...
@@ -58,7 +64,10 @@ go test -count=5 -cpu 1,2,4 ./internal/session ./internal/backend
 # vector movement, which only repetition across CPU counts explores.
 go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears' ./internal/serve
 # The pair-subset scan shards and refines like the unrestricted one: its
-# filter-after identity must hold at every worker split. The planner's
+# filter-after identity must hold at every worker split, and a pass query
+# is a pure function of its span (Prune, Reanchor, Incremental, InProgress:
+# the span-clip property, fresh ≡ sequenced ≡ repeated; Workers: any split
+# ≡ serial). The planner's
 # carry fan-out queries one shared station cell index from every worker
 # into per-worker candidate scratch, and the incremental planner re-carries
 # only dirty pairs and merges them into the clean edges: cell index ≡ cross
@@ -74,8 +83,8 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears' ./interna
 # Bidding: one station-bound Φ per plan). (core rolls the paper's 12 h
 # horizon six times against six fresh schedulers per pass, hence the
 # explicit timeout.)
-go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky|Stream|SinFloor|RangeSinEl|ClearRates|Bidding' \
-    ./internal/passes ./internal/core ./internal/linkbudget ./internal/itu ./internal/frames
+go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky|Stream|SinFloor|RangeSinEl|ClearRates|Bidding|Prune|Reanchor|Incremental|InProgress|Workers' \
+    ./internal/passes ./internal/core ./internal/linkbudget ./internal/itu ./internal/frames ./internal/spatial
 
 echo "== go test -race (parallel pipeline + session + serving layers)"
 # session is the one managed wire session both station↔backend and
@@ -230,16 +239,16 @@ grep -v '^simulated' "$smokedir/sim_resumed.txt" > "$smokedir/sim_resumed.cmp"
 grep -v '^simulated' "$smokedir/sim_full.txt" > "$smokedir/sim_full.cmp"
 cmp "$smokedir/sim_resumed.cmp" "$smokedir/sim_full.cmp"
 
-echo "== mega smoke (Walker population, spatial index differential)"
-# A small Walker shell through the pass predictor with the spatial
-# candidate index on and off: the printed windows must be byte-identical
-# (the index is a conservative filter, never a behavior change). The
-# mega-scale versions of this differential run in the test suite above.
+echo "== mega smoke (Walker population, worker invariance)"
+# A small Walker shell through the pass predictor on one worker and on
+# four: the printed windows must be byte-identical (sweep shards and
+# refinement groups only split the work). The index-vs-cross-product
+# differential runs in the test suite (TestIndexMatchesFullScan*).
 go build -o "$smokedir/dgs-passes" ./cmd/dgs-passes
-"$smokedir/dgs-passes" -walker -sats 200 -stations 40 -hours 0.5 -top 1000000 | tail -n +3 > "$smokedir/idx.txt"
-"$smokedir/dgs-passes" -walker -sats 200 -stations 40 -hours 0.5 -top 1000000 -full-scan | tail -n +3 > "$smokedir/full.txt"
-[ -s "$smokedir/idx.txt" ] || { echo "mega smoke predicted no windows" >&2; exit 1; }
-cmp "$smokedir/idx.txt" "$smokedir/full.txt"
+"$smokedir/dgs-passes" -walker -sats 200 -stations 40 -hours 0.5 -top 1000000 -workers 1 | tail -n +3 > "$smokedir/w1.txt"
+"$smokedir/dgs-passes" -walker -sats 200 -stations 40 -hours 0.5 -top 1000000 -workers 4 | tail -n +3 > "$smokedir/w4.txt"
+[ -s "$smokedir/w1.txt" ] || { echo "mega smoke predicted no windows" >&2; exit 1; }
+cmp "$smokedir/w1.txt" "$smokedir/w4.txt"
 
 echo "== optimizer smoke (greedy determinism + /v2/optimize round trip)"
 # (1) dgs-optimize on a tiny N=6/K=2 instance: the winning set — the

@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -49,7 +50,6 @@ func main() {
 	sats := flag.Int("sats", 0, "population mode: predict windows for this many synthetic satellites")
 	stations := flag.Int("stations", 173, "population mode: synthetic station network size")
 	walker := flag.Bool("walker", false, "population mode: Walker-delta shell (53°, 550 km) instead of the paper's EO mix")
-	fullScan := flag.Bool("full-scan", false, "population mode: disable the spatial candidate index (differential check)")
 	workers := flag.Int("workers", 0, "population mode: sweep/refinement worker pool size (0 = GOMAXPROCS; windows are identical for any value)")
 	seed := cliutil.SeedFlag("population-mode synthesis")
 	top := flag.Int("top", 20, "population mode: windows to print (0 = summary only)")
@@ -65,76 +65,84 @@ func main() {
 	cliutil.NonNegativeInt("top", *top)
 
 	if *sats > 0 {
-		populationMain(*sats, *stations, *walker, *fullScan, *workers, *seed, *hours, *from, *top)
+		populationMain(os.Stdout, *sats, *stations, *walker, *workers, *seed, *hours, *from, *top)
 		return
 	}
 
-	var text string
-	switch {
-	case *tleFile != "":
-		b, err := os.ReadFile(*tleFile)
-		if err != nil {
-			fatal(err)
-		}
-		text = string(b)
-	case *builtin != "":
-		all := dataset.RealTLEs()
-		switch strings.ToLower(*builtin) {
-		case "iss":
-			text = all[1]
-		case "noaa18":
-			text = all[2]
-		default:
-			fatal(fmt.Errorf("unknown builtin %q (try iss, noaa18)", *builtin))
-		}
-	default:
-		fatal(fmt.Errorf("need -tle FILE or -builtin NAME"))
-	}
-
-	el, err := tle.Parse(text)
+	text, err := tleText(*tleFile, *builtin)
 	if err != nil {
 		fatal(err)
+	}
+	if err := satelliteMain(os.Stdout, text, *lat, *lon, *alt, *hours, *minEl, *from, *rates); err != nil {
+		fatal(err)
+	}
+}
+
+// tleText reads the TLE named by -tle or -builtin.
+func tleText(file, builtin string) (string, error) {
+	switch {
+	case file != "":
+		b, err := os.ReadFile(file)
+		return string(b), err
+	case builtin != "":
+		all := dataset.RealTLEs()
+		switch strings.ToLower(builtin) {
+		case "iss":
+			return all[1], nil
+		case "noaa18":
+			return all[2], nil
+		}
+		return "", fmt.Errorf("unknown builtin %q (try iss, noaa18)", builtin)
+	}
+	return "", fmt.Errorf("need -tle FILE or -builtin NAME")
+}
+
+// satelliteMain lists one satellite's passes over one station, writing
+// the report to out.
+func satelliteMain(out io.Writer, text string, lat, lon, alt, hours, minEl float64, from string, rates bool) error {
+	el, err := tle.Parse(text)
+	if err != nil {
+		return err
 	}
 	prop, err := sgp4.New(el)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	start := el.Epoch
-	if *from != "" {
-		start, err = time.Parse(time.RFC3339, *from)
-		if err != nil {
-			fatal(err)
+	if from != "" {
+		if start, err = time.Parse(time.RFC3339, from); err != nil {
+			return err
 		}
 	}
 
-	obs := frames.NewGeodeticDeg(*lat, *lon, *alt)
+	obs := frames.NewGeodeticDeg(lat, lon, alt)
 	name := el.Name
 	if name == "" {
 		name = fmt.Sprintf("NORAD %d", el.NoradID)
 	}
-	fmt.Printf("%s over (%.3f°, %.3f°), %v from %s, mask %.0f°\n",
-		name, *lat, *lon, time.Duration(*hours*float64(time.Hour)).Round(time.Minute),
-		start.Format(time.RFC3339), *minEl)
-	fmt.Printf("orbit: %.1f min period, ~%.0f km altitude, %.2f° inclination\n\n",
+	fmt.Fprintf(out, "%s over (%.3f°, %.3f°), %v from %s, mask %.0f°\n",
+		name, lat, lon, time.Duration(hours*float64(time.Hour)).Round(time.Minute),
+		start.Format(time.RFC3339), minEl)
+	fmt.Fprintf(out, "orbit: %.1f min period, ~%.0f km altitude, %.2f° inclination\n\n",
 		el.PeriodMinutes(), (el.ApogeeKm()+el.PerigeeKm())/2, el.InclinationDeg)
 
-	passes, err := orbit.Passes(prop, obs, start, time.Duration(*hours*float64(time.Hour)), orbit.PassOptions{
-		MinElevationRad: *minEl * astro.Deg2Rad,
+	passes, err := orbit.Passes(prop, obs, start, time.Duration(hours*float64(time.Hour)), orbit.PassOptions{
+		MinElevationRad: minEl * astro.Deg2Rad,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if len(passes) == 0 {
-		fmt.Println("no passes in window")
-		return
+		fmt.Fprintln(out, "no passes in window")
+		return nil
 	}
 	for i, p := range passes {
-		fmt.Printf("%2d  rise %s  culm %s  set %s  dur %5.1f min  max el %5.1f°",
+		fmt.Fprintf(out, "%2d  rise %s  culm %s  set %s  dur %5.1f min  max el %5.1f°",
 			i+1,
 			p.Rise.Format("15:04:05"), p.Culmination.Format("15:04:05"), p.Set.Format("15:04:05"),
 			p.Duration().Minutes(), p.MaxElevationDeg())
-		if *rates {
+		if rates {
 			o, err := orbit.Observe(prop, obs, p.Culmination)
 			if err == nil {
 				geo := linkbudget.Geometry{
@@ -143,19 +151,20 @@ func main() {
 					StationLatRad: obs.LatRad,
 				}
 				r := linkbudget.RateBps(linkbudget.DefaultRadio(), linkbudget.DGSTerminal(), geo, linkbudget.Conditions{})
-				fmt.Printf("  rate %6.1f Mbps", r/1e6)
+				fmt.Fprintf(out, "  rate %6.1f Mbps", r/1e6)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
+	return nil
 }
 
 // populationMain predicts every contact window of a synthetic population
 // against a synthetic DGS network — the scheduler's pass-prediction hot
 // path as a standalone tool. It reports the candidate-index pruning stats
 // alongside the windows so the spatial index's effect is visible from the
-// command line.
-func populationMain(nSat, nGs int, walker, fullScan bool, workers int, seed int64, hours float64, from string, top int) {
+// command line. The report goes to out.
+func populationMain(out io.Writer, nSat, nGs int, walker bool, workers int, seed int64, hours float64, from string, top int) {
 	start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
 	if from != "" {
 		var err error
@@ -184,34 +193,30 @@ func populationMain(nSat, nGs int, walker, fullScan bool, workers int, seed int6
 	horizon := time.Duration(hours * float64(time.Hour))
 	cache := poscache.New(props)
 	cache.Workers = workers
-	pred := passes.New(cache, net, passes.Config{FullScan: fullScan, Workers: workers})
+	pred := passes.New(cache, net, passes.Config{Workers: workers})
 
 	t0 := time.Now()
 	ws := pred.WindowsBetween(nil, start, start.Add(horizon))
 	elapsed := time.Since(t0)
 
-	mode := "spatial index"
-	if fullScan {
-		mode = "full scan"
-	}
-	fmt.Printf("%d-satellite %s × %d stations, %v from %s (%s)\n",
-		nSat, kind, nGs, horizon.Round(time.Minute), start.Format(time.RFC3339), mode)
+	fmt.Fprintf(out, "%d-satellite %s × %d stations, %v from %s\n",
+		nSat, kind, nGs, horizon.Round(time.Minute), start.Format(time.RFC3339))
 	st := pred.Stats()
-	fmt.Printf("%d windows in %v; evaluated %d of %d pairs (%.2f%%) over %d instants, %d refine bisections\n\n",
+	fmt.Fprintf(out, "%d windows in %v; evaluated %d of %d pairs (%.2f%%) over %d instants, %d refine bisections\n\n",
 		len(ws), elapsed.Round(time.Millisecond),
 		st.CandidatePairs, st.CrossPairs,
 		100*float64(st.CandidatePairs)/float64(st.CrossPairs), st.Instants,
 		st.RefineBisections)
 	for i, w := range ws {
 		if i >= top {
-			fmt.Printf("... %d more\n", len(ws)-top)
+			fmt.Fprintf(out, "... %d more\n", len(ws)-top)
 			break
 		}
 		set := "(in progress)"
 		if !w.Set.IsZero() {
 			set = w.Set.Format("15:04:05")
 		}
-		fmt.Printf("sat %5d  gs %4d  rise %s  set %s  dur %5.1f min\n",
+		fmt.Fprintf(out, "sat %5d  gs %4d  rise %s  set %s  dur %5.1f min\n",
 			w.Sat, w.Station, w.Rise.Format("15:04:05"), set,
 			w.End.Sub(w.Start).Minutes())
 	}

@@ -20,8 +20,6 @@
 package core
 
 import (
-	"math"
-	"math/bits"
 	"slices"
 	"time"
 
@@ -61,70 +59,27 @@ type workerScratch struct {
 	cond  condScratch
 }
 
-// ascending rewrites ids — station indices below nGs — in place, in
-// ascending order without duplicates, by setting their bits in the
-// worker's station bitmap and walking it word by word (clearing it as it
-// goes): the set a sort would give, in O(len(ids) + nGs/64).
-func (ws *workerScratch) ascending(ids []int32, nGs int) []int32 {
-	words := (nGs + 63) / 64
-	if len(ws.bits) < words {
-		ws.bits = make([]uint64, words)
-	}
-	set := ws.bits[:words]
-	for _, j := range ids {
-		set[j>>6] |= 1 << (j & 63)
-	}
-	ids = ids[:0]
-	for w, word := range set {
-		for ; word != 0; word &= word - 1 {
-			ids = append(ids, int32(w<<6+bits.TrailingZeros64(word)))
-		}
-		set[w] = 0
-	}
-	return ids
-}
-
-// sinFloors returns, per station, a floor on the clamped elevation sine
-// below which the station's mask rejects the pair: sin(mask) less a 1e-9
-// margin — far wider than the error of sin and of asin, whose slope is at
-// least 1, so a sine under it has an arcsine below the mask — +Inf for a
-// mask at or past the zenith, which no elevation clears, and −Inf for a
-// mask at or below the nadir (or NaN), which the floor leaves to the exact
-// test. Masks are read live per instant, as the exact test reads them.
+// sinFloors returns, per station, spatial.SinFloor of its elevation mask.
+// Masks are read live per instant, as the exact test reads them.
 func (ws *workerScratch) sinFloors(net station.Network) []float64 {
-	if cap(ws.floor) < len(net) {
-		ws.floor = make([]float64, len(net))
+	ws.floor = ws.floor[:0]
+	for _, gs := range net {
+		ws.floor = append(ws.floor, spatial.SinFloor(gs.MinElevationRad))
 	}
-	floor := ws.floor[:len(net)]
-	for j, gs := range net {
-		switch m := gs.MinElevationRad; {
-		case m >= math.Pi/2:
-			floor[j] = math.Inf(1)
-		case m > -math.Pi/2:
-			floor[j] = math.Sin(m) - 1e-9
-		default:
-			floor[j] = math.Inf(-1)
-		}
-	}
-	return floor
+	return ws.floor
 }
 
 // carryPairs carries the instant t: every candidate pair goes through the
 // feasibility cuts — the ones evalCtx.eval applies before it rates an edge,
 // then the kernel's "never closes" — and the survivors come back as
 // ascending packed keys with their carried terms and clear-sky rates. A
-// satellite's candidates are the stations in the cells its horizon disk
-// touches, put in ascending order: a superset of the feasible stations
-// (spatial.HorizonPsiDeg carries the margin), so every feasible pair is
-// evaluated, by the sweep's own exact cuts. The edge order is
-// satellite-major with stations ascending; every consumer of the edge list
-// is insensitive to the within-satellite station order, so the resulting
-// plans are bit-identical to the sweep's.
-//
-// The elevation cut is Look's — asin of the clamped sine, against the mask
-// — without the azimuth nobody reads, and a pair whose sine is under its
-// station's floor (sinFloors) is rejected before the arcsine: it fails the
-// exact cut anyway.
+// satellite's candidates are spatial.Sites.Near's: the stations in the
+// cells its horizon disk touches, ascending — a superset of the feasible
+// stations, so every feasible pair is evaluated, by the sweep's own exact
+// cuts (spatial.Sites.Above's elevation is Look's, without the azimuth).
+// The edge order is satellite-major with stations ascending; every
+// consumer of the edge list is insensitive to the within-satellite station
+// order, so the resulting plans are bit-identical to the sweep's.
 //
 // Both restrictions nil carries every pair. Otherwise only dirty pairs are
 // carried: a satellite marked in dirtySats (indexed by satellite) against
@@ -132,7 +87,7 @@ func (ws *workerScratch) sinFloors(net station.Network) []float64 {
 // listed (ascending) — which, with every station listed, is the full cross
 // product without the index.
 func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats []bool, dirtyStations []int32, ws *workerScratch) *carriedSlot {
-	grid, stGeo := s.stationIndex()
+	stSites := s.stationSites()
 	kern, sites := s.rateKernel()
 	maxRange := s.maxRange()
 	restricted := dirtySats != nil || dirtyStations != nil
@@ -146,8 +101,7 @@ func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats
 		}
 		ecef, cand := e.Pos, dirtyStations
 		if !restricted || (dirtySats != nil && dirtySats[i]) {
-			sp := spatial.SubPointOf(ecef)
-			ws.cond.cand = ws.ascending(grid.AppendNear(ws.cond.cand[:0], sp, spatial.HorizonPsiDeg(sp.RKm)), nGs)
+			ws.cond.cand = stSites.Near(ws.cond.cand, ecef, &ws.bits)
 			cand = ws.cond.cand
 		}
 		for _, j := range cand {
@@ -155,16 +109,8 @@ func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats
 			if !gs.Allows(i) {
 				continue
 			}
-			st := &stGeo[j]
-			if ecef.Sub(st.topo.ECEF).Norm() > maxRange {
-				continue
-			}
-			rangeKm, sinEl := st.topo.RangeSinEl(ecef)
-			if sinEl < floor[j] {
-				continue
-			}
-			el := math.Asin(sinEl)
-			if el <= gs.MinElevationRad {
+			rangeKm, el, ok := stSites.Above(int(j), ecef, maxRange, gs.MinElevationRad, floor[j])
+			if !ok {
 				continue
 			}
 			c, rate, closes := kern.Carry(&sites[j], rangeKm, el)

@@ -330,7 +330,7 @@ func (s *Scheduler) planSweep(sats []SatSnapshot, positions *poscache.Cache, sta
 // and is reused across plans: warm, the stream allocates nothing per slot.
 func (s *Scheduler) planStream(sats []SatSnapshot, start time.Time, slotDur time.Duration, genBitsPerSec float64, slots []*carriedSlot, rates [][]float64, fill func(k int, ws *workerScratch)) *Plan {
 	n := len(slots)
-	s.stationIndex()
+	s.stationSites()
 	s.rateKernel()
 	workers := max(min(s.workers(), n), 1)
 	for len(s.scr) < workers {

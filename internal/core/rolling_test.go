@@ -300,7 +300,7 @@ func runKernelOnCarriedEdges(t *testing.T, w rollingWorld, horizon time.Duration
 	t.Helper()
 	s := w.sched(0, true, false)
 	positions := s.positionCache(w.sats)
-	_, stGeo := s.stationIndex()
+	sites := s.stationSites()
 	memo, memoPath := s.rateMemo()
 	view := memo.View()
 	n := int(horizon / time.Minute)
@@ -329,7 +329,7 @@ func runKernelOnCarriedEdges(t *testing.T, w rollingWorld, horizon time.Duration
 			for x, key := range cs.keys {
 				i, j := int(key)/nGs, int(key)%nGs
 				gs := w.net[j]
-				look := stGeo[j].topo.Look(cached[i].Pos)
+				look := sites.Topo(j).Look(cached[i].Pos)
 				geo := linkbudget.Geometry{
 					RangeKm:         look.RangeKm,
 					ElevationRad:    look.ElevationRad,

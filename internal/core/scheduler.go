@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"dgs/internal/frames"
 	"dgs/internal/linkbudget"
 	"dgs/internal/match"
 	"dgs/internal/orbit"
@@ -108,15 +107,11 @@ type Scheduler struct {
 	// mu guards the lazily initialized shared state below; Visibility
 	// must be callable from PlanEpoch's worker goroutines.
 	mu sync.Mutex
-	// grid is the spatial candidate index over station locations, so
-	// carrying an instant and the sweep only examine stations near each
-	// satellite's ground track.
-	grid *spatial.Grid
-	// stGeo is the per-station fixed geometry (SEZ basis, effective
-	// terminal, elevation mask) precomputed alongside grid so the
-	// visibility inner loop never redoes the geodetic→ECEF conversion or
-	// the beamforming power split per candidate edge.
-	stGeo []stationGeom
+	// stSites is the station network's cell index and topocentric bases,
+	// so carrying an instant and the sweep only examine stations near each
+	// satellite's ground track and never redo the geodetic→ECEF conversion
+	// per candidate edge.
+	stSites *spatial.Sites
 	// pos is the private fallback position cache used when Positions is
 	// nil; rebuilt whenever the snapshot population changes.
 	pos *poscache.Cache
@@ -170,7 +165,7 @@ func (s *Scheduler) SetForecast(fc *weather.Forecast) {
 func (s *Scheduler) SetStations(net station.Network) {
 	s.Stations = net
 	s.mu.Lock()
-	s.grid, s.stGeo = nil, nil
+	s.stSites = nil
 	s.memo, s.memoPath = nil, nil
 	s.kern, s.sites = nil, nil
 	s.mu.Unlock()
@@ -181,35 +176,17 @@ func (s *Scheduler) SetStations(net station.Network) {
 	s.carried, s.carriedPos = nil, nil
 }
 
-// stationGeom is the fixed per-station geometry the visibility inner loop
-// needs: everything here derives from the station location only, so it is
-// computed once and shared read-only across the worker pool. Mutable
-// station fields (constraint bitmap, elevation mask, beam count) are still
-// read live from the station each evaluation.
-type stationGeom struct {
-	topo   frames.Topocentric
-	latRad float64
-	altKm  float64
-}
-
-func (s *Scheduler) stationIndex() (*spatial.Grid, []stationGeom) {
+// stationSites returns the station network's visibility index, built on
+// first use and shared read-only across the worker pool. It derives from
+// station locations only; mutable station fields (constraint bitmap,
+// elevation mask, beam count) are still read live each evaluation.
+func (s *Scheduler) stationSites() *spatial.Sites {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.grid == nil {
-		grid := spatial.NewGrid()
-		geo := make([]stationGeom, len(s.Stations))
-		for j, gs := range s.Stations {
-			grid.Add(int32(j), gs.Location.LatRad, gs.Location.LonRad)
-			geo[j] = stationGeom{
-				topo:   frames.NewTopocentric(gs.Location),
-				latRad: gs.Location.LatRad,
-				altKm:  gs.Location.AltKm,
-			}
-		}
-		s.grid = grid
-		s.stGeo = geo
+	if s.stSites == nil {
+		s.stSites = spatial.NewSites(s.Stations)
 	}
-	return s.grid, s.stGeo
+	return s.stSites
 }
 
 // rateMemo returns the attenuation memo for the scheduler's radio plus

@@ -49,7 +49,7 @@ func (cs *condScratch) reset(n int) {
 // breaks their bit-identity contract, which the differential tests hold.
 type evalCtx struct {
 	s        *Scheduler
-	stGeo    []stationGeom
+	sites    *spatial.Sites
 	memo     *linkbudget.AttenMemo
 	memoPath []int
 	maxRange float64
@@ -93,20 +93,19 @@ func (ec *evalCtx) eval(dst []VisibleEdge, i, j int, ecef frames.Vec3) []Visible
 	if !gs.Allows(i) {
 		return dst
 	}
-	st := &ec.stGeo[j]
-	d := ecef.Sub(st.topo.ECEF)
-	if d.Norm() > ec.maxRange {
+	tp := ec.sites.Topo(j)
+	if ecef.Sub(tp.ECEF).Norm() > ec.maxRange {
 		return dst
 	}
-	look := st.topo.Look(ecef)
+	look := tp.Look(ecef)
 	if look.ElevationRad <= gs.MinElevationRad {
 		return dst
 	}
 	geo := linkbudget.Geometry{
 		RangeKm:         look.RangeKm,
 		ElevationRad:    look.ElevationRad,
-		StationLatRad:   st.latRad,
-		StationHeightKm: st.altKm,
+		StationLatRad:   gs.Location.LatRad,
+		StationHeightKm: gs.Location.AltKm,
 	}
 	rate := ec.rateAt(j, gs.EffectiveTerminal(), geo, ec.condFor(j))
 	if rate <= 0 {
@@ -142,11 +141,11 @@ func (s *Scheduler) visibility(sats []SatSnapshot, positions *poscache.Cache, t 
 // satellite against the stations near its ground track (the exhaustive
 // path: nothing carried from an earlier call).
 func (s *Scheduler) visibilitySweep(dst []VisibleEdge, sats []SatSnapshot, positions *poscache.Cache, t time.Time, lead time.Duration, cs *condScratch) []VisibleEdge {
-	idx, stGeo := s.stationIndex()
+	sites := s.stationSites()
 	memo, memoPath := s.rateMemo()
 	cs.reset(len(s.Stations))
 	ec := evalCtx{
-		s: s, stGeo: stGeo, memo: memo, memoPath: memoPath,
+		s: s, sites: sites, memo: memo, memoPath: memoPath,
 		maxRange: s.maxRange(),
 		// Forecast weather per station: the lead-independent field
 		// samples come from the shared per-instant cache (hot across
@@ -161,11 +160,7 @@ func (s *Scheduler) visibilitySweep(dst []VisibleEdge, sats []SatSnapshot, posit
 			continue
 		}
 		ecef := cached[i].Pos
-		sp := spatial.SubPointOf(ecef)
-		if !sp.Visible() {
-			continue
-		}
-		cs.cand = idx.AppendNear(cs.cand[:0], sp, spatial.HorizonPsiDeg(sp.RKm))
+		cs.cand = sites.AppendNear(cs.cand[:0], ecef)
 		for _, j := range cs.cand {
 			dst = ec.eval(dst, i, int(j), ecef)
 		}

@@ -1,7 +1,6 @@
 package passes
 
 import (
-	"reflect"
 	"testing"
 	"time"
 )
@@ -117,48 +116,48 @@ func TestCoveringStopsEarly(t *testing.T) {
 	}
 }
 
-// The remaining tests pin Predictor-level edges: Prune's boundary is
-// inclusive like Covers (a window ending exactly at the prune instant
-// survives, because a slot at that instant may still schedule it), a
-// query that forces a re-anchor after a prune rebuilds coverage
-// identically to a fresh predictor, and empty-horizon queries return a
-// zero-length slice — never nil — so callers can serialize and compare
-// results without special-casing.
+// The remaining tests pin Predictor-level edges of the span-clip property
+// (checkSpanClip): a window whose End is exactly the cut is not reported
+// from the cut — the pair is below the mask there — while one still up at
+// the span's last stride instant is, starting there; a query off an
+// earlier query's stride grid is a fresh scan of its own grid; and
+// empty-horizon queries return a zero-length slice — never nil — so
+// callers can serialize and compare results without special-casing.
 
 func TestPruneExactlyOnWindowBoundary(t *testing.T) {
 	pos, net := world(t, 40, 25)
-	p := New(pos, net, Config{})
-	ws := p.WindowsBetween(nil, epoch, epoch.Add(2*time.Hour))
+	// Tol = stride leaves every bracket unrefined, so End sits on the grid.
+	p := New(pos, net, Config{Tol: time.Minute})
+	end := epoch.Add(2 * time.Hour)
 	var probe Window
-	for _, w := range ws {
-		if !w.Set.IsZero() { // completed, not in progress
+	for _, w := range p.WindowsBetween(nil, epoch, end) {
+		if !w.Set.IsZero() && w.End.Before(end.Add(-time.Minute)) { // completed, not in progress
 			probe = w
 			break
 		}
 	}
 	if probe.End.IsZero() {
-		t.Fatal("no completed window to prune against")
+		t.Fatal("no completed window to cut at")
 	}
-
-	count := func(ws Windows) int {
-		n := 0
-		for _, w := range ws {
-			if w.Sat == probe.Sat && w.Station == probe.Station && w.Start.Equal(probe.Start) {
-				n++
-			}
+	if d, _ := checkSpanClip(t, p, epoch, probe.End, end); d == 0 {
+		t.Fatal("the cut at a window's End dropped nothing")
+	}
+	for _, w := range p.WindowsBetween(nil, probe.End, end) {
+		if w.Sat == probe.Sat && w.Station == probe.Station && w.Start.Equal(probe.End) {
+			t.Fatalf("window ending exactly at the cut reported from it: %+v", w)
 		}
-		return n
 	}
 
-	// Pruning exactly at End keeps the window (End is inside the bracket).
-	p.Prune(probe.End)
-	if n := count(p.WindowsBetween(nil, epoch, epoch.Add(2*time.Hour))); n != 1 {
-		t.Fatalf("window pruned at its own End instant (found %d)", n)
+	// The cut at the span's last stride instant keeps only the contacts
+	// up there, each a one-instant window starting and ending at the cut.
+	last := end.Add(-time.Minute)
+	if _, moved := checkSpanClip(t, New(pos, net, Config{}), epoch, last, end); moved == 0 {
+		t.Fatal("no contact in progress at the last stride instant")
 	}
-	// One nanosecond past End drops it.
-	p.Prune(probe.End.Add(time.Nanosecond))
-	if n := count(p.WindowsBetween(nil, epoch, epoch.Add(2*time.Hour))); n != 0 {
-		t.Fatalf("window survived a prune strictly past its End (found %d)", n)
+	for _, w := range p.WindowsBetween(nil, last, end) {
+		if !w.Start.Equal(last) || !w.End.Equal(last) || !w.Set.IsZero() {
+			t.Fatalf("window from the last stride instant is not that instant, in progress: %+v", w)
+		}
 	}
 }
 
@@ -166,27 +165,23 @@ func TestReanchorAfterPrune(t *testing.T) {
 	pos, net := world(t, 40, 25)
 	p := New(pos, net, Config{})
 	p.WindowsBetween(nil, epoch, epoch.Add(time.Hour))
-	p.Prune(epoch.Add(time.Hour))
 
-	// Querying off the established stride grid forces a re-anchor; the
-	// result must match a predictor that never had the earlier coverage.
+	// A query off the earlier stride grid scans its own: it matches a
+	// predictor that never answered the earlier one, repeatably, and a
+	// longer span on its grid clipped at its start.
 	from := epoch.Add(61*time.Minute + 30*time.Second)
 	to := from.Add(45 * time.Minute)
-	got := p.WindowsBetween(nil, from, to)
-	fresh := New(pos, net, Config{}).WindowsBetween(nil, from, to)
+	got := checkRepeatable(t, p, New(pos, net, Config{}), from, to)
 	if len(got) == 0 {
-		t.Fatal("no windows after re-anchor; the comparison is vacuous")
+		t.Fatal("no windows off the earlier grid; the comparison is vacuous")
 	}
-	if !reflect.DeepEqual(got, fresh) {
-		t.Fatalf("re-anchored coverage diverges from fresh predictor:\n got %d windows\nwant %d windows",
-			len(got), len(fresh))
-	}
-	// The re-anchor must also have discarded pre-reset windows: everything
-	// returned starts within the new coverage.
 	for _, w := range got {
-		if w.End.Before(from) {
-			t.Fatalf("window from discarded coverage leaked through: %+v", w)
+		if w.Start.Before(from) {
+			t.Fatalf("window from outside the span leaked through: %+v", w)
 		}
+	}
+	if _, moved := checkSpanClip(t, p, from.Add(-30*time.Minute), from, to); moved == 0 {
+		t.Fatal("no contact up at the span's start; the clip is vacuous")
 	}
 }
 

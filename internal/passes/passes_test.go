@@ -2,6 +2,7 @@ package passes
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -121,26 +122,87 @@ func TestWindowsCoverAboveInstants(t *testing.T) {
 }
 
 // TestIncrementalMatchesFresh drives one predictor through overlapping
-// epoch-style queries and checks it ends up with exactly the windows a
-// fresh predictor finds in a single query over the union range.
+// epoch-style queries: each answer equals a fresh predictor's answer to
+// the same query, repeating a query returns identical windows and Stats,
+// and the final query over the union range equals a fresh single scan.
 func TestIncrementalMatchesFresh(t *testing.T) {
 	posA, net := world(t, 5, 10)
 	posB, _ := world(t, 5, 10)
 	cfg := Config{CoarseStep: 30 * time.Second}
 	inc := New(posA, net, cfg)
-	fresh := New(posB, net, cfg)
 
 	end := epoch.Add(4 * time.Hour)
 	for k := 0; k < 5; k++ {
 		from := epoch.Add(time.Duration(k) * 30 * time.Minute)
-		inc.WindowsBetween(nil, from, from.Add(2*time.Hour))
+		checkRepeatable(t, inc, New(posB, net, cfg), from, from.Add(2*time.Hour))
 	}
 	got := inc.WindowsBetween(nil, epoch, end)
-	want := fresh.WindowsBetween(nil, epoch, end)
+	want := New(posB, net, cfg).WindowsBetween(nil, epoch, end)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("incremental coverage diverges from fresh scan:\n got %d windows %+v\nwant %d windows %+v",
+		t.Fatalf("sequenced predictor diverges from fresh scan:\n got %d windows %+v\nwant %d windows %+v",
 			len(got), got, len(want), want)
 	}
+}
+
+// checkRepeatable requires p's answer to [from, to) to equal fresh's, and
+// asking p again to return identical windows and Stats: nothing but
+// scratch survives a query. It returns the windows.
+func checkRepeatable(t *testing.T, p, fresh *Predictor, from, to time.Time) Windows {
+	t.Helper()
+	got := p.WindowsBetween(nil, from, to)
+	st := p.Stats()
+	if want := fresh.WindowsBetween(nil, from, to); !reflect.DeepEqual(got, want) {
+		t.Fatalf("[%v, %v): %d windows, a fresh predictor finds %d", from, to, len(got), len(want))
+	}
+	if st != fresh.Stats() {
+		t.Fatalf("[%v, %v): stats %+v, a fresh predictor's %+v", from, to, st, fresh.Stats())
+	}
+	if again := p.WindowsBetween(nil, from, to); !reflect.DeepEqual(again, got) || p.Stats() != st {
+		t.Fatalf("[%v, %v): repeated query changed: %d windows, stats %+v; first %d, %+v", from, to, len(again), p.Stats(), len(got), st)
+	}
+	return got
+}
+
+// clipAt is the span-clip reference: the windows of a span whose stride
+// grid holds cut, as the same span queried from cut reports them — those
+// ending after cut or still open, with a contact already up at cut
+// starting there — in CompareWindows order.
+func clipAt(ws Windows, cut time.Time) Windows {
+	out := Windows{}
+	for _, w := range ws {
+		if !w.End.After(cut) && !w.Set.IsZero() {
+			continue
+		}
+		if !w.Rise.After(cut) {
+			w.Start, w.Rise = cut, cut
+		}
+		out = append(out, w)
+	}
+	slices.SortFunc(out, CompareWindows)
+	return out
+}
+
+// checkSpanClip requires the query [cut, to) to equal clipAt of the
+// query [from, to), cut on from's stride grid. It returns how many windows
+// the clip dropped and how many it moved to start at cut, so callers can
+// require both shapes.
+func checkSpanClip(t *testing.T, p *Predictor, from, cut, to time.Time) (dropped, moved int) {
+	t.Helper()
+	all := p.WindowsBetween(nil, from, to)
+	want := clipAt(all, cut)
+	got := p.WindowsBetween(nil, cut, to)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("cut %v: query from the cut has %d windows, the clipped span %d\n got %+v\nwant %+v", cut, len(got), len(want), got, want)
+	}
+	for _, w := range all {
+		switch {
+		case !w.End.After(cut) && !w.Set.IsZero():
+			dropped++
+		case w.Rise.Before(cut):
+			moved++
+		}
+	}
+	return dropped, moved
 }
 
 // TestCoveringIterator checks the sorted-order iterator contract.
@@ -172,28 +234,21 @@ func TestCoveringIterator(t *testing.T) {
 	}
 }
 
-// TestPrune drops retired windows and keeps coverage consistent.
+// TestPrune: a query from a later cut on the same stride grid reports
+// exactly the earlier span's windows clipped at the cut — what dropping
+// retired windows used to guarantee. Cuts early, mid and at the span's
+// last stride instant.
 func TestPrune(t *testing.T) {
 	pos, net := world(t, 5, 10)
 	p := New(pos, net, Config{CoarseStep: time.Minute})
 	end := epoch.Add(3 * time.Hour)
-	all := p.WindowsBetween(nil, epoch, end)
-	cut := epoch.Add(90 * time.Minute)
-	p.Prune(cut)
-	after := p.WindowsBetween(nil, cut, end)
-	for _, w := range after {
-		if w.End.Before(cut) {
-			t.Fatalf("pruned window survived: %+v", w)
-		}
+	dropped, moved := 0, 0
+	for _, m := range []int{1, 17, 90, 179} {
+		d, mv := checkSpanClip(t, p, epoch, epoch.Add(time.Duration(m)*time.Minute), end)
+		dropped += d
+		moved += mv
 	}
-	// Every original window still relevant after the cut must survive.
-	want := 0
-	for _, w := range all {
-		if !w.End.Before(cut) && w.Start.Before(end) {
-			want++
-		}
-	}
-	if len(after) != want {
-		t.Fatalf("got %d windows after prune, want %d", len(after), want)
+	if dropped == 0 || moved == 0 {
+		t.Fatalf("clips dropped %d and moved %d windows; a shape went unexercised", dropped, moved)
 	}
 }

@@ -27,12 +27,23 @@ func walkerWorld(t testing.TB, nSat, nGs int) (*poscache.Cache, station.Network)
 	return poscache.New(props), dataset.Stations(dataset.StationOptions{N: nGs, Seed: 4})
 }
 
-// diffIndexVsFullScan predicts the same horizon with the spatial index on
-// and off over one shared position cache and requires identical windows.
+// everyStation lists the whole network as a station subset: the full
+// cross product, with no cell index.
+func everyStation(net station.Network) []int {
+	every := make([]int, len(net))
+	for j := range every {
+		every[j] = j
+	}
+	return every
+}
+
+// diffIndexVsFullScan predicts the same horizon with the spatial index and
+// with every station listed over one shared position cache and requires
+// identical windows.
 func diffIndexVsFullScan(t *testing.T, pos *poscache.Cache, net station.Network, horizon time.Duration) {
 	t.Helper()
 	indexed := New(pos, net, Config{})
-	full := New(pos, net, Config{FullScan: true})
+	full := New(pos, net, Config{Stations: everyStation(net)})
 	a := indexed.WindowsBetween(nil, epoch, epoch.Add(horizon))
 	b := full.WindowsBetween(nil, epoch, epoch.Add(horizon))
 	if len(a) == 0 {

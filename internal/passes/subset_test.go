@@ -144,36 +144,36 @@ func TestSubsetMatchesFilterAfterWalker(t *testing.T) {
 }
 
 // TestSubsetIncremental drives a subset predictor and an unrestricted one
-// through the scheduler's incremental pattern — coverage extended in
-// batches, a Prune, a later anchor on the same grid, then a gap that
-// forces a re-anchor — and requires every query of the subset to equal
-// the unrestricted answer to the same query filtered afterwards: runs
-// that open in one flush batch and close in a later one, and contacts
-// clipped at a fresh anchor, stay per-pair independent.
+// through a sequence of queries — spans that grow, a later start on the
+// same grid, then one past a gap — and requires every query of the subset
+// to equal the unrestricted answer to the same query filtered afterwards,
+// a fresh subset predictor's answer, and its own repeat: contacts open at
+// a span's end or clipped at its start stay per-pair independent.
 func TestSubsetIncremental(t *testing.T) {
 	pos, net := world(t, 40, 25)
 	type query struct{ from, to time.Duration }
 	queries := []query{
 		{0, 20 * time.Minute}, {0, 40 * time.Minute}, {0, 90 * time.Minute},
-		{30 * time.Minute, 2 * time.Hour}, // after Prune(30m)
-		{3 * time.Hour, 4 * time.Hour},    // gap: re-anchors the scan
+		{30 * time.Minute, 2 * time.Hour},
+		{3 * time.Hour, 4 * time.Hour}, // past a gap
 	}
 	run := func(cfg Config) []Windows {
 		p := New(pos, net, cfg)
 		var out []Windows
-		for qi, q := range queries {
-			if qi == 3 {
-				p.Prune(epoch.Add(q.from))
-			}
-			out = append(out, p.WindowsBetween(nil, epoch.Add(q.from), epoch.Add(q.to)))
+		for _, q := range queries {
+			out = append(out, checkRepeatable(t, p, New(pos, net, cfg), epoch.Add(q.from), epoch.Add(q.to)))
 		}
 		return out
 	}
 	ref := run(Config{Workers: 1})
+	every := everyStation(net)
 	for _, tc := range subsetCases(t, ref[2], epoch, pos.Len(), len(net)) {
 		nonEmpty := 0
-		for _, cfg := range []Config{{Workers: 1}, {Workers: 4}, {Workers: 4, FullScan: true}, {Workers: pool.DefaultWorkers()}} {
-			cfg.Sats, cfg.Stations = tc.sats, tc.stations
+		for _, cfg := range []Config{{Workers: 1}, {Workers: 4}, {Workers: 4, Stations: every}, {Workers: pool.DefaultWorkers()}} {
+			cfg.Sats = tc.sats
+			if tc.stations != nil {
+				cfg.Stations = tc.stations
+			}
 			for qi, got := range run(cfg) {
 				want := filterAfter(ref[qi], tc.sats, tc.stations)
 				if !reflect.DeepEqual(got, want) {

@@ -74,29 +74,28 @@ func TestWorkersBitIdenticalWalker(t *testing.T) {
 }
 
 // TestWorkersBitIdenticalIncremental drives parallel and serial
-// predictors through the scheduler's incremental pattern — overlapping
-// queries that extend coverage in batches, with a prune in between — so
-// transitions open in one flush batch and close in a later one, and the
-// run-patching path (refine a bracket whose run is still open) is
-// exercised alongside the window-patching one. Also crosses in FullScan:
-// the candidate index must stay output-invisible under sharding.
+// predictors through a sequence of overlapping queries — spans that grow,
+// then one that starts later — with every station listed crossed in: the
+// candidate index must stay output-invisible under sharding. Each query
+// equals a fresh predictor's answer and repeats identically on the same
+// predictor, and every config answers every query as the serial one does.
 func TestWorkersBitIdenticalIncremental(t *testing.T) {
+	pos, net := world(t, 40, 25)
 	configs := []Config{
 		{Workers: 1},
 		{Workers: 4},
-		{Workers: 4, FullScan: true},
+		{Workers: 4, Stations: everyStation(net)},
 		{Workers: pool.DefaultWorkers()},
 	}
+	type query struct{ from, to time.Duration }
+	queries := []query{{0, 20 * time.Minute}, {0, 40 * time.Minute}, {0, 90 * time.Minute}, {30 * time.Minute, 2 * time.Hour}}
 	var ref []Windows
 	for ci, cfg := range configs {
-		pos, net := world(t, 40, 25)
 		p := New(pos, net, cfg)
 		var got []Windows
-		for _, span := range []time.Duration{20 * time.Minute, 40 * time.Minute, 90 * time.Minute} {
-			got = append(got, p.WindowsBetween(nil, epoch, epoch.Add(span)))
+		for _, q := range queries {
+			got = append(got, checkRepeatable(t, p, New(pos, net, cfg), epoch.Add(q.from), epoch.Add(q.to)))
 		}
-		p.Prune(epoch.Add(30 * time.Minute))
-		got = append(got, p.WindowsBetween(nil, epoch.Add(30*time.Minute), epoch.Add(2*time.Hour)))
 		if ci == 0 {
 			ref = got
 			n := 0
@@ -117,14 +116,14 @@ func TestWorkersBitIdenticalIncremental(t *testing.T) {
 	}
 }
 
-// TestInProgressRunRefinedAcrossBatches pins the deferred-refinement
-// patching for a contact that is still open at the coverage boundary: the
-// rise reported while the run is in progress must already be the refined
-// crossing, and must not change when a later query closes the window.
+// TestInProgressRunRefinedAcrossBatches pins the refinement of a contact
+// still open at the end of a span: the rise reported while it is in
+// progress must already be the refined crossing — the one a longer span,
+// which closes the window, reports.
 func TestInProgressRunRefinedAcrossBatches(t *testing.T) {
 	pos, net := world(t, 40, 25)
 	p := New(pos, net, Config{})
-	step := p.CoarseStep()
+	const step = time.Minute // the default stride
 
 	// Find an in-progress window whose rise was refined (Rise after Start,
 	// i.e. the pair rose mid-coverage, not at covFrom).
@@ -148,8 +147,8 @@ func TestInProgressRunRefinedAcrossBatches(t *testing.T) {
 		t.Fatalf("refined rise %v not within one stride after start %v", probe.Rise, probe.Start)
 	}
 
-	// Extending coverage closes the window eventually; its refined rise
-	// must be exactly what the in-progress report promised.
+	// A longer span closes the window eventually; its refined rise must be
+	// exactly what the in-progress report promised.
 	for _, w := range p.WindowsBetween(nil, epoch, epoch.Add(horizon+4*time.Hour)) {
 		if w.Sat == probe.Sat && w.Station == probe.Station && w.Start.Equal(probe.Start) {
 			if !w.Rise.Equal(probe.Rise) {

@@ -98,10 +98,13 @@
 // clients asking about the same minute share cache entries, position-
 // cache instants, and in-flight computations.
 //
-// A miss costs what it asks about: the pass endpoints' sat= and station=
-// filters reach the predictor as a pair subset (passes.Config.Sats /
-// Stations) — sat= propagates one satellite and leaves the position cache
-// alone (≈1.5 ms for 3 h at 259 × 173), station= tests one station per
-// satellite-instant (≈25 ms); only the unfiltered query scans every pair
-// (≈275 ms). The windows are the unfiltered answer's, byte for byte.
+// A miss costs what it asks about: a pass query is one stateless scan of
+// its span over the planner's own visibility primitive (spatial.Sites), so
+// the pass endpoints cannot disagree with the plan about who sees whom,
+// and the sat= and station= filters reach it as a pair subset
+// (passes.Config.Sats / Stations) — sat= propagates one satellite and
+// leaves the position cache alone (≈1.5 ms for 3 h at 259 × 173),
+// station= tests one station per satellite-instant (≈25 ms); only the
+// unfiltered query scans every pair (≈275 ms). The windows are the
+// unfiltered answer's, byte for byte.
 package serve

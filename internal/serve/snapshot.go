@@ -285,9 +285,11 @@ func (s *Snapshot) InSpan(t time.Time) bool {
 // the population matches nothing). from must be grid-aligned (use
 // Quantize). The restriction is the predictor's pair subset: the windows
 // are the unrestricted query's, byte for byte, at the cost of the pairs
-// asked about. Each call runs a fresh predictor over the shared position
-// cache, so concurrent queries never contend on predictor state and
-// identical queries produce identical windows.
+// asked about. Each call is one stateless span query — its predictor
+// holds nothing but scratch — over the shared position cache and the
+// visibility primitive the planner carries with (spatial.Sites), so
+// concurrent queries never contend and identical queries produce
+// identical windows.
 func (s *Snapshot) Passes(from, to time.Time, sat, gs int) passes.Windows {
 	if sat >= len(s.props) || gs >= len(s.net) {
 		return passes.Windows{}

@@ -1,13 +1,13 @@
-// Package spatial is the candidate index behind the mega-constellation
-// hot path: a latitude-band × longitude bucketing of fixed ground sites,
-// queried per satellite per instant with the horizon disk around the
-// satellite's sub-point. Pass prediction and the visibility sweep both
-// used to carry a private copy of this pruning; at 10k satellites × 1k
-// stations the cross product is the dominant cost, so the index is now a
-// shared package with one property to uphold: it may over-approximate
-// (callers re-test every candidate exactly) but must never miss a site
-// whose great-circle distance to the sub-point can clear the elevation
-// mask.
+// Package spatial answers "which stations can a satellite at this position
+// see": Sites is the one visibility primitive under the planner's carry
+// and the pass scan — a candidate index, then the exact slant-range and
+// elevation-mask cuts. The index is a latitude-band × longitude bucketing
+// of fixed ground sites, queried per satellite per instant with the
+// horizon disk around the satellite's sub-point; at 10k satellites × 1k
+// stations the cross product is the dominant cost. It has one property to
+// uphold: it may over-approximate (every candidate is re-tested exactly)
+// but must never miss a site whose great-circle distance to the sub-point
+// can clear the elevation mask.
 //
 // Geometry: a LEO satellite at geocentric radius r sees, at best, sites
 // within the horizon central angle ψ = acos(R⊕/r) of its sub-point
