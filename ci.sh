@@ -61,8 +61,11 @@ echo "== go test -count=5 -cpu 1,2,4 (session layer and its station-side owner)"
 # repetition across CPU counts here, not in the field.
 go test -count=5 -cpu 1,2,4 ./internal/session ./internal/backend
 # Likewise the federated no-torn-reads probe: readers race real epoch-
-# vector movement, which only repetition across CPU counts explores.
-go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears' ./internal/serve
+# vector movement, which only repetition across CPU counts explores. The
+# plan and optimizer streams share one SSE writer (serveSSE), whose relay
+# loop races the subscription's eviction, the source's close and the
+# client's disconnect: its tests repeat here too.
+go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream|OptimizeStream|SSEWriter' ./internal/serve
 # The pair-subset scan shards and refines like the unrestricted one: its
 # filter-after identity must hold at every worker split, and a pass query
 # is a pure function of its span (Prune, Reanchor, Incremental, InProgress:
@@ -142,9 +145,10 @@ echo "== federation smoke (2 dgs-shard + front tier vs monolith)"
 # (2) /v2/plan to carry a 2-component epoch vector that a weather update
 # broadcast through the front tier moves on both components; (3) a
 # 1-shard fleet's /v1/plan byte-identical to the monolith's (the
-# end-to-end merge identity). The federated 2-shard plan legitimately
-# differs only where stations were contended across the partition
-# boundary. No-torn-reads under concurrent updates is a Go test
+# end-to-end merge identity); (4) a fleet whose shard 1 runs another
+# world (here -clear-sky) refused at front-tier startup, not merged. The
+# federated 2-shard plan legitimately differs only where stations were
+# contended across the partition boundary. No-torn-reads under concurrent updates is a Go test
 # (TestFederationEpochVectorNeverTears), run and raced above.
 go build -o "$smokedir/dgs-shard" ./cmd/dgs-shard
 world_flags="-sats 16 -stations 12 -max-span 6h -plan-horizon 15m"
@@ -188,8 +192,18 @@ curl -sf "http://$front1_addr/v1/plan?hours=0.25" > "$smokedir/fed_plan.json"
 curl -sf "http://$mono_addr/v1/plan?hours=0.25" > "$smokedir/mono_plan.json"
 cmp "$smokedir/fed_plan.json" "$smokedir/mono_plan.json"
 kill -INT "$front1_pid"; wait "$front1_pid" || { cat "$smokedir/front1.log" >&2; exit 1; }
-kill "$solo_pid" "$shard0_pid" "$shard1_pid" "$mono_pid" 2>/dev/null || true
-wait "$solo_pid" "$shard0_pid" "$shard1_pid" "$mono_pid" 2>/dev/null || true
+# A mismatched fleet: every world flag but -workers must agree.
+# shellcheck disable=SC2086
+"$smokedir/dgs-shard" -listen 127.0.0.1:0 $world_flags -clear-sky -shard 1 -shards 2 > "$smokedir/shard_clear.log" 2>&1 &
+clear_pid=$!
+clear_addr=$(wait_addr "$smokedir/shard_clear.log" "satellites) on")
+if "$smokedir/dgs-api" -listen 127.0.0.1:0 -shards "$shard0_addr,$clear_addr" > "$smokedir/front_mismatch.log" 2>&1; then
+    echo "front tier accepted a fleet whose shard 1 runs -clear-sky" >&2; cat "$smokedir/front_mismatch.log" >&2; exit 1
+fi
+grep -q "differs from shard 0" "$smokedir/front_mismatch.log" \
+    || { echo "front tier failed without the fleet-mismatch refusal:" >&2; cat "$smokedir/front_mismatch.log" >&2; exit 1; }
+kill "$solo_pid" "$shard0_pid" "$shard1_pid" "$clear_pid" "$mono_pid" 2>/dev/null || true
+wait "$solo_pid" "$shard0_pid" "$shard1_pid" "$clear_pid" "$mono_pid" 2>/dev/null || true
 
 echo "== ack-relay smoke (dgs-backend + dgs-station)"
 # The station↔backend hop end to end, as binaries: a backend planning a

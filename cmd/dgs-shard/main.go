@@ -6,9 +6,9 @@
 // over the framed wire protocol — topology, live and scratch plans, pass
 // windows, link budgets, and world updates.
 //
-// Every shard of a fleet must be started with identical world flags and
-// the same -shards count; the front tier validates this at startup and
-// refuses mismatched fleets.
+// Every shard of a fleet must be started with the same -shards count and
+// identical world flags, all but -workers; the front tier validates this
+// at startup and refuses mismatched fleets.
 //
 // Usage:
 //

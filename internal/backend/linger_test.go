@@ -211,7 +211,7 @@ func TestReplyBeforeWriteReturns(t *testing.T) {
 			if len(ws) == 0 {
 				return fmt.Errorf("world has no passes to evaluate")
 			}
-			mid := view.Quantize(ws[0].Start.Add(ws[0].End.Sub(ws[0].Start) / 2))
+			mid := cfg.Quantize(ws[0].Start.Add(ws[0].End.Sub(ws[0].Start) / 2))
 			for i := 0; i < trips; i++ {
 				if lb := view.LinkBudgetAt(ws[0].Sat, ws[0].Station, mid, 0); !lb.Visible {
 					return fmt.Errorf("query %d: lost (%+v)", i, lb)

@@ -76,6 +76,12 @@
 // correlation by ShardReply.ID that fails fast while a session is down: a
 // lost shard degrades the merged plan (degraded:true + missing_shards)
 // instead of erroring, and is folded back in when its session comes up.
+// Every shard reports its resolved SnapshotConfig and live-plan horizon;
+// the front tier starts only if all of them, every field but Workers,
+// equal shard 0's (epochs compared as instants), the station capacity
+// vectors agree, and the partitions cover the constellation exactly. Its
+// view then serves shard 0's configuration, so a fleet is one world by
+// construction, never a merge of two.
 //
 // # The query hot path
 //
@@ -107,4 +113,22 @@
 // station= tests one station per satellite-instant (≈25 ms); only the
 // unfiltered query scans every pair (≈275 ms). The windows are the
 // unfiltered answer's, byte for byte.
+//
+// # Files
+//
+//	server.go          Server, the route table and its one timing wrapper,
+//	                   the cache → admission → dedup chain, health/ready/vars
+//	request.go         error envelope, response writers, query parsers
+//	passes_api.go      /v1/passes and /v2/passes (one handler, v2 envelope)
+//	plan_api.go        /v1/plan, /v2/plan, /v2/plan/stream, plan rendering
+//	linkbudget_api.go  /v1/linkbudget
+//	updates_api.go     /v2/updates
+//	optimize.go        /v2/optimize jobs
+//	stream.go          subHub and serveSSE, the one event-stream writer
+//	store.go source.go the versioned world: Store, World, worldPub
+//	snapshot.go        the immutable query world (SnapshotConfig, Snapshot)
+//	federator.go       the front tier; shardserver.go, shardclient.go and
+//	                   fedwire.go the shard hop
+//	cache.go flight.go admission.go stats.go   the hot-path layers
+//	flags.go           the world flags dgs-api and dgs-shard share
 package serve

@@ -40,11 +40,17 @@ type testShard struct {
 // listener's port is released.
 func startTestShard(t *testing.T, idx, count int, addr string) *testShard {
 	t.Helper()
-	snap, part, err := NewShardWorld(fedWorldCfg(), idx, count)
+	return startShard(t, fedWorldCfg(), fedPlanHorizon, idx, count, addr)
+}
+
+// startShard boots one shard backend over an explicit world.
+func startShard(t *testing.T, cfg SnapshotConfig, horizon time.Duration, idx, count int, addr string) *testShard {
+	t.Helper()
+	snap, part, err := NewShardWorld(cfg, idx, count)
 	if err != nil {
 		t.Fatalf("shard %d/%d world: %v", idx, count, err)
 	}
-	store := NewStore(snap, StoreConfig{PlanHorizon: fedPlanHorizon})
+	store := NewStore(snap, StoreConfig{PlanHorizon: horizon})
 	srv := NewShardServer(store, part)
 	srv.Logf = t.Logf
 	if addr == "" {
@@ -99,7 +105,7 @@ func monolithHandler(t *testing.T) http.Handler {
 	}
 	store := NewStore(snap, StoreConfig{PlanHorizon: fedPlanHorizon})
 	t.Cleanup(store.Close)
-	return NewWithStore(store, Config{}).Handler()
+	return NewWithSource(store, Config{}).Handler()
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -453,5 +459,76 @@ func TestFederationEpochVectorNeverTears(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestFederationRefusesMismatchedFleet: a shard started with any world
+// flag but -workers different from shard 0's is a fleet serving two
+// worlds, and the front tier must refuse it at startup rather than merge
+// its plan. A fleet that differs only in Workers (or writes the same
+// epoch in another zone) is one world: it is accepted, and the front
+// tier's view reports the configuration the fleet actually runs.
+func TestFederationRefusesMismatchedFleet(t *testing.T) {
+	base := SnapshotConfig{
+		Satellites: 8, Stations: 6, Seed: 3,
+		TxFraction: 0.5, ForecastErr: 0.2, GenGBPerDay: 50,
+		MaxSpan: 2 * time.Hour, Workers: 1,
+	}.withDefaults()
+	const horizon = 15 * time.Minute
+	sh0 := startShard(t, base, horizon, 0, 2, "")
+
+	cases := []struct {
+		name    string
+		mutate  func(c *SnapshotConfig)
+		horizon time.Duration
+		accept  bool
+	}{
+		{name: "satellites", mutate: func(c *SnapshotConfig) { c.Satellites = 9 }},
+		{name: "stations", mutate: func(c *SnapshotConfig) { c.Stations = 7 }},
+		{name: "seed", mutate: func(c *SnapshotConfig) { c.Seed = 4 }},
+		{name: "tx-fraction", mutate: func(c *SnapshotConfig) { c.TxFraction = 0.25 }},
+		{name: "clear-sky", mutate: func(c *SnapshotConfig) { c.ClearSky = true }},
+		{name: "forecast-err", mutate: func(c *SnapshotConfig) { c.ForecastErr = 0.4 }},
+		{name: "gen-gb", mutate: func(c *SnapshotConfig) { c.GenGBPerDay = 60 }},
+		{name: "slot", mutate: func(c *SnapshotConfig) { c.Slot = 30 * time.Second }},
+		{name: "epoch", mutate: func(c *SnapshotConfig) { c.Epoch = c.Epoch.Add(time.Hour) }},
+		{name: "max-span", mutate: func(c *SnapshotConfig) { c.MaxSpan = 3 * time.Hour }},
+		{name: "plan-horizon", horizon: 20 * time.Minute},
+		{name: "workers only", mutate: func(c *SnapshotConfig) { c.Workers = 3 }, accept: true},
+		{name: "epoch in another zone", mutate: func(c *SnapshotConfig) { c.Epoch = c.Epoch.In(time.FixedZone("UTC+2", 2*3600)) }, accept: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, h := base, horizon
+			if tc.mutate != nil {
+				tc.mutate(&cfg)
+			}
+			if tc.horizon != 0 {
+				h = tc.horizon
+			}
+			sh1 := startShard(t, cfg, h, 1, 2, "")
+			fed, err := NewFederator([]string{sh0.addr, sh1.addr}, FederatorConfig{
+				CallTimeout:  10 * time.Second,
+				StartTimeout: 10 * time.Second,
+				Logf:         t.Logf,
+			})
+			if !tc.accept {
+				if err == nil {
+					fed.Close()
+					t.Fatal("front tier merged a fleet whose shards serve different worlds")
+				}
+				if !strings.Contains(err.Error(), "differs from shard 0") {
+					t.Fatalf("refused for the wrong reason: %v", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("front tier refused a one-world fleet: %v", err)
+			}
+			defer fed.Close()
+			if got := fed.Current().Snap.Config(); !sameWorld(got, base) {
+				t.Fatalf("front tier serves config %+v, the fleet runs %+v", got, base)
+			}
+		})
 	}
 }

@@ -20,8 +20,6 @@ import (
 
 // FederatorConfig tunes the front tier. The zero value selects defaults.
 type FederatorConfig struct {
-	// SubBuffer is each stream subscriber's event buffer (default 16).
-	SubBuffer int
 	// CallTimeout bounds one shard query (default 30 s).
 	CallTimeout time.Duration
 	// Heartbeat is the shard-session keepalive interval (default 15 s).
@@ -38,9 +36,6 @@ type FederatorConfig struct {
 }
 
 func (c FederatorConfig) withDefaults() FederatorConfig {
-	if c.SubBuffer <= 0 {
-		c.SubBuffer = 16
-	}
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = 30 * time.Second
 	}
@@ -56,7 +51,10 @@ func (c FederatorConfig) withDefaults() FederatorConfig {
 // fedTopo is the validated fleet topology, swapped atomically so query
 // paths read it without locking.
 type fedTopo struct {
-	viewCfg     SnapshotConfig
+	// cfg is the world configuration every shard resolved (shard 0's copy);
+	// caps is the live per-station capacity vector, so len(caps) is the live
+	// station count.
+	cfg         SnapshotConfig
 	caps        []int
 	planHorizon time.Duration
 	// owner maps a global satellite index to its shard; globals/locals are
@@ -93,7 +91,7 @@ type Federator struct {
 }
 
 // NewFederator connects to the shard fleet, validates its topology (every
-// shard must agree on the world grid and together cover the constellation
+// shard must serve the same world and together cover the constellation
 // exactly), builds the first merged world, and starts the rebuild
 // coordinator. All shards must be reachable during startup; afterwards
 // any subset may die and rejoin freely.
@@ -105,7 +103,7 @@ func NewFederator(addrs []string, cfg FederatorConfig) (*Federator, error) {
 	f := &Federator{
 		cfg:      cfg,
 		n:        len(addrs),
-		worldPub: newWorldPub(cfg.SubBuffer, "serve: federated world not ready", "serve: federator closed"),
+		worldPub: newWorldPub("serve: federated world not ready", "serve: federator closed"),
 		kickCh:   make(chan struct{}, 1),
 		doneCh:   make(chan struct{}),
 	}
@@ -191,36 +189,32 @@ func (f *Federator) fetchInfos() ([]shardInfoDoc, error) {
 	return infos, nil
 }
 
-// validateTopology cross-checks the fleet: shard identities, a shared
-// world grid, identical station capacity vectors, and exact disjoint
-// coverage of the constellation.
+// validateTopology cross-checks the fleet: shard identities, one world —
+// the resolved configuration (every field but Workers), the live-plan
+// horizon and the station capacity vector — and exact disjoint coverage
+// of the constellation. A shard that sent no resolved configuration (an
+// older build) is refused like any other mismatch.
 func validateTopology(infos []shardInfoDoc, n int) (*fedTopo, error) {
 	base := infos[0]
+	sats := base.Config.Satellites
 	for i, in := range infos {
 		if in.Shard != i || in.Shards != n {
 			return nil, fmt.Errorf("serve: shard at index %d identifies as %d/%d, want %d/%d", i, in.Shard, in.Shards, i, n)
 		}
-		if in.Sats != base.Sats || in.Stations != base.Stations || in.Seed != base.Seed ||
-			!in.Epoch.Equal(base.Epoch) || in.Slot != base.Slot || in.MaxSpan != base.MaxSpan ||
+		if in.Config != in.Config.withDefaults() || !sameWorld(in.Config, base.Config) ||
 			in.PlanHorizon != base.PlanHorizon || !slices.Equal(in.Caps, base.Caps) {
-			return nil, fmt.Errorf("serve: shard %d world grid differs from shard 0 — the fleet must share one configuration", i)
+			return nil, fmt.Errorf("serve: shard %d world (%+v, plan horizon %v) differs from shard 0's (%+v, plan horizon %v) — the fleet must share one configuration, every world flag but -workers",
+				i, in.Config, in.PlanHorizon, base.Config, base.PlanHorizon)
 		}
 		if len(in.Global) != in.OwnedSats || len(in.Global) == 0 {
 			return nil, fmt.Errorf("serve: shard %d owns %d satellites (global list %d)", i, in.OwnedSats, len(in.Global))
 		}
 	}
 	topo := &fedTopo{
-		viewCfg: SnapshotConfig{
-			Satellites: base.Sats,
-			Stations:   base.Stations,
-			Seed:       base.Seed,
-			Slot:       base.Slot,
-			Epoch:      base.Epoch,
-			MaxSpan:    base.MaxSpan,
-		}.withDefaults(),
+		cfg:         base.Config,
 		caps:        base.Caps,
 		planHorizon: base.PlanHorizon,
-		owner:       make([]int32, base.Sats),
+		owner:       make([]int32, sats),
 		globals:     make([][]int32, n),
 		locals:      make([]map[int32]int32, n),
 	}
@@ -232,8 +226,8 @@ func validateTopology(infos []shardInfoDoc, n int) (*fedTopo, error) {
 		topo.locals[s] = make(map[int32]int32, len(in.Global))
 		prev := int32(-1)
 		for j, g := range in.Global {
-			if g <= prev || int(g) >= base.Sats {
-				return nil, fmt.Errorf("serve: shard %d partition not strictly ascending within [0, %d)", s, base.Sats)
+			if g <= prev || int(g) >= sats {
+				return nil, fmt.Errorf("serve: shard %d partition not strictly ascending within [0, %d)", s, sats)
 			}
 			prev = g
 			if topo.owner[g] != -1 {
@@ -249,6 +243,42 @@ func validateTopology(infos []shardInfoDoc, n int) (*fedTopo, error) {
 		}
 	}
 	return topo, nil
+}
+
+// sameWorld reports whether two resolved configurations describe one
+// world: every field but Workers equal, the epochs as instants.
+func sameWorld(a, b SnapshotConfig) bool {
+	if !a.Epoch.Equal(b.Epoch) {
+		return false
+	}
+	a.Epoch, a.Workers = b.Epoch, b.Workers
+	return a == b
+}
+
+// query sends one query to one shard and decodes its reply into v.
+func (f *Federator) query(shard int, kind uint8, body []byte, v any) error {
+	b, err := f.clients[shard].call(kind, body, f.cfg.CallTimeout)
+	if err == nil {
+		err = json.Unmarshal(b, v)
+	}
+	return err
+}
+
+// callAll sends one query to every shard at once and decodes each reply
+// into its shard's element of docs; errs[i] is shard i's call or decode
+// failure.
+func callAll[T any](f *Federator, kind uint8, body []byte) (docs []T, errs []error) {
+	docs, errs = make([]T, f.n), make([]error, f.n)
+	var wg sync.WaitGroup
+	wg.Add(f.n)
+	for i := range f.clients {
+		go func() {
+			defer wg.Done()
+			errs[i] = f.query(i, kind, body, &docs[i])
+		}()
+	}
+	wg.Wait()
+	return docs, errs
 }
 
 // coordinate is the rebuild loop: every connectivity transition or epoch
@@ -283,35 +313,17 @@ func (f *Federator) rebuildLocked() error {
 		copy(vec, old.EpochVec)
 	}
 
-	type result struct {
-		doc shardPlanDoc
-		err error
-	}
-	results := make([]result, f.n)
-	var wg sync.WaitGroup
-	for i, c := range f.clients {
-		wg.Add(1)
-		go func(i int, c *shardClient) {
-			defer wg.Done()
-			b, err := c.call(proto.ShardKindPlan, nil, f.cfg.CallTimeout)
-			if err == nil {
-				err = json.Unmarshal(b, &results[i].doc)
-			}
-			results[i].err = err
-		}(i, c)
-	}
-	wg.Wait()
-
+	docs, errs := callAll[shardPlanDoc](f, proto.ShardKindPlan, nil)
 	var plans []*core.Plan
 	var missing []int
-	for i, r := range results {
-		if r.err != nil || r.doc.Plan == nil {
+	for i, d := range docs {
+		if errs[i] != nil || d.Plan == nil {
 			missing = append(missing, i)
 			continue
 		}
-		vec[i] = r.doc.WorldEpoch
-		r.doc.Plan.BuildIndex()
-		plans = append(plans, r.doc.Plan)
+		vec[i] = d.WorldEpoch
+		d.Plan.BuildIndex()
+		plans = append(plans, d.Plan)
 	}
 	if len(plans) == 0 {
 		if old != nil {
@@ -360,18 +372,6 @@ func (f *Federator) Close() {
 		c.Close()
 	}
 	f.hub.closeAll()
-}
-
-// AliveShards returns the indices of shards with live sessions (for
-// diagnostics and tests).
-func (f *Federator) AliveShards() []int {
-	var alive []int
-	for i, c := range f.clients {
-		if c.Alive() {
-			alive = append(alive, i)
-		}
-	}
-	return alive
 }
 
 // Apply routes a world mutation across the fleet: TLE refreshes go to the
@@ -483,20 +483,15 @@ func (f *Federator) Apply(u Update) (ApplyResult, error) {
 }
 
 // refreshTopoLocked re-reads one shard's info and updates the shared
-// capacity vector and station count (satellite ownership never moves).
+// capacity vector (satellite ownership never moves).
 func (f *Federator) refreshTopoLocked(shard int) error {
-	b, err := f.clients[shard].call(proto.ShardKindInfo, nil, f.cfg.CallTimeout)
-	if err != nil {
-		return err
-	}
 	var info shardInfoDoc
-	if err := json.Unmarshal(b, &info); err != nil {
+	if err := f.query(shard, proto.ShardKindInfo, nil, &info); err != nil {
 		return err
 	}
 	old := f.topo.Load()
 	next := *old
 	next.caps = info.Caps
-	next.viewCfg.Stations = info.Stations
 	f.topo.Store(&next)
 	return nil
 }
@@ -518,29 +513,15 @@ type fedView struct {
 	f *Federator
 }
 
-// Config returns the fleet's shared world configuration.
-func (v *fedView) Config() SnapshotConfig { return v.f.topo.Load().viewCfg }
+// Config returns the world configuration every shard of the fleet
+// resolved (validated equal at startup, Workers aside).
+func (v *fedView) Config() SnapshotConfig { return v.f.topo.Load().cfg }
 
 // Sats returns the full constellation size.
-func (v *fedView) Sats() int { return v.f.topo.Load().viewCfg.Satellites }
+func (v *fedView) Sats() int { return v.f.topo.Load().cfg.Satellites }
 
-// Stations returns the shared ground-network size.
-func (v *fedView) Stations() int { return v.f.topo.Load().viewCfg.Stations }
-
-// Quantize floors t onto the fleet's slot grid.
-func (v *fedView) Quantize(t time.Time) time.Time {
-	cfg := v.f.topo.Load().viewCfg
-	if t.Before(cfg.Epoch) {
-		return t
-	}
-	return cfg.Epoch.Add(t.Sub(cfg.Epoch) / cfg.Slot * cfg.Slot)
-}
-
-// InSpan reports whether t falls inside the fleet's servable horizon.
-func (v *fedView) InSpan(t time.Time) bool {
-	cfg := v.f.topo.Load().viewCfg
-	return !t.Before(cfg.Epoch) && !t.After(cfg.Epoch.Add(cfg.MaxSpan))
-}
+// Stations returns the shared ground network's live size.
+func (v *fedView) Stations() int { return len(v.f.topo.Load().caps) }
 
 // Passes fans the window query across the fleet (or routes it to the
 // single owning shard when filtered to one satellite) and re-sorts the
@@ -557,45 +538,21 @@ func (v *fedView) Passes(from, to time.Time, sat, gs int) passes.Windows {
 		if sat >= len(topo.owner) {
 			return nil
 		}
-		doc, err := callPasses(f.clients[topo.owner[sat]], body, f.cfg.CallTimeout)
-		if err != nil {
+		var doc shardPassesDoc
+		if f.query(int(topo.owner[sat]), proto.ShardKindPasses, body, &doc) != nil {
 			return nil
 		}
 		return doc.Windows
 	}
-	type result struct {
-		ws  passes.Windows
-		err error
-	}
-	results := make([]result, f.n)
-	var wg sync.WaitGroup
-	for i, c := range f.clients {
-		wg.Add(1)
-		go func(i int, c *shardClient) {
-			defer wg.Done()
-			doc, err := callPasses(c, body, f.cfg.CallTimeout)
-			results[i] = result{doc.Windows, err}
-		}(i, c)
-	}
-	wg.Wait()
+	docs, errs := callAll[shardPassesDoc](f, proto.ShardKindPasses, body)
 	var all passes.Windows
-	for _, r := range results {
-		if r.err == nil {
-			all = append(all, r.ws...)
+	for i, d := range docs {
+		if errs[i] == nil {
+			all = append(all, d.Windows...)
 		}
 	}
 	slices.SortFunc(all, passes.CompareWindows)
 	return all
-}
-
-func callPasses(c *shardClient, body []byte, timeout time.Duration) (shardPassesDoc, error) {
-	var doc shardPassesDoc
-	b, err := c.call(proto.ShardKindPasses, body, timeout)
-	if err != nil {
-		return doc, err
-	}
-	err = json.Unmarshal(b, &doc)
-	return doc, err
 }
 
 // LinkBudgetAt routes the evaluation to the owning shard; a missing
@@ -611,11 +568,7 @@ func (v *fedView) LinkBudgetAt(sat, gs int, t time.Time, lead time.Duration) Lin
 	if err != nil {
 		return lb
 	}
-	b, err := f.clients[topo.owner[sat]].call(proto.ShardKindLinkBudget, body, f.cfg.CallTimeout)
-	if err != nil {
-		return lb
-	}
-	if err := json.Unmarshal(b, &lb); err != nil {
+	if f.query(int(topo.owner[sat]), proto.ShardKindLinkBudget, body, &lb) != nil {
 		return LinkBudget{Sat: sat, Station: gs, T: t}
 	}
 	return lb
@@ -630,29 +583,12 @@ func (v *fedView) Plan(from time.Time, horizon, slot time.Duration) *core.Plan {
 	if err != nil {
 		return emptyPlan(from, horizon, slot)
 	}
-	type result struct {
-		doc shardPlanDoc
-		err error
-	}
-	results := make([]result, f.n)
-	var wg sync.WaitGroup
-	for i, c := range f.clients {
-		wg.Add(1)
-		go func(i int, c *shardClient) {
-			defer wg.Done()
-			b, err := c.call(proto.ShardKindPlanAt, body, f.cfg.CallTimeout)
-			if err == nil {
-				err = json.Unmarshal(b, &results[i].doc)
-			}
-			results[i].err = err
-		}(i, c)
-	}
-	wg.Wait()
+	docs, errs := callAll[shardPlanDoc](f, proto.ShardKindPlanAt, body)
 	var parts []*core.Plan
-	for _, r := range results {
-		if r.err == nil && r.doc.Plan != nil {
-			r.doc.Plan.BuildIndex()
-			parts = append(parts, r.doc.Plan)
+	for i, d := range docs {
+		if errs[i] == nil && d.Plan != nil {
+			d.Plan.BuildIndex()
+			parts = append(parts, d.Plan)
 		}
 	}
 	if len(parts) == 0 {

@@ -18,22 +18,19 @@ import (
 // shardInfoDoc is the topology document (ShardKindInfo): everything the
 // front tier needs to validate a fleet and build its federated view.
 type shardInfoDoc struct {
-	Shard  int `json:"shard"`
-	Shards int `json:"shards"`
-	// Sats is the FULL constellation size; OwnedSats the partition's.
-	Sats      int `json:"sats"`
+	Shard     int `json:"shard"`
+	Shards    int `json:"shards"`
 	OwnedSats int `json:"owned_sats"`
-	Stations  int `json:"stations"`
-	// Caps is the per-station capacity vector plan merging resolves
-	// contention against (identical on every shard).
+	// Caps is the live per-station capacity vector plan merging resolves
+	// contention against (identical on every shard); its length is the
+	// live station count.
 	Caps []int `json:"caps"`
-	// Seed/Epoch/Slot/MaxSpan pin the world grid; mismatched shards are a
-	// deployment error the front tier refuses at startup.
-	Seed        int64         `json:"seed"`
-	Epoch       time.Time     `json:"epoch"`
-	Slot        time.Duration `json:"slot_ns"`
-	MaxSpan     time.Duration `json:"max_span_ns"`
-	PlanHorizon time.Duration `json:"plan_horizon_ns"`
+	// Config is the shard's resolved world configuration (Satellites is
+	// the FULL constellation size) and PlanHorizon its live-plan horizon.
+	// Shards that differ in either, Workers aside, are a deployment error
+	// the front tier refuses at startup.
+	Config      SnapshotConfig `json:"config"`
+	PlanHorizon time.Duration  `json:"plan_horizon_ns"`
 	// Global is the partition: the ascending global indices this shard owns.
 	Global []int32 `json:"global"`
 	// WorldEpoch is the shard's world epoch at reply time.

@@ -10,9 +10,11 @@ import (
 // WorldFlags registers, on the command line's flag set, the eleven flags
 // that define a served world, and returns the function that — after
 // flag.Parse — validates them (a bad value exits with the usage status)
-// and yields the snapshot configuration and the live-plan horizon. dgs-api
-// and every dgs-shard of a fleet must agree on all of them (the front tier
-// refuses a fleet that does not), so they are declared once, here.
+// and yields the snapshot configuration and the live-plan horizon. Every
+// dgs-shard of a fleet must agree on all but -workers (the front tier
+// compares each shard's resolved world with shard 0's and refuses a fleet
+// that differs), so they are declared once, here, for dgs-api and
+// dgs-shard alike.
 func WorldFlags() func() (SnapshotConfig, time.Duration) {
 	sats := flag.Int("sats", 259, "constellation size")
 	stations := flag.Int("stations", 173, "ground-station count")

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -18,7 +17,8 @@ import (
 // minutes of simulation, not a request-scoped computation, so the
 // surface is asynchronous: POST creates a job and returns its id, GET
 // reports status/progress/result, and GET .../stream delivers the same
-// progress as server-sent events on the plan-stream plumbing (subHub).
+// progress as server-sent events through the plan stream's writer
+// (subHub, serveSSE).
 // Jobs run one at a time in POST order — each one saturates the worker
 // pool by itself, and serial execution keeps job timing independent of
 // concurrent API load.
@@ -173,10 +173,7 @@ func (m *jobManager) count() int {
 
 // handleOptimizeCreate is POST /v2/optimize: validate the request
 // against the current world, create the job, and return 202.
-func (s *Server) handleOptimizeCreate(w http.ResponseWriter, r *http.Request) {
-	st := &s.optimizeStats
-	t0 := time.Now()
-	defer func() { st.observe(time.Since(t0)) }()
+func (s *Server) handleOptimizeCreate(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	st.misses.Add(1)
 
 	world, ok := s.acquireWorld(w)
@@ -195,17 +192,9 @@ func (s *Server) handleOptimizeCreate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req optimizeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, errInvalidArgument, fmt.Sprintf("bad optimize body: %v", err))
+	if !decodeBody(w, r, &req, "optimize") {
 		return
 	}
-	if dec.More() {
-		writeError(w, http.StatusBadRequest, errInvalidArgument, "trailing data after optimize object")
-		return
-	}
-
 	ev, searchers, herr := s.buildOptimize(snap, &req)
 	if herr != nil {
 		writeHTTPError(w, herr)
@@ -213,20 +202,10 @@ func (s *Server) handleOptimizeCreate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	j := s.jobs.create(world.Epoch, req.Strategy)
-	go s.runOptimizeJob(j, ev, searchers, req.K)
+	go s.runOptimizeJob(st, j, ev, searchers, req.K)
 
 	w.Header().Set("Location", "/v2/optimize/"+j.id)
-	w.Header().Set("X-World-Epoch", strconv.FormatUint(world.Epoch, 10))
-	b, err := marshalBody(optimizeAccepted{Job: j.id, Status: jobQueued, Epoch: world.Epoch})
-	if err != nil {
-		st.errors.Add(1)
-		writeError(w, http.StatusInternalServerError, errInternal, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
-	w.WriteHeader(http.StatusAccepted)
-	w.Write(b)
+	writeJSON(w, st, http.StatusAccepted, optimizeAccepted{Job: j.id, Status: jobQueued, Epoch: world.Epoch})
 }
 
 // buildOptimize validates a request against a snapshot and assembles the
@@ -295,8 +274,8 @@ func (s *Server) buildOptimize(snap *Snapshot, req *optimizeRequest) (*optimize.
 // runOptimizeJob executes a job's searcher chain: wait for the serial
 // execution slot, run each stage (later stages seeded with the previous
 // incumbent), publish progress to pollers and the SSE hub, and close the
-// hub when the job reaches a terminal state.
-func (s *Server) runOptimizeJob(j *optimizeJob, ev *optimize.Evaluator, searchers []optimize.Searcher, k int) {
+// hub when the job reaches a terminal state. A failed job counts in st.
+func (s *Server) runOptimizeJob(st *endpointStats, j *optimizeJob, ev *optimize.Evaluator, searchers []optimize.Searcher, k int) {
 	s.jobs.run <- struct{}{}
 	defer func() { <-s.jobs.run }()
 	defer j.hub.closeAll()
@@ -313,7 +292,7 @@ func (s *Server) runOptimizeJob(j *optimizeJob, ev *optimize.Evaluator, searcher
 		j.event("progress", p)
 	}
 	fail := func(err error) {
-		s.optimizeStats.errors.Add(1)
+		st.errors.Add(1)
 		j.mu.Lock()
 		j.status = jobFailed
 		j.err = err.Error()
@@ -351,24 +330,14 @@ func (s *Server) runOptimizeJob(j *optimizeJob, ev *optimize.Evaluator, searcher
 }
 
 // handleOptimizeGet is GET /v2/optimize/{id}: the job's current status.
-func (s *Server) handleOptimizeGet(w http.ResponseWriter, r *http.Request) {
-	st := &s.optimizeStats
-	t0 := time.Now()
-	defer func() { st.observe(time.Since(t0)) }()
+func (s *Server) handleOptimizeGet(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	st.hits.Add(1)
-
 	j := s.jobs.get(r.PathValue("id"))
 	if j == nil {
 		writeError(w, http.StatusNotFound, errNotFound, "no such optimize job")
 		return
 	}
-	b, err := marshalBody(j.snapshotStatus())
-	if err != nil {
-		st.errors.Add(1)
-		writeError(w, http.StatusInternalServerError, errInternal, err.Error())
-		return
-	}
-	writeBody(w, b)
+	writeJSON(w, st, http.StatusOK, j.snapshotStatus())
 }
 
 // handleOptimizeStream is GET /v2/optimize/{id}/stream: the job's
@@ -376,12 +345,7 @@ func (s *Server) handleOptimizeGet(w http.ResponseWriter, r *http.Request) {
 // current state; a running job then streams `progress`, per-stage
 // `report`, and a final `done` (or `error`) event before the stream
 // closes. A terminal job closes right after the status event.
-func (s *Server) handleOptimizeStream(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, errInternal, "streaming unsupported by this connection")
-		return
-	}
+func (s *Server) handleOptimizeStream(w http.ResponseWriter, r *http.Request, _ *endpointStats) {
 	j := s.jobs.get(r.PathValue("id"))
 	if j == nil {
 		writeError(w, http.StatusNotFound, errNotFound, "no such optimize job")
@@ -394,36 +358,12 @@ func (s *Server) handleOptimizeStream(w http.ResponseWriter, r *http.Request) {
 	if subscribed {
 		defer j.hub.remove(id)
 	}
-	status := j.snapshotStatus()
-	initial, err := json.Marshal(status)
+	initial, err := json.Marshal(j.snapshotStatus())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, errInternal, err.Error())
 		return
 	}
-
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(sseEvent("status", 0, initial)); err != nil {
-		return
-	}
-	fl.Flush()
-	if !subscribed {
-		return // job already terminal; the status event is the whole stream
-	}
-	for {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				return // job finished (hub closed) or we fell behind
-			}
-			if _, err := w.Write(ev); err != nil {
-				return
-			}
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
+	// A terminal job's hub is closed: ch is nil and the status event is
+	// the whole stream.
+	serveSSE(w, r, sseEvent("status", 0, initial), ch)
 }

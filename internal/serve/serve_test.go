@@ -352,7 +352,7 @@ func TestLinkBudgetEndpoint(t *testing.T) {
 	if w == nil {
 		t.Fatal("no window longer than 4 minutes in 6h; population too sparse?")
 	}
-	at := snap.Quantize(w.Rise).Add(2 * snap.Config().Slot)
+	at := snap.Config().Quantize(w.Rise).Add(2 * snap.Config().Slot)
 
 	url := fmt.Sprintf("/v1/linkbudget?sat=%d&station=%d&t=%s", w.Sat, w.Station, at.Format(time.RFC3339))
 	rec := get(t, h, url)
@@ -388,7 +388,7 @@ func TestLinkBudgetEndpoint(t *testing.T) {
 
 	// A pair with no geometry: same station, one day... pick an instant
 	// where this sat-station pair has no covering window.
-	probe := snap.Quantize(snap.Config().Epoch.Add(3 * time.Hour))
+	probe := snap.Config().Quantize(snap.Config().Epoch.Add(3 * time.Hour))
 	inWindow := false
 	for _, ww := range all.Windows {
 		if ww.Sat == w.Sat && ww.Station == w.Station &&

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dgs/internal/proto"
@@ -28,8 +27,6 @@ type shardClient struct {
 	logf    func(format string, args ...any)
 	onEvent func()
 	sess    *session.Client
-
-	epoch atomic.Uint64 // last pushed/resumed shard world epoch
 
 	mu      sync.Mutex
 	conn    *session.Conn // nil while the session is down
@@ -86,14 +83,10 @@ func (c *shardClient) Alive() bool {
 	return c.conn != nil
 }
 
-// Epoch returns the shard's last known world epoch.
-func (c *shardClient) Epoch() uint64 { return c.epoch.Load() }
-
 // Close ends the session for good; in-flight calls fail as lost mid-call.
 func (c *shardClient) Close() { c.sess.Close() }
 
-func (c *shardClient) up(conn *session.Conn, epoch uint64) {
-	c.epoch.Store(epoch)
+func (c *shardClient) up(conn *session.Conn, _ uint64) {
 	c.mu.Lock()
 	c.conn = conn
 	c.mu.Unlock()
@@ -124,7 +117,6 @@ func (c *shardClient) frame(msg proto.Message) {
 			ch <- m
 		}
 	case *proto.ShardEpoch:
-		c.epoch.Store(m.Epoch)
 		c.onEvent()
 	default:
 		c.logf("serve: shard %d: unsolicited message type %d", c.idx, msg.Type())

@@ -108,18 +108,12 @@ func (s *ShardServer) handle(kind uint8, body []byte) ([]byte, error) {
 
 	switch kind {
 	case proto.ShardKindInfo:
-		cfg := snap.Config()
 		return json.Marshal(shardInfoDoc{
 			Shard:       s.part.Shard,
 			Shards:      s.part.Shards,
-			Sats:        cfg.Satellites,
 			OwnedSats:   s.part.Len(),
-			Stations:    snap.Stations(),
 			Caps:        core.StationCaps(snap.net),
-			Seed:        cfg.Seed,
-			Epoch:       cfg.Epoch,
-			Slot:        cfg.Slot,
-			MaxSpan:     cfg.MaxSpan,
+			Config:      snap.Config(),
 			PlanHorizon: s.store.cfg.PlanHorizon,
 			Global:      s.part.Global,
 			WorldEpoch:  world.Epoch,

@@ -21,9 +21,6 @@ import (
 	"dgs/internal/weather"
 )
 
-// gbBits is one gigabyte in bits (the unit capture volume is quoted in).
-const gbBits = 8e9
-
 // SnapshotConfig describes the world a Snapshot loads: the synthetic
 // population, weather, and the time grid queries are quantized to. The
 // zero value selects the paper's population at the canonical epoch.
@@ -85,6 +82,21 @@ func (c SnapshotConfig) withDefaults() SnapshotConfig {
 		c.MaxSpan = 48 * time.Hour
 	}
 	return c
+}
+
+// Quantize floors t onto the world's slot grid (instants before Epoch are
+// left as they are; InSpan refuses them).
+func (c SnapshotConfig) Quantize(t time.Time) time.Time {
+	if t.Before(c.Epoch) {
+		return t
+	}
+	return c.Epoch.Add(t.Sub(c.Epoch) / c.Slot * c.Slot)
+}
+
+// InSpan reports whether t falls inside the servable horizon
+// [Epoch, Epoch+MaxSpan].
+func (c SnapshotConfig) InSpan(t time.Time) bool {
+	return !t.Before(c.Epoch) && !t.After(c.Epoch.Add(c.MaxSpan))
 }
 
 // Snapshot is an immutable, read-optimized world the API serves from: the
@@ -171,7 +183,7 @@ func newSnapshotLoaded(cfg SnapshotConfig, tles []tle.TLE, net station.Network) 
 		tles:    tles,
 		net:     net,
 		radio:   linkbudget.DefaultRadio(),
-		genRate: cfg.GenGBPerDay * gbBits / 86400,
+		genRate: cfg.GenGBPerDay * sim.GB / 86400,
 	}
 	s.props = make([]orbit.Propagator, len(tles))
 	for i, el := range tles {
@@ -228,7 +240,7 @@ func (s *Snapshot) simConfig(duration time.Duration) sim.Config {
 		WeatherSeed:   uint64(s.cfg.Seed) + 7,
 		ClearSky:      s.cfg.ClearSky,
 		ForecastErr:   s.cfg.ForecastErr,
-		GenBitsPerDay: s.cfg.GenGBPerDay * gbBits,
+		GenBitsPerDay: s.cfg.GenGBPerDay * sim.GB,
 		Hybrid:        true,
 		Workers:       s.cfg.Workers,
 	}
@@ -266,29 +278,15 @@ func (s *Snapshot) Sats() int { return len(s.props) }
 // Stations returns the ground-network size.
 func (s *Snapshot) Stations() int { return len(s.net) }
 
-// Quantize floors t onto the snapshot's slot grid.
-func (s *Snapshot) Quantize(t time.Time) time.Time {
-	if t.Before(s.cfg.Epoch) {
-		return t
-	}
-	return s.cfg.Epoch.Add(t.Sub(s.cfg.Epoch) / s.cfg.Slot * s.cfg.Slot)
-}
-
-// InSpan reports whether t falls inside the servable horizon
-// [Epoch, Epoch+MaxSpan].
-func (s *Snapshot) InSpan(t time.Time) bool {
-	return !t.Before(s.cfg.Epoch) && !t.After(s.cfg.Epoch.Add(s.cfg.MaxSpan))
-}
-
 // Passes predicts the contact windows overlapping [from, to), optionally
 // restricted to one satellite and/or one station (-1 = all; an index past
 // the population matches nothing). from must be grid-aligned (use
-// Quantize). The restriction is the predictor's pair subset: the windows
-// are the unrestricted query's, byte for byte, at the cost of the pairs
-// asked about. Each call is one stateless span query — its predictor
-// holds nothing but scratch — over the shared position cache and the
-// visibility primitive the planner carries with (spatial.Sites), so
-// concurrent queries never contend and identical queries produce
+// SnapshotConfig.Quantize). The restriction is the predictor's pair
+// subset: the windows are the unrestricted query's, byte for byte, at the
+// cost of the pairs asked about. Each call is one stateless span query —
+// its predictor holds nothing but scratch — over the shared position cache
+// and the visibility primitive the planner carries with (spatial.Sites),
+// so concurrent queries never contend and identical queries produce
 // identical windows.
 func (s *Snapshot) Passes(from, to time.Time, sat, gs int) passes.Windows {
 	if sat >= len(s.props) || gs >= len(s.net) {

@@ -17,15 +17,12 @@ import (
 // merges. Implementations must be safe for concurrent use and
 // deterministic for a fixed world version.
 type WorldView interface {
-	// Config returns the resolved world configuration (grid, span, sizes).
+	// Config returns the resolved world configuration (grid, span, sizes),
+	// whose methods also place query instants on the world's grid.
 	Config() SnapshotConfig
 	// Sats and Stations return the population sizes.
 	Sats() int
 	Stations() int
-	// Quantize floors t onto the world's slot grid.
-	Quantize(t time.Time) time.Time
-	// InSpan reports whether t falls inside the servable horizon.
-	InSpan(t time.Time) bool
 	// Passes predicts contact windows over [from, to), optionally filtered
 	// to one satellite and/or station (-1 = all).
 	Passes(from, to time.Time, sat, gs int) passes.Windows
@@ -80,7 +77,7 @@ type worldPub struct {
 	errNotReady, errClosed error
 }
 
-func newWorldPub(subBuffer int, notReady, closed string) worldPub {
+func newWorldPub(notReady, closed string) worldPub {
 	return worldPub{
 		hub:         newSubHub(subBuffer),
 		errNotReady: errors.New(notReady),
@@ -174,74 +171,3 @@ func (p *worldPub) Subscribe() (id int, ch <-chan []byte, initial []byte, err er
 
 // Unsubscribe removes a subscriber. Safe after the source evicted it.
 func (p *worldPub) Unsubscribe(id int) { p.hub.remove(id) }
-
-// subHub is the subscriber registry behind the plan stream and the
-// optimizer's job streams: non-blocking broadcast with slow-consumer
-// eviction.
-type subHub struct {
-	mu   sync.Mutex
-	subs map[int]chan []byte
-	next int
-	buf  int
-}
-
-func newSubHub(buf int) *subHub {
-	return &subHub{subs: make(map[int]chan []byte), buf: buf}
-}
-
-// add registers a subscriber; ok is false after closeAll.
-func (h *subHub) add() (id int, ch chan []byte, ok bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.subs == nil {
-		return 0, nil, false
-	}
-	c := make(chan []byte, h.buf)
-	id = h.next
-	h.next++
-	h.subs[id] = c
-	return id, c, true
-}
-
-// remove drops a subscriber. Safe after eviction or closeAll.
-func (h *subHub) remove(id int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if c, ok := h.subs[id]; ok {
-		delete(h.subs, id)
-		close(c)
-	}
-}
-
-func (h *subHub) count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
-}
-
-// broadcast delivers an event to every subscriber without blocking the
-// writer: a subscriber with a full buffer is evicted (closed), because a
-// stalled consumer must not delay the epoch swap.
-func (h *subHub) broadcast(ev []byte) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for id, c := range h.subs {
-		select {
-		case c <- ev:
-		default:
-			delete(h.subs, id)
-			close(c)
-		}
-	}
-}
-
-// closeAll closes every subscriber channel and refuses further adds.
-func (h *subHub) closeAll() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for id, c := range h.subs {
-		delete(h.subs, id)
-		close(c)
-	}
-	h.subs = nil
-}

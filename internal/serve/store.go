@@ -22,18 +22,11 @@ type StoreConfig struct {
 	// PlanHorizon is the span of the continuously maintained live plan,
 	// anchored at the snapshot epoch (default 1 h).
 	PlanHorizon time.Duration
-	// SubBuffer is each stream subscriber's event buffer; a subscriber
-	// that falls this many events behind is disconnected rather than
-	// allowed to stall the writer (default 16).
-	SubBuffer int
 }
 
 func (c StoreConfig) withDefaults() StoreConfig {
 	if c.PlanHorizon <= 0 {
 		c.PlanHorizon = time.Hour
-	}
-	if c.SubBuffer <= 0 {
-		c.SubBuffer = 16
 	}
 	return c
 }
@@ -78,15 +71,18 @@ func (w *World) etag() string {
 	if len(w.EpochVec) == 0 {
 		return `"` + strconv.FormatUint(w.Epoch, 10) + `"`
 	}
+	return `"` + joinUints(w.EpochVec, '.') + `"`
+}
+
+// joinUints renders non-negative integers in decimal, separated by sep.
+func joinUints[T int | uint64](xs []T, sep byte) string {
 	var b []byte
-	b = append(b, '"')
-	for i, e := range w.EpochVec {
+	for i, x := range xs {
 		if i > 0 {
-			b = append(b, '.')
+			b = append(b, sep)
 		}
-		b = strconv.AppendUint(b, e, 10)
+		b = strconv.AppendUint(b, uint64(x), 10)
 	}
-	b = append(b, '"')
 	return string(b)
 }
 
@@ -152,7 +148,7 @@ func newStoreShell(cfg StoreConfig) *Store {
 	cfg = cfg.withDefaults()
 	return &Store{
 		cfg:      cfg,
-		worldPub: newWorldPub(cfg.SubBuffer, "serve: store not ready", "serve: store closed"),
+		worldPub: newWorldPub("serve: store not ready", "serve: store closed"),
 		ready:    make(chan struct{}),
 	}
 }
@@ -413,10 +409,4 @@ func (s *Store) Close() {
 	s.closed = true
 	s.mu.Unlock()
 	s.hub.closeAll()
-}
-
-// sseEvent formats one server-sent event: the event name, the world epoch
-// as the event id, and a single-line JSON payload.
-func sseEvent(event string, epoch uint64, data []byte) []byte {
-	return fmt.Appendf(nil, "event: %s\nid: %d\ndata: %s\n\n", event, epoch, data)
 }

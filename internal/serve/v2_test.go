@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -321,6 +322,35 @@ func TestV1WireFrozen(t *testing.T) {
 	if !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Fatal("v1 plan body is not byte-identical to the canonical encoding")
 	}
+
+	// Link budgets (invisible geometry omits the link fields; a pair one
+	// slot into a long pass carries them all) and the health probe.
+	var visible string
+	for _, pw := range snap.Passes(epoch, epoch.Add(6*time.Hour), -1, -1) {
+		if pw.End.Sub(pw.Start) >= 4*time.Minute {
+			at := snap.Config().Quantize(pw.Rise).Add(2 * snap.Config().Slot)
+			visible = fmt.Sprintf("/v1/linkbudget?sat=%d&station=%d&t=%s", pw.Sat, pw.Station, at.Format(time.RFC3339))
+			break
+		}
+	}
+	for _, c := range []struct {
+		url  string
+		keys []string
+	}{
+		{"/v1/linkbudget?sat=0&station=0", []string{"cloud_kgm2", "rain_mmh", "rate_bps", "sat", "station", "t", "visible"}},
+		{visible, []string{"atten_db", "azimuth_deg", "cloud_kgm2", "elevation_deg", "esn0_db", "modcod",
+			"rain_mmh", "range_km", "rate_bps", "sat", "station", "t", "visible"}},
+		{"/v1/healthz", []string{"epoch", "max_span_h", "ok", "sats", "serving_epoch", "slot_s", "stations",
+			"uptime_s", "world_built"}},
+	} {
+		rec := get(t, h, c.url)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d", c.url, rec.Code)
+		}
+		if got := keysOf(rec.Body.Bytes()); !equalStrings(got, c.keys) {
+			t.Fatalf("%s keys = %v, want frozen %v", c.url, got, c.keys)
+		}
+	}
 }
 
 func equalStrings(a, b []string) bool {
@@ -423,7 +453,7 @@ func TestReadyzLifecycle(t *testing.T) {
 		<-unblock
 		return testSnapshot(t), nil
 	}, StoreConfig{})
-	s := NewWithStore(store, Config{})
+	s := NewWithSource(store, Config{})
 	h := s.Handler()
 
 	rec := get(t, h, "/v2/readyz")
@@ -461,7 +491,7 @@ func TestReadyzLifecycle(t *testing.T) {
 		return nil, fmt.Errorf("synthetic load failure")
 	}, StoreConfig{})
 	<-failed.Ready()
-	sf := NewWithStore(failed, Config{})
+	sf := NewWithSource(failed, Config{})
 	rec = get(t, sf.Handler(), "/v2/readyz")
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("readyz after failed build = %d, want 500", rec.Code)
@@ -621,5 +651,105 @@ func TestPlanStreamBroadcast(t *testing.T) {
 		if b != nil {
 			b.Close()
 		}
+	}
+}
+
+// TestSSEWriterFramingAndCancel runs both event streams through the one
+// SSE writer's contract: the stream headers, the first event's exact
+// event:/id:/data: framing, and — when the client goes away — the handler
+// returning and dropping its subscription (the store's subscriber count,
+// or the job hub's, back to 0).
+func TestSSEWriterFramingAndCancel(t *testing.T) {
+	snap := testSnapshot(t)
+	cases := []struct {
+		name string
+		// open prepares the stream and returns its path, the subscription
+		// count to watch, the first event's name and id, and a check of its
+		// data line.
+		open func(t *testing.T, s *Server) (path string, subs func() int, event, id string, data func([]byte) error)
+	}{
+		{"plan", func(t *testing.T, s *Server) (string, func() int, string, string, func([]byte) error) {
+			return "/v2/plan/stream", s.store.Subscribers, "plan", "1", func(b []byte) error {
+				var p planV2Response
+				if err := json.Unmarshal(b, &p); err != nil || p.Epoch != 1 || p.TotalSlots != 60 {
+					return fmt.Errorf("plan payload %+v (%v), want the epoch-1 live plan", p.planHead, err)
+				}
+				return nil
+			}
+		}},
+		{"optimize", func(t *testing.T, s *Server) (string, func() int, string, string, func([]byte) error) {
+			// Hold the execution slot: the job stays queued and its hub open
+			// while the stream is read, then runs once the test ends.
+			s.jobs.run <- struct{}{}
+			t.Cleanup(func() {
+				<-s.jobs.run
+				waitForJob(t, s.Handler(), "opt-1")
+			})
+			body, _ := json.Marshal(map[string]any{
+				"k": 1, "candidates": optimizeCandidates(t, snap, 1),
+				"horizon_hours": 0.25, "warmup_hours": 0.0,
+			})
+			if rec := postOptimize(t, s.Handler(), string(body)); rec.Code != http.StatusAccepted {
+				t.Fatalf("POST /v2/optimize = %d body %s", rec.Code, rec.Body.String())
+			}
+			return "/v2/optimize/opt-1/stream", s.jobs.get("opt-1").hub.count, "status", "0", func(b []byte) error {
+				var st optimizeStatus
+				if err := json.Unmarshal(b, &st); err != nil || st.Job != "opt-1" || st.Status != jobQueued {
+					return fmt.Errorf("status payload %+v (%v), want opt-1 queued", st, err)
+				}
+				return nil
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(snap, Config{})
+			srv := httptest.NewServer(s.Handler())
+			defer srv.Close()
+			path, subs, event, id, data := tc.open(t, s)
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d", resp.StatusCode)
+			}
+			if ct, cc := resp.Header.Get("Content-Type"), resp.Header.Get("Cache-Control"); ct != "text/event-stream" || cc != "no-cache" {
+				t.Fatalf("Content-Type %q, Cache-Control %q; want text/event-stream, no-cache", ct, cc)
+			}
+			r := bufio.NewReader(resp.Body)
+			var lines [4]string
+			for i := range lines {
+				if lines[i], err = r.ReadString('\n'); err != nil {
+					t.Fatalf("first event, line %d: %v", i, err)
+				}
+			}
+			if lines[0] != "event: "+event+"\n" || lines[1] != "id: "+id+"\n" ||
+				!strings.HasPrefix(lines[2], "data: {") || lines[3] != "\n" {
+				t.Fatalf("first event framed as %q, want event: %s / id: %s / one data line / blank", lines, event, id)
+			}
+			if err := data([]byte(strings.TrimSuffix(strings.TrimPrefix(lines[2], "data: "), "\n"))); err != nil {
+				t.Fatal(err)
+			}
+			if n := subs(); n != 1 {
+				t.Fatalf("%d subscriptions while the stream is open, want 1", n)
+			}
+			cancel()
+			deadline := time.Now().Add(10 * time.Second)
+			for subs() != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("client gone, but %d subscriptions remain", subs())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }
