@@ -46,6 +46,15 @@ if go list -deps ./internal/core | grep -qx dgs/internal/passes; then echo "core
 if git grep -nE 'spatial\.NewGrid|frames\.NewTopocentric' -- internal/core internal/passes ':!*_test.go'; then
     echo "core and passes must take station geometry from spatial.Sites" >&2; exit 1
 fi
+# One planning path: the carry and the rate kernel are the only way the
+# planner computes edges and rates. The memo-rated sweep they are held to
+# lives in core's tests (oracle_test.go), with no switch to reach it.
+if git grep -nE 'UseSweep|NoBatch' -- '*.go'; then
+    echo "reference-path switches are gone: select a reference in tests, not with a knob" >&2; exit 1
+fi
+if git grep -nE 'AttenMemo|MemoView' -- internal/core internal/sim internal/serve internal/optimize ':!*_test.go'; then
+    echo "production code rates with linkbudget.Kernel; the memo is the tests' oracle" >&2; exit 1
+fi
 
 echo "== go build"
 go build ./...
@@ -75,19 +84,22 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # into per-worker candidate scratch, and the incremental planner re-carries
 # only dirty pairs and merges them into the clean edges: cell index ≡ cross
 # product, patched ≡ from scratch, and the rolling planner's carried link
-# geometry plus the memo-free rate kernel ≡ fresh schedulers ≡ the
-# exhaustive sweep and the attenuation memo, bit for bit, however the slots
-# land on the workers. The planner streams: workers fill slots while the
-# caller reduces each one as it lands, so plans must not depend on the
-# order fills finish in (Stream: reverse and shuffled fill orders ≡ one
+# geometry plus the memo-free rate kernel ≡ fresh schedulers ≡ the test
+# oracle (core's oracle_test.go: the exhaustive per-instant sweep rated
+# through the attenuation memo), bit for bit, however the slots land on the
+# workers; Visibility, one instant of the carry, ≡ the oracle and is safe
+# for concurrent callers (Visibility), and the sim's rolling runs ≡ runs
+# that carry every epoch from scratch (SweepWindow). The planner streams:
+# workers fill slots while the caller reduces each one as it lands, so
+# plans must not depend on the order fills finish in (Stream: reverse and shuffled fill orders ≡ one
 # worker), and the carry's shortcuts must cut exactly what they replace
 # (SinFloor, MaskTable, RangeSinEl: the azimuth-free elevation ≡ Look;
 # ClearRates, Kernel: carried clear-sky rates ≡ the memo, never aliased;
 # Bidding: one station-bound Φ per plan). (core rolls the paper's 12 h
 # horizon six times against six fresh schedulers per pass, hence the
 # explicit timeout.)
-go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky|Stream|SinFloor|RangeSinEl|ClearRates|Bidding|Prune|Reanchor|Incremental|InProgress|Workers' \
-    ./internal/passes ./internal/core ./internal/linkbudget ./internal/itu ./internal/frames ./internal/spatial
+go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky|Stream|SinFloor|RangeSinEl|ClearRates|Bidding|Prune|Reanchor|Incremental|InProgress|Workers|Visibility|SweepWindow' \
+    ./internal/passes ./internal/core ./internal/linkbudget ./internal/itu ./internal/frames ./internal/spatial ./internal/sim
 
 echo "== go test -race (parallel pipeline + session + serving layers)"
 # session is the one managed wire session both station↔backend and

@@ -16,6 +16,7 @@
 // From-scratch planning carries every slot, a rolling epoch only the new
 // tail, a weather revision nothing, and a TLE or station delta only the
 // dirty pairs (incremental.go): one path with different dirty sets.
+// Visibility is one instant of the same path, carried afresh.
 
 package core
 
@@ -29,6 +30,13 @@ import (
 	"dgs/internal/spatial"
 	"dgs/internal/station"
 )
+
+// VisibleEdge is a feasible link with its geometry and predicted rate.
+type VisibleEdge struct {
+	Sat, Station int
+	Geometry     linkbudget.Geometry
+	RateBps      float64
+}
 
 // carriedSlot is one slot instant's exact-feasible edges — every edge some
 // forecast could give a positive rate, including those whose rate is zero
@@ -46,8 +54,7 @@ type carriedSlot struct {
 // per station for the slot being rated, the build buffers a slot is carried
 // into before it is copied out at its exact size, the station bitmap that
 // puts a satellite's candidates in order, the per-station elevation-sine
-// floors of the instant being carried, and the sweep's condition scratch
-// (whose cell-index candidate buffer the carry shares).
+// floors of the instant being carried, and the cell-index candidate buffer.
 type workerScratch struct {
 	sky   []linkbudget.Sky
 	known []bool
@@ -56,7 +63,7 @@ type workerScratch struct {
 	clear []float64
 	bits  []uint64
 	floor []float64
-	cond  condScratch
+	cand  []int32
 }
 
 // sinFloors returns, per station, spatial.SinFloor of its elevation mask.
@@ -70,16 +77,14 @@ func (ws *workerScratch) sinFloors(net station.Network) []float64 {
 }
 
 // carryPairs carries the instant t: every candidate pair goes through the
-// feasibility cuts — the ones evalCtx.eval applies before it rates an edge,
-// then the kernel's "never closes" — and the survivors come back as
-// ascending packed keys with their carried terms and clear-sky rates. A
-// satellite's candidates are spatial.Sites.Near's: the stations in the
-// cells its horizon disk touches, ascending — a superset of the feasible
-// stations, so every feasible pair is evaluated, by the sweep's own exact
-// cuts (spatial.Sites.Above's elevation is Look's, without the azimuth).
-// The edge order is satellite-major with stations ascending; every
-// consumer of the edge list is insensitive to the within-satellite station
-// order, so the resulting plans are bit-identical to the sweep's.
+// feasibility cuts — constraint bitmap, slant range, elevation mask, then
+// the kernel's "never closes" — and the survivors come back as ascending
+// packed keys with their carried terms and clear-sky rates. A satellite's
+// candidates are spatial.Sites.Near's: the stations in the cells its
+// horizon disk touches, ascending — a superset of the feasible stations,
+// so every feasible pair is evaluated, by exact cuts (spatial.Sites.Above's
+// elevation is Look's, without the azimuth). The edge order is
+// satellite-major with stations ascending.
 //
 // Both restrictions nil carries every pair. Otherwise only dirty pairs are
 // carried: a satellite marked in dirtySats (indexed by satellite) against
@@ -101,8 +106,8 @@ func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats
 		}
 		ecef, cand := e.Pos, dirtyStations
 		if !restricted || (dirtySats != nil && dirtySats[i]) {
-			ws.cond.cand = stSites.Near(ws.cond.cand, ecef, &ws.bits)
-			cand = ws.cond.cand
+			ws.cand = stSites.Near(ws.cand, ecef, &ws.bits)
+			cand = ws.cand
 		}
 		for _, j := range cand {
 			gs := s.Stations[j]
@@ -132,8 +137,7 @@ func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats
 // rateSlot rates a slot's carried edges under the forecast for instant t
 // issued lead earlier (clear sky without a forecast) into dst, aligned with
 // cs.keys and grown when too small. A rate of zero or less means the link
-// does not close at this lead: the reduction skips the edge, where the
-// sweep never lists it.
+// does not close at this lead: the reduction and Visibility skip the edge.
 //
 // An edge whose station's quantized sky is the kernel's clear one —
 // every edge without a forecast — takes its carried clear-sky rate: the
@@ -183,11 +187,47 @@ func (s *Scheduler) rateSlot(dst []float64, cs *carriedSlot, t time.Time, lead t
 	return dst
 }
 
-// planCarried is PlanEpoch on the default path. It brings the scheduler's
-// carried state to cover the n slots from start — in one streamed fan-out
-// that carries each instant not carried yet and rates every slot at this
-// epoch's lead, into per-slot rate buffers reused across epochs — and
-// reduces each slot as soon as it is rated.
+// Visibility computes the feasible edges at time t: satellite above the
+// station's elevation mask, downlink permitted by the constraint bitmap,
+// and a positive predicted rate under forecast weather at the given lead.
+// It is one instant of PlanEpoch's own path, carried afresh — nothing is
+// kept between calls, so masks and constraint bitmaps are read live — and
+// rated at lead; each edge's geometry is the range and elevation the carry
+// cut on. Edges come satellite-major, stations ascending.
+//
+// Visibility is safe for concurrent use: satellite positions come from the
+// thread-safe position cache, the station index and rate kernel are built
+// once under a lock and read-only after, and each call has its own scratch.
+func (s *Scheduler) Visibility(sats []SatSnapshot, t time.Time, lead time.Duration) []VisibleEdge {
+	positions := s.positionCache(sats)
+	var ws workerScratch
+	cs := s.carryPairs(positions, t, nil, nil, &ws)
+	rates := s.rateSlot(nil, cs, t, lead, &ws)
+	stSites, maxRange, at := s.stationSites(), s.maxRange(), positions.At(t)
+	nGs := len(s.Stations)
+	var edges []VisibleEdge
+	for x, key := range cs.keys {
+		if rates[x] <= 0 {
+			continue
+		}
+		i, j := int(key)/nGs, int(key)%nGs
+		gs := s.Stations[j]
+		rangeKm, el, _ := stSites.Above(j, at[i].Pos, maxRange, gs.MinElevationRad, ws.floor[j])
+		edges = append(edges, VisibleEdge{Sat: i, Station: j, RateBps: rates[x], Geometry: linkbudget.Geometry{
+			RangeKm:         rangeKm,
+			ElevationRad:    el,
+			StationLatRad:   gs.Location.LatRad,
+			StationHeightKm: gs.Location.AltKm,
+		}})
+	}
+	return edges
+}
+
+// planCarried is PlanEpoch once its arguments are resolved. It brings the
+// scheduler's carried state to cover the n slots from start — in one
+// streamed fan-out that carries each instant not carried yet and rates
+// every slot at this epoch's lead, into per-slot rate buffers reused across
+// epochs — and reduces each slot as soon as it is rated.
 func (s *Scheduler) planCarried(sats []SatSnapshot, positions *poscache.Cache, start time.Time, n int, slotDur time.Duration, genBitsPerSec float64) *Plan {
 	if s.carriedPos != positions || s.carried == nil {
 		s.carried, s.carriedPos = make(map[int64]*carriedSlot, n), positions

@@ -24,10 +24,10 @@ func sameCarried(a, b *carriedSlot) bool {
 
 // TestCarryMaskTableMatchesSweep holds the carry's elevation cut — the
 // clamped sine tested against a per-station floor before the arcsine, and
-// no azimuth — to the sweep's Visibility, which takes Look's elevation, at
+// no azimuth — to the oracle's sweep, which takes Look's elevation, at
 // station masks from below the nadir to past the zenith: per instant, the
-// carried keys are the sweep's edges (sorted) and the carried clear-sky
-// rates its rates, bit for bit, under a clear sky.
+// carried keys are the oracle's edges and the carried clear-sky rates its
+// memo rates, bit for bit, under a clear sky.
 func TestCarryMaskTableMatchesSweep(t *testing.T) {
 	masksDeg := []float64{-95, -5, 0, 5, 89.99, 90, 120, 180}
 	for _, tc := range []struct {
@@ -46,22 +46,22 @@ func TestCarryMaskTableMatchesSweep(t *testing.T) {
 				net[j] = &gs
 			}
 			sched := &Scheduler{Radio: linkbudget.DefaultRadio(), Stations: net}
-			sats := snapsFrom(propsFrom(t, tc.els))
-			positions := sched.positionCache(sats)
+			positions := sched.positionCache(snapsFrom(propsFrom(t, tc.els)))
+			o := newOracle(sched)
+			view := o.memo.View()
 			nGs := len(net)
 			perMask := make([]int, len(masksDeg))
 			var ws workerScratch
 			for k := 0; k < 24; k++ {
 				at := epoch.Add(time.Duration(k) * 11 * time.Minute)
 				got := sched.carryPairs(positions, at, nil, nil, &ws)
-				want := sched.Visibility(sats, at, 0)
-				slices.SortFunc(want, func(a, b VisibleEdge) int { return (a.Sat*nGs + a.Station) - (b.Sat*nGs + b.Station) })
+				want := o.visibility(positions, at, 0, view)
 				if len(got.keys) != len(want) {
-					t.Fatalf("%v: %d carried edges, the sweep lists %d", at, len(got.keys), len(want))
+					t.Fatalf("%v: %d carried edges, the oracle lists %d", at, len(got.keys), len(want))
 				}
 				for x, e := range want {
 					if got.keys[x] != int32(e.Sat*nGs+e.Station) || math.Float64bits(got.clear[x]) != math.Float64bits(e.RateBps) {
-						t.Fatalf("%v edge %d: carried key %d at %v bps, the sweep's (%d,%d) at %v bps", at, x, got.keys[x], got.clear[x], e.Sat, e.Station, e.RateBps)
+						t.Fatalf("%v edge %d: carried key %d at %v bps, the oracle's (%d,%d) at %v bps", at, x, got.keys[x], got.clear[x], e.Sat, e.Station, e.RateBps)
 					}
 					perMask[e.Station%len(masksDeg)]++
 				}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -99,6 +101,123 @@ func TestVisibilityElevationMask(t *testing.T) {
 		if e.Geometry.ElevationRad <= 20*astro.Deg2Rad {
 			t.Fatal("edge below the raised mask")
 		}
+	}
+}
+
+// sameEdges requires two edge lists to hold the same edges in the same
+// order, with equal geometry and bit-equal rates.
+func sameEdges(t *testing.T, label string, got, want []VisibleEdge) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d edges, want %d", label, len(got), len(want))
+	}
+	for x, w := range want {
+		g := got[x]
+		if g.Sat != w.Sat || g.Station != w.Station || g.Geometry != w.Geometry || math.Float64bits(g.RateBps) != math.Float64bits(w.RateBps) {
+			t.Fatalf("%s edge %d: %+v, want %+v", label, x, g, w)
+		}
+	}
+}
+
+// TestVisibilityMatchesSweep holds Visibility — one instant carried and
+// rated by the planner's own path — to the oracle's sweep: the same edges,
+// the same geometry and the same rate bits, at 32 × 48 and (outside
+// -short) 259 × 173, with the forecast off and on, at leads from a nowcast
+// to 6 h. Visibility keeps nothing between calls, so a constraint bitmap
+// and a mask changed at the same instant must show in the next call.
+func TestVisibilityMatchesSweep(t *testing.T) {
+	sizes := [][2]int{{32, 48}}
+	if !testing.Short() {
+		sizes = append(sizes, [2]int{259, 173})
+	}
+	leads := []time.Duration{0, 47 * time.Minute, 6 * time.Hour}
+	for _, size := range sizes {
+		for _, forecast := range []bool{false, true} {
+			sched, sats := smallWorld(t, size[0], size[1])
+			if forecast {
+				sched.Forecast = weather.NewForecast(weather.NewField(11), 0.4)
+			}
+			positions := sched.positionCache(sats)
+			o := newOracle(sched)
+			view := o.memo.View()
+			check := func(at time.Time, what string) []VisibleEdge {
+				var nowcast []VisibleEdge
+				for _, lead := range leads {
+					got := sched.Visibility(sats, at, lead)
+					label := fmt.Sprintf("%dx%d forecast=%v %v lead %v%s", size[0], size[1], forecast, at, lead, what)
+					sameEdges(t, label, got, o.visibility(positions, at, lead, view))
+					if lead == 0 {
+						nowcast = got
+					}
+				}
+				return nowcast
+			}
+			var at time.Time
+			var edges []VisibleEdge
+			for k := range 6 {
+				if es := check(epoch.Add(time.Duration(k)*37*time.Minute), ""); len(es) >= 2 {
+					at, edges = epoch.Add(time.Duration(k)*37*time.Minute), es
+				}
+			}
+			if len(edges) < 2 {
+				t.Fatal("fewer than two edges at every instant; not a meaningful comparison")
+			}
+
+			// Forbid the first edge's satellite at its station, and raise
+			// the last edge's station mask to exactly that edge's elevation.
+			first, last := edges[0], edges[len(edges)-1]
+			bm := station.NewBitmap(len(sats))
+			for i := range sats {
+				bm.Set(i, i != first.Sat)
+			}
+			sched.Stations[first.Station].Constraints = bm
+			sched.Stations[last.Station].MinElevationRad = last.Geometry.ElevationRad
+			for _, e := range check(at, " after the bitmap and mask change") {
+				if e.Sat == first.Sat && e.Station == first.Station {
+					t.Fatalf("edge %+v survives its constraint bitmap", e)
+				}
+				if e.Sat == last.Sat && e.Station == last.Station {
+					t.Fatalf("edge %+v survives the raised mask", e)
+				}
+			}
+		}
+	}
+}
+
+// TestVisibilityConcurrent: eight goroutines call Visibility at once, two
+// on each of four instants, on one scheduler whose lazily built state —
+// position cache, station index, rate kernel, forecast components — they
+// build between them; every result must equal the serial one of a
+// scheduler of its own. ci.sh runs it under -race.
+func TestVisibilityConcurrent(t *testing.T) {
+	serial, satsA := smallWorld(t, 32, 48)
+	shared, satsB := smallWorld(t, 32, 48)
+	serial.Forecast = weather.NewForecast(weather.NewField(11), 0.4)
+	shared.Forecast = weather.NewForecast(weather.NewField(11), 0.4)
+	const goroutines = 8
+	at := func(g int) time.Time { return epoch.Add(time.Duration(g/2) * 23 * time.Minute) }
+	lead := func(g int) time.Duration { return time.Duration(g/2) * time.Hour }
+	want := make([][]VisibleEdge, goroutines)
+	edges := 0
+	for g := range want {
+		want[g] = serial.Visibility(satsA, at(g), lead(g))
+		edges += len(want[g])
+	}
+	if edges == 0 {
+		t.Fatal("no visibility at any instant; not a meaningful comparison")
+	}
+	got := make([][]VisibleEdge, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = shared.Visibility(satsB, at(g), lead(g))
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		sameEdges(t, fmt.Sprintf("goroutine %d", g), got[g], want[g])
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dgs/internal/match"
-	"dgs/internal/poscache"
 )
 
 // Assignment is one scheduled link in one slot.
@@ -268,9 +267,10 @@ func (wt *weigher) add(g *match.Graph, sat *SatSnapshot, i, j int, rateBps float
 // streamed reduction — slot k as soon as it is rated, while later slots
 // are still being carried and rated — over one reusable graph with
 // warm-started matching scratch. The produced plan is bit-identical to a
-// fresh scheduler's, and to a fully serial exhaustive sweep (UseSweep), for
-// any worker count, any order in which the slots finish, and any order of
-// starts.
+// fresh scheduler's for any worker count, any order in which the slots
+// finish, and any order of starts — and to the plan of an exhaustive
+// per-slot sweep rated through the attenuation memo, the reference the
+// tests hold the carry and the rate pass to.
 func (s *Scheduler) PlanEpoch(sats []SatSnapshot, start time.Time, horizon, slotDur time.Duration, genBitsPerSec float64) *Plan {
 	if slotDur <= 0 {
 		slotDur = time.Minute
@@ -284,37 +284,10 @@ func (s *Scheduler) PlanEpoch(sats []SatSnapshot, start time.Time, horizon, slot
 	positions := s.positionCache(sats)
 	positions.Prune(start)
 	s.pruneForecast(start)
-
-	if s.UseSweep {
-		return s.planSweep(sats, positions, start, n, slotDur, genBitsPerSec)
-	}
 	return s.planCarried(sats, positions, start, n, slotDur, genBitsPerSec)
 }
 
-// planSweep is PlanEpoch on the reference path: every slot swept
-// exhaustively and rated through the attenuation memo (a private view per
-// worker), then handed to the same streamed reduction as keys and rates.
-func (s *Scheduler) planSweep(sats []SatSnapshot, positions *poscache.Cache, start time.Time, n int, slotDur time.Duration, genBitsPerSec float64) *Plan {
-	memo, _ := s.rateMemo()
-	nGs := len(s.Stations)
-	slots := make([]*carriedSlot, n)
-	rates := make([][]float64, n)
-	return s.planStream(sats, start, slotDur, genBitsPerSec, slots, rates, func(k int, ws *workerScratch) {
-		if ws.cond.view == nil {
-			ws.cond.view = memo.View()
-		}
-		t := start.Add(time.Duration(k) * slotDur)
-		edges := s.visibilitySweep(nil, sats, positions, t, t.Sub(start), &ws.cond)
-		slots[k] = &carriedSlot{keys: make([]int32, len(edges))}
-		rates[k] = make([]float64, len(edges))
-		for x, e := range edges {
-			slots[k].keys[x] = int32(e.Sat*nGs + e.Station)
-			rates[k][x] = e.RateBps
-		}
-	})
-}
-
-// planStream is the one planning fan-out, behind every path: it runs
+// planStream is the one planning fan-out, behind every plan: it runs
 // fill(k, ws) for each slot k in [0, len(slots)) on Workers goroutines,
 // which claim slots in ascending order (ws is the claiming worker's private
 // scratch), and reduces slot k on the calling goroutine as soon as fill(k)
@@ -459,10 +432,9 @@ func (r *reducer) slot(keys []int32, rate []float64) {
 	}
 
 	slot := Slot{Start: plan.Issued.Add(time.Duration(len(plan.Slots)) * slotDur)}
-	// The edge list is satellite-major on both visibility paths and a
-	// satellite holds at most one matched edge, so this scan emits
-	// assignments in ascending satellite order — the same order the
-	// LeftToRight iteration used to produce.
+	// The keys are satellite-major and a satellite holds at most one
+	// matched edge, so this scan emits assignments in ascending satellite
+	// order — the same order the LeftToRight iteration used to produce.
 	for x, key := range keys {
 		rt := rate[x]
 		if rt <= 0 {

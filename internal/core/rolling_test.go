@@ -42,17 +42,16 @@ func rollingForecast(on bool) *weather.Forecast {
 	return weather.NewForecast(weather.NewField(11), 0.4)
 }
 
-func (w rollingWorld) sched(workers int, forecast bool, sweep bool) *Scheduler {
+func (w rollingWorld) sched(workers int, forecast bool) *Scheduler {
 	return &Scheduler{
 		Radio:    linkbudget.DefaultRadio(),
 		Stations: w.net,
 		Forecast: rollingForecast(forecast),
 		Workers:  workers,
-		UseSweep: sweep,
 	}
 }
 
-func (w rollingWorld) plan(t testing.TB, s *Scheduler, start time.Time, horizon, slot time.Duration) []byte {
+func (w rollingWorld) plan(t testing.TB, s planner, start time.Time, horizon, slot time.Duration) []byte {
 	return planJSON(t, s.PlanEpoch(w.sats, start, horizon, slot, rollingGen))
 }
 
@@ -62,27 +61,27 @@ type rollingMatrix struct {
 	advances  int
 	workers   []int
 	forecasts []bool
-	// sweep also holds every epoch's plan to the exhaustive sweep's.
+	// sweep also holds every epoch's plan to the oracle's.
 	sweep bool
 }
 
 // runRollingDifferential advances one scheduler per worker count through
 // successive 30-minute epochs and requires every plan to be byte-identical
 // to a fresh scheduler's plan of the same epoch — and, when asked, to the
-// exhaustive sweep's.
+// oracle's exhaustive sweep.
 func runRollingDifferential(t *testing.T, w rollingWorld, m rollingMatrix) {
 	t.Helper()
 	slots := int(m.horizon / time.Minute)
 	for _, forecast := range m.forecasts {
 		refs := make([][]byte, m.advances)
-		var sweep *Scheduler
+		var sweep planner
 		if m.sweep {
-			sweep = w.sched(0, forecast, true)
+			sweep = sweepSched{w.sched(0, forecast)}
 		}
 		assigned := 0
 		for e := range refs {
 			start := epoch.Add(time.Duration(e) * 30 * time.Minute)
-			fresh := w.sched(0, forecast, false).PlanEpoch(w.sats, start, m.horizon, time.Minute, rollingGen)
+			fresh := w.sched(0, forecast).PlanEpoch(w.sats, start, m.horizon, time.Minute, rollingGen)
 			for _, sl := range fresh.Slots {
 				assigned += len(sl.Assignments)
 			}
@@ -95,7 +94,7 @@ func runRollingDifferential(t *testing.T, w rollingWorld, m rollingMatrix) {
 			t.Fatal("differential fixture scheduled nothing; not a meaningful comparison")
 		}
 		for _, workers := range m.workers {
-			rolling := w.sched(workers, forecast, false)
+			rolling := w.sched(workers, forecast)
 			for e, ref := range refs {
 				start := epoch.Add(time.Duration(e) * 30 * time.Minute)
 				if got := w.plan(t, rolling, start, m.horizon, time.Minute); !bytes.Equal(got, ref) {
@@ -152,7 +151,7 @@ func TestRollingDifferentialWalkerScale(t *testing.T) {
 // loop does not make — the same start twice, a start before the prune cut,
 // a gap longer than the horizon, another slot duration, a new network and
 // a new forecast between epochs — and requires each plan to equal a fresh
-// scheduler's and the sweep's for the same arguments.
+// scheduler's and the oracle's for the same arguments.
 func TestRollingNonMonotone(t *testing.T) {
 	w := smallRollingWorld(t)
 	const horizon = 2 * time.Hour
@@ -182,7 +181,7 @@ func TestRollingNonMonotone(t *testing.T) {
 		{"off the grid", at(580).Add(17 * time.Second), time.Minute, true, w},
 	}
 	for _, workers := range []int{1, 4, 0} {
-		rolling := w.sched(workers, true, false)
+		rolling := w.sched(workers, true)
 		forecast, world := true, w
 		for _, st := range steps {
 			if st.forecast != forecast {
@@ -194,10 +193,10 @@ func TestRollingNonMonotone(t *testing.T) {
 				rolling.SetStations(world.net)
 			}
 			got := world.plan(t, rolling, st.start, horizon, st.slot)
-			if ref := world.plan(t, world.sched(workers, forecast, false), st.start, horizon, st.slot); !bytes.Equal(got, ref) {
+			if ref := world.plan(t, world.sched(workers, forecast), st.start, horizon, st.slot); !bytes.Equal(got, ref) {
 				t.Fatalf("workers=%d %s: plan differs from a fresh scheduler's", workers, st.name)
 			}
-			if ref := world.plan(t, world.sched(workers, forecast, true), st.start, horizon, st.slot); !bytes.Equal(got, ref) {
+			if ref := world.plan(t, sweepSched{world.sched(workers, forecast)}, st.start, horizon, st.slot); !bytes.Equal(got, ref) {
 				t.Fatalf("workers=%d %s: plan differs from the sweep's", workers, st.name)
 			}
 		}
@@ -206,14 +205,15 @@ func TestRollingNonMonotone(t *testing.T) {
 
 // TestClearSkyAfterForecast: a scheduler that planned under weather and is
 // then told there is no forecast must plan clear sky — not whatever rain
-// and cloud its workers last blended — on the carried and the sweep path.
+// and cloud its workers last blended — planning itself and through the
+// oracle.
 func TestClearSkyAfterForecast(t *testing.T) {
 	w := smallRollingWorld(t)
 	const horizon = 2 * time.Hour
 	for _, sweep := range []bool{false, true} {
 		for _, workers := range []int{1, 0} {
-			want := w.plan(t, w.sched(workers, false, sweep), epoch, horizon, time.Minute)
-			stormy := w.plan(t, w.sched(workers, true, sweep), epoch, horizon, time.Minute)
+			want := w.plan(t, planVia(w.sched(workers, false), sweep), epoch, horizon, time.Minute)
+			stormy := w.plan(t, planVia(w.sched(workers, true), sweep), epoch, horizon, time.Minute)
 			if bytes.Equal(want, stormy) {
 				t.Fatal("the forecast changes nothing in this fixture; not a meaningful comparison")
 			}
@@ -224,10 +224,10 @@ func TestClearSkyAfterForecast(t *testing.T) {
 				{"SetForecast(nil)", func(s *Scheduler) { s.SetForecast(nil) }},
 				{"Forecast = nil", func(s *Scheduler) { s.Forecast = nil }},
 			} {
-				s := w.sched(workers, true, sweep)
-				w.plan(t, s, epoch, horizon, time.Minute)
+				s := w.sched(workers, true)
+				w.plan(t, planVia(s, sweep), epoch, horizon, time.Minute)
 				drop.do(s)
-				if got := w.plan(t, s, epoch, horizon, time.Minute); !bytes.Equal(got, want) {
+				if got := w.plan(t, planVia(s, sweep), epoch, horizon, time.Minute); !bytes.Equal(got, want) {
 					t.Fatalf("sweep=%v workers=%d: plan after %s differs from a clear-sky scheduler's", sweep, workers, drop.name)
 				}
 			}
@@ -245,7 +245,7 @@ func TestClearRatesNeverAliased(t *testing.T) {
 	w := smallRollingWorld(t)
 	const horizon = 2 * time.Hour
 	for _, workers := range []int{1, 4} {
-		s := w.sched(workers, false, false)
+		s := w.sched(workers, false)
 		want := w.plan(t, s, epoch, horizon, time.Minute)
 		before := make(map[int64][]float64, len(s.carried))
 		for at, cs := range s.carried {
@@ -272,7 +272,7 @@ func TestClearRatesNeverAliased(t *testing.T) {
 // worker scratch warm, re-rating a slot at a new lead allocates nothing.
 func TestRollingRatePassAllocFree(t *testing.T) {
 	w := smallRollingWorld(t)
-	s := w.sched(1, true, false)
+	s := w.sched(1, true)
 	w.plan(t, s, epoch, 2*time.Hour, time.Minute)
 	at := epoch.Add(47 * time.Minute)
 	cs := s.carried[at.UnixNano()]
@@ -293,16 +293,16 @@ func TestRollingRatePassAllocFree(t *testing.T) {
 
 // runKernelOnCarriedEdges rates every carried edge of the horizon both ways
 // — the planner's rate pass, as PlanEpoch leaves it in the carried slots
-// and the rate buffers, and the attenuation memo on geometry and forecast
-// recomputed from scratch — with the forecast on and then off, and
+// and the rate buffers, and the oracle's attenuation memo on geometry and
+// forecast recomputed from scratch — with the forecast on and then off, and
 // requires the same bits.
 func runKernelOnCarriedEdges(t *testing.T, w rollingWorld, horizon time.Duration) {
 	t.Helper()
-	s := w.sched(0, true, false)
+	s := w.sched(0, true)
 	positions := s.positionCache(w.sats)
 	sites := s.stationSites()
-	memo, memoPath := s.rateMemo()
-	view := memo.View()
+	o := newOracle(s)
+	view := o.memo.View()
 	n := int(horizon / time.Minute)
 	nGs := len(w.net)
 	for _, forecast := range []bool{true, false} {
@@ -336,7 +336,7 @@ func runKernelOnCarriedEdges(t *testing.T, w rollingWorld, horizon time.Duration
 					StationLatRad:   gs.Location.LatRad,
 					StationHeightKm: gs.Location.AltKm,
 				}
-				want := view.RateBpsAt(memoPath[j], gs.EffectiveTerminal(), geo, conds[j])
+				want := view.RateBpsAt(o.path[j], gs.EffectiveTerminal(), geo, conds[j])
 				if got := rates[k][x]; math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("forecast=%v slot %d pair (%d,%d): rate pass %v vs memo %v", forecast, k, i, j, got, want)
 				}

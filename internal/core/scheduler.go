@@ -1,8 +1,8 @@
 // Scheduler state and its lazily built caches. The planning pipeline is
 // split across sibling files: plan.go (Plan type, PlanEpoch and the
-// reduction), carry.go (per-instant carried link geometry and the rate
-// pass), sweep.go (the exhaustive per-instant visibility evaluation:
-// Visibility, and the reference UseSweep plans are compared against).
+// reduction) and carry.go (per-instant carried link geometry, the rate
+// pass, and Visibility — one instant of both). They are the only way the
+// package computes feasible edges and their rates.
 
 package core
 
@@ -36,6 +36,12 @@ type SatSnapshot struct {
 }
 
 // Scheduler builds downlink plans for a station network and constellation.
+//
+// Station locations are assumed fixed over the scheduler's lifetime (the
+// cell index and station geometry are cached), and PlanEpoch holds each
+// station's elevation mask, constraint bitmap and beam count as of the
+// instant's first planning; Visibility reads masks and bitmaps live.
+// SetStations is how a changed network is announced.
 type Scheduler struct {
 	// Radio is the satellites' transmit side.
 	Radio linkbudget.Radio
@@ -64,17 +70,6 @@ type Scheduler struct {
 	// scheduler lazily builds a private cache from the snapshots it is
 	// handed.
 	Positions *poscache.Cache
-	// UseSweep forces PlanEpoch onto the exhaustive per-slot visibility
-	// sweep, rated through the attenuation memo, instead of carried link
-	// geometry and the memo-free rate kernel. The two paths produce
-	// bit-identical plans (the differential tests enforce it); the sweep
-	// exists for that cross-check and for ablation. Station locations and
-	// elevation masks are assumed fixed over the scheduler's lifetime on
-	// both paths (the cell index and station geometry are cached); the
-	// default path also holds each station's constraint bitmap and beam
-	// count as of the instant's first planning. SetStations is how a
-	// changed network is announced.
-	UseSweep bool
 
 	nextVersion int
 
@@ -104,25 +99,20 @@ type Scheduler struct {
 	carriedPos *poscache.Cache
 	rates      [][]float64
 
-	// mu guards the lazily initialized shared state below; Visibility
-	// must be callable from PlanEpoch's worker goroutines.
+	// mu guards the lazily initialized shared state below, which
+	// PlanEpoch's workers and concurrent Visibility calls all read.
 	mu sync.Mutex
 	// stSites is the station network's cell index and topocentric bases,
-	// so carrying an instant and the sweep only examine stations near each
-	// satellite's ground track and never redo the geodetic→ECEF conversion
-	// per candidate edge.
+	// so carrying an instant only examines stations near each satellite's
+	// ground track and never redoes the geodetic→ECEF conversion per
+	// candidate edge.
 	stSites *spatial.Sites
 	// pos is the private fallback position cache used when Positions is
 	// nil; rebuilt whenever the snapshot population changes.
 	pos *poscache.Cache
-	// memo caches the ITU-R attenuation chain for Radio (quantized
-	// elevation and weather) for the sweep; memoPath maps station index →
-	// registered path handle.
-	memo     *linkbudget.AttenMemo
-	memoPath []int
-	// kern is the memo-free link-rate kernel for Radio and sites its
-	// per-station constants (ground path, effective terminal): what every
-	// plan but UseSweep's is rated with.
+	// kern is the link-rate kernel for Radio and sites its per-station
+	// constants (ground path, effective terminal): what every edge is
+	// rated with.
 	kern  *linkbudget.Kernel
 	sites []linkbudget.Site
 	// fcMu guards fcCache, the per-instant forecast components (truth and
@@ -146,8 +136,7 @@ func (s *Scheduler) SetPlanVersion(v int) { s.nextVersion = v }
 // SetForecast replaces the weather forecast and drops every cached
 // per-instant forecast component (they sample the old fields). Carried
 // link geometry survives — none of it depends on weather — so the next
-// epoch only re-rates; so does the sweep's attenuation memo, whose entries
-// are pure functions of the quantized conditions.
+// epoch only re-rates.
 func (s *Scheduler) SetForecast(fc *weather.Forecast) {
 	s.Forecast = fc
 	s.fcMu.Lock()
@@ -157,16 +146,14 @@ func (s *Scheduler) SetForecast(fc *weather.Forecast) {
 
 // SetStations replaces the ground network and drops every lazily built
 // structure derived from it: the spatial cell index and per-station
-// geometry, the rate kernel's sites, the attenuation memo's path
-// registrations and the per-worker memo views fronting it, cached forecast
-// components (sized to the old station count), and every carried edge
-// (keyed and masked by it).
+// geometry, the rate kernel's sites, the per-worker scratch, cached
+// forecast components (sized to the old station count), and every carried
+// edge (keyed and masked by it).
 // The caller must not be running PlanEpoch concurrently.
 func (s *Scheduler) SetStations(net station.Network) {
 	s.Stations = net
 	s.mu.Lock()
 	s.stSites = nil
-	s.memo, s.memoPath = nil, nil
 	s.kern, s.sites = nil, nil
 	s.mu.Unlock()
 	s.fcMu.Lock()
@@ -187,21 +174,6 @@ func (s *Scheduler) stationSites() *spatial.Sites {
 		s.stSites = spatial.NewSites(s.Stations)
 	}
 	return s.stSites
-}
-
-// rateMemo returns the attenuation memo for the scheduler's radio plus
-// the per-station path handles.
-func (s *Scheduler) rateMemo() (*linkbudget.AttenMemo, []int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.memo == nil {
-		s.memo = linkbudget.NewAttenMemo(s.Radio)
-		s.memoPath = make([]int, len(s.Stations))
-		for j, gs := range s.Stations {
-			s.memoPath[j] = s.memo.Register(gs.Location.LatRad, gs.Location.AltKm)
-		}
-	}
-	return s.memo, s.memoPath
 }
 
 // rateKernel returns the link-rate kernel for the scheduler's radio plus

@@ -39,23 +39,23 @@ var streamOrders = []struct {
 // TestStreamAdversarialOrderPlanEpoch holds PlanEpoch's streamed reduction
 // to the one-worker plan when the slots finish out of order: a fresh
 // scheduler's first epoch, then rolling epochs that carry most slots, on
-// the carried path with and without a forecast and on the sweep.
+// the carried path with and without a forecast and through the oracle.
 func TestStreamAdversarialOrderPlanEpoch(t *testing.T) {
 	w := smallRollingWorld(t)
 	const horizon = 2 * time.Hour
 	starts := []time.Time{epoch, epoch.Add(30 * time.Minute), epoch.Add(time.Hour), epoch.Add(4 * time.Hour)}
 	for _, sweep := range []bool{false, true} {
 		for _, forecast := range []bool{false, true} {
-			ref := w.sched(1, forecast, sweep)
+			ref := planVia(w.sched(1, forecast), sweep)
 			want := make([][]byte, len(starts))
 			for e, start := range starts {
 				want[e] = w.plan(t, ref, start, horizon, time.Minute)
 			}
 			for _, o := range streamOrders {
-				s := w.sched(4, forecast, sweep)
+				s := w.sched(4, forecast)
 				s.fillOrder = o.order()
 				for e, start := range starts {
-					if got := w.plan(t, s, start, horizon, time.Minute); !bytes.Equal(got, want[e]) {
+					if got := w.plan(t, planVia(s, sweep), start, horizon, time.Minute); !bytes.Equal(got, want[e]) {
 						t.Fatalf("sweep=%v forecast=%v %s order, epoch %d: plan differs from the one-worker plan", sweep, forecast, o.name, e)
 					}
 				}
@@ -198,7 +198,7 @@ func TestPlanStreamAllocsIndependentOfSlots(t *testing.T) {
 // edges than that.
 func TestReduceBiddingAllocsIndependentOfEdges(t *testing.T) {
 	w := smallRollingWorld(t)
-	s := w.sched(1, false, false)
+	s := w.sched(1, false)
 	const n = 120
 	w.plan(t, s, epoch, n*time.Minute, time.Minute)
 	slots := make([]*carriedSlot, n)

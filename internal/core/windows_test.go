@@ -39,7 +39,7 @@ func plansEqual(t *testing.T, ref, got *Plan, label string) {
 // (exercising what the scheduler carries and prunes, and a gap that
 // strands all of it), with and without a weather forecast, and at several
 // worker counts, carried cell-index candidates rated by the kernel must
-// produce plans bit-identical to the exhaustive sweep rated by the memo.
+// produce plans bit-identical to the oracle's sweep rated by the memo.
 func TestPlanEpochWindowsMatchSweep(t *testing.T) {
 	gen := 100 * 8e9 / 86400.0
 	epochs := []time.Time{
@@ -50,9 +50,9 @@ func TestPlanEpochWindowsMatchSweep(t *testing.T) {
 	}
 	for _, forecast := range []bool{false, true} {
 		for _, workers := range []int{1, 4, runtime.NumCPU()} {
-			sweep, satsA := smallWorld(t, 16, 32)
+			base, satsA := smallWorld(t, 16, 32)
 			windowed, satsB := smallWorld(t, 16, 32)
-			sweep.UseSweep = true
+			sweep := sweepSched{base}
 			sweep.Workers = workers
 			windowed.Workers = workers
 			if forecast {
@@ -88,8 +88,7 @@ func TestPlanEpochWindowsMatchSweepOddSlot(t *testing.T) {
 	for _, slotDur := range []time.Duration{90 * time.Second, 77 * time.Second, 30 * time.Second} {
 		sweep, satsA := smallWorld(t, 12, 24)
 		windowed, satsB := smallWorld(t, 12, 24)
-		sweep.UseSweep = true
-		ref := sweep.PlanEpoch(satsA, epoch, time.Hour, slotDur, gen)
+		ref := sweepSched{sweep}.PlanEpoch(satsA, epoch, time.Hour, slotDur, gen)
 		got := windowed.PlanEpoch(satsB, epoch, time.Hour, slotDur, gen)
 		plansEqual(t, ref, got, "slotDur "+slotDur.String())
 	}
@@ -136,25 +135,26 @@ func TestNewPlanIndexes(t *testing.T) {
 }
 
 // TestVisibilitySweepAllocFree locks in the steady-state allocation
-// behaviour of the per-slot visibility sweep: with the caches warm and the
-// destination/scratch buffers reused, a sweep allocates nothing.
+// behaviour of carrying an instant, the visibility evaluation behind every
+// plan and Visibility: with the caches and the worker scratch warm, a carry
+// allocates only the slot it returns — the struct and the exact-size copies
+// of its keys, terms and clear-sky rates. (Re-rating a carried slot
+// allocates nothing: TestRollingRatePassAllocFree.)
 func TestVisibilitySweepAllocFree(t *testing.T) {
 	sched, sats := smallWorld(t, 16, 32)
 	positions := sched.positionCache(sats)
 	at := epoch.Add(30 * time.Minute)
-	var cs condScratch
-	var dst []VisibleEdge
-	// Warm every cache along the path (station geometry, attenuation memo
-	// entries, position slot) before measuring.
-	dst = sched.visibilitySweep(dst[:0], sats, positions, at, 0, &cs)
-	if len(dst) == 0 {
+	var ws workerScratch
+	// Warm every cache along the path (station geometry, rate kernel,
+	// position slot) and the scratch before measuring.
+	if cs := sched.carryPairs(positions, at, nil, nil, &ws); len(cs.keys) == 0 {
 		t.Skip("no visibility at chosen instant")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		dst = sched.visibilitySweep(dst[:0], sats, positions, at, 0, &cs)
+		sched.carryPairs(positions, at, nil, nil, &ws)
 	})
-	if allocs > 0 {
-		t.Fatalf("warm visibility sweep allocates %.1f times per run, want 0", allocs)
+	if allocs > 4 {
+		t.Fatalf("warm carry allocates %.1f times per instant, want at most 4 (the slot it returns)", allocs)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package poscache is the shared, thread-safe satellite ECEF position
 // cache behind the parallel planning-and-propagation pipeline. The sim
-// main loop, the scheduler's visibility sweep, and the TX-contact check
+// main loop, the scheduler's carry, and the TX-contact check
 // all need "where is every satellite at instant t" — and successive plan
 // epochs overlap so heavily that each instant used to be propagated
 // several times over. One cache now serves them all:
@@ -42,10 +42,6 @@ type Entry struct {
 type Cache struct {
 	// Workers bounds the parallel fill; <= 0 means GOMAXPROCS.
 	Workers int
-	// NoBatch forces the scalar per-propagator fill even when the
-	// population supports the SoA batch path. Positions are bit-identical
-	// either way; the flag exists for differential tests and benchmarks.
-	NoBatch bool
 
 	props []orbit.Propagator
 	// batch is the SoA fast path over the population's SGP4 coefficients,
@@ -76,8 +72,10 @@ func New(props []orbit.Propagator) *Cache {
 }
 
 // Batched reports whether the cache fills instants through the SoA batch
-// path (every propagator is a plain SGP4 propagator and NoBatch is off).
-func (c *Cache) Batched() bool { return c.batch != nil && !c.NoBatch }
+// path: every propagator is a plain SGP4 propagator sharing one gravity
+// model. Any other population takes the scalar per-propagator fill, with
+// bit-identical positions.
+func (c *Cache) Batched() bool { return c.batch != nil }
 
 // Len returns the population size.
 func (c *Cache) Len() int { return len(c.props) }
@@ -280,7 +278,7 @@ func (c *Cache) ReplaceProp(i int, p orbit.Propagator) {
 // cache is using (bit-identical either way). Callers hold c.mu.
 func (c *Cache) computeOne(i int, t time.Time) Entry {
 	jd := astro.JulianDate(t)
-	if c.batch != nil && !c.NoBatch {
+	if c.Batched() {
 		pos, ok := c.batch.PositionECEF(i, jd, frames.NewEarthRotation(jd))
 		return Entry{Pos: pos, OK: ok}
 	}

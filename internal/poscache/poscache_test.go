@@ -1,6 +1,7 @@
 package poscache
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,9 +15,9 @@ import (
 
 var epoch = time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
 
-func testCache(t testing.TB, n int) *Cache {
+func testProps(t testing.TB, n, seed int) []orbit.Propagator {
 	t.Helper()
-	els := dataset.Satellites(dataset.SatelliteOptions{N: n, Seed: 9, Epoch: epoch})
+	els := dataset.Satellites(dataset.SatelliteOptions{N: n, Seed: int64(seed), Epoch: epoch})
 	props := make([]orbit.Propagator, 0, n)
 	for _, el := range els {
 		p, err := sgp4.New(el)
@@ -24,6 +25,28 @@ func testCache(t testing.TB, n int) *Cache {
 			t.Fatal(err)
 		}
 		props = append(props, p)
+	}
+	return props
+}
+
+func testCache(t testing.TB, n int) *Cache {
+	t.Helper()
+	return New(testProps(t, n, 9))
+}
+
+// scalarProp hides an SGP4 propagator's type: a population holding one
+// fills through the scalar path, on the same arithmetic.
+type scalarProp struct{ orbit.Propagator }
+
+// testCacheOn is testCache with, when scalar, every propagator wrapped in
+// scalarProp: the cache then takes the scalar fill.
+func testCacheOn(t testing.TB, n int, scalar bool) *Cache {
+	t.Helper()
+	props := testProps(t, n, 9)
+	if scalar {
+		for i, p := range props {
+			props[i] = scalarProp{p}
+		}
 	}
 	return New(props)
 }
@@ -122,14 +145,13 @@ func TestPruneEmptyCache(t *testing.T) {
 func TestBatchMatchesScalarBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		batch := testCache(t, 37)
-		scalar := testCache(t, 37)
-		scalar.NoBatch = true
+		scalar := testCacheOn(t, 37, true)
 		batch.Workers, scalar.Workers = workers, workers
 		if !batch.Batched() {
 			t.Fatal("SGP4 population did not select the batch path")
 		}
 		if scalar.Batched() {
-			t.Fatal("NoBatch did not disable the batch path")
+			t.Fatal("wrapped population selected the batch path")
 		}
 		for k := 0; k < 8; k++ {
 			at := epoch.Add(time.Duration(k) * 17 * time.Minute)
@@ -197,10 +219,8 @@ func TestConcurrentAtIsConsistent(t *testing.T) {
 // slices, misses are computed and stored.
 func TestAtRangeMatchesAt(t *testing.T) {
 	for _, scalar := range []bool{false, true} {
-		block := testCache(t, 23)
-		block.NoBatch = scalar
-		single := testCache(t, 23)
-		single.NoBatch = scalar
+		block := testCacheOn(t, 23, scalar)
+		single := testCacheOn(t, 23, scalar)
 
 		// Pre-cache two of the instants so the range mixes hits and misses.
 		ts := make([]time.Time, 9)
@@ -244,8 +264,7 @@ func TestAtRangeMatchesAt(t *testing.T) {
 // need a decaying set; here every satellite is healthy, so OK must hold).
 func TestSatAtWithMatchesSatAt(t *testing.T) {
 	for _, scalar := range []bool{false, true} {
-		c := testCache(t, 11)
-		c.NoBatch = scalar
+		c := testCacheOn(t, 11, scalar)
 		for k := 0; k < 5; k++ {
 			at := epoch.Add(time.Duration(k)*29*time.Minute + 7*time.Second)
 			jd := astro.JulianDate(at)
@@ -259,5 +278,55 @@ func TestSatAtWithMatchesSatAt(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestReplacePropMatchesRebuild: after ReplaceProp every cached instant is
+// bit-equal to a fresh cache over the updated population, and slices handed
+// out before the swap still hold the old positions. An SGP4 replacement
+// keeps the batch; any other propagator drops it to the scalar fill.
+func TestReplacePropMatchesRebuild(t *testing.T) {
+	alt := testProps(t, 12, 10)
+	for _, tc := range []struct {
+		name    string
+		with    orbit.Propagator
+		batched bool
+	}{
+		{"sgp4", alt[5], true},
+		{"non-sgp4", scalarProp{alt[5]}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testCache(t, 12)
+			ts := []time.Time{epoch, epoch.Add(13 * time.Minute), epoch.Add(2 * time.Hour)}
+			held := make([][]Entry, len(ts))
+			before := make([][]Entry, len(ts))
+			for k, at := range ts {
+				held[k] = c.At(at)
+				before[k] = slices.Clone(held[k])
+			}
+			c.ReplaceProp(5, tc.with)
+			if c.Batched() != tc.batched {
+				t.Fatalf("Batched() = %v after the swap, want %v", c.Batched(), tc.batched)
+			}
+			if c.Size() != len(ts) {
+				t.Fatalf("cache size = %d after the swap, want %d", c.Size(), len(ts))
+			}
+			rebuilt := New(slices.Clone(c.Props()))
+			if rebuilt.Batched() != tc.batched {
+				t.Fatalf("rebuilt Batched() = %v, want %v", rebuilt.Batched(), tc.batched)
+			}
+			for k, at := range ts {
+				got, want := c.At(at), rebuilt.At(at)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%v: patched instant differs from a rebuilt cache", at)
+				}
+				if got[5] == before[k][5] {
+					t.Fatalf("%v: satellite 5 did not move; not a meaningful comparison", at)
+				}
+				if !slices.Equal(held[k], before[k]) {
+					t.Fatalf("%v: a slice handed out before the swap changed", at)
+				}
+			}
+		})
 	}
 }

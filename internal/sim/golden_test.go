@@ -191,7 +191,8 @@ func loadGolden(t *testing.T, name string) goldenResult {
 
 // TestGoldenDifferential asserts the simulator reproduces the pinned
 // pre-refactor outputs exactly. The first variant per scenario always runs;
-// the full worker-count × visibility matrix is skipped under -short.
+// the other worker counts and the one carrying every epoch from scratch
+// are skipped under -short.
 func TestGoldenDifferential(t *testing.T) {
 	for _, sc := range goldenScenarios() {
 		sc := sc
@@ -219,7 +220,7 @@ func TestGoldenDifferential(t *testing.T) {
 			variants := []struct {
 				label   string
 				workers int
-				sweep   bool
+				fresh   bool
 			}{
 				{"workers=1", 1, false},
 			}
@@ -228,24 +229,24 @@ func TestGoldenDifferential(t *testing.T) {
 					struct {
 						label   string
 						workers int
-						sweep   bool
+						fresh   bool
 					}{"workers=4", 4, false},
 					struct {
 						label   string
 						workers int
-						sweep   bool
+						fresh   bool
 					}{fmt.Sprintf("workers=%d", runtime.NumCPU()), runtime.NumCPU(), false},
 					struct {
 						label   string
 						workers int
-						sweep   bool
-					}{"workers=1/sweep", 1, true},
+						fresh   bool
+					}{"workers=1/fresh", 1, true},
 				)
 			}
 			for _, v := range variants {
 				cfg := sc.cfg()
 				cfg.Workers = v.workers
-				res, err := runReference(cfg, v.sweep, false)
+				res, err := runReference(cfg, v.fresh, false)
 				if err != nil {
 					t.Fatalf("%s: %v", v.label, err)
 				}

@@ -6,30 +6,58 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"dgs/internal/orbit"
+	"dgs/internal/poscache"
 )
 
-// runReference runs cfg to completion with the engine switched, before its
-// first Step, onto the reference paths production never takes: the
-// scheduler's exhaustive per-slot visibility sweep (sweep) and the position
-// cache's scalar per-propagator fill (scalar). With both false it is Run.
-func runReference(cfg Config, sweep, scalar bool) (*Result, error) {
+// scalarProp hides a propagator's concrete type: a population of them is
+// not all *sgp4.Propagator, so the position cache fills it through the
+// scalar per-propagator path, on the same arithmetic.
+type scalarProp struct{ orbit.Propagator }
+
+// runReference runs cfg to completion on paths a plain Run does not take:
+// with fresh, the scheduler's carried state is dropped before every step,
+// so each epoch carries every slot from scratch; with scalar, the position
+// cache the engine and the scheduler share is rebuilt, before the first
+// step, over propagators the SoA batch cannot take. With both false it is
+// Run.
+func runReference(cfg Config, fresh, scalar bool) (*Result, error) {
 	e, err := NewEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	e.w.sched.UseSweep = sweep
-	e.w.positions.NoBatch = scalar
-	return e.Run(context.Background())
+	w := e.w
+	if scalar {
+		props := make([]orbit.Propagator, w.positions.Len())
+		for i, p := range w.positions.Props() {
+			props[i] = scalarProp{p}
+		}
+		w.positions = poscache.New(props)
+		w.positions.Workers = cfg.Workers
+		w.sched.Positions = w.positions
+	}
+	for !e.Done() {
+		if fresh {
+			w.sched.SetStations(w.sched.Stations)
+		}
+		if err := e.Step(); err != nil {
+			return nil, err
+		}
+	}
+	return e.Finalize()
 }
 
-// TestSweepWindowEquivalence is the end-to-end half of the pass-window
-// predictor's bit-identity contract: a full simulation planned through the
-// predictor must produce a byte-identical Result to one planned with the
-// exhaustive per-slot sweep, at any worker count, with weather, forecast
-// error, and event traffic all active.
+// TestSweepWindowEquivalence is the end-to-end half of the rolling
+// planner's bit-identity contract: a full simulation whose epochs carry
+// what earlier epochs computed must produce a byte-identical Result to one
+// whose every epoch carries from scratch, at any worker count, with
+// weather, forecast error, and event traffic all active. (Carried edges and
+// kernel rates are held to the exhaustive memo-rated sweep per plan in
+// core.)
 func TestSweepWindowEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("end-to-end equivalence matrix skipped in -short; the golden suite covers one sweep variant")
+		t.Skip("end-to-end equivalence matrix skipped in -short; the golden suite covers one fresh variant")
 	}
 	base := smallCfg(8, 24)
 	base.Duration = 6 * time.Hour
@@ -42,7 +70,7 @@ func TestSweepWindowEquivalence(t *testing.T) {
 	refCfg.Workers = 1
 	ref, err := runReference(refCfg, true, false)
 	if err != nil {
-		t.Fatalf("sweep reference: %v", err)
+		t.Fatalf("fresh reference: %v", err)
 	}
 
 	for _, w := range []int{1, 4, runtime.NumCPU()} {
@@ -50,8 +78,8 @@ func TestSweepWindowEquivalence(t *testing.T) {
 		cfg.Workers = w
 		res, err := Run(context.Background(), cfg)
 		if err != nil {
-			t.Fatalf("windows workers=%d: %v", w, err)
+			t.Fatalf("rolling workers=%d: %v", w, err)
 		}
-		resultsIdentical(t, ref, res, fmt.Sprintf("sweep vs windows workers=%d", w))
+		resultsIdentical(t, ref, res, fmt.Sprintf("fresh vs rolling workers=%d", w))
 	}
 }

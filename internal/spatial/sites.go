@@ -34,12 +34,12 @@ func NewSites(net station.Network) *Sites {
 // Topo returns station j's topocentric basis.
 func (s *Sites) Topo(j int) *frames.Topocentric { return &s.topo[j] }
 
-// AppendNear appends to dst the cell-index candidates of a satellite at
+// appendNear appends to dst the cell-index candidates of a satellite at
 // ECEF position pos (km) — every station in a cell its inflated horizon
 // disk touches, in Grid.AppendNear's order: a superset of the stations
 // that can see it. A decayed position (at or below the Earth's radius)
 // appends nothing.
-func (s *Sites) AppendNear(dst []int32, pos frames.Vec3) []int32 {
+func (s *Sites) appendNear(dst []int32, pos frames.Vec3) []int32 {
 	sp := SubPointOf(pos)
 	if !sp.Visible() {
 		return dst
@@ -47,13 +47,13 @@ func (s *Sites) AppendNear(dst []int32, pos frames.Vec3) []int32 {
 	return s.grid.AppendNear(dst, sp, HorizonPsiDeg(sp.RKm))
 }
 
-// Near returns AppendNear's candidates in ascending order without
+// Near returns appendNear's candidates in ascending order without
 // duplicates, in dst's storage (its contents are discarded). bitmap is the
 // caller's scratch, grown to the network and left cleared: the candidates'
 // bits are set in it and the words walked in order, which gives the set a
 // sort would, in O(candidates + stations/64).
 func (s *Sites) Near(dst []int32, pos frames.Vec3, bitmap *[]uint64) []int32 {
-	ids := s.AppendNear(dst[:0], pos)
+	ids := s.appendNear(dst[:0], pos)
 	words := (len(s.topo) + 63) / 64
 	if len(*bitmap) < words {
 		*bitmap = make([]uint64, words)

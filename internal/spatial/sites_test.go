@@ -32,7 +32,7 @@ func sitesWorld() (station.Network, []frames.Vec3) {
 	return net, append(pos, frames.Vec3{X: 100})
 }
 
-// TestSitesNearIsSortedAppendNear: Near is AppendNear's candidate set,
+// TestSitesNearIsSortedAppendNear: Near is appendNear's candidate set,
 // ascending and deduplicated, whatever dst held, and it leaves the bitmap
 // cleared for the next call.
 func TestSitesNearIsSortedAppendNear(t *testing.T) {
@@ -41,7 +41,7 @@ func TestSitesNearIsSortedAppendNear(t *testing.T) {
 	var bitmap []uint64
 	dst := []int32{7, 7, 7}
 	for _, p := range pos {
-		want := slices.Sorted(slices.Values(s.AppendNear(nil, p)))
+		want := slices.Sorted(slices.Values(s.appendNear(nil, p)))
 		want = slices.Compact(want)
 		dst = s.Near(dst, p, &bitmap)
 		if !slices.Equal(dst, want) {
