@@ -95,10 +95,14 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # worker), and the carry's shortcuts must cut exactly what they replace
 # (SinFloor, MaskTable, RangeSinEl: the azimuth-free elevation ≡ Look;
 # ClearRates, Kernel: carried clear-sky rates ≡ the memo, never aliased;
-# Bidding: one station-bound Φ per plan). (core rolls the paper's 12 h
+# Bidding: one station-bound Φ per plan; Reach: past a station's link
+# reach nothing closes, so the range cut drops only what Carry drops;
+# NearCovers: the candidate disk a range cut shrinks still holds every
+# station in range; TermsTable: the per-elevation path-terms table ≡
+# itu.SlantPath.Terms). (core rolls the paper's 12 h
 # horizon six times against six fresh schedulers per pass, hence the
 # explicit timeout.)
-go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky|Stream|SinFloor|RangeSinEl|ClearRates|Bidding|Prune|Reanchor|Incremental|InProgress|Workers|Visibility|SweepWindow' \
+go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky|Stream|SinFloor|RangeSinEl|ClearRates|Bidding|Reach|NearCovers|TermsTable|Prune|Reanchor|Incremental|InProgress|Workers|Visibility|SweepWindow' \
     ./internal/passes ./internal/core ./internal/linkbudget ./internal/itu ./internal/frames ./internal/spatial ./internal/sim
 
 echo "== go test -race (parallel pipeline + session + serving layers)"

@@ -77,14 +77,16 @@ func (ws *workerScratch) sinFloors(net station.Network) []float64 {
 }
 
 // carryPairs carries the instant t: every candidate pair goes through the
-// feasibility cuts — constraint bitmap, slant range, elevation mask, then
-// the kernel's "never closes" — and the survivors come back as ascending
-// packed keys with their carried terms and clear-sky rates. A satellite's
-// candidates are spatial.Sites.Near's: the stations in the cells its
-// horizon disk touches, ascending — a superset of the feasible stations,
-// so every feasible pair is evaluated, by exact cuts (spatial.Sites.Above's
-// elevation is Look's, without the azimuth). The edge order is
-// satellite-major with stations ascending.
+// feasibility cuts — constraint bitmap, slant range within the station's
+// reach, elevation mask, then the kernel's "never closes" — and the
+// survivors come back as ascending packed keys with their carried terms and
+// clear-sky rates. The reach cut only drops pairs Carry would reject:
+// past it the link closes under no weather. A satellite's candidates are
+// spatial.Sites.Near's for the largest reach: the stations in the cells
+// the smaller of its horizon and range disks touches, ascending — a
+// superset of the feasible stations, so every feasible pair is evaluated,
+// by exact cuts (spatial.Sites.Above's elevation is Look's, without the
+// azimuth). The edge order is satellite-major with stations ascending.
 //
 // Both restrictions nil carries every pair. Otherwise only dirty pairs are
 // carried: a satellite marked in dirtySats (indexed by satellite) against
@@ -93,8 +95,11 @@ func (ws *workerScratch) sinFloors(net station.Network) []float64 {
 // product without the index.
 func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats []bool, dirtyStations []int32, ws *workerScratch) *carriedSlot {
 	stSites := s.stationSites()
-	kern, sites := s.rateKernel()
-	maxRange := s.maxRange()
+	kern, sites, reach := s.rateKernel()
+	nearKm := 0.0
+	if len(reach) > 0 {
+		nearKm = slices.Max(reach)
+	}
 	restricted := dirtySats != nil || dirtyStations != nil
 	nGs := len(s.Stations)
 	floor := ws.sinFloors(s.Stations)
@@ -106,7 +111,7 @@ func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats
 		}
 		ecef, cand := e.Pos, dirtyStations
 		if !restricted || (dirtySats != nil && dirtySats[i]) {
-			ws.cand = stSites.Near(ws.cand, ecef, &ws.bits)
+			ws.cand = stSites.Near(ws.cand, ecef, nearKm, &ws.bits)
 			cand = ws.cand
 		}
 		for _, j := range cand {
@@ -114,7 +119,7 @@ func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats
 			if !gs.Allows(i) {
 				continue
 			}
-			rangeKm, el, ok := stSites.Above(int(j), ecef, maxRange, gs.MinElevationRad, floor[j])
+			rangeKm, el, ok := stSites.Above(int(j), ecef, reach[j], gs.MinElevationRad, floor[j])
 			if !ok {
 				continue
 			}
@@ -162,7 +167,7 @@ func (s *Scheduler) rateSlot(dst []float64, cs *carriedSlot, t time.Time, lead t
 		copy(dst, cs.clear)
 		return dst
 	}
-	kern, sites := s.rateKernel()
+	kern, sites, _ := s.rateKernel()
 	clearSky := kern.Weather(linkbudget.Conditions{})
 	nGs := len(s.Stations)
 	if cap(ws.sky) < nGs {
@@ -203,7 +208,8 @@ func (s *Scheduler) Visibility(sats []SatSnapshot, t time.Time, lead time.Durati
 	var ws workerScratch
 	cs := s.carryPairs(positions, t, nil, nil, &ws)
 	rates := s.rateSlot(nil, cs, t, lead, &ws)
-	stSites, maxRange, at := s.stationSites(), s.maxRange(), positions.At(t)
+	stSites, at := s.stationSites(), positions.At(t)
+	_, _, reach := s.rateKernel()
 	nGs := len(s.Stations)
 	var edges []VisibleEdge
 	for x, key := range cs.keys {
@@ -212,7 +218,7 @@ func (s *Scheduler) Visibility(sats []SatSnapshot, t time.Time, lead time.Durati
 		}
 		i, j := int(key)/nGs, int(key)%nGs
 		gs := s.Stations[j]
-		rangeKm, el, _ := stSites.Above(j, at[i].Pos, maxRange, gs.MinElevationRad, ws.floor[j])
+		rangeKm, el, _ := stSites.Above(j, at[i].Pos, reach[j], gs.MinElevationRad, ws.floor[j])
 		edges = append(edges, VisibleEdge{Sat: i, Station: j, RateBps: rates[x], Geometry: linkbudget.Geometry{
 			RangeKm:         rangeKm,
 			ElevationRad:    el,

@@ -185,3 +185,48 @@ func TestCarryGridMatchesCrossProduct(t *testing.T) {
 		})
 	}
 }
+
+// TestReachCapsRangeCut pins each station's slant-range cut: its link's
+// reach under maxRange(), which is 3,500 km for a zero or NaN MaxRangeKm;
+// a degenerate terminal, whose reach is NaN or +Inf, keeps the cap.
+// SetStations rebuilds the cuts for the new network.
+func TestReachCapsRangeCut(t *testing.T) {
+	dgsTerm, baseTerm := linkbudget.DGSTerminal(), linkbudget.BaselineTerminal()
+	nanGain, noNoise := dgsTerm, dgsTerm
+	nanGain.Efficiency = math.NaN()
+	noNoise.NoiseTempK = 0
+	net := station.Network{
+		{ID: 0, Terminal: dgsTerm},
+		{ID: 1, Terminal: baseTerm},
+		{ID: 2, Terminal: nanGain},
+		{ID: 3, Terminal: noNoise},
+		{ID: 4, Terminal: dgsTerm, Beams: 4},
+	}
+	kern := linkbudget.NewKernel(linkbudget.DefaultRadio())
+	reachOf := func(gs *station.Station) float64 {
+		site := kern.Site(gs.Location.LatRad, gs.Location.AltKm, gs.EffectiveTerminal())
+		return kern.Reach(&site)
+	}
+	dgsReach, beamReach := reachOf(net[0]), reachOf(net[4])
+	if !(dgsReach < 3500 && beamReach < dgsReach) || !(reachOf(net[1]) > 3500) {
+		t.Fatalf("reaches: DGS %v, four-beam DGS %v, baseline %v km", dgsReach, beamReach, reachOf(net[1]))
+	}
+	for _, row := range []struct {
+		maxRangeKm float64
+		want       []float64
+	}{
+		{0, []float64{dgsReach, 3500, 3500, 3500, beamReach}},
+		{math.NaN(), []float64{dgsReach, 3500, 3500, 3500, beamReach}},
+		{2000, []float64{2000, 2000, 2000, 2000, beamReach}},
+		{math.Inf(1), []float64{dgsReach, reachOf(net[1]), math.Inf(1), math.Inf(1), beamReach}},
+	} {
+		sched := &Scheduler{Radio: linkbudget.DefaultRadio(), Stations: net, MaxRangeKm: row.maxRangeKm}
+		if _, _, reach := sched.rateKernel(); !slices.Equal(reach, row.want) {
+			t.Errorf("MaxRangeKm %v: range cuts %v, want %v", row.maxRangeKm, reach, row.want)
+		}
+		sched.SetStations(net[:1])
+		if _, _, reach := sched.rateKernel(); !slices.Equal(reach, row.want[:1]) {
+			t.Errorf("MaxRangeKm %v after SetStations: range cuts %v, want %v", row.maxRangeKm, reach, row.want[:1])
+		}
+	}
+}

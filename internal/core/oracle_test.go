@@ -53,7 +53,7 @@ func (o *oracle) visibility(positions *poscache.Cache, t time.Time, lead time.Du
 		if !e.OK {
 			continue
 		}
-		cand = sites.Near(cand, e.Pos, &bits)
+		cand = sites.Near(cand, e.Pos, maxRange, &bits)
 		for _, c := range cand {
 			j := int(c)
 			gs := s.Stations[j]

@@ -55,7 +55,10 @@ type Scheduler struct {
 	Forecast *weather.Forecast
 	// MaxRangeKm prunes pairs beyond plausible visibility before computing
 	// exact look angles. Defaults to 3500 km (horizon range for 600 km LEO
-	// with slack).
+	// with slack). It is an upper cap over each station's link reach
+	// (linkbudget.Kernel.Reach: the slant range past which its link cannot
+	// close under any weather), which is the cut a pair is carried against
+	// when shorter; both are read when the rate kernel is first built.
 	MaxRangeKm float64
 	// Workers bounds the planning worker pool: PlanEpoch's per-slot carry
 	// and rate passes run on this many goroutines while the calling
@@ -112,9 +115,11 @@ type Scheduler struct {
 	pos *poscache.Cache
 	// kern is the link-rate kernel for Radio and sites its per-station
 	// constants (ground path, effective terminal): what every edge is
-	// rated with.
+	// rated with. reach[j] is station j's slant-range cut, the smaller of
+	// maxRange() and its link's reach.
 	kern  *linkbudget.Kernel
 	sites []linkbudget.Site
+	reach []float64
 	// fcMu guards fcCache, the per-instant forecast components (truth and
 	// error-field samples per station). Both are lead-independent, so
 	// overlapping epochs revisiting an instant blend cached samples
@@ -146,15 +151,15 @@ func (s *Scheduler) SetForecast(fc *weather.Forecast) {
 
 // SetStations replaces the ground network and drops every lazily built
 // structure derived from it: the spatial cell index and per-station
-// geometry, the rate kernel's sites, the per-worker scratch, cached
-// forecast components (sized to the old station count), and every carried
-// edge (keyed and masked by it).
+// geometry, the rate kernel's sites and range cuts, the per-worker
+// scratch, cached forecast components (sized to the old station count),
+// and every carried edge (keyed and masked by it).
 // The caller must not be running PlanEpoch concurrently.
 func (s *Scheduler) SetStations(net station.Network) {
 	s.Stations = net
 	s.mu.Lock()
 	s.stSites = nil
-	s.kern, s.sites = nil, nil
+	s.kern, s.sites, s.reach = nil, nil, nil
 	s.mu.Unlock()
 	s.fcMu.Lock()
 	s.fcCache = nil
@@ -177,19 +182,25 @@ func (s *Scheduler) stationSites() *spatial.Sites {
 }
 
 // rateKernel returns the link-rate kernel for the scheduler's radio plus
-// the per-station sites.
-func (s *Scheduler) rateKernel() (*linkbudget.Kernel, []linkbudget.Site) {
+// the per-station sites and slant-range cuts. A station whose reach is NaN
+// or +Inf (a degenerate terminal) keeps maxRange() as its cut.
+func (s *Scheduler) rateKernel() (*linkbudget.Kernel, []linkbudget.Site, []float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.kern == nil {
 		k := linkbudget.NewKernel(s.Radio)
 		s.kern = k
 		s.sites = make([]linkbudget.Site, len(s.Stations))
+		s.reach = make([]float64, len(s.Stations))
 		for j, gs := range s.Stations {
 			s.sites[j] = k.Site(gs.Location.LatRad, gs.Location.AltKm, gs.EffectiveTerminal())
+			s.reach[j] = s.maxRange()
+			if r := k.Reach(&s.sites[j]); r < s.reach[j] {
+				s.reach[j] = r
+			}
 		}
 	}
-	return s.kern, s.sites
+	return s.kern, s.sites, s.reach
 }
 
 // fcComponents returns the per-station forecast components (truth and
@@ -284,7 +295,7 @@ func (s *Scheduler) value() ValueFunc {
 }
 
 func (s *Scheduler) maxRange() float64 {
-	if s.MaxRangeKm <= 0 {
+	if !(s.MaxRangeKm > 0) {
 		return 3500
 	}
 	return s.MaxRangeKm

@@ -259,16 +259,38 @@ type PathTerms struct {
 	SinEl, Ls, LsCos float64
 }
 
-// Terms evaluates the path's weather-independent terms.
+// Terms evaluates the path's weather-independent terms: its elevation's
+// ElevationTrig completed with the station's depth below the rain height.
 func (p SlantPath) Terms() PathTerms {
-	el := math.Max(p.ElevationRad, minElevationRad)
-	t := PathTerms{SinEl: math.Sin(el)}
-	if dh := RainHeightKm(p.LatitudeRad) - p.StationHeightKm; dh > 0 {
-		// RainPathAttenuation takes its sine from Sincos while the cloud
-		// and gas terms call Sin; keep each where it was.
-		sinEl, cosEl := math.Sincos(el)
-		t.Ls = dh / sinEl
-		t.LsCos = t.Ls * cosEl
+	e := TrigOf(p.ElevationRad)
+	return e.Terms(RainHeightKm(p.LatitudeRad) - p.StationHeightKm)
+}
+
+// ElevationTrig is the elevation-only part of PathTerms: the Sin of the
+// clamped elevation, which the cloud and gas cosecants divide by, and the
+// Sincos pair the rain slant length takes. A caller that evaluates many
+// stations at a few elevations computes it once per elevation.
+type ElevationTrig struct {
+	Sin, RainSin, RainCos float64
+}
+
+// TrigOf evaluates the elevation-only terms of a path elevation (radians).
+func TrigOf(elevRad float64) ElevationTrig {
+	el := math.Max(elevRad, minElevationRad)
+	// RainPathAttenuation takes its sine from Sincos while the cloud and
+	// gas terms call Sin; keep each where it was.
+	e := ElevationTrig{Sin: math.Sin(el)}
+	e.RainSin, e.RainCos = math.Sincos(el)
+	return e
+}
+
+// Terms completes the path terms for a station dhKm below the rain height,
+// RainHeightKm(lat) − height. Ls and LsCos stay zero for dhKm ≤ 0.
+func (e *ElevationTrig) Terms(dhKm float64) PathTerms {
+	t := PathTerms{SinEl: e.Sin}
+	if dhKm > 0 {
+		t.Ls = dhKm / e.RainSin
+		t.LsCos = t.Ls * e.RainCos
 	}
 	return t
 }

@@ -2,6 +2,7 @@ package linkbudget
 
 import (
 	"math"
+	"sync"
 
 	"dgs/internal/astro"
 	"dgs/internal/dvbs2"
@@ -13,7 +14,10 @@ import (
 // the same links again under new weather — the planner's overlapping
 // epochs — repeats only the part that changed:
 //
-//   - per station (Site): terminal gain and noise floor;
+//   - per station (Site): terminal gain, noise floor and the station's depth
+//     below the rain height;
+//   - per quantized elevation (once per process, pathTrig): the clamped
+//     elevation's sine and its Sincos pair;
 //   - per (station, range, elevation) (Carry): EIRP − FSPL and the
 //     quantized path's weather-independent attenuation terms;
 //   - per weather sample (Weather): the quantized rain and cloud terms;
@@ -28,6 +32,7 @@ type Kernel struct {
 	carrier itu.Carrier
 	acm     dvbs2.Ladder
 	clear   Sky
+	trig    []itu.ElevationTrig
 }
 
 // NewKernel builds the kernel for one radio.
@@ -36,14 +41,32 @@ func NewKernel(r Radio) *Kernel {
 		radio:   r,
 		carrier: itu.NewCarrier(r.FreqGHz, r.Polarization),
 		acm:     dvbs2.NewLadder(r.SymbolRateHz),
+		trig:    pathTrig(),
 	}
 	k.clear = k.Weather(Conditions{})
 	return k
 }
 
+// zenithElevQ is the zenith's quantized elevation, round(π/2 / elevStepRad):
+// the largest that any elevation up to the zenith quantizes to.
+const zenithElevQ = 15708
+
+// pathTrig is itu.TrigOf of every quantized elevation up to the zenith,
+// indexed by elevQ (quantize never yields 0, whose entry is unused). It
+// depends on nothing but the quantization, so it is built once per process
+// and shared, read-only, by every kernel.
+var pathTrig = sync.OnceValue(func() []itu.ElevationTrig {
+	t := make([]itu.ElevationTrig, zenithElevQ+1)
+	for q := range t {
+		t[q] = itu.TrigOf(float64(q) * elevStepRad)
+	}
+	return t
+})
+
 // Site is the per-station part of a rate evaluation.
 type Site struct {
 	latRad, heightKm  float64
+	rainDepthKm       float64 // itu.RainHeightKm(latRad) − heightKm
 	gainDBi, noiseDBW float64
 	marginDB          float64
 	channels          float64
@@ -54,10 +77,11 @@ type Site struct {
 func (k *Kernel) Site(latRad, heightKm float64, t Terminal) Site {
 	return Site{
 		latRad: latRad, heightKm: heightKm,
-		gainDBi:  t.GainDBi(k.radio.FreqGHz),
-		noiseDBW: astro.BoltzmannDBW + astro.DB(t.NoiseTempK) + astro.DB(k.radio.SymbolRateHz),
-		marginDB: t.ImplMarginDB,
-		channels: float64(max(t.Channels, 1)),
+		rainDepthKm: itu.RainHeightKm(latRad) - heightKm,
+		gainDBi:     t.GainDBi(k.radio.FreqGHz),
+		noiseDBW:    astro.BoltzmannDBW + astro.DB(t.NoiseTempK) + astro.DB(k.radio.SymbolRateHz),
+		marginDB:    t.ImplMarginDB,
+		channels:    float64(max(t.Channels, 1)),
 	}
 }
 
@@ -79,25 +103,57 @@ type Carried struct {
 // every operation from there to the rate rounds monotonically, and the
 // ladder's rates ascend with its thresholds — so no weather rates a link
 // above its clear-sky rate.
+//
+// The path terms of an elevation up to the zenith come from the
+// process-wide table of its quantized elevation's trigonometry, completed
+// with the site's depth below the rain height: the operations and operands
+// of itu.SlantPath.Terms, which a larger elevation still calls.
 func (k *Kernel) Carry(s *Site, rangeKm, elevRad float64) (c Carried, clearBps float64, ok bool) {
 	if elevRad <= 0 || rangeKm <= 0 {
 		return Carried{}, 0, false
 	}
 	elevQ, _, _ := quantize(elevRad, Conditions{})
-	sp := itu.SlantPath{
-		ElevationRad:    float64(elevQ) * elevStepRad,
-		StationHeightKm: s.heightKm,
-		LatitudeRad:     s.latRad,
-	}
-	c = Carried{
-		eirpLessFSPL: k.radio.EIRPdBW - FSPLdB(rangeKm, k.radio.FreqGHz),
-		path:         sp.Terms(),
+	c.eirpLessFSPL = k.radio.EIRPdBW - FSPLdB(rangeKm, k.radio.FreqGHz)
+	if elevQ < int64(len(k.trig)) {
+		c.path = k.trig[elevQ].Terms(s.rainDepthKm)
+	} else {
+		sp := itu.SlantPath{
+			ElevationRad:    float64(elevQ) * elevStepRad,
+			StationHeightKm: s.heightKm,
+			LatitudeRad:     s.latRad,
+		}
+		c.path = sp.Terms()
 	}
 	clearBps = k.Rate(s, &c, &k.clear)
 	if elevRad <= math.Pi/2 && clearBps <= 0 {
 		return Carried{}, 0, false
 	}
 	return c, clearBps, true
+}
+
+// reachSlack inflates Reach relatively, by 8.7e-6 dB of path loss: orders
+// of magnitude more than the rounding of the few operations between the
+// path loss and the threshold compare, so no rounding makes a range cut at
+// Reach drop a link Carry would keep.
+const reachSlack = 1e-6
+
+// Reach returns the slant range (km) beyond which the link to s cannot
+// close under any weather: Carry rejects every geometry up to the zenith
+// past it, and Rate is 0 there for every Sky. A link closes only when
+// Es/N0 − margin ≥ dvbs2.MinEsN0dB(), with Es/N0 = EIRP − FSPL(r) − A + G −
+// N; up to the zenith sin θ ≤ 1 and the rain and cloud terms are never
+// negative, so A ≥ itu.GasZenithDB, which bounds FSPL(r) and therefore r.
+// A site whose constants are not finite can yield NaN or +Inf, and a
+// radio without a positive frequency +Inf (its path loss is 0 at every
+// range): callers fall back to their own cap then.
+func (k *Kernel) Reach(s *Site) float64 {
+	if !(k.radio.FreqGHz > 0) {
+		return math.Inf(1)
+	}
+	maxFSPL := k.radio.EIRPdBW - itu.GasZenithDB + s.gainDBi - s.noiseDBW - s.marginDB - dvbs2.MinEsN0dB()
+	// FSPLdB's 20·log10(4π·d·f/c), solved for d (m), in km.
+	d := math.Pow(10, maxFSPL/20) * astro.SpeedOfLight / (4 * math.Pi * k.radio.FreqGHz * 1e9)
+	return d / 1e3 * (1 + reachSlack)
 }
 
 // Sky is the part of a rate evaluation fixed by the weather sample.

@@ -169,3 +169,166 @@ func TestKernelMatchesMemoBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// TestReachIsSound: past Reach no link closes. For the DGS, the baseline
+// and a beam-split terminal at seeded stations, ranges just to far past
+// Reach, elevations across (0, π/2] and random weather, Carry drops the
+// link, and Rate on the terms Carry would have carried is 0 under the
+// weather, as is the unquantized RateBps. Reach is tight, too: at the
+// zenith, where the gas term is its floor, the longest range that closes
+// is within 10 ppm of it.
+func TestReachIsSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	radio := DefaultRadio()
+	k := NewKernel(radio)
+	beamed := DGSTerminal()
+	beamed.Efficiency /= 4 // a four-beam station's effective terminal
+	for _, term := range []Terminal{DGSTerminal(), BaselineTerminal(), beamed} {
+		probe := k.Site(0, 0, term)
+		reach := k.Reach(&probe)
+		if !(reach > 0) || math.IsInf(reach, 1) {
+			t.Fatalf("terminal %+v: Reach = %v", term, reach)
+		}
+		for i := 0; i < 50_000; i++ {
+			lat, height := (rng.Float64()-0.5)*math.Pi, rng.Float64()*6-0.4
+			site := k.Site(lat, height, term)
+			if got := k.Reach(&site); got != reach {
+				t.Fatalf("terminal %+v: Reach %v at latitude %v, height %v; %v at the origin", term, got, lat, height, reach)
+			}
+			var rangeKm float64
+			switch rng.Intn(4) {
+			case 0:
+				rangeKm = math.Nextafter(reach, math.Inf(1))
+			case 1:
+				rangeKm = reach * (1 + rng.Float64()*1e-9)
+			case 2:
+				rangeKm = reach * (1 + rng.ExpFloat64()*1e-3)
+			default:
+				rangeKm = reach * (1 + rng.Float64()*3)
+			}
+			var el float64
+			switch rng.Intn(4) {
+			case 0:
+				el = math.Pi / 2
+			case 1:
+				el = rng.Float64() * 0.01
+			default:
+				el = math.Pi / 2 * (1 - rng.Float64()) // (0, π/2]
+			}
+			var w Conditions
+			if rng.Intn(3) > 0 {
+				w = Conditions{RainMmH: rng.ExpFloat64() * 5, CloudKgM2: rng.Float64() * 2}
+			}
+			if _, clearBps, ok := k.Carry(&site, rangeKm, el); ok {
+				t.Fatalf("terminal %+v: %v km past reach %v at elevation %v is carried, clear-sky rate %v", term, rangeKm, reach, el, clearBps)
+			}
+			elevQ, _, _ := quantize(el, Conditions{})
+			c := Carried{
+				eirpLessFSPL: radio.EIRPdBW - FSPLdB(rangeKm, radio.FreqGHz),
+				path:         itu.SlantPath{ElevationRad: float64(elevQ) * elevStepRad, StationHeightKm: height, LatitudeRad: lat}.Terms(),
+			}
+			sky := k.Weather(w)
+			g := Geometry{RangeKm: rangeKm, ElevationRad: el, StationLatRad: lat, StationHeightKm: height}
+			if rate, exact := k.Rate(&site, &c, &sky), RateBps(radio, term, g, w); rate != 0 || exact != 0 {
+				t.Fatalf("terminal %+v: %v km past reach %v at elevation %v under %+v: Rate %v, RateBps %v", term, rangeKm, reach, el, w, rate, exact)
+			}
+		}
+		// The longest closing range at the zenith, by bisection: lo closes,
+		// hi does not.
+		lo, hi := 1.0, reach
+		if _, _, ok := k.Carry(&probe, lo, math.Pi/2); !ok {
+			t.Fatalf("terminal %+v: no link at 1 km from the zenith", term)
+		}
+		for range 100 {
+			mid := (lo + hi) / 2
+			if _, _, ok := k.Carry(&probe, mid, math.Pi/2); ok {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		if lo < reach*(1-1e-5) {
+			t.Fatalf("terminal %+v: the zenith link closes out to %v km, Reach %v is loose", term, lo, reach)
+		}
+	}
+}
+
+// TestReachPins pins Reach for the paper's two terminals, the baseline's
+// far past the planner's 3,500 km default cut, and its degenerate cases,
+// which callers treat as "no bound": NaN for a terminal without a gain,
+// +Inf without a noise floor or a carrier frequency.
+func TestReachPins(t *testing.T) {
+	k := NewKernel(DefaultRadio())
+	for _, row := range []struct {
+		term Terminal
+		km   float64
+	}{{DGSTerminal(), 2255}, {BaselineTerminal(), 11878}} {
+		s := k.Site(0.3, 0.1, row.term)
+		if got := k.Reach(&s); math.Floor(got) != row.km {
+			t.Errorf("Reach(%+v) = %v km, want %v", row.term, got, row.km)
+		}
+	}
+	nanGain := DGSTerminal()
+	nanGain.Efficiency = math.NaN()
+	noNoise := DGSTerminal()
+	noNoise.NoiseTempK = 0
+	noCarrier := DefaultRadio()
+	noCarrier.FreqGHz = 0
+	for _, row := range []struct {
+		name string
+		k    *Kernel
+		term Terminal
+		want float64
+	}{
+		{"NaN gain", k, nanGain, math.NaN()},
+		{"no noise floor", k, noNoise, math.Inf(1)},
+		{"no carrier frequency", NewKernel(noCarrier), DGSTerminal(), math.Inf(1)},
+	} {
+		s := row.k.Site(0.3, 0.1, row.term)
+		if got := row.k.Reach(&s); math.Float64bits(got) != math.Float64bits(row.want) && !(math.IsNaN(got) && math.IsNaN(row.want)) {
+			t.Errorf("%s: Reach = %v, want %v", row.name, got, row.want)
+		}
+	}
+}
+
+// TestPathTermsTableMatchesTerms holds Carry's path terms to
+// itu.SlantPath.Terms bit for bit at every quantized elevation up to the
+// zenith — the whole table — for stations at latitudes in every rain-height
+// regime and heights below, at and above it, and past the table, where
+// Carry falls back to Terms itself.
+func TestPathTermsTableMatchesTerms(t *testing.T) {
+	k := NewKernel(DefaultRadio())
+	if q, _, _ := quantize(math.Pi/2, Conditions{}); q != zenithElevQ || len(k.trig) != zenithElevQ+1 {
+		t.Fatalf("the zenith quantizes to %d; the table ends at %d", q, len(k.trig)-1)
+	}
+	check := func(lat, height, elevRad float64, site *Site) {
+		t.Helper()
+		// A short range: every geometry closes, so Carry returns its terms.
+		c, _, ok := k.Carry(site, 100, elevRad)
+		if !ok {
+			t.Fatalf("latitude %v, height %v, elevation %v: not carried", lat, height, elevRad)
+		}
+		elevQ, _, _ := quantize(elevRad, Conditions{})
+		want := itu.SlantPath{ElevationRad: float64(elevQ) * elevStepRad, StationHeightKm: height, LatitudeRad: lat}.Terms()
+		got := c.path
+		if math.Float64bits(got.SinEl) != math.Float64bits(want.SinEl) ||
+			math.Float64bits(got.Ls) != math.Float64bits(want.Ls) ||
+			math.Float64bits(got.LsCos) != math.Float64bits(want.LsCos) {
+			t.Fatalf("latitude %v, height %v, elevation %v (q %d): Carry's terms %+v, Terms %+v", lat, height, elevRad, elevQ, got, want)
+		}
+	}
+	deg := math.Pi / 180
+	for _, latDeg := range []float64{0, 23, -23, 40, -40, 70, -70, 89, -89} {
+		for _, height := range []float64{-0.4, 0, 0.5, 4.9, 5, 6} {
+			lat := latDeg * deg
+			site := k.Site(lat, height, BaselineTerminal())
+			for q := 1; q <= zenithElevQ; q++ {
+				check(lat, height, float64(q)*elevStepRad, &site)
+			}
+			// Past the zenith: the last bucket, then the fallback.
+			for _, el := range []float64{math.Pi/2 + 4e-5, math.Pi/2 + 6e-5, float64(zenithElevQ+1) * elevStepRad, 2, math.Pi, 1e3} {
+				check(lat, height, el, &site)
+			}
+		}
+	}
+}

@@ -144,6 +144,9 @@ func (c Config) Validate(slotDur time.Duration) error {
 	if c.MaxRangeKm < 0 {
 		return fmt.Errorf("passes: MaxRangeKm %v is negative", c.MaxRangeKm)
 	}
+	if math.IsNaN(c.MaxRangeKm) {
+		return fmt.Errorf("passes: MaxRangeKm is NaN")
+	}
 	if slotDur <= 0 {
 		return fmt.Errorf("passes: slot duration %v is not positive", slotDur)
 	}
@@ -187,7 +190,7 @@ func (c Config) tol() time.Duration {
 }
 
 func (c Config) maxRange() float64 {
-	if c.MaxRangeKm <= 0 {
+	if !(c.MaxRangeKm > 0) {
 		return 3500
 	}
 	return c.MaxRangeKm
@@ -411,7 +414,7 @@ func (p *Predictor) scanRange(keys []int64, entries []poscache.Entry, lo, hi int
 		}
 		list := p.direct
 		if list == nil {
-			ws.cand = p.sites.Near(ws.cand, e.Pos, &ws.bits)
+			ws.cand = p.sites.Near(ws.cand, e.Pos, maxRange, &ws.bits)
 			list = ws.cand
 		}
 		base := int64(i) * nGs

@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -39,6 +40,12 @@ func TestConfigValidate(t *testing.T) {
 			cfg:     Config{MaxRangeKm: -1},
 			slotDur: slot,
 			wantErr: "passes: MaxRangeKm -1 is negative",
+		},
+		{
+			name:    "NaN max range",
+			cfg:     Config{MaxRangeKm: math.NaN()},
+			slotDur: slot,
+			wantErr: "passes: MaxRangeKm is NaN",
 		},
 		{
 			name:    "zero slot duration",

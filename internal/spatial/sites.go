@@ -19,14 +19,19 @@ import (
 type Sites struct {
 	grid Grid
 	topo []frames.Topocentric
+	// minRKm and maxRKm bound the stations' geocentric radii, for
+	// RangePsiDeg.
+	minRKm, maxRKm float64
 }
 
 // NewSites indexes a station network: station j is id j of the grid.
 func NewSites(net station.Network) *Sites {
-	s := &Sites{topo: make([]frames.Topocentric, len(net))}
+	s := &Sites{topo: make([]frames.Topocentric, len(net)), minRKm: math.Inf(1), maxRKm: math.Inf(-1)}
 	for j, gs := range net {
 		s.grid.Add(int32(j), gs.Location.LatRad, gs.Location.LonRad)
 		s.topo[j] = frames.NewTopocentric(gs.Location)
+		r := s.topo[j].ECEF.Norm()
+		s.minRKm, s.maxRKm = math.Min(s.minRKm, r), math.Max(s.maxRKm, r)
 	}
 	return s
 }
@@ -35,25 +40,32 @@ func NewSites(net station.Network) *Sites {
 func (s *Sites) Topo(j int) *frames.Topocentric { return &s.topo[j] }
 
 // appendNear appends to dst the cell-index candidates of a satellite at
-// ECEF position pos (km) — every station in a cell its inflated horizon
-// disk touches, in Grid.AppendNear's order: a superset of the stations
-// that can see it. A decayed position (at or below the Earth's radius)
-// appends nothing.
-func (s *Sites) appendNear(dst []int32, pos frames.Vec3) []int32 {
+// ECEF position pos (km) for a slant-range cut of maxRangeKm — every
+// station in a cell touched by the smaller of its inflated horizon disk and
+// its inflated range disk, in Grid.AppendNear's order: a superset of the
+// stations that can see it within that range. A decayed position (at or
+// below the Earth's radius) appends nothing.
+func (s *Sites) appendNear(dst []int32, pos frames.Vec3, maxRangeKm float64) []int32 {
 	sp := SubPointOf(pos)
 	if !sp.Visible() {
 		return dst
 	}
-	return s.grid.AppendNear(dst, sp, HorizonPsiDeg(sp.RKm))
+	psi := HorizonPsiDeg(sp.RKm)
+	if r := RangePsiDeg(maxRangeKm, sp.RKm, s.minRKm, s.maxRKm); r < psi {
+		psi = r
+	}
+	return s.grid.AppendNear(dst, sp, psi)
 }
 
-// Near returns appendNear's candidates in ascending order without
-// duplicates, in dst's storage (its contents are discarded). bitmap is the
-// caller's scratch, grown to the network and left cleared: the candidates'
-// bits are set in it and the words walked in order, which gives the set a
-// sort would, in O(candidates + stations/64).
-func (s *Sites) Near(dst []int32, pos frames.Vec3, bitmap *[]uint64) []int32 {
-	ids := s.appendNear(dst[:0], pos)
+// Near returns appendNear's candidates for a satellite at pos and the
+// caller's slant-range cut maxRangeKm, in ascending order without
+// duplicates, in dst's storage (its contents are discarded). A cut of +Inf
+// or NaN leaves the horizon disk. bitmap is the caller's scratch, grown to
+// the network and left cleared: the candidates' bits are set in it and the
+// words walked in order, which gives the set a sort would, in
+// O(candidates + stations/64).
+func (s *Sites) Near(dst []int32, pos frames.Vec3, maxRangeKm float64, bitmap *[]uint64) []int32 {
+	ids := s.appendNear(dst[:0], pos, maxRangeKm)
 	words := (len(s.topo) + 63) / 64
 	if len(*bitmap) < words {
 		*bitmap = make([]uint64, words)

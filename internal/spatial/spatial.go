@@ -3,18 +3,22 @@
 // and the pass scan — a candidate index, then the exact slant-range and
 // elevation-mask cuts. The index is a latitude-band × longitude bucketing
 // of fixed ground sites, queried per satellite per instant with the
-// horizon disk around the satellite's sub-point; at 10k satellites × 1k
-// stations the cross product is the dominant cost. It has one property to
-// uphold: it may over-approximate (every candidate is re-tested exactly)
-// but must never miss a site whose great-circle distance to the sub-point
-// can clear the elevation mask.
+// smaller of the horizon disk and the caller's range disk around the
+// satellite's sub-point; at 10k satellites × 1k stations the cross
+// product is the dominant cost. It has one property to uphold: it may
+// over-approximate (every candidate is re-tested exactly) but must never
+// miss a site within the range cut whose great-circle distance to the
+// sub-point can clear the elevation mask.
 //
 // Geometry: a LEO satellite at geocentric radius r sees, at best, sites
 // within the horizon central angle ψ = acos(R⊕/r) of its sub-point
 // (elevation 0°; any positive mask shrinks the disk). HorizonPsiDeg adds
 // a fixed 4° margin absorbing the geoid-vs-sphere sub-point error and
 // the 10° cell quantization, so visiting every cell intersecting the
-// inflated disk covers every possibly-visible site.
+// inflated disk covers every possibly-visible site. A slant-range cut
+// bounds the central angle too, given the radii of the object and of the
+// sites (RangePsiDeg, with the same margin); the disk visited is the
+// smaller.
 package spatial
 
 import (
@@ -62,6 +66,23 @@ func HorizonPsiDeg(rKm float64) float64 {
 	return math.Acos(astro.EarthRadiusKm/rKm)*astro.Rad2Deg + 4
 }
 
+// RangePsiDeg returns the inflated central angle in degrees beyond which a
+// site lies farther than rangeKm of slant range from an object at
+// geocentric radius rKm, for sites at radii within [minRKm, maxRKm]. A site
+// at radius a a central angle θ from the object is D apart from it with
+// D² = (a−r)² + 4ar·sin²(θ/2), where (a−r)² ≥ h² for h = max(r − maxRKm, 0)
+// and 4ar ≥ 4·minRKm·r, so sin²(θ/2) ≤ (D² − h²)/(4·minRKm·r);
+// HorizonPsiDeg's 4° margin is added. It is +Inf when the bound reaches the
+// antipode and when rangeKm is +Inf or NaN.
+func RangePsiDeg(rangeKm, rKm, minRKm, maxRKm float64) float64 {
+	h := math.Max(rKm-maxRKm, 0)
+	s2 := (rangeKm*rangeKm - h*h) / (4 * minRKm * rKm)
+	if !(s2 < 1) {
+		return math.Inf(1)
+	}
+	return 2*math.Asin(math.Sqrt(math.Max(s2, 0)))*astro.Rad2Deg + 4
+}
+
 // Grid buckets fixed ground sites into 10° latitude × 10° longitude
 // geodetic cells — 18 bands × 36 columns. Sites are appended once at
 // build time and never move (matching the scheduler's fixed-network
@@ -76,11 +97,12 @@ type Grid struct {
 func NewGrid() *Grid { return &Grid{} }
 
 // Cell returns the (band, column) bucket for a latitude/longitude in
-// radians — exported so tests can cross-check bucketing.
+// radians — exported so tests can cross-check bucketing. The antimeridian
+// itself, +180° after normalization, is column 0's west edge.
 func Cell(latRad, lonRad float64) (band, col int) {
 	lat := astro.Clamp(latRad*astro.Rad2Deg, -89.999, 89.999)
 	lon := astro.NormalizePi(lonRad) * astro.Rad2Deg
-	return int((lat + 90) / 10), int((lon + 180) / 10)
+	return int((lat + 90) / 10), int((lon+180)/10) % 36
 }
 
 // Add indexes one site by its geodetic coordinates in radians. IDs are

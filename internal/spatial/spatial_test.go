@@ -140,3 +140,35 @@ func TestSubPointOf(t *testing.T) {
 		t.Fatalf("sub-surface position reported visible: %+v", sp)
 	}
 }
+
+// TestRangePsiDegBoundsChord: for sites at radii within [minR, maxR], a
+// site a central angle θ from an object lies beyond RangePsiDeg's angle
+// less its 4° margin whenever the chord between them is within the
+// range; with one site radius at or below the object the bound is θ
+// itself, and ranges that reach the antipode, +Inf and NaN bound nothing.
+func TestRangePsiDegBoundsChord(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const tol = 1e-9 // degrees
+	for range 200_000 {
+		minR := 6350 + rng.Float64()*30
+		maxR := minR + rng.Float64()*20
+		a := minR + rng.Float64()*(maxR-minR)
+		r := astro.EarthRadiusKm + 300 + rng.Float64()*1700
+		theta := rng.Float64() * math.Pi
+		d := math.Sqrt(a*a + r*r - 2*a*r*math.Cos(theta))
+		bound := RangePsiDeg(d, r, minR, maxR) - 4
+		if theta*astro.Rad2Deg > bound+tol {
+			t.Fatalf("site at %v km, object at %v km, %v° apart: chord %v km, bound %v°", a, r, theta*astro.Rad2Deg, d, bound)
+		}
+		// A single site radius makes the bound exact.
+		d = math.Sqrt(minR*minR + r*r - 2*minR*r*math.Cos(theta))
+		if bound := RangePsiDeg(d, r, minR, minR) - 4; !math.IsInf(bound, 1) && math.Abs(bound-theta*astro.Rad2Deg) > 1e-6 {
+			t.Fatalf("site and object at %v and %v km, %v° apart: chord %v km, bound %v°", minR, r, theta*astro.Rad2Deg, d, bound)
+		}
+	}
+	for _, d := range []float64{2 * (astro.EarthRadiusKm + 2000), math.Inf(1), math.NaN()} {
+		if got := RangePsiDeg(d, astro.EarthRadiusKm+550, 6357, 6384); !math.IsInf(got, 1) {
+			t.Fatalf("RangePsiDeg(%v) = %v, want +Inf", d, got)
+		}
+	}
+}
