@@ -36,6 +36,18 @@ go vet ./...
 
 echo "== importcheck (zero-dependency policy)"
 go run ./tools/importcheck
+# The library keeps only what the system runs: every internal package is
+# reached by a binary, the benchmark or the dgs facade, bar faultnet, the
+# tests' fault injector, which only test files may import.
+go list -deps ./cmd/... ./bench . > "$smokedir/reached.txt"
+unreached=$(go list ./internal/... | grep -vxF -f "$smokedir/reached.txt" || true)
+if [ "$unreached" != "dgs/internal/faultnet" ]; then
+    echo "internal packages no binary, benchmark or facade reaches (only faultnet may be test-only):" >&2
+    echo "$unreached" >&2; exit 1
+fi
+if git grep -n 'dgs/internal/faultnet' -- '*.go' ':!*_test.go'; then
+    echo "faultnet is the tests' fault injector: only _test.go files may import it" >&2; exit 1
+fi
 # The planner reads an instant's candidate pairs straight off its station
 # cell index; the pass predictor serves the pass endpoints and dgs-passes,
 # and must not grow back underneath core.

@@ -120,9 +120,8 @@ type Options struct {
 	// Workers bounds the planning/propagation worker pool (0 =
 	// GOMAXPROCS). Results are identical for any worker count.
 	Workers int
-	// Observers subscribe to simulation events (sim.EventRecorder,
-	// sim.ContactTrace, or custom instrumentation). Observers never change
-	// the Result.
+	// Observers subscribe to simulation events (sim.EventRecorder or
+	// custom instrumentation). Observers never change the Result.
 	Observers []sim.Observer
 	// Progress, when set, receives per-day callbacks.
 	Progress func(day int, r *sim.Result)

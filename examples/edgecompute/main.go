@@ -10,7 +10,7 @@ import (
 	"log"
 	"time"
 
-	"dgs/internal/edge"
+	"dgs/examples/edgecompute/edge"
 )
 
 func main() {

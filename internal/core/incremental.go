@@ -139,9 +139,6 @@ func (ip *IncrementalPlanner) Plan() *Plan { return ip.plan }
 // it as read-only; mutations go through AddStation/RemoveStation.
 func (ip *IncrementalPlanner) Stations() station.Network { return ip.net }
 
-// Sats returns the number of satellites.
-func (ip *IncrementalPlanner) Sats() int { return len(ip.sats) }
-
 // Snapshots returns the current queue-state snapshots (read-only): the
 // exact slice a from-scratch PlanEpoch on the revised world would be
 // handed for the differential comparison.

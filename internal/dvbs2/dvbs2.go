@@ -126,9 +126,6 @@ func Rate(esN0dB, marginDB, symbolRateHz float64) float64 {
 // MinEsN0dB+margin a DVB-S2 link is dead.
 func MinEsN0dB() float64 { return envelope[0].RequiredEsN0dB }
 
-// MaxSpectralEff is the top of the ladder (32APSK 9/10).
-func MaxSpectralEff() float64 { return envelope[len(envelope)-1].SpectralEff }
-
 // Ladder is Rate for one symbol rate with the per-MODCOD products hoisted:
 // callers that rate many links against the same carrier (the scheduler's
 // rate pass) build it once. Its Rate returns exactly what the package's

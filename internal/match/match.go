@@ -83,12 +83,12 @@ func (g *Graph) NLeft() int { return g.nLeft }
 // NRight returns the number of right (station) nodes.
 func (g *Graph) NRight() int { return g.nRight }
 
-// SetCapacity sets a station's simultaneous-link capacity (beamforming).
+// SetCapacity sets a station's simultaneous-link capacity (beamforming),
+// clamped to [0, NLeft]: a station never holds more satellites than the
+// graph has, so the clamp changes no matching, but it keeps the matchers'
+// per-capacity buffers sized by the graph rather than by the request.
 func (g *Graph) SetCapacity(right, c int) {
-	if c < 0 {
-		c = 0
-	}
-	g.capacity[right] = c
+	g.capacity[right] = max(0, min(c, g.nLeft))
 }
 
 // Capacity returns a station's simultaneous-link capacity.

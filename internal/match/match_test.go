@@ -264,6 +264,52 @@ func TestCapacityExpandsMatching(t *testing.T) {
 	}
 }
 
+// TestCapacityClampedToSatellites pins SetCapacity's clamp: a capacity
+// beyond the satellite count is stored as NLeft, and every matcher returns
+// the same matching at 1<<40 beams as at NLeft. The clamp is what bounds
+// memory: the Scratch solver sizes its held buffers by the sum of
+// capacities, and MaxWeight expands each station into capacity copies.
+func TestCapacityClampedToSatellites(t *testing.T) {
+	var sc Scratch
+	matchers := []struct {
+		name string
+		run  func(*Graph) Matching
+	}{
+		{"Stable", Stable},
+		{"Scratch.Stable", sc.Stable},
+		{"Greedy", Greedy},
+		{"MaxWeight", MaxWeight},
+	}
+	rng := rand.New(rand.NewSource(11))
+	for iter := 0; iter < 20; iter++ {
+		g := randomGraph(rng, 1+rng.Intn(8), 1+rng.Intn(4), 0.6)
+		for j := 0; j < g.NRight(); j++ {
+			g.SetCapacity(j, g.NLeft())
+		}
+		want := make([]Matching, len(matchers))
+		for k, m := range matchers {
+			want[k] = m.run(g)
+		}
+		for j := 0; j < g.NRight(); j++ {
+			g.SetCapacity(j, 1<<40)
+			if c := g.Capacity(j); c != g.NLeft() {
+				t.Fatalf("iter %d: capacity 1<<40 stored as %d, want NLeft = %d", iter, c, g.NLeft())
+			}
+		}
+		for k, m := range matchers {
+			got := m.run(g)
+			if got.Value != want[k].Value {
+				t.Fatalf("iter %d: %s value %v at capacity 1<<40, want %v as at NLeft", iter, m.name, got.Value, want[k].Value)
+			}
+			for i := range want[k].LeftToRight {
+				if got.LeftToRight[i] != want[k].LeftToRight[i] {
+					t.Fatalf("iter %d: %s matched sat %d to %d at capacity 1<<40, want %d", iter, m.name, i, got.LeftToRight[i], want[k].LeftToRight[i])
+				}
+			}
+		}
+	}
+}
+
 func TestStableMatchingProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

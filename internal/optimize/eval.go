@@ -109,9 +109,6 @@ func NewEvaluator(inst Instance) (*Evaluator, error) {
 // Instance returns the evaluator's (normalized) instance.
 func (e *Evaluator) Instance() Instance { return e.inst }
 
-// Objective returns the objective runs are scored with.
-func (e *Evaluator) Objective() Objective { return e.obj }
-
 // Stats snapshots the work counters.
 func (e *Evaluator) Stats() EvalStats {
 	e.mu.Lock()

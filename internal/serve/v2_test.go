@@ -22,7 +22,7 @@ import (
 // altTLE returns a refreshed element set for satellite i of the test
 // snapshot: same catalog number (the dataset assigns them positionally),
 // different orbit.
-func altTLE(t *testing.T, snap *Snapshot, i int, seed int64) tle.TLE {
+func altTLE(t testing.TB, snap *Snapshot, i int, seed int64) tle.TLE {
 	t.Helper()
 	alt := dataset.Satellites(dataset.SatelliteOptions{
 		N:     snap.Sats(),
@@ -35,7 +35,7 @@ func altTLE(t *testing.T, snap *Snapshot, i int, seed int64) tle.TLE {
 	return alt[i]
 }
 
-func tleLines(t *testing.T, el tle.TLE) (string, string) {
+func tleLines(t testing.TB, el tle.TLE) (string, string) {
 	t.Helper()
 	el.Name = ""
 	parts := strings.Split(el.Format(), "\n")
@@ -227,6 +227,29 @@ func TestUpdatesTLEResolutionAndValidation(t *testing.T) {
 	rec = postJSON(t, h, "/v2/updates", Update{RemoveStations: []int{snap.Stations()}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("remove station = %d body %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestUpdatesHugeBeams pins that a station asking for more beams than the
+// constellation has satellites is served like one with a beam per
+// satellite: the matcher's buffers are sized by the graph, not by the
+// request, so the add publishes epoch 2 and the world keeps taking updates.
+func TestUpdatesHugeBeams(t *testing.T) {
+	h := New(testSnapshot(t), Config{}).Handler()
+	rec := postJSON(t, h, "/v2/updates", Update{AddStations: []StationUpdate{{Name: "x", LatDeg: 10, LonDeg: 10, Beams: 1 << 40}}})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("huge-beams add = %d body %s, want 200", rec.Code, rec.Body.String())
+	}
+	rec = postJSON(t, h, "/v2/updates", Update{Weather: &WeatherUpdate{Seed: 9, ErrFraction: 0.25}})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("weather update after the add = %d body %s, want 200", rec.Code, rec.Body.String())
+	}
+	var res ApplyResult
+	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Epoch != 3 {
+		t.Fatalf("epoch after the add and a weather update = %d, want 3", res.Epoch)
 	}
 }
 

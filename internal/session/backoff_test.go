@@ -1,4 +1,4 @@
-package backend
+package session_test
 
 import (
 	"math/rand"

@@ -93,9 +93,6 @@ func NewWithModel(t tle.TLE, grav astro.GravityModel) (*Propagator, error) {
 // TLE returns the element set the propagator was built from.
 func (p *Propagator) TLE() tle.TLE { return p.tle }
 
-// EpochJD returns the element-set epoch as a Julian date.
-func (p *Propagator) EpochJD() float64 { return p.epochJD }
-
 // init performs the work of the reference sgp4init for the near-Earth case.
 func (p *Propagator) init() error {
 	const x2o3 = 2.0 / 3.0

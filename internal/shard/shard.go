@@ -56,9 +56,6 @@ func New(n int) *Map {
 	return m
 }
 
-// Shards returns the shard count the map was built for.
-func (m *Map) Shards() int { return m.n }
-
 // Owner returns the shard owning the given NORAD catalog number: the first
 // ring point at or after the key's hash, wrapping at the top.
 func (m *Map) Owner(norad int) int {

@@ -217,8 +217,5 @@ func (w *World) snapshot(now time.Time) []core.SatSnapshot {
 	return out
 }
 
-// Result returns the run's accumulating result.
-func (w *World) Result() *Result { return w.res }
-
 // Now returns the next slot to execute.
 func (w *World) Now() time.Time { return w.now }
