@@ -68,6 +68,18 @@ if git grep -nE 'AttenMemo|MemoView' -- internal/core internal/sim internal/serv
     echo "production code rates with linkbudget.Kernel; the memo is the tests' oracle" >&2; exit 1
 fi
 
+# One carried-edge store: the incremental planner replans through
+# PlanEpoch, and the scheduler works out from its own inputs what a delta
+# invalidated (a replaced propagator or *Station, a reassigned Forecast) —
+# no second per-slot cache beside it, no forecast setter that a plain
+# assignment could bypass, no range knob.
+if git grep -nE 'carriedSlot|planStream|rateSlot' -- internal/core/incremental.go; then
+    echo "incremental.go keeps no carried state of its own: Replan is PlanEpoch" >&2; exit 1
+fi
+if git grep -nE 'Scheduler\) SetForecast\(|sched\.SetForecast\(|MaxRangeKm' -- internal/core ':!*_test.go'; then
+    echo "assign Scheduler.Forecast (the scheduler notices a new one); the range cap is a constant" >&2; exit 1
+fi
+
 echo "== go build"
 go build ./...
 
@@ -93,9 +105,10 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # the span-clip property, fresh ≡ sequenced ≡ repeated; Workers: any split
 # ≡ serial). The planner's
 # carry fan-out queries one shared station cell index from every worker
-# into per-worker candidate scratch, and the incremental planner re-carries
-# only dirty pairs and merges them into the clean edges: cell index ≡ cross
-# product, patched ≡ from scratch, and the rolling planner's carried link
+# into per-worker candidate scratch, and an epoch re-carries only the pairs
+# of replaced propagators and stations and merges them into the clean edges,
+# keeping the rates that still stand: cell index ≡ cross product, patched ≡
+# from scratch (Incremental, RollingAfterDeltas), and the rolling planner's carried link
 # geometry plus the memo-free rate kernel ≡ fresh schedulers ≡ the test
 # oracle (core's oracle_test.go: the exhaustive per-instant sweep rated
 # through the attenuation memo), bit for bit, however the slots land on the

@@ -14,21 +14,26 @@
 //     the edges whose rate is positive, streamed behind the other two.
 //
 // From-scratch planning carries every slot, a rolling epoch only the new
-// tail, a weather revision nothing, and a TLE or station delta only the
-// dirty pairs (incremental.go): one path with different dirty sets.
-// Visibility is one instant of the same path, carried afresh.
+// tail, a new forecast nothing, and a changed propagator or station only
+// its pairs in the instants already carried: one path, which works out
+// from its own inputs what to carry and what to rate (planCarried). The
+// incremental planner is that path at a fixed anchor (incremental.go);
+// Visibility is one instant of it, carried afresh.
 
 package core
 
 import (
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"dgs/internal/astro"
 	"dgs/internal/linkbudget"
+	"dgs/internal/orbit"
 	"dgs/internal/poscache"
 	"dgs/internal/spatial"
 	"dgs/internal/station"
+	"dgs/internal/weather"
 )
 
 // VisibleEdge is a feasible link with its geometry and predicted rate.
@@ -229,15 +234,29 @@ func (s *Scheduler) Visibility(sats []SatSnapshot, t time.Time, lead time.Durati
 	return edges
 }
 
+// rateKey is what a slot's rates were rated from: its carried edges (one
+// instant, as carried or patched), the forecast lead and the forecast.
+type rateKey struct {
+	cs   *carriedSlot
+	lead time.Duration
+	fc   *weather.Forecast
+}
+
 // planCarried is PlanEpoch once its arguments are resolved. It brings the
 // scheduler's carried state to cover the n slots from start — in one
-// streamed fan-out that carries each instant not carried yet and rates
-// every slot at this epoch's lead, into per-slot rate buffers reused across
-// epochs — and reduces each slot as soon as it is rated.
+// streamed fan-out that carries each instant not carried yet, patches each
+// carried one whose satellites or stations changed (diffCarried), and
+// rates each slot whose rateKey changed, into per-slot buffers reused
+// across epochs — and reduces each slot as soon as it is filled.
 func (s *Scheduler) planCarried(sats []SatSnapshot, positions *poscache.Cache, start time.Time, n int, slotDur time.Duration, genBitsPerSec float64) *Plan {
-	if s.carriedPos != positions || s.carried == nil {
+	// Another position cache, or another station count (packed keys
+	// renumbered), strands every carried edge.
+	s.lastReused = s.carried != nil && s.carriedPos == positions && len(s.carriedNet) == len(s.Stations)
+	if !s.lastReused {
 		s.carried, s.carriedPos = make(map[int64]*carriedSlot, n), positions
 	}
+	satDirty, stDirty := s.diffCarried(positions.Props(), s.lastReused)
+	patch, dirty := satDirty != nil || stDirty != nil, s.dirty
 	// The clock only moves forward: like positions and forecast components,
 	// instants before this epoch are never planned again.
 	cutoff := start.UnixNano()
@@ -251,6 +270,7 @@ func (s *Scheduler) planCarried(sats []SatSnapshot, positions *poscache.Cache, s
 	slots := make([]*carriedSlot, n)
 	for len(s.rates) < n {
 		s.rates = append(s.rates, nil)
+		s.ratedAs = append(s.ratedAs, rateKey{})
 	}
 	// The instants not carried yet — in the steady state the tail the
 	// horizon grew by since the last epoch — get their positions in one
@@ -264,20 +284,108 @@ func (s *Scheduler) planCarried(sats []SatSnapshot, positions *poscache.Cache, s
 	}
 	positions.AtRange(fresh)
 
-	// Carrying and rating depend only on time, never on the evolving queue
-	// state, so they stream over the worker pool; every worker writes only
-	// its own slot's entries.
-	rates := s.rates[:n]
+	// Carrying, patching and rating depend only on time, never on the
+	// evolving queue state, so they stream over the worker pool; every
+	// worker writes only its own slot's entries.
+	rates, ratedAs, fc := s.rates[:n], s.ratedAs[:n], s.Forecast
+	var changed atomic.Int64
 	plan := s.planStream(sats, start, slotDur, genBitsPerSec, slots, rates, func(k int, ws *workerScratch) {
 		t := instant(k)
-		if slots[k] == nil {
-			slots[k] = s.carryPairs(positions, t, nil, nil, ws)
+		lead, cs := t.Sub(start), slots[k]
+		keep := cs != nil && ratedAs[k] == rateKey{cs, lead, fc}
+		patched := false
+		switch {
+		case cs == nil:
+			cs = s.carryPairs(positions, t, nil, nil, ws)
+		case patch:
+			// Re-carry the dirty pairs; the slot changes when one survives
+			// or it held a dirty pair's edge (a contact that opened, closed
+			// or moved).
+			re := s.carryPairs(positions, t, satDirty, stDirty, ws)
+			if patched = len(re.keys) > 0 || slices.ContainsFunc(cs.keys, func(key int32) bool { return dirty[key] }); patched {
+				// Under the same lead and forecast the clean edges' rates
+				// stand and only the re-carried ones are rated; otherwise
+				// clear-sky rates stand in until the slot is rated below.
+				oldRates, reRates := cs.clear, re.clear
+				if keep {
+					oldRates, reRates = rates[k], s.rateSlot(nil, re, t, lead, ws)
+				}
+				cs, rates[k] = mergeCarried(cs, re, dirty, oldRates, reRates)
+			}
 		}
-		rates[k] = s.rateSlot(rates[k], slots[k], t, t.Sub(start), ws)
+		if !keep {
+			rates[k] = s.rateSlot(rates[k], cs, t, lead, ws)
+		}
+		slots[k], ratedAs[k] = cs, rateKey{cs, lead, fc}
+		if patched || !keep {
+			changed.Add(1)
+		}
 	})
-	// Published once the last fill is done: no worker reads the map.
-	for _, t := range fresh {
-		s.carried[t.UnixNano()] = slots[int(t.Sub(start)/slotDur)]
+	// Read and published once the last fill is done: no worker reads the map.
+	s.lastChanged = int(changed.Load())
+	for k, cs := range slots {
+		s.carried[instant(k).UnixNano()] = cs
 	}
 	return plan
+}
+
+// diffCarried compares the propagators and stations the carried instants
+// were carried with, when reused, with the current ones, and records the
+// current ones. It returns the satellites whose propagator changed (nil
+// when none did) and the stations whose *Station changed, and marks their
+// pairs in the packed-key mask s.dirty.
+func (s *Scheduler) diffCarried(props []orbit.Propagator, reused bool) (satDirty []bool, stDirty []int32) {
+	for i := 0; reused && i < len(props); i++ {
+		if props[i] != s.carriedProps[i] {
+			if satDirty == nil {
+				satDirty = make([]bool, len(props))
+			}
+			satDirty[i] = true
+		}
+	}
+	for j := 0; reused && j < len(s.Stations); j++ {
+		if s.Stations[j] != s.carriedNet[j] {
+			stDirty = append(stDirty, int32(j))
+		}
+	}
+	s.carriedProps = append(s.carriedProps[:0], props...)
+	s.carriedNet = append(s.carriedNet[:0], s.Stations...)
+	if satDirty != nil || stDirty != nil {
+		nGs := len(s.Stations)
+		s.dirty = slices.Grow(s.dirty[:0], len(props)*nGs)[:len(props)*nGs]
+		for key := range s.dirty {
+			s.dirty[key] = satDirty != nil && satDirty[key/nGs] || slices.Contains(stDirty, int32(key%nGs))
+		}
+	}
+	return satDirty, stDirty
+}
+
+// mergeCarried merges old's clean edges (its dirty pairs dropped) with re,
+// the re-carried dirty pairs' edges — both ascending by packed key, and
+// disjoint — into a new slot in the same order, the order a full carry
+// emits, with their terms, clear-sky rates and given rates aligned.
+func mergeCarried(old, re *carriedSlot, dirty []bool, oldRates, reRates []float64) (*carriedSlot, []float64) {
+	n := len(old.keys) + len(re.keys)
+	out := &carriedSlot{keys: make([]int32, 0, n), terms: make([]linkbudget.Carried, 0, n), clear: make([]float64, 0, n)}
+	rates := make([]float64, 0, n)
+	take := func(from *carriedSlot, fromRates []float64, x int) {
+		out.keys = append(out.keys, from.keys[x])
+		out.terms = append(out.terms, from.terms[x])
+		out.clear = append(out.clear, from.clear[x])
+		rates = append(rates, fromRates[x])
+	}
+	ri := 0
+	for oi, key := range old.keys {
+		if dirty[key] {
+			continue
+		}
+		for ; ri < len(re.keys) && re.keys[ri] < key; ri++ {
+			take(re, reRates, ri)
+		}
+		take(old, oldRates, oi)
+	}
+	for ; ri < len(re.keys); ri++ {
+		take(re, reRates, ri)
+	}
+	return out, rates
 }

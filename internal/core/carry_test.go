@@ -187,9 +187,9 @@ func TestCarryGridMatchesCrossProduct(t *testing.T) {
 }
 
 // TestReachCapsRangeCut pins each station's slant-range cut: its link's
-// reach under maxRange(), which is 3,500 km for a zero or NaN MaxRangeKm;
-// a degenerate terminal, whose reach is NaN or +Inf, keeps the cap.
-// SetStations rebuilds the cuts for the new network.
+// reach under the 3,500 km cap; a degenerate terminal, whose reach is NaN
+// or +Inf, keeps the cap. SetStations rebuilds the cuts for the new
+// network.
 func TestReachCapsRangeCut(t *testing.T) {
 	dgsTerm, baseTerm := linkbudget.DGSTerminal(), linkbudget.BaselineTerminal()
 	nanGain, noNoise := dgsTerm, dgsTerm
@@ -211,22 +211,13 @@ func TestReachCapsRangeCut(t *testing.T) {
 	if !(dgsReach < 3500 && beamReach < dgsReach) || !(reachOf(net[1]) > 3500) {
 		t.Fatalf("reaches: DGS %v, four-beam DGS %v, baseline %v km", dgsReach, beamReach, reachOf(net[1]))
 	}
-	for _, row := range []struct {
-		maxRangeKm float64
-		want       []float64
-	}{
-		{0, []float64{dgsReach, 3500, 3500, 3500, beamReach}},
-		{math.NaN(), []float64{dgsReach, 3500, 3500, 3500, beamReach}},
-		{2000, []float64{2000, 2000, 2000, 2000, beamReach}},
-		{math.Inf(1), []float64{dgsReach, reachOf(net[1]), math.Inf(1), math.Inf(1), beamReach}},
-	} {
-		sched := &Scheduler{Radio: linkbudget.DefaultRadio(), Stations: net, MaxRangeKm: row.maxRangeKm}
-		if _, _, reach := sched.rateKernel(); !slices.Equal(reach, row.want) {
-			t.Errorf("MaxRangeKm %v: range cuts %v, want %v", row.maxRangeKm, reach, row.want)
-		}
-		sched.SetStations(net[:1])
-		if _, _, reach := sched.rateKernel(); !slices.Equal(reach, row.want[:1]) {
-			t.Errorf("MaxRangeKm %v after SetStations: range cuts %v, want %v", row.maxRangeKm, reach, row.want[:1])
-		}
+	want := []float64{dgsReach, 3500, 3500, 3500, beamReach}
+	sched := &Scheduler{Radio: linkbudget.DefaultRadio(), Stations: net}
+	if _, _, reach := sched.rateKernel(); !slices.Equal(reach, want) {
+		t.Errorf("range cuts %v, want %v", reach, want)
+	}
+	sched.SetStations(net[:1])
+	if _, _, reach := sched.rateKernel(); !slices.Equal(reach, want[:1]) {
+		t.Errorf("range cuts after SetStations %v, want %v", reach, want[:1])
 	}
 }

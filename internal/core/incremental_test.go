@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -62,11 +63,10 @@ func planJSON(t testing.TB, p *Plan) []byte {
 // over the revised world exactly as the incremental planner sees it.
 func scratchPlan(ip *IncrementalPlanner, cfg IncrementalConfig, workers int) *Plan {
 	sched := &Scheduler{
-		Radio:      cfg.Radio,
-		Stations:   ip.Stations(),
-		Forecast:   cfg.Forecast,
-		MaxRangeKm: cfg.MaxRangeKm,
-		Workers:    workers,
+		Radio:    cfg.Radio,
+		Stations: ip.Stations(),
+		Forecast: cfg.Forecast,
+		Workers:  workers,
 	}
 	return sched.PlanEpoch(ip.Snapshots(), cfg.Start, cfg.Horizon, cfg.Slot, cfg.GenBitsPerSec)
 }
@@ -193,9 +193,10 @@ func TestIncrementalDifferentialSmall(t *testing.T) {
 // dirty stations in the same Replan, the case where the two restrictions
 // overlap: a dirty satellite's edge at a dirty station is a candidate of
 // the satellite's cell-index carry and must not come out of the dirty-
-// station list a second time. Live stations are marked dirty directly — no
-// public delta re-carries a live station without resizing the network, and
-// a removed one has no edges left to overlap — beside a real RemoveStation.
+// station list a second time. Beside a real RemoveStation, live stations
+// are re-announced as clones — the same fields behind a new *Station, which
+// a same-length SetStations marks dirty; a removed station has no edges
+// left to overlap.
 // Every slot's carried edges must be strictly ascending and equal, keys and
 // terms, to a from-scratch carry of the revised world, and the plan to a
 // from-scratch PlanEpoch, byte for byte.
@@ -226,9 +227,13 @@ func TestIncrementalDifferentialSatsAndStations(t *testing.T) {
 		if err := ip.RemoveStation(4); err != nil {
 			t.Fatal(err)
 		}
-		for j := 0; j < len(net); j += 3 {
-			ip.dirtyStations[j] = true
+		cloned := slices.Clone(ip.net)
+		for j := 0; j < len(cloned); j += 3 {
+			gs := *cloned[j]
+			cloned[j] = &gs
 		}
+		ip.net = cloned
+		ip.sched.SetStations(cloned)
 		got := ip.Replan()
 		if !ip.LastReplanIncremental() {
 			t.Fatal("replan took the full-rebuild path; no slot was patched")
@@ -238,8 +243,9 @@ func TestIncrementalDifferentialSatsAndStations(t *testing.T) {
 		var ws workerScratch
 		nGs := len(ip.Stations())
 		overlap := 0
-		for k, cs := range ip.slots {
-			at, _ := ip.slotTime(k)
+		for k := range got.Slots {
+			at := cfg.Start.Add(time.Duration(k) * cfg.Slot)
+			cs := ip.sched.carried[at.UnixNano()]
 			for x := 1; x < len(cs.keys); x++ {
 				if cs.keys[x] <= cs.keys[x-1] {
 					t.Fatalf("workers=%d slot %d: keys not strictly ascending at %d", workers, k, x)
@@ -305,5 +311,67 @@ func TestIncrementalValidation(t *testing.T) {
 	}
 	if len(ip.Stations()) != 6 {
 		t.Fatalf("removal changed the station count: %d", len(ip.Stations()))
+	}
+}
+
+// TestIncrementalTLEKeepsCleanRates: a TLE-only Replan re-rates no clean
+// slot. Every slot the refresh leaves unpatched keeps its carried edges and
+// its rate buffer — the same slice, bit for bit — and its instant's
+// forecast components are never sampled again; LastChangedSlots counts
+// exactly the patched slots, and the plan is still a fresh PlanEpoch's.
+func TestIncrementalTLEKeepsCleanRates(t *testing.T) {
+	els := dataset.Satellites(dataset.SatelliteOptions{N: 40, Seed: 2, Epoch: epoch})
+	alt := propsFrom(t, dataset.Satellites(dataset.SatelliteOptions{N: 40, Seed: 3, Epoch: epoch.Add(10 * time.Minute)}))
+	net := dataset.Stations(dataset.StationOptions{N: 30, Seed: 3})
+	bitsEqual := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, workers := range []int{1, 4} {
+		cfg := IncrementalConfig{
+			Start:         epoch,
+			Horizon:       time.Hour,
+			Slot:          time.Minute,
+			GenBitsPerSec: rollingGen,
+			Radio:         linkbudget.DefaultRadio(),
+			Forecast:      weather.NewForecast(weather.NewField(7), 0.3),
+			Workers:       workers,
+		}
+		ip, err := NewIncrementalPlanner(snapsFrom(propsFrom(t, els)), net, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, n := ip.sched, len(ip.Plan().Slots)
+		at := func(k int) int64 { return epoch.Add(time.Duration(k) * time.Minute).UnixNano() }
+		slots, buffers, rates := make([]*carriedSlot, n), slices.Clone(s.rates[:n]), make([][]float64, n)
+		for k := range n {
+			slots[k], rates[k] = s.carried[at(k)], slices.Clone(s.rates[k])
+		}
+		for _, i := range []int{6, 27} {
+			if err := ip.UpdateTLE(i, alt[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.fcCache = nil // a slot rated again samples its instant again
+		got := ip.Replan()
+		patched := 0
+		for k := range n {
+			if s.carried[at(k)] != slots[k] {
+				patched++
+				continue
+			}
+			if len(buffers[k]) > 0 && &s.rates[k][0] != &buffers[k][0] || !slices.EqualFunc(s.rates[k], rates[k], bitsEqual) {
+				t.Fatalf("workers=%d slot %d: a clean slot's rate buffer changed", workers, k)
+			}
+			if _, ok := s.fcCache[at(k)]; ok {
+				t.Fatalf("workers=%d slot %d: a clean slot was rated again", workers, k)
+			}
+		}
+		if patched == 0 || patched == n {
+			t.Fatalf("workers=%d: %d of %d slots patched; not a meaningful comparison", workers, patched, n)
+		}
+		if !ip.LastReplanIncremental() || ip.LastChangedSlots() != patched {
+			t.Fatalf("workers=%d: %d slots changed (incremental %v), %d patched", workers, ip.LastChangedSlots(), ip.LastReplanIncremental(), patched)
+		}
+		if ref := scratchPlan(ip, cfg, workers); !bytes.Equal(planJSON(t, got), planJSON(t, ref)) {
+			t.Fatalf("workers=%d: plan differs from a from-scratch PlanEpoch", workers)
+		}
 	}
 }

@@ -38,7 +38,7 @@ func newOracle(s *Scheduler) *oracle {
 // and kept when the rate is positive. Masks and bitmaps are read live.
 func (o *oracle) visibility(positions *poscache.Cache, t time.Time, lead time.Duration, view *linkbudget.MemoView) []VisibleEdge {
 	s := o.s
-	sites, maxRange := s.stationSites(), s.maxRange()
+	sites, maxRange := s.stationSites(), rangeCapKm
 	conds := make([]linkbudget.Conditions, len(s.Stations))
 	if s.Forecast != nil {
 		for j, gs := range s.Stations {

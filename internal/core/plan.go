@@ -367,10 +367,10 @@ func (s *Scheduler) planStream(sats []SatSnapshot, start time.Time, slotDur time
 // whose rate is not positive. Edges and rates depend only on time (never
 // on the evolving queue state), which is what lets PlanEpoch compute them
 // ahead of the reduction on other goroutines and carry them across epochs
-// — and lets the incremental planner patch only what a world delta touched
-// and re-run this reduction unchanged, byte-identical to a from-scratch
-// rebuild. Slot k's matching depends on the queues every earlier slot
-// drained, so the slots are reduced in order, on one goroutine.
+// — and lets an epoch patch only what a world delta touched and re-run
+// this reduction unchanged, byte-identical to a from-scratch rebuild.
+// Slot k's matching depends on the queues every earlier slot drained, so
+// the slots are reduced in order, on one goroutine.
 type reducer struct {
 	s       *Scheduler
 	work    []SatSnapshot

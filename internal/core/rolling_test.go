@@ -9,6 +9,8 @@ import (
 
 	"dgs/internal/dataset"
 	"dgs/internal/linkbudget"
+	"dgs/internal/orbit"
+	"dgs/internal/poscache"
 	"dgs/internal/station"
 	"dgs/internal/tle"
 	"dgs/internal/weather"
@@ -186,7 +188,7 @@ func TestRollingNonMonotone(t *testing.T) {
 		for _, st := range steps {
 			if st.forecast != forecast {
 				forecast = st.forecast
-				rolling.SetForecast(rollingForecast(forecast))
+				rolling.Forecast = rollingForecast(forecast)
 			}
 			if len(st.world.net) != len(world.net) {
 				world = st.world
@@ -203,32 +205,84 @@ func TestRollingNonMonotone(t *testing.T) {
 	}
 }
 
+// TestRollingAfterDeltas rolls one scheduler, over a position cache it
+// shares, through the deltas a live world makes between epochs: a
+// propagator replaced in the cache, and a network of the same length with
+// one station cloned under a raised mask. It then advances 30 minutes and
+// repeats that start. Each plan must equal a fresh scheduler's and the
+// oracle's, and the repeat, with nothing changed, patches and re-rates no
+// slot.
+func TestRollingAfterDeltas(t *testing.T) {
+	w := smallRollingWorld(t)
+	const horizon = 2 * time.Hour
+	const sat, st = 5, 7
+	alt := propsFrom(t, dataset.Satellites(dataset.SatelliteOptions{N: 32, Seed: 5, Epoch: epoch}))[sat]
+	revised := rollingWorld{sats: slices.Clone(w.sats), net: slices.Clone(w.net)}
+	revised.sats[sat].Prop = alt
+	raised := *w.net[st]
+	raised.MinElevationRad += 20 * math.Pi / 180
+	revised.net[st] = &raised
+	advanced := epoch.Add(30 * time.Minute)
+	base := w.plan(t, w.sched(1, true), advanced, horizon, time.Minute)
+	for _, one := range []rollingWorld{{revised.sats, w.net}, {w.sats, revised.net}} {
+		if bytes.Equal(one.plan(t, one.sched(1, true), advanced, horizon, time.Minute), base) {
+			t.Fatal("a delta changes nothing in this fixture; not a meaningful comparison")
+		}
+	}
+	for _, workers := range []int{1, 4, 0} {
+		props := make([]orbit.Propagator, len(w.sats))
+		for i := range w.sats {
+			props[i] = w.sats[i].Prop
+		}
+		rolling := w.sched(workers, true)
+		rolling.Positions = poscache.New(props)
+		w.plan(t, rolling, epoch, horizon, time.Minute)
+		rolling.Positions.ReplaceProp(sat, alt)
+		rolling.SetStations(revised.net)
+		for _, step := range []string{"advance", "same start"} {
+			got := revised.plan(t, rolling, advanced, horizon, time.Minute)
+			if ref := revised.plan(t, revised.sched(workers, true), advanced, horizon, time.Minute); !bytes.Equal(got, ref) {
+				t.Fatalf("workers=%d %s: plan differs from a fresh scheduler's", workers, step)
+			}
+			if ref := revised.plan(t, sweepSched{revised.sched(workers, true)}, advanced, horizon, time.Minute); !bytes.Equal(got, ref) {
+				t.Fatalf("workers=%d %s: plan differs from the sweep's", workers, step)
+			}
+		}
+		if rolling.lastChanged != 0 {
+			t.Fatalf("workers=%d: repeating a start patched or re-rated %d slots, want none", workers, rolling.lastChanged)
+		}
+	}
+}
+
 // TestClearSkyAfterForecast: a scheduler that planned under weather and is
-// then told there is no forecast must plan clear sky — not whatever rain
-// and cloud its workers last blended — planning itself and through the
-// oracle.
+// then given no forecast, or another one, must plan as a scheduler that
+// only ever had the new one — not with whatever rain and cloud its workers
+// last blended, nor with the forecast components it cached for the old
+// fields — planning itself and through the oracle.
 func TestClearSkyAfterForecast(t *testing.T) {
 	w := smallRollingWorld(t)
 	const horizon = 2 * time.Hour
 	for _, sweep := range []bool{false, true} {
 		for _, workers := range []int{1, 0} {
-			want := w.plan(t, planVia(w.sched(workers, false), sweep), epoch, horizon, time.Minute)
 			stormy := w.plan(t, planVia(w.sched(workers, true), sweep), epoch, horizon, time.Minute)
-			if bytes.Equal(want, stormy) {
-				t.Fatal("the forecast changes nothing in this fixture; not a meaningful comparison")
-			}
-			for _, drop := range []struct {
+			for _, swap := range []struct {
 				name string
-				do   func(*Scheduler)
+				fc   func() *weather.Forecast
 			}{
-				{"SetForecast(nil)", func(s *Scheduler) { s.SetForecast(nil) }},
-				{"Forecast = nil", func(s *Scheduler) { s.Forecast = nil }},
+				{"Forecast = nil", func() *weather.Forecast { return nil }},
+				{"Forecast = other", func() *weather.Forecast { return weather.NewForecast(weather.NewField(99), 0.4) }},
 			} {
+				only := w.sched(workers, false)
+				only.Forecast = swap.fc()
+				want := w.plan(t, planVia(only, sweep), epoch, horizon, time.Minute)
+				if bytes.Equal(want, stormy) {
+					t.Fatalf("%s changes nothing in this fixture; not a meaningful comparison", swap.name)
+				}
 				s := w.sched(workers, true)
 				w.plan(t, planVia(s, sweep), epoch, horizon, time.Minute)
-				drop.do(s)
+				s.Forecast = swap.fc()
 				if got := w.plan(t, planVia(s, sweep), epoch, horizon, time.Minute); !bytes.Equal(got, want) {
-					t.Fatalf("sweep=%v workers=%d: plan after %s differs from a clear-sky scheduler's", sweep, workers, drop.name)
+					t.Fatalf("sweep=%v workers=%d: plan after %s differs from a scheduler that only had that forecast", sweep, workers, swap.name)
 				}
 			}
 		}
@@ -251,11 +305,11 @@ func TestClearRatesNeverAliased(t *testing.T) {
 		for at, cs := range s.carried {
 			before[at] = slices.Clone(cs.clear)
 		}
-		s.SetForecast(rollingForecast(true))
+		s.Forecast = rollingForecast(true)
 		if stormy := w.plan(t, s, epoch, horizon, time.Minute); bytes.Equal(stormy, want) {
 			t.Fatal("the forecast changes nothing in this fixture; not a meaningful comparison")
 		}
-		s.SetForecast(nil)
+		s.Forecast = nil
 		if got := w.plan(t, s, epoch, horizon, time.Minute); !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d: clear-sky plan after a forecast differs from the first", workers)
 		}
@@ -307,7 +361,7 @@ func runKernelOnCarriedEdges(t *testing.T, w rollingWorld, horizon time.Duration
 	nGs := len(w.net)
 	for _, forecast := range []bool{true, false} {
 		if !forecast {
-			s.SetForecast(nil)
+			s.Forecast = nil
 		}
 		s.PlanEpoch(w.sats, epoch, horizon, time.Minute, rollingGen)
 		edges, closed := 0, 0

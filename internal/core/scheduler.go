@@ -35,13 +35,20 @@ type SatSnapshot struct {
 	MaxPriority float64
 }
 
+// rangeCapKm caps every station's slant-range cut: the horizon range of a
+// 600 km LEO, with slack. A station whose link reach
+// (linkbudget.Kernel.Reach: the slant range past which its link cannot
+// close under any weather) is shorter is cut at its reach.
+const rangeCapKm = 3500.0
+
 // Scheduler builds downlink plans for a station network and constellation.
 //
-// Station locations are assumed fixed over the scheduler's lifetime (the
-// cell index and station geometry are cached), and PlanEpoch holds each
-// station's elevation mask, constraint bitmap and beam count as of the
-// instant's first planning; Visibility reads masks and bitmaps live.
-// SetStations is how a changed network is announced.
+// PlanEpoch keeps what overlapping epochs share and notices what a change
+// invalidates: a propagator replaced in the position cache, a *Station
+// replaced through SetStations, a Forecast reassigned. It holds a station's
+// location, elevation mask, constraint bitmap and beam count as of the
+// instant's first planning, so a changed station is announced as a new
+// *Station; Visibility reads masks and bitmaps live.
 type Scheduler struct {
 	// Radio is the satellites' transmit side.
 	Radio linkbudget.Radio
@@ -51,15 +58,9 @@ type Scheduler struct {
 	Value ValueFunc
 	// Match is the matching algorithm. Defaults to match.Stable.
 	Match Matcher
-	// Forecast supplies predicted weather; nil means clear sky.
+	// Forecast supplies predicted weather; nil means clear sky. Assigning
+	// another forecast revises it: the next epoch re-rates every slot.
 	Forecast *weather.Forecast
-	// MaxRangeKm prunes pairs beyond plausible visibility before computing
-	// exact look angles. Defaults to 3500 km (horizon range for 600 km LEO
-	// with slack). It is an upper cap over each station's link reach
-	// (linkbudget.Kernel.Reach: the slant range past which its link cannot
-	// close under any weather), which is the cut a pair is carried against
-	// when shorter; both are read when the rate kernel is first built.
-	MaxRangeKm float64
 	// Workers bounds the planning worker pool: PlanEpoch's per-slot carry
 	// and rate passes run on this many goroutines while the calling
 	// goroutine reduces each slot (weighting, matching, queue drain) as
@@ -92,15 +93,22 @@ type Scheduler struct {
 	fillOrder func(n int) []int
 
 	// carried maps a slot instant (UnixNano) to its exact-feasible edges
-	// and their lead-independent link terms, computed from carriedPos:
-	// what overlapping epochs share. PlanEpoch prunes it at each start;
-	// SetStations or a different position cache drops it; SetForecast
-	// leaves it alone. rates[k] holds the rates of the current epoch's
-	// slot k at this epoch's leads, aligned with the slot's carried edges
-	// (buffers reused across epochs).
-	carried    map[int64]*carriedSlot
-	carriedPos *poscache.Cache
-	rates      [][]float64
+	// and their lead-independent link terms, carried from carriedPos with
+	// the propagators carriedProps against the stations carriedNet; dirty
+	// marks the packed keys an epoch re-carries. rates[k] holds the current
+	// epoch's slot k rates, aligned with its carried edges, and ratedAs[k]
+	// what they were rated from (buffers reused across epochs). The last
+	// plan patched or re-rated lastChanged slots, reusing carried instants
+	// when lastReused.
+	carried      map[int64]*carriedSlot
+	carriedPos   *poscache.Cache
+	carriedProps []orbit.Propagator
+	carriedNet   station.Network
+	dirty        []bool
+	rates        [][]float64
+	ratedAs      []rateKey
+	lastChanged  int
+	lastReused   bool
 
 	// mu guards the lazily initialized shared state below, which
 	// PlanEpoch's workers and concurrent Visibility calls all read.
@@ -116,17 +124,19 @@ type Scheduler struct {
 	// kern is the link-rate kernel for Radio and sites its per-station
 	// constants (ground path, effective terminal): what every edge is
 	// rated with. reach[j] is station j's slant-range cut, the smaller of
-	// maxRange() and its link's reach.
+	// rangeCapKm and its link's reach.
 	kern  *linkbudget.Kernel
 	sites []linkbudget.Site
 	reach []float64
 	// fcMu guards fcCache, the per-instant forecast components (truth and
-	// error-field samples per station). Both are lead-independent, so
-	// overlapping epochs revisiting an instant blend cached samples
-	// instead of re-evaluating the noise fields. Entries are pruned with
-	// the position cache as the clock advances.
+	// error-field samples per station) of the forecast fcFor. Both are
+	// lead-independent, so overlapping epochs revisiting an instant blend
+	// cached samples instead of re-evaluating the noise fields. Entries are
+	// pruned with the position cache as the clock advances, and all
+	// dropped once Forecast is another forecast.
 	fcMu    sync.RWMutex
 	fcCache map[int64][]weather.Sample // 2 samples per station: truth, alt
+	fcFor   *weather.Forecast
 }
 
 // PlanVersion returns the version of the most recently produced plan (0
@@ -138,22 +148,14 @@ func (s *Scheduler) PlanVersion() int { return s.nextVersion }
 // monotonic across a resume; any other use risks duplicate versions.
 func (s *Scheduler) SetPlanVersion(v int) { s.nextVersion = v }
 
-// SetForecast replaces the weather forecast and drops every cached
-// per-instant forecast component (they sample the old fields). Carried
-// link geometry survives — none of it depends on weather — so the next
-// epoch only re-rates.
-func (s *Scheduler) SetForecast(fc *weather.Forecast) {
-	s.Forecast = fc
-	s.fcMu.Lock()
-	s.fcCache = nil
-	s.fcMu.Unlock()
-}
-
 // SetStations replaces the ground network and drops every lazily built
 // structure derived from it: the spatial cell index and per-station
 // geometry, the rate kernel's sites and range cuts, the per-worker
-// scratch, cached forecast components (sized to the old station count),
-// and every carried edge (keyed and masked by it).
+// scratch, and cached forecast components (sampled at the old stations).
+// Carried edges survive a network of the same length: the next PlanEpoch
+// re-carries the pairs of each station whose *Station changed and keeps
+// the rest. A network of another length renumbers the packed keys, and
+// the next PlanEpoch carries every instant afresh.
 // The caller must not be running PlanEpoch concurrently.
 func (s *Scheduler) SetStations(net station.Network) {
 	s.Stations = net
@@ -165,7 +167,6 @@ func (s *Scheduler) SetStations(net station.Network) {
 	s.fcCache = nil
 	s.fcMu.Unlock()
 	s.scr = nil
-	s.carried, s.carriedPos = nil, nil
 }
 
 // stationSites returns the station network's visibility index, built on
@@ -183,7 +184,7 @@ func (s *Scheduler) stationSites() *spatial.Sites {
 
 // rateKernel returns the link-rate kernel for the scheduler's radio plus
 // the per-station sites and slant-range cuts. A station whose reach is NaN
-// or +Inf (a degenerate terminal) keeps maxRange() as its cut.
+// or +Inf (a degenerate terminal) keeps rangeCapKm as its cut.
 func (s *Scheduler) rateKernel() (*linkbudget.Kernel, []linkbudget.Site, []float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -194,7 +195,7 @@ func (s *Scheduler) rateKernel() (*linkbudget.Kernel, []linkbudget.Site, []float
 		s.reach = make([]float64, len(s.Stations))
 		for j, gs := range s.Stations {
 			s.sites[j] = k.Site(gs.Location.LatRad, gs.Location.AltKm, gs.EffectiveTerminal())
-			s.reach[j] = s.maxRange()
+			s.reach[j] = rangeCapKm
 			if r := k.Reach(&s.sites[j]); r < s.reach[j] {
 				s.reach[j] = r
 			}
@@ -204,28 +205,30 @@ func (s *Scheduler) rateKernel() (*linkbudget.Kernel, []linkbudget.Site, []float
 }
 
 // fcComponents returns the per-station forecast components (truth and
-// error-field samples) for an instant, computing and caching the whole
-// station set on first request. The returned slice is immutable after
-// publication, so concurrent slots touching the same instant are safe.
-// Returns nil when no forecast is configured (clear sky).
+// error-field samples) of Forecast for an instant, computing and caching
+// the whole station set on first request. The returned slice is immutable
+// after publication, so concurrent slots touching the same instant are
+// safe. Returns nil when no forecast is configured (clear sky).
 func (s *Scheduler) fcComponents(t time.Time) []weather.Sample {
-	if s.Forecast == nil {
+	fc := s.Forecast
+	if fc == nil {
 		return nil
 	}
 	key := t.UnixNano()
 	s.fcMu.RLock()
 	comp, ok := s.fcCache[key]
+	ok = ok && s.fcFor == fc
 	s.fcMu.RUnlock()
 	if ok {
 		return comp
 	}
 	comp = make([]weather.Sample, 2*len(s.Stations))
 	for j, gs := range s.Stations {
-		comp[2*j], comp[2*j+1] = s.Forecast.Components(gs.Location.LatRad, gs.Location.LonRad, t)
+		comp[2*j], comp[2*j+1] = fc.Components(gs.Location.LatRad, gs.Location.LonRad, t)
 	}
 	s.fcMu.Lock()
-	if s.fcCache == nil {
-		s.fcCache = make(map[int64][]weather.Sample)
+	if s.fcCache == nil || s.fcFor != fc {
+		s.fcCache, s.fcFor = make(map[int64][]weather.Sample), fc
 	}
 	if prior, ok := s.fcCache[key]; ok {
 		comp = prior
@@ -292,11 +295,4 @@ func (s *Scheduler) value() ValueFunc {
 		return LatencyValue{}
 	}
 	return s.Value
-}
-
-func (s *Scheduler) maxRange() float64 {
-	if !(s.MaxRangeKm > 0) {
-		return 3500
-	}
-	return s.MaxRangeKm
 }

@@ -65,8 +65,8 @@ func TestStreamAdversarialOrderPlanEpoch(t *testing.T) {
 }
 
 // TestStreamAdversarialOrderIncremental does the same for the incremental
-// planner's three streamed paths: a full rebuild, a weather revision and a
-// TLE delta, each against a one-worker planner given the same deltas —
+// planner's three streamed paths: a full rebuild (its carried state
+// dropped), a weather revision and a TLE delta, each against a one-worker planner given the same deltas —
 // plan bytes and the changed-slot count both.
 func TestStreamAdversarialOrderIncremental(t *testing.T) {
 	els := dataset.Satellites(dataset.SatelliteOptions{N: 40, Seed: 2, Epoch: epoch})
@@ -90,7 +90,11 @@ func TestStreamAdversarialOrderIncremental(t *testing.T) {
 		name  string
 		apply func(*IncrementalPlanner)
 	}{
-		{"rebuild", func(ip *IncrementalPlanner) { ip.rebuildAll() }},
+		{"rebuild", func(ip *IncrementalPlanner) {
+			ip.sched.carried = nil
+			ip.pending = true
+			ip.Replan()
+		}},
 		{"weather revision", func(ip *IncrementalPlanner) {
 			ip.SetForecast(weather.NewForecast(weather.NewField(9), 0.35))
 			ip.Replan()

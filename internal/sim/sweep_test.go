@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dgs/internal/core"
 	"dgs/internal/orbit"
 	"dgs/internal/poscache"
 )
@@ -17,11 +18,11 @@ import (
 type scalarProp struct{ orbit.Propagator }
 
 // runReference runs cfg to completion on paths a plain Run does not take:
-// with fresh, the scheduler's carried state is dropped before every step,
-// so each epoch carries every slot from scratch; with scalar, the position
-// cache the engine and the scheduler share is rebuilt, before the first
-// step, over propagators the SoA batch cannot take. With both false it is
-// Run.
+// with fresh, every step plans on a new scheduler (its plan version carried
+// over), so each epoch carries every slot from scratch; with scalar, the
+// position cache the engine and the scheduler share is rebuilt, before the
+// first step, over propagators the SoA batch cannot take. With both false
+// it is Run.
 func runReference(cfg Config, fresh, scalar bool) (*Result, error) {
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -37,13 +38,27 @@ func runReference(cfg Config, fresh, scalar bool) (*Result, error) {
 		w.positions.Workers = cfg.Workers
 		w.sched.Positions = w.positions
 	}
+	epochs := 0
 	for !e.Done() {
 		if fresh {
-			w.sched.SetStations(w.sched.Stations)
+			old := w.sched
+			w.sched = &core.Scheduler{Radio: old.Radio, Stations: old.Stations, Value: old.Value, Match: old.Match,
+				Forecast: old.Forecast, Workers: old.Workers, Positions: old.Positions}
+			w.sched.SetPlanVersion(old.PlanVersion())
 		}
+		before := w.sched.PlanVersion()
 		if err := e.Step(); err != nil {
 			return nil, err
 		}
+		// Only a scheduler's first epoch is sure to carry from scratch.
+		planned := w.sched.PlanVersion() - before
+		if fresh && planned > 1 {
+			return nil, fmt.Errorf("a fresh scheduler planned %d epochs in one step", planned)
+		}
+		epochs += planned
+	}
+	if fresh && epochs == 0 {
+		return nil, fmt.Errorf("no epoch planned: the fresh reference carried nothing")
 	}
 	return e.Finalize()
 }
