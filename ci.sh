@@ -76,8 +76,16 @@ fi
 if git grep -nE 'carriedSlot|planStream|rateSlot' -- internal/core/incremental.go; then
     echo "incremental.go keeps no carried state of its own: Replan is PlanEpoch" >&2; exit 1
 fi
-if git grep -nE 'Scheduler\) SetForecast\(|sched\.SetForecast\(|MaxRangeKm' -- internal/core ':!*_test.go'; then
+if git grep -nE 'Scheduler\) SetForecast\(|sched\.SetForecast\(|MaxRangeKm' -- internal/core internal/passes ':!*_test.go'; then
     echo "assign Scheduler.Forecast (the scheduler notices a new one); the range cap is a constant" >&2; exit 1
+fi
+# Settings nothing varies are constants: the protocol's radio, chunk and
+# event sizes, ack delay and uplink rate; the forecast's error model (only
+# NewForecast builds one); the pass search's scan step and tolerance; the
+# greedy batch, the annealing schedule and the agent's dial timeout.
+if git grep -nE '^[[:space:]]+(AckDelay|ChunkBits|EventBits|UplinkRateBps|Radio|Truth|ErrGrowthHours|MaxErr|Batch|T0|T1|DialTimeout)[[:space:],]|PassOptions' \
+    -- internal/sim internal/weather internal/orbit internal/optimize internal/backend ':!*_test.go'; then
+    echo "these settings are constants: declare no config field for them" >&2; exit 1
 fi
 
 echo "== go build"

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -32,42 +33,48 @@ func main() {
 	cliutil.PositiveInt("stations", *stations)
 	cliutil.PositiveFloat("hours", *hours)
 
+	fmt.Fprintf(os.Stderr, "predicting %d×%d pass sets over %v…\n", *sats, *stations, window(*hours))
+	if err := observe(os.Stdout, *sats, *stations, *hours, *seed); err != nil {
+		fmt.Fprintln(os.Stderr, "dgs-observations:", err)
+		os.Exit(1)
+	}
+}
+
+func window(hours float64) time.Duration { return time.Duration(hours * float64(time.Hour)) }
+
+// observe collects the observation log of a synthetic population over the
+// window and writes its contact-geometry statistics to out. It returns an
+// error when the log fails the paper's anchors, after reporting why.
+func observe(out io.Writer, sats, stations int, hours float64, seed int64) error {
 	start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
-	els := dataset.Satellites(dataset.SatelliteOptions{N: *sats, Seed: *seed, Epoch: start})
+	els := dataset.Satellites(dataset.SatelliteOptions{N: sats, Seed: seed, Epoch: start})
 	props := make([]orbit.Propagator, 0, len(els))
 	for _, el := range els {
 		p, err := sgp4.New(el)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		props = append(props, p)
 	}
-	net := dataset.Stations(dataset.StationOptions{N: *stations, Seed: *seed})
-
-	window := time.Duration(*hours * float64(time.Hour))
-	fmt.Fprintf(os.Stderr, "predicting %d×%d pass sets over %v…\n", *sats, *stations, window)
-	log, err := trace.Collect(props, net, start, window)
+	net := dataset.Stations(dataset.StationOptions{N: stations, Seed: seed})
+	log, err := trace.Collect(props, net, start, window(hours))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	days := *hours / 24
+	days := hours / 24
 	dur := log.Durations()
 	el := log.MaxElevations()
 	rate := log.PassesPerStationDay(days)
-	fmt.Printf("observations        %d\n", log.Len())
-	fmt.Printf("pass duration       median %.1f min, p90 %.1f, max %.1f\n",
+	fmt.Fprintf(out, "observations        %d\n", log.Len())
+	fmt.Fprintf(out, "pass duration       median %.1f min, p90 %.1f, max %.1f\n",
 		dur.Median(), dur.Percentile(90), dur.Max())
-	fmt.Printf("culmination         median %.1f°, p90 %.1f°\n", el.Median(), el.Percentile(90))
-	fmt.Printf("passes/station/day  median %.1f, max %.1f\n", rate.Median(), rate.Max())
-	if err := log.ValidateAgainstPaper(days, *sats); err != nil {
-		fmt.Printf("validation          FAILED: %v\n", err)
-		os.Exit(1)
+	fmt.Fprintf(out, "culmination         median %.1f°, p90 %.1f°\n", el.Median(), el.Percentile(90))
+	fmt.Fprintf(out, "passes/station/day  median %.1f, max %.1f\n", rate.Median(), rate.Max())
+	if err := log.ValidateAgainstPaper(days, sats); err != nil {
+		fmt.Fprintf(out, "validation          FAILED: %v\n", err)
+		return err
 	}
-	fmt.Printf("validation          ok (paper §2 contact-geometry anchors)\n")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dgs-observations:", err)
-	os.Exit(1)
+	fmt.Fprintf(out, "validation          ok (paper §2 contact-geometry anchors)\n")
+	return nil
 }

@@ -31,10 +31,9 @@ import (
 	"strings"
 	"time"
 
+	"dgs"
 	"dgs/internal/cliutil"
-	"dgs/internal/dataset"
 	"dgs/internal/optimize"
-	"dgs/internal/sim"
 )
 
 func fatal(err error) {
@@ -73,17 +72,27 @@ func main() {
 	cliutil.PositiveInt("anneal-iters", *annealIters)
 	cliutil.NonNegativeInt("workers", *workers)
 
-	// Population synthesis matches the simulator and the serving layer:
-	// satellites seed Seed+1, stations Seed+2, weather Seed+7 — so an
-	// optimized network corresponds to the world dgs-sim and dgs-api
-	// would run for the same -seed.
-	start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
-	net := dataset.Stations(dataset.StationOptions{N: *stations, Seed: *seed + 2, TxFraction: *txFraction})
-	tles := dataset.Satellites(dataset.SatelliteOptions{N: *sats, Seed: *seed + 1, Epoch: start})
+	cfg, err := dgs.Config(dgs.SystemDGS, dgs.Options{
+		Satellites:  *sats,
+		Stations:    *stations,
+		Seed:        *seed,
+		TxFraction:  *txFraction,
+		ClearSky:    *clearSky,
+		ForecastErr: *forecastErr,
+		GenGBPerDay: *genGB,
+		Workers:     *workers,
+	})
+	if err != nil {
+		fatal(err)
+	}
+	cfg.Duration = *warmup + *horizon
+	// dgs.Options reads a zero error as its 0.3 default; here 0 is a
+	// perfect forecast.
+	cfg.ForecastErr = *forecastErr
 
 	var cands []int
 	if *candList == "" {
-		for i, gs := range net {
+		for i, gs := range cfg.Stations {
 			if !gs.TxCapable {
 				cands = append(cands, i)
 			}
@@ -104,18 +113,7 @@ func main() {
 	}
 
 	ev, err := optimize.NewEvaluator(optimize.Instance{
-		Sim: sim.Config{
-			Start:         start,
-			Duration:      *warmup + *horizon,
-			Stations:      net,
-			TLEs:          tles,
-			WeatherSeed:   uint64(*seed) + 7,
-			ClearSky:      *clearSky,
-			ForecastErr:   *forecastErr,
-			GenBitsPerDay: *genGB * sim.GB,
-			Hybrid:        true,
-			Workers:       *workers,
-		},
+		Sim:        cfg,
 		Candidates: cands,
 		Warmup:     *warmup,
 		Objective:  obj,

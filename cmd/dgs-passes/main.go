@@ -127,9 +127,7 @@ func satelliteMain(out io.Writer, text string, lat, lon, alt, hours, minEl float
 	fmt.Fprintf(out, "orbit: %.1f min period, ~%.0f km altitude, %.2f° inclination\n\n",
 		el.PeriodMinutes(), (el.ApogeeKm()+el.PerigeeKm())/2, el.InclinationDeg)
 
-	passes, err := orbit.Passes(prop, obs, start, time.Duration(hours*float64(time.Hour)), orbit.PassOptions{
-		MinElevationRad: minEl * astro.Deg2Rad,
-	})
+	passes, err := orbit.Passes(prop, obs, start, time.Duration(hours*float64(time.Hour)), minEl*astro.Deg2Rad)
 	if err != nil {
 		return err
 	}

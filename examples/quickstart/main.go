@@ -39,7 +39,7 @@ func main() {
 
 	// 3. Predict a day of passes over a mid-latitude DGS node.
 	zurich := frames.NewGeodeticDeg(47.37, 8.54, 0.4)
-	passes, err := orbit.Passes(prop, zurich, el.Epoch, 24*time.Hour, orbit.PassOptions{})
+	passes, err := orbit.Passes(prop, zurich, el.Epoch, 24*time.Hour, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -54,8 +54,6 @@ type StationAgent struct {
 	HeartbeatEvery time.Duration
 	// WriteTimeout bounds one frame write (default 10 s).
 	WriteTimeout time.Duration
-	// DialTimeout bounds one connect attempt (default DefaultDialTimeout).
-	DialTimeout time.Duration
 	// Backoff paces managed reconnects (zero value = defaults).
 	Backoff session.Backoff
 	// Logf, when set, receives diagnostics (default log.Printf).
@@ -112,9 +110,6 @@ func (a *StationAgent) open(ctx context.Context, addr string, managed bool) erro
 	dial := a.dial
 	if dial == nil {
 		d := net.Dialer{Timeout: DefaultDialTimeout}
-		if a.DialTimeout > 0 {
-			d.Timeout = a.DialTimeout
-		}
 		dial = func(ctx context.Context) (net.Conn, error) { return d.DialContext(ctx, "tcp", addr) }
 	}
 	c := &session.Client{

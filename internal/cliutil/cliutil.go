@@ -9,6 +9,7 @@ package cliutil
 import (
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"strings"
@@ -60,31 +61,28 @@ func NonNegativeDuration(name string, v time.Duration) {
 	}
 }
 
-// PositiveFloat requires v > 0 for flag name.
-func PositiveFloat(name string, v float64) {
-	if v <= 0 {
-		Failf("invalid -%s: must be > 0 (got %g)", name, v)
-	}
-}
+// The float validators state what they accept rather than what they
+// refuse: every comparison with NaN is false, so a "reject if v < lo" test
+// would let NaN through.
 
-// NonNegativeFloat requires v >= 0 for flag name.
-func NonNegativeFloat(name string, v float64) {
-	if v < 0 {
-		Failf("invalid -%s: must be >= 0 (got %g)", name, v)
+// PositiveFloat requires a finite v > 0 for flag name.
+func PositiveFloat(name string, v float64) {
+	if !(v > 0) || math.IsInf(v, 1) {
+		Failf("invalid -%s: must be finite and > 0 (got %g)", name, v)
 	}
 }
 
 // Fraction requires v in [0, 1] for flag name.
 func Fraction(name string, v float64) {
-	if v < 0 || v > 1 {
+	if !(v >= 0 && v <= 1) {
 		Failf("invalid -%s: must be in [0, 1] (got %g)", name, v)
 	}
 }
 
-// Range requires v in [lo, hi] for flag name.
+// Range requires v in [lo, hi] for flag name; lo and hi are finite.
 func Range(name string, v, lo, hi float64) {
-	if v < lo || v > hi {
-		Failf("invalid -%s: must be in [%g, %g] (got %g)", name, v, lo, hi)
+	if !(v >= lo && v <= hi) {
+		Failf("invalid -%s: must be in [%g, %g] (got %g)", name, lo, hi, v)
 	}
 }
 

@@ -2,6 +2,7 @@ package cliutil
 
 import (
 	"flag"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -34,7 +35,6 @@ func TestValidatorsAccept(t *testing.T) {
 		PositiveDuration("slot", time.Minute)
 		NonNegativeDuration("heartbeat", 0)
 		PositiveFloat("hours", 0.5)
-		NonNegativeFloat("gen-gb", 0)
 		Fraction("tx-fraction", 1)
 		Range("min-el", 45, 0, 90)
 		Seed("seed", 0)
@@ -56,10 +56,13 @@ func TestValidatorsReject(t *testing.T) {
 		{"PositiveDuration/zero", func() { PositiveDuration("slot", 0) }},
 		{"NonNegativeDuration/negative", func() { NonNegativeDuration("heartbeat", -time.Second) }},
 		{"PositiveFloat/zero", func() { PositiveFloat("hours", 0) }},
-		{"NonNegativeFloat/negative", func() { NonNegativeFloat("gen-gb", -1) }},
+		{"PositiveFloat/NaN", func() { PositiveFloat("hours", math.NaN()) }},
+		{"PositiveFloat/+Inf", func() { PositiveFloat("gen-gb", math.Inf(1)) }},
 		{"Fraction/above", func() { Fraction("tx-fraction", 1.5) }},
 		{"Fraction/below", func() { Fraction("forecast-err", -0.1) }},
+		{"Fraction/NaN", func() { Fraction("forecast-err", math.NaN()) }},
 		{"Range/outside", func() { Range("min-el", 91, 0, 90) }},
+		{"Range/NaN", func() { Range("lat", math.NaN(), -90, 90) }},
 		{"Seed/negative", func() { Seed("seed", -1) }},
 	}
 	for _, tc := range cases {

@@ -22,10 +22,6 @@ type Anneal struct {
 	Seed int64
 	// Iters is the number of proposals; 0 means DefaultAnnealIters.
 	Iters int
-	// T0 and T1 are the initial and final temperatures of the geometric
-	// schedule, in objective units. T0 == 0 auto-scales to 2% of the
-	// initial score's magnitude (floored at 1e-9); T1 == 0 means T0/100.
-	T0, T1 float64
 	// Init is the starting set; its length fixes k. Empty means "first k
 	// candidates in ascending index order".
 	Init []int
@@ -77,14 +73,10 @@ func (a *Anneal) Search(ctx context.Context, ev *Evaluator, k int) (*Report, err
 	if err != nil {
 		return nil, err
 	}
-	t0 := a.T0
-	if t0 <= 0 {
-		t0 = math.Max(0.02*math.Abs(curScore), 1e-9)
-	}
-	t1 := a.T1
-	if t1 <= 0 {
-		t1 = t0 / 100
-	}
+	// The geometric schedule cools from 2% of the initial score's
+	// magnitude (floored at 1e-9), in objective units, to a hundredth of it.
+	t0 := math.Max(0.02*math.Abs(curScore), 1e-9)
+	t1 := t0 / 100
 
 	best := slices.Clone(cur)
 	bestScore := curScore

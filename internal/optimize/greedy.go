@@ -27,11 +27,6 @@ type Greedy struct {
 	// Workers bounds the concurrent evaluations per refresh batch;
 	// 0 means pool.DefaultWorkers(). Never affects the result.
 	Workers int
-	// Batch is the number of stale entries refreshed per round;
-	// 0 means DefaultGreedyBatch. Part of the deterministic knobs: a
-	// different batch size may evaluate different sets (same winner for
-	// truly submodular objectives, but not byte-pinned).
-	Batch int
 	// OnProgress, when set, receives a Progress after the baseline and
 	// after every pick.
 	OnProgress func(Progress)
@@ -85,11 +80,6 @@ func (g *Greedy) Search(ctx context.Context, ev *Evaluator, k int) (*Report, err
 	if k > len(cands) {
 		k = len(cands)
 	}
-	batch := g.Batch
-	if batch <= 0 {
-		batch = DefaultGreedyBatch
-	}
-
 	baseline, err := ev.Evaluate(ctx, nil)
 	if err != nil {
 		return nil, err
@@ -119,8 +109,8 @@ func (g *Greedy) Search(ctx context.Context, ev *Evaluator, k int) (*Report, err
 		// CELF inner loop: refresh stale tops until the best entry's
 		// gain was computed against the current incumbent.
 		for q[0].round != round-1 {
-			stale := make([]int, 0, batch)
-			for len(stale) < batch && q.Len() > 0 && q[0].round != round-1 {
+			stale := make([]int, 0, DefaultGreedyBatch)
+			for len(stale) < DefaultGreedyBatch && q.Len() > 0 && q[0].round != round-1 {
 				stale = append(stale, heap.Pop(&q).(gainEntry).candidate)
 			}
 			if err := g.refresh(ctx, ev, stale, selected, cur, round-1, &q); err != nil {

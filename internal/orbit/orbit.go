@@ -88,34 +88,20 @@ func Observe(prop Propagator, observer frames.Geodetic, t time.Time) (Observatio
 	}, nil
 }
 
-// PassOptions controls pass search.
-type PassOptions struct {
-	// MinElevationRad is the elevation mask; a pass exists while elevation
-	// exceeds it. Zero means the geometric horizon, as in the paper's graph
-	// construction rule ("elevation is greater than zero").
-	MinElevationRad float64
-	// CoarseStep is the scan step used to bracket horizon crossings.
-	// Defaults to 30 s, which cannot skip a LEO pass above a 0° mask.
-	CoarseStep time.Duration
-	// Refine is the bisection tolerance for rise/set times. Defaults to 1 s.
-	Refine time.Duration
-}
-
-func (o PassOptions) withDefaults() PassOptions {
-	if o.CoarseStep <= 0 {
-		o.CoarseStep = 30 * time.Second
-	}
-	if o.Refine <= 0 {
-		o.Refine = time.Second
-	}
-	return o
-}
+// The pass search scans at passScanStep to bracket mask crossings — 30 s
+// cannot skip a LEO pass above a 0° mask — and bisects each crossing to
+// passRefine.
+const (
+	passScanStep = 30 * time.Second
+	passRefine   = time.Second
+)
 
 // NextPass finds the first pass of the satellite over the observer that
-// begins at or after start and before start+window. A pass already in
-// progress at start is reported with Rise = start.
-func NextPass(prop Propagator, observer frames.Geodetic, start time.Time, window time.Duration, opt PassOptions) (Pass, error) {
-	opt = opt.withDefaults()
+// begins at or after start and before start+window. A pass exists while
+// the elevation exceeds minElevRad; zero is the geometric horizon, as in
+// the paper's graph construction rule ("elevation is greater than zero").
+// A pass already in progress at start is reported with Rise = start.
+func NextPass(prop Propagator, observer frames.Geodetic, start time.Time, window time.Duration, minElevRad float64) (Pass, error) {
 	// The scan only needs elevation, so skip Observe's range-rate baseline
 	// (a second propagation per sample) and reuse one precomputed observer
 	// basis; frames.Look is exactly NewTopocentric(observer).Look, so the
@@ -127,7 +113,7 @@ func NextPass(prop Propagator, observer frames.Geodetic, start time.Time, window
 			return 0, err
 		}
 		ecef := frames.TEMEToECEF(st.PositionKm, astro.JulianDate(t))
-		return tp.Look(ecef).ElevationRad - opt.MinElevationRad, nil
+		return tp.Look(ecef).ElevationRad - minElevRad, nil
 	}
 
 	end := start.Add(window)
@@ -144,25 +130,25 @@ func NextPass(prop Propagator, observer frames.Geodetic, start time.Time, window
 		haveRise = true
 	}
 
-	for t := start.Add(opt.CoarseStep); !t.After(end) || haveRise; t = t.Add(opt.CoarseStep) {
+	for t := start.Add(passScanStep); !t.After(end) || haveRise; t = t.Add(passScanStep) {
 		e, err := elevationAt(t)
 		if err != nil {
 			return Pass{}, err
 		}
 		switch {
 		case !haveRise && prevE <= 0 && e > 0:
-			r, err := bisect(elevationAt, prevT, t, opt.Refine, true)
+			r, err := bisect(elevationAt, prevT, t, passRefine, true)
 			if err != nil {
 				return Pass{}, err
 			}
 			rise = r
 			haveRise = true
 		case haveRise && prevE > 0 && e <= 0:
-			set, err := bisect(elevationAt, prevT, t, opt.Refine, false)
+			set, err := bisect(elevationAt, prevT, t, passRefine, false)
 			if err != nil {
 				return Pass{}, err
 			}
-			return finishPass(elevationAt, rise, set, opt)
+			return finishPass(elevationAt, rise, set, minElevRad)
 		}
 		prevT, prevE = t, e
 		// Safety: never chase a pass more than 30 minutes past the window.
@@ -172,18 +158,19 @@ func NextPass(prop Propagator, observer frames.Geodetic, start time.Time, window
 	}
 	if haveRise {
 		// Window ended mid-pass; report what we have.
-		return finishPass(elevationAt, rise, prevT, opt)
+		return finishPass(elevationAt, rise, prevT, minElevRad)
 	}
 	return Pass{}, ErrNoPass
 }
 
-// Passes returns every pass beginning in [start, start+window).
-func Passes(prop Propagator, observer frames.Geodetic, start time.Time, window time.Duration, opt PassOptions) ([]Pass, error) {
+// Passes returns every pass above minElevRad beginning in
+// [start, start+window).
+func Passes(prop Propagator, observer frames.Geodetic, start time.Time, window time.Duration, minElevRad float64) ([]Pass, error) {
 	var out []Pass
 	t := start
 	end := start.Add(window)
 	for t.Before(end) {
-		p, err := NextPass(prop, observer, t, end.Sub(t), opt)
+		p, err := NextPass(prop, observer, t, end.Sub(t), minElevRad)
 		if errors.Is(err, ErrNoPass) {
 			break
 		}
@@ -198,10 +185,10 @@ func Passes(prop Propagator, observer frames.Geodetic, start time.Time, window t
 
 // finishPass locates the culmination between rise and set by golden-section
 // style sampling, then assembles the Pass.
-func finishPass(elev func(time.Time) (float64, error), rise, set time.Time, opt PassOptions) (Pass, error) {
+func finishPass(elev func(time.Time) (float64, error), rise, set time.Time, minElevRad float64) (Pass, error) {
 	best := rise
 	bestE := -1.0
-	n := int(set.Sub(rise)/opt.Refine) + 1
+	n := int(set.Sub(rise)/passRefine) + 1
 	if n > 256 {
 		n = 256
 	}
@@ -223,7 +210,7 @@ func finishPass(elev func(time.Time) (float64, error), rise, set time.Time, opt 
 		Rise:            rise,
 		Culmination:     best,
 		Set:             set,
-		MaxElevationRad: bestE + opt.MinElevationRad,
+		MaxElevationRad: bestE + minElevRad,
 	}, nil
 }
 

@@ -55,7 +55,7 @@ func TestPassesOverMidLatitude(t *testing.T) {
 	// ISS inclination 51.6°: a 45° latitude site sees several passes a day.
 	obs := frames.NewGeodeticDeg(45.0, 7.0, 0.2)
 	start := p.TLE().Epoch
-	passes, err := Passes(p, obs, start, 24*time.Hour, PassOptions{})
+	passes, err := Passes(p, obs, start, 24*time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestPaperAnchorsPassStatistics(t *testing.T) {
 		t.Fatal(err)
 	}
 	svalbard := frames.NewGeodeticDeg(78.2, 15.4, 0.4)
-	passes, err := Passes(p, svalbard, el.Epoch, 24*time.Hour, PassOptions{})
+	passes, err := Passes(p, svalbard, el.Epoch, 24*time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestNextPassNoPass(t *testing.T) {
 	// ISS never rises above ±52° latitude sites' horizons... it does a bit;
 	// use the pole, which a 51.6° inclination orbit genuinely never sees.
 	pole := frames.NewGeodeticDeg(89.5, 0, 0)
-	_, err := NextPass(p, pole, p.TLE().Epoch, 12*time.Hour, PassOptions{})
+	_, err := NextPass(p, pole, p.TLE().Epoch, 12*time.Hour, 0)
 	if !errors.Is(err, ErrNoPass) {
 		t.Fatalf("want ErrNoPass at the pole, got %v", err)
 	}
@@ -138,12 +138,12 @@ func TestNextPassNoPass(t *testing.T) {
 func TestNextPassInProgress(t *testing.T) {
 	p := issProp(t)
 	obs := frames.NewGeodeticDeg(45.0, 7.0, 0.2)
-	passes, err := Passes(p, obs, p.TLE().Epoch, 24*time.Hour, PassOptions{})
+	passes, err := Passes(p, obs, p.TLE().Epoch, 24*time.Hour, 0)
 	if err != nil || len(passes) == 0 {
 		t.Fatalf("passes: %v (%d)", err, len(passes))
 	}
 	mid := passes[0].Culmination
-	got, err := NextPass(p, obs, mid, time.Hour, PassOptions{})
+	got, err := NextPass(p, obs, mid, time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +159,11 @@ func TestElevationMaskShortensPasses(t *testing.T) {
 	p := issProp(t)
 	obs := frames.NewGeodeticDeg(45.0, 7.0, 0.2)
 	start := p.TLE().Epoch
-	loose, err := Passes(p, obs, start, 24*time.Hour, PassOptions{})
+	loose, err := Passes(p, obs, start, 24*time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := Passes(p, obs, start, 24*time.Hour, PassOptions{MinElevationRad: 10 * astro.Deg2Rad})
+	strict, err := Passes(p, obs, start, 24*time.Hour, 10*astro.Deg2Rad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestElevationMaskShortensPasses(t *testing.T) {
 func TestRangeRateSignFlipsAtCulmination(t *testing.T) {
 	p := issProp(t)
 	obs := frames.NewGeodeticDeg(45.0, 7.0, 0.2)
-	passes, err := Passes(p, obs, p.TLE().Epoch, 24*time.Hour, PassOptions{})
+	passes, err := Passes(p, obs, p.TLE().Epoch, 24*time.Hour, 0)
 	if err != nil || len(passes) == 0 {
 		t.Fatalf("passes: %v", err)
 	}
@@ -244,7 +244,7 @@ func BenchmarkPassPrediction(b *testing.B) {
 	obs := frames.NewGeodeticDeg(45.0, 7.0, 0.2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Passes(p, obs, p.TLE().Epoch, 24*time.Hour, PassOptions{}); err != nil {
+		if _, err := Passes(p, obs, p.TLE().Epoch, 24*time.Hour, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

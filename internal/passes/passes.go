@@ -23,7 +23,6 @@ package passes
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -90,6 +89,10 @@ func CompareWindows(a, b Window) int {
 	return a.Station - b.Station
 }
 
+// maxRangeKm prunes pairs beyond plausible slant range before the
+// elevation test, mirroring the planner's cut.
+const maxRangeKm = 3500
+
 // Config tunes the predictor. The zero value selects the defaults.
 type Config struct {
 	// CoarseStep is the stride of the coarse elevation scan. It must be
@@ -99,9 +102,6 @@ type Config struct {
 	CoarseStep time.Duration
 	// Tol is the bisection tolerance for AOS/LOS refinement; default 1 s.
 	Tol time.Duration
-	// MaxRangeKm prunes pairs beyond plausible slant range before the
-	// elevation test, mirroring the planner's cut; default 3500 km.
-	MaxRangeKm float64
 	// Workers bounds the parallelism of the stride sweep and the AOS/LOS
 	// refinement: <= 0 means GOMAXPROCS, 1 keeps both fully serial (the
 	// differential ablation). Output is bit-identical at any worker
@@ -125,38 +125,6 @@ type Config struct {
 	// the few slant-range cuts it would save. Listing every station is the
 	// full cross product.
 	Sats, Stations []int
-}
-
-// Validate reports whether the configuration is usable, for a caller that
-// aligns windows with a planning slot grid of the given duration: the slot
-// grid must be a subset of the stride grid (CoarseStep divides the slot
-// duration), the tunables must not be negative (zero selects the
-// documented default), and a pair subset must be strictly ascending
-// non-negative indices. The subsets' upper bounds need the population,
-// which only New sees: it panics on an index past it.
-func (c Config) Validate(slotDur time.Duration) error {
-	if c.CoarseStep < 0 {
-		return fmt.Errorf("passes: CoarseStep %v is negative", c.CoarseStep)
-	}
-	if c.Tol < 0 {
-		return fmt.Errorf("passes: Tol %v is negative", c.Tol)
-	}
-	if c.MaxRangeKm < 0 {
-		return fmt.Errorf("passes: MaxRangeKm %v is negative", c.MaxRangeKm)
-	}
-	if math.IsNaN(c.MaxRangeKm) {
-		return fmt.Errorf("passes: MaxRangeKm is NaN")
-	}
-	if slotDur <= 0 {
-		return fmt.Errorf("passes: slot duration %v is not positive", slotDur)
-	}
-	if slotDur%c.coarse() != 0 {
-		return fmt.Errorf("passes: CoarseStep %v does not divide the slot duration %v", c.coarse(), slotDur)
-	}
-	if err := checkSubset("Sats", c.Sats, math.MaxInt); err != nil {
-		return err
-	}
-	return checkSubset("Stations", c.Stations, math.MaxInt)
 }
 
 // checkSubset reports the first violation of the pair-subset contract:
@@ -187,13 +155,6 @@ func (c Config) tol() time.Duration {
 		return time.Second
 	}
 	return c.Tol
-}
-
-func (c Config) maxRange() float64 {
-	if !(c.MaxRangeKm > 0) {
-		return 3500
-	}
-	return c.MaxRangeKm
 }
 
 func (c Config) workers() int {
@@ -404,7 +365,6 @@ func (p *Predictor) subsetAt(t time.Time) []poscache.Entry {
 // sort. It returns the keys and the number of pairs evaluated exactly —
 // the shard-local tally the caller sums in shard order.
 func (p *Predictor) scanRange(keys []int64, entries []poscache.Entry, lo, hi int, ws *workerScratch) ([]int64, int64) {
-	maxRange := p.cfg.maxRange()
 	nGs := int64(len(p.stations))
 	var pairs int64
 	for i := lo; i < hi; i++ {
@@ -414,7 +374,7 @@ func (p *Predictor) scanRange(keys []int64, entries []poscache.Entry, lo, hi int
 		}
 		list := p.direct
 		if list == nil {
-			ws.cand = p.sites.Near(ws.cand, e.Pos, maxRange, &ws.bits)
+			ws.cand = p.sites.Near(ws.cand, e.Pos, maxRangeKm, &ws.bits)
 			list = ws.cand
 		}
 		base := int64(i) * nGs
@@ -423,7 +383,7 @@ func (p *Predictor) scanRange(keys []int64, entries []poscache.Entry, lo, hi int
 		}
 		pairs += int64(len(list))
 		for _, j := range list {
-			if _, _, ok := p.sites.Above(int(j), e.Pos, maxRange, p.stations[j].MinElevationRad, p.floor[j]); ok {
+			if _, _, ok := p.sites.Above(int(j), e.Pos, maxRangeKm, p.stations[j].MinElevationRad, p.floor[j]); ok {
 				keys = append(keys, base+int64(j))
 			}
 		}
@@ -615,7 +575,6 @@ func (p *Predictor) refineEnts(ents []int32, lo, hi time.Time, scratch []int32) 
 	mid := lo.Add(hi.Sub(lo) / 2)
 	jd := astro.JulianDate(mid)
 	rot := frames.NewEarthRotation(jd)
-	maxRange := p.cfg.maxRange()
 	nGs := int64(len(p.stations))
 	lastSat := int64(-1)
 	satUp := false
@@ -632,7 +591,7 @@ func (p *Predictor) refineEnts(ents []int32, lo, hi time.Time, scratch []int32) 
 		above := false
 		if satUp {
 			j := int(pr.key % nGs)
-			_, _, above = p.sites.Above(j, e.Pos, maxRange, p.stations[j].MinElevationRad, p.floor[j])
+			_, _, above = p.sites.Above(j, e.Pos, maxRangeKm, p.stations[j].MinElevationRad, p.floor[j])
 		}
 		if above == pr.rising {
 			ents[k] = ei

@@ -55,10 +55,9 @@ func TestWindowsCoverAboveInstants(t *testing.T) {
 	for j, gs := range net {
 		topo[j] = frames.NewTopocentric(gs.Location)
 	}
-	const maxRange = 3500.0
 	step := time.Minute
 	horizon := 3 * time.Hour
-	p := New(pos, net, Config{CoarseStep: step, MaxRangeKm: maxRange})
+	p := New(pos, net, Config{CoarseStep: step})
 	end := epoch.Add(horizon)
 	ws := p.WindowsBetween(nil, epoch, end)
 	if len(ws) == 0 {
@@ -77,7 +76,7 @@ func TestWindowsCoverAboveInstants(t *testing.T) {
 	for at := epoch; at.Before(end); at = at.Add(step) {
 		for sat := 0; sat < pos.Len(); sat++ {
 			for st := range net {
-				if !directAbove(pos, net, topo, sat, st, at, maxRange) {
+				if !directAbove(pos, net, topo, sat, st, at, maxRangeKm) {
 					continue
 				}
 				above++
@@ -100,18 +99,18 @@ func TestWindowsCoverAboveInstants(t *testing.T) {
 		}
 		// Rise is the known-above bisection endpoint (except at the very
 		// start of coverage, where it equals Start).
-		if !w.Rise.Equal(epoch) && !directAbove(pos, net, topo, w.Sat, w.Station, w.Rise, maxRange) {
+		if !w.Rise.Equal(epoch) && !directAbove(pos, net, topo, w.Sat, w.Station, w.Rise, maxRangeKm) {
 			t.Fatalf("window %d: not above at refined Rise %v", i, w.Rise)
 		}
 		// Start is the known-below endpoint when a bracket was refined.
-		if !w.Start.Equal(epoch) && directAbove(pos, net, topo, w.Sat, w.Station, w.Start, maxRange) {
+		if !w.Start.Equal(epoch) && directAbove(pos, net, topo, w.Sat, w.Station, w.Start, maxRangeKm) {
 			t.Fatalf("window %d: above at conservative Start %v", i, w.Start)
 		}
 		if !w.Set.IsZero() {
-			if !directAbove(pos, net, topo, w.Sat, w.Station, w.Set, maxRange) {
+			if !directAbove(pos, net, topo, w.Sat, w.Station, w.Set, maxRangeKm) {
 				t.Fatalf("window %d: not above at refined Set %v", i, w.Set)
 			}
-			if directAbove(pos, net, topo, w.Sat, w.Station, w.End, maxRange) {
+			if directAbove(pos, net, topo, w.Sat, w.Station, w.End, maxRangeKm) {
 				t.Fatalf("window %d: above at conservative End %v", i, w.End)
 			}
 			if w.End.Sub(w.Set) > time.Second || w.Rise.Sub(w.Start) > time.Second {

@@ -100,11 +100,7 @@ func diffSubsets(t *testing.T, pos *poscache.Cache, net station.Network, horizon
 		}
 		var refStats Stats
 		for i, workers := range []int{1, 4, pool.DefaultWorkers()} {
-			cfg := Config{Workers: workers, Sats: tc.sats, Stations: tc.stations}
-			if err := cfg.Validate(time.Minute); err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			p := New(pos, net, cfg)
+			p := New(pos, net, Config{Workers: workers, Sats: tc.sats, Stations: tc.stations})
 			got := p.WindowsBetween(nil, epoch, to)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s workers=%d: %d windows, filter-after has %d\n got %+v\nwant %+v",

@@ -292,11 +292,7 @@ func (s *Snapshot) Passes(from, to time.Time, sat, gs int) passes.Windows {
 	if sat >= len(s.props) || gs >= len(s.net) {
 		return passes.Windows{}
 	}
-	cfg := passes.Config{
-		CoarseStep: s.cfg.Slot,
-		Tol:        time.Second,
-		Workers:    s.cfg.Workers,
-	}
+	cfg := passes.Config{CoarseStep: s.cfg.Slot, Workers: s.cfg.Workers}
 	if sat >= 0 {
 		cfg.Sats = []int{sat}
 	}

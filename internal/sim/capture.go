@@ -44,7 +44,7 @@ func (captureStage) run(e *Engine) error {
 	if w.eventPeriod > 0 {
 		for _, s := range w.sats {
 			for !s.nextEvent.IsZero() && !w.now.Before(s.nextEvent) {
-				s.store.AddChunk(s.nextEvent, cfg.EventBits, 10)
+				s.store.AddChunk(s.nextEvent, w.eventBits, 10)
 				s.nextEvent = s.nextEvent.Add(w.eventPeriod)
 			}
 		}

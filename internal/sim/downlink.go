@@ -99,7 +99,7 @@ func (downlinkStage) run(e *Engine) error {
 			StationLatRad:   gs.Location.LatRad,
 			StationHeightKm: gs.Location.AltKm,
 		}
-		actualRate := linkbudget.RateBps(cfg.Radio, gs.EffectiveTerminal(), geo, linkbudget.Conditions{
+		actualRate := linkbudget.RateBps(linkbudget.DefaultRadio(), gs.EffectiveTerminal(), geo, linkbudget.Conditions{
 			RainMmH: wt.RainMmH, CloudKgM2: wt.CloudKgM2,
 		})
 

@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"dgs/internal/core"
-	"dgs/internal/linkbudget"
 	"dgs/internal/station"
 	"dgs/internal/tle"
 )
@@ -65,8 +64,6 @@ type Config struct {
 	Stations station.Network
 	// TLEs is the constellation.
 	TLEs []tle.TLE
-	// Radio is the satellites' transmit side. Zero value = DefaultRadio.
-	Radio linkbudget.Radio
 	// Value is Φ; nil = latency-optimized.
 	Value core.ValueFunc
 	// Matcher is the matching algorithm; nil = stable matching.
@@ -79,32 +76,20 @@ type Config struct {
 	ForecastErr float64
 	// GenBitsPerDay is per-satellite capture volume (paper: 100 GB/day).
 	GenBitsPerDay float64
-	// ChunkBits is the capture granularity. Default 100 MB.
-	ChunkBits float64
 	// Hybrid selects DGS semantics (plan uploads and delayed acks through
 	// TX stations). False = centralized baseline semantics.
 	Hybrid bool
-	// AckDelay is the Internet relay delay from a receive-only station to
-	// the backend. Default 10 s.
-	AckDelay time.Duration
-	// UplinkRateBps is the narrowband S-band TT&C rate carrying plans and
-	// ack digests during TX contacts (§2: "only hundreds of Kbps uplink").
-	// Default linkbudget.UplinkRateBps. Plans and digests consume real
-	// uplink time; a satellite adopts a plan only once fully received.
-	UplinkRateBps float64
 	// DaylightImaging gates capture on the satellite being over the sunlit
 	// hemisphere (visible-band EO realism). The paper's flat 100 GB/day is
 	// the default (false); enabling this roughly halves the volume.
 	DaylightImaging bool
 	// EventsPerSatPerDay injects high-priority captures (the paper's flood
-	// and forest-fire motivation, §1/§3): each event is EventBits of
-	// priority data whose delivery latency is tracked separately. The rate
+	// and forest-fire motivation, §1/§3): each event is 1 GB of priority
+	// data whose delivery latency is tracked separately. The rate
 	// is capped at one event per second (86400/day): the injection period
 	// is quantized to whole seconds, so faster rates would truncate to a
 	// zero period and the drain loop could never advance.
 	EventsPerSatPerDay float64
-	// EventBits is the size of one event capture. Default 1 GB.
-	EventBits float64
 	// Workers bounds the worker pool shared by the scheduler's per-slot
 	// planning sweep and the per-step satellite propagation. <= 0 means
 	// GOMAXPROCS. The Result is bit-identical for any worker count.
@@ -118,9 +103,21 @@ type Config struct {
 	Progress func(day int, r *Result)
 }
 
-// maxEventsPerSatPerDay caps event injection at one event per second; see
-// Config.EventsPerSatPerDay.
-const maxEventsPerSatPerDay = 86400
+// The protocol's fixed parameters. The satellites transmit with
+// linkbudget.DefaultRadio and receive plans and ack digests over the
+// linkbudget.UplinkRateBps S-band uplink (§2: "only hundreds of Kbps
+// uplink"); plans and digests consume real uplink time, and a satellite
+// adopts a plan only once fully received.
+const (
+	// chunkBits is the capture granularity.
+	chunkBits = 0.1 * GB
+	// ackDelay is the Internet relay delay from a receive-only station to
+	// the backend.
+	ackDelay = 10 * time.Second
+	// maxEventsPerSatPerDay caps event injection at one event per second;
+	// see Config.EventsPerSatPerDay.
+	maxEventsPerSatPerDay = 86400
+)
 
 func (c Config) withDefaults() Config {
 	if c.Step <= 0 {
@@ -139,26 +136,11 @@ func (c Config) withDefaults() Config {
 	if c.PlanHorizon < c.PlanEvery {
 		c.PlanHorizon = c.PlanEvery
 	}
-	if c.Radio.FreqGHz == 0 {
-		c.Radio = linkbudget.DefaultRadio()
-	}
 	if c.GenBitsPerDay == 0 {
 		c.GenBitsPerDay = 100 * GB
 	}
-	if c.ChunkBits == 0 {
-		c.ChunkBits = 0.1 * GB
-	}
-	if c.AckDelay <= 0 {
-		c.AckDelay = 10 * time.Second
-	}
-	if c.UplinkRateBps <= 0 {
-		c.UplinkRateBps = linkbudget.UplinkRateBps
-	}
 	if c.EventsPerSatPerDay > maxEventsPerSatPerDay {
 		c.EventsPerSatPerDay = maxEventsPerSatPerDay
-	}
-	if c.EventBits <= 0 {
-		c.EventBits = 1 * GB
 	}
 	if c.Start.IsZero() {
 		c.Start = time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)

@@ -263,8 +263,12 @@ func TestUplinkRateLimitsPlanAdoption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.UplinkRateBps = 20 // 20 bit/s: a plan never finishes uploading
-	starved, err := Run(context.Background(), cfg)
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.w.uplinkBps = 20 // 20 bit/s: a plan never finishes uploading
+	starved, err := e.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,8 +368,12 @@ func TestEventDataGetsPriorityLatency(t *testing.T) {
 	cfg := smallCfg(12, 24)
 	cfg.Duration = 12 * time.Hour
 	cfg.EventsPerSatPerDay = 6
-	cfg.EventBits = 0.5 * GB
-	res, err := Run(context.Background(), cfg)
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.w.eventBits = 0.5 * GB
+	res, err := e.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,11 +29,11 @@ func (uplinkStage) run(e *Engine) error {
 		// The S-band uplink budget for this slot pays for the ack digest
 		// first, then plan download; a plan is adopted only once fully
 		// received (possibly across several contacts).
-		upBudget := cfg.UplinkRateBps * w.stepSec
+		upBudget := w.uplinkBps * w.stepSec
 
 		// Cumulative acks: every unacked receipt the backend has had for at
-		// least AckDelay.
-		cutoff := w.now.Add(-cfg.AckDelay)
+		// least ackDelay.
+		cutoff := w.now.Add(-ackDelay)
 		var ids []satellite.ChunkID
 		for id, at := range w.unacked[i] {
 			if !at.After(cutoff) {
@@ -75,7 +75,7 @@ func (uplinkStage) run(e *Engine) error {
 		}
 		// Negative acks: chunks transmitted long enough ago that a report
 		// would have arrived were they received.
-		lossDeadline := w.now.Add(-cfg.AckDelay - 2*cfg.Step)
+		lossDeadline := w.now.Add(-ackDelay - 2*cfg.Step)
 		lost := slices.DeleteFunc(s.store.SentBefore(lossDeadline), func(id satellite.ChunkID) bool {
 			_, received := w.unacked[i][id]
 			return received

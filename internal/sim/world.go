@@ -6,6 +6,7 @@ import (
 
 	"dgs/internal/core"
 	"dgs/internal/frames"
+	"dgs/internal/linkbudget"
 	"dgs/internal/poscache"
 	"dgs/internal/satellite"
 	"dgs/internal/sgp4"
@@ -40,6 +41,11 @@ type World struct {
 	cfg     Config
 	genRate float64
 	stepSec float64
+	// uplinkBps is the S-band uplink rate (linkbudget.UplinkRateBps) and
+	// eventBits the size of one event capture (1 GB). Both are fixed;
+	// in-package tests vary them after NewEngine.
+	uplinkBps float64
+	eventBits float64
 	// eventPeriod is the high-priority injection period, computed once per
 	// run (zero when injection is off).
 	eventPeriod time.Duration
@@ -98,9 +104,11 @@ func newWorld(cfg Config) (*World, error) {
 	}
 
 	w := &World{
-		cfg:     cfg,
-		genRate: cfg.GenBitsPerDay / 86400.0,
-		stepSec: cfg.Step.Seconds(),
+		cfg:       cfg,
+		genRate:   cfg.GenBitsPerDay / 86400.0,
+		stepSec:   cfg.Step.Seconds(),
+		uplinkBps: linkbudget.UplinkRateBps,
+		eventBits: 1 * GB,
 	}
 
 	// Weather: truth field + forecast view for the scheduler.
@@ -121,7 +129,7 @@ func newWorld(cfg Config) (*World, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: satellite %d: %w", i, err)
 		}
-		st := satellite.NewStore(el.Name, w.genRate, cfg.ChunkBits)
+		st := satellite.NewStore(el.Name, w.genRate, chunkBits)
 		st.Generate(cfg.Start)
 		sr := &satRuntime{prop: p, store: st}
 		if w.eventPeriod > 0 {
@@ -143,7 +151,7 @@ func newWorld(cfg Config) (*World, error) {
 	w.positions.Workers = cfg.Workers
 
 	w.sched = &core.Scheduler{
-		Radio:     cfg.Radio,
+		Radio:     linkbudget.DefaultRadio(),
 		Stations:  cfg.Stations,
 		Value:     cfg.Value,
 		Match:     cfg.Matcher,

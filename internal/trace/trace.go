@@ -100,9 +100,7 @@ func Collect(props []orbit.Propagator, net station.Network, start time.Time, win
 	log := &Log{}
 	for si, prop := range props {
 		for _, gs := range net {
-			passes, err := orbit.Passes(prop, gs.Location, start, window, orbit.PassOptions{
-				MinElevationRad: gs.MinElevationRad,
-			})
+			passes, err := orbit.Passes(prop, gs.Location, start, window, gs.MinElevationRad)
 			if err != nil {
 				return nil, fmt.Errorf("trace: sat %d over %s: %w", si, gs.Name, err)
 			}

@@ -140,53 +140,36 @@ func (Clear) At(float64, float64, time.Time) Sample { return Sample{} }
 
 // Forecast wraps a truth field and degrades it with lead time, modeling the
 // "weather forecasts for a region" the DGS scheduler consumes (§3.2).
+// Build one with NewForecast; its fields are read-only afterwards.
 type Forecast struct {
-	// Truth is the underlying field being forecast.
-	Truth *Field
-	// ErrGrowthHours is the lead time at which forecast error saturates
-	// (default 24 h when zero).
-	ErrGrowthHours float64
-	// MaxErr is the saturated blend fraction toward the decorrelated field
-	// in [0, 1] (default 0.5 when zero; 0 = perfect forecast).
-	MaxErr float64
-
+	truth *Field
+	// maxErr is the saturated blend fraction toward the decorrelated
+	// errField, in [0, 1] (0 = perfect forecast).
+	maxErr   float64
 	errField *Field
 }
+
+// errGrowthHours is the lead time at which forecast error saturates.
+const errGrowthHours = 24
 
 // NewForecast builds a forecast view over truth with the given saturated
 // error fraction (0 = oracle, 1 = useless).
 func NewForecast(truth *Field, maxErr float64) *Forecast {
 	ef := NewField(truth.seed ^ 0xdeadbeefcafef00d)
-	return &Forecast{Truth: truth, ErrGrowthHours: 24, MaxErr: maxErr, errField: ef}
+	return &Forecast{truth: truth, maxErr: maxErr, errField: ef}
 }
 
 // AtLead returns the forecast issued `lead` before the valid time t.
 // Lead zero is a nowcast equal to truth.
 //
-// AtLead is safe for concurrent use when the Forecast was built with
-// NewForecast (fields are then read-only); the parallel planner queries it
-// from many workers at once.
+// AtLead is safe for concurrent use (fields are read-only); the parallel
+// planner queries it from many workers at once.
 func (f *Forecast) AtLead(latRad, lonRad float64, t time.Time, lead time.Duration) Sample {
-	truth := f.Truth.At(latRad, lonRad, t)
-	if lead <= 0 || f.MaxErr <= 0 {
+	truth := f.truth.At(latRad, lonRad, t)
+	if lead <= 0 || f.maxErr <= 0 {
 		return truth
 	}
-	growth := f.ErrGrowthHours
-	if growth <= 0 {
-		growth = 24
-	}
-	e := f.MaxErr * math.Min(1, lead.Hours()/growth)
-	ef := f.errField
-	if ef == nil {
-		// Hand-constructed Forecast: derive the field locally rather than
-		// writing to the struct, which would race under the worker pool.
-		ef = NewField(f.Truth.seed ^ 0xdeadbeefcafef00d)
-	}
-	alt := ef.At(latRad, lonRad, t)
-	return Sample{
-		RainMmH:   (1-e)*truth.RainMmH + e*alt.RainMmH,
-		CloudKgM2: (1-e)*truth.CloudKgM2 + e*alt.CloudKgM2,
-	}
+	return f.BlendAtLead(truth, f.errField.At(latRad, lonRad, t), lead)
 }
 
 // Components returns the two lead-independent samples AtLead blends: the
@@ -195,25 +178,16 @@ func (f *Forecast) AtLead(latRad, lonRad float64, t time.Time, lead time.Duratio
 // scheduler's overlapping plan epochs) can cache these and blend per lead
 // with BlendAtLead, skipping the expensive noise-field evaluations.
 func (f *Forecast) Components(latRad, lonRad float64, t time.Time) (truth, alt Sample) {
-	truth = f.Truth.At(latRad, lonRad, t)
-	ef := f.errField
-	if ef == nil {
-		ef = NewField(f.Truth.seed ^ 0xdeadbeefcafef00d)
-	}
-	return truth, ef.At(latRad, lonRad, t)
+	return f.truth.At(latRad, lonRad, t), f.errField.At(latRad, lonRad, t)
 }
 
 // BlendAtLead combines Components into the forecast AtLead would return
 // for the given lead.
 func (f *Forecast) BlendAtLead(truth, alt Sample, lead time.Duration) Sample {
-	if lead <= 0 || f.MaxErr <= 0 {
+	if lead <= 0 || f.maxErr <= 0 {
 		return truth
 	}
-	growth := f.ErrGrowthHours
-	if growth <= 0 {
-		growth = 24
-	}
-	e := f.MaxErr * math.Min(1, lead.Hours()/growth)
+	e := f.maxErr * math.Min(1, lead.Hours()/errGrowthHours)
 	return Sample{
 		RainMmH:   (1-e)*truth.RainMmH + e*alt.RainMmH,
 		CloudKgM2: (1-e)*truth.CloudKgM2 + e*alt.CloudKgM2,

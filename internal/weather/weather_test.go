@@ -203,7 +203,7 @@ func TestPerfectForecast(t *testing.T) {
 	got := fc.AtLead(0.5, 1.1, testTime, 48*time.Hour)
 	want := truth.At(0.5, 1.1, testTime)
 	if got != want {
-		t.Errorf("MaxErr=0 forecast must be oracle: %+v vs %+v", got, want)
+		t.Errorf("zero-error forecast must be oracle: %+v vs %+v", got, want)
 	}
 }
 
