@@ -68,6 +68,13 @@ if git grep -nE 'AttenMemo|MemoView' -- internal/core internal/sim internal/serv
     echo "production code rates with linkbudget.Kernel; the memo is the tests' oracle" >&2; exit 1
 fi
 
+# One ack-relay implementation: the simulator's backend state is the
+# backend.Collator the binaries' backend runs, called in-process with the
+# wire's structs; sim keeps no receipt map or unacked set of its own.
+if git grep -nE 'map\[satellite\.ChunkID\]time\.Time|^[[:space:]]+unacked[[:space:]]|\.unacked\b' -- internal/sim ':!*_test.go'; then
+    echo "sim collates acks through backend.Collator: keep no receipt map in internal/sim" >&2; exit 1
+fi
+
 # One carried-edge store: the incremental planner replans through
 # PlanEpoch, and the scheduler works out from its own inputs what a delta
 # invalidated (a replaced propagator or *Station, a reassigned Forecast) —

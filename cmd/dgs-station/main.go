@@ -59,8 +59,7 @@ func main() {
 	}
 	log.Printf("%s: connected to %s (tx=%v)", *name, *addr, *tx)
 
-	rng := rand.New(rand.NewSource(int64(*id)))
-	nextChunk := uint64(1)
+	rep := newReporter(uint32(*id), time.Now())
 	tick := time.NewTicker(5 * time.Second)
 	defer tick.Stop()
 
@@ -75,45 +74,70 @@ func main() {
 			if sched == nil {
 				continue
 			}
-			// Find this station's assignment in the current slot (if any)
-			// and pretend the corresponding chunks arrived.
-			idx := int(time.Since(sched.Issued) / sched.SlotDur)
-			if idx < 0 || idx >= len(sched.Slots) {
-				continue
-			}
-			for _, a := range sched.Slots[idx].Assignments {
-				if a.Station != uint32(*id) {
-					continue
-				}
-				n := 1 + rng.Intn(3)
-				report := &proto.ChunkReport{StationID: uint32(*id), Sat: a.Sat}
-				for k := 0; k < n; k++ {
-					report.Chunks = append(report.Chunks, proto.ChunkInfo{
-						ID:       nextChunk,
-						Bits:     a.RateBps * 5, // five seconds at the planned rate
-						Captured: time.Now().Add(-time.Duration(rng.Intn(3600)) * time.Second).UTC(),
-						Received: time.Now().UTC(),
-					})
-					nextChunk++
-				}
+			for _, report := range rep.reports(sched, time.Now()) {
 				if err := agent.Report(report); err != nil {
 					log.Printf("%s: report: %v", *name, err)
 					continue
 				}
-				log.Printf("%s: reported %d chunks from satellite %d", *name, n, a.Sat)
+				log.Printf("%s: reported %d chunks from satellite %d", *name, len(report.Chunks), report.Sat)
 				if *tx {
-					d, err := agent.FetchDigest(a.Sat)
+					d, err := agent.FetchDigest(report.Sat)
 					if err != nil {
 						log.Printf("%s: digest: %v", *name, err)
 						continue
 					}
 					if len(d.ChunkIDs) > 0 {
-						log.Printf("%s: would uplink %d acks to satellite %d", *name, len(d.ChunkIDs), a.Sat)
+						log.Printf("%s: would uplink %d acks to satellite %d", *name, len(d.ChunkIDs), report.Sat)
 					}
 				}
 			}
 		}
 	}
+}
+
+// reporter makes up the chunk receptions of one station process.
+type reporter struct {
+	station uint32
+	rng     *rand.Rand
+	// next is the low half of the next chunk ID; the station ID is the
+	// high half.
+	next uint32
+}
+
+// newReporter returns the reporter of a station process started at start.
+// Chunk IDs put the station ID in their high 32 bits, so two stations never
+// collide; the low half counts on from start in milliseconds (a 49-day
+// cycle, wrapping without carrying into the station half), so a restarted
+// station numbers past the chunks its earlier run reported.
+func newReporter(station uint32, start time.Time) *reporter {
+	return &reporter{station: station, rng: rand.New(rand.NewSource(int64(station))), next: uint32(start.UnixMilli())}
+}
+
+// reports pretends that, for every assignment of the station in the
+// schedule's slot at now, one to three chunks arrived: one report each.
+func (r *reporter) reports(sched *proto.Schedule, now time.Time) []*proto.ChunkReport {
+	idx := int(now.Sub(sched.Issued) / sched.SlotDur)
+	if idx < 0 || idx >= len(sched.Slots) {
+		return nil
+	}
+	var out []*proto.ChunkReport
+	for _, a := range sched.Slots[idx].Assignments {
+		if a.Station != r.station {
+			continue
+		}
+		report := &proto.ChunkReport{StationID: r.station, Sat: a.Sat}
+		for k := 1 + r.rng.Intn(3); k > 0; k-- {
+			report.Chunks = append(report.Chunks, proto.ChunkInfo{
+				ID:       uint64(r.station)<<32 | uint64(r.next),
+				Bits:     a.RateBps * 5, // five seconds at the planned rate
+				Captured: now.Add(-time.Duration(r.rng.Intn(3600)) * time.Second).UTC(),
+				Received: now.UTC(),
+			})
+			r.next++
+		}
+		out = append(out, report)
+	}
+	return out
 }
 
 func itoa(v uint32) string {

@@ -35,18 +35,18 @@ func TestCollatorReportDigest(t *testing.T) {
 	}
 
 	// Digest honors the cutoff: chunk 12 arrived an hour later.
-	d := c.Digest(7, rxTime.Add(10*time.Minute))
+	d, _ := c.Digest(7, rxTime.Add(10*time.Minute), -1)
 	if len(d.ChunkIDs) != 2 || d.ChunkIDs[0] != 10 || d.ChunkIDs[1] != 11 {
 		t.Fatalf("digest = %v", d.ChunkIDs)
 	}
 	// Digest consumes: a second call returns only the late chunk once it is
 	// within the cutoff.
-	d = c.Digest(7, rxTime.Add(2*time.Hour))
+	d, _ = c.Digest(7, rxTime.Add(2*time.Hour), -1)
 	if len(d.ChunkIDs) != 1 || d.ChunkIDs[0] != 12 {
 		t.Fatalf("second digest = %v", d.ChunkIDs)
 	}
 	// Nothing left.
-	if d = c.Digest(7, rxTime.Add(3*time.Hour)); len(d.ChunkIDs) != 0 {
+	if d, _ = c.Digest(7, rxTime.Add(3*time.Hour), -1); len(d.ChunkIDs) != 0 {
 		t.Fatalf("third digest = %v", d.ChunkIDs)
 	}
 	// Other satellites are untouched.
@@ -68,7 +68,7 @@ func TestCollatorConcurrency(t *testing.T) {
 					Chunks: []proto.ChunkInfo{{ID: uint64(g*1000 + i), Bits: 1, Received: rxTime}},
 				})
 				if i%10 == 0 {
-					c.Digest(uint32(g%2), rxTime.Add(time.Hour))
+					c.Digest(uint32(g%2), rxTime.Add(time.Hour), -1)
 				}
 			}
 		}(g)

@@ -95,7 +95,7 @@ func runChaosWorkload(t *testing.T, wrap func(net.Listener) net.Listener) ([]byt
 	// property is stated on the collator's output.
 	var buf bytes.Buffer
 	for sat := uint32(1); sat <= chaosSatellites; sat++ {
-		d := srv.Collator.Digest(sat, rxTime.Add(24*time.Hour))
+		d, _ := srv.Collator.Digest(sat, rxTime.Add(24*time.Hour), -1)
 		if err := proto.Write(&buf, d); err != nil {
 			t.Fatal(err)
 		}

@@ -4,9 +4,9 @@
 // acks for transmit-capable stations to upload, and distributes downlink
 // schedules to every station.
 //
-// The package has two halves: Collator, the pure state machine (also usable
-// in-process), and Server/StationAgent, the TCP endpoints speaking
-// internal/proto over a managed session (internal/session).
+// The package has two halves: Collator, the pure state machine (and the
+// simulator's backend state), and Server/StationAgent, the TCP endpoints
+// speaking internal/proto over a managed session (internal/session).
 //
 // # Fault tolerance
 //

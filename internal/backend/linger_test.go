@@ -1,4 +1,4 @@
-package backend
+package backend_test
 
 import (
 	"context"
@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dgs/internal/backend"
 	"dgs/internal/proto"
 	"dgs/internal/serve"
 )
@@ -164,18 +165,18 @@ func TestReplyBeforeWriteReturns(t *testing.T) {
 	const trips = 1000
 	owners := map[string]func(t *testing.T, ln *lingerNet, logf func(string, ...any)) error{
 		"StationAgent": func(t *testing.T, ln *lingerNet, logf func(string, ...any)) error {
-			srv := NewServer(nil)
+			srv := backend.NewServer(nil)
 			srv.Serve(ln)
 			t.Cleanup(func() { srv.Close() })
-			a := &StationAgent{ID: 8, Name: "eager", TxCapable: true, Logf: logf,
-				dial: func(context.Context) (net.Conn, error) { return ln.Dial() }}
+			a := &backend.StationAgent{ID: 8, Name: "eager", TxCapable: true, Logf: logf}
+			backend.SetDial(a, func(context.Context) (net.Conn, error) { return ln.Dial() })
 			if err := a.Dial(context.Background(), "linger"); err != nil {
 				return err
 			}
 			t.Cleanup(func() { a.Close() })
 			for i := uint64(1); i <= trips/2; i++ {
 				if err := a.Report(&proto.ChunkReport{StationID: 8, Sat: 1,
-					Chunks: []proto.ChunkInfo{{ID: i, Bits: 1, Received: rxTime}}}); err != nil {
+					Chunks: []proto.ChunkInfo{{ID: i, Bits: 1, Received: backend.RxTime}}}); err != nil {
 					return fmt.Errorf("report %d: %w", i, err)
 				}
 				if d, err := a.FetchDigest(1); err != nil || len(d.ChunkIDs) != 1 {

@@ -1,13 +1,13 @@
 package sim
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"slices"
 	"time"
 
 	"dgs/internal/core"
+	"dgs/internal/proto"
 	"dgs/internal/satellite"
 )
 
@@ -114,10 +114,9 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 		if s.heldPlan != nil {
 			sc.HeldPlan = s.heldPlan.Version
 		}
-		for id, at := range w.unacked[i] {
-			sc.Unacked = append(sc.Unacked, RxRecord{ID: id, ReceivedAt: at})
+		for _, r := range w.backend.Receipts(uint32(i)) {
+			sc.Unacked = append(sc.Unacked, RxRecord{ID: satellite.ChunkID(r.ID), ReceivedAt: r.Received})
 		}
-		slices.SortFunc(sc.Unacked, func(a, b RxRecord) int { return cmp.Compare(a.ID, b.ID) })
 		cp.Sats[i] = sc
 	}
 
@@ -213,16 +212,19 @@ func Restore(cfg Config, cp *Checkpoint) (*Engine, error) {
 		s.upVersion = sc.UpVersion
 		s.upBits = sc.UpBits
 
-		inFlight := make(map[satellite.ChunkID]bool, len(sc.Store.InFlight))
+		inFlight := make(map[satellite.ChunkID]float64, len(sc.Store.InFlight))
 		for _, c := range sc.Store.InFlight {
-			inFlight[c.ID] = true
+			inFlight[c.ID] = c.Bits
 		}
+		rx := proto.ChunkReport{Sat: uint32(i)}
 		for _, r := range sc.Unacked {
-			if !inFlight[r.ID] {
+			bits, ok := inFlight[r.ID]
+			if !ok {
 				return nil, fmt.Errorf("sim: checkpoint satellite %d: unacked receipt %d names no in-flight chunk", i, r.ID)
 			}
-			w.unacked[i][r.ID] = r.ReceivedAt
+			rx.Chunks = append(rx.Chunks, proto.ChunkInfo{ID: uint64(r.ID), Bits: uint64(bits), Received: r.ReceivedAt})
 		}
+		w.backend.Report(&rx)
 		w.receivedBits[i] = sc.ReceivedBits
 	}
 

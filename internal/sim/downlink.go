@@ -2,6 +2,7 @@ package sim
 
 import (
 	"dgs/internal/linkbudget"
+	"dgs/internal/proto"
 	"dgs/internal/satellite"
 )
 
@@ -143,18 +144,15 @@ func (downlinkStage) run(e *Engine) error {
 				w.res.SlotsStale++
 			}
 			w.res.LostGB += sentBits / GB
-			e.emitChunkLost(LossEvent{
-				Time: w.now, Sat: i, Station: gsIdx,
-				Bits: sentBits, Chunks: len(sent), Stale: !listening,
+			e.emit(func(o Observer) {
+				o.OnChunkLost(LossEvent{Time: w.now, Sat: i, Station: gsIdx, Bits: sentBits, Chunks: len(sent), Stale: !listening})
 			})
 			continue
 		}
 		endOfSlot := w.now.Add(cfg.Step)
+		rx := proto.ChunkReport{StationID: uint32(gsIdx), Sat: uint32(i), Chunks: w.rxBuf[:0]}
 		for _, c := range sent {
-			if cfg.Hybrid {
-				// The receipt waits for an ack digest at a TX contact.
-				w.unacked[i][c.ID] = endOfSlot
-			}
+			rx.Chunks = append(rx.Chunks, proto.ChunkInfo{ID: uint64(c.ID), Bits: uint64(c.Bits), Captured: c.Captured, Received: endOfSlot})
 			w.receivedBits[i] += c.Bits
 			lat := endOfSlot.Sub(c.Captured).Minutes()
 			w.res.LatencyMin.Add(lat)
@@ -162,22 +160,29 @@ func (downlinkStage) run(e *Engine) error {
 				w.res.EventLatencyMin.Add(lat)
 			}
 			if len(e.obs) > 0 {
-				e.emitChunkDelivered(ChunkEvent{
-					Time: endOfSlot, Sat: i, Station: gsIdx,
-					ID: c.ID, Bits: c.Bits, Captured: c.Captured,
-					LatencyMin: lat, Priority: c.Priority > 0,
+				e.emit(func(o Observer) {
+					o.OnChunkDelivered(ChunkEvent{
+						Time: endOfSlot, Sat: i, Station: gsIdx,
+						ID: c.ID, Bits: c.Bits, Captured: c.Captured,
+						LatencyMin: lat, Priority: c.Priority > 0,
+					})
 				})
 			}
 		}
 		w.res.DeliveredGB += sentBits / GB
-		if !cfg.Hybrid {
+		w.rxBuf = rx.Chunks
+		if cfg.Hybrid {
+			// The station reports the receipts; each waits in the backend
+			// for an ack digest at a TX contact.
+			w.backend.Report(&rx)
+		} else {
 			// Immediate acks over the station's own uplink.
 			ids := make([]satellite.ChunkID, len(sent))
 			for k, c := range sent {
 				ids[k] = c.ID
 			}
 			freed := s.store.Ack(ids)
-			e.emitAck(AckEvent{Time: w.now, Sat: i, Chunks: len(ids), Bits: freed, Relayed: false})
+			e.emit(func(o Observer) { o.OnAck(AckEvent{Time: w.now, Sat: i, Chunks: len(ids), Bits: freed}) })
 		}
 	}
 	return nil

@@ -78,7 +78,7 @@ func (e *Engine) Step() error {
 	w.jd = astro.JulianDate(w.now)
 	w.ecefs = w.positions.At(w.now)
 
-	e.emitSlot(SlotEvent{Time: w.now, Index: w.step})
+	e.emit(func(o Observer) { o.OnSlot(SlotEvent{Time: w.now, Index: w.step}) })
 
 	for _, st := range e.stages {
 		if err := st.run(e); err != nil {
@@ -131,61 +131,23 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 
 // ---- observer dispatch ----
 //
-// Every emit helper returns immediately when no observers are registered,
-// so instrumentation costs nothing on the hot path of plain runs. External
+// With no observers registered emit's loop is empty (and the downlink
+// builds no per-chunk event), so plain runs pay nothing for it. External
 // observers are third-party code: each call runs under a recover that
 // converts a panic into a clean run-ending error carrying the slot
 // timestamp instead of corrupting the run mid-slot.
 
-// recoverObserver is installed as a deferred call around each observer
-// invocation.
-func (e *Engine) recoverObserver(o Observer) {
-	if r := recover(); r != nil && e.obsErr == nil {
-		e.obsErr = fmt.Errorf("sim: observer %T panicked at slot %v: %v", o, e.w.now, r)
-	}
-}
-
-func (e *Engine) emitSlot(ev SlotEvent) {
+// emit hands one event to every observer: deliver calls the observer's
+// hook for it.
+func (e *Engine) emit(deliver func(Observer)) {
 	for _, o := range e.obs {
 		func() {
-			defer e.recoverObserver(o)
-			o.OnSlot(ev)
-		}()
-	}
-}
-
-func (e *Engine) emitPlan(ev PlanEvent) {
-	for _, o := range e.obs {
-		func() {
-			defer e.recoverObserver(o)
-			o.OnPlan(ev)
-		}()
-	}
-}
-
-func (e *Engine) emitChunkDelivered(ev ChunkEvent) {
-	for _, o := range e.obs {
-		func() {
-			defer e.recoverObserver(o)
-			o.OnChunkDelivered(ev)
-		}()
-	}
-}
-
-func (e *Engine) emitChunkLost(ev LossEvent) {
-	for _, o := range e.obs {
-		func() {
-			defer e.recoverObserver(o)
-			o.OnChunkLost(ev)
-		}()
-	}
-}
-
-func (e *Engine) emitAck(ev AckEvent) {
-	for _, o := range e.obs {
-		func() {
-			defer e.recoverObserver(o)
-			o.OnAck(ev)
+			defer func() {
+				if r := recover(); r != nil && e.obsErr == nil {
+					e.obsErr = fmt.Errorf("sim: observer %T panicked at slot %v: %v", o, e.w.now, r)
+				}
+			}()
+			deliver(o)
 		}()
 	}
 }

@@ -22,6 +22,8 @@ func (planStage) run(e *Engine) error {
 			s.heldPlan = w.latestPlan
 		}
 	}
-	e.emitPlan(PlanEvent{Time: w.now, Version: w.latestPlan.Version, Slots: len(w.latestPlan.Slots), Sat: -1})
+	e.emit(func(o Observer) {
+		o.OnPlan(PlanEvent{Time: w.now, Version: w.latestPlan.Version, Slots: len(w.latestPlan.Slots), Sat: -1})
+	})
 	return nil
 }

@@ -21,7 +21,7 @@
 // The simulator is a staged engine over an explicit World state:
 //
 //   - World (world.go) owns every piece of mutable run state — satellite
-//     runtimes, the backend's unacked receipts, the current plan, the clock —
+//     runtimes, the backend's ack collator, the current plan, the clock —
 //     plus the hot-path helpers (snapshot, txVisible) with reusable scratch.
 //   - Engine (engine.go) advances a World through ordered stages, one slot
 //     per Step: capture → plan → downlink → uplink → account, each in its

@@ -31,32 +31,23 @@ func (uplinkStage) run(e *Engine) error {
 		// received (possibly across several contacts).
 		upBudget := w.uplinkBps * w.stepSec
 
-		// Cumulative acks: every unacked receipt the backend has had for at
-		// least ackDelay.
-		cutoff := w.now.Add(-ackDelay)
-		var ids []satellite.ChunkID
-		for id, at := range w.unacked[i] {
-			if !at.After(cutoff) {
-				ids = append(ids, id)
-			}
-		}
-		// Map iteration order is random; sort so a truncated digest acks a
-		// deterministic prefix.
-		slices.Sort(ids)
-		if len(ids) > 0 {
-			digestBits := 96*8 + float64(len(ids))*64
-			if digestBits > upBudget {
-				// Partial digest: ack as many as fit.
-				ids = ids[:max(int((upBudget-96*8)/64), 0)]
+		// Cumulative acks: every receipt the backend has held for at least
+		// ackDelay, as many as the budget carries (the lowest chunk IDs).
+		d, left := w.backend.Digest(uint32(i), w.now.Add(-ackDelay), max(int((upBudget-96*8)/64), 0))
+		if n := len(d.ChunkIDs); n+left > 0 {
+			digestBits := 96*8 + float64(n)*64
+			if left > 0 {
+				// Partial digest: it takes the whole budget.
 				digestBits = upBudget
 			}
 			upBudget -= digestBits
-			freed := s.store.Ack(ids)
-			for _, id := range ids {
-				delete(w.unacked[i], id)
+			ids := make([]satellite.ChunkID, n)
+			for k, id := range d.ChunkIDs {
+				ids[k] = satellite.ChunkID(id)
 			}
-			if len(ids) > 0 {
-				e.emitAck(AckEvent{Time: w.now, Sat: i, Chunks: len(ids), Bits: freed, Relayed: true})
+			freed := s.store.Ack(ids)
+			if n > 0 {
+				e.emit(func(o Observer) { o.OnAck(AckEvent{Time: w.now, Sat: i, Chunks: n, Bits: freed, Relayed: true}) })
 			}
 		}
 		// Plan download.
@@ -70,15 +61,16 @@ func (uplinkStage) run(e *Engine) error {
 				s.heldPlan = w.latestPlan
 				s.upBits = 0
 				w.res.PlanUploads++
-				e.emitPlan(PlanEvent{Time: w.now, Version: s.heldPlan.Version, Slots: len(s.heldPlan.Slots), Sat: i})
+				e.emit(func(o Observer) {
+					o.OnPlan(PlanEvent{Time: w.now, Version: s.heldPlan.Version, Slots: len(s.heldPlan.Slots), Sat: i})
+				})
 			}
 		}
 		// Negative acks: chunks transmitted long enough ago that a report
 		// would have arrived were they received.
 		lossDeadline := w.now.Add(-ackDelay - 2*cfg.Step)
 		lost := slices.DeleteFunc(s.store.SentBefore(lossDeadline), func(id satellite.ChunkID) bool {
-			_, received := w.unacked[i][id]
-			return received
+			return w.backend.Received(uint32(i), uint64(id))
 		})
 		s.store.Nack(lost)
 	}

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"time"
 
+	"dgs/internal/backend"
 	"dgs/internal/core"
 	"dgs/internal/frames"
 	"dgs/internal/linkbudget"
 	"dgs/internal/poscache"
+	"dgs/internal/proto"
 	"dgs/internal/satellite"
 	"dgs/internal/sgp4"
 	"dgs/internal/station"
@@ -32,7 +34,7 @@ type satRuntime struct {
 }
 
 // World is the explicit mutable state of one simulation run: the satellite
-// runtimes, the backend's unacked receipts, the current plan, and
+// runtimes, the backend's ack collator, the current plan, and
 // the clock. The Engine advances a World through its stages; Checkpoint
 // serializes it. World methods hold the state helpers the stages share
 // (visibility tests, scheduler snapshots) with their scratch hoisted off
@@ -61,12 +63,13 @@ type World struct {
 	// every (satellite, station) pair.
 	topo []frames.Topocentric
 
-	// Backend state, per satellite: when each chunk still awaiting an ack
-	// digest reached the ground (hybrid only: the baseline acks on
-	// reception), and the bits ever received. Every unacked receipt names a
-	// chunk in flight on board.
-	unacked      []map[satellite.ChunkID]time.Time
+	// Backend state: the stations' receipts awaiting an ack digest, keyed by
+	// satellite index (hybrid only: the baseline acks on reception), each
+	// naming a chunk in flight on board; and per satellite the bits ever
+	// received, in float64 (the Collator's uint64 total would round them).
+	backend      *backend.Collator
 	receivedBits []float64
+	rxBuf        []proto.ChunkInfo // downlink report scratch
 
 	// Clock and plan-epoch state.
 	now         time.Time
@@ -160,11 +163,8 @@ func newWorld(cfg Config) (*World, error) {
 		Positions: w.positions,
 	}
 
-	w.unacked = make([]map[satellite.ChunkID]time.Time, len(w.sats))
+	w.backend = backend.NewCollator()
 	w.receivedBits = make([]float64, len(w.sats))
-	for i := range w.unacked {
-		w.unacked[i] = make(map[satellite.ChunkID]time.Time)
-	}
 
 	w.res = &Result{}
 	w.now = cfg.Start
