@@ -86,6 +86,18 @@ fi
 if git grep -nE 'Scheduler\) SetForecast\(|sched\.SetForecast\(|MaxRangeKm' -- internal/core internal/passes ':!*_test.go'; then
     echo "assign Scheduler.Forecast (the scheduler notices a new one); the range cap is a constant" >&2; exit 1
 fi
+# A carried edge is its key, EIRP − FSPL, quantized elevation and
+# clear-sky ladder rung — 15 B (core.TestCarriedEdgeBytes pins ≤ 16); the
+# rate kernel rebuilds the path terms and the clear-sky rate from those, so
+# neither the carried slot nor linkbudget.Carried keeps them.
+diet=$(awk '/^type (carriedSlot|Carried) struct/,/^}/' internal/core/carry.go internal/linkbudget/kernel.go)
+case "$diet" in
+    *carriedSlot*Carried*) ;;
+    *) echo "carriedSlot (internal/core/carry.go) or Carried (internal/linkbudget/kernel.go) not found: point the carried-edge guard at them" >&2; exit 1 ;;
+esac
+if printf '%s\n' "$diet" | grep -nEi 'PathTerms|(clear|rate|bps)[a-z]*[[:space:]]+(\[\])?float64'; then
+    echo "carried edges keep no path terms and no float64 clear-sky rate: carry the quantized elevation and the rung" >&2; exit 1
+fi
 # Settings nothing varies are constants: the protocol's radio, chunk and
 # event sizes, ack delay and uplink rate; the forecast's error model (only
 # NewForecast builds one); the pass search's scan step and tolerance; the
@@ -139,10 +151,12 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # reach nothing closes, so the range cut drops only what Carry drops;
 # NearCovers: the candidate disk a range cut shrinks still holds every
 # station in range; TermsTable: the per-elevation path-terms table ≡
-# itu.SlantPath.Terms). (core rolls the paper's 12 h
+# itu.SlantPath.Terms; EdgeBytes: a carried slot retains ≤ 16 B an edge;
+# FuzzCarry's seed corpus: a carried rung's clear-sky rate ≡ Rate under a
+# clear sky ≥ Rate under weather). (core rolls the paper's 12 h
 # horizon six times against six fresh schedulers per pass, hence the
 # explicit timeout.)
-go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky|Stream|SinFloor|RangeSinEl|ClearRates|Bidding|Reach|NearCovers|TermsTable|Prune|Reanchor|Incremental|InProgress|Workers|Visibility|SweepWindow' \
+go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky|Stream|SinFloor|RangeSinEl|ClearRates|Bidding|Reach|NearCovers|TermsTable|EdgeBytes|FuzzCarry|Prune|Reanchor|Incremental|InProgress|Workers|Visibility|SweepWindow' \
     ./internal/passes ./internal/core ./internal/linkbudget ./internal/itu ./internal/frames ./internal/spatial ./internal/sim
 
 echo "== go test -race (parallel pipeline + session + serving layers)"

@@ -132,6 +132,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// dgs.Options reads a zero error as its 0.3 default; here 0 is a
+	// perfect forecast.
+	cfg.ForecastErr = *forecastErr
 
 	var engine *sim.Engine
 	if *resumePath != "" {

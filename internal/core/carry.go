@@ -3,13 +3,14 @@
 //
 //   - carry, per (pair, instant): is the pair feasible at all (constraint
 //     bitmap, slant range, elevation mask, a link that closes at least
-//     under a clear sky), and if so the link terms that no forecast lead
-//     can change (linkbudget.Carried) and the clear-sky rate. Computed once
-//     per instant and kept while epochs overlap it.
+//     under a clear sky), and if so what no forecast lead can change
+//     (linkbudget.Carried: EIRP − FSPL, the quantized elevation and the
+//     clear-sky rate's ladder rung). Computed once per instant and kept
+//     while epochs overlap it.
 //   - rate, per (edge, epoch): the forecast at this epoch's lead, blended
 //     and turned into weather terms once per (station, slot), composed
 //     with the carried terms into the edge's rate — or, under a clear sky,
-//     the carried clear-sky rate.
+//     the carried rung's rate.
 //   - reduce, per slot (plan.go): weighting, matching and queue drain over
 //     the edges whose rate is positive, streamed behind the other two.
 //
@@ -46,26 +47,39 @@ type VisibleEdge struct {
 // carriedSlot is one slot instant's exact-feasible edges — every edge some
 // forecast could give a positive rate, including those whose rate is zero
 // at the current lead — as packed (sat·nGs + station) keys in ascending
-// order, with each edge's carried link terms and its clear-sky rate
-// aligned. Immutable once built: epochs share it read-only.
+// order, with each edge's linkbudget.Carried fields in aligned columns:
+// 15 bytes an edge. Immutable once built: epochs share it read-only.
 type carriedSlot struct {
 	keys  []int32
-	terms []linkbudget.Carried
-	clear []float64
+	eirp  []float64 // EIRP − FSPL, dB
+	elevQ []uint16
+	rung  []uint8
+}
+
+// edge returns edge x's carried terms.
+func (cs *carriedSlot) edge(x int) linkbudget.Carried {
+	return linkbudget.Carried{EIRPLessFSPL: cs.eirp[x], ElevQ: cs.elevQ[x], Rung: cs.rung[x]}
+}
+
+// push appends an edge.
+func (cs *carriedSlot) push(key int32, c linkbudget.Carried) {
+	cs.keys = append(cs.keys, key)
+	cs.eirp = append(cs.eirp, c.EIRPLessFSPL)
+	cs.elevQ = append(cs.elevQ, c.ElevQ)
+	cs.rung = append(cs.rung, c.Rung)
 }
 
 // workerScratch is the private scratch of one worker of the slot fan-out,
 // persisting across the slots and epochs it processes: the weather terms
-// per station for the slot being rated, the build buffers a slot is carried
-// into before it is copied out at its exact size, the station bitmap that
-// puts a satellite's candidates in order, the per-station elevation-sine
-// floors of the instant being carried, and the cell-index candidate buffer.
+// per station for the slot being rated, the slot an instant is carried
+// into before its columns are copied out at their exact size, the station
+// bitmap that puts a satellite's candidates in order, the per-station
+// elevation-sine floors of the instant being carried, and the cell-index
+// candidate buffer.
 type workerScratch struct {
 	sky   []linkbudget.Sky
 	known []bool
-	keys  []int32
-	terms []linkbudget.Carried
-	clear []float64
+	build carriedSlot
 	bits  []uint64
 	floor []float64
 	cand  []int32
@@ -84,9 +98,9 @@ func (ws *workerScratch) sinFloors(net station.Network) []float64 {
 // carryPairs carries the instant t: every candidate pair goes through the
 // feasibility cuts — constraint bitmap, slant range within the station's
 // reach, elevation mask, then the kernel's "never closes" — and the
-// survivors come back as ascending packed keys with their carried terms and
-// clear-sky rates. The reach cut only drops pairs Carry would reject:
-// past it the link closes under no weather. A satellite's candidates are
+// survivors come back as ascending packed keys with their carried terms.
+// The reach cut only drops pairs Carry would reject: past it the link
+// closes under no weather. A satellite's candidates are
 // spatial.Sites.Near's for the largest reach: the stations in the cells
 // the smaller of its horizon and range disks touches, ascending — a
 // superset of the feasible stations, so every feasible pair is evaluated,
@@ -108,7 +122,8 @@ func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats
 	restricted := dirtySats != nil || dirtyStations != nil
 	nGs := len(s.Stations)
 	floor := ws.sinFloors(s.Stations)
-	keys, terms, clearBps := ws.keys[:0], ws.terms[:0], ws.clear[:0]
+	b := &ws.build
+	b.keys, b.eirp, b.elevQ, b.rung = b.keys[:0], b.eirp[:0], b.elevQ[:0], b.rung[:0]
 
 	for i, e := range positions.At(t) {
 		if !e.OK || e.Pos.Norm() <= astro.EarthRadiusKm {
@@ -128,20 +143,23 @@ func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats
 			if !ok {
 				continue
 			}
-			c, rate, closes := kern.Carry(&sites[j], rangeKm, el)
-			if !closes {
-				continue
+			if c, closes := kern.Carry(&sites[j], rangeKm, el); closes {
+				b.push(int32(i*nGs)+j, c)
 			}
-			keys = append(keys, int32(i*nGs)+j)
-			terms = append(terms, c)
-			clearBps = append(clearBps, rate)
 		}
 	}
-	ws.keys, ws.terms, ws.clear = keys, terms, clearBps
-	if len(keys) == 0 {
+	if len(b.keys) == 0 {
 		return &carriedSlot{}
 	}
-	return &carriedSlot{keys: slices.Clone(keys), terms: slices.Clone(terms), clear: slices.Clone(clearBps)}
+	return &carriedSlot{keys: exact(b.keys), eirp: exact(b.eirp), elevQ: exact(b.elevQ), rung: exact(b.rung)}
+}
+
+// exact copies s into a slice whose capacity is its length (slices.Clone
+// may leave spare capacity).
+func exact[S ~[]E, E any](s S) S {
+	out := make(S, len(s))
+	copy(out, s)
+	return out
 }
 
 // rateSlot rates a slot's carried edges under the forecast for instant t
@@ -150,10 +168,9 @@ func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats
 // does not close at this lead: the reduction and Visibility skip the edge.
 //
 // An edge whose station's quantized sky is the kernel's clear one —
-// every edge without a forecast — takes its carried clear-sky rate: the
-// same Rate of the same operands Carry already evaluated, so the same
-// bits. The rates are copied, never aliased: a carried slot is shared by
-// every epoch that plans its instant, while dst is rewritten each epoch.
+// every edge without a forecast — takes its carried rung's rate: the rate
+// of the rung Carry found under that sky, through Rate's own channel
+// product and cap, so the same bits Rate would return.
 func (s *Scheduler) rateSlot(dst []float64, cs *carriedSlot, t time.Time, lead time.Duration, ws *workerScratch) []float64 {
 	n := len(cs.keys)
 	if cap(dst) < n {
@@ -165,16 +182,18 @@ func (s *Scheduler) rateSlot(dst []float64, cs *carriedSlot, t time.Time, lead t
 	if n == 0 {
 		return dst
 	}
+	kern, sites, _ := s.rateKernel()
+	nGs := len(s.Stations)
 	// The lead-independent field samples come from the shared per-instant
 	// cache (hot across overlapping epochs); the per-lead blend is cheap.
 	comp := s.fcComponents(t)
 	if comp == nil {
-		copy(dst, cs.clear)
+		for x, key := range cs.keys {
+			dst[x] = kern.ClearRate(&sites[uint32(key)%uint32(nGs)], cs.rung[x])
+		}
 		return dst
 	}
-	kern, sites, _ := s.rateKernel()
 	clearSky := kern.Weather(linkbudget.Conditions{})
-	nGs := len(s.Stations)
 	if cap(ws.sky) < nGs {
 		ws.sky = make([]linkbudget.Sky, nGs)
 		ws.known = make([]bool, nGs)
@@ -182,16 +201,16 @@ func (s *Scheduler) rateSlot(dst []float64, cs *carriedSlot, t time.Time, lead t
 	sky, known := ws.sky[:nGs], ws.known[:nGs]
 	clear(known)
 	for x, key := range cs.keys {
-		j := int(key) % nGs
+		j := uint32(key) % uint32(nGs)
 		if !known[j] {
 			b := s.Forecast.BlendAtLead(comp[2*j], comp[2*j+1], lead)
 			sky[j] = kern.Weather(linkbudget.Conditions{RainMmH: b.RainMmH, CloudKgM2: b.CloudKgM2})
 			known[j] = true
 		}
 		if sky[j] == clearSky {
-			dst[x] = cs.clear[x]
+			dst[x] = kern.ClearRate(&sites[j], cs.rung[x])
 		} else {
-			dst[x] = kern.Rate(&sites[j], &cs.terms[x], &sky[j])
+			dst[x] = kern.Rate(&sites[j], cs.edge(x), &sky[j])
 		}
 	}
 	return dst
@@ -305,12 +324,12 @@ func (s *Scheduler) planCarried(sats []SatSnapshot, positions *poscache.Cache, s
 			if patched = len(re.keys) > 0 || slices.ContainsFunc(cs.keys, func(key int32) bool { return dirty[key] }); patched {
 				// Under the same lead and forecast the clean edges' rates
 				// stand and only the re-carried ones are rated; otherwise
-				// clear-sky rates stand in until the slot is rated below.
-				oldRates, reRates := cs.clear, re.clear
+				// the whole slot is rated below.
 				if keep {
-					oldRates, reRates = rates[k], s.rateSlot(nil, re, t, lead, ws)
+					cs, rates[k] = mergeCarried(cs, re, dirty, true, rates[k], s.rateSlot(nil, re, t, lead, ws))
+				} else {
+					cs, _ = mergeCarried(cs, re, dirty, false, nil, nil)
 				}
-				cs, rates[k] = mergeCarried(cs, re, dirty, oldRates, reRates)
 			}
 		}
 		if !keep {
@@ -363,16 +382,19 @@ func (s *Scheduler) diffCarried(props []orbit.Propagator, reused bool) (satDirty
 // mergeCarried merges old's clean edges (its dirty pairs dropped) with re,
 // the re-carried dirty pairs' edges — both ascending by packed key, and
 // disjoint — into a new slot in the same order, the order a full carry
-// emits, with their terms, clear-sky rates and given rates aligned.
-func mergeCarried(old, re *carriedSlot, dirty []bool, oldRates, reRates []float64) (*carriedSlot, []float64) {
+// emits, with their terms and, withRates, their given rates aligned.
+func mergeCarried(old, re *carriedSlot, dirty []bool, withRates bool, oldRates, reRates []float64) (*carriedSlot, []float64) {
 	n := len(old.keys) + len(re.keys)
-	out := &carriedSlot{keys: make([]int32, 0, n), terms: make([]linkbudget.Carried, 0, n), clear: make([]float64, 0, n)}
-	rates := make([]float64, 0, n)
+	out := &carriedSlot{keys: make([]int32, 0, n), eirp: make([]float64, 0, n), elevQ: make([]uint16, 0, n), rung: make([]uint8, 0, n)}
+	var rates []float64
+	if withRates {
+		rates = make([]float64, 0, n)
+	}
 	take := func(from *carriedSlot, fromRates []float64, x int) {
-		out.keys = append(out.keys, from.keys[x])
-		out.terms = append(out.terms, from.terms[x])
-		out.clear = append(out.clear, from.clear[x])
-		rates = append(rates, fromRates[x])
+		out.push(from.keys[x], from.edge(x))
+		if withRates {
+			rates = append(rates, fromRates[x])
+		}
 	}
 	ri := 0
 	for oi, key := range old.keys {

@@ -14,12 +14,21 @@ import (
 	"dgs/internal/tle"
 )
 
-// sameCarried reports whether two slots hold the same keys, carried terms
-// and clear-sky rates, bit for bit (an empty slot may be nil or
-// zero-length).
+// sameCarried reports whether two slots hold the same keys and carried
+// terms, bit for bit (an empty slot may be nil or zero-length).
 func sameCarried(a, b *carriedSlot) bool {
-	return slices.Equal(a.keys, b.keys) && slices.Equal(a.terms, b.terms) &&
-		slices.EqualFunc(a.clear, b.clear, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	return slices.Equal(a.keys, b.keys) && slices.Equal(a.elevQ, b.elevQ) && slices.Equal(a.rung, b.rung) &&
+		slices.EqualFunc(a.eirp, b.eirp, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// clearRates returns the clear-sky rates of a slot's carried rungs.
+func clearRates(s *Scheduler, cs *carriedSlot) []float64 {
+	kern, sites, _ := s.rateKernel()
+	out := make([]float64, len(cs.keys))
+	for x, key := range cs.keys {
+		out[x] = kern.ClearRate(&sites[int(key)%len(s.Stations)], cs.rung[x])
+	}
+	return out
 }
 
 // TestCarryMaskTableMatchesSweep holds the carry's elevation cut — the
@@ -56,12 +65,13 @@ func TestCarryMaskTableMatchesSweep(t *testing.T) {
 				at := epoch.Add(time.Duration(k) * 11 * time.Minute)
 				got := sched.carryPairs(positions, at, nil, nil, &ws)
 				want := o.visibility(positions, at, 0, view)
+				clearBps := clearRates(sched, got)
 				if len(got.keys) != len(want) {
 					t.Fatalf("%v: %d carried edges, the oracle lists %d", at, len(got.keys), len(want))
 				}
 				for x, e := range want {
-					if got.keys[x] != int32(e.Sat*nGs+e.Station) || math.Float64bits(got.clear[x]) != math.Float64bits(e.RateBps) {
-						t.Fatalf("%v edge %d: carried key %d at %v bps, the oracle's (%d,%d) at %v bps", at, x, got.keys[x], got.clear[x], e.Sat, e.Station, e.RateBps)
+					if got.keys[x] != int32(e.Sat*nGs+e.Station) || math.Float64bits(clearBps[x]) != math.Float64bits(e.RateBps) {
+						t.Fatalf("%v edge %d: carried key %d at %v bps, the oracle's (%d,%d) at %v bps", at, x, got.keys[x], clearBps[x], e.Sat, e.Station, e.RateBps)
 					}
 					perMask[e.Station%len(masksDeg)]++
 				}
@@ -219,5 +229,46 @@ func TestReachCapsRangeCut(t *testing.T) {
 	sched.SetStations(net[:1])
 	if _, _, reach := sched.rateKernel(); !slices.Equal(reach, want[:1]) {
 		t.Errorf("range cuts after SetStations %v, want %v", reach, want[:1])
+	}
+}
+
+// TestCarriedEdgeBytes pins what the horizon costs a carried edge: a slot,
+// as carried and as merged after a delta, retains at most 16 bytes an edge
+// over all of its columns (capacity × element size, so slack counts), at a
+// paper-scale instant (259 × 173) and a Walker one (600 × 150).
+func TestCarriedEdgeBytes(t *testing.T) {
+	retained := func(cs *carriedSlot) uintptr {
+		var n uintptr
+		v := reflect.ValueOf(cs).Elem()
+		for f := range v.NumField() {
+			col := v.Field(f)
+			n += uintptr(col.Cap()) * col.Type().Elem().Size()
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name     string
+		els      []tle.TLE
+		stations int
+	}{
+		{"paper", dataset.Satellites(dataset.SatelliteOptions{N: 259, Seed: 2, Epoch: epoch}), 173},
+		{"walker", dataset.Walker(dataset.WalkerOptions{T: 600, Epoch: epoch}), 150},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := dataset.Stations(dataset.StationOptions{N: tc.stations, Seed: 3})
+			sched := &Scheduler{Radio: linkbudget.DefaultRadio(), Stations: net}
+			positions := sched.positionCache(snapsFrom(propsFrom(t, tc.els)))
+			var ws workerScratch
+			cs := sched.carryPairs(positions, epoch, nil, nil, &ws)
+			if len(cs.keys) < 100 {
+				t.Fatalf("%d edges carried; not a meaningful measure", len(cs.keys))
+			}
+			merged, _ := mergeCarried(cs, &carriedSlot{}, make([]bool, len(tc.els)*len(net)), false, nil, nil)
+			for name, slot := range map[string]*carriedSlot{"carried": cs, "merged": merged} {
+				if per := float64(retained(slot)) / float64(len(slot.keys)); per > 16 {
+					t.Errorf("%s slot retains %.1f B per edge over %d edges, want at most 16", name, per, len(slot.keys))
+				}
+			}
+		})
 	}
 }

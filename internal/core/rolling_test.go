@@ -289,21 +289,24 @@ func TestClearSkyAfterForecast(t *testing.T) {
 	}
 }
 
-// TestClearRatesNeverAliased: without a forecast the rate pass copies the
-// carried clear-sky rates into the epoch's rate buffers. Were a buffer the
-// carried slice itself, the next epoch's rates under weather would be
-// written into carried state every later epoch reads. A scheduler that plans
-// clear, then under weather, then clear again at the same start must leave
-// every carried clear-sky rate as it was and plan the first plan again.
+// TestClearRatesNeverAliased: without a forecast the rate pass writes the
+// carried rungs' clear-sky rates into the epoch's rate buffers. Were a
+// buffer carried state, the next epoch's rates under weather would be
+// written into what every later epoch reads. A scheduler that plans clear,
+// then under weather, then clear again at the same start must leave every
+// carried slot and the clear-sky rates its rungs name as they were, and
+// plan the first plan again.
 func TestClearRatesNeverAliased(t *testing.T) {
 	w := smallRollingWorld(t)
 	const horizon = 2 * time.Hour
 	for _, workers := range []int{1, 4} {
 		s := w.sched(workers, false)
 		want := w.plan(t, s, epoch, horizon, time.Minute)
-		before := make(map[int64][]float64, len(s.carried))
+		before := make(map[int64]carriedSlot, len(s.carried))
+		beforeBps := make(map[int64][]float64, len(s.carried))
 		for at, cs := range s.carried {
-			before[at] = slices.Clone(cs.clear)
+			before[at] = carriedSlot{keys: slices.Clone(cs.keys), eirp: slices.Clone(cs.eirp), elevQ: slices.Clone(cs.elevQ), rung: slices.Clone(cs.rung)}
+			beforeBps[at] = clearRates(s, cs)
 		}
 		s.Forecast = rollingForecast(true)
 		if stormy := w.plan(t, s, epoch, horizon, time.Minute); bytes.Equal(stormy, want) {
@@ -314,7 +317,8 @@ func TestClearRatesNeverAliased(t *testing.T) {
 			t.Fatalf("workers=%d: clear-sky plan after a forecast differs from the first", workers)
 		}
 		for at, cs := range s.carried {
-			if !slices.Equal(cs.clear, before[at]) {
+			was := before[at]
+			if !sameCarried(cs, &was) || !slices.Equal(clearRates(s, cs), beforeBps[at]) {
 				t.Fatalf("workers=%d: carried clear-sky rates of %v changed", workers, time.Unix(0, at).UTC())
 			}
 		}

@@ -138,8 +138,9 @@ func TestNewPlanIndexes(t *testing.T) {
 // behaviour of carrying an instant, the visibility evaluation behind every
 // plan and Visibility: with the caches and the worker scratch warm, a carry
 // allocates only the slot it returns — the struct and the exact-size copies
-// of its keys, terms and clear-sky rates. (Re-rating a carried slot
-// allocates nothing: TestRollingRatePassAllocFree.)
+// of its four columns: keys, EIRP − FSPL, quantized elevations and
+// clear-sky rungs. (Re-rating a carried slot allocates nothing:
+// TestRollingRatePassAllocFree.)
 func TestVisibilitySweepAllocFree(t *testing.T) {
 	sched, sats := smallWorld(t, 16, 32)
 	positions := sched.positionCache(sats)
@@ -153,8 +154,8 @@ func TestVisibilitySweepAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		sched.carryPairs(positions, at, nil, nil, &ws)
 	})
-	if allocs > 4 {
-		t.Fatalf("warm carry allocates %.1f times per instant, want at most 4 (the slot it returns)", allocs)
+	if allocs > 5 {
+		t.Fatalf("warm carry allocates %.1f times per instant, want at most 5 (the slot it returns)", allocs)
 	}
 }
 

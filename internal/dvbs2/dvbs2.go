@@ -129,31 +129,43 @@ func MinEsN0dB() float64 { return envelope[0].RequiredEsN0dB }
 // Ladder is Rate for one symbol rate with the per-MODCOD products hoisted:
 // callers that rate many links against the same carrier (the scheduler's
 // rate pass) build it once. Its Rate returns exactly what the package's
-// Rate returns.
+// Rate returns. A rung names one of its rates in a byte: rung 0 is a link
+// that does not close (rate 0), rung i ≥ 1 the envelope's i-th MODCOD from
+// the most robust, so a caller can keep a link's rung and read the same
+// rate back with RungRate.
 type Ladder struct {
 	// need holds the envelope's thresholds, ascending; rate[i] is the
-	// information rate of rung i.
+	// information rate of rung i, which needs need[i-1].
 	need, rate []float64
 }
 
 // NewLadder builds the ladder for a symbol rate.
 func NewLadder(symbolRateHz float64) Ladder {
-	l := Ladder{need: make([]float64, len(envelope)), rate: make([]float64, len(envelope))}
+	l := Ladder{need: make([]float64, len(envelope)), rate: make([]float64, len(envelope)+1)}
 	for i, m := range envelope {
 		l.need[i] = m.RequiredEsN0dB
-		l.rate[i] = m.SpectralEff * symbolRateHz
+		l.rate[i+1] = m.SpectralEff * symbolRateHz
 	}
 	return l
 }
 
-// Rate returns the information bit rate in bits/s of the most efficient
-// MODCOD that esN0dB less marginDB satisfies, or 0 when none does.
-func (l Ladder) Rate(esN0dB, marginDB float64) float64 {
+// Rung returns the rung of the most efficient MODCOD that esN0dB less
+// marginDB satisfies, or 0 when none does.
+func (l Ladder) Rung(esN0dB, marginDB float64) int {
 	avail := esN0dB - marginDB
 	for i := len(l.need) - 1; i >= 0; i-- {
 		if l.need[i] <= avail {
-			return l.rate[i]
+			return i + 1
 		}
 	}
 	return 0
+}
+
+// RungRate returns the information bit rate in bits/s of a rung.
+func (l Ladder) RungRate(rung int) float64 { return l.rate[rung] }
+
+// Rate returns the information bit rate in bits/s of the most efficient
+// MODCOD that esN0dB less marginDB satisfies, or 0 when none does.
+func (l Ladder) Rate(esN0dB, marginDB float64) float64 {
+	return l.rate[l.Rung(esN0dB, marginDB)]
 }

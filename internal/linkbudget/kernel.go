@@ -18,10 +18,12 @@ import (
 //     below the rain height;
 //   - per quantized elevation (once per process, pathTrig): the clamped
 //     elevation's sine and its Sincos pair;
-//   - per (station, range, elevation) (Carry): EIRP − FSPL and the
-//     quantized path's weather-independent attenuation terms;
+//   - per (station, range, elevation) (Carry): EIRP − FSPL, the quantized
+//     elevation and the clear-sky rate's ladder rung;
 //   - per weather sample (Weather): the quantized rain and cloud terms;
-//   - per evaluation (Rate): four divisions and the MODCOD search.
+//   - per evaluation (Rate): the path terms from the elevation's table row,
+//     five divisions and the MODCOD search; under a clear sky (ClearRate)
+//     a rung lookup.
 //
 // Every part is the memo path's own arithmetic on the same float64 inputs,
 // composed in the same association, so Rate's result is bit-identical to
@@ -86,49 +88,44 @@ func (k *Kernel) Site(latRad, heightKm float64, t Terminal) Site {
 }
 
 // Carried is the part of a rate evaluation fixed by (station, range,
-// elevation): what a planner keeps per (pair, instant) across epochs.
+// elevation): what a planner keeps per (pair, instant) across epochs. It
+// holds EIRP − FSPL and the quantized elevation, from which Rate rebuilds
+// the path's weather-independent terms with the call Carry used to make,
+// and the ladder rung of the clear-sky rate, which ClearRate turns back
+// into that rate.
 type Carried struct {
-	eirpLessFSPL float64
-	path         itu.PathTerms
+	EIRPLessFSPL float64
+	ElevQ        uint16
+	Rung         uint8
 }
 
-// Carry computes the weather-independent part for a path geometry, and the
-// link's clear-sky rate: Rate(s, &c, Weather(Conditions{})), which it needs
-// anyway and a caller rating under a clear sky can keep instead of
-// recomputing. ok is false when the link never closes whatever the
-// weather: RateBpsAt is 0 for such a geometry under every Conditions and
-// there is nothing to carry. That is a link with no line of sight, and one
-// that does not close under a clear sky. Rain and cloud only add
-// attenuation: on a path up to the zenith their terms are never negative,
-// every operation from there to the rate rounds monotonically, and the
-// ladder's rates ascend with its thresholds — so no weather rates a link
-// above its clear-sky rate.
-//
-// The path terms of an elevation up to the zenith come from the
-// process-wide table of its quantized elevation's trigonometry, completed
-// with the site's depth below the rain height: the operations and operands
-// of itu.SlantPath.Terms, which a larger elevation still calls.
-func (k *Kernel) Carry(s *Site, rangeKm, elevRad float64) (c Carried, clearBps float64, ok bool) {
+// Carry computes the weather-independent part for a path geometry, with
+// the rung of the link's clear-sky rate: ClearRate(s, c.Rung) is
+// Rate(s, c, Weather(Conditions{})), which Carry evaluates anyway and a
+// caller rating under a clear sky can keep instead of recomputing. ok is
+// false when the link never closes whatever the weather: RateBpsAt is 0
+// for such a geometry under every Conditions and there is nothing to
+// carry. That is a link with no line of sight, and one that does not close
+// under a clear sky. Rain and cloud only add attenuation: on a path up to
+// the zenith their terms are never negative, every operation from there to
+// the rate rounds monotonically, and the ladder's rates ascend with its
+// thresholds — so no weather rates a link above its clear-sky rate. An
+// elevation whose quantization does not fit ElevQ — past 6.5 rad, which no
+// look angle is — is not carried either.
+func (k *Kernel) Carry(s *Site, rangeKm, elevRad float64) (c Carried, ok bool) {
 	if elevRad <= 0 || rangeKm <= 0 {
-		return Carried{}, 0, false
+		return Carried{}, false
 	}
 	elevQ, _, _ := quantize(elevRad, Conditions{})
-	c.eirpLessFSPL = k.radio.EIRPdBW - FSPLdB(rangeKm, k.radio.FreqGHz)
-	if elevQ < int64(len(k.trig)) {
-		c.path = k.trig[elevQ].Terms(s.rainDepthKm)
-	} else {
-		sp := itu.SlantPath{
-			ElevationRad:    float64(elevQ) * elevStepRad,
-			StationHeightKm: s.heightKm,
-			LatitudeRad:     s.latRad,
-		}
-		c.path = sp.Terms()
+	if elevQ > math.MaxUint16 {
+		return Carried{}, false
 	}
-	clearBps = k.Rate(s, &c, &k.clear)
-	if elevRad <= math.Pi/2 && clearBps <= 0 {
-		return Carried{}, 0, false
+	c = Carried{EIRPLessFSPL: k.radio.EIRPdBW - FSPLdB(rangeKm, k.radio.FreqGHz), ElevQ: uint16(elevQ)}
+	c.Rung = uint8(k.acm.Rung(k.esN0(s, c, &k.clear), s.marginDB))
+	if elevRad <= math.Pi/2 && k.ClearRate(s, c.Rung) <= 0 {
+		return Carried{}, false
 	}
-	return c, clearBps, true
+	return c, true
 }
 
 // reachSlack inflates Reach relatively, by 8.7e-6 dB of path loss: orders
@@ -169,11 +166,43 @@ func (k *Kernel) Weather(w Conditions) Sky {
 // Rate composes the three parts into the achievable rate in bits/s: the
 // Es/N0 budget of esN0WithAtten, then rateFromEsN0's ACM selection and
 // aggregate cap.
-func (k *Kernel) Rate(s *Site, c *Carried, w *Sky) float64 {
-	esn0 := c.eirpLessFSPL - itu.Attenuation(c.path, *w) + s.gainDBi - s.noiseDBW
-	total := k.acm.Rate(esn0, s.marginDB) * s.channels
+func (k *Kernel) Rate(s *Site, c Carried, w *Sky) float64 {
+	return k.capped(k.acm.Rate(k.esN0(s, c, w), s.marginDB) * s.channels)
+}
+
+// ClearRate is the rate of a carried link under a clear sky from its
+// carried rung: the ladder rung's rate through Rate's channel product and
+// cap, so the same bits Rate returns under Weather(Conditions{}).
+func (k *Kernel) ClearRate(s *Site, rung uint8) float64 {
+	return k.capped(k.acm.RungRate(int(rung)) * s.channels)
+}
+
+// capped applies the radio's aggregate rate cap.
+func (k *Kernel) capped(total float64) float64 {
 	if k.radio.MaxTotalRateBps > 0 && total > k.radio.MaxTotalRateBps {
-		total = k.radio.MaxTotalRateBps
+		return k.radio.MaxTotalRateBps
 	}
 	return total
+}
+
+// esN0 is the link's Es/N0 under a weather sample.
+func (k *Kernel) esN0(s *Site, c Carried, w *Sky) float64 {
+	return c.EIRPLessFSPL - itu.Attenuation(k.path(s, c.ElevQ), *w) + s.gainDBi - s.noiseDBW
+}
+
+// path returns the weather-independent path terms of a quantized
+// elevation. Up to the zenith they come from the process-wide table of its
+// trigonometry, completed with the site's depth below the rain height: the
+// operations and operands of itu.SlantPath.Terms, which a larger elevation
+// still calls.
+func (k *Kernel) path(s *Site, elevQ uint16) itu.PathTerms {
+	if int(elevQ) < len(k.trig) {
+		return k.trig[elevQ].Terms(s.rainDepthKm)
+	}
+	sp := itu.SlantPath{
+		ElevationRad:    float64(elevQ) * elevStepRad,
+		StationHeightKm: s.heightKm,
+		LatitudeRad:     s.latRad,
+	}
+	return sp.Terms()
 }

@@ -9,15 +9,16 @@ import (
 )
 
 // kernelRate is the kernel's evaluation of one RateBpsAt call: 0 when Carry
-// reports that the link never closes. clearBps is Carry's clear-sky rate,
-// and reClear the same link rated again under Weather(Conditions{}).
+// reports that the link never closes. clearBps is the clear-sky rate of
+// Carry's rung, and reClear the same link rated again under
+// Weather(Conditions{}).
 func kernelRate(k *Kernel, s *Site, g Geometry, w Conditions) (rate, clearBps, reClear float64, carried bool) {
-	c, clearBps, ok := k.Carry(s, g.RangeKm, g.ElevationRad)
+	c, ok := k.Carry(s, g.RangeKm, g.ElevationRad)
 	if !ok {
 		return 0, 0, 0, false
 	}
 	sky, clearSky := k.Weather(w), k.Weather(Conditions{})
-	return k.Rate(s, &c, &sky), clearBps, k.Rate(s, &c, &clearSky), true
+	return k.Rate(s, c, &sky), k.ClearRate(s, c.Rung), k.Rate(s, c, &clearSky), true
 }
 
 // kernelCase is one station and link state to compare on.
@@ -219,29 +220,26 @@ func TestReachIsSound(t *testing.T) {
 			if rng.Intn(3) > 0 {
 				w = Conditions{RainMmH: rng.ExpFloat64() * 5, CloudKgM2: rng.Float64() * 2}
 			}
-			if _, clearBps, ok := k.Carry(&site, rangeKm, el); ok {
-				t.Fatalf("terminal %+v: %v km past reach %v at elevation %v is carried, clear-sky rate %v", term, rangeKm, reach, el, clearBps)
+			if c, ok := k.Carry(&site, rangeKm, el); ok {
+				t.Fatalf("terminal %+v: %v km past reach %v at elevation %v is carried, clear-sky rate %v", term, rangeKm, reach, el, k.ClearRate(&site, c.Rung))
 			}
 			elevQ, _, _ := quantize(el, Conditions{})
-			c := Carried{
-				eirpLessFSPL: radio.EIRPdBW - FSPLdB(rangeKm, radio.FreqGHz),
-				path:         itu.SlantPath{ElevationRad: float64(elevQ) * elevStepRad, StationHeightKm: height, LatitudeRad: lat}.Terms(),
-			}
+			c := Carried{EIRPLessFSPL: radio.EIRPdBW - FSPLdB(rangeKm, radio.FreqGHz), ElevQ: uint16(elevQ)}
 			sky := k.Weather(w)
 			g := Geometry{RangeKm: rangeKm, ElevationRad: el, StationLatRad: lat, StationHeightKm: height}
-			if rate, exact := k.Rate(&site, &c, &sky), RateBps(radio, term, g, w); rate != 0 || exact != 0 {
+			if rate, exact := k.Rate(&site, c, &sky), RateBps(radio, term, g, w); rate != 0 || exact != 0 {
 				t.Fatalf("terminal %+v: %v km past reach %v at elevation %v under %+v: Rate %v, RateBps %v", term, rangeKm, reach, el, w, rate, exact)
 			}
 		}
 		// The longest closing range at the zenith, by bisection: lo closes,
 		// hi does not.
 		lo, hi := 1.0, reach
-		if _, _, ok := k.Carry(&probe, lo, math.Pi/2); !ok {
+		if _, ok := k.Carry(&probe, lo, math.Pi/2); !ok {
 			t.Fatalf("terminal %+v: no link at 1 km from the zenith", term)
 		}
 		for range 100 {
 			mid := (lo + hi) / 2
-			if _, _, ok := k.Carry(&probe, mid, math.Pi/2); ok {
+			if _, ok := k.Carry(&probe, mid, math.Pi/2); ok {
 				lo = mid
 			} else {
 				hi = mid
@@ -291,11 +289,12 @@ func TestReachPins(t *testing.T) {
 	}
 }
 
-// TestPathTermsTableMatchesTerms holds Carry's path terms to
-// itu.SlantPath.Terms bit for bit at every quantized elevation up to the
-// zenith — the whole table — for stations at latitudes in every rain-height
-// regime and heights below, at and above it, and past the table, where
-// Carry falls back to Terms itself.
+// TestPathTermsTableMatchesTerms holds the path terms Rate rebuilds from a
+// carried elevation to itu.SlantPath.Terms bit for bit at every quantized
+// elevation up to the zenith — the whole table — for stations at latitudes
+// in every rain-height regime and heights below, at and above it, and past
+// the table, where Rate falls back to Terms itself. Carry keeps the
+// elevation's quantization, and refuses one past what ElevQ holds.
 func TestPathTermsTableMatchesTerms(t *testing.T) {
 	k := NewKernel(DefaultRadio())
 	if q, _, _ := quantize(math.Pi/2, Conditions{}); q != zenithElevQ || len(k.trig) != zenithElevQ+1 {
@@ -303,18 +302,18 @@ func TestPathTermsTableMatchesTerms(t *testing.T) {
 	}
 	check := func(lat, height, elevRad float64, site *Site) {
 		t.Helper()
-		// A short range: every geometry closes, so Carry returns its terms.
-		c, _, ok := k.Carry(site, 100, elevRad)
-		if !ok {
-			t.Fatalf("latitude %v, height %v, elevation %v: not carried", lat, height, elevRad)
-		}
+		// A short range: every geometry closes, so Carry keeps it.
+		c, ok := k.Carry(site, 100, elevRad)
 		elevQ, _, _ := quantize(elevRad, Conditions{})
+		if !ok || int64(c.ElevQ) != elevQ {
+			t.Fatalf("latitude %v, height %v, elevation %v (q %d): carried %v at q %d", lat, height, elevRad, elevQ, ok, c.ElevQ)
+		}
 		want := itu.SlantPath{ElevationRad: float64(elevQ) * elevStepRad, StationHeightKm: height, LatitudeRad: lat}.Terms()
-		got := c.path
+		got := k.path(site, c.ElevQ)
 		if math.Float64bits(got.SinEl) != math.Float64bits(want.SinEl) ||
 			math.Float64bits(got.Ls) != math.Float64bits(want.Ls) ||
 			math.Float64bits(got.LsCos) != math.Float64bits(want.LsCos) {
-			t.Fatalf("latitude %v, height %v, elevation %v (q %d): Carry's terms %+v, Terms %+v", lat, height, elevRad, elevQ, got, want)
+			t.Fatalf("latitude %v, height %v, elevation %v (q %d): rebuilt terms %+v, Terms %+v", lat, height, elevRad, elevQ, got, want)
 		}
 	}
 	deg := math.Pi / 180
@@ -325,9 +324,15 @@ func TestPathTermsTableMatchesTerms(t *testing.T) {
 			for q := 1; q <= zenithElevQ; q++ {
 				check(lat, height, float64(q)*elevStepRad, &site)
 			}
-			// Past the zenith: the last bucket, then the fallback.
-			for _, el := range []float64{math.Pi/2 + 4e-5, math.Pi/2 + 6e-5, float64(zenithElevQ+1) * elevStepRad, 2, math.Pi, 1e3} {
+			// Past the zenith: the last bucket, then the fallback, up to the
+			// last elevation ElevQ holds.
+			for _, el := range []float64{math.Pi/2 + 4e-5, math.Pi/2 + 6e-5, float64(zenithElevQ+1) * elevStepRad, 2, math.Pi, math.MaxUint16 * elevStepRad} {
 				check(lat, height, el, &site)
+			}
+			for _, el := range []float64{(math.MaxUint16 + 1) * elevStepRad, 1e3} {
+				if c, ok := k.Carry(&site, 100, el); ok {
+					t.Fatalf("elevation %v past what ElevQ holds carried as q %d", el, c.ElevQ)
+				}
 			}
 		}
 	}

@@ -9,7 +9,8 @@ import (
 
 // WorldFlags registers, on the command line's flag set, the eleven flags
 // that define a served world, and returns the function that — after
-// flag.Parse — validates them (a bad value exits with the usage status)
+// flag.Parse — validates them (a bad value exits with the usage status;
+// so does -forecast-err 0, which SnapshotConfig cannot express)
 // and yields the snapshot configuration and the live-plan horizon. Every
 // dgs-shard of a fleet must agree on all but -workers (the front tier
 // compares each shard's resolved world with shard 0's and refuses a fleet
@@ -21,7 +22,7 @@ func WorldFlags() func() (SnapshotConfig, time.Duration) {
 	seed := cliutil.SeedFlag("population")
 	txFraction := flag.Float64("tx-fraction", 0.1, "fraction of transmit-capable stations")
 	clearSky := flag.Bool("clear-sky", false, "disable weather attenuation")
-	forecastErr := flag.Float64("forecast-err", 0.3, "saturated forecast error fraction")
+	forecastErr := flag.Float64("forecast-err", 0.3, "saturated forecast error fraction (0, 1]")
 	genGB := flag.Float64("gen-gb", 100, "per-satellite capture volume assumed for plan queries, GB/day")
 	slot := flag.Duration("slot", time.Minute, "query time grid and default plan slot")
 	maxSpan := flag.Duration("max-span", 48*time.Hour, "servable horizon past the epoch")
@@ -33,6 +34,10 @@ func WorldFlags() func() (SnapshotConfig, time.Duration) {
 		cliutil.PositiveInt("stations", *stations)
 		cliutil.Fraction("tx-fraction", *txFraction)
 		cliutil.Fraction("forecast-err", *forecastErr)
+		if *forecastErr == 0 {
+			// SnapshotConfig reads a zero error as its 0.3 default.
+			cliutil.Failf("invalid -forecast-err: must be > 0 (got 0): a served world reads 0 as its 0.3 default, so it cannot serve a perfect forecast")
+		}
 		cliutil.PositiveFloat("gen-gb", *genGB)
 		cliutil.PositiveDuration("slot", *slot)
 		cliutil.PositiveDuration("max-span", *maxSpan)
