@@ -98,6 +98,18 @@ esac
 if printf '%s\n' "$diet" | grep -nEi 'PathTerms|(clear|rate|bps)[a-z]*[[:space:]]+(\[\])?float64'; then
     echo "carried edges keep no path terms and no float64 clear-sky rate: carry the quantized elevation and the rung" >&2; exit 1
 fi
+# One SGP4 kernel and one position fill: PropagateMinutes and
+# PositionECEF run one transcription of the propagation (SGP4's
+# short-period block appears once), and the position cache fills every
+# population through orbit.Propagator.PositionECEF — no coefficient copy
+# beside the propagators, no second fill picked by the propagator's type.
+kernels=$(git grep -h 'math.Atan2(sinu, cosu)' -- internal/sgp4 ':!*_test.go' | wc -l)
+if [ "$kernels" -ne 1 ]; then
+    echo "internal/sgp4 holds $kernels transcriptions of SGP4's short-period block: keep one kernel" >&2; exit 1
+fi
+if git grep -nE 'Batched|\*sgp4\.Propagator' -- internal/poscache; then
+    echo "poscache fills every population through PositionECEF: no batch path, no branch on the propagator's type" >&2; exit 1
+fi
 # Settings nothing varies are constants: the protocol's radio, chunk and
 # event sizes, ack delay and uplink rate; the forecast's error model (only
 # NewForecast builds one); the pass search's scan step and tolerance; the
@@ -153,11 +165,16 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # station in range; TermsTable: the per-elevation path-terms table ≡
 # itu.SlantPath.Terms; EdgeBytes: a carried slot retains ≤ 16 B an edge;
 # FuzzCarry's seed corpus: a carried rung's clear-sky rate ≡ Rate under a
-# clear sky ≥ Rate under weather). (core rolls the paper's 12 h
-# horizon six times against six fresh schedulers per pass, hence the
-# explicit timeout.)
-go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky|Stream|SinFloor|RangeSinEl|ClearRates|Bidding|Reach|NearCovers|TermsTable|EdgeBytes|FuzzCarry|Prune|Reanchor|Incremental|InProgress|Workers|Visibility|SweepWindow' \
-    ./internal/passes ./internal/core ./internal/linkbudget ./internal/itu ./internal/frames ./internal/spatial ./internal/sim
+# clear sky ≥ Rate under weather). Every position comes from one SGP4
+# kernel filled chunk-major over the pool: a fill ≡ the PropagateTo +
+# TEMEToECEF reference at any worker split (BitIdentical, MatchesScalar),
+# a block fill ≡ per-instant fills with hits shared (AtRange), a patched
+# cache ≡ a rebuilt one (ReplaceProp), and the position path reports ok
+# exactly where the state path errs (FuzzPropagate's seed corpus). (core
+# rolls the paper's 12 h horizon six times against six fresh schedulers
+# per pass, hence the explicit timeout.)
+go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky|Stream|SinFloor|RangeSinEl|ClearRates|Bidding|Reach|NearCovers|TermsTable|EdgeBytes|FuzzCarry|Prune|Reanchor|Incremental|InProgress|Workers|Visibility|SweepWindow|BitIdentical|MatchesScalar|AtRange|ReplaceProp|FuzzPropagate' \
+    ./internal/passes ./internal/core ./internal/linkbudget ./internal/itu ./internal/frames ./internal/spatial ./internal/sim ./internal/poscache ./internal/sgp4
 
 echo "== go test -race (parallel pipeline + session + serving layers)"
 # session is the one managed wire session both station↔backend and

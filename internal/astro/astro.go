@@ -30,7 +30,8 @@ const (
 )
 
 // GravityModel holds the Earth gravity constants used by a propagator.
-// SGP4 historically uses WGS-72; coordinate conversions use WGS-84.
+// SGP4 uses WGS-72; coordinate conversions use the WGS-84 ellipsoid
+// constants below.
 type GravityModel struct {
 	// RadiusKm is the Earth equatorial radius in kilometres.
 	RadiusKm float64
@@ -52,20 +53,6 @@ func WGS72() GravityModel {
 		J2:       0.001082616,
 		J3:       -0.00000253881,
 		J4:       -0.00000165597,
-	}
-	m.XKE = 60.0 / math.Sqrt(m.RadiusKm*m.RadiusKm*m.RadiusKm/m.MuKm3S2)
-	m.Tumin = 1.0 / m.XKE
-	return m
-}
-
-// WGS84 is the modern reference ellipsoid used for geodetic conversion.
-func WGS84() GravityModel {
-	m := GravityModel{
-		RadiusKm: 6378.137,
-		MuKm3S2:  398600.5,
-		J2:       0.00108262998905,
-		J3:       -0.00000253215306,
-		J4:       -0.00000161098761,
 	}
 	m.XKE = 60.0 / math.Sqrt(m.RadiusKm*m.RadiusKm*m.RadiusKm/m.MuKm3S2)
 	m.Tumin = 1.0 / m.XKE

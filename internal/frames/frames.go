@@ -139,8 +139,8 @@ func TEMEToECEF(p Vec3, jd float64) Vec3 {
 // EarthRotation is the TEME→ECEF rotation for one instant with the GMST
 // trigonometry hoisted out, so a batch of satellites advanced to the same
 // instant shares one sincos instead of recomputing it per position. Apply
-// is arithmetic-identical to TEMEToECEF at the same Julian date, keeping
-// the batch path bit-compatible with the per-satellite one.
+// is arithmetic-identical to TEMEToECEF at the same Julian date, so a
+// position rotated either way is the same, bit for bit.
 type EarthRotation struct {
 	sinG, cosG float64
 }

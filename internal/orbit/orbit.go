@@ -13,10 +13,15 @@ import (
 	"dgs/internal/sgp4"
 )
 
-// Propagator produces an inertial (TEME) state at a given time. Both the
-// SGP4 and Kepler-J2 propagators satisfy it.
+// Propagator produces an inertial (TEME) state at a given time, and the
+// ECEF position alone at a Julian date, with the Earth rotation hoisted by
+// the caller (rot = frames.NewEarthRotation(jd)): a position is
+// frames.TEMEToECEF of PropagateTo's, bit for bit, and ok is false exactly
+// where PropagateTo fails. Both the SGP4 and Kepler-J2 propagators satisfy
+// it.
 type Propagator interface {
 	PropagateTo(t time.Time) (sgp4.State, error)
+	PositionECEF(jd float64, rot frames.EarthRotation) (frames.Vec3, bool)
 }
 
 // Observation is the geometry between an observer and a satellite at an

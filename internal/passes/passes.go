@@ -289,7 +289,7 @@ func (p *Predictor) Stats() Stats { return p.stat }
 // in progress at the last stride instant has End there and a zero Set.
 //
 // Stride instants are fetched from the position cache in blocks — AtRange
-// keeps the SoA coefficients hot across consecutive instants — each
+// keeps each chunk of propagators hot across consecutive instants — each
 // instant's sweep shards over the worker pool, and the AOS/LOS refinement
 // work the sweeps queue up is flushed once at the end, bisecting whole
 // groups of brackets in lockstep.
@@ -351,7 +351,7 @@ func (p *Predictor) subsetAt(t time.Time) []poscache.Entry {
 	rot := frames.NewEarthRotation(jd)
 	ents := p.satBuf[:0]
 	for _, i := range p.cfg.Sats {
-		ents = append(ents, p.positions.SatAtWith(i, t, jd, rot))
+		ents = append(ents, p.positions.SatAtWith(i, jd, rot))
 	}
 	p.satBuf = ents
 	return ents
@@ -584,7 +584,7 @@ func (p *Predictor) refineEnts(ents []int32, lo, hi time.Time, scratch []int32) 
 	for _, ei := range ents {
 		pr := p.pend[ei]
 		if sat := pr.key / nGs; sat != lastSat {
-			e = p.positions.SatAtWith(int(sat), mid, jd, rot)
+			e = p.positions.SatAtWith(int(sat), jd, rot)
 			satUp = e.OK && e.Pos.Norm() > astro.EarthRadiusKm
 			lastSat = sat
 		}

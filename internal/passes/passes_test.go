@@ -35,14 +35,18 @@ func world(t testing.TB, nSat, nGs int) (*poscache.Cache, station.Network) {
 // directAbove is the brute-force reference for the predictor's above test:
 // within slant range and above the elevation mask, no cell index involved.
 func directAbove(pos *poscache.Cache, net station.Network, topo []frames.Topocentric, sat, st int, t time.Time, maxRange float64) bool {
-	e := pos.SatAt(sat, t)
-	if !e.OK || e.Pos.Norm() <= astro.EarthRadiusKm {
+	state, err := pos.Props()[sat].PropagateTo(t)
+	if err != nil {
 		return false
 	}
-	if e.Pos.Sub(topo[st].ECEF).Norm() > maxRange {
+	ecef := frames.TEMEToECEF(state.PositionKm, astro.JulianDate(t))
+	if ecef.Norm() <= astro.EarthRadiusKm {
 		return false
 	}
-	return topo[st].Look(e.Pos).ElevationRad > net[st].MinElevationRad
+	if ecef.Sub(topo[st].ECEF).Norm() > maxRange {
+		return false
+	}
+	return topo[st].Look(ecef).ElevationRad > net[st].MinElevationRad
 }
 
 // TestWindowsCoverAboveInstants checks the predictor's core guarantee

@@ -1,6 +1,7 @@
 package poscache
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -34,12 +35,34 @@ func testCache(t testing.TB, n int) *Cache {
 	return New(testProps(t, n, 9))
 }
 
-// scalarProp hides an SGP4 propagator's type: a population holding one
-// fills through the scalar path, on the same arithmetic.
+// scalarProp is the reference a fill is held to: its PositionECEF is the
+// wrapped propagator's PropagateTo (TEME state, velocity and error value)
+// rotated by frames.TEMEToECEF, not the position kernel the wrapped
+// propagator would run.
 type scalarProp struct{ orbit.Propagator }
 
+func (s scalarProp) PositionECEF(jd float64, _ frames.EarthRotation) (frames.Vec3, bool) {
+	st, err := s.PropagateTo(timeAt(jd))
+	if err != nil {
+		return frames.Vec3{}, false
+	}
+	return frames.TEMEToECEF(st.PositionKm, jd), true
+}
+
+// timeAt returns an instant whose Julian date is exactly jd. A float64
+// Julian date resolves ≈40 µs, so TimeFromJulian's sub-microsecond
+// inversion lands on the same value; timeAt panics if it ever does not,
+// rather than let the reference drift by an ulp.
+func timeAt(jd float64) time.Time {
+	t := astro.TimeFromJulian(jd)
+	if astro.JulianDate(t) != jd {
+		panic(fmt.Sprintf("no exact instant for JD %.17g", jd))
+	}
+	return t
+}
+
 // testCacheOn is testCache with, when scalar, every propagator wrapped in
-// scalarProp: the cache then takes the scalar fill.
+// scalarProp: the cache then fills through the reference computation.
 func testCacheOn(t testing.TB, n int, scalar bool) *Cache {
 	t.Helper()
 	props := testProps(t, n, 9)
@@ -139,20 +162,15 @@ func TestPruneEmptyCache(t *testing.T) {
 }
 
 // TestBatchMatchesScalarBitIdentical is the cache-level differential for
-// the SoA fast path: the same population filled with and without the
-// batch produces bit-identical entries at every instant, for several
+// the position kernel: the same population filled through
+// sgp4.Propagator.PositionECEF and through the PropagateTo + TEMEToECEF
+// reference produces bit-identical entries at every instant, for several
 // worker counts.
 func TestBatchMatchesScalarBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		batch := testCache(t, 37)
 		scalar := testCacheOn(t, 37, true)
 		batch.Workers, scalar.Workers = workers, workers
-		if !batch.Batched() {
-			t.Fatal("SGP4 population did not select the batch path")
-		}
-		if scalar.Batched() {
-			t.Fatal("wrapped population selected the batch path")
-		}
 		for k := 0; k < 8; k++ {
 			at := epoch.Add(time.Duration(k) * 17 * time.Minute)
 			a, b := batch.At(at), scalar.At(at)
@@ -166,20 +184,24 @@ func TestBatchMatchesScalarBitIdentical(t *testing.T) {
 	}
 }
 
-// fixedProp is a non-SGP4 propagator; a population containing one must
-// fall back to the scalar fill.
+// fixedProp is a non-SGP4 propagator: a satellite parked at one TEME
+// position.
 type fixedProp struct{ st sgp4.State }
 
 func (f fixedProp) PropagateTo(time.Time) (sgp4.State, error) { return f.st, nil }
 
+func (f fixedProp) PositionECEF(_ float64, rot frames.EarthRotation) (frames.Vec3, bool) {
+	return rot.Apply(f.st.PositionKm), true
+}
+
+// TestNonSGP4PopulationFallsBack: a population that is not SGP4 fills
+// through its own PositionECEF, on the same path.
 func TestNonSGP4PopulationFallsBack(t *testing.T) {
-	props := []orbit.Propagator{fixedProp{st: sgp4.State{PositionKm: frames.Vec3{X: 7000}}}}
-	c := New(props)
-	if c.Batched() {
-		t.Fatal("non-SGP4 population selected the batch path")
-	}
-	if e := c.At(epoch); !e[0].OK {
-		t.Fatal("fallback path failed to fill the entry")
+	st := sgp4.State{PositionKm: frames.Vec3{X: 7000, Y: 300}}
+	c := New([]orbit.Propagator{fixedProp{st: st}})
+	e := c.At(epoch)
+	if want := frames.TEMEToECEF(st.PositionKm, astro.JulianDate(epoch)); !e[0].OK || e[0].Pos != want {
+		t.Fatalf("entry %+v, want %v", e[0], want)
 	}
 }
 
@@ -214,7 +236,7 @@ func TestConcurrentAtIsConsistent(t *testing.T) {
 }
 
 // TestAtRangeMatchesAt holds the block fill to the per-instant path
-// bit-for-bit, across batch and scalar populations, and checks the mixed
+// bit-for-bit, across kernel and reference populations, and checks the mixed
 // hit/miss case: instants already cached come back as the shared cached
 // slices, misses are computed and stored.
 func TestAtRangeMatchesAt(t *testing.T) {
@@ -258,24 +280,21 @@ func TestAtRangeMatchesAt(t *testing.T) {
 	}
 }
 
-// TestSatAtWithMatchesSatAt pins the hoisted-constant probe to SatAt
-// bit-for-bit on both the batch-kernel and scalar paths, including the
-// not-OK result for a decayed satellite (far future for heavy drag would
-// need a decaying set; here every satellite is healthy, so OK must hold).
+// TestSatAtWithMatchesSatAt pins the hoisted-constant probe bit-for-bit
+// to the reference (PropagateTo + TEMEToECEF) at off-grid instants, and
+// to the entry a fill caches for the same satellite and instant.
 func TestSatAtWithMatchesSatAt(t *testing.T) {
-	for _, scalar := range []bool{false, true} {
-		c := testCacheOn(t, 11, scalar)
-		for k := 0; k < 5; k++ {
-			at := epoch.Add(time.Duration(k)*29*time.Minute + 7*time.Second)
-			jd := astro.JulianDate(at)
-			rot := frames.NewEarthRotation(jd)
-			for i := 0; i < c.Len(); i++ {
-				got := c.SatAtWith(i, at, jd, rot)
-				want := c.SatAt(i, at)
-				if got != want {
-					t.Fatalf("scalar=%v sat %d at %v: SatAtWith %+v, SatAt %+v",
-						scalar, i, at, got, want)
-				}
+	c := testCache(t, 11)
+	ref := testCacheOn(t, 11, true)
+	for k := 0; k < 5; k++ {
+		at := epoch.Add(time.Duration(k)*29*time.Minute + 7*time.Second)
+		jd := astro.JulianDate(at)
+		rot := frames.NewEarthRotation(jd)
+		filled := c.At(at)
+		for i := 0; i < c.Len(); i++ {
+			got, want := c.SatAtWith(i, jd, rot), ref.SatAtWith(i, jd, rot)
+			if got != want || got != filled[i] {
+				t.Fatalf("sat %d at %v: SatAtWith %+v, reference %+v, fill %+v", i, at, got, want, filled[i])
 			}
 		}
 	}
@@ -283,17 +302,16 @@ func TestSatAtWithMatchesSatAt(t *testing.T) {
 
 // TestReplacePropMatchesRebuild: after ReplaceProp every cached instant is
 // bit-equal to a fresh cache over the updated population, and slices handed
-// out before the swap still hold the old positions. An SGP4 replacement
-// keeps the batch; any other propagator drops it to the scalar fill.
+// out before the swap still hold the old positions — for an SGP4
+// replacement and for one that computes through the reference.
 func TestReplacePropMatchesRebuild(t *testing.T) {
 	alt := testProps(t, 12, 10)
 	for _, tc := range []struct {
-		name    string
-		with    orbit.Propagator
-		batched bool
+		name string
+		with orbit.Propagator
 	}{
-		{"sgp4", alt[5], true},
-		{"non-sgp4", scalarProp{alt[5]}, false},
+		{"sgp4", alt[5]},
+		{"non-sgp4", scalarProp{alt[5]}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := testCache(t, 12)
@@ -305,16 +323,10 @@ func TestReplacePropMatchesRebuild(t *testing.T) {
 				before[k] = slices.Clone(held[k])
 			}
 			c.ReplaceProp(5, tc.with)
-			if c.Batched() != tc.batched {
-				t.Fatalf("Batched() = %v after the swap, want %v", c.Batched(), tc.batched)
-			}
 			if c.Size() != len(ts) {
 				t.Fatalf("cache size = %d after the swap, want %d", c.Size(), len(ts))
 			}
 			rebuilt := New(slices.Clone(c.Props()))
-			if rebuilt.Batched() != tc.batched {
-				t.Fatalf("rebuilt Batched() = %v, want %v", rebuilt.Batched(), tc.batched)
-			}
 			for k, at := range ts {
 				got, want := c.At(at), rebuilt.At(at)
 				if !slices.Equal(got, want) {

@@ -1,271 +1,24 @@
-// Batch struct-of-arrays propagation: the mega-constellation hot path
-// advances every satellite to the same instant, so the per-propagator
-// pointer chase of Propagator.PropagateTo is replaced by a tight loop
-// over flat float64 slices of the initialized coefficients. The
-// arithmetic is a verbatim transcription of PropagateMinutes (velocity
-// terms dropped — positions never read them), which keeps every output
-// position bit-identical to the scalar path; differential tests in
-// batch_test.go hold the two paths to math.Float64bits equality.
-
 package sgp4
 
-import (
-	"math"
+import "dgs/internal/frames"
 
-	"dgs/internal/astro"
-	"dgs/internal/frames"
-)
+// Batch is a satellite population advanced to one instant together, as a
+// position-cache fill advances it. It holds the propagators themselves, not
+// a copy of their coefficients, so a position is PositionECEF's, bit for
+// bit.
+type Batch struct{ props []*Propagator }
 
-// Batch holds the SGP4 coefficients of a satellite population in
-// struct-of-arrays layout. It is safe for concurrent read use (callers
-// partition the index range across workers); the only mutation is
-// Replace, which callers must serialize against readers.
-type Batch struct {
-	grav astro.GravityModel
-	n    int
-
-	epochJD []float64
-
-	// Mean elements and derived constants, one slot per satellite —
-	// the same fields Propagator holds, flattened.
-	bstar, ecco, argpo, inclo, mo, no, nodeo []float64
-	isimp                                    []bool
-	aycof, con41, cc1, cc4, cc5, d2, d3, d4  []float64
-	delmo, eta, argpdot, omgcof, sinmao      []float64
-	t2cof, t3cof, t4cof, t5cof               []float64
-	x1mth2, x7thm1, mdot, nodedot, xlcof     []float64
-	xmcof, nodecf                            []float64
-}
-
-// NewBatch flattens a population of initialized propagators into SoA
-// layout. All propagators must share one gravity model (they do whenever
-// the population comes from New); a mixed population returns nil and the
-// caller falls back to the scalar path.
-func NewBatch(props []*Propagator) *Batch {
-	if len(props) == 0 {
-		return nil
-	}
-	b := &Batch{grav: props[0].grav, n: len(props)}
-	for _, p := range props {
-		if p.grav != b.grav {
-			return nil
-		}
-	}
-	alloc := func() []float64 { return make([]float64, b.n) }
-	b.epochJD = alloc()
-	b.bstar, b.ecco, b.argpo, b.inclo = alloc(), alloc(), alloc(), alloc()
-	b.mo, b.no, b.nodeo = alloc(), alloc(), alloc()
-	b.isimp = make([]bool, b.n)
-	b.aycof, b.con41, b.cc1, b.cc4, b.cc5 = alloc(), alloc(), alloc(), alloc(), alloc()
-	b.d2, b.d3, b.d4 = alloc(), alloc(), alloc()
-	b.delmo, b.eta, b.argpdot, b.omgcof, b.sinmao = alloc(), alloc(), alloc(), alloc(), alloc()
-	b.t2cof, b.t3cof, b.t4cof, b.t5cof = alloc(), alloc(), alloc(), alloc()
-	b.x1mth2, b.x7thm1, b.mdot, b.nodedot, b.xlcof = alloc(), alloc(), alloc(), alloc(), alloc()
-	b.xmcof, b.nodecf = alloc(), alloc()
-	for i, p := range props {
-		b.epochJD[i] = p.epochJD
-		b.bstar[i], b.ecco[i], b.argpo[i], b.inclo[i] = p.bstar, p.ecco, p.argpo, p.inclo
-		b.mo[i], b.no[i], b.nodeo[i] = p.mo, p.no, p.nodeo
-		b.isimp[i] = p.isimp
-		b.aycof[i], b.con41[i], b.cc1[i], b.cc4[i], b.cc5[i] = p.aycof, p.con41, p.cc1, p.cc4, p.cc5
-		b.d2[i], b.d3[i], b.d4[i] = p.d2, p.d3, p.d4
-		b.delmo[i], b.eta[i], b.argpdot[i], b.omgcof[i], b.sinmao[i] = p.delmo, p.eta, p.argpdot, p.omgcof, p.sinmao
-		b.t2cof[i], b.t3cof[i], b.t4cof[i], b.t5cof[i] = p.t2cof, p.t3cof, p.t4cof, p.t5cof
-		b.x1mth2[i], b.x7thm1[i], b.mdot[i], b.nodedot[i], b.xlcof[i] = p.x1mth2, p.x7thm1, p.mdot, p.nodedot, p.xlcof
-		b.xmcof[i], b.nodecf[i] = p.xmcof, p.nodecf
-	}
-	return b
-}
-
-// Len returns the population size.
-func (b *Batch) Len() int { return b.n }
-
-// Replace overwrites slot i's coefficients with those of a freshly
-// initialized propagator — the live-world TLE-refresh path, where one
-// satellite's elements change while the rest of the population stands.
-// The replacement must share the batch's gravity model (it does whenever
-// it comes from New); a mismatch returns false and leaves the batch
-// untouched, and the caller falls back to rebuilding. Subsequent
-// PositionECEF(i, ...) calls are bit-identical to a batch rebuilt from
-// the updated population: the copied fields are exactly the ones NewBatch
-// flattens.
-//
-// Replace is NOT safe for concurrent use with readers; callers serialize
-// it against propagation (the position cache swap-patches under its lock).
-func (b *Batch) Replace(i int, p *Propagator) bool {
-	if i < 0 || i >= b.n || p == nil || p.grav != b.grav {
-		return false
-	}
-	b.epochJD[i] = p.epochJD
-	b.bstar[i], b.ecco[i], b.argpo[i], b.inclo[i] = p.bstar, p.ecco, p.argpo, p.inclo
-	b.mo[i], b.no[i], b.nodeo[i] = p.mo, p.no, p.nodeo
-	b.isimp[i] = p.isimp
-	b.aycof[i], b.con41[i], b.cc1[i], b.cc4[i], b.cc5[i] = p.aycof, p.con41, p.cc1, p.cc4, p.cc5
-	b.d2[i], b.d3[i], b.d4[i] = p.d2, p.d3, p.d4
-	b.delmo[i], b.eta[i], b.argpdot[i], b.omgcof[i], b.sinmao[i] = p.delmo, p.eta, p.argpdot, p.omgcof, p.sinmao
-	b.t2cof[i], b.t3cof[i], b.t4cof[i], b.t5cof[i] = p.t2cof, p.t3cof, p.t4cof, p.t5cof
-	b.x1mth2[i], b.x7thm1[i], b.mdot[i], b.nodedot[i], b.xlcof[i] = p.x1mth2, p.x7thm1, p.mdot, p.nodedot, p.xlcof
-	b.xmcof[i], b.nodecf[i] = p.xmcof, p.nodecf
-	return true
-}
+// NewBatch views a population as a batch. The slice is retained, not
+// copied.
+func NewBatch(props []*Propagator) *Batch { return &Batch{props: props} }
 
 // PositionsECEF advances satellites [lo, hi) to the Julian date jd and
-// writes their ECEF positions into pos[lo:hi] and validity into
-// ok[lo:hi] (false where the scalar path would return an error: decayed
-// or non-physical elements). rot must be the Earth rotation for the same
-// jd. Each index is written exactly once, so disjoint ranges may be
-// filled concurrently.
+// writes their ECEF positions into pos[lo:hi] and validity into ok[lo:hi]
+// (false where PropagateTo returns an error). rot must be the Earth
+// rotation for the same jd. Each index is written exactly once, so disjoint
+// ranges may be filled concurrently.
 func (b *Batch) PositionsECEF(jd float64, rot frames.EarthRotation, lo, hi int, pos []frames.Vec3, ok []bool) {
 	for i := lo; i < hi; i++ {
-		pos[i], ok[i] = b.PositionECEF(i, jd, rot)
+		pos[i], ok[i] = b.props[i].PositionECEF(jd, rot)
 	}
-}
-
-// PositionECEF advances one satellite of the batch to the Julian date jd
-// and returns its ECEF position and validity (false where the scalar path
-// would return an error: decayed or non-physical elements). rot must be
-// the Earth rotation for the same jd. It is the element-wise kernel
-// behind PositionsECEF, exported so callers with non-contiguous access
-// patterns — the pass predictor's bisection refinement gathers scattered
-// satellites at scattered instants — can drive the SoA coefficients
-// directly; positions stay bit-identical to the scalar propagator.
-func (b *Batch) PositionECEF(i int, jd float64, rot frames.EarthRotation) (frames.Vec3, bool) {
-	const x2o3 = 2.0 / 3.0
-	g := b.grav
-	j2 := g.J2
-
-	tsince := (jd - b.epochJD[i]) * 1440.0
-
-	// Update for secular gravity and atmospheric drag.
-	xmdf := b.mo[i] + b.mdot[i]*tsince
-	argpdf := b.argpo[i] + b.argpdot[i]*tsince
-	nodedf := b.nodeo[i] + b.nodedot[i]*tsince
-	argpm := argpdf
-	mm := xmdf
-	t2 := tsince * tsince
-	nodem := nodedf + b.nodecf[i]*t2
-	tempa := 1.0 - b.cc1[i]*tsince
-	tempe := b.bstar[i] * b.cc4[i] * tsince
-	templ := b.t2cof[i] * t2
-
-	if !b.isimp[i] {
-		delomg := b.omgcof[i] * tsince
-		delmtemp := 1.0 + b.eta[i]*math.Cos(xmdf)
-		delm := b.xmcof[i] * (delmtemp*delmtemp*delmtemp - b.delmo[i])
-		temp := delomg + delm
-		mm = xmdf + temp
-		argpm = argpdf - temp
-		t3 := t2 * tsince
-		t4 := t3 * tsince
-		tempa = tempa - b.d2[i]*t2 - b.d3[i]*t3 - b.d4[i]*t4
-		tempe = tempe + b.bstar[i]*b.cc5[i]*(math.Sin(mm)-b.sinmao[i])
-		templ = templ + b.t3cof[i]*t3 + t4*(b.t4cof[i]+tsince*b.t5cof[i])
-	}
-
-	nm := b.no[i]
-	em := b.ecco[i]
-	inclm := b.inclo[i]
-	if nm <= 0 {
-		return frames.Vec3{}, false
-	}
-	am := math.Pow(g.XKE/nm, x2o3) * tempa * tempa
-	nm = g.XKE / math.Pow(am, 1.5)
-	em = em - tempe
-	if em >= 1.0 || em < -0.001 {
-		return frames.Vec3{}, false
-	}
-	if em < 1.0e-6 {
-		em = 1.0e-6
-	}
-	mm = mm + b.no[i]*templ
-	xlm := mm + argpm + nodem
-
-	nodem = math.Mod(nodem, astro.TwoPi)
-	argpm = math.Mod(argpm, astro.TwoPi)
-	xlm = math.Mod(xlm, astro.TwoPi)
-	mm = math.Mod(xlm-argpm-nodem, astro.TwoPi)
-	if mm < 0 {
-		mm += astro.TwoPi
-	}
-
-	sinim := math.Sin(inclm)
-	cosim := math.Cos(inclm)
-
-	// Long-period periodics.
-	ep := em
-	xincp := inclm
-	argpp := argpm
-	nodep := nodem
-	mp := mm
-	sinip := sinim
-	cosip := cosim
-
-	axnl := ep * math.Cos(argpp)
-	temp := 1.0 / (am * (1.0 - ep*ep))
-	aynl := ep*math.Sin(argpp) + temp*b.aycof[i]
-	xl := mp + argpp + nodep + temp*b.xlcof[i]*axnl
-
-	// Solve Kepler's equation for E + ω.
-	u := math.Mod(xl-nodep, astro.TwoPi)
-	eo1 := u
-	tem5 := 9999.9
-	var sineo1, coseo1 float64
-	for ktr := 1; math.Abs(tem5) >= 1.0e-12 && ktr <= 10; ktr++ {
-		sineo1 = math.Sin(eo1)
-		coseo1 = math.Cos(eo1)
-		tem5 = 1.0 - coseo1*axnl - sineo1*aynl
-		tem5 = (u - aynl*coseo1 + axnl*sineo1 - eo1) / tem5
-		if math.Abs(tem5) >= 0.95 {
-			tem5 = math.Copysign(0.95, tem5)
-		}
-		eo1 += tem5
-	}
-
-	// Short-period preliminary quantities.
-	ecose := axnl*coseo1 + aynl*sineo1
-	esine := axnl*sineo1 - aynl*coseo1
-	el2 := axnl*axnl + aynl*aynl
-	pl := am * (1.0 - el2)
-	if pl < 0 {
-		return frames.Vec3{}, false
-	}
-	rl := am * (1.0 - ecose)
-	betal := math.Sqrt(1.0 - el2)
-	temp = esine / (1.0 + betal)
-	sinu := am / rl * (sineo1 - aynl - axnl*temp)
-	cosu := am / rl * (coseo1 - axnl + aynl*temp)
-	su := math.Atan2(sinu, cosu)
-	sin2u := (cosu + cosu) * sinu
-	cos2u := 1.0 - 2.0*sinu*sinu
-	temp = 1.0 / pl
-	temp1 := 0.5 * j2 * temp
-	temp2 := temp1 * temp
-
-	// Short-period periodics applied to the position.
-	mrt := rl*(1.0-1.5*temp2*betal*b.con41[i]) + 0.5*temp1*b.x1mth2[i]*cos2u
-	if mrt < 1.0 {
-		return frames.Vec3{}, false // decayed
-	}
-	su = su - 0.25*temp2*b.x7thm1[i]*sin2u
-	xnode := nodep + 1.5*temp2*cosip*sin2u
-	xinc := xincp + 1.5*temp2*cosip*sinip*cos2u
-
-	// Orientation (position components only).
-	sinsu := math.Sin(su)
-	cossu := math.Cos(su)
-	snod := math.Sin(xnode)
-	cnod := math.Cos(xnode)
-	sini := math.Sin(xinc)
-	cosi := math.Cos(xinc)
-	xmx := -snod * cosi
-	xmy := cnod * cosi
-	ux := xmx*sinsu + cnod*cossu
-	uy := xmy*sinsu + snod*cossu
-	uz := sini * sinsu
-
-	return rot.Apply(frames.Vec3{
-		X: mrt * ux * g.RadiusKm,
-		Y: mrt * uy * g.RadiusKm,
-		Z: mrt * uz * g.RadiusKm,
-	}), true
 }

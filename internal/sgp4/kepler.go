@@ -52,6 +52,12 @@ func (k *KeplerJ2) PropagateTo(t time.Time) (State, error) {
 	return k.propagate(dt), nil
 }
 
+// PositionECEF returns the ECEF position at the Julian date jd; rot must
+// be frames.NewEarthRotation(jd). The two-body model never fails.
+func (k *KeplerJ2) PositionECEF(jd float64, rot frames.EarthRotation) (frames.Vec3, bool) {
+	return rot.Apply(k.propagate((jd - k.epochJD) * 86400.0).PositionKm), true
+}
+
 func (k *KeplerJ2) propagate(dtSec float64) State {
 	g := astro.WGS72()
 	m := astro.NormalizeAngle(k.m0 + k.mDot*dtSec)

@@ -41,11 +41,14 @@ type State struct {
 	VelocityKmS frames.Vec3
 }
 
+// grav is the gravity model every propagator runs on: NORAD element sets
+// are generated against WGS-72.
+var grav = astro.WGS72()
+
 // Propagator holds the initialized SGP4 coefficients for one element set.
 // It is safe for concurrent use: Propagate does not mutate the struct.
 type Propagator struct {
-	grav astro.GravityModel
-	tle  tle.TLE
+	tle tle.TLE
 
 	epochJD float64
 
@@ -61,19 +64,12 @@ type Propagator struct {
 	xmcof, nodecf                           float64
 }
 
-// New initializes a propagator from a parsed TLE using the WGS-72 gravity
-// model (the model NORAD element sets are generated against).
+// New initializes a propagator from a parsed TLE.
 func New(t tle.TLE) (*Propagator, error) {
-	return NewWithModel(t, astro.WGS72())
-}
-
-// NewWithModel initializes a propagator with an explicit gravity model.
-func NewWithModel(t tle.TLE, grav astro.GravityModel) (*Propagator, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Propagator{
-		grav:    grav,
 		tle:     t,
 		epochJD: astro.JulianDate(t.Epoch),
 		bstar:   t.BStar,
@@ -96,7 +92,7 @@ func (p *Propagator) TLE() tle.TLE { return p.tle }
 // init performs the work of the reference sgp4init for the near-Earth case.
 func (p *Propagator) init() error {
 	const x2o3 = 2.0 / 3.0
-	g := p.grav
+	g := grav
 	j2, j3, j4 := g.J2, g.J3, g.J4
 	j3oj2 := j3 / j2
 
@@ -215,13 +211,57 @@ func (p *Propagator) init() error {
 	return nil
 }
 
+// failure names the check a propagation failed. The kernel reports the
+// kind and the offending value; only PropagateMinutes builds an error from
+// them, so the position path pays for neither the message nor the velocity.
+type failure uint8
+
+const (
+	failNone failure = iota
+	failMeanMotion
+	failEccentricity
+	failSemiLatus
+	failDecayed
+)
+
 // PropagateMinutes returns the TEME state at tsince minutes after the
 // element-set epoch.
 func (p *Propagator) PropagateMinutes(tsince float64) (State, error) {
+	st, fail, v := p.propagate(tsince, true)
+	switch fail {
+	case failMeanMotion:
+		return State{}, fmt.Errorf("%w: mean motion %g", ErrBadElements, v)
+	case failEccentricity:
+		return State{}, fmt.Errorf("%w: eccentricity %g at t=%.1f min", ErrBadElements, v, tsince)
+	case failSemiLatus:
+		return State{}, fmt.Errorf("%w: semi-latus rectum %g", ErrBadElements, v)
+	case failDecayed:
+		return st, fmt.Errorf("%w: radius %.1f km at t=%.1f min", ErrDecayed, v, tsince)
+	}
+	return st, nil
+}
+
+// PositionECEF returns the ECEF position at the Julian date jd; rot must
+// be frames.NewEarthRotation(jd). It is PropagateTo followed by
+// frames.TEMEToECEF, bit for bit, with ok false exactly where PropagateTo
+// returns an error — without the velocity or the error value. A position
+// cache fill runs it for every satellite at every instant.
+func (p *Propagator) PositionECEF(jd float64, rot frames.EarthRotation) (frames.Vec3, bool) {
+	st, fail, _ := p.propagate((jd-p.epochJD)*1440.0, false)
+	if fail != failNone {
+		return frames.Vec3{}, false
+	}
+	return rot.Apply(st.PositionKm), true
+}
+
+// propagate is the SGP4 near-Earth propagation: the TEME state at tsince
+// minutes after the epoch, with the velocity only when vel is set. On a
+// failed check it returns the failure and the offending value (a decay
+// still returns the state, as the reference does).
+func (p *Propagator) propagate(tsince float64, vel bool) (State, failure, float64) {
 	const x2o3 = 2.0 / 3.0
-	g := p.grav
+	g := grav
 	j2 := g.J2
-	vkmpersec := g.RadiusKm * g.XKE / 60.0
 
 	// Update for secular gravity and atmospheric drag.
 	xmdf := p.mo + p.mdot*tsince
@@ -253,13 +293,13 @@ func (p *Propagator) PropagateMinutes(tsince float64) (State, error) {
 	em := p.ecco
 	inclm := p.inclo
 	if nm <= 0 {
-		return State{}, fmt.Errorf("%w: mean motion %g", ErrBadElements, nm)
+		return State{}, failMeanMotion, nm
 	}
 	am := math.Pow(g.XKE/nm, x2o3) * tempa * tempa
 	nm = g.XKE / math.Pow(am, 1.5)
 	em = em - tempe
 	if em >= 1.0 || em < -0.001 {
-		return State{}, fmt.Errorf("%w: eccentricity %g at t=%.1f min", ErrBadElements, em, tsince)
+		return State{}, failEccentricity, em
 	}
 	if em < 1.0e-6 {
 		em = 1.0e-6
@@ -314,11 +354,9 @@ func (p *Propagator) PropagateMinutes(tsince float64) (State, error) {
 	el2 := axnl*axnl + aynl*aynl
 	pl := am * (1.0 - el2)
 	if pl < 0 {
-		return State{}, fmt.Errorf("%w: semi-latus rectum %g", ErrBadElements, pl)
+		return State{}, failSemiLatus, pl
 	}
 	rl := am * (1.0 - ecose)
-	rdotl := math.Sqrt(am) * esine / rl
-	rvdotl := math.Sqrt(pl) / rl
 	betal := math.Sqrt(1.0 - el2)
 	temp = esine / (1.0 + betal)
 	sinu := am / rl * (sineo1 - aynl - axnl*temp)
@@ -330,13 +368,11 @@ func (p *Propagator) PropagateMinutes(tsince float64) (State, error) {
 	temp1 := 0.5 * j2 * temp
 	temp2 := temp1 * temp
 
-	// Short-period periodics applied to position and velocity.
+	// Short-period periodics.
 	mrt := rl*(1.0-1.5*temp2*betal*p.con41) + 0.5*temp1*p.x1mth2*cos2u
 	su = su - 0.25*temp2*p.x7thm1*sin2u
 	xnode := nodep + 1.5*temp2*cosip*sin2u
 	xinc := xincp + 1.5*temp2*cosip*sinip*cos2u
-	mvt := rdotl - nm*temp1*p.x1mth2*sin2u/g.XKE
-	rvdot := rvdotl + nm*temp1*(p.x1mth2*cos2u+1.5*p.con41)/g.XKE
 
 	// Orientation vectors.
 	sinsu := math.Sin(su)
@@ -350,26 +386,31 @@ func (p *Propagator) PropagateMinutes(tsince float64) (State, error) {
 	ux := xmx*sinsu + cnod*cossu
 	uy := xmy*sinsu + snod*cossu
 	uz := sini * sinsu
-	vx := xmx*cossu - cnod*sinsu
-	vy := xmy*cossu - snod*sinsu
-	vz := sini * cossu
 
-	st := State{
-		PositionKm: frames.Vec3{
-			X: mrt * ux * g.RadiusKm,
-			Y: mrt * uy * g.RadiusKm,
-			Z: mrt * uz * g.RadiusKm,
-		},
-		VelocityKmS: frames.Vec3{
+	st := State{PositionKm: frames.Vec3{
+		X: mrt * ux * g.RadiusKm,
+		Y: mrt * uy * g.RadiusKm,
+		Z: mrt * uz * g.RadiusKm,
+	}}
+	if vel {
+		rdotl := math.Sqrt(am) * esine / rl
+		rvdotl := math.Sqrt(pl) / rl
+		mvt := rdotl - nm*temp1*p.x1mth2*sin2u/g.XKE
+		rvdot := rvdotl + nm*temp1*(p.x1mth2*cos2u+1.5*p.con41)/g.XKE
+		vx := xmx*cossu - cnod*sinsu
+		vy := xmy*cossu - snod*sinsu
+		vz := sini * cossu
+		vkmpersec := g.RadiusKm * g.XKE / 60.0
+		st.VelocityKmS = frames.Vec3{
 			X: (mvt*ux + rvdot*vx) * vkmpersec,
 			Y: (mvt*uy + rvdot*vy) * vkmpersec,
 			Z: (mvt*uz + rvdot*vz) * vkmpersec,
-		},
+		}
 	}
 	if mrt < 1.0 {
-		return st, fmt.Errorf("%w: radius %.1f km at t=%.1f min", ErrDecayed, mrt*g.RadiusKm, tsince)
+		return st, failDecayed, mrt * g.RadiusKm
 	}
-	return st, nil
+	return st, failNone, 0
 }
 
 // PropagateTo returns the TEME state at an absolute time.

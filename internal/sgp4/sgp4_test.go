@@ -174,6 +174,11 @@ func TestCrossCheckAgainstKeplerJ2(t *testing.T) {
 		if d := s1.PositionKm.Sub(s2.PositionKm).Norm(); d > 50 {
 			t.Errorf("dt=%v: SGP4 vs KeplerJ2 differ by %.1f km", dt, d)
 		}
+		// KeplerJ2's position path is its state path, rotated.
+		jd := astro.JulianDate(at)
+		if pos, ok := kp.PositionECEF(jd, frames.NewEarthRotation(jd)); !ok || !bitsEqual(pos, frames.TEMEToECEF(s2.PositionKm, jd)) {
+			t.Errorf("dt=%v: KeplerJ2 PositionECEF %v (ok %v) is not TEMEToECEF of PropagateTo", dt, pos, ok)
+		}
 	}
 }
 

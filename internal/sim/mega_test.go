@@ -9,9 +9,10 @@ import (
 )
 
 // TestMegaPathEquivalence is the end-to-end half of the mega-scale hot
-// path's bit-identity contract: a full simulation run through the batch
-// SoA propagation must produce a byte-identical Result to a run on the
-// scalar fill. The population is a Walker shell — the geometry the hot path
+// path's bit-identity contract: a full simulation run through the position
+// kernel (sgp4.Propagator.PositionECEF) must produce a byte-identical
+// Result to a run whose cache fills through the PropagateTo + TEMEToECEF
+// reference. The population is a Walker shell — the geometry the hot path
 // exists for. (The other half of the hot path, the spatial candidate index,
 // is held to the full cross product per instant by
 // core.TestCarryGridMatchesCrossProduct.)
@@ -35,7 +36,7 @@ func TestMegaPathEquivalence(t *testing.T) {
 	cfg.Workers = 4
 	res, err := runReference(cfg, false, true)
 	if err != nil {
-		t.Fatalf("scalar-propagation: %v", err)
+		t.Fatalf("reference propagation: %v", err)
 	}
-	resultsIdentical(t, ref, res, "hot path vs scalar-propagation")
+	resultsIdentical(t, ref, res, "hot path vs reference propagation")
 }

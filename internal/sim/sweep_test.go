@@ -7,21 +7,39 @@ import (
 	"testing"
 	"time"
 
+	"dgs/internal/astro"
 	"dgs/internal/core"
+	"dgs/internal/frames"
 	"dgs/internal/orbit"
 	"dgs/internal/poscache"
 )
 
-// scalarProp hides a propagator's concrete type: a population of them is
-// not all *sgp4.Propagator, so the position cache fills it through the
-// scalar per-propagator path, on the same arithmetic.
+// scalarProp is the reference the position kernel is held to: its
+// PositionECEF is the wrapped propagator's PropagateTo (TEME state,
+// velocity and error value) rotated by frames.TEMEToECEF, not the
+// position kernel the wrapped propagator would run.
 type scalarProp struct{ orbit.Propagator }
+
+func (s scalarProp) PositionECEF(jd float64, _ frames.EarthRotation) (frames.Vec3, bool) {
+	// A float64 Julian date resolves ≈40 µs, so TimeFromJulian's
+	// sub-microsecond inversion lands on jd itself; refuse it if not,
+	// rather than let the reference drift by an ulp.
+	t := astro.TimeFromJulian(jd)
+	if astro.JulianDate(t) != jd {
+		panic(fmt.Sprintf("no exact instant for JD %.17g", jd))
+	}
+	st, err := s.PropagateTo(t)
+	if err != nil {
+		return frames.Vec3{}, false
+	}
+	return frames.TEMEToECEF(st.PositionKm, jd), true
+}
 
 // runReference runs cfg to completion on paths a plain Run does not take:
 // with fresh, every step plans on a new scheduler (its plan version carried
 // over), so each epoch carries every slot from scratch; with scalar, the
 // position cache the engine and the scheduler share is rebuilt, before the
-// first step, over propagators the SoA batch cannot take. With both false
+// first step, over scalarProp references. With both false
 // it is Run.
 func runReference(cfg Config, fresh, scalar bool) (*Result, error) {
 	e, err := NewEngine(cfg)
