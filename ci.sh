@@ -110,6 +110,26 @@ fi
 if git grep -nE 'Batched|\*sgp4\.Propagator' -- internal/poscache; then
     echo "poscache fills every population through PositionECEF: no batch path, no branch on the propagator's type" >&2; exit 1
 fi
+# One way to build a served world: serve takes its population, forecast
+# and sim.Config from dgs.Config (no second recipe from internal/dataset),
+# NewStore publishes epoch 1 before it returns (no asynchronous start),
+# and SnapshotConfig holds only what some binary varies — the grid is
+# anchored at dgs.Start and the pools use GOMAXPROCS — so a fleet's
+# configs compare with ==.
+if git grep -n '"dgs/internal/dataset"' -- internal/serve ':!*_test.go'; then
+    echo "internal/serve builds its world through dgs.Config: no population recipe of its own" >&2; exit 1
+fi
+if git grep -nE 'func OpenStore|buildErr' -- internal/serve ':!*_test.go'; then
+    echo "NewStore publishes the first world before it returns: no asynchronous start, no stored build error" >&2; exit 1
+fi
+snapcfg=$(awk '/^type SnapshotConfig struct/,/^}/' internal/serve/snapshot.go)
+case "$snapcfg" in
+    *MaxSpan*) ;;
+    *) echo "SnapshotConfig (internal/serve/snapshot.go) not found: point the served-world guard at it" >&2; exit 1 ;;
+esac
+if printf '%s\n' "$snapcfg" | grep -nE '^[[:space:]]+(Workers|Epoch)[[:space:]]'; then
+    echo "SnapshotConfig declares no Workers or Epoch: the grid starts at dgs.Start and the pools use GOMAXPROCS" >&2; exit 1
+fi
 # Settings nothing varies are constants: the protocol's radio, chunk and
 # event sizes, ack delay and uplink rate; the forecast's error model (only
 # NewForecast builds one); the pass search's scan step and tolerance; the
@@ -279,7 +299,7 @@ curl -sf "http://$front1_addr/v1/plan?hours=0.25" > "$smokedir/fed_plan.json"
 curl -sf "http://$mono_addr/v1/plan?hours=0.25" > "$smokedir/mono_plan.json"
 cmp "$smokedir/fed_plan.json" "$smokedir/mono_plan.json"
 kill -INT "$front1_pid"; wait "$front1_pid" || { cat "$smokedir/front1.log" >&2; exit 1; }
-# A mismatched fleet: every world flag but -workers must agree.
+# A mismatched fleet: every world flag must agree.
 # shellcheck disable=SC2086
 "$smokedir/dgs-shard" -listen 127.0.0.1:0 $world_flags -clear-sky -shard 1 -shards 2 > "$smokedir/shard_clear.log" 2>&1 &
 clear_pid=$!

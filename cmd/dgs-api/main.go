@@ -32,6 +32,7 @@ import (
 	"syscall"
 	"time"
 
+	"dgs"
 	"dgs/internal/cliutil"
 	"dgs/internal/serve"
 	"dgs/internal/tle"
@@ -46,7 +47,6 @@ func main() {
 	watchInterval := flag.Duration("watch-interval", 10*time.Second, "poll interval for -watch-tle")
 	shardAddrs := flag.String("shards", "", "comma-separated dgs-shard addresses; serve as the merging front tier of a federated fleet instead of loading a world locally")
 	shardTimeout := flag.Duration("shard-timeout", 30*time.Second, "per-query timeout against shard backends (front-tier mode)")
-	pprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on a dedicated address (e.g. localhost:6060), independent of the API listener")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	flag.Parse()
@@ -99,7 +99,6 @@ func main() {
 	api := serve.NewWithSource(src, serve.Config{
 		MaxInFlight:  *inflight,
 		CacheEntries: *cache,
-		Pprof:        *pprof,
 	})
 
 	ln, err := net.Listen("tcp", *listen)
@@ -109,7 +108,7 @@ func main() {
 	srv := &http.Server{Handler: api.Handler()}
 	worldCfg := src.Current().Snap.Config()
 	log.Printf("dgs-api: serving on %s (epoch %s, span %v, slot %v)",
-		ln.Addr(), worldCfg.Epoch.Format(time.RFC3339), worldCfg.MaxSpan, worldCfg.Slot)
+		ln.Addr(), dgs.Start.Format(time.RFC3339), worldCfg.MaxSpan, worldCfg.Slot)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -7,8 +7,8 @@
 // windows, link budgets, and world updates.
 //
 // Every shard of a fleet must be started with the same -shards count and
-// identical world flags, all but -workers; the front tier validates this
-// at startup and refuses mismatched fleets.
+// identical world flags; the front tier validates this at startup and
+// refuses mismatched fleets.
 //
 // Usage:
 //

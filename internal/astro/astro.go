@@ -149,9 +149,6 @@ func DB(linear float64) float64 {
 	return 10 * math.Log10(linear)
 }
 
-// FromDB converts decibels to a linear power ratio.
-func FromDB(db float64) float64 { return math.Pow(10, db/10) }
-
 // SunDirection returns the unit vector from the Earth's centre to the Sun
 // in the TEME/ECI frame for a Julian date, using the low-precision solar
 // model of the Astronomical Almanac (accurate to ~0.01°, far tighter than

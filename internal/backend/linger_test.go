@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dgs"
 	"dgs/internal/backend"
 	"dgs/internal/proto"
 	"dgs/internal/serve"
@@ -208,7 +209,7 @@ func TestReplyBeforeWriteReturns(t *testing.T) {
 			// comes back as the not-visible zero answer.
 			view := fed.Current().Snap
 			cfg := view.Config()
-			ws := view.Passes(cfg.Epoch, cfg.Epoch.Add(cfg.MaxSpan), -1, -1)
+			ws := view.Passes(dgs.Start, dgs.Start.Add(cfg.MaxSpan), -1, -1)
 			if len(ws) == 0 {
 				return fmt.Errorf("world has no passes to evaluate")
 			}

@@ -91,14 +91,6 @@ func Table() []ModCod {
 	return out
 }
 
-// Envelope returns a copy of the Pareto-efficient MODCOD ladder used for
-// rate selection.
-func Envelope() []ModCod {
-	out := make([]ModCod, len(envelope))
-	copy(out, envelope)
-	return out
-}
-
 // Select returns the most efficient MODCOD whose threshold is satisfied by
 // esN0dB after subtracting marginDB. ok is false when even the most robust
 // MODCOD does not close, in which case the link carries no data.

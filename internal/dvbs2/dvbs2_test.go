@@ -50,7 +50,7 @@ func TestKnownThresholds(t *testing.T) {
 }
 
 func TestEnvelopeIsPareto(t *testing.T) {
-	env := Envelope()
+	env := envelope
 	if len(env) < 15 {
 		t.Fatalf("envelope suspiciously small: %d", len(env))
 	}

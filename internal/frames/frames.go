@@ -171,14 +171,6 @@ func ECEFToTEME(p Vec3, jd float64) Vec3 {
 	}
 }
 
-// TEMEVelToECEF converts a TEME velocity to ECEF, accounting for the frame
-// rotation term ω⊕ × r.
-func TEMEVelToECEF(pECEF, vTEME Vec3, jd float64) Vec3 {
-	v := TEMEToECEF(vTEME, jd)
-	omega := Vec3{0, 0, astro.EarthRotationRadS}
-	return v.Sub(omega.Cross(pECEF))
-}
-
 // LookAngles is the topocentric view of a target from an observer.
 type LookAngles struct {
 	// AzimuthRad is measured clockwise from true north in [0, 2π).
@@ -259,15 +251,4 @@ func (tp Topocentric) sez(targetECEF Vec3) (s, e, z float64) {
 func rangeSinEl(s, e, z float64) (rng, sinEl float64) {
 	rng = math.Sqrt(s*s + e*e + z*z)
 	return rng, astro.Clamp(z/rng, -1, 1)
-}
-
-// GreatCircleKm returns the great-circle surface distance between two
-// geodetic points in kilometres (spherical approximation, haversine form —
-// accurate to ~0.5% which is ample for weather-cell lookups).
-func GreatCircleKm(a, b Geodetic) float64 {
-	dLat := b.LatRad - a.LatRad
-	dLon := b.LonRad - a.LonRad
-	h := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(a.LatRad)*math.Cos(b.LatRad)*math.Sin(dLon/2)*math.Sin(dLon/2)
-	return 2 * astro.EarthRadiusKm * math.Asin(math.Sqrt(astro.Clamp(h, 0, 1)))
 }

@@ -254,41 +254,3 @@ func TestRangeSinElMatchesLook(t *testing.T) {
 		checkRangeSinEl(t, row.name+" from the pole", NewTopocentric(NewGeodeticDeg(90, 0, 0)), row.target)
 	}
 }
-
-func TestGreatCircleKm(t *testing.T) {
-	// Quarter of the equatorial circumference.
-	a := NewGeodeticDeg(0, 0, 0)
-	b := NewGeodeticDeg(0, 90, 0)
-	want := math.Pi / 2 * astro.EarthRadiusKm
-	if got := GreatCircleKm(a, b); math.Abs(got-want) > 1 {
-		t.Errorf("quarter equator = %v, want %v", got, want)
-	}
-	if got := GreatCircleKm(a, a); got != 0 {
-		t.Errorf("self distance = %v", got)
-	}
-	// Symmetry.
-	c := NewGeodeticDeg(52.5, 13.4, 0)   // Berlin
-	d := NewGeodeticDeg(37.8, -122.4, 0) // San Francisco
-	if math.Abs(GreatCircleKm(c, d)-GreatCircleKm(d, c)) > 1e-9 {
-		t.Error("great circle distance not symmetric")
-	}
-	// Known distance Berlin-SF ≈ 9100 km.
-	if got := GreatCircleKm(c, d); got < 8900 || got > 9300 {
-		t.Errorf("Berlin-SF = %v km, want ~9100", got)
-	}
-}
-
-func TestTEMEVelToECEFEquatorialGeo(t *testing.T) {
-	// A point fixed in ECEF on the equator has TEME velocity ω×r; converting
-	// that TEME velocity to ECEF must yield ~zero.
-	jd := 2459345.5
-	ecef := Vec3{astro.EarthRadiusKm, 0, 0}
-	teme := ECEFToTEME(ecef, jd)
-	omega := Vec3{0, 0, astro.EarthRotationRadS}
-	vTEME := omega.Cross(teme)
-	// Rotate vTEME into ECEF orientation and subtract ω×r: expect ≈ 0.
-	v := TEMEVelToECEF(ecef, vTEME, jd)
-	if v.Norm() > 1e-9 {
-		t.Fatalf("ECEF-fixed point should have ~0 ECEF velocity, got %v", v)
-	}
-}

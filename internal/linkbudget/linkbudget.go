@@ -180,12 +180,6 @@ func rateFromEsN0(r Radio, t Terminal, esn0 float64) float64 {
 	return total
 }
 
-// SelectModCod exposes the underlying ACM choice for planning: the MODCOD a
-// satellite should be told to use toward this terminal under the forecast.
-func SelectModCod(r Radio, t Terminal, g Geometry, w Conditions) (dvbs2.ModCod, bool) {
-	return dvbs2.Select(EsN0dB(r, t, g, w), t.ImplMarginDB)
-}
-
 // UplinkRateBps is the S-band TT&C uplink rate from a transmit-capable
 // station to a satellite above its mask. The paper (§2): "ground stations
 // today support Gbps downlink but only hundreds of Kbps uplink"; plans and
@@ -193,19 +187,3 @@ func SelectModCod(r Radio, t Terminal, g Geometry, w Conditions) (dvbs2.ModCod, 
 // contact time. The rate is modeled as flat while in view — S-band
 // narrowband links close at any LEO range with link margin to spare.
 const UplinkRateBps = 256e3
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// DopplerShiftHz returns the carrier frequency offset seen by a ground
-// receiver for a given slant-range rate (km/s, positive = receding) at a
-// carrier frequency in GHz. Receive-only DGS stations cannot ask the
-// satellite to pre-compensate, so they must tune to the predicted offset —
-// at X band a LEO pass sweeps roughly ±200 kHz.
-func DopplerShiftHz(rangeRateKmS, freqGHz float64) float64 {
-	return -rangeRateKmS * 1e3 / astro.SpeedOfLight * freqGHz * 1e9
-}

@@ -237,22 +237,3 @@ func bisect(f func(time.Time) (float64, error), lo, hi time.Time, tol time.Durat
 	}
 	return hi, nil
 }
-
-// GroundTrack samples the sub-satellite point every step over a window,
-// producing the track the scheduler's station-cell pruning and Fig. 2-style
-// visualizations rely on.
-func GroundTrack(prop Propagator, start time.Time, window, step time.Duration) ([]frames.Geodetic, error) {
-	if step <= 0 {
-		step = time.Minute
-	}
-	var out []frames.Geodetic
-	for t := start; !t.After(start.Add(window)); t = t.Add(step) {
-		st, err := prop.PropagateTo(t)
-		if err != nil {
-			return out, err
-		}
-		jd := astro.JulianDate(t)
-		out = append(out, frames.GeodeticFromECEF(frames.TEMEToECEF(st.PositionKm, jd)))
-	}
-	return out, nil
-}

@@ -249,33 +249,3 @@ func BenchmarkPassPrediction(b *testing.B) {
 		}
 	}
 }
-
-func TestGroundTrack(t *testing.T) {
-	p := issProp(t)
-	track, err := GroundTrack(p, p.TLE().Epoch, 92*time.Minute, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(track) != 93 {
-		t.Fatalf("track has %d points, want 93", len(track))
-	}
-	maxLat := -90.0
-	minLat := 90.0
-	for i, g := range track {
-		if g.AltKm < 300 || g.AltKm > 400 {
-			t.Fatalf("point %d altitude %.1f km", i, g.AltKm)
-		}
-		maxLat = math.Max(maxLat, g.LatDeg())
-		minLat = math.Min(minLat, g.LatDeg())
-		if i > 0 {
-			// Consecutive minute-spaced points are < 500 km apart on ground.
-			if d := frames.GreatCircleKm(track[i-1], g); d > 500 {
-				t.Fatalf("track jumps %.0f km between minutes", d)
-			}
-		}
-	}
-	// One full ISS orbit sweeps close to ±51.6°.
-	if maxLat < 45 || minLat > -45 {
-		t.Errorf("orbit latitude sweep [%.1f, %.1f] too narrow", minLat, maxLat)
-	}
-}

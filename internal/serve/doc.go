@@ -24,7 +24,7 @@
 //	GET  /v2/passes        contact windows, epoch-tagged + revalidatable
 //	POST /v2/updates       delta ingestion: TLEs, weather, station membership
 //	GET  /v2/plan/stream   SSE: full plan on connect, one delta per epoch swap
-//	GET  /v2/readyz        503 until the first world is built
+//	GET  /v2/readyz        200 with the serving epoch (a world exists from the start)
 //	GET  /debug/vars       per-endpoint counters, epoch, stream subscribers
 //
 // Every response served from a world carries an X-World-Epoch header; v2
@@ -77,9 +77,8 @@
 // lost shard degrades the merged plan (degraded:true + missing_shards)
 // instead of erroring, and is folded back in when its session comes up.
 // Every shard reports its resolved SnapshotConfig and live-plan horizon;
-// the front tier starts only if all of them, every field but Workers,
-// equal shard 0's (epochs compared as instants), the station capacity
-// vectors agree, and the partitions cover the constellation exactly. Its
+// the front tier starts only if all of them equal shard 0's (plain ==),
+// the station capacity vectors agree, and the partitions cover the constellation exactly. Its
 // view then serves shard 0's configuration, so a fleet is one world by
 // construction, never a merge of two.
 //

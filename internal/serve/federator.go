@@ -103,7 +103,7 @@ func NewFederator(addrs []string, cfg FederatorConfig) (*Federator, error) {
 	f := &Federator{
 		cfg:      cfg,
 		n:        len(addrs),
-		worldPub: newWorldPub("serve: federated world not ready", "serve: federator closed"),
+		worldPub: newWorldPub("serve: federator closed"),
 		kickCh:   make(chan struct{}, 1),
 		doneCh:   make(chan struct{}),
 	}
@@ -190,10 +190,10 @@ func (f *Federator) fetchInfos() ([]shardInfoDoc, error) {
 }
 
 // validateTopology cross-checks the fleet: shard identities, one world —
-// the resolved configuration (every field but Workers), the live-plan
-// horizon and the station capacity vector — and exact disjoint coverage
-// of the constellation. A shard that sent no resolved configuration (an
-// older build) is refused like any other mismatch.
+// the resolved configuration, the live-plan horizon and the station
+// capacity vector — and exact disjoint coverage of the constellation. A
+// shard that sent no resolved configuration (an older build) is refused
+// like any other mismatch.
 func validateTopology(infos []shardInfoDoc, n int) (*fedTopo, error) {
 	base := infos[0]
 	sats := base.Config.Satellites
@@ -201,9 +201,9 @@ func validateTopology(infos []shardInfoDoc, n int) (*fedTopo, error) {
 		if in.Shard != i || in.Shards != n {
 			return nil, fmt.Errorf("serve: shard at index %d identifies as %d/%d, want %d/%d", i, in.Shard, in.Shards, i, n)
 		}
-		if in.Config != in.Config.withDefaults() || !sameWorld(in.Config, base.Config) ||
+		if in.Config != in.Config.withDefaults() || in.Config != base.Config ||
 			in.PlanHorizon != base.PlanHorizon || !slices.Equal(in.Caps, base.Caps) {
-			return nil, fmt.Errorf("serve: shard %d world (%+v, plan horizon %v) differs from shard 0's (%+v, plan horizon %v) — the fleet must share one configuration, every world flag but -workers",
+			return nil, fmt.Errorf("serve: shard %d world (%+v, plan horizon %v) differs from shard 0's (%+v, plan horizon %v) — the fleet must share one configuration, every world flag",
 				i, in.Config, in.PlanHorizon, base.Config, base.PlanHorizon)
 		}
 		if len(in.Global) != in.OwnedSats || len(in.Global) == 0 {
@@ -243,16 +243,6 @@ func validateTopology(infos []shardInfoDoc, n int) (*fedTopo, error) {
 		}
 	}
 	return topo, nil
-}
-
-// sameWorld reports whether two resolved configurations describe one
-// world: every field but Workers equal, the epochs as instants.
-func sameWorld(a, b SnapshotConfig) bool {
-	if !a.Epoch.Equal(b.Epoch) {
-		return false
-	}
-	a.Epoch, a.Workers = b.Epoch, b.Workers
-	return a == b
 }
 
 // query sends one query to one shard and decodes its reply into v.
@@ -353,10 +343,6 @@ func (f *Federator) rebuildLocked() error {
 
 // ---- WorldSource (the read and stream half is the embedded worldPub) ----
 
-// Err reports a failed initial build; NewFederator fails hard instead,
-// so a live Federator has none.
-func (f *Federator) Err() error { return nil }
-
 // Close shuts the front tier down: shard sessions close and stream
 // subscribers drain. Published worlds stay readable.
 func (f *Federator) Close() {
@@ -389,9 +375,6 @@ func (f *Federator) Apply(u Update) (ApplyResult, error) {
 	defer f.mu.Unlock()
 	if f.closed {
 		return ApplyResult{}, f.errClosed
-	}
-	if f.cur.Load() == nil {
-		return ApplyResult{}, f.errNotReady
 	}
 	if len(u.TLEs) == 0 && u.Weather == nil && len(u.AddStations) == 0 && len(u.RemoveStations) == 0 {
 		return ApplyResult{}, badUpdate("empty update: no tles, weather, or station changes")
@@ -514,7 +497,7 @@ type fedView struct {
 }
 
 // Config returns the world configuration every shard of the fleet
-// resolved (validated equal at startup, Workers aside).
+// resolved (validated equal at startup).
 func (v *fedView) Config() SnapshotConfig { return v.f.topo.Load().cfg }
 
 // Sats returns the full constellation size.

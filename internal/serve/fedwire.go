@@ -27,8 +27,8 @@ type shardInfoDoc struct {
 	Caps []int `json:"caps"`
 	// Config is the shard's resolved world configuration (Satellites is
 	// the FULL constellation size) and PlanHorizon its live-plan horizon.
-	// Shards that differ in either, Workers aside, are a deployment error
-	// the front tier refuses at startup.
+	// Shards that differ in either are a deployment error the front tier
+	// refuses at startup.
 	Config      SnapshotConfig `json:"config"`
 	PlanHorizon time.Duration  `json:"plan_horizon_ns"`
 	// Global is the partition: the ascending global indices this shard owns.

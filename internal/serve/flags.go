@@ -7,15 +7,15 @@ import (
 	"dgs/internal/cliutil"
 )
 
-// WorldFlags registers, on the command line's flag set, the eleven flags
+// WorldFlags registers, on the command line's flag set, the ten flags
 // that define a served world, and returns the function that — after
 // flag.Parse — validates them (a bad value exits with the usage status;
 // so does -forecast-err 0, which SnapshotConfig cannot express)
 // and yields the snapshot configuration and the live-plan horizon. Every
-// dgs-shard of a fleet must agree on all but -workers (the front tier
-// compares each shard's resolved world with shard 0's and refuses a fleet
-// that differs), so they are declared once, here, for dgs-api and
-// dgs-shard alike.
+// dgs-shard of a fleet must agree on all of them (the front tier compares
+// each shard's resolved world with shard 0's and refuses a fleet that
+// differs), so they are declared once, here, for dgs-api and dgs-shard
+// alike.
 func WorldFlags() func() (SnapshotConfig, time.Duration) {
 	sats := flag.Int("sats", 259, "constellation size")
 	stations := flag.Int("stations", 173, "ground-station count")
@@ -27,7 +27,6 @@ func WorldFlags() func() (SnapshotConfig, time.Duration) {
 	slot := flag.Duration("slot", time.Minute, "query time grid and default plan slot")
 	maxSpan := flag.Duration("max-span", 48*time.Hour, "servable horizon past the epoch")
 	planHorizon := flag.Duration("plan-horizon", time.Hour, "live-plan horizon maintained across epoch swaps")
-	workers := flag.Int("workers", 0, "propagation/planning workers (0 = GOMAXPROCS)")
 	return func() (SnapshotConfig, time.Duration) {
 		cliutil.Seed("seed", *seed)
 		cliutil.PositiveInt("sats", *sats)
@@ -42,7 +41,6 @@ func WorldFlags() func() (SnapshotConfig, time.Duration) {
 		cliutil.PositiveDuration("slot", *slot)
 		cliutil.PositiveDuration("max-span", *maxSpan)
 		cliutil.PositiveDuration("plan-horizon", *planHorizon)
-		cliutil.NonNegativeInt("workers", *workers)
 		return SnapshotConfig{
 			Satellites:  *sats,
 			Stations:    *stations,
@@ -53,7 +51,6 @@ func WorldFlags() func() (SnapshotConfig, time.Duration) {
 			GenGBPerDay: *genGB,
 			Slot:        *slot,
 			MaxSpan:     *maxSpan,
-			Workers:     *workers,
 		}, *planHorizon
 	}
 }

@@ -3,15 +3,14 @@ package serve
 import (
 	"net/http"
 	"time"
+
+	"dgs"
 )
 
 // ---- /v1/linkbudget ----
 
 func (s *Server) handleLinkBudget(w http.ResponseWriter, r *http.Request, st *endpointStats) {
-	world, ok := s.acquireWorld(w)
-	if !ok {
-		return
-	}
+	world := s.acquireWorld(w)
 	defer world.Release()
 	snap := world.Snap
 	cfg := snap.Config()
@@ -30,7 +29,7 @@ func (s *Server) handleLinkBudget(w http.ResponseWriter, r *http.Request, st *en
 	}
 	var at time.Time
 	if herr == nil {
-		at, herr = parseTime(q, "t", cfg.Epoch)
+		at, herr = parseTime(q, "t", dgs.Start)
 	}
 	var lead time.Duration
 	if herr == nil {

@@ -176,10 +176,7 @@ func (m *jobManager) count() int {
 func (s *Server) handleOptimizeCreate(w http.ResponseWriter, r *http.Request, st *endpointStats) {
 	st.misses.Add(1)
 
-	world, ok := s.acquireWorld(w)
-	if !ok {
-		return
-	}
+	world := s.acquireWorld(w)
 	defer world.Release()
 	snap, ok := world.Snap.(*Snapshot)
 	if !ok {
@@ -257,12 +254,12 @@ func (s *Server) buildOptimize(snap *Snapshot, req *optimizeRequest) (*optimize.
 	switch req.Strategy {
 	case "", "greedy":
 		req.Strategy = "greedy"
-		searchers = []optimize.Searcher{&optimize.Greedy{Workers: snap.cfg.Workers}}
+		searchers = []optimize.Searcher{&optimize.Greedy{}}
 	case "anneal":
 		searchers = []optimize.Searcher{&optimize.Anneal{Seed: seed, Iters: req.AnnealIters}}
 	case "greedy+anneal":
 		searchers = []optimize.Searcher{
-			&optimize.Greedy{Workers: snap.cfg.Workers},
+			&optimize.Greedy{},
 			&optimize.Anneal{Seed: seed, Iters: req.AnnealIters},
 		}
 	default:

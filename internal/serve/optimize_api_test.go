@@ -16,7 +16,7 @@ import (
 func optimizeCandidates(t *testing.T, snap *Snapshot, n int) []int {
 	t.Helper()
 	var cands []int
-	for i, gs := range snap.net {
+	for i, gs := range snap.sim.Stations {
 		if !gs.TxCapable {
 			cands = append(cands, i)
 			if len(cands) == n {

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"net/url"
 	"time"
+
+	"dgs"
 )
 
 // ---- pass queries (/v1/passes, /v2/passes) ----
@@ -58,7 +60,7 @@ func parsePassesQuery(q url.Values, snap WorldView) (passesQuery, *httpError) {
 	}
 	var from time.Time
 	if herr == nil {
-		from, herr = parseTime(q, "from", cfg.Epoch)
+		from, herr = parseTime(q, "from", dgs.Start)
 	}
 	var hours float64
 	if herr == nil {
@@ -108,10 +110,7 @@ func (s *Server) handlePasses(v2 bool) handler {
 		keyFormat = "e%d|v2passes|%d|%d|%d|%d"
 	}
 	return func(w http.ResponseWriter, r *http.Request, st *endpointStats) {
-		world, ok := s.acquireWorld(w)
-		if !ok {
-			return
-		}
+		world := s.acquireWorld(w)
 		defer world.Release()
 		params := r.URL.Query()
 		q, herr := parsePassesQuery(params, world.Snap)

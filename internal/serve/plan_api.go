@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"dgs"
 	"dgs/internal/core"
 )
 
@@ -149,16 +150,13 @@ func marshalPlanDelta(w *World, prev *core.Plan) []byte {
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, st *endpointStats) {
-	world, ok := s.acquireWorld(w)
-	if !ok {
-		return
-	}
+	world := s.acquireWorld(w)
 	defer world.Release()
 	snap := world.Snap
 	cfg := snap.Config()
 	q := r.URL.Query()
 
-	from, herr := parseTime(q, "from", cfg.Epoch)
+	from, herr := parseTime(q, "from", dgs.Start)
 	var hours float64
 	if herr == nil {
 		hours, herr = parseFloat(q, "hours", 1)
@@ -202,10 +200,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, st *endpoint
 // prebuilt epoch-tagged body, with ETag/If-None-Match revalidation so a
 // client holding the current epoch pays one 304 instead of a body.
 func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request, st *endpointStats) {
-	world, ok := s.acquireWorld(w)
-	if !ok {
-		return
-	}
+	world := s.acquireWorld(w)
 	defer world.Release()
 	if notModified(w, r, world) {
 		return

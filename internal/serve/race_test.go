@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"dgs"
 	"dgs/internal/tle"
 )
 
@@ -98,7 +99,7 @@ func (h *hookCtl) block(key string) chan struct{} {
 // rather than relying on timing, so the assertions are deterministic.
 func TestServeConcurrentMixedWorkload(t *testing.T) {
 	snap := testSnapshot(t)
-	epoch := snap.Config().Epoch
+	epoch := dgs.Start
 	passesKey := func(sat, gs int, from time.Time, hours int) string {
 		return fmt.Sprintf("e1|passes|%d|%d|%d|%d", sat, gs, from.UnixNano(), from.Add(time.Duration(hours)*time.Hour).UnixNano())
 	}

@@ -8,6 +8,8 @@ import (
 	"net/url"
 	"strconv"
 	"time"
+
+	"dgs"
 )
 
 // The request plumbing every handler shares: the error envelope, the
@@ -175,5 +177,5 @@ func checkSpan(cfg SnapshotConfig, from, to time.Time) *httpError {
 // with args) past the world's servable span.
 func outsideSpan(cfg SnapshotConfig, what string, args ...any) *httpError {
 	return badRequest(what+" outside servable span [%s, %s]",
-		append(args, cfg.Epoch.Format(time.RFC3339), cfg.Epoch.Add(cfg.MaxSpan).Format(time.RFC3339))...)
+		append(args, dgs.Start.Format(time.RFC3339), dgs.Start.Add(cfg.MaxSpan).Format(time.RFC3339))...)
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"dgs"
 	"dgs/internal/frames"
 	"dgs/internal/linkbudget"
 )
@@ -166,7 +167,7 @@ func TestPassesFilters(t *testing.T) {
 			gs = rng.Intn(snap.Stations())
 		}
 		hours := 1 + rng.Intn(3)
-		from := snap.Config().Epoch.Add(time.Duration(rng.Intn(180)) * time.Minute)
+		from := dgs.Start.Add(time.Duration(rng.Intn(180)) * time.Minute)
 		for _, v := range []string{"v1", "v2"} {
 			base := fmt.Sprintf("/%s/passes?hours=%d&from=%s", v, hours, from.Format(time.RFC3339))
 			var want []json.RawMessage
@@ -213,7 +214,7 @@ func TestPassesSatQueryDoesNotFillWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	from := snap.Config().Epoch.Add(time.Hour)
+	from := dgs.Start.Add(time.Hour)
 	to := from.Add(2 * time.Hour)
 	if n := snap.positions.Size(); n != 0 {
 		t.Fatalf("fresh snapshot already holds %d instants", n)
@@ -372,7 +373,7 @@ func TestLinkBudgetEndpoint(t *testing.T) {
 
 	// Cross-check the served numbers against a direct computation through
 	// the same public linkbudget API.
-	gs := snap.net[w.Station]
+	gs := snap.sim.Stations[w.Station]
 	look := frames.NewTopocentric(gs.Location).Look(snap.positions.At(at)[w.Sat].Pos)
 	geo := linkbudget.Geometry{
 		RangeKm:         look.RangeKm,
@@ -388,7 +389,7 @@ func TestLinkBudgetEndpoint(t *testing.T) {
 
 	// A pair with no geometry: same station, one day... pick an instant
 	// where this sat-station pair has no covering window.
-	probe := snap.Config().Quantize(snap.Config().Epoch.Add(3 * time.Hour))
+	probe := snap.Config().Quantize(dgs.Start.Add(3 * time.Hour))
 	inWindow := false
 	for _, ww := range all.Windows {
 		if ww.Sat == w.Sat && ww.Station == w.Station &&
@@ -456,17 +457,6 @@ func TestDebugVars(t *testing.T) {
 	}
 	if ep.Hits != 1 || ep.Misses != 1 || ep.Lat.N != 2 {
 		t.Fatalf("passes vars = %+v, want 1 hit, 1 miss, 2 latency samples", ep)
-	}
-}
-
-func TestPprofGatedByFlag(t *testing.T) {
-	off := New(testSnapshot(t), Config{})
-	if rec := get(t, off.Handler(), "/debug/pprof/cmdline"); rec.Code != http.StatusNotFound {
-		t.Fatalf("pprof served without the flag: status %d", rec.Code)
-	}
-	on := New(testSnapshot(t), Config{Pprof: true})
-	if rec := get(t, on.Handler(), "/debug/pprof/cmdline"); rec.Code != http.StatusOK {
-		t.Fatalf("pprof flag set but /debug/pprof/cmdline = %d", rec.Code)
 	}
 }
 
@@ -603,7 +593,7 @@ func TestDedupDeterministic(t *testing.T) {
 	go func() { done <- get(t, h, "/v1/passes?hours=1") }()
 	<-entered // leader is mid-compute
 
-	epoch := testSnapshot(t).Config().Epoch
+	epoch := dgs.Start
 	key := fmt.Sprintf("e1|passes|-1|-1|%d|%d", epoch.UnixNano(), epoch.Add(time.Hour).UnixNano())
 	for i := 0; i < followers; i++ {
 		go func() { done <- get(t, h, "/v1/passes?hours=1") }()

@@ -4,10 +4,10 @@ import (
 	"expvar"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"time"
 
+	"dgs"
 	"dgs/internal/pool"
 )
 
@@ -21,8 +21,6 @@ type Config struct {
 	// CacheEntries bounds the response LRU (default 1024; negative
 	// disables caching).
 	CacheEntries int
-	// Pprof mounts net/http/pprof under /debug/pprof/.
-	Pprof bool
 }
 
 func (c Config) withDefaults() Config {
@@ -73,8 +71,7 @@ func New(snap *Snapshot, cfg Config) *Server {
 }
 
 // NewWithSource builds a Server over any world source — a single-process
-// Store (possibly still building its first world: queries 503 until it
-// lands) or a Federator fronting shard backends. The handlers are
+// Store or a Federator fronting shard backends. The handlers are
 // identical either way; only the source decides where worlds come from.
 func NewWithSource(src WorldSource, cfg Config) *Server {
 	cfg = cfg.withDefaults()
@@ -147,13 +144,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc(rt.method+" "+rt.path, timed(rt.stats, rt.h))
 		mux.HandleFunc(rt.path, methodNotAllowed(rt.method))
 	}
-	if s.cfg.Pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
 	return mux
 }
 
@@ -172,19 +162,9 @@ func timed(st *endpointStats, h handler) http.HandlerFunc {
 }
 
 // acquireWorld takes a reference on the current world and stamps the
-// response with its epoch. Before the first world is published it writes
-// the 503 (or the build failure) and returns false. Callers must Release
-// the world when done.
-func (s *Server) acquireWorld(w http.ResponseWriter) (*World, bool) {
-	world, ok := s.store.Acquire()
-	if !ok {
-		if err := s.store.Err(); err != nil {
-			writeError(w, http.StatusInternalServerError, errInternal, err.Error())
-		} else {
-			writeError(w, http.StatusServiceUnavailable, errNotReady, "world snapshot still building, retry shortly")
-		}
-		return nil, false
-	}
+// response with its epoch. Callers must Release the world when done.
+func (s *Server) acquireWorld(w http.ResponseWriter) *World {
+	world := s.store.Acquire()
 	h := w.Header()
 	h.Set("X-World-Epoch", strconv.FormatUint(world.Epoch, 10))
 	if len(world.EpochVec) > 0 {
@@ -193,7 +173,7 @@ func (s *Server) acquireWorld(w http.ResponseWriter) (*World, bool) {
 	if world.Degraded() {
 		h.Set("X-World-Degraded", joinUints(world.Missing, ','))
 	}
-	return world, true
+	return world
 }
 
 // notModified handles conditional revalidation: when the client's
@@ -266,17 +246,14 @@ type healthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request, st *endpointStats) {
-	world, ok := s.acquireWorld(w)
-	if !ok {
-		return
-	}
+	world := s.acquireWorld(w)
 	defer world.Release()
 	c := world.Snap.Config()
 	writeJSON(w, st, http.StatusOK, healthResponse{
 		OK:           true,
 		Sats:         world.Snap.Sats(),
 		Stations:     world.Snap.Stations(),
-		Epoch:        c.Epoch,
+		Epoch:        dgs.Start,
 		SlotSec:      c.Slot.Seconds(),
 		MaxSpanH:     c.MaxSpan.Hours(),
 		UptimeS:      time.Since(s.start).Seconds(),
@@ -290,13 +267,11 @@ type readyResponse struct {
 	Epoch uint64 `json:"epoch"`
 }
 
-// handleReadyz reports world availability: 200 once the first world is
-// published, 503 while it is still building (or failed to build).
+// handleReadyz reports world availability. A source publishes its first
+// world before the server exists, so this is always 200 with the serving
+// epoch; it stays for probes and load generators that poll it.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request, st *endpointStats) {
-	world, ok := s.acquireWorld(w)
-	if !ok {
-		return
-	}
+	world := s.acquireWorld(w)
 	defer world.Release()
 	writeJSON(w, st, http.StatusOK, readyResponse{Ready: true, Epoch: world.Epoch})
 }

@@ -96,13 +96,7 @@ func (s *ShardServer) answer(q *proto.ShardQuery) *proto.ShardReply {
 }
 
 func (s *ShardServer) handle(kind uint8, body []byte) ([]byte, error) {
-	world, ok := s.store.Acquire()
-	if !ok {
-		if err := s.store.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("shard world still building")
-	}
+	world := s.store.Acquire()
 	defer world.Release()
 	snap := world.Snap.(*Snapshot)
 
@@ -112,7 +106,7 @@ func (s *ShardServer) handle(kind uint8, body []byte) ([]byte, error) {
 			Shard:       s.part.Shard,
 			Shards:      s.part.Shards,
 			OwnedSats:   s.part.Len(),
-			Caps:        core.StationCaps(snap.net),
+			Caps:        core.StationCaps(snap.sim.Stations),
 			Config:      snap.Config(),
 			PlanHorizon: s.store.cfg.PlanHorizon,
 			Global:      s.part.Global,

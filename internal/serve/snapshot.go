@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"dgs"
 	"dgs/internal/core"
-	"dgs/internal/dataset"
 	"dgs/internal/dvbs2"
 	"dgs/internal/frames"
 	"dgs/internal/itu"
@@ -16,21 +16,20 @@ import (
 	"dgs/internal/sgp4"
 	"dgs/internal/shard"
 	"dgs/internal/sim"
-	"dgs/internal/station"
 	"dgs/internal/tle"
 	"dgs/internal/weather"
 )
 
 // SnapshotConfig describes the world a Snapshot loads: the synthetic
 // population, weather, and the time grid queries are quantized to. The
-// zero value selects the paper's population at the canonical epoch.
+// zero value selects the paper's population; the grid is anchored at the
+// canonical simulation start, dgs.Start.
 type SnapshotConfig struct {
 	// Satellites and Stations size the synthetic population
 	// (defaults 259 / 173, the paper's evaluation scale).
 	Satellites, Stations int
-	// Seed drives population synthesis and weather, with the same
-	// derivation as the simulator (population seeds Seed+1/Seed+2,
-	// weather seed Seed+7), so a served world matches a simulated one.
+	// Seed drives population synthesis and weather exactly as it does
+	// the simulator's (dgs.Config), so a served world is a simulated one.
 	Seed int64
 	// TxFraction is the share of transmit-capable stations (default 0.1).
 	TxFraction float64
@@ -45,15 +44,10 @@ type SnapshotConfig struct {
 	// the pass predictor strides it, and it is the default plan slot
 	// (default 1 min). Quantization makes equivalent queries cache-share.
 	Slot time.Duration
-	// Epoch anchors the grid; queries must fall in [Epoch, Epoch+MaxSpan].
-	// Defaults to the canonical simulation start (2020-06-01).
-	Epoch time.Time
-	// MaxSpan bounds how far queries may reach past Epoch (default 48 h).
-	// The position cache is keyed by grid instant and never pruned, so
-	// MaxSpan/Slot bounds its size.
+	// MaxSpan bounds how far queries may reach past dgs.Start (default
+	// 48 h). The position cache is keyed by grid instant and never
+	// pruned, so MaxSpan/Slot bounds its size.
 	MaxSpan time.Duration
-	// Workers bounds the propagation/planning worker pool (0 = GOMAXPROCS).
-	Workers int
 }
 
 func (c SnapshotConfig) withDefaults() SnapshotConfig {
@@ -75,28 +69,25 @@ func (c SnapshotConfig) withDefaults() SnapshotConfig {
 	if c.Slot <= 0 {
 		c.Slot = time.Minute
 	}
-	if c.Epoch.IsZero() {
-		c.Epoch = time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
-	}
 	if c.MaxSpan <= 0 {
 		c.MaxSpan = 48 * time.Hour
 	}
 	return c
 }
 
-// Quantize floors t onto the world's slot grid (instants before Epoch are
-// left as they are; InSpan refuses them).
+// Quantize floors t onto the world's slot grid (instants before dgs.Start
+// are left as they are; InSpan refuses them).
 func (c SnapshotConfig) Quantize(t time.Time) time.Time {
-	if t.Before(c.Epoch) {
+	if t.Before(dgs.Start) {
 		return t
 	}
-	return c.Epoch.Add(t.Sub(c.Epoch) / c.Slot * c.Slot)
+	return dgs.Start.Add(t.Sub(dgs.Start) / c.Slot * c.Slot)
 }
 
 // InSpan reports whether t falls inside the servable horizon
-// [Epoch, Epoch+MaxSpan].
+// [dgs.Start, dgs.Start+MaxSpan].
 func (c SnapshotConfig) InSpan(t time.Time) bool {
-	return !t.Before(c.Epoch) && !t.After(c.Epoch.Add(c.MaxSpan))
+	return !t.Before(dgs.Start) && !t.After(dgs.Start.Add(c.MaxSpan))
 }
 
 // Snapshot is an immutable, read-optimized world the API serves from: the
@@ -106,9 +97,10 @@ func (c SnapshotConfig) InSpan(t time.Time) bool {
 // same result, which is what lets the serving layer cache and deduplicate
 // responses byte-for-byte.
 type Snapshot struct {
-	cfg   SnapshotConfig
-	tles  []tle.TLE
-	net   station.Network
+	cfg SnapshotConfig
+	// sim is the simulator configuration the world was built from
+	// (dgs.Config), its TLEs and Stations the live population.
+	sim   sim.Config
 	props []orbit.Propagator
 	// positions is the shared grid-instant position cache: pass scans and
 	// link-budget lookups for the same quantized instant propagate once.
@@ -123,79 +115,96 @@ type Snapshot struct {
 	planSnaps []core.SatSnapshot
 }
 
-// NewSnapshot synthesizes and loads the world a SnapshotConfig describes.
+// NewSnapshot loads the world a SnapshotConfig describes: the
+// simulator's DGS system (dgs.Config) at the same size and seed.
 func NewSnapshot(cfg SnapshotConfig) (*Snapshot, error) {
 	cfg = cfg.withDefaults()
-	tles, net := synthesize(cfg)
-	return newSnapshotLoaded(cfg, tles, net)
+	sc, err := simWorld(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return newSnapshotLoaded(cfg, sc)
 }
 
 // NewShardWorld loads the slice of the world one control-plane shard
-// owns: the full constellation is synthesized exactly as NewSnapshot
-// would, then reduced to the partition the pinned shard.Map assigns to
-// shard idx of count. The station network stays complete — stations are
-// the shared resource the front tier resolves contention over — so the
-// returned snapshot plans the shard's satellites against every station,
-// in local satellite indices 0..Partition.Len()-1. The caller translates
-// through the returned Partition when speaking global indices.
+// owns: the full constellation is built exactly as NewSnapshot would,
+// then reduced to the partition the pinned shard.Map assigns to shard idx
+// of count. The station network stays complete — stations are the shared
+// resource the front tier resolves contention over — so the returned
+// snapshot plans the shard's satellites against every station, in local
+// satellite indices 0..Partition.Len()-1. The caller translates through
+// the returned Partition when speaking global indices.
 func NewShardWorld(cfg SnapshotConfig, idx, count int) (*Snapshot, shard.Partition, error) {
 	cfg = cfg.withDefaults()
 	if idx < 0 || idx >= count {
 		return nil, shard.Partition{}, fmt.Errorf("serve: shard %d out of range [0, %d)", idx, count)
 	}
-	tles, net := synthesize(cfg)
-	norads := make([]int, len(tles))
-	for i, el := range tles {
+	sc, err := simWorld(cfg)
+	if err != nil {
+		return nil, shard.Partition{}, err
+	}
+	norads := make([]int, len(sc.TLEs))
+	for i, el := range sc.TLEs {
 		norads[i] = el.NoradID
 	}
 	part := shard.New(count).Partition(norads, idx)
 	if part.Len() == 0 {
-		return nil, part, fmt.Errorf("serve: shard %d/%d owns no satellites of a %d-satellite constellation — use fewer shards", idx, count, len(tles))
+		return nil, part, fmt.Errorf("serve: shard %d/%d owns no satellites of a %d-satellite constellation — use fewer shards", idx, count, len(sc.TLEs))
 	}
 	sub := make([]tle.TLE, part.Len())
 	for i, g := range part.Global {
-		sub[i] = tles[g]
+		sub[i] = sc.TLEs[g]
 	}
-	snap, err := newSnapshotLoaded(cfg, sub, net)
+	sc.TLEs = sub
+	snap, err := newSnapshotLoaded(cfg, sc)
 	if err != nil {
 		return nil, part, err
 	}
 	return snap, part, nil
 }
 
-// synthesize builds the full deterministic population for a config.
-func synthesize(cfg SnapshotConfig) ([]tle.TLE, station.Network) {
-	tles := dataset.Satellites(dataset.SatelliteOptions{N: cfg.Satellites, Seed: cfg.Seed + 1, Epoch: cfg.Epoch})
-	net := dataset.Stations(dataset.StationOptions{N: cfg.Stations, Seed: cfg.Seed + 2, TxFraction: cfg.TxFraction})
-	return tles, net
+// simWorld is the simulator configuration of a resolved SnapshotConfig's
+// world: the paper's DGS system at the config's size, seed and weather.
+func simWorld(cfg SnapshotConfig) (sim.Config, error) {
+	sc, err := dgs.Config(dgs.SystemDGS, dgs.Options{
+		Satellites:  cfg.Satellites,
+		Stations:    cfg.Stations,
+		Seed:        cfg.Seed,
+		TxFraction:  cfg.TxFraction,
+		ClearSky:    cfg.ClearSky,
+		ForecastErr: cfg.ForecastErr,
+		GenGBPerDay: cfg.GenGBPerDay,
+	})
+	if err != nil {
+		return sim.Config{}, fmt.Errorf("serve: %w", err)
+	}
+	return sc, nil
 }
 
-// newSnapshotLoaded loads a snapshot over an explicit population (cfg
-// must already have defaults resolved; the satellite set may be a shard
+// newSnapshotLoaded loads a snapshot over a simulator configuration (cfg
+// must already have defaults resolved; sc's satellites may be a shard
 // subset of cfg.Satellites).
-func newSnapshotLoaded(cfg SnapshotConfig, tles []tle.TLE, net station.Network) (*Snapshot, error) {
-	if err := net.Validate(); err != nil {
+func newSnapshotLoaded(cfg SnapshotConfig, sc sim.Config) (*Snapshot, error) {
+	if err := sc.Stations.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 
 	s := &Snapshot{
 		cfg:     cfg,
-		tles:    tles,
-		net:     net,
+		sim:     sc,
 		radio:   linkbudget.DefaultRadio(),
-		genRate: cfg.GenGBPerDay * sim.GB / 86400,
+		genRate: sc.GenBitsPerDay / 86400,
 	}
-	s.props = make([]orbit.Propagator, len(tles))
-	for i, el := range tles {
+	s.props = make([]orbit.Propagator, len(sc.TLEs))
+	for i, el := range sc.TLEs {
 		p, err := sgp4.New(el)
 		if err != nil {
 			return nil, fmt.Errorf("serve: satellite %d: %w", i, err)
 		}
 		s.props[i] = p
 	}
-	if !cfg.ClearSky {
-		field := weather.NewField(uint64(cfg.Seed) + 7)
-		s.fc = weather.NewForecast(field, cfg.ForecastErr)
+	if !sc.ClearSky {
+		s.fc = weather.NewForecast(weather.NewField(sc.WeatherSeed), sc.ForecastErr)
 	}
 	s.derive()
 	return s, nil
@@ -206,10 +215,9 @@ func newSnapshotLoaded(cfg SnapshotConfig, tles []tle.TLE, net station.Network) 
 // queue state.
 func (s *Snapshot) derive() {
 	s.positions = poscache.New(s.props)
-	s.positions.Workers = s.cfg.Workers
 
-	s.topo = make([]frames.Topocentric, len(s.net))
-	for j, gs := range s.net {
+	s.topo = make([]frames.Topocentric, len(s.sim.Stations))
+	for j, gs := range s.sim.Stations {
 		s.topo[j] = frames.NewTopocentric(gs.Location)
 	}
 
@@ -226,24 +234,14 @@ func (s *Snapshot) derive() {
 	}
 }
 
-// simConfig builds the simulation configuration whose world matches
-// this snapshot: same population and network, and the same seed
-// derivation the simulator uses (weather seed = Seed+7), so an
-// optimization run scores exactly the constellation being served.
+// simConfig is the simulation configuration whose world is this
+// snapshot's live population, stepped at the world's slot for duration —
+// what an optimization run scores, so it scores exactly the constellation
+// being served.
 func (s *Snapshot) simConfig(duration time.Duration) sim.Config {
-	return sim.Config{
-		Start:         s.cfg.Epoch,
-		Duration:      duration,
-		Step:          s.cfg.Slot,
-		Stations:      s.net,
-		TLEs:          s.tles,
-		WeatherSeed:   uint64(s.cfg.Seed) + 7,
-		ClearSky:      s.cfg.ClearSky,
-		ForecastErr:   s.cfg.ForecastErr,
-		GenBitsPerDay: s.cfg.GenGBPerDay * sim.GB,
-		Hybrid:        true,
-		Workers:       s.cfg.Workers,
-	}
+	sc := s.sim
+	sc.Step, sc.Duration = s.cfg.Slot, duration
+	return sc
 }
 
 // rederive builds the read view of a revised world: the same config and
@@ -252,15 +250,15 @@ func (s *Snapshot) simConfig(duration time.Duration) sim.Config {
 // The receiver is left untouched — published snapshots are immutable.
 func (s *Snapshot) rederive(ip *core.IncrementalPlanner, tles []tle.TLE, fc *weather.Forecast) *Snapshot {
 	sats := ip.Snapshots()
-	net := ip.Stations()
 	next := &Snapshot{
 		cfg:     s.cfg,
-		tles:    append([]tle.TLE(nil), tles...),
-		net:     net,
+		sim:     s.sim,
 		radio:   s.radio,
 		fc:      fc,
 		genRate: s.genRate,
 	}
+	next.sim.TLEs = append([]tle.TLE(nil), tles...)
+	next.sim.Stations = ip.Stations()
 	next.props = make([]orbit.Propagator, len(sats))
 	for i := range sats {
 		next.props[i] = sats[i].Prop
@@ -276,7 +274,7 @@ func (s *Snapshot) Config() SnapshotConfig { return s.cfg }
 func (s *Snapshot) Sats() int { return len(s.props) }
 
 // Stations returns the ground-network size.
-func (s *Snapshot) Stations() int { return len(s.net) }
+func (s *Snapshot) Stations() int { return len(s.sim.Stations) }
 
 // Passes predicts the contact windows overlapping [from, to), optionally
 // restricted to one satellite and/or one station (-1 = all; an index past
@@ -289,17 +287,17 @@ func (s *Snapshot) Stations() int { return len(s.net) }
 // so concurrent queries never contend and identical queries produce
 // identical windows.
 func (s *Snapshot) Passes(from, to time.Time, sat, gs int) passes.Windows {
-	if sat >= len(s.props) || gs >= len(s.net) {
+	if sat >= len(s.props) || gs >= len(s.sim.Stations) {
 		return passes.Windows{}
 	}
-	cfg := passes.Config{CoarseStep: s.cfg.Slot, Workers: s.cfg.Workers}
+	cfg := passes.Config{CoarseStep: s.cfg.Slot}
 	if sat >= 0 {
 		cfg.Sats = []int{sat}
 	}
 	if gs >= 0 {
 		cfg.Stations = []int{gs}
 	}
-	return passes.New(s.positions, s.net, cfg).WindowsBetween(nil, from, to)
+	return passes.New(s.positions, s.sim.Stations, cfg).WindowsBetween(nil, from, to)
 }
 
 // LinkBudget is the full SNR/rate/attenuation breakdown for one
@@ -326,7 +324,7 @@ type LinkBudget struct {
 // under forecast weather at the given lead (lead 0 is a nowcast).
 func (s *Snapshot) LinkBudgetAt(sat, gs int, t time.Time, lead time.Duration) LinkBudget {
 	lb := LinkBudget{Sat: sat, Station: gs, T: t}
-	st := s.net[gs]
+	st := s.sim.Stations[gs]
 	var cond linkbudget.Conditions
 	if s.fc != nil {
 		w := s.fc.AtLead(st.Location.LatRad, st.Location.LonRad, t, lead)
@@ -386,12 +384,12 @@ func (s *Snapshot) LinkBudgetAt(sat, gs int, t time.Time, lead time.Duration) Li
 // worker count, and a plan fanned out over every core for its whole
 // duration takes them from the queries running beside it (measured on two
 // cores: cold /v2/passes p50 2.8 ms next to a one-worker plan, 3.4 ms next
-// to a fanned-out one). SnapshotConfig.Workers governs the store's
-// IncrementalPlanner and the shared position cache, not this.
+// to a fanned-out one). The store's IncrementalPlanner and the shared
+// position cache use every core; this does not.
 func (s *Snapshot) Plan(from time.Time, horizon, slot time.Duration) *core.Plan {
 	sched := &core.Scheduler{
 		Radio:    s.radio,
-		Stations: s.net,
+		Stations: s.sim.Stations,
 		Forecast: s.fc,
 		Workers:  1,
 	}

@@ -35,17 +35,17 @@ type WorldView interface {
 // WorldSource is the versioned-world store interface the Server consumes.
 // *Store is the single-process implementation; *Federator implements the
 // same contract over a fleet of shard backends, which is what lets the v1
-// and v2 handlers serve either topology unchanged.
+// and v2 handlers serve either topology unchanged. Both publish their
+// first world before their constructor returns, so a source always has
+// one.
 type WorldSource interface {
-	// Acquire returns the current world with its refcount taken, or false
-	// before the first world is published. Callers must Release.
-	Acquire() (*World, bool)
+	// Acquire returns the current world with its refcount taken. Callers
+	// must Release.
+	Acquire() *World
 	// Current returns the current world without taking a reference.
 	Current() *World
-	// Epoch returns the current world epoch (0 before the first publish).
+	// Epoch returns the current world epoch.
 	Epoch() uint64
-	// Err reports a failed initial build.
-	Err() error
 	// Apply publishes a world mutation batch as the next epoch.
 	Apply(Update) (ApplyResult, error)
 	// Subscribe/Unsubscribe manage plan-stream subscribers (see Store).
@@ -72,41 +72,32 @@ type worldPub struct {
 	mu      sync.Mutex
 	retired []*World
 
-	// errNotReady and errClosed are what Subscribe (and the owner's Apply)
-	// return before the first publish and after Close.
-	errNotReady, errClosed error
+	// errClosed is what Subscribe (and the owner's Apply) return after
+	// Close.
+	errClosed error
 }
 
-func newWorldPub(notReady, closed string) worldPub {
+func newWorldPub(closed string) worldPub {
 	return worldPub{
-		hub:         newSubHub(subBuffer),
-		errNotReady: errors.New(notReady),
-		errClosed:   errors.New(closed),
+		hub:       newSubHub(subBuffer),
+		errClosed: errors.New(closed),
 	}
 }
 
-// Acquire returns the current world with its refcount taken, or false
-// before the first world is published. Callers must Release.
-func (p *worldPub) Acquire() (*World, bool) {
+// Acquire returns the current world with its refcount taken. Callers must
+// Release.
+func (p *worldPub) Acquire() *World {
 	w := p.cur.Load()
-	if w == nil {
-		return nil, false
-	}
 	w.refs.Add(1)
-	return w, true
+	return w
 }
 
-// Current returns the current world without taking a reference (nil
-// before the first publish). For point-in-time inspection only.
+// Current returns the current world without taking a reference. For
+// point-in-time inspection only.
 func (p *worldPub) Current() *World { return p.cur.Load() }
 
-// Epoch returns the current world epoch (0 before the first publish).
-func (p *worldPub) Epoch() uint64 {
-	if w := p.cur.Load(); w != nil {
-		return w.Epoch
-	}
-	return 0
-}
+// Epoch returns the current world epoch.
+func (p *worldPub) Epoch() uint64 { return p.cur.Load().Epoch }
 
 // RetiredWorlds returns how many superseded worlds still have active
 // readers (the drain queue length).
@@ -159,9 +150,6 @@ func (p *worldPub) Subscribers() int { return p.hub.count() }
 // far behind. Callers must Unsubscribe.
 func (p *worldPub) Subscribe() (id int, ch <-chan []byte, initial []byte, err error) {
 	w := p.cur.Load()
-	if w == nil {
-		return 0, nil, nil, p.errNotReady
-	}
 	id, c, ok := p.hub.add()
 	if !ok {
 		return 0, nil, nil, p.errClosed

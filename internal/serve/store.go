@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dgs"
 	"dgs/internal/core"
 	"dgs/internal/frames"
 	"dgs/internal/linkbudget"
@@ -107,72 +108,39 @@ type Store struct {
 	cfg StoreConfig
 	worldPub
 
-	ip       *core.IncrementalPlanner
-	tles     []tle.TLE
-	fc       *weather.Forecast
-	buildErr error
-	closed   bool
-
-	ready chan struct{} // closed once the first world (or buildErr) lands
+	ip     *core.IncrementalPlanner
+	tles   []tle.TLE
+	fc     *weather.Forecast
+	closed bool
 }
 
 // NewStore builds a store over a loaded snapshot, synchronously building
-// the first world (epoch 1) — including its live plan — before returning.
+// the first world (epoch 1) — including its live plan — before returning,
+// so every reader finds a world.
 func NewStore(snap *Snapshot, cfg StoreConfig) *Store {
-	s := newStoreShell(cfg)
-	s.publishInitial(snap)
-	return s
-}
-
-// OpenStore builds the first world asynchronously: the store is returned
-// immediately and Acquire fails (and /v2/readyz reports 503) until load
-// and the initial plan build finish. Ready unblocks either way; Err
-// reports a failed load.
-func OpenStore(load func() (*Snapshot, error), cfg StoreConfig) *Store {
-	s := newStoreShell(cfg)
-	go func() {
-		snap, err := load()
-		if err != nil {
-			s.mu.Lock()
-			s.buildErr = err
-			s.mu.Unlock()
-			close(s.ready)
-			return
-		}
-		s.publishInitial(snap)
-	}()
-	return s
-}
-
-func newStoreShell(cfg StoreConfig) *Store {
 	cfg = cfg.withDefaults()
-	return &Store{
-		cfg:      cfg,
-		worldPub: newWorldPub("serve: store not ready", "serve: store closed"),
-		ready:    make(chan struct{}),
-	}
-}
-
-func (s *Store) publishInitial(snap *Snapshot) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ip, err := core.NewIncrementalPlanner(snap.planSnaps, snap.net, core.IncrementalConfig{
-		Start:         snap.cfg.Epoch,
-		Horizon:       s.cfg.PlanHorizon,
+	ip, err := core.NewIncrementalPlanner(snap.planSnaps, snap.sim.Stations, core.IncrementalConfig{
+		Start:         dgs.Start,
+		Horizon:       cfg.PlanHorizon,
 		Slot:          snap.cfg.Slot,
 		GenBitsPerSec: snap.genRate,
 		Radio:         snap.radio,
 		Forecast:      snap.fc,
-		Workers:       snap.cfg.Workers,
 	})
 	if err != nil {
-		s.buildErr = err
-		close(s.ready)
-		return
+		// NewIncrementalPlanner never fails today; an error would be a
+		// planner bug, not a property of the world.
+		panic(fmt.Sprintf("serve: initial plan: %v", err))
 	}
-	s.ip = ip
-	s.tles = append([]tle.TLE(nil), snap.tles...)
-	s.fc = snap.fc
+	s := &Store{
+		cfg:      cfg,
+		worldPub: newWorldPub("serve: store closed"),
+		ip:       ip,
+		tles:     append([]tle.TLE(nil), snap.sim.TLEs...),
+		fc:       snap.fc,
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.publishLocked(&World{
 		Epoch:        1,
 		Built:        time.Now(),
@@ -180,18 +148,7 @@ func (s *Store) publishInitial(snap *Snapshot) {
 		Plan:         ip.Plan(),
 		ChangedSlots: ip.LastChangedSlots(),
 	})
-	close(s.ready)
-}
-
-// Ready returns a channel closed once the first world is published (or
-// its build failed — check Err).
-func (s *Store) Ready() <-chan struct{} { return s.ready }
-
-// Err reports a failed initial build.
-func (s *Store) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.buildErr
+	return s
 }
 
 // HasNorad reports whether a satellite with the given catalog number is
@@ -283,9 +240,6 @@ func (s *Store) Apply(u Update) (ApplyResult, error) {
 		return ApplyResult{}, s.errClosed
 	}
 	old := s.cur.Load()
-	if old == nil {
-		return ApplyResult{}, s.errNotReady
-	}
 	if len(u.TLEs) == 0 && u.Weather == nil && len(u.AddStations) == 0 && len(u.RemoveStations) == 0 {
 		return ApplyResult{}, badUpdate("empty update: no tles, weather, or station changes")
 	}

@@ -26,9 +26,6 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request, st *endpo
 	case IsUpdateError(err):
 		writeError(w, http.StatusBadRequest, errInvalidArgument, err.Error())
 		return
-	case s.store.Current() == nil:
-		writeError(w, http.StatusServiceUnavailable, errNotReady, err.Error())
-		return
 	default:
 		st.errors.Add(1)
 		writeError(w, http.StatusServiceUnavailable, errNotReady, err.Error())

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"dgs"
 	"dgs/internal/dataset"
 	"dgs/internal/tle"
 )
@@ -27,10 +28,10 @@ func altTLE(t testing.TB, snap *Snapshot, i int, seed int64) tle.TLE {
 	alt := dataset.Satellites(dataset.SatelliteOptions{
 		N:     snap.Sats(),
 		Seed:  seed,
-		Epoch: snap.Config().Epoch,
+		Epoch: dgs.Start,
 	})
-	if alt[i].NoradID != snap.tles[i].NoradID {
-		t.Fatalf("dataset catalog numbers are not positional: %d vs %d", alt[i].NoradID, snap.tles[i].NoradID)
+	if alt[i].NoradID != snap.sim.TLEs[i].NoradID {
+		t.Fatalf("dataset catalog numbers are not positional: %d vs %d", alt[i].NoradID, snap.sim.TLEs[i].NoradID)
 	}
 	return alt[i]
 }
@@ -321,7 +322,7 @@ func TestV1WireFrozen(t *testing.T) {
 	if got := keysOf(rec.Body.Bytes()); !equalStrings(got, wantKeys) {
 		t.Fatalf("v1 passes keys = %v, want frozen %v", got, wantKeys)
 	}
-	epoch := snap.Config().Epoch
+	epoch := dgs.Start
 	want, err := marshalBody(passesWire(snap, passesQuery{sat: -1, gs: -1, from: epoch, to: epoch.Add(time.Hour)}))
 	if err != nil {
 		t.Fatal(err)
@@ -470,37 +471,16 @@ func TestFlightNeverMergesEpochs(t *testing.T) {
 	}
 }
 
+// TestReadyzLifecycle: NewStore publishes epoch 1 before it returns, so
+// the very first request to a server over it finds a world.
 func TestReadyzLifecycle(t *testing.T) {
-	unblock := make(chan struct{})
-	store := OpenStore(func() (*Snapshot, error) {
-		<-unblock
-		return testSnapshot(t), nil
-	}, StoreConfig{})
-	s := NewWithSource(store, Config{})
-	h := s.Handler()
-
+	h := NewWithSource(NewStore(testSnapshot(t), StoreConfig{}), Config{}).Handler()
 	rec := get(t, h, "/v2/readyz")
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("readyz while building = %d, want 503", rec.Code)
-	}
-	if code := decodeEnvelope(t, rec); code != errNotReady {
-		t.Fatalf("readyz code = %q, want %q", code, errNotReady)
-	}
-	if rec := get(t, h, "/v2/plan"); rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("v2 plan while building = %d, want 503", rec.Code)
-	}
-	if rec := get(t, h, "/v1/healthz"); rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("healthz while building = %d, want 503", rec.Code)
-	}
-
-	close(unblock)
-	<-store.Ready()
-	if err := store.Err(); err != nil {
-		t.Fatal(err)
-	}
-	rec = get(t, h, "/v2/readyz")
 	if rec.Code != http.StatusOK {
-		t.Fatalf("readyz after build = %d, want 200", rec.Code)
+		t.Fatalf("first readyz = %d, want 200", rec.Code)
+	}
+	if got := rec.Header().Get("X-World-Epoch"); got != "1" {
+		t.Fatalf("first readyz X-World-Epoch = %q, want 1", got)
 	}
 	var ready readyResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &ready); err != nil {
@@ -508,19 +488,6 @@ func TestReadyzLifecycle(t *testing.T) {
 	}
 	if !ready.Ready || ready.Epoch != 1 {
 		t.Fatalf("readyz = %+v, want ready at epoch 1", ready)
-	}
-
-	failed := OpenStore(func() (*Snapshot, error) {
-		return nil, fmt.Errorf("synthetic load failure")
-	}, StoreConfig{})
-	<-failed.Ready()
-	sf := NewWithSource(failed, Config{})
-	rec = get(t, sf.Handler(), "/v2/readyz")
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("readyz after failed build = %d, want 500", rec.Code)
-	}
-	if code := decodeEnvelope(t, rec); code != errInternal {
-		t.Fatalf("failed-build code = %q, want %q", code, errInternal)
 	}
 }
 

@@ -20,15 +20,6 @@ type Bitmap []uint64
 // NewBitmap returns a bitmap able to hold n satellites, all disallowed.
 func NewBitmap(n int) Bitmap { return make(Bitmap, (n+63)/64) }
 
-// AllowAll returns a bitmap with the first n bits set.
-func AllowAll(n int) Bitmap {
-	b := NewBitmap(n)
-	for i := 0; i < n; i++ {
-		b.Set(i, true)
-	}
-	return b
-}
-
 // Set changes bit i. Out-of-range indices grow the bitmap.
 func (b *Bitmap) Set(i int, allowed bool) {
 	for i/64 >= len(*b) {

@@ -66,16 +66,6 @@ func TestBitmapSetGetProperty(t *testing.T) {
 	}
 }
 
-func TestAllowAll(t *testing.T) {
-	b := AllowAll(259)
-	if b.Count() != 259 {
-		t.Fatalf("AllowAll count = %d", b.Count())
-	}
-	if b.Allowed(259) {
-		t.Fatal("bit beyond n set")
-	}
-}
-
 func TestStationAllows(t *testing.T) {
 	s := &Station{}
 	if !s.Allows(5) {
