@@ -80,11 +80,21 @@ fi
 # invalidated (a replaced propagator or *Station, a reassigned Forecast) —
 # no second per-slot cache beside it, no forecast setter that a plain
 # assignment could bypass, no range knob.
-if git grep -nE 'carriedSlot|planStream|rateSlot' -- internal/core/incremental.go; then
+if git grep -nE 'carriedSlot|epochFill|rateSlot' -- internal/core/incremental.go; then
     echo "incremental.go keeps no carried state of its own: Replan is PlanEpoch" >&2; exit 1
 fi
 if git grep -nE 'Scheduler\) SetForecast\(|sched\.SetForecast\(|MaxRangeKm' -- internal/core internal/passes ':!*_test.go'; then
     echo "assign Scheduler.Forecast (the scheduler notices a new one); the range cap is a constant" >&2; exit 1
+fi
+# One epoch fill: the carry + rate fan-out a Prefill starts ahead of time
+# is the one PlanEpoch starts itself, and PlanEpoch attaches to either —
+# one place in core starts goroutines (spawn), and carryPairs and rateSlot
+# are called from the fill, the fill's patch and Visibility, nowhere else.
+gofuncs=$(git grep -ho 'go func' -- internal/core ':!*_test.go' | wc -l)
+carries=$(git grep -ho '\.carryPairs(' -- internal/core ':!*_test.go' | wc -l)
+ratings=$(git grep -ho '\.rateSlot(' -- internal/core ':!*_test.go' | wc -l)
+if [ "$gofuncs" -gt 1 ] || [ "$carries" -ne 3 ] || [ "$ratings" -ne 3 ]; then
+    echo "internal/core has $gofuncs 'go func', $carries carryPairs and $ratings rateSlot call sites (want ≤ 1, 3, 3): Prefill and PlanEpoch share one epoch fill, do not copy it" >&2; exit 1
 fi
 # A carried edge is its key, EIRP − FSPL, quantized elevation and
 # clear-sky ladder rung — 15 B (core.TestCarriedEdgeBytes pins ≤ 16); the
@@ -177,7 +187,8 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # workers fill slots while the caller reduces each one as it lands, so
 # plans must not depend on the order fills finish in (Stream: reverse and shuffled fill orders ≡ one
 # worker), and the carry's shortcuts must cut exactly what they replace
-# (SinFloor, MaskTable, RangeSinEl: the azimuth-free elevation ≡ Look;
+# (SinFloor, MaskTable, RangeSinEl, TxVisible: the azimuth-free elevation
+# ≡ Look, in the carry and in the simulator's uplink-contact test;
 # ClearRates, Kernel: carried clear-sky rates ≡ the memo, never aliased;
 # Bidding: one station-bound Φ per plan; Reach: past a station's link
 # reach nothing closes, so the range cut drops only what Carry drops;
@@ -185,7 +196,11 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # station in range; TermsTable: the per-elevation path-terms table ≡
 # itu.SlantPath.Terms; EdgeBytes: a carried slot retains ≤ 16 B an edge;
 # FuzzCarry's seed corpus: a carried rung's clear-sky rate ≡ Rate under a
-# clear sky ≥ Rate under weather). Every position comes from one SGP4
+# clear sky ≥ Rate under weather). The simulator prefills each next epoch
+# while it steps (Prefill): a prefilled epoch ≡ a fresh scheduler's in any
+# claim order and at any worker count, a PlanEpoch that does not match the
+# prefill ≡ one that had none, and no prefill outlives the run or breaks a
+# checkpoint taken while it fills. Every position comes from one SGP4
 # kernel filled chunk-major over the pool: a fill ≡ the PropagateTo +
 # TEMEToECEF reference at any worker split (BitIdentical, MatchesScalar),
 # a block fill ≡ per-instant fills with hits shared (AtRange), a patched
@@ -193,7 +208,7 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # exactly where the state path errs (FuzzPropagate's seed corpus). (core
 # rolls the paper's 12 h horizon six times against six fresh schedulers
 # per pass, hence the explicit timeout.)
-go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky|Stream|SinFloor|RangeSinEl|ClearRates|Bidding|Reach|NearCovers|TermsTable|EdgeBytes|FuzzCarry|Prune|Reanchor|Incremental|InProgress|Workers|Visibility|SweepWindow|BitIdentical|MatchesScalar|AtRange|ReplaceProp|FuzzPropagate' \
+go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky|Stream|SinFloor|RangeSinEl|ClearRates|Bidding|Reach|NearCovers|TermsTable|EdgeBytes|FuzzCarry|Prune|Reanchor|Incremental|InProgress|Workers|Visibility|SweepWindow|BitIdentical|MatchesScalar|AtRange|ReplaceProp|FuzzPropagate|Prefill|TxVisible' \
     ./internal/passes ./internal/core ./internal/linkbudget ./internal/itu ./internal/frames ./internal/spatial ./internal/sim ./internal/poscache ./internal/sgp4
 
 echo "== go test -race (parallel pipeline + session + serving layers)"
@@ -209,13 +224,17 @@ echo "== go test -race (parallel pipeline + session + serving layers)"
 # spatial and sgp4 sit under every propagation worker; serve now also
 # hosts the federation suite (shard sessions, merge rebuilds, and the
 # seeded chaos kill/rejoin convergence run). optimize fans whole sim
-# runs over the pool with a shared memo cache. core's streamed reducer is
-# the newest racer: the caller weighs, matches and drains slot k — reading
+# runs over the pool with a shared memo cache. core's streamed reducer
+# races its fill: the caller weighs, matches and drains slot k — reading
 # the edges and rates a worker just wrote, handed over on the readiness
 # channel — while other workers still carry and rate later slots, read the
 # carried per-instant slices earlier epochs built, and write their own
 # slots' rate buffers; fresh instants are published to the carried map only
-# after the last fill.
+# after the last fill. The prefill is the newest racer: its goroutines
+# carry and rate the next epoch under the forecast they were started with,
+# writing rate buffers while the caller steps the simulator (pruning and
+# reading the shared position cache), and the next PlanEpoch reads those
+# buffers only through the same readiness channel, or after waiting.
 go test -race ./internal/passes ./internal/sim ./internal/core ./internal/pool ./internal/poscache ./internal/linkbudget \
     ./internal/session ./internal/backend ./internal/proto ./internal/faultnet ./internal/serve ./internal/spatial \
     ./internal/sgp4 ./internal/optimize

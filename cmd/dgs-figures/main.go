@@ -17,6 +17,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"dgs"
@@ -25,8 +26,11 @@ import (
 	"dgs/internal/sim"
 )
 
+// figures are the -fig values: one figure, the summary, or all of them.
+var figures = []string{"2", "3a", "3b", "3c", "summary", "all"}
+
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 2, 3a, 3b, 3c, summary, all")
+	fig := flag.String("fig", "all", "figure to regenerate: "+strings.Join(figures, ", "))
 	days := flag.Int("days", 2, "simulated days per system")
 	seed := cliutil.SeedFlag("population and weather")
 	csvDir := flag.String("csv", "", "directory to write CDF CSVs into (optional)")
@@ -37,6 +41,10 @@ func main() {
 	cliutil.PositiveInt("days", *days)
 	cliutil.PositiveInt("sats", *sats)
 	cliutil.PositiveInt("stations", *stations)
+	want := strings.ToLower(*fig)
+	if !slices.Contains(figures, want) {
+		cliutil.Failf("invalid -fig: %q (want one of %s)", *fig, strings.Join(figures, ", "))
+	}
 
 	opt := dgs.Options{
 		Days:       *days,
@@ -52,7 +60,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	want := strings.ToLower(*fig)
 	has := func(f string) bool { return want == "all" || want == f }
 
 	if has("2") {

@@ -17,7 +17,7 @@
 // From-scratch planning carries every slot, a rolling epoch only the new
 // tail, a new forecast nothing, and a changed propagator or station only
 // its pairs in the instants already carried: one path, which works out
-// from its own inputs what to carry and what to rate (planCarried). The
+// from its own inputs what to carry and what to rate (newFill). The
 // incremental planner is that path at a fixed anchor (incremental.go);
 // Visibility is one instant of it, carried afresh.
 
@@ -25,7 +25,6 @@ package core
 
 import (
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"dgs/internal/astro"
@@ -162,8 +161,8 @@ func exact[S ~[]E, E any](s S) S {
 	return out
 }
 
-// rateSlot rates a slot's carried edges under the forecast for instant t
-// issued lead earlier (clear sky without a forecast) into dst, aligned with
+// rateSlot rates a slot's carried edges under the forecast fc for instant
+// t issued lead earlier (clear sky when fc is nil) into dst, aligned with
 // cs.keys and grown when too small. A rate of zero or less means the link
 // does not close at this lead: the reduction and Visibility skip the edge.
 //
@@ -171,7 +170,7 @@ func exact[S ~[]E, E any](s S) S {
 // every edge without a forecast — takes its carried rung's rate: the rate
 // of the rung Carry found under that sky, through Rate's own channel
 // product and cap, so the same bits Rate would return.
-func (s *Scheduler) rateSlot(dst []float64, cs *carriedSlot, t time.Time, lead time.Duration, ws *workerScratch) []float64 {
+func (s *Scheduler) rateSlot(dst []float64, cs *carriedSlot, t time.Time, lead time.Duration, fc *weather.Forecast, ws *workerScratch) []float64 {
 	n := len(cs.keys)
 	if cap(dst) < n {
 		// Headroom: the slot a buffer serves moves on by one epoch's
@@ -186,7 +185,7 @@ func (s *Scheduler) rateSlot(dst []float64, cs *carriedSlot, t time.Time, lead t
 	nGs := len(s.Stations)
 	// The lead-independent field samples come from the shared per-instant
 	// cache (hot across overlapping epochs); the per-lead blend is cheap.
-	comp := s.fcComponents(t)
+	comp := s.fcComponents(fc, t)
 	if comp == nil {
 		for x, key := range cs.keys {
 			dst[x] = kern.ClearRate(&sites[uint32(key)%uint32(nGs)], cs.rung[x])
@@ -203,7 +202,7 @@ func (s *Scheduler) rateSlot(dst []float64, cs *carriedSlot, t time.Time, lead t
 	for x, key := range cs.keys {
 		j := uint32(key) % uint32(nGs)
 		if !known[j] {
-			b := s.Forecast.BlendAtLead(comp[2*j], comp[2*j+1], lead)
+			b := fc.BlendAtLead(comp[2*j], comp[2*j+1], lead)
 			sky[j] = kern.Weather(linkbudget.Conditions{RainMmH: b.RainMmH, CloudKgM2: b.CloudKgM2})
 			known[j] = true
 		}
@@ -231,7 +230,7 @@ func (s *Scheduler) Visibility(sats []SatSnapshot, t time.Time, lead time.Durati
 	positions := s.positionCache(sats)
 	var ws workerScratch
 	cs := s.carryPairs(positions, t, nil, nil, &ws)
-	rates := s.rateSlot(nil, cs, t, lead, &ws)
+	rates := s.rateSlot(nil, cs, t, lead, s.Forecast, &ws)
 	stSites, at := s.stationSites(), positions.At(t)
 	_, _, reach := s.rateKernel()
 	nGs := len(s.Stations)
@@ -261,13 +260,14 @@ type rateKey struct {
 	fc   *weather.Forecast
 }
 
-// planCarried is PlanEpoch once its arguments are resolved. It brings the
-// scheduler's carried state to cover the n slots from start — in one
-// streamed fan-out that carries each instant not carried yet, patches each
-// carried one whose satellites or stations changed (diffCarried), and
-// rates each slot whose rateKey changed, into per-slot buffers reused
-// across epochs — and reduces each slot as soon as it is filled.
-func (s *Scheduler) planCarried(sats []SatSnapshot, positions *poscache.Cache, start time.Time, n int, slotDur time.Duration, genBitsPerSec float64) *Plan {
+// newFill builds the fill of the n slots from start (epochFill): it
+// brings the scheduler's carried state to cover them — carrying each
+// instant not carried yet, patching each carried one whose satellites or
+// stations changed (diffCarried), and rating each slot whose rateKey
+// changed, into per-slot buffers reused across epochs — under the current
+// Forecast, which it captures. It runs on the caller with no fill in
+// flight; the fill itself runs wherever spawn and reduce put it.
+func (s *Scheduler) newFill(positions *poscache.Cache, start time.Time, n int, slotDur time.Duration) *epochFill {
 	// Another position cache, or another station count (packed keys
 	// renumbered), strands every carried edge.
 	s.lastReused = s.carried != nil && s.carriedPos == positions && len(s.carriedNet) == len(s.Stations)
@@ -285,8 +285,7 @@ func (s *Scheduler) planCarried(sats []SatSnapshot, positions *poscache.Cache, s
 		}
 	}
 
-	instant := func(k int) time.Time { return start.Add(time.Duration(k) * slotDur) }
-	slots := make([]*carriedSlot, n)
+	f := &epochFill{start: start, n: n, slotDur: slotDur, positions: positions, fc: s.Forecast, slots: make([]*carriedSlot, n)}
 	for len(s.rates) < n {
 		s.rates = append(s.rates, nil)
 		s.ratedAs = append(s.ratedAs, rateKey{})
@@ -296,20 +295,23 @@ func (s *Scheduler) planCarried(sats []SatSnapshot, positions *poscache.Cache, s
 	// batched fill, which streams the propagation coefficients across all
 	// of them, before the fan-out reads them one by one.
 	var fresh []time.Time
-	for k := range slots {
-		if slots[k] = s.carried[instant(k).UnixNano()]; slots[k] == nil {
-			fresh = append(fresh, instant(k))
+	for k := range f.slots {
+		if f.slots[k] = s.carried[f.instant(k).UnixNano()]; f.slots[k] == nil {
+			fresh = append(fresh, f.instant(k))
 		}
 	}
 	positions.AtRange(fresh)
+	// Built before any worker reads them.
+	s.stationSites()
+	s.rateKernel()
 
 	// Carrying, patching and rating depend only on time, never on the
 	// evolving queue state, so they stream over the worker pool; every
 	// worker writes only its own slot's entries.
-	rates, ratedAs, fc := s.rates[:n], s.ratedAs[:n], s.Forecast
-	var changed atomic.Int64
-	plan := s.planStream(sats, start, slotDur, genBitsPerSec, slots, rates, func(k int, ws *workerScratch) {
-		t := instant(k)
+	slots, rates, ratedAs, fc := f.slots, s.rates[:n], s.ratedAs[:n], f.fc
+	f.rates = rates
+	f.fill = func(k int, ws *workerScratch) {
+		t := f.instant(k)
 		lead, cs := t.Sub(start), slots[k]
 		keep := cs != nil && ratedAs[k] == rateKey{cs, lead, fc}
 		patched := false
@@ -326,26 +328,33 @@ func (s *Scheduler) planCarried(sats []SatSnapshot, positions *poscache.Cache, s
 				// stand and only the re-carried ones are rated; otherwise
 				// the whole slot is rated below.
 				if keep {
-					cs, rates[k] = mergeCarried(cs, re, dirty, true, rates[k], s.rateSlot(nil, re, t, lead, ws))
+					cs, rates[k] = mergeCarried(cs, re, dirty, true, rates[k], s.rateSlot(nil, re, t, lead, fc, ws))
 				} else {
 					cs, _ = mergeCarried(cs, re, dirty, false, nil, nil)
 				}
 			}
 		}
 		if !keep {
-			rates[k] = s.rateSlot(rates[k], cs, t, lead, ws)
+			rates[k] = s.rateSlot(rates[k], cs, t, lead, fc, ws)
 		}
 		slots[k], ratedAs[k] = cs, rateKey{cs, lead, fc}
 		if patched || !keep {
-			changed.Add(1)
+			f.changed.Add(1)
 		}
-	})
-	// Read and published once the last fill is done: no worker reads the map.
-	s.lastChanged = int(changed.Load())
-	for k, cs := range slots {
-		s.carried[instant(k).UnixNano()] = cs
 	}
-	return plan
+	return f
+}
+
+// instant is slot k's start.
+func (f *epochFill) instant(k int) time.Time { return f.start.Add(time.Duration(k) * f.slotDur) }
+
+// publish records a finished fill: its changed-slot count, and its slots
+// in the carried map, which no worker reads.
+func (s *Scheduler) publish(f *epochFill) {
+	s.lastChanged = int(f.changed.Load())
+	for k, cs := range f.slots {
+		s.carried[f.instant(k).UnixNano()] = cs
+	}
 }
 
 // diffCarried compares the propagators and stations the carried instants

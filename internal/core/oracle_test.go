@@ -116,7 +116,7 @@ func (s sweepSched) PlanEpoch(sats []SatSnapshot, start time.Time, horizon, slot
 	rates := make([][]float64, n)
 	var mu sync.Mutex
 	views := make(map[*workerScratch]*linkbudget.MemoView)
-	return s.planStream(sats, start, slotDur, genBitsPerSec, slots, rates, func(k int, ws *workerScratch) {
+	return s.stream(sats, start, slotDur, genBitsPerSec, slots, rates, func(k int, ws *workerScratch) {
 		mu.Lock()
 		view := views[ws]
 		if view == nil {

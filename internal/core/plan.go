@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"dgs/internal/match"
+	"dgs/internal/poscache"
+	"dgs/internal/weather"
 )
 
 // Assignment is one scheduled link in one slot.
@@ -262,102 +264,218 @@ func (wt *weigher) add(g *match.Graph, sat *SatSnapshot, i, j int, rateBps float
 // cross product — and computes look angles only for the instants no
 // earlier epoch covered, then re-rates every slot's carried edges at its
 // new lead. Both depend only on time, never on the evolving queue state,
-// so they fan out over the worker pool in slot order; the queue-dependent
-// graph weighting, matching, and drain run on the calling goroutine as a
-// streamed reduction — slot k as soon as it is rated, while later slots
-// are still being carried and rated — over one reusable graph with
-// warm-started matching scratch. The produced plan is bit-identical to a
-// fresh scheduler's for any worker count, any order in which the slots
-// finish, and any order of starts — and to the plan of an exhaustive
-// per-slot sweep rated through the attenuation memo, the reference the
-// tests hold the carry and the rate pass to.
+// so they are the epoch's fill, which fans out over the worker pool in
+// slot order; the queue-dependent graph weighting, matching, and drain run
+// on the calling goroutine as a streamed reduction — slot k as soon as it
+// is filled, while later slots are still being carried and rated — over
+// one reusable graph with warm-started matching scratch.
+//
+// When a Prefill of this epoch is in flight — same start, slot count and
+// slot length, and nothing changed since: the same Forecast and position
+// cache, no propagator or station replaced — PlanEpoch attaches to it: it
+// adds its remaining workers to the prefill's and reduces the slots it
+// already filled. Any other prefill is waited for and what it carried kept
+// before this epoch's own fill starts. The produced plan is bit-identical
+// to a fresh scheduler's for any worker count, any order in which the
+// slots finish, any order of starts and any prefill — and to the plan of
+// an exhaustive per-slot sweep rated through the attenuation memo, the
+// reference the tests hold the carry and the rate pass to.
 func (s *Scheduler) PlanEpoch(sats []SatSnapshot, start time.Time, horizon, slotDur time.Duration, genBitsPerSec float64) *Plan {
+	n, slotDur := epochSlots(horizon, slotDur)
+	positions := s.positionCache(sats)
+	f := s.ahead
+	if f == nil || !s.attaches(f, positions, start, n, slotDur) {
+		s.WaitPrefill()
+		f = nil
+	}
+	s.ahead = nil
+	// The clock only moves forward, so instants before this epoch can
+	// never be requested again: prune them from the shared position cache.
+	// A prefill attached to only reads instants from start on.
+	positions.Prune(start)
+	s.pruneForecast(start)
+	if f == nil {
+		f = s.newFill(positions, start, n, slotDur)
+	}
+	if workers := s.fillWorkers(n); workers > 1 {
+		s.spawn(f, workers)
+	}
+	plan := s.reduce(f, sats, genBitsPerSec)
+	s.publish(f)
+	return plan
+}
+
+// Prefill starts the fill of the epoch PlanEpoch(…, start, horizon,
+// slotDur, …) would plan — its carry, patch and rate, everything but the
+// queue-dependent reduction — on Workers−1 goroutines, and returns at
+// once: the caller, which has other work until that epoch is due, is the
+// last worker, added when PlanEpoch attaches. The simulator prefills the
+// next epoch as soon as each plan is returned, so the fill overlaps the
+// steps in between. At one worker it does nothing, so a one-worker
+// scheduler never starts a goroutine.
+//
+// The fill takes the Forecast, the position cache, the stations and the
+// propagators as they are now. A PlanEpoch that does not match them waits
+// for the prefill and plans as it would have without one (the carried
+// instants and rates it finished are kept where they still stand), as do
+// SetStations and WaitPrefill. Replacing a propagator in the shared
+// position cache, or assigning Stations, while a prefill runs is the
+// caller's race: do either after WaitPrefill.
+func (s *Scheduler) Prefill(start time.Time, horizon, slotDur time.Duration) {
+	s.WaitPrefill()
+	n, slotDur := epochSlots(horizon, slotDur)
+	positions := s.Positions
+	if positions == nil {
+		s.mu.Lock()
+		positions = s.pos
+		s.mu.Unlock()
+	}
+	workers := s.fillWorkers(n)
+	if positions == nil || workers < 2 {
+		return
+	}
+	s.ahead = s.newFill(positions, start, n, slotDur)
+	s.spawn(s.ahead, workers-1)
+}
+
+// WaitPrefill returns once no prefill is in flight, keeping what it
+// carried and rated for the epochs that still need it. The simulator calls
+// it before a run's last return, so no fill goroutine outlives the run.
+func (s *Scheduler) WaitPrefill() {
+	f := s.ahead
+	if f == nil {
+		return
+	}
+	s.ahead = nil
+	f.wg.Wait()
+	for range f.n {
+		<-f.filled
+	}
+	s.publish(f)
+}
+
+// epochSlots resolves an epoch's slot count and slot length.
+func epochSlots(horizon, slotDur time.Duration) (int, time.Duration) {
 	if slotDur <= 0 {
 		slotDur = time.Minute
 	}
-	n := int(horizon / slotDur)
-	if n < 1 {
-		n = 1
-	}
-	// The clock only moves forward, so instants before this epoch can
-	// never be requested again: prune them from the shared position cache.
-	positions := s.positionCache(sats)
-	positions.Prune(start)
-	s.pruneForecast(start)
-	return s.planCarried(sats, positions, start, n, slotDur, genBitsPerSec)
+	return max(int(horizon/slotDur), 1), slotDur
 }
 
-// planStream is the one planning fan-out, behind every plan: it runs
-// fill(k, ws) for each slot k in [0, len(slots)) on Workers goroutines,
-// which claim slots in ascending order (ws is the claiming worker's private
-// scratch), and reduces slot k on the calling goroutine as soon as fill(k)
-// has returned, while later slots are still being filled. fill must leave
-// slot k's edges in slots[k] and their rates in rates[k] and write nothing
-// else that another fill or the reduction reads; its work must depend only
-// on k. The reduction consumes the slots strictly in order, so the plan is
-// the same for any worker count and any order the fills finish in. At one
-// worker no goroutine starts: each slot is filled, then reduced, inline.
+// fillWorkers is the number of goroutines that fill an epoch of n slots.
+func (s *Scheduler) fillWorkers(n int) int {
+	return max(min(s.workers(), n), 1)
+}
+
+// epochFill is one epoch's fill in flight: fill(k, ws) for each slot k in
+// [0, n) leaves slot k's edges in slots[k] and their rates in rates[k] and
+// writes nothing else that another fill or the reduction reads; its work
+// depends only on k (newFill builds it, carry.go). Worker goroutines claim
+// the slots in ascending order off one counter, however many join and
+// whenever they do (ws is the claiming worker's private scratch), and post
+// each finished slot on filled. The reduction consumes the slots strictly
+// in order, so the plan is the same for any worker count, any order the
+// fills finish in, and any head start a Prefill gave them.
+type epochFill struct {
+	start     time.Time
+	n         int
+	slotDur   time.Duration
+	positions *poscache.Cache
+	fc        *weather.Forecast
+	slots     []*carriedSlot
+	rates     [][]float64
+	fill      func(k int, ws *workerScratch)
+
+	order   []int // claim order (Scheduler.fillOrder), or nil for ascending
+	next    atomic.Int64
+	workers int // goroutines started
+	wg      sync.WaitGroup
+	filled  chan int
+	changed atomic.Int64 // slots patched or re-rated
+}
+
+// attaches reports whether PlanEpoch(start, n slots of slotDur) over
+// positions may take over the prefill f: the same epoch, and nothing it
+// was filled from has changed since.
+func (s *Scheduler) attaches(f *epochFill, positions *poscache.Cache, start time.Time, n int, slotDur time.Duration) bool {
+	return f.start.Equal(start) && f.n == n && f.slotDur == slotDur &&
+		f.positions == positions && f.fc == s.Forecast &&
+		slices.Equal(positions.Props(), s.carriedProps) && slices.Equal(s.Stations, s.carriedNet)
+}
+
+// spawn brings f's fill goroutines up to workers. A fill none was spawned
+// for is filled by reduce itself, inline: PlanEpoch spawns none at one
+// worker.
 //
-// Readiness — a channel the workers post finished slots on, and the
-// caller's record of the ones that arrived early — lives on the scheduler
+// Readiness — the channel the workers post finished slots on, and the
+// reducer's record of the ones that arrived early — lives on the scheduler
 // and is reused across plans: warm, the stream allocates nothing per slot.
-func (s *Scheduler) planStream(sats []SatSnapshot, start time.Time, slotDur time.Duration, genBitsPerSec float64, slots []*carriedSlot, rates [][]float64, fill func(k int, ws *workerScratch)) *Plan {
-	n := len(slots)
-	s.stationSites()
-	s.rateKernel()
-	workers := max(min(s.workers(), n), 1)
-	for len(s.scr) < workers {
-		s.scr = append(s.scr, workerScratch{})
+func (s *Scheduler) spawn(f *epochFill, workers int) {
+	if f.workers == 0 {
+		if cap(s.filled) < f.n {
+			// Room for every slot, so no worker ever waits on the
+			// caller; empty again once the last slot is received.
+			s.filled = make(chan int, f.n)
+		}
+		f.filled = s.filled
+		if s.fillOrder != nil {
+			f.order = s.fillOrder(f.n)
+		}
 	}
-	r := s.newReducer(sats, start, slotDur, n, genBitsPerSec)
-	if workers == 1 {
+	for ; f.workers < workers; f.workers++ {
+		f.wg.Add(1)
+		go func(ws *workerScratch) {
+			defer f.wg.Done()
+			for {
+				k := int(f.next.Add(1) - 1)
+				if k >= f.n {
+					return
+				}
+				if f.order != nil {
+					k = f.order[k]
+				}
+				f.fill(k, ws)
+				f.filled <- k
+			}
+		}(s.scratch(f.workers))
+	}
+}
+
+// scratch returns worker w's scratch, persisting across plans. Pointers,
+// so growing the set never moves one a running worker holds.
+func (s *Scheduler) scratch(w int) *workerScratch {
+	for len(s.scr) <= w {
+		s.scr = append(s.scr, new(workerScratch))
+	}
+	return s.scr[w]
+}
+
+// reduce reduces f's slots into a plan on the calling goroutine, each as
+// soon as it is filled, and returns once every fill goroutine is done. With
+// no goroutine started it fills each slot, then reduces it, inline.
+func (s *Scheduler) reduce(f *epochFill, sats []SatSnapshot, genBitsPerSec float64) *Plan {
+	n := f.n
+	r := s.newReducer(sats, f.start, f.slotDur, n, genBitsPerSec)
+	if f.workers == 0 {
+		ws := s.scratch(0)
 		for k := range n {
-			fill(k, &s.scr[0])
-			r.slot(slots[k].keys, rates[k])
+			f.fill(k, ws)
+			r.slot(f.slots[k].keys, f.rates[k])
 		}
 		return r.finish()
-	}
-
-	// filled holds room for every slot, so no worker ever waits on the
-	// caller, and it is empty again once the last slot is received.
-	if cap(s.filled) < n {
-		s.filled = make(chan int, n)
 	}
 	if len(s.early) < n {
 		s.early = make([]bool, n)
 	}
-	filled, early := s.filled, s.early[:n]
-	var order []int
-	if s.fillOrder != nil {
-		order = s.fillOrder(n)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := range workers {
-		go func(ws *workerScratch) {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1) - 1)
-				if k >= n {
-					return
-				}
-				if order != nil {
-					k = order[k]
-				}
-				fill(k, ws)
-				filled <- k
-			}
-		}(&s.scr[w])
-	}
+	early := s.early[:n]
 	for k := 0; k < n; {
-		early[<-filled] = true
+		early[<-f.filled] = true
 		for ; k < n && early[k]; k++ {
 			early[k] = false
-			r.slot(slots[k].keys, rates[k])
+			r.slot(f.slots[k].keys, f.rates[k])
 		}
 	}
-	wg.Wait()
+	f.wg.Wait()
 	return r.finish()
 }
 

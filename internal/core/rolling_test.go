@@ -337,12 +337,12 @@ func TestRollingRatePassAllocFree(t *testing.T) {
 	if cs == nil || len(cs.keys) == 0 {
 		t.Skip("no carried edges at the chosen instant")
 	}
-	ws := &s.scr[0]
-	dst := s.rateSlot(nil, cs, at, 47*time.Minute, ws)
+	ws := s.scr[0]
+	dst := s.rateSlot(nil, cs, at, 47*time.Minute, s.Forecast, ws)
 	lead := time.Duration(0)
 	allocs := testing.AllocsPerRun(100, func() {
 		lead += time.Minute
-		dst = s.rateSlot(dst, cs, at, lead, ws)
+		dst = s.rateSlot(dst, cs, at, lead, s.Forecast, ws)
 	})
 	if allocs > 0 {
 		t.Fatalf("warm rate pass allocates %.1f times per slot, want 0", allocs)

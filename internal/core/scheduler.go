@@ -64,9 +64,10 @@ type Scheduler struct {
 	// Workers bounds the planning worker pool: PlanEpoch's per-slot carry
 	// and rate passes run on this many goroutines while the calling
 	// goroutine reduces each slot (weighting, matching, queue drain) as
-	// soon as it is rated. One runs everything on the caller, starting no
-	// goroutine. <= 0 means GOMAXPROCS. The produced plan is bit-identical
-	// for any worker count.
+	// soon as it is rated; Prefill starts all but one of them ahead of
+	// time. One runs everything on the caller, starting no goroutine, and
+	// makes Prefill a no-op. <= 0 means GOMAXPROCS. The produced plan is
+	// bit-identical for any worker count.
 	Workers int
 	// Positions, when non-nil, is the shared satellite position cache
 	// (typically owned by the simulator so the scheduler and the sim
@@ -80,13 +81,16 @@ type Scheduler struct {
 	// Single-threaded PlanEpoch scratch: the reusable matching graph with
 	// its aligned edge-weight buffer, the stable-matching scratch, the
 	// per-worker scratch of the slot fan-out, and the stream's readiness
-	// state (planStream).
+	// state (spawn, reduce).
 	planG    *match.Graph
 	matchScr match.Scratch
 	wbuf     []float64
-	scr      []workerScratch
+	scr      []*workerScratch
 	filled   chan int
 	early    []bool
+	// ahead is the epoch fill Prefill started, until a PlanEpoch attaches
+	// to it or it is waited for.
+	ahead *epochFill
 	// fillOrder, when set, permutes the order in which the stream's
 	// workers claim slots (order[i] is the i-th claimed): tests make the
 	// slots finish out of order with it.
@@ -156,8 +160,10 @@ func (s *Scheduler) SetPlanVersion(v int) { s.nextVersion = v }
 // re-carries the pairs of each station whose *Station changed and keeps
 // the rest. A network of another length renumbers the packed keys, and
 // the next PlanEpoch carries every instant afresh.
-// The caller must not be running PlanEpoch concurrently.
+// It first waits for any prefill in flight. The caller must not be
+// running PlanEpoch concurrently.
 func (s *Scheduler) SetStations(net station.Network) {
+	s.WaitPrefill()
 	s.Stations = net
 	s.mu.Lock()
 	s.stSites = nil
@@ -205,12 +211,13 @@ func (s *Scheduler) rateKernel() (*linkbudget.Kernel, []linkbudget.Site, []float
 }
 
 // fcComponents returns the per-station forecast components (truth and
-// error-field samples) of Forecast for an instant, computing and caching
-// the whole station set on first request. The returned slice is immutable
+// error-field samples) of fc for an instant, computing and caching the
+// whole station set on first request. The returned slice is immutable
 // after publication, so concurrent slots touching the same instant are
-// safe. Returns nil when no forecast is configured (clear sky).
-func (s *Scheduler) fcComponents(t time.Time) []weather.Sample {
-	fc := s.Forecast
+// safe. Returns nil when fc is nil (clear sky). fc is the caller's, never
+// read off Forecast here: a prefill's workers rate under the forecast it
+// captured while the caller may assign another.
+func (s *Scheduler) fcComponents(fc *weather.Forecast, t time.Time) []weather.Sample {
 	if fc == nil {
 		return nil
 	}

@@ -128,6 +128,16 @@ func TestStreamAdversarialOrderIncremental(t *testing.T) {
 	}
 }
 
+// stream runs fill over the given slots through PlanEpoch's fan-out and
+// reduction — spawn, then reduce — with no carried state behind it.
+func (s *Scheduler) stream(sats []SatSnapshot, start time.Time, slotDur time.Duration, genBitsPerSec float64, slots []*carriedSlot, rates [][]float64, fill func(k int, ws *workerScratch)) *Plan {
+	f := &epochFill{start: start, n: len(slots), slotDur: slotDur, slots: slots, rates: rates, fill: fill}
+	if workers := s.fillWorkers(f.n); workers > 1 {
+		s.spawn(f, workers)
+	}
+	return s.reduce(f, sats, genBitsPerSec)
+}
+
 // goroutineID returns the calling goroutine's number from its stack header.
 func goroutineID() string {
 	buf := make([]byte, 64)
@@ -135,9 +145,10 @@ func goroutineID() string {
 }
 
 // TestStreamReducesOnCaller: every slot is matched on the goroutine that
-// called PlanEpoch, and at one worker no other goroutine is alive while it
-// is — the per-request /v1/plan scheduler stays single-goroutine. The
-// matcher is the one hook the reduction calls per slot.
+// called PlanEpoch, a prefilled epoch's too, and at one worker no other
+// goroutine is alive while it is, nor after a Prefill — the per-request
+// /v1/plan scheduler stays single-goroutine. The matcher is the one hook
+// the reduction calls per slot.
 func TestStreamReducesOnCaller(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		s, sats := smallWorld(t, 16, 32)
@@ -155,12 +166,20 @@ func TestStreamReducesOnCaller(t *testing.T) {
 			return scr.Stable(g)
 		}
 		before := runtime.NumGoroutine()
-		plan := s.PlanEpoch(sats, epoch, time.Hour, time.Minute, rollingGen)
+		planned := 0
+		for _, start := range []time.Time{epoch, epoch.Add(30 * time.Minute)} {
+			planned += len(s.PlanEpoch(sats, start, time.Hour, time.Minute, rollingGen).Slots)
+			s.Prefill(start.Add(30*time.Minute), time.Hour, time.Minute)
+			if workers == 1 && (s.ahead != nil || runtime.NumGoroutine() > before) {
+				t.Fatalf("one worker: Prefill started a fill, %d goroutines alive, %d before planning", runtime.NumGoroutine(), before)
+			}
+		}
+		s.WaitPrefill()
 		if len(elsewhere) > 0 {
 			t.Fatalf("workers=%d: %d slots reduced on goroutines %v, not the caller's %s", workers, len(elsewhere), elsewhere, caller)
 		}
-		if slots != len(plan.Slots) {
-			t.Fatalf("workers=%d: %d slots matched, plan has %d", workers, slots, len(plan.Slots))
+		if slots != planned {
+			t.Fatalf("workers=%d: %d slots matched, plans have %d", workers, slots, planned)
 		}
 		if workers == 1 && alive > before {
 			t.Fatalf("one worker: %d goroutines alive while reducing, %d before planning", alive, before)
@@ -183,7 +202,7 @@ func TestPlanStreamAllocsIndependentOfSlots(t *testing.T) {
 			}
 			rates := make([][]float64, n)
 			stream := func() {
-				s.planStream(sats, epoch, time.Minute, rollingGen, slots, rates, func(int, *workerScratch) {})
+				s.stream(sats, epoch, time.Minute, rollingGen, slots, rates, func(int, *workerScratch) {})
 			}
 			stream()
 			return testing.AllocsPerRun(50, stream)
@@ -220,7 +239,7 @@ func TestReduceBiddingAllocsIndependentOfEdges(t *testing.T) {
 		t.Fatalf("%d rated edges over %d stations; not a meaningful comparison", edges, len(w.net))
 	}
 	reduce := func() {
-		s.planStream(w.sats, epoch, time.Minute, rollingGen, slots, rates, func(int, *workerScratch) {})
+		s.stream(w.sats, epoch, time.Minute, rollingGen, slots, rates, func(int, *workerScratch) {})
 	}
 	s.Value = BiddingValue{Inner: LatencyValue{}, Bids: map[int]float64{3: 2, 17: 0.5}}
 	reduce()

@@ -97,8 +97,11 @@ func (e *Engine) Step() error {
 // generated totals) and the conservation check. It is idempotent and
 // returns the same Result the run accumulated; like the pre-refactor loop
 // it returns both the partial Result and an error when conservation fails.
+// It first waits for the planner's prefill, if one is in flight, so no
+// planning goroutine outlives the run.
 func (e *Engine) Finalize() (*Result, error) {
 	w := e.w
+	w.sched.WaitPrefill()
 	if e.finalized {
 		return w.res, nil
 	}
@@ -117,7 +120,9 @@ func (e *Engine) Finalize() (*Result, error) {
 // Run drives the engine to completion. ctx is checked at every slot
 // boundary: cancellation stops the run cleanly between slots (never
 // mid-slot, so invariants hold) and returns an error wrapping ctx.Err().
+// Whichever way it returns, no planning goroutine is left running.
 func (e *Engine) Run(ctx context.Context) (*Result, error) {
+	defer e.w.sched.WaitPrefill()
 	for !e.Done() {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sim: canceled at %v: %w", e.w.now, err)

@@ -5,6 +5,12 @@ package sim
 // over the horizon. In the centralized baseline the new plan takes effect
 // everywhere immediately; in hybrid runs satellites keep flying their held
 // plans until the uplink stage delivers the new one at a TX contact.
+//
+// With the plan returned it prefills the next epoch (core.Scheduler.
+// Prefill): that epoch's carry and rate run on the spare workers while
+// the steps in between run here, and the next PlanEpoch only has the
+// queue-dependent reduction left to do on this goroutine. The plan is the
+// same bytes either way.
 type planStage struct{}
 
 func (planStage) name() string { return "plan" }
@@ -16,6 +22,9 @@ func (planStage) run(e *Engine) error {
 	}
 	w.latestPlan = w.sched.PlanEpoch(w.snapshot(w.now), w.now, w.cfg.PlanHorizon, w.cfg.Step, w.genRate)
 	w.nextPlan = w.now.Add(w.cfg.PlanEvery)
+	if w.nextPlan.Before(w.end) {
+		w.sched.Prefill(w.nextPlan, w.cfg.PlanHorizon, w.cfg.Step)
+	}
 	if !w.cfg.Hybrid {
 		// Centralized baseline: satellites always hold the latest plan.
 		for _, s := range w.sats {

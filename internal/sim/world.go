@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"dgs/internal/backend"
@@ -12,6 +13,7 @@ import (
 	"dgs/internal/proto"
 	"dgs/internal/satellite"
 	"dgs/internal/sgp4"
+	"dgs/internal/spatial"
 	"dgs/internal/station"
 	"dgs/internal/weather"
 
@@ -58,6 +60,9 @@ type World struct {
 	positions  *poscache.Cache
 	sched      *core.Scheduler
 	txStations station.Network
+	// txFloor is spatial.SinFloor of each TX station's elevation mask,
+	// aligned with txStations: txVisible rejects on the sine below it.
+	txFloor []float64
 	// topo is each station's precomputed look-angle basis, by station
 	// index: the per-step visibility tests would otherwise rebuild it for
 	// every (satellite, station) pair.
@@ -171,11 +176,7 @@ func newWorld(cfg Config) (*World, error) {
 	w.end = cfg.Start.Add(cfg.Duration)
 	w.nextPlan = cfg.Start
 	w.nextDayMark = cfg.Start.Add(24 * time.Hour)
-	w.txStations = cfg.Stations.TxStations()
-	w.topo = make([]frames.Topocentric, len(cfg.Stations))
-	for j, gs := range cfg.Stations {
-		w.topo[j] = frames.NewTopocentric(gs.Location)
-	}
+	w.indexStations(cfg.Stations)
 
 	w.assigns = make([]slotAssign, len(w.sats))
 	w.claims = make(map[int][]claim)
@@ -183,20 +184,45 @@ func newWorld(cfg Config) (*World, error) {
 	return w, nil
 }
 
+// indexStations precomputes the per-station geometry of the visibility
+// tests: every station's look-angle basis and the TX stations with their
+// elevation-sine floors.
+func (w *World) indexStations(net station.Network) {
+	w.txStations = net.TxStations()
+	w.txFloor = make([]float64, len(w.txStations))
+	for x, gs := range w.txStations {
+		w.txFloor[x] = spatial.SinFloor(gs.MinElevationRad)
+	}
+	w.topo = make([]frames.Topocentric, len(net))
+	for j, gs := range net {
+		w.topo[j] = frames.NewTopocentric(gs.Location)
+	}
+}
+
 // txVisible reports whether satellite i is above the elevation mask of some
 // transmit-capable station at the current slot (an uplink opportunity: plan
 // upload + cumulative acks on the low-rate S-band side channel). It reads
-// the slot's cached positions; the engine prologue must have run.
+// the slot's cached positions; the engine prologue must have run. The test
+// is Look's elevation against the mask, with the carry's shortcut: a sine
+// under the mask's floor fails it without the arcsine, and the azimuth is
+// never computed.
 func (w *World) txVisible(i int) bool {
 	if !w.ecefs[i].OK {
 		return false
 	}
-	for _, gs := range w.txStations {
-		if w.topo[gs.ID].Look(w.ecefs[i].Pos).ElevationRad > gs.MinElevationRad {
+	for x, gs := range w.txStations {
+		if _, sinEl := w.topo[gs.ID].RangeSinEl(w.ecefs[i].Pos); clearsMask(sinEl, w.txFloor[x], gs.MinElevationRad) {
 			return true
 		}
 	}
 	return false
+}
+
+// clearsMask reports whether the elevation whose clamped sine is sinEl is
+// above mask, floor being spatial.SinFloor(mask): math.Asin(sinEl) > mask,
+// skipping the arcsine where the floor already rules it out.
+func clearsMask(sinEl, floor, mask float64) bool {
+	return sinEl >= floor && math.Asin(sinEl) > mask
 }
 
 // snapshot assembles the scheduler's view of every satellite queue at time
