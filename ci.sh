@@ -148,6 +148,17 @@ if git grep -nE '^[[:space:]]+(AckDelay|ChunkBits|EventBits|UplinkRateBps|Radio|
     -- internal/sim internal/weather internal/orbit internal/optimize internal/backend ':!*_test.go'; then
     echo "these settings are constants: declare no config field for them" >&2; exit 1
 fi
+# Fixed pipelines are plain code: the simulator calls its five per-slot
+# steps in order (no stage interface), the optimizer's one Search runs
+# every strategy chain and owns the one strategy parser (no Searcher, no
+# front end spelling out the chained strategy), and Φ reads the station
+# from its EdgeContext (no per-station rebinding side door).
+if git grep -nE 'type stage interface' -- internal/sim ':!*_test.go' ||
+    git grep -nE 'Searcher interface' -- internal/optimize ':!*_test.go' ||
+    git grep -nE 'StationAware|WithStation\(' -- internal/core ':!*_test.go' ||
+    git grep -nF '"greedy+anneal"' -- '*.go' ':!internal/optimize' ':!*_test.go'; then
+    echo "fixed pipelines take no plug-in points: no sim stage interface, no optimize.Searcher, no core.StationAware, and strategy names parsed only in internal/optimize" >&2; exit 1
+fi
 
 echo "== go build"
 go build ./...
@@ -190,7 +201,7 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # (SinFloor, MaskTable, RangeSinEl, TxVisible: the azimuth-free elevation
 # ≡ Look, in the carry and in the simulator's uplink-contact test;
 # ClearRates, Kernel: carried clear-sky rates ≡ the memo, never aliased;
-# Bidding: one station-bound Φ per plan; Reach: past a station's link
+# Bidding: a station-priced Φ allocates exactly what its inner Φ does; Reach: past a station's link
 # reach nothing closes, so the range cut drops only what Carry drops;
 # NearCovers: the candidate disk a range cut shrinks still holds every
 # station in range; TermsTable: the per-elevation path-terms table ≡

@@ -19,10 +19,10 @@ import (
 	"os/signal"
 	"time"
 
+	"dgs"
 	"dgs/internal/backend"
 	"dgs/internal/cliutil"
 	"dgs/internal/core"
-	"dgs/internal/dataset"
 	"dgs/internal/linkbudget"
 	"dgs/internal/proto"
 	"dgs/internal/sgp4"
@@ -38,7 +38,13 @@ func main() {
 	readTimeout := flag.Duration("read-timeout", 0, "per-frame read deadline (default 90s; heartbeats keep idle stations alive)")
 	writeTimeout := flag.Duration("write-timeout", 0, "per-frame write deadline (default 10s)")
 	flag.Parse()
+	cliutil.PositiveInt("sats", *sats)
+	cliutil.PositiveInt("stations", *stations)
 	cliutil.Seed("seed", *seed)
+	cliutil.PositiveDuration("plan-every", *every)
+	cliutil.PositiveDuration("horizon", *horizon)
+	cliutil.NonNegativeDuration("read-timeout", *readTimeout)
+	cliutil.NonNegativeDuration("write-timeout", *writeTimeout)
 
 	srv := backend.NewServer(nil)
 	srv.Logf = log.Printf
@@ -50,8 +56,9 @@ func main() {
 	}
 	log.Printf("dgs-backend: listening on %s", addr)
 
-	// Build the scheduler over the synthetic population.
-	els := dataset.Satellites(dataset.SatelliteOptions{N: *sats, Seed: *seed})
+	// Build the scheduler over the synthetic population every binary
+	// draws for this seed.
+	els, net := dgs.Population(dgs.Options{Satellites: *sats, Stations: *stations, Seed: *seed})
 	snaps := make([]core.SatSnapshot, 0, len(els))
 	for _, el := range els {
 		p, err := sgp4.New(el)
@@ -62,7 +69,7 @@ func main() {
 	}
 	sched := &core.Scheduler{
 		Radio:    linkbudget.DefaultRadio(),
-		Stations: dataset.Stations(dataset.StationOptions{N: *stations, Seed: *seed}),
+		Stations: net,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -15,8 +15,8 @@ import (
 	"os"
 	"time"
 
+	"dgs"
 	"dgs/internal/cliutil"
-	"dgs/internal/dataset"
 	"dgs/internal/orbit"
 	"dgs/internal/sgp4"
 	"dgs/internal/trace"
@@ -46,8 +46,7 @@ func window(hours float64) time.Duration { return time.Duration(hours * float64(
 // window and writes its contact-geometry statistics to out. It returns an
 // error when the log fails the paper's anchors, after reporting why.
 func observe(out io.Writer, sats, stations int, hours float64, seed int64) error {
-	start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
-	els := dataset.Satellites(dataset.SatelliteOptions{N: sats, Seed: seed, Epoch: start})
+	els, net := dgs.Population(dgs.Options{Satellites: sats, Stations: stations, Seed: seed})
 	props := make([]orbit.Propagator, 0, len(els))
 	for _, el := range els {
 		p, err := sgp4.New(el)
@@ -56,8 +55,7 @@ func observe(out io.Writer, sats, stations int, hours float64, seed int64) error
 		}
 		props = append(props, p)
 	}
-	net := dataset.Stations(dataset.StationOptions{N: stations, Seed: seed})
-	log, err := trace.Collect(props, net, start, window(hours))
+	log, err := trace.Collect(props, net, dgs.Start, window(hours))
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"dgs/internal/dataset"
+	"dgs"
 	"dgs/internal/orbit"
 	"dgs/internal/sgp4"
 	"dgs/internal/trace"
@@ -31,17 +31,16 @@ func TestObservationCountMatchesCollect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
+	els, net := dgs.Population(dgs.Options{Satellites: sats, Stations: stations, Seed: seed})
 	var props []orbit.Propagator
-	for _, el := range dataset.Satellites(dataset.SatelliteOptions{N: sats, Seed: seed, Epoch: start}) {
+	for _, el := range els {
 		p, err := sgp4.New(el)
 		if err != nil {
 			t.Fatal(err)
 		}
 		props = append(props, p)
 	}
-	net := dataset.Stations(dataset.StationOptions{N: stations, Seed: seed})
-	log, err := trace.Collect(props, net, start, hours*time.Hour)
+	log, err := trace.Collect(props, net, dgs.Start, hours*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}

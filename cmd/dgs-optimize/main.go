@@ -8,7 +8,7 @@
 // Usage:
 //
 //	dgs-optimize -sats 40 -stations 25 -k 8
-//	dgs-optimize -stations 25 -k 8 -objective p90_latency -strategy greedy+anneal
+//	dgs-optimize -stations 25 -k 8 -objective p90_latency -strategy anneal
 //	dgs-optimize -stations 12 -candidates 6,7,8,9,10,11 -k 2 -json
 //
 // By default every receive-only station is a candidate and the
@@ -52,9 +52,9 @@ func main() {
 	k := flag.Int("k", 4, "number of candidate sites to select")
 	candList := flag.String("candidates", "", "comma-separated candidate station indices (default: every receive-only station)")
 	objective := flag.String("objective", "delivered_gb", "objective: delivered_gb, p90_latency")
-	strategy := flag.String("strategy", "greedy", "search strategy: greedy, anneal, greedy+anneal")
+	strategy := flag.String("strategy", "greedy", "search strategy: "+optimize.Strategies)
 	horizon := flag.Duration("horizon", 2*time.Hour, "evaluated span after the warm-start prefix")
-	warmup := flag.Duration("warmup", time.Hour, "shared warm-start prefix simulated once with all candidates off (0 disables sharing)")
+	warmup := flag.Duration("warmup", time.Hour, "shared warm-start prefix simulated once with all candidates off (0: every evaluation simulates the whole span)")
 	annealIters := flag.Int("anneal-iters", optimize.DefaultAnnealIters, "annealing proposals (anneal strategies only)")
 	workers := flag.Int("workers", 0, "evaluation fan-out width (0 = GOMAXPROCS; result is identical for any value)")
 	jsonOut := flag.Bool("json", false, "emit the full JSON report instead of the marginal-value table")
@@ -71,6 +71,10 @@ func main() {
 	cliutil.NonNegativeDuration("warmup", *warmup)
 	cliutil.PositiveInt("anneal-iters", *annealIters)
 	cliutil.NonNegativeInt("workers", *workers)
+	strategyName, err := optimize.ParseStrategy(*strategy)
+	if err != nil {
+		cliutil.Failf("invalid -strategy: %v", err)
+	}
 
 	cfg, err := dgs.Config(dgs.SystemDGS, dgs.Options{
 		Satellites:  *sats,
@@ -129,35 +133,22 @@ func main() {
 				p.Strategy, p.Phase, p.Done, p.Total, p.Score, p.Evaluations, p.CacheHits, p.Incumbent)
 		}
 	}
-	var searchers []optimize.Searcher
-	switch *strategy {
-	case "greedy":
-		searchers = []optimize.Searcher{&optimize.Greedy{Workers: *workers, OnProgress: progress}}
-	case "anneal":
-		searchers = []optimize.Searcher{&optimize.Anneal{Seed: *seed, Iters: *annealIters, OnProgress: progress}}
-	case "greedy+anneal":
-		searchers = []optimize.Searcher{
-			&optimize.Greedy{Workers: *workers, OnProgress: progress},
-			&optimize.Anneal{Seed: *seed, Iters: *annealIters, OnProgress: progress},
-		}
-	default:
-		cliutil.Failf("invalid -strategy: %q (want greedy, anneal, or greedy+anneal)", *strategy)
+	var reps []*optimize.Report
+	search := optimize.Search{
+		Strategy:   strategyName,
+		Seed:       *seed,
+		Iters:      *annealIters,
+		OnProgress: progress,
+		OnReport:   func(r *optimize.Report) { reps = append(reps, r) },
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	startWall := time.Now()
-	var rep *optimize.Report
-	var reps []*optimize.Report
-	for _, sr := range searchers {
-		if a, ok := sr.(*optimize.Anneal); ok && rep != nil {
-			a.Init = rep.Selected
-		}
-		if rep, err = sr.Search(ctx, ev, *k); err != nil {
-			fatal(err)
-		}
-		reps = append(reps, rep)
+	rep, err := search.Run(ctx, ev, *k)
+	if err != nil {
+		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "dgs-optimize: %d evaluations (%d cache hits) in %v\n",
 		rep.Evaluations, rep.CacheHits, time.Since(startWall).Round(time.Millisecond))
@@ -182,7 +173,7 @@ func main() {
 			break
 		}
 	}
-	fmt.Printf("strategy      %s (%s)\n", *strategy, rep.Objective)
+	fmt.Printf("strategy      %s (%s)\n", strategyName, rep.Objective)
 	fmt.Printf("candidates    %d sites, selecting %d\n", rep.Candidates, rep.K)
 	fmt.Printf("baseline      %.3f\n", rep.Baseline)
 	fmt.Printf("\n pick  station                 site        gain       total\n")

@@ -389,8 +389,10 @@ func TestBiddingValue(t *testing.T) {
 	b := BiddingValue{Inner: ThroughputValue{}, Bids: map[int]float64{7: 2.5}}
 	ctx := EdgeContext{RateBps: 1e6, SlotSeconds: 60, PendingBits: 1e12}
 	base := ThroughputValue{}.Value(ctx)
-	v7 := b.WithStation(7).Value(ctx)
-	v8 := b.WithStation(8).Value(ctx)
+	ctx.StationID = 7
+	v7 := b.Value(ctx)
+	ctx.StationID = 8
+	v8 := b.Value(ctx)
 	if math.Abs(v7-2.5*base) > 1e-9 {
 		t.Fatalf("bid multiplier not applied: %v", v7)
 	}

@@ -203,24 +203,13 @@ func (s *Scheduler) BuildGraph(sats []SatSnapshot, edges []VisibleEdge, slotDur 
 
 // weigher evaluates Φ for the edges of one plan's slots.
 type weigher struct {
-	s   *Scheduler
-	val ValueFunc
-	// byStation is val bound to each station's ID, when val specializes
-	// per station (StationAware); else nil. Bound once per plan, not per
-	// edge: binding boxes a fresh value into the interface.
-	byStation []ValueFunc
-	slotSec   float64
+	s       *Scheduler
+	val     ValueFunc
+	slotSec float64
 }
 
 func (s *Scheduler) weigher(slotDur time.Duration) weigher {
-	wt := weigher{s: s, val: s.value(), slotSec: slotDur.Seconds()}
-	if sa, ok := wt.val.(StationAware); ok {
-		wt.byStation = make([]ValueFunc, len(s.Stations))
-		for j, gs := range s.Stations {
-			wt.byStation[j] = sa.WithStation(gs.ID)
-		}
-	}
-	return wt
+	return weigher{s: s, val: s.value(), slotSec: slotDur.Seconds()}
 }
 
 // add computes the Φ weight of the edge (i, j) at the given rate against
@@ -228,11 +217,7 @@ func (s *Scheduler) weigher(slotDur time.Duration) weigher {
 // positive, and returns the weight either way.
 func (wt *weigher) add(g *match.Graph, sat *SatSnapshot, i, j int, rateBps float64) float64 {
 	gs := wt.s.Stations[j]
-	v := wt.val
-	if wt.byStation != nil {
-		v = wt.byStation[j]
-	}
-	w := v.Value(EdgeContext{
+	w := wt.val.Value(EdgeContext{
 		RateBps:       rateBps,
 		SlotSeconds:   wt.slotSec,
 		PendingBits:   sat.PendingBits,
@@ -241,6 +226,7 @@ func (wt *weigher) add(g *match.Graph, sat *SatSnapshot, i, j int, rateBps float
 		StationLatRad: gs.Location.LatRad,
 		StationLonRad: gs.Location.LonRad,
 		StationTx:     gs.TxCapable,
+		StationID:     gs.ID,
 	})
 	if w > 0 {
 		if err := g.AddEdge(i, j, w); err != nil {

@@ -26,6 +26,9 @@ type EdgeContext struct {
 	StationLatRad, StationLonRad float64
 	// StationTx reports whether the station is transmit-capable.
 	StationTx bool
+	// StationID is the station's ID (station.GroundStation.ID), for Φs that
+	// price stations individually.
+	StationID int
 }
 
 // DeliverableBits is the data volume this edge could move in the slot.
@@ -116,9 +119,6 @@ type BiddingValue struct {
 	Inner ValueFunc
 	// Bids maps station ID to a multiplier; absent stations use 1.
 	Bids map[int]float64
-
-	// stationID is injected per edge by the scheduler via WithStation.
-	stationID int
 }
 
 // Name implements ValueFunc.
@@ -127,21 +127,8 @@ func (b BiddingValue) Name() string { return "bidding(" + b.Inner.Name() + ")" }
 // Value implements ValueFunc.
 func (b BiddingValue) Value(c EdgeContext) float64 {
 	v := b.Inner.Value(c)
-	if m, ok := b.Bids[b.stationID]; ok {
+	if m, ok := b.Bids[c.StationID]; ok {
 		v *= m
 	}
 	return v
-}
-
-// WithStation returns a copy bound to a station ID. The scheduler calls
-// this for station-identity-aware value functions.
-func (b BiddingValue) WithStation(id int) ValueFunc {
-	b.stationID = id
-	return b
-}
-
-// StationAware is implemented by value functions that need the station
-// identity (not just its location).
-type StationAware interface {
-	WithStation(id int) ValueFunc
 }

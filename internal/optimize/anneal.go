@@ -8,45 +8,22 @@ import (
 	"slices"
 )
 
-// Anneal is seeded simulated annealing over fixed-size candidate sets:
-// each iteration proposes swapping one selected site for one unselected
-// site and accepts by the Metropolis rule under a geometric cooling
-// schedule. It is the refinement stage — seed Init with the greedy
-// incumbent to search the neighborhood greedy cannot reach (greedy never
-// un-picks). Proposals are drawn from a seeded PRNG and evaluated
-// sequentially, so a run is deterministic for fixed knobs regardless of
-// the evaluator's internal worker count; revisited sets cost nothing
-// (memo cache).
-type Anneal struct {
-	// Seed drives the proposal/acceptance PRNG. Same seed, same walk.
-	Seed int64
-	// Iters is the number of proposals; 0 means DefaultAnnealIters.
-	Iters int
-	// Init is the starting set; its length fixes k. Empty means "first k
-	// candidates in ascending index order".
-	Init []int
-	// OnProgress, when set, receives a Progress after the initial
-	// evaluation and after every accepted move.
-	OnProgress func(Progress)
-}
-
-// DefaultAnnealIters is the proposal count when Anneal.Iters is zero.
+// DefaultAnnealIters is the proposal count when Search.Iters is zero.
 const DefaultAnnealIters = 64
 
-// Name implements Searcher.
-func (a *Anneal) Name() string { return "anneal" }
-
-// Search implements Searcher.
-func (a *Anneal) Search(ctx context.Context, ev *Evaluator, k int) (*Report, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("optimize: anneal: k must be positive, got %d", k)
-	}
-	cands := slices.Clone(ev.inst.Candidates)
-	slices.Sort(cands)
-	if k > len(cands) {
-		k = len(cands)
-	}
-	cur := slices.Clone(a.Init)
+// anneal is seeded simulated annealing over fixed-size sets of the
+// ascending candidates: each of iters iterations (0 means
+// DefaultAnnealIters) proposes swapping one selected site for one
+// unselected site and accepts by the Metropolis rule under a geometric
+// cooling schedule. It starts from init — the greedy incumbent, to search
+// the neighborhood greedy cannot reach (greedy never un-picks) — or, when
+// init is empty, from the first k candidates. Proposals are drawn from a
+// PRNG seeded by seed and evaluated sequentially, so a run is
+// deterministic regardless of the evaluator's internal worker count;
+// revisited sets cost nothing (memo cache). onProgress, when set, receives
+// a Progress after the initial evaluation and after every accepted move.
+func anneal(ctx context.Context, ev *Evaluator, cands []int, k int, seed int64, iters int, init []int, onProgress func(Progress)) (*Report, error) {
+	cur := slices.Clone(init)
 	if len(cur) == 0 {
 		cur = slices.Clone(cands[:k])
 	} else {
@@ -60,7 +37,6 @@ func (a *Anneal) Search(ctx context.Context, ev *Evaluator, k int) (*Report, err
 			}
 		}
 	}
-	iters := a.Iters
 	if iters <= 0 {
 		iters = DefaultAnnealIters
 	}
@@ -81,7 +57,7 @@ func (a *Anneal) Search(ctx context.Context, ev *Evaluator, k int) (*Report, err
 	best := slices.Clone(cur)
 	bestScore := curScore
 	rep := &Report{
-		Strategy:   a.Name(),
+		Strategy:   "anneal",
 		Objective:  ev.obj.Name(),
 		K:          k,
 		Candidates: len(cands),
@@ -90,11 +66,11 @@ func (a *Anneal) Search(ctx context.Context, ev *Evaluator, k int) (*Report, err
 		Score:      bestScore,
 		Curve:      []Pick{},
 	}
-	a.progress(ev, rep, "init", 0, iters)
+	progress(onProgress, ev, rep, "init", 0, iters)
 
 	// The swap neighborhood needs room on both sides.
 	if k < len(cands) {
-		rng := rand.New(rand.NewSource(a.Seed))
+		rng := rand.New(rand.NewSource(seed))
 		for it := 1; it <= iters; it++ {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("optimize: anneal canceled at iteration %d: %w", it, err)
@@ -133,7 +109,7 @@ func (a *Anneal) Search(ctx context.Context, ev *Evaluator, k int) (*Report, err
 					rep.Selected = slices.Clone(best)
 					rep.Score = bestScore
 				}
-				a.progress(ev, rep, "accept", it, iters)
+				progress(onProgress, ev, rep, "accept", it, iters)
 			}
 		}
 	}
@@ -143,22 +119,4 @@ func (a *Anneal) Search(ctx context.Context, ev *Evaluator, k int) (*Report, err
 	st := ev.Stats()
 	rep.Evaluations, rep.CacheHits = st.Sims, st.CacheHits
 	return rep, nil
-}
-
-func (a *Anneal) progress(ev *Evaluator, rep *Report, phase string, done, total int) {
-	if a.OnProgress == nil {
-		return
-	}
-	st := ev.Stats()
-	a.OnProgress(Progress{
-		Strategy:    a.Name(),
-		Phase:       phase,
-		Done:        done,
-		Total:       total,
-		Incumbent:   slices.Clone(rep.Selected),
-		Score:       rep.Score,
-		Evaluations: st.Sims,
-		CacheHits:   st.CacheHits,
-		Curve:       slices.Clone(rep.Curve),
-	})
 }

@@ -37,7 +37,7 @@ func BenchmarkOptimizeGreedy(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep, err := (&Greedy{}).Search(ctx, ev, 2)
+		rep, err := Search{}.Run(ctx, ev, 2)
 		if err != nil {
 			b.Fatal(err)
 		}

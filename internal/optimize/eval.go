@@ -29,8 +29,8 @@ type Instance struct {
 	Candidates []int
 	// Warmup is the shared prefix: the span simulated once with every
 	// candidate off, checkpointed, and branched per candidate set. Must
-	// be shorter than Sim.Duration. Zero disables prefix sharing (every
-	// evaluation simulates its full span).
+	// be shorter than Sim.Duration. At zero the checkpoint is taken at the
+	// run start, so every evaluation simulates its full span.
 	Warmup time.Duration
 	// Objective scores a completed run; nil selects DeliveredGB.
 	Objective Objective
@@ -161,28 +161,26 @@ func (e *Evaluator) ConfigFor(set []int) sim.Config {
 // Prepare simulates the shared warm-start prefix (all candidates off)
 // and checkpoints it. It runs at most once; Evaluate calls it lazily.
 func (e *Evaluator) Prepare(ctx context.Context) error {
-	e.prepOnce.Do(func() { e.prepErr = e.prepare(ctx) })
+	e.prepOnce.Do(func() { e.cpRaw, e.prepErr = e.warmup(ctx) })
 	return e.prepErr
 }
 
-func (e *Evaluator) prepare(ctx context.Context) error {
-	if e.inst.Warmup <= 0 {
-		return nil
-	}
+// warmup simulates the warm-start prefix with every candidate off and
+// returns the canonical JSON of its checkpoint.
+func (e *Evaluator) warmup(ctx context.Context) ([]byte, error) {
 	eng, err := sim.NewEngine(e.off)
 	if err != nil {
-		return fmt.Errorf("optimize: warmup: %w", err)
+		return nil, fmt.Errorf("optimize: warmup: %w", err)
 	}
 	cp, err := runPrefix(ctx, eng, e.off.Start.Add(e.inst.Warmup))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	raw, err := json.Marshal(cp)
 	if err != nil {
-		return fmt.Errorf("optimize: warmup checkpoint: %w", err)
+		return nil, fmt.Errorf("optimize: warmup checkpoint: %w", err)
 	}
-	e.cpRaw = raw
-	return nil
+	return raw, nil
 }
 
 // runPrefix advances an engine to the first slot boundary at or past
@@ -241,19 +239,9 @@ func (e *Evaluator) Evaluate(ctx context.Context, set []int) (float64, error) {
 // EvaluateScratch bit-for-bit — the proof that prefix sharing is purely
 // an optimization.
 func (e *Evaluator) EvaluateScratch(ctx context.Context, set []int) (float64, error) {
-	var raw []byte
-	if e.inst.Warmup > 0 {
-		eng, err := sim.NewEngine(e.off)
-		if err != nil {
-			return 0, fmt.Errorf("optimize: warmup: %w", err)
-		}
-		cp, err := runPrefix(ctx, eng, e.off.Start.Add(e.inst.Warmup))
-		if err != nil {
-			return 0, err
-		}
-		if raw, err = json.Marshal(cp); err != nil {
-			return 0, fmt.Errorf("optimize: warmup checkpoint: %w", err)
-		}
+	raw, err := e.warmup(ctx)
+	if err != nil {
+		return 0, err
 	}
 	res, err := e.run(ctx, set, raw)
 	if err != nil {
@@ -262,24 +250,17 @@ func (e *Evaluator) EvaluateScratch(ctx context.Context, set []int) (float64, er
 	return e.obj.Score(res), nil
 }
 
-// run finishes one evaluation: restore cpRaw (or start fresh when nil)
-// under the set's configuration and run to completion.
+// run finishes one evaluation: restore cpRaw under the set's
+// configuration and run to completion. Each branch restores its own
+// private checkpoint copy: Restore rebuilds plan indexes in place, and the
+// restored engine would otherwise share live plan pointers with concurrent
+// branches.
 func (e *Evaluator) run(ctx context.Context, set []int, cpRaw []byte) (*sim.Result, error) {
-	cfg := e.ConfigFor(set)
-	var eng *sim.Engine
-	var err error
-	if cpRaw == nil {
-		eng, err = sim.NewEngine(cfg)
-	} else {
-		// Each branch restores its own private checkpoint copy: Restore
-		// rebuilds plan indexes in place, and the restored engine would
-		// otherwise share live plan pointers with concurrent branches.
-		cp := new(sim.Checkpoint)
-		if err := json.Unmarshal(cpRaw, cp); err != nil {
-			return nil, fmt.Errorf("optimize: checkpoint decode: %w", err)
-		}
-		eng, err = sim.Restore(cfg, cp)
+	cp := new(sim.Checkpoint)
+	if err := json.Unmarshal(cpRaw, cp); err != nil {
+		return nil, fmt.Errorf("optimize: checkpoint decode: %w", err)
 	}
+	eng, err := sim.Restore(e.ConfigFor(set), cp)
 	if err != nil {
 		return nil, fmt.Errorf("optimize: evaluate %q: %w", SetKey(set), err)
 	}

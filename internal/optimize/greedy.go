@@ -15,26 +15,6 @@ import (
 // contents and the result, are identical for any Workers setting.
 const DefaultGreedyBatch = 8
 
-// Greedy is lazy greedy-submodular selection with the classic CELF
-// lazy-evaluation priority queue. Delivered bytes are (approximately)
-// submodular in the station set — a new site helps less the more sites
-// already exist — so a candidate's marginal gain from a previous round
-// upper-bounds its current gain. The queue orders candidates by that
-// stale bound; a round pops a batch of stale entries, re-evaluates them
-// concurrently against the current incumbent, and selects as soon as the
-// queue's top entry is fresh. Most candidates are never re-evaluated.
-type Greedy struct {
-	// Workers bounds the concurrent evaluations per refresh batch;
-	// 0 means pool.DefaultWorkers(). Never affects the result.
-	Workers int
-	// OnProgress, when set, receives a Progress after the baseline and
-	// after every pick.
-	OnProgress func(Progress)
-}
-
-// Name implements Searcher.
-func (g *Greedy) Name() string { return "greedy" }
-
 // gainEntry is one CELF queue entry: a candidate and the score its last
 // evaluation produced (scoreAt = objective of incumbent ∪ {candidate},
 // evaluated when the incumbent had `round` picks). The gain it is
@@ -70,22 +50,23 @@ func (q *gainQueue) Pop() any {
 	return e
 }
 
-// Search implements Searcher: select up to k candidates by lazy greedy.
-func (g *Greedy) Search(ctx context.Context, ev *Evaluator, k int) (*Report, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("optimize: greedy: k must be positive, got %d", k)
-	}
-	cands := slices.Clone(ev.inst.Candidates)
-	slices.Sort(cands)
-	if k > len(cands) {
-		k = len(cands)
-	}
+// greedy is lazy greedy-submodular selection of k of the ascending
+// candidates with the classic CELF lazy-evaluation priority queue.
+// Delivered bytes are (approximately) submodular in the station set — a
+// new site helps less the more sites already exist — so a candidate's
+// marginal gain from a previous round upper-bounds its current gain. The
+// queue orders candidates by that stale bound; a round pops a batch of
+// stale entries, re-evaluates them concurrently against the current
+// incumbent, and selects as soon as the queue's top entry is fresh. Most
+// candidates are never re-evaluated. onProgress, when set, receives a
+// Progress after the baseline and after every pick.
+func greedy(ctx context.Context, ev *Evaluator, cands []int, k int, onProgress func(Progress)) (*Report, error) {
 	baseline, err := ev.Evaluate(ctx, nil)
 	if err != nil {
 		return nil, err
 	}
 	rep := &Report{
-		Strategy:   g.Name(),
+		Strategy:   "greedy",
 		Objective:  ev.obj.Name(),
 		K:          k,
 		Candidates: len(cands),
@@ -93,13 +74,13 @@ func (g *Greedy) Search(ctx context.Context, ev *Evaluator, k int) (*Report, err
 		Score:      baseline,
 		Curve:      make([]Pick, 0, k),
 	}
-	g.progress(ev, rep, "baseline", 0, k)
+	progress(onProgress, ev, rep, "baseline", 0, k)
 
 	// Seed the queue with every candidate's first-round gain, evaluated
 	// in batches. Entries are pushed in candidate order after each batch
 	// completes, so the queue is worker-count-invariant.
 	q := make(gainQueue, 0, len(cands))
-	if err := g.refresh(ctx, ev, cands, nil, baseline, 0, &q); err != nil {
+	if err := refresh(ctx, ev, cands, nil, baseline, 0, &q); err != nil {
 		return nil, err
 	}
 
@@ -113,7 +94,7 @@ func (g *Greedy) Search(ctx context.Context, ev *Evaluator, k int) (*Report, err
 			for len(stale) < DefaultGreedyBatch && q.Len() > 0 && q[0].round != round-1 {
 				stale = append(stale, heap.Pop(&q).(gainEntry).candidate)
 			}
-			if err := g.refresh(ctx, ev, stale, selected, cur, round-1, &q); err != nil {
+			if err := refresh(ctx, ev, stale, selected, cur, round-1, &q); err != nil {
 				return nil, err
 			}
 		}
@@ -129,7 +110,7 @@ func (g *Greedy) Search(ctx context.Context, ev *Evaluator, k int) (*Report, err
 		})
 		rep.Selected = slices.Clone(selected)
 		rep.Score = cur
-		g.progress(ev, rep, "select", round, k)
+		progress(onProgress, ev, rep, "select", round, k)
 	}
 	rep.SelectedNames = stationNames(ev, rep.Selected)
 	st := ev.Stats()
@@ -139,10 +120,10 @@ func (g *Greedy) Search(ctx context.Context, ev *Evaluator, k int) (*Report, err
 
 // refresh evaluates incumbent∪{c} for each candidate concurrently and
 // pushes fresh entries in candidate order (not completion order).
-func (g *Greedy) refresh(ctx context.Context, ev *Evaluator, cands, incumbent []int, cur float64, round int, q *gainQueue) error {
+func refresh(ctx context.Context, ev *Evaluator, cands, incumbent []int, cur float64, round int, q *gainQueue) error {
 	scores := make([]float64, len(cands))
 	errs := make([]error, len(cands))
-	pool.ForEach(g.Workers, len(cands), func(i int) {
+	pool.ForEach(ev.inst.Sim.Workers, len(cands), func(i int) {
 		set := append(slices.Clone(incumbent), cands[i])
 		scores[i], errs[i] = ev.Evaluate(ctx, set)
 	})
@@ -155,22 +136,4 @@ func (g *Greedy) refresh(ctx context.Context, ev *Evaluator, cands, incumbent []
 		heap.Push(q, gainEntry{candidate: c, gain: scores[i] - cur, scoreAt: scores[i], round: round})
 	}
 	return nil
-}
-
-func (g *Greedy) progress(ev *Evaluator, rep *Report, phase string, done, total int) {
-	if g.OnProgress == nil {
-		return
-	}
-	st := ev.Stats()
-	g.OnProgress(Progress{
-		Strategy:    g.Name(),
-		Phase:       phase,
-		Done:        done,
-		Total:       total,
-		Incumbent:   slices.Clone(rep.Selected),
-		Score:       rep.Score,
-		Evaluations: st.Sims,
-		CacheHits:   st.CacheHits,
-		Curve:       slices.Clone(rep.Curve),
-	})
 }

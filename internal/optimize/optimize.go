@@ -26,17 +26,18 @@
 //     same pool (nested parallelism). Results are bit-identical for any
 //     worker count.
 //
-// Two search strategies implement the Searcher interface: Greedy (lazy
-// greedy-submodular selection with the classic CELF priority queue) and
-// Anneal (seeded simulated annealing, typically refining the greedy
-// incumbent). Both are deterministic: same instance, same knobs, same
-// result — regardless of worker count.
+// Search runs one of three strategies over two stages: lazy
+// greedy-submodular selection with the classic CELF priority queue,
+// seeded simulated annealing, or the greedy incumbent refined by
+// annealing. Every strategy is deterministic: same instance, same fields,
+// same result — regardless of worker count.
 package optimize
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"dgs/internal/sim"
 )
@@ -102,7 +103,7 @@ func ObjectiveByName(name string) (Objective, error) {
 // hook after every selection (greedy) or accepted move (annealing) —
 // the payload the /v2/optimize jobs API streams over SSE.
 type Progress struct {
-	// Strategy and Phase label the searcher emitting the update.
+	// Strategy and Phase label the stage emitting the update.
 	Strategy string `json:"strategy"`
 	Phase    string `json:"phase"`
 	// Done / Total track search progress (picks made, iterations run).
@@ -121,12 +122,93 @@ type Progress struct {
 	Curve []Pick `json:"curve,omitempty"`
 }
 
-// Searcher is one search strategy over an evaluator's candidate space.
-type Searcher interface {
-	// Name is the stable strategy identifier.
-	Name() string
-	// Search selects up to k candidate sites maximizing the evaluator's
-	// objective. Implementations must be deterministic for fixed knobs:
-	// worker counts must never change the result.
-	Search(ctx context.Context, ev *Evaluator, k int) (*Report, error)
+// Strategies names the strategies Search accepts, for help texts and
+// errors.
+const Strategies = "greedy, anneal, or greedy+anneal"
+
+// ParseStrategy returns the canonical name of a strategy Search accepts;
+// the empty name is "greedy".
+func ParseStrategy(name string) (string, error) {
+	switch name {
+	case "":
+		return "greedy", nil
+	case "greedy", "anneal", "greedy+anneal":
+		return name, nil
+	}
+	return "", fmt.Errorf("optimize: unknown strategy %q (want %s)", name, Strategies)
+}
+
+// Search is one site search: lazy greedy selection, seeded simulated
+// annealing from the first k candidates, or greedy refined by annealing
+// from its incumbent ("greedy+anneal"). It is deterministic for fixed
+// fields: worker counts never change the result.
+type Search struct {
+	// Strategy is a name ParseStrategy accepts.
+	Strategy string
+	// Seed drives annealing's proposal/acceptance PRNG, and Iters is its
+	// proposal count (0 means DefaultAnnealIters). Greedy reads neither.
+	Seed  int64
+	Iters int
+	// OnProgress, when set, receives each stage's in-flight Progress;
+	// OnReport, when set, receives each stage's Report as it completes.
+	OnProgress func(Progress)
+	OnReport   func(*Report)
+}
+
+// Run selects up to k candidate sites maximizing the evaluator's
+// objective and returns the last stage's report. Greedy's refresh batches
+// fan out over the instance's Sim.Workers.
+func (s Search) Run(ctx context.Context, ev *Evaluator, k int) (*Report, error) {
+	strategy, err := ParseStrategy(s.Strategy)
+	if err != nil {
+		return nil, err
+	}
+	if k <= 0 {
+		return nil, fmt.Errorf("optimize: k must be positive, got %d", k)
+	}
+	cands := slices.Sorted(slices.Values(ev.inst.Candidates))
+	k = min(k, len(cands))
+	var rep *Report
+	if strategy != "anneal" {
+		if rep, err = greedy(ctx, ev, cands, k, s.OnProgress); err != nil {
+			return nil, err
+		}
+		s.report(rep)
+	}
+	if strategy != "greedy" {
+		var init []int
+		if rep != nil {
+			init = rep.Selected
+		}
+		if rep, err = anneal(ctx, ev, cands, k, s.Seed, s.Iters, init, s.OnProgress); err != nil {
+			return nil, err
+		}
+		s.report(rep)
+	}
+	return rep, nil
+}
+
+func (s Search) report(rep *Report) {
+	if s.OnReport != nil {
+		s.OnReport(rep)
+	}
+}
+
+// progress hands the stage's state to onProgress, when set.
+func progress(onProgress func(Progress), ev *Evaluator, rep *Report, phase string, done, total int) {
+	if onProgress == nil {
+		return
+	}
+	st := ev.Stats()
+	onProgress(Progress{
+		Strategy:    rep.Strategy,
+		Phase:       phase,
+		Done:        done,
+		Total:       total,
+		Incumbent:   slices.Clone(rep.Selected),
+		Score:       rep.Score,
+		Evaluations: st.Sims,
+		CacheHits:   st.CacheHits,
+		Curve:       slices.Clone(rep.Curve),
+	})
 }

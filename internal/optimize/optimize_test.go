@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -130,6 +131,36 @@ func TestSharedPrefixMatchesScratch(t *testing.T) {
 	}
 }
 
+// TestZeroWarmupMatchesPlainRun: with no warmup the shared checkpoint is
+// the run start, and restoring it is the same run as starting afresh —
+// Evaluate, EvaluateScratch and sim.Run over the set's configuration
+// score every set bit for bit alike.
+func TestZeroWarmupMatchesPlainRun(t *testing.T) {
+	ev, err := NewEvaluator(testInstance(t, 4, 6, 3, 0, 2*time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, set := range [][]int{nil, {4}, {3, 5}, {3, 4, 5}} {
+		shared, err := ev.Evaluate(ctx, set)
+		if err != nil {
+			t.Fatalf("Evaluate(%q): %v", SetKey(set), err)
+		}
+		scratch, err := ev.EvaluateScratch(ctx, set)
+		if err != nil {
+			t.Fatalf("EvaluateScratch(%q): %v", SetKey(set), err)
+		}
+		res, err := sim.Run(ctx, ev.ConfigFor(set))
+		if err != nil {
+			t.Fatalf("sim.Run(%q): %v", SetKey(set), err)
+		}
+		plain := ev.Instance().Objective.Score(res)
+		if math.Float64bits(shared) != math.Float64bits(plain) || math.Float64bits(scratch) != math.Float64bits(plain) {
+			t.Fatalf("set %q: Evaluate %v, EvaluateScratch %v, sim.Run %v", SetKey(set), shared, scratch, plain)
+		}
+	}
+}
+
 // TestActiveSetMatters pins that disabling a candidate actually removes
 // its capacity: the full set must beat the empty set.
 func TestActiveSetMatters(t *testing.T) {
@@ -179,12 +210,13 @@ func TestMemoCache(t *testing.T) {
 // worker counts 1, 4, and default, and across repeated runs.
 func TestGreedyDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []byte {
-		ev, err := NewEvaluator(testInstance(t, 4, 7, 4, time.Hour, 3*time.Hour))
+		inst := testInstance(t, 4, 7, 4, time.Hour, 3*time.Hour)
+		inst.Sim.Workers = workers
+		ev, err := NewEvaluator(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := &Greedy{Workers: workers}
-		rep, err := g.Search(context.Background(), ev, 2)
+		rep, err := Search{}.Run(context.Background(), ev, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,8 +241,11 @@ func TestGreedyReportShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events []Progress
-	g := &Greedy{OnProgress: func(p Progress) { events = append(events, p) }}
-	rep, err := g.Search(context.Background(), ev, 2)
+	var reports []*Report
+	rep, err := Search{
+		OnProgress: func(p Progress) { events = append(events, p) },
+		OnReport:   func(r *Report) { reports = append(reports, r) },
+	}.Run(context.Background(), ev, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,6 +278,9 @@ func TestGreedyReportShape(t *testing.T) {
 	if rep.Evaluations == 0 {
 		t.Fatal("no evaluations counted")
 	}
+	if len(reports) != 1 || reports[0] != rep {
+		t.Fatalf("OnReport got %d reports, want the one greedy stage's", len(reports))
+	}
 	if len(events) != 3 { // baseline + 2 picks
 		t.Fatalf("got %d progress events, want 3", len(events))
 	}
@@ -257,14 +295,14 @@ func TestGreedyKClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := (&Greedy{}).Search(context.Background(), ev, 10)
+	rep, err := Search{}.Run(context.Background(), ev, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.K != 2 || len(rep.Selected) != 2 {
 		t.Fatalf("k not clamped to candidate count: k=%d selected=%v", rep.K, rep.Selected)
 	}
-	if _, err := (&Greedy{}).Search(context.Background(), ev, 0); err == nil {
+	if _, err := (Search{}).Run(context.Background(), ev, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -278,8 +316,7 @@ func TestAnnealDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := &Anneal{Seed: seed, Iters: 12}
-		rep, err := a.Search(context.Background(), ev, 2)
+		rep, err := Search{Strategy: "anneal", Seed: seed, Iters: 12}.Run(context.Background(), ev, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +344,7 @@ func TestAnnealDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := (&Anneal{Seed: 3, Iters: 12, Init: []int{4, 3}}).Search(context.Background(), ev, 2)
+	rep, err := anneal(context.Background(), ev, ev.Instance().Candidates, 2, 3, 12, []int{4, 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,11 +358,60 @@ func TestAnnealInitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&Anneal{Init: []int{3}}).Search(context.Background(), ev, 2); err == nil {
+	cands := ev.Instance().Candidates
+	if _, err := anneal(context.Background(), ev, cands, 2, 0, 0, []int{3}, nil); err == nil {
 		t.Fatal("wrong-size init accepted")
 	}
-	if _, err := (&Anneal{Init: []int{0, 3}}).Search(context.Background(), ev, 2); err == nil {
+	if _, err := anneal(context.Background(), ev, cands, 2, 0, 0, []int{0, 3}, nil); err == nil {
 		t.Fatal("non-candidate init site accepted")
+	}
+}
+
+// TestStrategyChain: "greedy+anneal" reports the greedy stage, then an
+// annealing stage that starts from the greedy incumbent and so never ends
+// below it; an unknown strategy runs nothing.
+func TestStrategyChain(t *testing.T) {
+	ev, err := NewEvaluator(testInstance(t, 4, 7, 4, time.Hour, 3*time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var reports []*Report
+	rep, err := Search{
+		Strategy: "greedy+anneal",
+		Seed:     5,
+		Iters:    8,
+		OnReport: func(r *Report) { reports = append(reports, r) },
+	}.Run(ctx, ev, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 2 || reports[0].Strategy != "greedy" || reports[1].Strategy != "anneal" || reports[1] != rep {
+		t.Fatalf("stage reports %+v, final %+v", reports, rep)
+	}
+	if rep.Score < reports[0].Score {
+		t.Fatalf("anneal best %v below the greedy incumbent's %v", rep.Score, reports[0].Score)
+	}
+	greedyOnly, err := Search{}.Run(ctx, ev, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(greedyOnly.Selected, reports[0].Selected) || greedyOnly.Score != reports[0].Score {
+		t.Fatalf("the chain's greedy stage picked %v (%v), greedy alone %v (%v)",
+			reports[0].Selected, reports[0].Score, greedyOnly.Selected, greedyOnly.Score)
+	}
+
+	for name, want := range map[string]string{"": "greedy", "greedy": "greedy", "anneal": "anneal", "greedy+anneal": "greedy+anneal"} {
+		if got, err := ParseStrategy(name); err != nil || got != want {
+			t.Fatalf("ParseStrategy(%q) = %q, %v; want %q", name, got, err, want)
+		}
+	}
+	sims := ev.Stats().Sims
+	if _, err := (Search{Strategy: "bogus"}).Run(ctx, ev, 2); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
+		t.Fatalf("unknown strategy: %v", err)
+	}
+	if ev.Stats().Sims != sims {
+		t.Fatal("an unknown strategy ran simulations")
 	}
 }
 
@@ -348,7 +434,7 @@ func TestGreedyMatchesExhaustiveFirstPick(t *testing.T) {
 			bestC, bestV = c, v
 		}
 	}
-	rep, err := (&Greedy{}).Search(ctx, ev, 1)
+	rep, err := Search{}.Run(ctx, ev, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +450,7 @@ func TestSearchCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := (&Greedy{}).Search(ctx, ev, 2); err == nil {
+	if _, err := (Search{}).Run(ctx, ev, 2); err == nil {
 		t.Fatal("canceled greedy search succeeded")
 	}
 }

@@ -32,12 +32,12 @@ type optimizeRequest struct {
 	Candidates []int `json:"candidates"`
 	// Objective is "delivered_gb" (default) or "p90_latency".
 	Objective string `json:"objective,omitempty"`
-	// Strategy is "greedy" (default), "anneal", or "greedy+anneal"
-	// (anneal refines the greedy incumbent).
+	// Strategy names the search (optimize.ParseStrategy; default greedy).
 	Strategy string `json:"strategy,omitempty"`
 	// HorizonHours is the evaluated span after the warm-start prefix
 	// (default 2). WarmupHours is the shared prefix simulated once with
-	// every candidate off (default 1; 0 disables prefix sharing).
+	// every candidate off (default 1; 0 simulates every evaluation's whole
+	// span).
 	HorizonHours *float64 `json:"horizon_hours,omitempty"`
 	WarmupHours  *float64 `json:"warmup_hours,omitempty"`
 	// AnnealIters and Seed tune the annealing stage (ignored for pure
@@ -65,7 +65,7 @@ type optimizeStatus struct {
 	// produced one).
 	Progress *optimize.Progress `json:"progress,omitempty"`
 	// Reports collects each completed stage's report in order (greedy
-	// then anneal for "greedy+anneal"); Report is the final result, set
+	// then anneal for the chained strategy); Report is the final result, set
 	// when the job is done. The marginal-gain curve is Reports[0].Curve
 	// for greedy-first strategies.
 	Reports []*optimize.Report `json:"reports,omitempty"`
@@ -192,22 +192,22 @@ func (s *Server) handleOptimizeCreate(w http.ResponseWriter, r *http.Request, st
 	if !decodeBody(w, r, &req, "optimize") {
 		return
 	}
-	ev, searchers, herr := s.buildOptimize(snap, &req)
+	ev, search, herr := s.buildOptimize(snap, &req)
 	if herr != nil {
 		writeHTTPError(w, herr)
 		return
 	}
 
-	j := s.jobs.create(world.Epoch, req.Strategy)
-	go s.runOptimizeJob(st, j, ev, searchers, req.K)
+	j := s.jobs.create(world.Epoch, search.Strategy)
+	go s.runOptimizeJob(st, j, ev, search, req.K)
 
 	w.Header().Set("Location", "/v2/optimize/"+j.id)
 	writeJSON(w, st, http.StatusAccepted, optimizeAccepted{Job: j.id, Status: jobQueued, Epoch: world.Epoch})
 }
 
 // buildOptimize validates a request against a snapshot and assembles the
-// evaluator and searcher chain.
-func (s *Server) buildOptimize(snap *Snapshot, req *optimizeRequest) (*optimize.Evaluator, []optimize.Searcher, *httpError) {
+// evaluator and the search.
+func (s *Server) buildOptimize(snap *Snapshot, req *optimizeRequest) (*optimize.Evaluator, *optimize.Search, *httpError) {
 	if req.K < 1 {
 		return nil, nil, badRequest("k must be >= 1, got %d", req.K)
 	}
@@ -215,6 +215,10 @@ func (s *Server) buildOptimize(snap *Snapshot, req *optimizeRequest) (*optimize.
 		return nil, nil, badRequest("candidates must list at least one station index")
 	}
 	obj, err := optimize.ObjectiveByName(req.Objective)
+	if err != nil {
+		return nil, nil, badRequest("%v", err)
+	}
+	strategy, err := optimize.ParseStrategy(req.Strategy)
 	if err != nil {
 		return nil, nil, badRequest("%v", err)
 	}
@@ -250,29 +254,14 @@ func (s *Server) buildOptimize(snap *Snapshot, req *optimizeRequest) (*optimize.
 		return nil, nil, badRequest("%v", err)
 	}
 
-	var searchers []optimize.Searcher
-	switch req.Strategy {
-	case "", "greedy":
-		req.Strategy = "greedy"
-		searchers = []optimize.Searcher{&optimize.Greedy{}}
-	case "anneal":
-		searchers = []optimize.Searcher{&optimize.Anneal{Seed: seed, Iters: req.AnnealIters}}
-	case "greedy+anneal":
-		searchers = []optimize.Searcher{
-			&optimize.Greedy{},
-			&optimize.Anneal{Seed: seed, Iters: req.AnnealIters},
-		}
-	default:
-		return nil, nil, badRequest("unknown strategy %q (want greedy, anneal, or greedy+anneal)", req.Strategy)
-	}
-	return ev, searchers, nil
+	return ev, &optimize.Search{Strategy: strategy, Seed: seed, Iters: req.AnnealIters}, nil
 }
 
-// runOptimizeJob executes a job's searcher chain: wait for the serial
-// execution slot, run each stage (later stages seeded with the previous
-// incumbent), publish progress to pollers and the SSE hub, and close the
-// hub when the job reaches a terminal state. A failed job counts in st.
-func (s *Server) runOptimizeJob(st *endpointStats, j *optimizeJob, ev *optimize.Evaluator, searchers []optimize.Searcher, k int) {
+// runOptimizeJob executes a job's search: wait for the serial execution
+// slot, run it, publish progress and each stage's report to pollers and
+// the SSE hub, and close the hub when the job reaches a terminal state. A
+// failed job counts in st.
+func (s *Server) runOptimizeJob(st *endpointStats, j *optimizeJob, ev *optimize.Evaluator, search *optimize.Search, k int) {
 	s.jobs.run <- struct{}{}
 	defer func() { <-s.jobs.run }()
 	defer j.hub.closeAll()
@@ -281,43 +270,27 @@ func (s *Server) runOptimizeJob(st *endpointStats, j *optimizeJob, ev *optimize.
 	j.status = jobRunning
 	j.mu.Unlock()
 
-	onProgress := func(p optimize.Progress) {
+	search.OnProgress = func(p optimize.Progress) {
 		j.mu.Lock()
-		cp := p
-		j.progress = &cp
+		j.progress = &p
 		j.mu.Unlock()
 		j.event("progress", p)
 	}
-	fail := func(err error) {
+	search.OnReport = func(rep *optimize.Report) {
+		j.mu.Lock()
+		j.reports = append(j.reports, rep)
+		j.mu.Unlock()
+		j.event("report", rep)
+	}
+	final, err := search.Run(context.Background(), ev, k)
+	if err != nil {
 		st.errors.Add(1)
 		j.mu.Lock()
 		j.status = jobFailed
 		j.err = err.Error()
 		j.mu.Unlock()
 		j.event("error", map[string]string{"error": err.Error()})
-	}
-
-	var final *optimize.Report
-	for _, sr := range searchers {
-		switch sr := sr.(type) {
-		case *optimize.Greedy:
-			sr.OnProgress = onProgress
-		case *optimize.Anneal:
-			sr.OnProgress = onProgress
-			if final != nil {
-				sr.Init = final.Selected
-			}
-		}
-		rep, err := sr.Search(context.Background(), ev, k)
-		if err != nil {
-			fail(err)
-			return
-		}
-		final = rep
-		j.mu.Lock()
-		j.reports = append(j.reports, rep)
-		j.mu.Unlock()
-		j.event("report", rep)
+		return
 	}
 	j.mu.Lock()
 	j.status = jobDone

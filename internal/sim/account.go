@@ -6,11 +6,10 @@ import (
 	"dgs/internal/metrics"
 )
 
-// Result aggregates the distributions the paper's figures report. The
-// accountStage and its sibling stages accumulate it incrementally;
-// Engine.Finalize adds the end-of-run distributions. Result serializes
-// losslessly to JSON (metrics.Dist round-trips bit-exactly), which the
-// checkpoint format relies on.
+// Result aggregates the distributions the paper's figures report. Step
+// accumulates it incrementally; Engine.Finalize adds the end-of-run
+// distributions. Result serializes losslessly to JSON (metrics.Dist
+// round-trips bit-exactly), which the checkpoint format relies on.
 type Result struct {
 	// BacklogGB samples per-satellite, per-day undelivered data (Fig. 3a).
 	BacklogGB metrics.Dist
@@ -37,16 +36,12 @@ type Result struct {
 	SlotsStale int
 }
 
-// accountStage closes each simulated day: one backlog sample per satellite,
+// account closes each simulated day: one backlog sample per satellite,
 // the running generated total, and the Progress callback.
-type accountStage struct{}
-
-func (accountStage) name() string { return "account" }
-
-func (accountStage) run(e *Engine) error {
+func (e *Engine) account() {
 	w := e.w
 	if w.now.Add(w.cfg.Step).Before(w.nextDayMark) {
-		return nil
+		return
 	}
 	w.day++
 	for i, s := range w.sats {
@@ -60,5 +55,4 @@ func (accountStage) run(e *Engine) error {
 		w.cfg.Progress(w.day, w.res)
 	}
 	w.nextDayMark = w.nextDayMark.Add(24 * time.Hour)
-	return nil
 }

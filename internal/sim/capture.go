@@ -5,13 +5,9 @@ import (
 	"dgs/internal/frames"
 )
 
-// captureStage generates new imagery and injects high-priority event
+// capture generates new imagery and injects high-priority event
 // captures for the current slot.
-type captureStage struct{}
-
-func (captureStage) name() string { return "capture" }
-
-func (captureStage) run(e *Engine) error {
+func (e *Engine) capture() {
 	w := e.w
 	cfg := &w.cfg
 
@@ -49,5 +45,4 @@ func (captureStage) run(e *Engine) error {
 			}
 		}
 	}
-	return nil
 }

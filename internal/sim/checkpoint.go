@@ -71,7 +71,7 @@ type Checkpoint struct {
 }
 
 // Checkpoint captures the engine's complete state. Call it only between
-// steps (never from an Observer or a stage: mid-slot state is not
+// steps (never from an Observer or mid-Step: mid-slot state is not
 // checkpointable). The snapshot shares no mutable state with the engine,
 // so the run can continue — or be abandoned — without disturbing it.
 func (e *Engine) Checkpoint() (*Checkpoint, error) {

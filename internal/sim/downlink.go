@@ -22,18 +22,14 @@ type slotAssign struct {
 	version int
 }
 
-// downlinkStage executes the slot: every satellite acts on the plan it
+// downlink executes the slot: every satellite acts on the plan it
 // holds. The backend knows which plan version each satellite holds (it
 // observed the TX contact that delivered it), so each station points at the
 // satellite claiming it under the *newest* held plan; when two satellites
 // on different plan versions claim one station, the older claim transmits
 // into a dish pointed elsewhere and the data is lost (retransmitted after
 // the nack timeout).
-type downlinkStage struct{}
-
-func (downlinkStage) name() string { return "downlink" }
-
-func (downlinkStage) run(e *Engine) error {
+func (e *Engine) downlink() {
 	w := e.w
 	cfg := &w.cfg
 
@@ -185,5 +181,4 @@ func (downlinkStage) run(e *Engine) error {
 			e.emit(func(o Observer) { o.OnAck(AckEvent{Time: w.now, Sat: i, Chunks: len(ids), Bits: freed}) })
 		}
 	}
-	return nil
 }

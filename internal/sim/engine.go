@@ -7,41 +7,21 @@ import (
 	"dgs/internal/astro"
 )
 
-// stage is one phase of a simulation step. Stages run in a fixed order and
-// communicate only through the World, so each is individually testable and
-// new workloads extend the engine by inserting a stage instead of editing a
-// monolithic loop.
-type stage interface {
-	// name labels the stage in errors and docs.
-	name() string
-	// run executes the stage for the World's current slot.
-	run(e *Engine) error
-}
-
-// Engine advances a World through the simulation stages slot by slot.
+// Engine advances a World slot by slot. Each slot runs the paper's fixed
+// sequence — capture imagery, re-plan at epochs, execute planned downlinks,
+// run the hybrid control plane, account daily metrics — as five methods in
+// their own files (capture.go, plan.go, downlink.go, uplink.go,
+// account.go) that communicate only through the World.
+//
 // Construct one with NewEngine (fresh run) or Restore (from a Checkpoint),
 // then either call Run, or drive Step/Done/Finalize manually for
 // checkpointing and custom pacing.
 type Engine struct {
-	w      *World
-	stages []stage
-	obs    []Observer
+	w   *World
+	obs []Observer
 
 	obsErr    error
 	finalized bool
-}
-
-// defaultStages is the engine's stage order; it reproduces the paper's
-// per-slot sequence: capture imagery, re-plan at epochs, execute planned
-// downlinks, run the hybrid control plane, account daily metrics.
-func defaultStages() []stage {
-	return []stage{
-		captureStage{},
-		planStage{},
-		downlinkStage{},
-		uplinkStage{},
-		accountStage{},
-	}
 }
 
 // NewEngine validates the configuration and builds an engine positioned at
@@ -52,19 +32,20 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{w: w, stages: defaultStages(), obs: cfg.Observers}, nil
+	return &Engine{w: w, obs: cfg.Observers}, nil
 }
 
-// World exposes the engine's state (read it between steps; stages mutate it
-// during Step).
+// World exposes the engine's state (read it between steps; Step mutates
+// it).
 func (e *Engine) World() *World { return e.w }
 
 // Done reports whether the simulated span is exhausted.
 func (e *Engine) Done() bool { return !e.w.now.Before(e.w.end) }
 
-// Step executes one slot: the engine prologue (position propagation through
-// the shared cache) followed by every stage in order, then advances the
-// clock. Calling Step after Done is a no-op.
+// Step executes one slot: the prologue (position propagation through the
+// shared cache), then capture, plan, downlink, uplink and account in that
+// order, then advances the clock. Its only error is an observer's panic.
+// Calling Step after Done is a no-op.
 func (e *Engine) Step() error {
 	w := e.w
 	if e.Done() {
@@ -80,11 +61,11 @@ func (e *Engine) Step() error {
 
 	e.emit(func(o Observer) { o.OnSlot(SlotEvent{Time: w.now, Index: w.step}) })
 
-	for _, st := range e.stages {
-		if err := st.run(e); err != nil {
-			return fmt.Errorf("sim: stage %s at %v: %w", st.name(), w.now, err)
-		}
-	}
+	e.capture()
+	e.plan()
+	e.downlink()
+	e.uplink()
+	e.account()
 	if e.obsErr != nil {
 		return e.obsErr
 	}

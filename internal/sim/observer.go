@@ -17,7 +17,7 @@ import (
 // recovers, remembers the slot timestamp, and fails the run cleanly with an
 // error naming the offender and the slot.
 type Observer interface {
-	// OnSlot marks the start of one simulation step, before any stage runs.
+	// OnSlot marks the start of one simulation step, before capture runs.
 	OnSlot(SlotEvent)
 	// OnPlan reports a plan produced at an epoch (Sat < 0) or a plan
 	// adopted by one satellite over the narrowband uplink (Sat >= 0).

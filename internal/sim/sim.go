@@ -18,14 +18,15 @@
 //
 // # Architecture
 //
-// The simulator is a staged engine over an explicit World state:
+// The simulator is a fixed per-slot loop over an explicit World state:
 //
 //   - World (world.go) owns every piece of mutable run state — satellite
 //     runtimes, the backend's ack collator, the current plan, the clock —
 //     plus the hot-path helpers (snapshot, txVisible) with reusable scratch.
-//   - Engine (engine.go) advances a World through ordered stages, one slot
-//     per Step: capture → plan → downlink → uplink → account, each in its
-//     own file and individually testable.
+//   - Engine (engine.go) advances a World one slot per Step, calling
+//     capture → plan → downlink → uplink → account in that order; each is
+//     an Engine method in its own file, and they share state only through
+//     the World.
 //   - Observer (observer.go) hooks let metrics, trace collection, and the
 //     streaming JSONL EventRecorder (recorder.go) subscribe to the run
 //     without touching the engine; dispatch is skipped entirely when no

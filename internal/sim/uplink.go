@@ -6,20 +6,16 @@ import (
 	"dgs/internal/satellite"
 )
 
-// uplinkStage is the hybrid control plane: at every TX contact the
+// uplink is the hybrid control plane: at every TX contact the
 // narrowband S-band uplink budget pays for the cumulative ack digest first,
 // then plan download; finally, chunks transmitted long enough ago that a
 // report would have arrived are nacked back to pending. The centralized
-// baseline never enters this stage.
-type uplinkStage struct{}
-
-func (uplinkStage) name() string { return "uplink" }
-
-func (uplinkStage) run(e *Engine) error {
+// baseline returns at once.
+func (e *Engine) uplink() {
 	w := e.w
 	cfg := &w.cfg
 	if !cfg.Hybrid {
-		return nil
+		return
 	}
 	for i, s := range w.sats {
 		if !w.txVisible(i) {
@@ -74,5 +70,4 @@ func (uplinkStage) run(e *Engine) error {
 		})
 		s.store.Nack(lost)
 	}
-	return nil
 }

@@ -36,11 +36,11 @@ type satRuntime struct {
 }
 
 // World is the explicit mutable state of one simulation run: the satellite
-// runtimes, the backend's ack collator, the current plan, and
-// the clock. The Engine advances a World through its stages; Checkpoint
-// serializes it. World methods hold the state helpers the stages share
-// (visibility tests, scheduler snapshots) with their scratch hoisted off
-// the per-slot hot path.
+// runtimes, the backend's ack collator, the current plan, and the clock.
+// The Engine advances a World slot by slot; Checkpoint serializes it. World
+// methods hold the state helpers a slot's steps share (visibility tests,
+// scheduler snapshots) with their scratch hoisted off the per-slot hot
+// path.
 type World struct {
 	cfg     Config
 	genRate float64
