@@ -49,14 +49,19 @@ if git grep -n 'dgs/internal/faultnet' -- '*.go' ':!*_test.go'; then
     echo "faultnet is the tests' fault injector: only _test.go files may import it" >&2; exit 1
 fi
 # The planner reads an instant's candidate pairs straight off its station
-# cell index; the pass predictor serves the pass endpoints and dgs-passes,
-# and must not grow back underneath core.
+# cover; the pass predictor serves the pass endpoints and dgs-passes, and
+# must not grow back underneath core.
 if go list -deps ./internal/core | grep -qx dgs/internal/passes; then echo "core must not depend on passes" >&2; exit 1; fi
-# One visibility path: only spatial.Sites builds the station cell index and
+# One visibility path: only spatial.Sites builds the station cover and
 # topocentric bases the planner and the pass scan test pairs with, so the
-# plan and the pass API cannot disagree about who sees whom.
-if git grep -nE 'spatial\.NewGrid|frames\.NewTopocentric' -- internal/core internal/passes ':!*_test.go'; then
+# plan and the pass API cannot disagree about who sees whom. The
+# latitude-longitude station grid and the sub-points it was queried with
+# are gone: candidates come from the cover over satellite directions.
+if git grep -nE 'frames\.NewTopocentric' -- internal/core internal/passes ':!*_test.go'; then
     echo "core and passes must take station geometry from spatial.Sites" >&2; exit 1
+fi
+if git grep -nE 'AppendNear|SubPointOf|type Grid' -- '*.go' ':!*_test.go'; then
+    echo "no station grid or sub-point: candidates come from spatial.Sites' direction cover" >&2; exit 1
 fi
 # One planning path: the carry and the rate kernel are the only way the
 # planner computes edges and rates. The memo-rated sweep they are held to
@@ -95,6 +100,15 @@ carries=$(git grep -ho '\.carryPairs(' -- internal/core ':!*_test.go' | wc -l)
 ratings=$(git grep -ho '\.rateSlot(' -- internal/core ':!*_test.go' | wc -l)
 if [ "$gofuncs" -gt 1 ] || [ "$carries" -ne 3 ] || [ "$ratings" -ne 3 ]; then
     echo "internal/core has $gofuncs 'go func', $carries carryPairs and $ratings rateSlot call sites (want ≤ 1, 3, 3): Prefill and PlanEpoch share one epoch fill, do not copy it" >&2; exit 1
+fi
+# Visibility without trigonometry per pair: a carried pair's mask test and
+# quantized elevation come from its elevation sine (spatial.Mask's bounds,
+# the kernel's sine table), and a candidate query takes no arcsine. The
+# arcsine is left where an exact elevation is due: Mask.Clears between its
+# bounds, and Visibility's reported geometry.
+asins=$(git grep -h 'math\.Asin(' -- internal/core internal/passes internal/spatial ':!*_test.go' | grep -cv '^[[:space:]]*//' || true)
+if [ "$asins" -ne 2 ]; then
+    echo "internal/core, passes and spatial have $asins math.Asin call sites (want 2: Mask.Clears and Visibility): test masks and quantize elevations on the sine" >&2; exit 1
 fi
 # A carried edge is its key, EIRP − FSPL, quantized elevation and
 # clear-sky ladder rung — 15 B (core.TestCarriedEdgeBytes pins ≤ 16); the
@@ -184,10 +198,12 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # is a pure function of its span (Prune, Reanchor, Incremental, InProgress:
 # the span-clip property, fresh ≡ sequenced ≡ repeated; Workers: any split
 # ≡ serial). The planner's
-# carry fan-out queries one shared station cell index from every worker
-# into per-worker candidate scratch, and an epoch re-carries only the pairs
-# of replaced propagators and stations and merges them into the clean edges,
-# keeping the rates that still stand: cell index ≡ cross product, patched ≡
+# carry fan-out queries one shared station cover from every worker into
+# per-worker candidate scratch, the cover's cells built by whichever worker
+# asks first (NearRaces: racing callers get what a serial one does), and an
+# epoch re-carries only the pairs of replaced propagators and stations and
+# merges them into the clean edges, keeping the rates that still stand:
+# cover ≡ cross product, patched ≡
 # from scratch (Incremental, RollingAfterDeltas), and the rolling planner's carried link
 # geometry plus the memo-free rate kernel ≡ fresh schedulers ≡ the test
 # oracle (core's oracle_test.go: the exhaustive per-instant sweep rated
@@ -199,12 +215,16 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # plans must not depend on the order fills finish in (Stream: reverse and shuffled fill orders ≡ one
 # worker), and the carry's shortcuts must cut exactly what they replace
 # (SinFloor, MaskTable, RangeSinEl, TxVisible: the azimuth-free elevation
-# ≡ Look, in the carry and in the simulator's uplink-contact test;
+# and the mask's sine bounds ≡ Look, in the carry and in the simulator's
+# uplink-contact test; SineTable: the quantized elevation looked up from
+# the sine ≡ quantize(asin);
 # ClearRates, Kernel: carried clear-sky rates ≡ the memo, never aliased;
 # Bidding: a station-priced Φ allocates exactly what its inner Φ does; Reach: past a station's link
 # reach nothing closes, so the range cut drops only what Carry drops;
-# NearCovers: the candidate disk a range cut shrinks still holds every
-# station in range; TermsTable: the per-elevation path-terms table ≡
+# NearCovers, CoverCovers, WidestCos, RangeCos, NearIsFiltered,
+# NearReuses, FuzzSitesNear's seed corpus: the candidate disk a range cut
+# shrinks still holds every station in range and every station Above
+# accepts, and a cell holds every satellite disk in it; TermsTable: the per-elevation path-terms table ≡
 # itu.SlantPath.Terms; EdgeBytes: a carried slot retains ≤ 16 B an edge;
 # FuzzCarry's seed corpus: a carried rung's clear-sky rate ≡ Rate under a
 # clear sky ≥ Rate under weather). The simulator prefills each next epoch
@@ -219,7 +239,7 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # exactly where the state path errs (FuzzPropagate's seed corpus). (core
 # rolls the paper's 12 h horizon six times against six fresh schedulers
 # per pass, hence the explicit timeout.)
-go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky|Stream|SinFloor|RangeSinEl|ClearRates|Bidding|Reach|NearCovers|TermsTable|EdgeBytes|FuzzCarry|Prune|Reanchor|Incremental|InProgress|Workers|Visibility|SweepWindow|BitIdentical|MatchesScalar|AtRange|ReplaceProp|FuzzPropagate|Prefill|TxVisible' \
+go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky|Stream|SinFloor|SineTable|RangeSinEl|ClearRates|Bidding|Reach|NearCovers|CoverCovers|WidestCos|RangeCos|NearIsFiltered|NearReuses|NearRaces|FuzzSitesNear|TermsTable|EdgeBytes|FuzzCarry|Prune|Reanchor|Incremental|InProgress|Workers|Visibility|SweepWindow|BitIdentical|MatchesScalar|AtRange|ReplaceProp|FuzzPropagate|Prefill|TxVisible' \
     ./internal/passes ./internal/core ./internal/linkbudget ./internal/itu ./internal/frames ./internal/spatial ./internal/sim ./internal/poscache ./internal/sgp4
 
 echo "== go test -race (parallel pipeline + session + serving layers)"
@@ -232,7 +252,9 @@ echo "== go test -race (parallel pipeline + session + serving layers)"
 # while readers and SSE subscribers race the atomic snapshot swap.
 # passes and poscache host the sharded sweep, lockstep refinement, and
 # multi-instant cache fill behind the parallel pass-prediction pipeline.
-# spatial and sgp4 sit under every propagation worker; serve now also
+# spatial and sgp4 sit under every propagation worker (spatial's
+# NearRaces test races callers building and publishing the cover's cells
+# lazily); serve now also
 # hosts the federation suite (shard sessions, merge rebuilds, and the
 # seeded chaos kill/rejoin convergence run). optimize fans whole sim
 # runs over the pool with a shared memo cache. core's streamed reducer

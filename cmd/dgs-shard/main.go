@@ -44,6 +44,10 @@ func main() {
 		cliutil.Failf("invalid -shard: index %d out of range for %d shards", *shardIdx, *shards)
 	}
 	snapCfg, planHorizon := world()
+	// Catch SIGINT before the address is logged: whoever reads the log
+	// may signal at once, and must get the clean shutdown.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	t0 := time.Now()
 	snap, part, err := serve.NewShardWorld(snapCfg, *shardIdx, *shards)
@@ -63,8 +67,6 @@ func main() {
 	log.Printf("dgs-shard: serving shard %d/%d (%d satellites) on %s",
 		part.Shard, part.Shards, part.Len(), addr)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	<-ctx.Done()
 	stop()
 	log.Print("dgs-shard: shutting down")

@@ -24,6 +24,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -71,27 +72,25 @@ func (cs *carriedSlot) push(key int32, c linkbudget.Carried) {
 // workerScratch is the private scratch of one worker of the slot fan-out,
 // persisting across the slots and epochs it processes: the weather terms
 // per station for the slot being rated, the slot an instant is carried
-// into before its columns are copied out at their exact size, the station
-// bitmap that puts a satellite's candidates in order, the per-station
-// elevation-sine floors of the instant being carried, and the cell-index
+// into before its columns are copied out at their exact size, the
+// per-station elevation-mask bounds of the instant being carried, and the
 // candidate buffer.
 type workerScratch struct {
 	sky   []linkbudget.Sky
 	known []bool
 	build carriedSlot
-	bits  []uint64
-	floor []float64
+	mask  []spatial.Mask
 	cand  []int32
 }
 
-// sinFloors returns, per station, spatial.SinFloor of its elevation mask.
-// Masks are read live per instant, as the exact test reads them.
-func (ws *workerScratch) sinFloors(net station.Network) []float64 {
-	ws.floor = ws.floor[:0]
+// masks returns, per station, the sine bounds of its elevation mask. Masks
+// are read live per instant, as the exact test reads them.
+func (ws *workerScratch) masks(net station.Network) []spatial.Mask {
+	ws.mask = ws.mask[:0]
 	for _, gs := range net {
-		ws.floor = append(ws.floor, spatial.SinFloor(gs.MinElevationRad))
+		ws.mask = append(ws.mask, spatial.NewMask(gs.MinElevationRad))
 	}
-	return ws.floor
+	return ws.mask
 }
 
 // carryPairs carries the instant t: every candidate pair goes through the
@@ -100,27 +99,24 @@ func (ws *workerScratch) sinFloors(net station.Network) []float64 {
 // survivors come back as ascending packed keys with their carried terms.
 // The reach cut only drops pairs Carry would reject: past it the link
 // closes under no weather. A satellite's candidates are
-// spatial.Sites.Near's for the largest reach: the stations in the cells
-// the smaller of its horizon and range disks touches, ascending — a
+// spatial.Sites.Near's for the largest reach: the stations of its cover
+// cell within the smaller of its horizon and range disks, ascending — a
 // superset of the feasible stations, so every feasible pair is evaluated,
-// by exact cuts (spatial.Sites.Above's elevation is Look's, without the
-// azimuth). The edge order is satellite-major with stations ascending.
+// by exact cuts (spatial.Sites.Above's elevation sine is Look's, without
+// the azimuth, and the kernel quantizes the elevation from the sine). The
+// edge order is satellite-major with stations ascending.
 //
 // Both restrictions nil carries every pair. Otherwise only dirty pairs are
 // carried: a satellite marked in dirtySats (indexed by satellite) against
-// its cell-index candidates, any other against just the dirtyStations
-// listed (ascending) — which, with every station listed, is the full cross
-// product without the index.
+// its cover candidates, any other against just the dirtyStations listed
+// (ascending) — which, with every station listed, is the full cross
+// product without the cover.
 func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats []bool, dirtyStations []int32, ws *workerScratch) *carriedSlot {
 	stSites := s.stationSites()
 	kern, sites, reach := s.rateKernel()
-	nearKm := 0.0
-	if len(reach) > 0 {
-		nearKm = slices.Max(reach)
-	}
 	restricted := dirtySats != nil || dirtyStations != nil
 	nGs := len(s.Stations)
-	floor := ws.sinFloors(s.Stations)
+	mask := ws.masks(s.Stations)
 	b := &ws.build
 	b.keys, b.eirp, b.elevQ, b.rung = b.keys[:0], b.eirp[:0], b.elevQ[:0], b.rung[:0]
 
@@ -130,7 +126,7 @@ func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats
 		}
 		ecef, cand := e.Pos, dirtyStations
 		if !restricted || (dirtySats != nil && dirtySats[i]) {
-			ws.cand = stSites.Near(ws.cand, ecef, nearKm, &ws.bits)
+			ws.cand = stSites.Near(ws.cand, ecef)
 			cand = ws.cand
 		}
 		for _, j := range cand {
@@ -138,11 +134,11 @@ func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats
 			if !gs.Allows(i) {
 				continue
 			}
-			rangeKm, el, ok := stSites.Above(int(j), ecef, reach[j], gs.MinElevationRad, floor[j])
+			rangeKm, sinEl, ok := stSites.Above(int(j), ecef, reach[j], mask[j])
 			if !ok {
 				continue
 			}
-			if c, closes := kern.Carry(&sites[j], rangeKm, el); closes {
+			if c, closes := kern.Carry(&sites[j], rangeKm, sinEl); closes {
 				b.push(int32(i*nGs)+j, c)
 			}
 		}
@@ -220,8 +216,9 @@ func (s *Scheduler) rateSlot(dst []float64, cs *carriedSlot, t time.Time, lead t
 // and a positive predicted rate under forecast weather at the given lead.
 // It is one instant of PlanEpoch's own path, carried afresh — nothing is
 // kept between calls, so masks and constraint bitmaps are read live — and
-// rated at lead; each edge's geometry is the range and elevation the carry
-// cut on. Edges come satellite-major, stations ascending.
+// rated at lead; each edge's geometry is the range the carry cut on and
+// the arcsine of its elevation sine — Look's, bit for bit. Edges come
+// satellite-major, stations ascending.
 //
 // Visibility is safe for concurrent use: satellite positions come from the
 // thread-safe position cache, the station index and rate kernel are built
@@ -241,10 +238,10 @@ func (s *Scheduler) Visibility(sats []SatSnapshot, t time.Time, lead time.Durati
 		}
 		i, j := int(key)/nGs, int(key)%nGs
 		gs := s.Stations[j]
-		rangeKm, el, _ := stSites.Above(j, at[i].Pos, reach[j], gs.MinElevationRad, ws.floor[j])
+		rangeKm, sinEl, _ := stSites.Above(j, at[i].Pos, reach[j], ws.mask[j])
 		edges = append(edges, VisibleEdge{Sat: i, Station: j, RateBps: rates[x], Geometry: linkbudget.Geometry{
 			RangeKm:         rangeKm,
-			ElevationRad:    el,
+			ElevationRad:    math.Asin(sinEl),
 			StationLatRad:   gs.Location.LatRad,
 			StationHeightKm: gs.Location.AltKm,
 		}})

@@ -10,6 +10,7 @@ import (
 
 	"dgs/internal/dataset"
 	"dgs/internal/linkbudget"
+	"dgs/internal/spatial"
 	"dgs/internal/station"
 	"dgs/internal/tle"
 )
@@ -32,7 +33,7 @@ func clearRates(s *Scheduler, cs *carriedSlot) []float64 {
 }
 
 // TestCarryMaskTableMatchesSweep holds the carry's elevation cut — the
-// clamped sine tested against a per-station floor before the arcsine, and
+// clamped sine tested against per-station bounds before the arcsine, and
 // no azimuth — to the oracle's sweep, which takes Look's elevation, at
 // station masks from below the nadir to past the zenith: per instant, the
 // carried keys are the oracle's edges and the carried clear-sky rates its
@@ -89,14 +90,14 @@ func TestCarryMaskTableMatchesSweep(t *testing.T) {
 	}
 }
 
-// TestSinFloorsAreSound: a clamped elevation sine under its station's floor
-// always has an arcsine at or below the mask, so the carry's early rejection
-// only ever drops a pair the exact cut drops. Checked at the mask table's
-// masks and at 10 k seeded ones, for sines at, just below and just above
-// sin(mask) — by one and a few ulps and by 1e-12 to 1e-8 — and at ±1;
-// a mask past the zenith must reject every sine, one below the nadir none.
-// The worker's floors follow the live masks: the same scratch is asked
-// again after every station's mask has moved.
+// TestSinFloorsAreSound: the carry's mask test on the clamped elevation
+// sine — rejected under the lower bound, accepted over the upper one, the
+// arcsine only in between — agrees with math.Asin(sine) > mask. Checked at
+// the mask table's masks and at 10 k seeded ones, for sines at, just below
+// and just above sin(mask) — by one and a few ulps and by 1e-12 to 1e-8 —
+// and at ±1; a mask past the zenith must reject every sine, one below the
+// nadir none. The worker's bounds follow the live masks: the same scratch
+// is asked again after every station's mask has moved.
 func TestSinFloorsAreSound(t *testing.T) {
 	masks := []float64{-95, -90, -5, 0, 5, 45, 89.99, 90, 120, 180}
 	for i := range masks {
@@ -116,11 +117,11 @@ func TestSinFloorsAreSound(t *testing.T) {
 		for j := range net {
 			net[j].MinElevationRad = masks[(j+shift)%len(masks)]
 		}
-		checkSinFloors(t, net, ws.sinFloors(net))
+		checkSinFloors(t, net, ws.masks(net))
 	}
 }
 
-func checkSinFloors(t *testing.T, net station.Network, floors []float64) {
+func checkSinFloors(t *testing.T, net station.Network, bounds []spatial.Mask) {
 	t.Helper()
 	for j, gs := range net {
 		m := gs.MinElevationRad
@@ -136,24 +137,24 @@ func checkSinFloors(t *testing.T, net station.Network, floors []float64) {
 		}
 		for _, p := range probes {
 			p = max(-1, min(p, 1))
-			if p < floors[j] && !(math.Asin(p) <= m) {
-				t.Fatalf("mask %v: sine %v under the floor %v has arcsine %v above the mask", m, p, floors[j], math.Asin(p))
+			if got, want := bounds[j].Clears(p), math.Asin(p) > m; got != want {
+				t.Fatalf("mask %v: sine %v clears it %v, the arcsine %v says %v", m, p, got, math.Asin(p), want)
 			}
 		}
 		switch {
-		case m >= math.Pi/2 && !(1 < floors[j]):
-			t.Fatalf("mask %v at or past the zenith: floor %v lets a sine of 1 through", m, floors[j])
-		case (m < -math.Pi/2 || math.IsNaN(m)) && !(-1 >= floors[j]):
-			t.Fatalf("mask %v below the nadir: floor %v rejects a sine of -1", m, floors[j])
+		case m >= math.Pi/2 && bounds[j].Clears(1):
+			t.Fatalf("mask %v at or past the zenith lets a sine of 1 through", m)
+		case m < -math.Pi/2 && !bounds[j].Clears(-1):
+			t.Fatalf("mask %v below the nadir rejects a sine of -1", m)
 		}
 	}
 }
 
-// TestCarryGridMatchesCrossProduct holds the cell index to its contract
-// where the planner uses it: at every instant, carrying each satellite
-// against its cell-index candidates yields exactly the edges — keys and
+// TestCarryGridMatchesCrossProduct holds the direction cover to its
+// contract where the planner uses it: at every instant, carrying each
+// satellite against its cover candidates yields exactly the edges — keys and
 // carried terms — of carrying it against every station, the full cross
-// product with no index. The network includes a constraint bitmap and a
+// product with no cover. The network includes a constraint bitmap and a
 // removed station, so the cuts ahead of the geometry are exercised too.
 func TestCarryGridMatchesCrossProduct(t *testing.T) {
 	for _, tc := range []struct {
@@ -185,7 +186,7 @@ func TestCarryGridMatchesCrossProduct(t *testing.T) {
 				got := sched.carryPairs(positions, at, nil, nil, &ws)
 				want := sched.carryPairs(positions, at, nil, every, &ws)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v: cell-index carry (%d edges) differs from the cross product (%d)", at, len(got.keys), len(want.keys))
+					t.Fatalf("%v: cover carry (%d edges) differs from the cross product (%d)", at, len(got.keys), len(want.keys))
 				}
 				edges += len(want.keys)
 			}

@@ -192,7 +192,7 @@ func TestIncrementalDifferentialSmall(t *testing.T) {
 // TestIncrementalDifferentialSatsAndStations puts dirty satellites and
 // dirty stations in the same Replan, the case where the two restrictions
 // overlap: a dirty satellite's edge at a dirty station is a candidate of
-// the satellite's cell-index carry and must not come out of the dirty-
+// the satellite's cover carry and must not come out of the dirty-
 // station list a second time. Beside a real RemoveStation, live stations
 // are re-announced as clones — the same fields behind a new *Station, which
 // a same-length SetStations marks dirty; a removed station has no edges

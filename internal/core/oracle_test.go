@@ -6,6 +6,7 @@ import (
 
 	"dgs/internal/linkbudget"
 	"dgs/internal/poscache"
+	"dgs/internal/spatial"
 )
 
 // The reference the planner is held to. Production computes feasible edges
@@ -16,15 +17,18 @@ import (
 // straight from Forecast.AtLead, and every rate looked up through
 // linkbudget.AttenMemo.
 
-// oracle rates a scheduler's stations through one attenuation memo.
+// oracle rates a scheduler's stations through one attenuation memo, and
+// takes their candidates from its own cover for the range cap (wider than
+// the scheduler's, which is drawn for the largest reach).
 type oracle struct {
-	s    *Scheduler
-	memo *linkbudget.AttenMemo
-	path []int // station index → memo path handle
+	s     *Scheduler
+	memo  *linkbudget.AttenMemo
+	path  []int // station index → memo path handle
+	sites *spatial.Sites
 }
 
 func newOracle(s *Scheduler) *oracle {
-	o := &oracle{s: s, memo: linkbudget.NewAttenMemo(s.Radio), path: make([]int, len(s.Stations))}
+	o := &oracle{s: s, memo: linkbudget.NewAttenMemo(s.Radio), path: make([]int, len(s.Stations)), sites: spatial.NewSites(s.Stations, rangeCapKm)}
 	for j, gs := range s.Stations {
 		o.path[j] = o.memo.Register(gs.Location.LatRad, gs.Location.AltKm)
 	}
@@ -32,13 +36,13 @@ func newOracle(s *Scheduler) *oracle {
 }
 
 // visibility returns the feasible edges at t, satellite-major with stations
-// ascending: every satellite against its cell-index candidates, cut by the
+// ascending: every satellite against its candidates, cut by the
 // constraint bitmap, the slant range and the elevation mask, rated under
 // the forecast issued lead before t (clear sky without one) through view,
 // and kept when the rate is positive. Masks and bitmaps are read live.
 func (o *oracle) visibility(positions *poscache.Cache, t time.Time, lead time.Duration, view *linkbudget.MemoView) []VisibleEdge {
 	s := o.s
-	sites, maxRange := s.stationSites(), rangeCapKm
+	sites, maxRange := o.sites, rangeCapKm
 	conds := make([]linkbudget.Conditions, len(s.Stations))
 	if s.Forecast != nil {
 		for j, gs := range s.Stations {
@@ -48,12 +52,11 @@ func (o *oracle) visibility(positions *poscache.Cache, t time.Time, lead time.Du
 	}
 	var edges []VisibleEdge
 	var cand []int32
-	var bits []uint64
 	for i, e := range positions.At(t) {
 		if !e.OK {
 			continue
 		}
-		cand = sites.Near(cand, e.Pos, maxRange, &bits)
+		cand = sites.Near(cand, e.Pos)
 		for _, c := range cand {
 			j := int(c)
 			gs := s.Stations[j]

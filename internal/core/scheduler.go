@@ -7,6 +7,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -117,9 +118,9 @@ type Scheduler struct {
 	// mu guards the lazily initialized shared state below, which
 	// PlanEpoch's workers and concurrent Visibility calls all read.
 	mu sync.Mutex
-	// stSites is the station network's cell index and topocentric bases,
-	// so carrying an instant only examines stations near each satellite's
-	// ground track and never redoes the geodetic→ECEF conversion per
+	// stSites is the station network's cover and topocentric bases, so
+	// carrying an instant only examines stations near each satellite's
+	// direction and never redoes the geodetic→ECEF conversion per
 	// candidate edge.
 	stSites *spatial.Sites
 	// pos is the private fallback position cache used when Positions is
@@ -153,7 +154,7 @@ func (s *Scheduler) PlanVersion() int { return s.nextVersion }
 func (s *Scheduler) SetPlanVersion(v int) { s.nextVersion = v }
 
 // SetStations replaces the ground network and drops every lazily built
-// structure derived from it: the spatial cell index and per-station
+// structure derived from it: the spatial cover and per-station
 // geometry, the rate kernel's sites and range cuts, the per-worker
 // scratch, and cached forecast components (sampled at the old stations).
 // Carried edges survive a network of the same length: the next PlanEpoch
@@ -175,15 +176,21 @@ func (s *Scheduler) SetStations(net station.Network) {
 	s.scr = nil
 }
 
-// stationSites returns the station network's visibility index, built on
-// first use and shared read-only across the worker pool. It derives from
-// station locations only; mutable station fields (constraint bitmap,
-// elevation mask, beam count) are still read live each evaluation.
+// stationSites returns the station network's visibility index for the
+// largest range cut, built on first use and shared across the worker
+// pool. It derives from station locations and terminals only; mutable
+// station fields (constraint bitmap, elevation mask) are still read live
+// each evaluation.
 func (s *Scheduler) stationSites() *spatial.Sites {
+	_, _, reach := s.rateKernel()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stSites == nil {
-		s.stSites = spatial.NewSites(s.Stations)
+		nearKm := 0.0
+		if len(reach) > 0 {
+			nearKm = slices.Max(reach)
+		}
+		s.stSites = spatial.NewSites(s.Stations, nearKm)
 	}
 	return s.stSites
 }

@@ -38,7 +38,7 @@ func plansEqual(t *testing.T, ref, got *Plan, label string) {
 // the default planning path: across successive heavily overlapping epochs
 // (exercising what the scheduler carries and prunes, and a gap that
 // strands all of it), with and without a weather forecast, and at several
-// worker counts, carried cell-index candidates rated by the kernel must
+// worker counts, carried cover candidates rated by the kernel must
 // produce plans bit-identical to the oracle's sweep rated by the memo.
 func TestPlanEpochWindowsMatchSweep(t *testing.T) {
 	gen := 100 * 8e9 / 86400.0

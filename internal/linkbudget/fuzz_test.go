@@ -8,12 +8,15 @@ import (
 )
 
 // FuzzCarry attacks the carry with random stations, terminals, radios,
-// geometries up to the zenith and weather, and holds it to four
+// geometries up to the zenith and weather, and holds it to five
 // properties: a carried rung's ClearRate is Rate under the clear Sky, bit
 // for bit; no weather rates a carried link above its clear-sky rate; Carry
 // keeps a link exactly when its clear-sky rate — the memo's, at zero
-// weather — is positive; and nothing past the station's Reach is carried.
-// A carried link's rate under the weather is the memo's, too.
+// weather — is positive; nothing past the station's Reach is carried; and
+// the sine table puts the elevation's sine in quantizeElev's bucket of its
+// arcsine. The kernel is given the elevation's sine, the memo its arcsine
+// (the elevation a look angle has). A carried link's rate under the
+// weather is the memo's, too.
 func FuzzCarry(f *testing.F) {
 	deg := math.Pi / 180
 	// TestKernelMatchesMemoBoundaries' rows, at its default station.
@@ -61,7 +64,8 @@ func FuzzCarry(f *testing.F) {
 		kernels[i] = NewKernel(r)
 	}
 	f.Fuzz(func(t *testing.T, lat, height float64, term, radio uint8, rangeKm, elevRad, rain, cloud float64) {
-		if !(math.Abs(lat) <= math.Pi/2) || !(height >= -0.5 && height <= 9) || math.IsNaN(rangeKm) || !(elevRad <= math.Pi/2) {
+		// An infinite elevation has a NaN sine, which no look angle has.
+		if !(math.Abs(lat) <= math.Pi/2) || !(height >= -0.5 && height <= 9) || math.IsNaN(rangeKm) || !(elevRad <= math.Pi/2) || math.IsInf(elevRad, -1) {
 			return
 		}
 		r := radios[int(radio)%len(radios)]
@@ -69,10 +73,14 @@ func FuzzCarry(f *testing.F) {
 		site := k.Site(lat, height, tm)
 		am := NewAttenMemo(r)
 		path := am.Register(lat, height)
-		g := Geometry{RangeKm: rangeKm, ElevationRad: elevRad, StationLatRad: lat, StationHeightKm: height}
+		sinEl := math.Sin(elevRad)
+		g := Geometry{RangeKm: rangeKm, ElevationRad: math.Asin(sinEl), StationLatRad: lat, StationHeightKm: height}
 		w := Conditions{RainMmH: rain, CloudKgM2: cloud}
 
-		c, ok := k.Carry(&site, rangeKm, elevRad)
+		if got, want := int64(k.sines.elevQ(sinEl)), quantizeElev(g.ElevationRad); got != want {
+			t.Fatalf("sine %v (%#x): table bucket %d, quantizeElev(asin) %d", sinEl, math.Float64bits(sinEl), got, want)
+		}
+		c, ok := k.Carry(&site, rangeKm, sinEl)
 		if clearWant := am.RateBpsAt(path, tm, g, Conditions{}); ok != (clearWant > 0) {
 			t.Fatalf("carried %v, but the clear-sky rate is %v", ok, clearWant)
 		}

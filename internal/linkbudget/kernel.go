@@ -18,8 +18,10 @@ import (
 //     below the rain height;
 //   - per quantized elevation (once per process, pathTrig): the clamped
 //     elevation's sine and its Sincos pair;
-//   - per (station, range, elevation) (Carry): EIRP − FSPL, the quantized
-//     elevation and the clear-sky rate's ladder rung;
+//   - per (station, range, elevation sine) (Carry): EIRP − FSPL, the
+//     quantized elevation — looked up among the least sines of each
+//     bucket (once per process, sineBuckets), with no arcsine — and the
+//     clear-sky rate's ladder rung;
 //   - per weather sample (Weather): the quantized rain and cloud terms;
 //   - per evaluation (Rate): the path terms from the elevation's table row,
 //     five divisions and the MODCOD search; under a clear sky (ClearRate)
@@ -35,6 +37,7 @@ type Kernel struct {
 	acm     dvbs2.Ladder
 	clear   Sky
 	trig    []itu.ElevationTrig
+	sines   *sineTable
 }
 
 // NewKernel builds the kernel for one radio.
@@ -44,6 +47,7 @@ func NewKernel(r Radio) *Kernel {
 		carrier: itu.NewCarrier(r.FreqGHz, r.Polarization),
 		acm:     dvbs2.NewLadder(r.SymbolRateHz),
 		trig:    pathTrig(),
+		sines:   sineBuckets(),
 	}
 	k.clear = k.Weather(Conditions{})
 	return k
@@ -52,6 +56,75 @@ func NewKernel(r Radio) *Kernel {
 // zenithElevQ is the zenith's quantized elevation, round(π/2 / elevStepRad):
 // the largest that any elevation up to the zenith quantizes to.
 const zenithElevQ = 15708
+
+// quantizeElev buckets an elevation by elevStepRad: (0, π/2] → ≤ 15708
+// buckets, clamped to [1, 2^24 − 1].
+func quantizeElev(elevRad float64) int64 {
+	elevQ := int64(math.Round(elevRad / elevStepRad))
+	if elevQ < 1 {
+		elevQ = 1 // keep the slant-path model away from a zero-elevation pole
+	}
+	if elevQ > 1<<24-1 {
+		elevQ = 1<<24 - 1
+	}
+	return elevQ
+}
+
+// sineBins is the resolution of sineTable's start index over the sines
+// in [0, 1].
+const sineBins = 1 << 16
+
+// sineTable quantizes elevations from their sines. th[q], for q from 2 to
+// the zenith's, is the least sine s with quantizeElev(math.Asin(s)) ≥ q —
+// the arcsine and the quantization are monotone, so a sine's bucket is
+// the largest q whose threshold it reaches, or 1 — and start[b] is the
+// bucket of the sine b/sineBins, where a lookup starts its walk.
+type sineTable struct {
+	th    [zenithElevQ + 1]float64
+	start [sineBins + 1]uint16
+}
+
+// sineBuckets builds the table, once per process, shared read-only by
+// every kernel. Each threshold is seeded at the sine of its bucket's lower
+// edge, (q − ½)·elevStepRad, and walked by ulps to the least sine the
+// arcsine puts in the bucket: a few steps, since sin and asin are each
+// within an ulp or so.
+var sineBuckets = sync.OnceValue(func() *sineTable {
+	t := new(sineTable)
+	bucket := func(s float64) int64 { return quantizeElev(math.Asin(s)) }
+	for q := int64(2); q <= zenithElevQ; q++ {
+		s := math.Sin((float64(q) - 0.5) * elevStepRad)
+		for bucket(s) < q {
+			s = math.Nextafter(s, 2)
+		}
+		for bucket(math.Nextafter(s, -2)) >= q {
+			s = math.Nextafter(s, -2)
+		}
+		t.th[q] = s
+	}
+	q := uint16(1)
+	for b := range t.start {
+		for q < zenithElevQ && t.th[q+1] <= float64(b)/sineBins {
+			q++
+		}
+		t.start[b] = q
+	}
+	return t
+})
+
+// elevQ returns quantizeElev(math.Asin(sinEl)) for a sine in [−1, 1]: 1
+// for a sine at or below 0, else the start index's bucket walked up past
+// every threshold the sine reaches.
+func (t *sineTable) elevQ(sinEl float64) uint16 {
+	if !(sinEl > 0) {
+		return 1
+	}
+	q := t.start[min(int(sinEl*sineBins), sineBins)]
+	for q < zenithElevQ && sinEl >= t.th[q+1] {
+		q++
+	}
+	return q
+}
 
 // pathTrig is itu.TrigOf of every quantized elevation up to the zenith,
 // indexed by elevQ (quantize never yields 0, whose entry is unused). It
@@ -67,7 +140,6 @@ var pathTrig = sync.OnceValue(func() []itu.ElevationTrig {
 
 // Site is the per-station part of a rate evaluation.
 type Site struct {
-	latRad, heightKm  float64
 	rainDepthKm       float64 // itu.RainHeightKm(latRad) − heightKm
 	gainDBi, noiseDBW float64
 	marginDB          float64
@@ -78,7 +150,6 @@ type Site struct {
 // AttenMemo.Register takes) and its terminal.
 func (k *Kernel) Site(latRad, heightKm float64, t Terminal) Site {
 	return Site{
-		latRad: latRad, heightKm: heightKm,
 		rainDepthKm: itu.RainHeightKm(latRad) - heightKm,
 		gainDBi:     t.GainDBi(k.radio.FreqGHz),
 		noiseDBW:    astro.BoltzmannDBW + astro.DB(t.NoiseTempK) + astro.DB(k.radio.SymbolRateHz),
@@ -99,7 +170,8 @@ type Carried struct {
 	Rung         uint8
 }
 
-// Carry computes the weather-independent part for a path geometry, with
+// Carry computes the weather-independent part for a path geometry — the
+// slant range and the clamped sine of the elevation, in [−1, 1] — with
 // the rung of the link's clear-sky rate: ClearRate(s, c.Rung) is
 // Rate(s, c, Weather(Conditions{})), which Carry evaluates anyway and a
 // caller rating under a clear sky can keep instead of recomputing. ok is
@@ -109,20 +181,16 @@ type Carried struct {
 // under a clear sky. Rain and cloud only add attenuation: on a path up to
 // the zenith their terms are never negative, every operation from there to
 // the rate rounds monotonically, and the ladder's rates ascend with its
-// thresholds — so no weather rates a link above its clear-sky rate. An
-// elevation whose quantization does not fit ElevQ — past 6.5 rad, which no
-// look angle is — is not carried either.
-func (k *Kernel) Carry(s *Site, rangeKm, elevRad float64) (c Carried, ok bool) {
-	if elevRad <= 0 || rangeKm <= 0 {
+// thresholds — so no weather rates a link above its clear-sky rate. The
+// quantized elevation is the memo's for math.Asin(sinEl), from the sine
+// table.
+func (k *Kernel) Carry(s *Site, rangeKm, sinEl float64) (c Carried, ok bool) {
+	if !(sinEl > 0) || rangeKm <= 0 {
 		return Carried{}, false
 	}
-	elevQ, _, _ := quantize(elevRad, Conditions{})
-	if elevQ > math.MaxUint16 {
-		return Carried{}, false
-	}
-	c = Carried{EIRPLessFSPL: k.radio.EIRPdBW - FSPLdB(rangeKm, k.radio.FreqGHz), ElevQ: uint16(elevQ)}
+	c = Carried{EIRPLessFSPL: k.radio.EIRPdBW - FSPLdB(rangeKm, k.radio.FreqGHz), ElevQ: k.sines.elevQ(sinEl)}
 	c.Rung = uint8(k.acm.Rung(k.esN0(s, c, &k.clear), s.marginDB))
-	if elevRad <= math.Pi/2 && k.ClearRate(s, c.Rung) <= 0 {
+	if k.ClearRate(s, c.Rung) <= 0 {
 		return Carried{}, false
 	}
 	return c, true
@@ -191,18 +259,9 @@ func (k *Kernel) esN0(s *Site, c Carried, w *Sky) float64 {
 }
 
 // path returns the weather-independent path terms of a quantized
-// elevation. Up to the zenith they come from the process-wide table of its
-// trigonometry, completed with the site's depth below the rain height: the
-// operations and operands of itu.SlantPath.Terms, which a larger elevation
-// still calls.
+// elevation, which Carry keeps up to the zenith: the process-wide table of
+// its trigonometry, completed with the site's depth below the rain height
+// — the operations and operands of itu.SlantPath.Terms.
 func (k *Kernel) path(s *Site, elevQ uint16) itu.PathTerms {
-	if int(elevQ) < len(k.trig) {
-		return k.trig[elevQ].Terms(s.rainDepthKm)
-	}
-	sp := itu.SlantPath{
-		ElevationRad:    float64(elevQ) * elevStepRad,
-		StationHeightKm: s.heightKm,
-		LatitudeRad:     s.latRad,
-	}
-	return sp.Terms()
+	return k.trig[elevQ].Terms(s.rainDepthKm)
 }

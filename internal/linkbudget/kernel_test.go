@@ -8,12 +8,12 @@ import (
 	"dgs/internal/itu"
 )
 
-// kernelRate is the kernel's evaluation of one RateBpsAt call: 0 when Carry
-// reports that the link never closes. clearBps is the clear-sky rate of
-// Carry's rung, and reClear the same link rated again under
-// Weather(Conditions{}).
-func kernelRate(k *Kernel, s *Site, g Geometry, w Conditions) (rate, clearBps, reClear float64, carried bool) {
-	c, ok := k.Carry(s, g.RangeKm, g.ElevationRad)
+// kernelRate is the kernel's evaluation of one RateBpsAt call, given the
+// elevation's sine: 0 when Carry reports that the link never closes.
+// clearBps is the clear-sky rate of Carry's rung, and reClear the same link
+// rated again under Weather(Conditions{}).
+func kernelRate(k *Kernel, s *Site, g Geometry, sinEl float64, w Conditions) (rate, clearBps, reClear float64, carried bool) {
+	c, ok := k.Carry(s, g.RangeKm, sinEl)
 	if !ok {
 		return 0, 0, 0, false
 	}
@@ -46,16 +46,18 @@ func newKernelRigFor(r Radio) *kernelRig {
 }
 
 // check compares the two on one case and returns the rate, and whether the
-// kernel carried the link at all. A carried link's clear-sky rate from
-// Carry must also equal Rate under Weather(Conditions{}) and the memo at
-// zero weather, bit for bit.
+// kernel carried the link at all: the kernel given the sine of the case's
+// elevation, the memo its arcsine (the elevation a look angle has). A
+// carried link's clear-sky rate from Carry must also equal Rate under
+// Weather(Conditions{}) and the memo at zero weather, bit for bit.
 func (rig *kernelRig) check(t *testing.T, c kernelCase) (float64, bool) {
 	t.Helper()
 	path := rig.am.Register(c.lat, c.height)
 	site := rig.k.Site(c.lat, c.height, c.term)
-	c.g.StationLatRad, c.g.StationHeightKm = c.lat, c.height
+	sinEl := math.Sin(c.g.ElevationRad)
+	c.g.StationLatRad, c.g.StationHeightKm, c.g.ElevationRad = c.lat, c.height, math.Asin(sinEl)
 	want := rig.am.RateBpsAt(path, c.term, c.g, c.w)
-	got, clearBps, reClear, carried := kernelRate(rig.k, &site, c.g, c.w)
+	got, clearBps, reClear, carried := kernelRate(rig.k, &site, c.g, sinEl, c.w)
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("kernel %v (%#x) vs memo %v (%#x): pol=%v case %+v",
 			got, math.Float64bits(got), want, math.Float64bits(want), rig.am.Radio().Polarization, c)
@@ -154,7 +156,7 @@ func TestKernelMatchesMemoBoundaries(t *testing.T) {
 		{"clear sky", kernelCase{g: Geometry{RangeKm: 1500, ElevationRad: 0.3}}},
 		{"closes only under a clear sky", kernelCase{g: Geometry{RangeKm: 2900, ElevationRad: 6 * deg}, w: Conditions{RainMmH: 8, CloudKgM2: 1}}},
 		{"never closes", kernelCase{g: Geometry{RangeKm: 3400, ElevationRad: 1 * deg}, w: Conditions{RainMmH: 2}}},
-		{"past the zenith", kernelCase{g: Geometry{RangeKm: 700, ElevationRad: 2.0}, w: Conditions{RainMmH: 30, CloudKgM2: 3}}},
+		{"past the zenith", kernelCase{g: Geometry{RangeKm: 700, ElevationRad: 2.0}, w: Conditions{RainMmH: 30, CloudKgM2: 3}}}, // its sine's: π − 2
 		{"below the horizon, wrapped", kernelCase{g: Geometry{RangeKm: 700, ElevationRad: 4.0}, w: Conditions{RainMmH: 30, CloudKgM2: 3}}},
 	}
 	for _, row := range rows {
@@ -220,7 +222,7 @@ func TestReachIsSound(t *testing.T) {
 			if rng.Intn(3) > 0 {
 				w = Conditions{RainMmH: rng.ExpFloat64() * 5, CloudKgM2: rng.Float64() * 2}
 			}
-			if c, ok := k.Carry(&site, rangeKm, el); ok {
+			if c, ok := k.Carry(&site, rangeKm, math.Sin(el)); ok {
 				t.Fatalf("terminal %+v: %v km past reach %v at elevation %v is carried, clear-sky rate %v", term, rangeKm, reach, el, k.ClearRate(&site, c.Rung))
 			}
 			elevQ, _, _ := quantize(el, Conditions{})
@@ -234,12 +236,12 @@ func TestReachIsSound(t *testing.T) {
 		// The longest closing range at the zenith, by bisection: lo closes,
 		// hi does not.
 		lo, hi := 1.0, reach
-		if _, ok := k.Carry(&probe, lo, math.Pi/2); !ok {
+		if _, ok := k.Carry(&probe, lo, 1); !ok {
 			t.Fatalf("terminal %+v: no link at 1 km from the zenith", term)
 		}
 		for range 100 {
 			mid := (lo + hi) / 2
-			if _, ok := k.Carry(&probe, mid, math.Pi/2); ok {
+			if _, ok := k.Carry(&probe, mid, 1); ok {
 				lo = mid
 			} else {
 				hi = mid
@@ -292,28 +294,28 @@ func TestReachPins(t *testing.T) {
 // TestPathTermsTableMatchesTerms holds the path terms Rate rebuilds from a
 // carried elevation to itu.SlantPath.Terms bit for bit at every quantized
 // elevation up to the zenith — the whole table — for stations at latitudes
-// in every rain-height regime and heights below, at and above it, and past
-// the table, where Rate falls back to Terms itself. Carry keeps the
-// elevation's quantization, and refuses one past what ElevQ holds.
+// in every rain-height regime and heights below, at and above it. Carry
+// keeps the elevation's quantization, given its sine; a sine of 1 is the
+// zenith's bucket.
 func TestPathTermsTableMatchesTerms(t *testing.T) {
 	k := NewKernel(DefaultRadio())
-	if q, _, _ := quantize(math.Pi/2, Conditions{}); q != zenithElevQ || len(k.trig) != zenithElevQ+1 {
+	if q := quantizeElev(math.Pi / 2); q != zenithElevQ || len(k.trig) != zenithElevQ+1 {
 		t.Fatalf("the zenith quantizes to %d; the table ends at %d", q, len(k.trig)-1)
 	}
-	check := func(lat, height, elevRad float64, site *Site) {
+	check := func(lat, height, sinEl float64, site *Site) {
 		t.Helper()
 		// A short range: every geometry closes, so Carry keeps it.
-		c, ok := k.Carry(site, 100, elevRad)
-		elevQ, _, _ := quantize(elevRad, Conditions{})
+		c, ok := k.Carry(site, 100, sinEl)
+		elevQ := quantizeElev(math.Asin(sinEl))
 		if !ok || int64(c.ElevQ) != elevQ {
-			t.Fatalf("latitude %v, height %v, elevation %v (q %d): carried %v at q %d", lat, height, elevRad, elevQ, ok, c.ElevQ)
+			t.Fatalf("latitude %v, height %v, sine %v (q %d): carried %v at q %d", lat, height, sinEl, elevQ, ok, c.ElevQ)
 		}
 		want := itu.SlantPath{ElevationRad: float64(elevQ) * elevStepRad, StationHeightKm: height, LatitudeRad: lat}.Terms()
 		got := k.path(site, c.ElevQ)
 		if math.Float64bits(got.SinEl) != math.Float64bits(want.SinEl) ||
 			math.Float64bits(got.Ls) != math.Float64bits(want.Ls) ||
 			math.Float64bits(got.LsCos) != math.Float64bits(want.LsCos) {
-			t.Fatalf("latitude %v, height %v, elevation %v (q %d): rebuilt terms %+v, Terms %+v", lat, height, elevRad, elevQ, got, want)
+			t.Fatalf("latitude %v, height %v, sine %v (q %d): rebuilt terms %+v, Terms %+v", lat, height, sinEl, elevQ, got, want)
 		}
 	}
 	deg := math.Pi / 180
@@ -322,18 +324,54 @@ func TestPathTermsTableMatchesTerms(t *testing.T) {
 			lat := latDeg * deg
 			site := k.Site(lat, height, BaselineTerminal())
 			for q := 1; q <= zenithElevQ; q++ {
-				check(lat, height, float64(q)*elevStepRad, &site)
+				check(lat, height, math.Sin(float64(q)*elevStepRad), &site)
 			}
-			// Past the zenith: the last bucket, then the fallback, up to the
-			// last elevation ElevQ holds.
-			for _, el := range []float64{math.Pi/2 + 4e-5, math.Pi/2 + 6e-5, float64(zenithElevQ+1) * elevStepRad, 2, math.Pi, math.MaxUint16 * elevStepRad} {
-				check(lat, height, el, &site)
-			}
-			for _, el := range []float64{(math.MaxUint16 + 1) * elevStepRad, 1e3} {
-				if c, ok := k.Carry(&site, 100, el); ok {
-					t.Fatalf("elevation %v past what ElevQ holds carried as q %d", el, c.ElevQ)
-				}
+			check(lat, height, 1, &site)
+		}
+	}
+}
+
+// TestSineTableMatchesAsin holds the sine table to the quantization it
+// replaces, quantizeElev(math.Asin(s)), at every threshold and 64 ulps
+// either side of it, at 0, 1 and both sides of every start-index bin
+// edge, and on 2 M seeded sines spread uniformly and crowded towards the
+// zenith; thresholds ascend strictly.
+func TestSineTableMatchesAsin(t *testing.T) {
+	tab := sineBuckets()
+	check := func(s float64) {
+		t.Helper()
+		if got, want := int64(tab.elevQ(s)), quantizeElev(math.Asin(s)); got != want {
+			t.Fatalf("sine %v (%#x): table bucket %d, quantizeElev(asin) %d", s, math.Float64bits(s), got, want)
+		}
+	}
+	for q := 2; q <= zenithElevQ; q++ {
+		if q > 2 && !(tab.th[q] > tab.th[q-1]) {
+			t.Fatalf("threshold %d (%v) not above threshold %d (%v)", q, tab.th[q], q-1, tab.th[q-1])
+		}
+		lo, hi := tab.th[q], tab.th[q]
+		check(lo)
+		for range 64 {
+			lo, hi = math.Nextafter(lo, -2), math.Nextafter(hi, 2)
+			check(lo)
+			if hi <= 1 {
+				check(hi)
 			}
 		}
+	}
+	for b := 0; b <= sineBins; b++ {
+		s := float64(b) / sineBins
+		check(s)
+		check(math.Nextafter(s, -2))
+		if s < 1 {
+			check(math.Nextafter(s, 2))
+		}
+	}
+	for _, s := range []float64{-1, -0.5, math.Copysign(0, -1), 0, 5e-324, 1e-300, 1} {
+		check(s)
+	}
+	rng := rand.New(rand.NewSource(41))
+	for range 1_000_000 {
+		check(rng.Float64())
+		check(1 - rng.Float64()*rng.Float64()*1e-3)
 	}
 }

@@ -83,17 +83,11 @@ func (am *AttenMemo) Len() int {
 	return n
 }
 
-// quantize buckets the continuous attenuation inputs. Elevation spans
-// (0, π/2] → ≤ 15708 buckets (well inside 24 bits); rain and cloud each
-// get 16 bits with clamping far beyond physical maxima.
+// quantize buckets the continuous attenuation inputs: the elevation by
+// quantizeElev, and rain and cloud to 16 bits each, with clamping far
+// beyond physical maxima.
 func quantize(elevRad float64, w Conditions) (elevQ, rainQ, cloudQ int64) {
-	elevQ = int64(math.Round(elevRad / elevStepRad))
-	if elevQ < 1 {
-		elevQ = 1 // keep the slant-path model away from a zero-elevation pole
-	}
-	if elevQ > 1<<24-1 {
-		elevQ = 1<<24 - 1
-	}
+	elevQ = quantizeElev(elevRad)
 	rainQ = int64(math.Round(w.RainMmH / rainStepMmH))
 	if rainQ < 0 {
 		rainQ = 0

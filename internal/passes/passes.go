@@ -13,10 +13,11 @@
 // some window; [Rise, Set] are the refined crossing estimates themselves.
 //
 // Which stations a satellite sees at an instant is spatial.Sites' answer —
-// the cell index, slant-range cut and elevation test the planner carries
-// every instant with — so the pass API and the plan cannot disagree about
-// who sees whom. A query is a pure function of its span: WindowsBetween
-// scans [from, to) from scratch and keeps nothing but scratch buffers.
+// the direction cover, slant-range cut and elevation test the planner
+// carries every instant with — so the pass API and the plan cannot
+// disagree about who sees whom. A query is a pure function of its span:
+// WindowsBetween scans [from, to) from scratch and keeps nothing but
+// scratch buffers.
 // Station locations and elevation masks are assumed fixed for the
 // predictor's lifetime.
 package passes
@@ -200,12 +201,10 @@ type pendRef struct {
 	rising bool
 }
 
-// workerScratch is one worker's reusable buffers: cell-index candidates,
-// the bitmap spatial.Sites.Near orders them with, and the refinement's
-// partition spill.
+// workerScratch is one worker's reusable buffers: cover candidates and
+// the refinement's partition spill.
 type workerScratch struct {
 	cand  []int32
-	bits  []uint64
 	spill []int32
 }
 
@@ -220,12 +219,12 @@ type Predictor struct {
 	cfg       Config
 	sites     *spatial.Sites
 	// direct lists Config.Stations: every visible satellite is tested
-	// against exactly these stations instead of its cell-index candidates.
+	// against exactly these stations instead of its cover candidates.
 	direct []int32
 	stat   Stats
 
 	// Per-call scratch, reused across calls and meaningless between them.
-	floor  []float64        // spatial.SinFloor per station
+	mask   []spatial.Mask   // elevation-mask sine bounds per station
 	satBuf []poscache.Entry // Config.Sats positions at one instant
 	tsBuf  []time.Time      // one block of stride instants
 
@@ -268,7 +267,7 @@ func New(positions *poscache.Cache, stations station.Network, cfg Config) *Predi
 		positions: positions,
 		stations:  stations,
 		cfg:       cfg,
-		sites:     spatial.NewSites(stations),
+		sites:     spatial.NewSites(stations, maxRangeKm),
 		scratch:   make([]workerScratch, cfg.workers()),
 	}
 	if cfg.Stations != nil {
@@ -304,9 +303,9 @@ func (p *Predictor) WindowsBetween(dst Windows, from, to time.Time) Windows {
 	if !to.After(from) {
 		return dst
 	}
-	p.floor = p.floor[:0]
+	p.mask = p.mask[:0]
 	for _, gs := range p.stations {
-		p.floor = append(p.floor, spatial.SinFloor(gs.MinElevationRad))
+		p.mask = append(p.mask, spatial.NewMask(gs.MinElevationRad))
 	}
 	p.prev, p.prevWin = p.prev[:0], p.prevWin[:0]
 	n := len(dst)
@@ -374,7 +373,7 @@ func (p *Predictor) scanRange(keys []int64, entries []poscache.Entry, lo, hi int
 		}
 		list := p.direct
 		if list == nil {
-			ws.cand = p.sites.Near(ws.cand, e.Pos, maxRangeKm, &ws.bits)
+			ws.cand = p.sites.Near(ws.cand, e.Pos)
 			list = ws.cand
 		}
 		base := int64(i) * nGs
@@ -383,7 +382,7 @@ func (p *Predictor) scanRange(keys []int64, entries []poscache.Entry, lo, hi int
 		}
 		pairs += int64(len(list))
 		for _, j := range list {
-			if _, _, ok := p.sites.Above(int(j), e.Pos, maxRangeKm, p.stations[j].MinElevationRad, p.floor[j]); ok {
+			if _, _, ok := p.sites.Above(int(j), e.Pos, maxRangeKm, p.mask[j]); ok {
 				keys = append(keys, base+int64(j))
 			}
 		}
@@ -591,7 +590,7 @@ func (p *Predictor) refineEnts(ents []int32, lo, hi time.Time, scratch []int32) 
 		above := false
 		if satUp {
 			j := int(pr.key % nGs)
-			_, _, above = p.sites.Above(j, e.Pos, maxRangeKm, p.stations[j].MinElevationRad, p.floor[j])
+			_, _, above = p.sites.Above(j, e.Pos, maxRangeKm, p.mask[j])
 		}
 		if above == pr.rising {
 			ents[k] = ei

@@ -33,7 +33,7 @@ func world(t testing.TB, nSat, nGs int) (*poscache.Cache, station.Network) {
 }
 
 // directAbove is the brute-force reference for the predictor's above test:
-// within slant range and above the elevation mask, no cell index involved.
+// within slant range and above the elevation mask, no cover involved.
 func directAbove(pos *poscache.Cache, net station.Network, topo []frames.Topocentric, sat, st int, t time.Time, maxRange float64) bool {
 	state, err := pos.Props()[sat].PropagateTo(t)
 	if err != nil {

@@ -156,10 +156,11 @@ func TestPrefillCheckpointResume(t *testing.T) {
 	resultsIdentical(t, want, rres, "resumed run vs one worker")
 }
 
-// TestTxVisibleMatchesLook holds txVisible's sine-floor shortcut to the
+// TestTxVisibleMatchesLook holds txVisible's sine-bound shortcut to the
 // predicate it replaces — Look's elevation above the mask — on seeded
-// positions, on positions placed at the mask and at its floor, and, for the
-// shortcut itself, on sines a few ulps either side of both.
+// positions, on positions placed at the mask and at its bounds, 1e-9 either
+// side of its sine, and, for the shortcut itself, on sines a few ulps
+// either side of all three.
 func TestTxVisibleMatchesLook(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	gs := dataset.Stations(dataset.StationOptions{N: 1, Seed: 6})[0]
@@ -169,7 +170,8 @@ func TestTxVisibleMatchesLook(t *testing.T) {
 		tx.ID, tx.TxCapable, tx.MinElevationRad = 0, true, maskDeg*astro.Deg2Rad
 		w := &World{}
 		w.indexStations(station.Network{&tx})
-		mask, floor := tx.MinElevationRad, w.txFloor[0]
+		mask := tx.MinElevationRad
+		bounds := []float64{math.Sin(mask) - 1e-9, math.Sin(mask), math.Sin(mask) + 1e-9}
 		topo := w.topo[0]
 
 		// place returns the position rangeKm from the station at elevation
@@ -189,7 +191,7 @@ func TestTxVisibleMatchesLook(t *testing.T) {
 			el := (rng.Float64()*110 - 15) * astro.Deg2Rad
 			at = append(at, place(el, rng.Float64()*2*math.Pi, 400+rng.Float64()*2600))
 		}
-		for _, edge := range []float64{mask, math.Asin(floor)} {
+		for _, edge := range []float64{mask, math.Asin(bounds[0]), math.Asin(bounds[2])} {
 			for _, d := range []float64{-1e-9, -1e-12, -1e-15, 0, 1e-15, 1e-12, 1e-9} {
 				if el := edge + d; !math.IsNaN(el) {
 					at = append(at, place(el, rng.Float64()*2*math.Pi, 400+rng.Float64()*2600))
@@ -205,14 +207,14 @@ func TestTxVisibleMatchesLook(t *testing.T) {
 			seen[want]++
 		}
 
-		for _, edge := range []float64{floor, math.Sin(mask)} {
+		for _, edge := range bounds {
 			sin := edge
 			for range 4 {
 				sin = math.Nextafter(sin, math.Inf(-1))
 			}
 			for range 9 {
 				if sin >= -1 && sin <= 1 {
-					if got, want := clearsMask(sin, floor, mask), math.Asin(sin) > mask; got != want {
+					if got, want := w.txMask[0].Clears(sin), math.Asin(sin) > mask; got != want {
 						t.Fatalf("mask %g°, sine %.17g: shortcut says %v, the arcsine %v", maskDeg, sin, got, want)
 					}
 				}

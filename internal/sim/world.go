@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"dgs/internal/backend"
@@ -60,9 +59,9 @@ type World struct {
 	positions  *poscache.Cache
 	sched      *core.Scheduler
 	txStations station.Network
-	// txFloor is spatial.SinFloor of each TX station's elevation mask,
-	// aligned with txStations: txVisible rejects on the sine below it.
-	txFloor []float64
+	// txMask is the sine bounds of each TX station's elevation mask,
+	// aligned with txStations: txVisible tests the sine against them.
+	txMask []spatial.Mask
 	// topo is each station's precomputed look-angle basis, by station
 	// index: the per-step visibility tests would otherwise rebuild it for
 	// every (satellite, station) pair.
@@ -186,12 +185,12 @@ func newWorld(cfg Config) (*World, error) {
 
 // indexStations precomputes the per-station geometry of the visibility
 // tests: every station's look-angle basis and the TX stations with their
-// elevation-sine floors.
+// elevation-mask sine bounds.
 func (w *World) indexStations(net station.Network) {
 	w.txStations = net.TxStations()
-	w.txFloor = make([]float64, len(w.txStations))
+	w.txMask = make([]spatial.Mask, len(w.txStations))
 	for x, gs := range w.txStations {
-		w.txFloor[x] = spatial.SinFloor(gs.MinElevationRad)
+		w.txMask[x] = spatial.NewMask(gs.MinElevationRad)
 	}
 	w.topo = make([]frames.Topocentric, len(net))
 	for j, gs := range net {
@@ -204,25 +203,18 @@ func (w *World) indexStations(net station.Network) {
 // upload + cumulative acks on the low-rate S-band side channel). It reads
 // the slot's cached positions; the engine prologue must have run. The test
 // is Look's elevation against the mask, with the carry's shortcut: a sine
-// under the mask's floor fails it without the arcsine, and the azimuth is
-// never computed.
+// clear of the mask's bounds decides it without the arcsine, and the
+// azimuth is never computed.
 func (w *World) txVisible(i int) bool {
 	if !w.ecefs[i].OK {
 		return false
 	}
 	for x, gs := range w.txStations {
-		if _, sinEl := w.topo[gs.ID].RangeSinEl(w.ecefs[i].Pos); clearsMask(sinEl, w.txFloor[x], gs.MinElevationRad) {
+		if _, sinEl := w.topo[gs.ID].RangeSinEl(w.ecefs[i].Pos); w.txMask[x].Clears(sinEl) {
 			return true
 		}
 	}
 	return false
-}
-
-// clearsMask reports whether the elevation whose clamped sine is sinEl is
-// above mask, floor being spatial.SinFloor(mask): math.Asin(sinEl) > mask,
-// skipping the arcsine where the floor already rules it out.
-func clearsMask(sinEl, floor, mask float64) bool {
-	return sinEl >= floor && math.Asin(sinEl) > mask
 }
 
 // snapshot assembles the scheduler's view of every satellite queue at time

@@ -1,24 +1,28 @@
 // Package spatial answers "which stations can a satellite at this position
 // see": Sites is the one visibility primitive under the planner's carry
-// and the pass scan — a candidate index, then the exact slant-range and
-// elevation-mask cuts. The index is a latitude-band × longitude bucketing
-// of fixed ground sites, queried per satellite per instant with the
-// smaller of the horizon disk and the caller's range disk around the
-// satellite's sub-point; at 10k satellites × 1k stations the cross
-// product is the dominant cost. It has one property to uphold: it may
-// over-approximate (every candidate is re-tested exactly) but must never
-// miss a site within the range cut whose great-circle distance to the
-// sub-point can clear the elevation mask.
+// and the pass scan — a candidate cover, then the exact slant-range and
+// elevation-mask cuts. At 10k satellites × 1k stations the cross product
+// is the dominant cost. The candidates have one property to uphold: they
+// may over-approximate (every candidate is re-tested exactly) but must
+// never miss a site within the range cut that can clear its mask.
 //
-// Geometry: a LEO satellite at geocentric radius r sees, at best, sites
-// within the horizon central angle ψ = acos(R⊕/r) of its sub-point
-// (elevation 0°; any positive mask shrinks the disk). HorizonPsiDeg adds
-// a fixed 4° margin absorbing the geoid-vs-sphere sub-point error and
-// the 10° cell quantization, so visiting every cell intersecting the
-// inflated disk covers every possibly-visible site. A slant-range cut
-// bounds the central angle too, given the radii of the object and of the
-// sites (RangePsiDeg, with the same margin); the disk visited is the
-// smaller.
+// Geometry: a satellite at geocentric radius r sees, at best, sites
+// within the horizon central angle ψ = acos(R⊕/r) of its direction
+// (elevation 0°; any positive mask shrinks the disk). A slant-range cut
+// bounds the central angle too, given the radii of the satellite and of
+// the sites; the disk searched is the smaller. Both carry a fixed 4°
+// margin absorbing the geoid-vs-sphere error (station radii off R⊕, the
+// zenith off the geocentric direction) and masks a degree below the
+// horizon. Every disk is handled by its cosine, composed algebraically
+// (cos ψ = R⊕/r, cos ψ = 1 − 2s² for a chord, and the angle-sum formula
+// for the margin), so a query takes no trigonometric call.
+//
+// The cover: satellite directions fall into 6 × 32 × 32 gnomonic
+// cube-face cells. A cell lists, ascending, the stations within ψ_max + ρ
+// of its centre, where ψ_max is the widest disk over every satellite
+// radius and ρ the cell's corner radius — a superset of the disk of every
+// direction in the cell. A query filters its cell's list by its own disk,
+// one dot product per station.
 package spatial
 
 import (
@@ -28,159 +32,107 @@ import (
 	"dgs/internal/frames"
 )
 
-// SubPoint is the spherical (geocentric) sub-point of an orbiting object:
-// the latitude/longitude where the geocenter→object ray pierces the
-// sphere, plus the geocentric radius. It is derived from a cached ECEF
-// position with three scalar ops — no extra propagation.
-type SubPoint struct {
-	// LatDeg and LonDeg are geocentric degrees; LonDeg is in (-180, 180].
-	LatDeg, LonDeg float64
-	// RKm is the geocentric radius in kilometres. RKm <= Earth's radius
-	// marks a decayed or otherwise unusable position; Visible reports it.
-	RKm float64
-}
+// marginCos is the cosine of the disks' 4° margin.
+var marginCos = math.Cos(4 * astro.Deg2Rad)
 
-// SubPointOf derives the spherical sub-point of an ECEF position (km).
-func SubPointOf(ecef frames.Vec3) SubPoint {
-	r := ecef.Norm()
-	if r <= astro.EarthRadiusKm {
-		return SubPoint{RKm: r}
+// addAngles returns cos(a + b) from cos a and cos b, for a and b in
+// [0, π]: −Inf once the sum passes the antipode, where every direction
+// lies within it.
+func addAngles(ca, cb float64) float64 {
+	if ca < -cb {
+		return math.Inf(-1)
 	}
-	return SubPoint{
-		LatDeg: math.Asin(ecef.Z/r) * astro.Rad2Deg,
-		LonDeg: math.Atan2(ecef.Y, ecef.X) * astro.Rad2Deg,
-		RKm:    r,
-	}
+	return ca*cb - math.Sqrt(math.Max((1-ca*ca)*(1-cb*cb), 0))
 }
 
-// Visible reports whether the sub-point belongs to an object above the
-// Earth's surface; sub-points of decayed objects index nothing.
-func (sp SubPoint) Visible() bool { return sp.RKm > astro.EarthRadiusKm }
-
-// HorizonPsiDeg returns the inflated horizon central angle in degrees for
-// a geocentric radius r (km): the largest great-circle distance at which
-// any site could see the object above 0° elevation, plus a 4° margin for
-// the geoid-vs-sphere sub-point error and the index's cell quantization.
-// The caller must have checked r > astro.EarthRadiusKm.
-func HorizonPsiDeg(rKm float64) float64 {
-	return math.Acos(astro.EarthRadiusKm/rKm)*astro.Rad2Deg + 4
+// horizonCos returns the cosine of the inflated horizon central angle for
+// a geocentric radius r (km) above the Earth's: the widest great-circle
+// distance at which any site could see the object, plus the margin.
+func horizonCos(rKm float64) float64 {
+	return addAngles(astro.EarthRadiusKm/rKm, marginCos)
 }
 
-// RangePsiDeg returns the inflated central angle in degrees beyond which a
+// rangeCos returns the cosine of the inflated central angle beyond which a
 // site lies farther than rangeKm of slant range from an object at
 // geocentric radius rKm, for sites at radii within [minRKm, maxRKm]. A site
 // at radius a a central angle θ from the object is D apart from it with
 // D² = (a−r)² + 4ar·sin²(θ/2), where (a−r)² ≥ h² for h = max(r − maxRKm, 0)
-// and 4ar ≥ 4·minRKm·r, so sin²(θ/2) ≤ (D² − h²)/(4·minRKm·r);
-// HorizonPsiDeg's 4° margin is added. It is +Inf when the bound reaches the
-// antipode and when rangeKm is +Inf or NaN.
-func RangePsiDeg(rangeKm, rKm, minRKm, maxRKm float64) float64 {
+// and 4ar ≥ 4·minRKm·r, so s² = sin²(θ/2) ≤ (D² − h²)/(4·minRKm·r) and
+// cos θ ≥ 1 − 2s²; the margin is added. It is −Inf when the bound reaches
+// the antipode and when rangeKm is +Inf or NaN.
+func rangeCos(rangeKm, rKm, minRKm, maxRKm float64) float64 {
 	h := math.Max(rKm-maxRKm, 0)
 	s2 := (rangeKm*rangeKm - h*h) / (4 * minRKm * rKm)
 	if !(s2 < 1) {
-		return math.Inf(1)
+		return math.Inf(-1)
 	}
-	return 2*math.Asin(math.Sqrt(math.Max(s2, 0)))*astro.Rad2Deg + 4
+	return addAngles(1-2*math.Max(s2, 0), marginCos)
 }
 
-// Grid buckets fixed ground sites into 10° latitude × 10° longitude
-// geodetic cells — 18 bands × 36 columns. Sites are appended once at
-// build time and never move (matching the scheduler's fixed-network
-// assumption); queries visit the sites of every cell intersecting a
-// horizon disk, in deterministic band-major, west-to-east order.
-type Grid struct {
-	cells [18][36][]int32
-	n     int
+// diskCos is the cosine of the disk searched around an object at
+// geocentric radius rKm: the smaller of its horizon and range disks.
+func (s *Sites) diskCos(rKm float64) float64 {
+	return math.Max(horizonCos(rKm), rangeCos(s.rangeKm, rKm, s.minRKm, s.maxRKm))
 }
 
-// NewGrid returns an empty index.
-func NewGrid() *Grid { return &Grid{} }
-
-// Cell returns the (band, column) bucket for a latitude/longitude in
-// radians — exported so tests can cross-check bucketing. The antimeridian
-// itself, +180° after normalization, is column 0's west edge.
-func Cell(latRad, lonRad float64) (band, col int) {
-	lat := astro.Clamp(latRad*astro.Rad2Deg, -89.999, 89.999)
-	lon := astro.NormalizePi(lonRad) * astro.Rad2Deg
-	return int((lat + 90) / 10), int((lon+180)/10) % 36
+// widestCos returns a lower bound on diskCos over every radius above the
+// Earth's: the cosine of ψ_max. The horizon disk widens with the radius
+// and the range disk narrows, so the widest is where they cross; bisection
+// brackets the crossing in [lo, hi], and with the horizon's cosine falling
+// and the range's rising, no radius has a disk wider than the horizon's at
+// hi or the range's at lo. Without a finite cut it is the horizon's limit,
+// 94°.
+func (s *Sites) widestCos() float64 {
+	if !(math.Abs(s.rangeKm) < math.Inf(1)) {
+		return addAngles(0, marginCos)
+	}
+	lo, hi := astro.EarthRadiusKm, math.Max(s.maxRKm, astro.EarthRadiusKm)+math.Abs(s.rangeKm)
+	for range 100 { // past the float64 resolution
+		mid := (lo + hi) / 2
+		if horizonCos(mid) > rangeCos(s.rangeKm, mid, s.minRKm, s.maxRKm) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return math.Min(horizonCos(hi), rangeCos(s.rangeKm, lo, s.minRKm, s.maxRKm))
 }
 
-// Add indexes one site by its geodetic coordinates in radians. IDs are
-// caller-defined (population indices); insertion order within a cell is
-// preserved, which keeps query visit order deterministic.
-func (g *Grid) Add(id int32, latRad, lonRad float64) {
-	band, col := Cell(latRad, lonRad)
-	g.cells[band][col] = append(g.cells[band][col], id)
-	g.n++
+// cellsPerEdge is the cover's resolution: each cube face is cut into
+// cellsPerEdge × cellsPerEdge gnomonic cells.
+const cellsPerEdge = 32
+
+// nCells is the number of cover cells.
+const nCells = 6 * cellsPerEdge * cellsPerEdge
+
+// cellOf returns the cover cell of the direction of p (nonzero): the cube
+// face its largest component points through, then the other two
+// components over that one — each in [−1, 1] — cut into cellsPerEdge bins.
+func cellOf(p frames.Vec3) int {
+	v := [3]float64{p.X, p.Y, p.Z}
+	k := 0
+	for a := 1; a < 3; a++ {
+		if math.Abs(v[a]) > math.Abs(v[k]) {
+			k = a
+		}
+	}
+	face, m := 2*k, math.Abs(v[k])
+	if v[k] < 0 {
+		face++
+	}
+	bin := func(x float64) int { return min(int((x/m+1)*cellsPerEdge/2), cellsPerEdge-1) }
+	return (face*cellsPerEdge+bin(v[(k+1)%3]))*cellsPerEdge + bin(v[(k+2)%3])
 }
 
-// Len returns the number of indexed sites.
-func (g *Grid) Len() int { return g.n }
-
-// AppendNear appends to dst the id of every indexed site that could lie
-// within the great-circle central angle psiDeg of the sub-point — the
-// cells intersecting the horizon disk — and returns the extended slice.
-// dst may be nil; reusing one buffer across calls keeps the query
-// allocation-free in the steady state. The result over-approximates
-// (sites up to one cell outside the disk are appended; callers re-test
-// every candidate exactly) but never misses a site inside the disk when
-// psiDeg carries HorizonPsiDeg's quantization margin. Each site appears
-// at most once per query; the order is band-major south-to-north,
-// west-to-east from the sub-point column — identical for every query
-// against the same grid.
-//
-// The sub-point must be Visible; decayed positions index nothing.
-func (g *Grid) AppendNear(dst []int32, sp SubPoint, psiDeg float64) []int32 {
-	latLo := int((astro.Clamp(sp.LatDeg-psiDeg, -89.999, 89.999) + 90) / 10)
-	latHi := int((astro.Clamp(sp.LatDeg+psiDeg, -89.999, 89.999) + 90) / 10)
-
-	// The cap's longitude half-width Δlon(φ) at a site latitude φ is
-	// unimodal: it peaks at the critical latitude sin φ* = sin φc / cos ψ
-	// (the latitude where the bounding meridians graze the cap) and falls
-	// to zero at the cap's latitude extremes. Per band, the exact maximum
-	// is therefore the peak value asin(sinψ/cosφc) when φ* lies inside
-	// the band, else the larger endpoint value — a visibly tighter cover
-	// than one global half-width: bands near the cap's latitude extremes
-	// span a fraction of its equatorial width. (The per-band secant
-	// ψ/cos(bandLat) this replaces under-covered pole-wrapping disks and
-	// over-covered everything else.)
-	sinPsi, cosPsi := math.Sincos(psiDeg * astro.Deg2Rad)
-	sinC, cosC := math.Sincos(sp.LatDeg * astro.Deg2Rad)
-	peakW, peakLat := 180.0, math.Copysign(90, sp.LatDeg)
-	if s := sinC / cosPsi; math.Abs(s) <= 1 {
-		peakLat = math.Asin(s) * astro.Rad2Deg
-		if math.Abs(sp.LatDeg)+psiDeg < 90 {
-			peakW = math.Asin(sinPsi/cosC) * astro.Rad2Deg
-		}
-	}
-	capLo, capHi := sp.LatDeg-psiDeg, sp.LatDeg+psiDeg
-	// dlon is Δlon(φ) from the spherical law of cosines, conservatively
-	// clamped: arguments past ±1 mean zero width / full wrap.
-	dlon := func(phiDeg float64) float64 {
-		c := (cosPsi - sinC*math.Sin(phiDeg*astro.Deg2Rad)) /
-			(cosC * math.Cos(phiDeg*astro.Deg2Rad))
-		return math.Acos(astro.Clamp(c, -1, 1)) * astro.Rad2Deg
-	}
-
-	lonDeg := astro.NormalizePi(sp.LonDeg*astro.Deg2Rad) * astro.Rad2Deg
-	for band := latLo; band <= latHi; band++ {
-		b0 := astro.Clamp(float64(band*10-90), capLo, capHi)
-		b1 := astro.Clamp(float64(band*10-80), capLo, capHi)
-		halfW := math.Max(dlon(b0), dlon(b1))
-		if b0 <= peakLat && peakLat <= b1 {
-			halfW = peakW
-		}
-		colLo := int(math.Floor((lonDeg - halfW + 180) / 10))
-		colHi := int(math.Floor((lonDeg + halfW + 180) / 10))
-		if colHi-colLo >= 35 {
-			for col := 0; col < 36; col++ {
-				dst = append(dst, g.cells[band][col]...)
-			}
-			continue
-		}
-		for c := colLo; c <= colHi; c++ {
-			dst = append(dst, g.cells[band][(c%36+36)%36]...)
-		}
-	}
-	return dst
+// cellDir returns the unit direction at offsets (a, b) in [0, 1]² across
+// cover cell c: (½, ½) is its centre, 0 and 1 its edges.
+func cellDir(c int, a, b float64) frames.Vec3 {
+	face, i, j := c/(cellsPerEdge*cellsPerEdge), c/cellsPerEdge%cellsPerEdge, c%cellsPerEdge
+	var v [3]float64
+	k := face / 2
+	v[k] = float64(1 - 2*(face%2))
+	v[(k+1)%3] = (float64(i)+a)*2/cellsPerEdge - 1
+	v[(k+2)%3] = (float64(j)+b)*2/cellsPerEdge - 1
+	p := frames.Vec3{X: v[0], Y: v[1], Z: v[2]}
+	return p.Scale(1 / p.Norm())
 }

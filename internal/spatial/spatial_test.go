@@ -3,152 +3,152 @@ package spatial
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dgs/internal/astro"
 	"dgs/internal/frames"
+	"dgs/internal/station"
 )
 
-// centralAngleDeg is the great-circle distance between two spherical
-// points in degrees.
-func centralAngleDeg(lat1, lon1, lat2, lon2 float64) float64 {
-	p1, l1 := lat1*astro.Deg2Rad, lon1*astro.Deg2Rad
-	p2, l2 := lat2*astro.Deg2Rad, lon2*astro.Deg2Rad
-	c := math.Sin(p1)*math.Sin(p2) + math.Cos(p1)*math.Cos(p2)*math.Cos(l1-l2)
-	return math.Acos(astro.Clamp(c, -1, 1)) * astro.Rad2Deg
+// unit returns the direction at geocentric latitude and longitude
+// (degrees).
+func unit(latDeg, lonDeg float64) frames.Vec3 {
+	sinLat, cosLat := math.Sincos(latDeg * astro.Deg2Rad)
+	sinLon, cosLon := math.Sincos(lonDeg * astro.Deg2Rad)
+	return frames.Vec3{X: cosLat * cosLon, Y: cosLat * sinLon, Z: sinLat}
 }
 
-// TestAppendNearCoversDisk is the index's conservativeness contract:
-// every site within the central angle ψ of the sub-point is returned, for
-// random site populations (including polar and date-line sites) and
-// random query disks across the LEO ψ range.
-func TestAppendNearCoversDisk(t *testing.T) {
+// TestCoverCoversDisk is the cover's conservativeness contract: every
+// station within ψ_max of a direction is in that direction's cell, for
+// random station populations (polar and date-line sites among them) and
+// random directions (poles, the antimeridian and cube-face edges among
+// them); and a cell's own directions map back to it.
+func TestCoverCoversDisk(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	g := NewGrid()
-	type site struct{ lat, lon float64 }
-	sites := make([]site, 0, 400)
-	for i := 0; i < 400; i++ {
-		s := site{lat: -89 + rng.Float64()*178, lon: -180 + rng.Float64()*360}
+	net := make(station.Network, 400)
+	for i := range net {
+		lat, lon := -89+rng.Float64()*178, -180+rng.Float64()*360
 		// Force some seam and pole coverage.
 		switch i % 20 {
 		case 0:
-			s.lon = 179.9
+			lon = 179.9
 		case 1:
-			s.lon = -179.9
+			lon = -179.9
 		case 2:
-			s.lat = 87 + rng.Float64()*2
+			lat = 87 + rng.Float64()*3
 		case 3:
-			s.lat = -87 - rng.Float64()*2
+			lat = -87 - rng.Float64()*3
 		}
-		sites = append(sites, s)
-		g.Add(int32(i), s.lat*astro.Deg2Rad, s.lon*astro.Deg2Rad)
+		net[i] = &station.Station{ID: i, Location: frames.NewGeodeticDeg(lat, lon, rng.Float64()*5-0.4)}
 	}
-	if g.Len() != 400 {
-		t.Fatalf("Len = %d, want 400", g.Len())
-	}
-
-	for q := 0; q < 500; q++ {
-		sp := SubPoint{
-			LatDeg: -89 + rng.Float64()*178,
-			LonDeg: -180 + rng.Float64()*360,
-			RKm:    astro.EarthRadiusKm + 300 + rng.Float64()*1200,
-		}
-		psi := HorizonPsiDeg(sp.RKm)
-		visited := make(map[int32]int)
-		for _, id := range g.AppendNear(nil, sp, psi) {
-			visited[id]++
-		}
-		for id, n := range visited {
-			if n != 1 {
-				t.Fatalf("query %d: site %d visited %d times", q, id, n)
+	for _, rangeKm := range []float64{2256, 3500, math.Inf(1)} {
+		s := NewSites(net, rangeKm)
+		for q := range 3000 {
+			u := unit(-90+rng.Float64()*180, -180+rng.Float64()*360)
+			switch q % 10 {
+			case 0:
+				u = unit(math.Copysign(90, u.Z), 0)
+			case 1:
+				u = unit(rng.Float64()*10-5, 180)
+			case 2: // a cube-face edge
+				u = frames.Vec3{X: 1, Y: 1, Z: rng.Float64()*2 - 1}
 			}
-		}
-		for i, s := range sites {
-			// The 4° HorizonPsiDeg margin absorbs cell quantization; a site
-			// strictly inside the unpadded disk must always be visited.
-			if centralAngleDeg(sp.LatDeg, sp.LonDeg, s.lat, s.lon) <= psi-4 {
-				if _, ok := visited[int32(i)]; !ok {
-					t.Fatalf("query %d (sub %0.2f,%0.2f ψ=%.2f°): site %d (%0.2f,%0.2f) inside disk but not visited",
-						q, sp.LatDeg, sp.LonDeg, psi, i, s.lat, s.lon)
+			c := cellOf(u)
+			cell := s.cell(c)
+			if !slices.IsSorted(cell) {
+				t.Fatalf("cell %d not ascending: %v", c, cell)
+			}
+			for j, d := range s.dir {
+				if u.Dot(d)/u.Norm() >= s.coverCos {
+					if _, ok := slices.BinarySearch(cell, int32(j)); !ok {
+						t.Fatalf("range %v: station %d within ψ_max of %v but not in its cell %d", rangeKm, j, u, c)
+					}
 				}
 			}
 		}
 	}
-}
-
-// TestAppendNearPrunes checks the index actually prunes: a mid-latitude
-// query over a uniformly spread population returns a small fraction of
-// it.
-func TestAppendNearPrunes(t *testing.T) {
-	g := NewGrid()
-	id := int32(0)
-	for lat := -85.0; lat <= 85; lat += 5 {
-		for lon := -177.5; lon < 180; lon += 5 {
-			g.Add(id, lat*astro.Deg2Rad, lon*astro.Deg2Rad)
-			id++
+	for c := range nCells {
+		for _, ab := range [][2]float64{{0.5, 0.5}, {0.01, 0.99}, {0.99, 0.01}} {
+			if got := cellOf(cellDir(c, ab[0], ab[1])); got != c {
+				t.Fatalf("cell %d's direction at %v maps to cell %d", c, ab, got)
+			}
 		}
 	}
-	sp := SubPoint{LatDeg: 12, LonDeg: 34, RKm: astro.EarthRadiusKm + 550}
-	n := len(g.AppendNear(nil, sp, HorizonPsiDeg(sp.RKm)))
+}
+
+// TestWidestCosBoundsEveryRadius: ψ_max is at least the disk of every
+// satellite radius, from just above the Earth to past GEO, and is tight —
+// some sampled radius comes within 1e-3 of it — for finite range cuts.
+func TestWidestCosBoundsEveryRadius(t *testing.T) {
+	net := station.Network{
+		{Location: frames.NewGeodeticDeg(90, 0, -0.4)},
+		{Location: frames.NewGeodeticDeg(0, 0, 5)},
+	}
+	for _, rangeKm := range []float64{0, 500, 2256, 3500, 50_000, math.Inf(1), math.NaN()} {
+		s := NewSites(net, rangeKm)
+		tightest := math.Inf(1)
+		for r := astro.EarthRadiusKm + 1e-3; r < 60_000; r *= 1.0001 {
+			c := s.diskCos(r)
+			if c < s.coverCos {
+				t.Fatalf("range %v: disk at radius %v (cos %v) wider than ψ_max (cos %v)", rangeKm, r, c, s.coverCos)
+			}
+			tightest = math.Min(tightest, c-s.coverCos)
+		}
+		if math.Abs(rangeKm) < math.Inf(1) && tightest > 1e-3 {
+			t.Fatalf("range %v: ψ_max (cos %v) loose by %v", rangeKm, s.coverCos, tightest)
+		}
+	}
+}
+
+// TestNearPrunes checks the cover actually prunes: a mid-latitude query
+// over a uniformly spread population returns a small fraction of it.
+func TestNearPrunes(t *testing.T) {
+	var net station.Network
+	for lat := -85.0; lat <= 85; lat += 5 {
+		for lon := -177.5; lon < 180; lon += 5 {
+			net = append(net, &station.Station{ID: len(net), Location: frames.NewGeodeticDeg(lat, lon, 0)})
+		}
+	}
+	s := NewSites(net, math.Inf(1))
+	n := len(s.Near(nil, unit(12, 34).Scale(astro.EarthRadiusKm+550)))
 	if n == 0 {
 		t.Fatal("visited nothing")
 	}
-	if frac := float64(n) / float64(g.Len()); frac > 0.10 {
-		t.Fatalf("visited %d/%d sites (%.1f%%), want under 10%%", n, g.Len(), 100*frac)
+	if frac := float64(n) / float64(len(net)); frac > 0.10 {
+		t.Fatalf("visited %d/%d sites (%.1f%%), want under 10%%", n, len(net), 100*frac)
 	}
 }
 
-// TestAppendNearDeterministicOrder pins the candidate order: two
-// identical queries produce the same sequence, the buffer is reused
-// without reallocation, and the order is insertion order within each
-// cell.
-func TestAppendNearDeterministicOrder(t *testing.T) {
-	g := NewGrid()
-	for i := 0; i < 64; i++ {
-		lat := float64(i%8)*3 - 10
-		lon := float64(i/8)*4 - 8
-		g.Add(int32(i), lat*astro.Deg2Rad, lon*astro.Deg2Rad)
+// TestNearReusesBuffer: two identical queries produce the same sequence,
+// and the second reuses a sufficient buffer without reallocating.
+func TestNearReusesBuffer(t *testing.T) {
+	var net station.Network
+	for i := range 64 {
+		net = append(net, &station.Station{ID: i, Location: frames.NewGeodeticDeg(float64(i%8)*3-10, float64(i/8)*4-8, 0)})
 	}
-	sp := SubPoint{LatDeg: 0, LonDeg: 0, RKm: astro.EarthRadiusKm + 500}
-	a := g.AppendNear(nil, sp, HorizonPsiDeg(sp.RKm))
-	b := g.AppendNear(a[:0], sp, HorizonPsiDeg(sp.RKm))
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("runs differ in length: %d vs %d", len(a), len(b))
+	s := NewSites(net, 3500)
+	pos := unit(0, 0).Scale(astro.EarthRadiusKm + 500)
+	a := s.Near(nil, pos)
+	b := s.Near(a, pos)
+	if len(a) == 0 || !slices.Equal(a, b) {
+		t.Fatalf("runs differ: %v vs %v", a, b)
 	}
 	if &a[0] != &b[0] {
 		t.Fatal("second query reallocated a sufficient buffer")
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("candidate order diverges at %d: %d vs %d", i, a[i], b[i])
-		}
-	}
 }
 
-// TestSubPointOf checks the sub-point derivation against hand geometry.
-func TestSubPointOf(t *testing.T) {
-	r := astro.EarthRadiusKm + 500
-	sp := SubPointOf(frames.Vec3{X: 0, Y: 0, Z: r})
-	if !sp.Visible() || math.Abs(sp.LatDeg-90) > 1e-9 {
-		t.Fatalf("polar sub-point = %+v", sp)
-	}
-	sp = SubPointOf(frames.Vec3{X: -r, Y: 0, Z: 0})
-	if math.Abs(math.Abs(sp.LonDeg)-180) > 1e-9 || math.Abs(sp.LatDeg) > 1e-9 {
-		t.Fatalf("antimeridian sub-point = %+v", sp)
-	}
-	if sp := SubPointOf(frames.Vec3{X: 100, Y: 0, Z: 0}); sp.Visible() {
-		t.Fatalf("sub-surface position reported visible: %+v", sp)
-	}
-}
-
-// TestRangePsiDegBoundsChord: for sites at radii within [minR, maxR], a
-// site a central angle θ from an object lies beyond RangePsiDeg's angle
-// less its 4° margin whenever the chord between them is within the
-// range; with one site radius at or below the object the bound is θ
-// itself, and ranges that reach the antipode, +Inf and NaN bound nothing.
-func TestRangePsiDegBoundsChord(t *testing.T) {
+// TestRangeCosBoundsChord: for sites at radii within [minR, maxR], a site
+// a central angle θ from an object lies beyond rangeCos's angle less its
+// 4° margin whenever the chord between them is within the range; with one
+// site radius at or below the object the bound is θ itself, and ranges
+// that reach the antipode, +Inf and NaN bound nothing.
+func TestRangeCosBoundsChord(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	const tol = 1e-9 // degrees
+	// psiDeg is the angle of rangeCos less the margin.
+	psiDeg := func(c float64) float64 { return math.Acos(c)*astro.Rad2Deg - 4 }
 	for range 200_000 {
 		minR := 6350 + rng.Float64()*30
 		maxR := minR + rng.Float64()*20
@@ -156,19 +156,22 @@ func TestRangePsiDegBoundsChord(t *testing.T) {
 		r := astro.EarthRadiusKm + 300 + rng.Float64()*1700
 		theta := rng.Float64() * math.Pi
 		d := math.Sqrt(a*a + r*r - 2*a*r*math.Cos(theta))
-		bound := RangePsiDeg(d, r, minR, maxR) - 4
-		if theta*astro.Rad2Deg > bound+tol {
+		c := rangeCos(d, r, minR, maxR)
+		if math.IsInf(c, -1) {
+			continue
+		}
+		if bound := psiDeg(c); theta*astro.Rad2Deg > bound+tol {
 			t.Fatalf("site at %v km, object at %v km, %v° apart: chord %v km, bound %v°", a, r, theta*astro.Rad2Deg, d, bound)
 		}
 		// A single site radius makes the bound exact.
 		d = math.Sqrt(minR*minR + r*r - 2*minR*r*math.Cos(theta))
-		if bound := RangePsiDeg(d, r, minR, minR) - 4; !math.IsInf(bound, 1) && math.Abs(bound-theta*astro.Rad2Deg) > 1e-6 {
-			t.Fatalf("site and object at %v and %v km, %v° apart: chord %v km, bound %v°", minR, r, theta*astro.Rad2Deg, d, bound)
+		if c := rangeCos(d, r, minR, minR); !math.IsInf(c, -1) && math.Abs(psiDeg(c)-theta*astro.Rad2Deg) > 1e-6 {
+			t.Fatalf("site and object at %v and %v km, %v° apart: chord %v km, bound %v°", minR, r, theta*astro.Rad2Deg, d, psiDeg(c))
 		}
 	}
 	for _, d := range []float64{2 * (astro.EarthRadiusKm + 2000), math.Inf(1), math.NaN()} {
-		if got := RangePsiDeg(d, astro.EarthRadiusKm+550, 6357, 6384); !math.IsInf(got, 1) {
-			t.Fatalf("RangePsiDeg(%v) = %v, want +Inf", d, got)
+		if got := rangeCos(d, astro.EarthRadiusKm+550, 6357, 6384); !math.IsInf(got, -1) {
+			t.Fatalf("rangeCos(%v) = %v, want -Inf", d, got)
 		}
 	}
 }

@@ -14,9 +14,10 @@ import (
 // with the population (4-minute slots, hourly plans over a 2 h horizon)
 // and the capture volume is held at 5 GB/day per satellite so backlog
 // chunk state stays bounded; the delivered-TB metric pins the workload
-// so a speedup that silently drops work shows in the bench output. The
-// benchmark in bench/ does not run this one (tens of minutes); its
-// mega_epoch workload covers the same shell one plan epoch at a time.
+// so a speedup that silently drops work shows in the bench output. One
+// run (-benchtime 1x) takes about 30 s of wall on a two-core x86-64 box.
+// The benchmark in bench/ does not run this one; its mega_epoch workload
+// covers the same shell one plan epoch at a time.
 func BenchmarkMegaSim2Day(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := Run(context.Background(), SystemDGS, Options{
