@@ -174,6 +174,18 @@ if git grep -nE 'type stage interface' -- internal/sim ':!*_test.go' ||
     echo "fixed pipelines take no plug-in points: no sim stage interface, no optimize.Searcher, no core.StationAware, and strategy names parsed only in internal/optimize" >&2; exit 1
 fi
 
+# Nothing nobody reads: the library computes no output no caller consumes
+# and keeps no second path only tests take — no StationTx on Φ's
+# EdgeContext, no range rate or sub-point from orbit.Observe, no NackAll on
+# the satellite store, no OwnedSats on the shard wire, no one-shot
+# StationAgent.Dial or session Client.Connect beside the managed session,
+# and no Name method on Φ.
+if git grep -nwE 'StationTx|RangeRateKmS|SatGeodetic|NackAll|OwnedSats' -- '*.go' ':!*_test.go' ||
+    git grep -nE 'func \(a \*StationAgent\) Dial|func \(c \*Client\) Connect' -- '*.go' ':!*_test.go' ||
+    git grep -nE 'Name\(\) string' -- internal/core ':!*_test.go'; then
+    echo "unread outputs and test-only paths stay deleted: see the list above this check in ci.sh" >&2; exit 1
+fi
+
 echo "== go build"
 go build ./...
 

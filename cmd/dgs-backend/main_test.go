@@ -120,7 +120,7 @@ func TestScheduleReachesStation(t *testing.T) {
 			}
 		},
 	}
-	if err := agent.Dial(ctx, listen); err != nil {
+	if err := agent.Connect(ctx, listen); err != nil {
 		t.Fatal(err)
 	}
 	defer agent.Close()

@@ -45,7 +45,7 @@ func main() {
 	sats := flag.Int("sats", 40, "constellation size")
 	stations := flag.Int("stations", 25, "ground-network size (base + candidate sites)")
 	seed := cliutil.SeedFlag("population, weather, and annealing")
-	txFraction := flag.Float64("tx-fraction", 0.1, "fraction of TX-capable stations")
+	txFraction := flag.Float64("tx-fraction", 0.1, "fraction of TX-capable stations (0, 1]")
 	clearSky := flag.Bool("clear-sky", false, "disable weather entirely")
 	forecastErr := flag.Float64("forecast-err", 0.3, "saturated forecast error fraction [0,1]")
 	genGB := flag.Float64("gen-gb", 100, "per-satellite capture volume, GB/day")
@@ -63,7 +63,7 @@ func main() {
 	cliutil.PositiveInt("sats", *sats)
 	cliutil.PositiveInt("stations", *stations)
 	cliutil.Seed("seed", *seed)
-	cliutil.Fraction("tx-fraction", *txFraction)
+	cliutil.TxFraction(*txFraction)
 	cliutil.Fraction("forecast-err", *forecastErr)
 	cliutil.PositiveFloat("gen-gb", *genGB)
 	cliutil.PositiveInt("k", *k)

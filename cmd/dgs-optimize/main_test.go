@@ -53,6 +53,7 @@ func TestFlags(t *testing.T) {
 	}{
 		{"unknown strategy", []string{"-strategy", "bogus"}, "-strategy"},
 		{"zero k", []string{"-k", "0"}, "-k"},
+		{"zero tx fraction", []string{"-tx-fraction", "0"}, "invalid -tx-fraction: must be > 0"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			stdout, stderr, code := run(t, row.args...)

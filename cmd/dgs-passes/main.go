@@ -141,11 +141,11 @@ func satelliteMain(out io.Writer, text string, lat, lon, alt, hours, minEl float
 			p.Rise.Format("15:04:05"), p.Culmination.Format("15:04:05"), p.Set.Format("15:04:05"),
 			p.Duration().Minutes(), p.MaxElevationDeg())
 		if rates {
-			o, err := orbit.Observe(prop, obs, p.Culmination)
+			look, err := orbit.Observe(prop, obs, p.Culmination)
 			if err == nil {
 				geo := linkbudget.Geometry{
-					RangeKm:       o.Look.RangeKm,
-					ElevationRad:  o.Look.ElevationRad,
+					RangeKm:       look.RangeKm,
+					ElevationRad:  look.ElevationRad,
 					StationLatRad: obs.LatRad,
 				}
 				r := linkbudget.RateBps(linkbudget.DefaultRadio(), linkbudget.DGSTerminal(), geo, linkbudget.Conditions{})

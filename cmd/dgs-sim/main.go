@@ -50,7 +50,7 @@ func main() {
 	matcher := flag.String("matcher", "stable", "matching algorithm: stable, optimal, greedy")
 	forecastErr := flag.Float64("forecast-err", 0.3, "saturated forecast error fraction [0,1]")
 	clearSky := flag.Bool("clear-sky", false, "disable weather entirely")
-	txFraction := flag.Float64("tx-fraction", 0.1, "fraction of TX-capable DGS stations")
+	txFraction := flag.Float64("tx-fraction", 0.1, "fraction of TX-capable DGS stations (0, 1]")
 	beams := flag.Int("beams", 0, "per-station simultaneous links (beamforming extension)")
 	genGB := flag.Float64("gen-gb", 100, "per-satellite capture volume, GB/day")
 	step := flag.Duration("step", 0, "matching slot length (default 1m)")
@@ -66,7 +66,7 @@ func main() {
 	cliutil.PositiveInt("sats", *sats)
 	cliutil.PositiveInt("stations", *stations)
 	cliutil.Fraction("forecast-err", *forecastErr)
-	cliutil.Fraction("tx-fraction", *txFraction)
+	cliutil.TxFraction(*txFraction)
 	cliutil.NonNegativeInt("beams", *beams)
 	cliutil.PositiveFloat("gen-gb", *genGB)
 	cliutil.NonNegativeDuration("step", *step)

@@ -56,6 +56,7 @@ func TestFlags(t *testing.T) {
 		{"negative workers", []string{"-workers", "-1"}, 2, "-workers"},
 		{"forecast error past 1", []string{"-forecast-err", "1.5"}, 2, "-forecast-err"},
 		{"NaN forecast error", []string{"-forecast-err", "NaN"}, 2, "-forecast-err"},
+		{"zero tx fraction", []string{"-tx-fraction", "0"}, 2, "invalid -tx-fraction: must be > 0"},
 		{"negative gen", []string{"-gen-gb", "-3"}, 2, "-gen-gb"},
 		{"unknown system", []string{"-system", "hybrid"}, 2, "unknown system"},
 		{"unknown flag", []string{"-sattelites", "3"}, 2, "-sattelites"},

@@ -14,9 +14,11 @@ import (
 	"context"
 	"flag"
 	"log"
+	"math"
 	"math/rand"
 	"os"
 	"os/signal"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -32,10 +34,13 @@ func main() {
 	tx := flag.Bool("tx", false, "transmit-capable (fetches ack digests)")
 	heartbeat := flag.Duration("heartbeat", 0, "keepalive interval (default 15s)")
 	flag.Parse()
+	if *id > math.MaxUint32 {
+		cliutil.Failf("invalid -id: must be in [0, %d] (got %d): station IDs are 32-bit on the wire", uint32(math.MaxUint32), *id)
+	}
 	cliutil.NonNegativeDuration("heartbeat", *heartbeat)
 
 	if *name == "" {
-		*name = "dgs-" + itoa(uint32(*id))
+		*name = "dgs-" + strconv.FormatUint(uint64(*id), 10)
 	}
 
 	var latest atomic.Pointer[proto.Schedule]
@@ -138,18 +143,4 @@ func (r *reporter) reports(sched *proto.Schedule, now time.Time) []*proto.ChunkR
 		out = append(out, report)
 	}
 	return out
-}
-
-func itoa(v uint32) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [10]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }

@@ -1,12 +1,60 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 	"time"
 
 	"dgs/internal/backend"
 	"dgs/internal/proto"
 )
+
+// TestMain runs the command itself when the test binary is started again
+// with DGS_STATION_MAIN=1, so that TestFlags drives its flags and exit
+// status as a shell would.
+func TestMain(m *testing.M) {
+	if os.Getenv("DGS_STATION_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestFlags: a bad invocation exits 2 and names the flag before dialing
+// anything — an -id past 32 bits too, which would otherwise wrap to
+// station 0.
+func TestFlags(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		args []string
+		say  string // on stderr
+	}{
+		{"id past 32 bits", []string{"-id", "4294967296"}, "invalid -id: must be in [0, 4294967295] (got 4294967296)"},
+		{"negative id", []string{"-id", "-1"}, "-id"},
+		{"negative heartbeat", []string{"-heartbeat", "-1s"}, "-heartbeat"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], append(row.args, "-backend", "127.0.0.1:1")...)
+			cmd.Env = append(os.Environ(), "DGS_STATION_MAIN=1")
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			code := 0
+			var exit *exec.ExitError
+			if err := cmd.Run(); errors.As(err, &exit) {
+				code = exit.ExitCode()
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if code != 2 || !strings.Contains(stderr.String(), row.say) {
+				t.Fatalf("exit %d, want 2; stderr %q, want it to say %q", code, stderr.String(), row.say)
+			}
+		})
+	}
+}
 
 // TestStationsCollateTogether: two stations, and a restart of one of them,
 // report chunks of the same satellite to one backend; every chunk is

@@ -49,13 +49,13 @@ func main() {
 	radio := linkbudget.DefaultRadio()
 	node := linkbudget.DGSTerminal()
 	for i, p := range passes {
-		o, err := orbit.Observe(prop, zurich, p.Culmination)
+		look, err := orbit.Observe(prop, zurich, p.Culmination)
 		if err != nil {
 			log.Fatal(err)
 		}
 		geo := linkbudget.Geometry{
-			RangeKm:       o.Look.RangeKm,
-			ElevationRad:  o.Look.ElevationRad,
+			RangeKm:       look.RangeKm,
+			ElevationRad:  look.ElevationRad,
 			StationLatRad: zurich.LatRad,
 		}
 		clear := linkbudget.RateBps(radio, node, geo, linkbudget.Conditions{})

@@ -28,17 +28,13 @@ var errNotConnected = errors.New("backend: not connected")
 // the station's own: replies matched to requests in order, and reports
 // replayed by sequence number across reconnects.
 //
-// Two connection modes exist:
-//
-//   - Dial establishes a single session; any connection failure surfaces
-//     as an error from the next call (used by tests and one-shot tools).
-//   - Connect establishes a managed session: the agent redials with
-//     exponential backoff plus jitter whenever the connection fails, then
-//     resumes — it learns the backend's last collated report sequence
-//     number and replays only lost reports. Report on a managed agent
-//     therefore blocks until the report is durably collated (or the
-//     context ends), and is safe to retry across any number of resets:
-//     sequence numbers make re-collation impossible.
+// Connect establishes a managed session: the agent redials with
+// exponential backoff plus jitter whenever the connection fails, then
+// resumes — it learns the backend's last collated report sequence number
+// and replays only lost reports. Report therefore blocks until the report
+// is durably collated (or Connect's context ends), and is safe to retry
+// across any number of resets: sequence numbers make re-collation
+// impossible.
 //
 // Requests on one agent are serialized; run one agent per station.
 type StationAgent struct {
@@ -54,7 +50,7 @@ type StationAgent struct {
 	HeartbeatEvery time.Duration
 	// WriteTimeout bounds one frame write (default 10 s).
 	WriteTimeout time.Duration
-	// Backoff paces managed reconnects (zero value = defaults).
+	// Backoff paces reconnects (zero value = defaults).
 	Backoff session.Backoff
 	// Logf, when set, receives diagnostics (default log.Printf).
 	Logf func(format string, args ...any)
@@ -86,25 +82,11 @@ func (a *StationAgent) logf(format string, args ...any) {
 	log.Printf(format, args...)
 }
 
-// Dial connects once and performs the handshake. The session carries
-// deadlines and heartbeats but is not redialed on failure — subsequent
-// calls return the connection error.
-func (a *StationAgent) Dial(ctx context.Context, addr string) error {
-	return a.open(ctx, addr, false)
-}
-
-// Connect establishes a managed session: it keeps dialing under the
-// backoff policy until the handshake succeeds or ctx ends, and the session
-// transparently reconnects and resumes after any later failure. ctx bounds
-// the whole managed session, not just this call.
+// Connect establishes the agent's managed session: it keeps dialing under
+// the backoff policy until the handshake succeeds or ctx ends, and the
+// session transparently reconnects and resumes after any later failure.
+// ctx bounds the whole session, not just this call.
 func (a *StationAgent) Connect(ctx context.Context, addr string) error {
-	return a.open(ctx, addr, true)
-}
-
-// open builds the session client for addr and brings the first session up.
-// Without managed the state is final from the outset: what the one attempt
-// gets is all there will be.
-func (a *StationAgent) open(ctx context.Context, addr string, managed bool) error {
 	a.reqMu.Lock()
 	defer a.reqMu.Unlock()
 	dial := a.dial
@@ -128,12 +110,9 @@ func (a *StationAgent) open(ctx context.Context, addr string, managed bool) erro
 		a.mu.Unlock()
 		return ErrAgentClosed
 	}
-	a.client, a.final, a.err = c, !managed, errNotConnected
+	a.client, a.final, a.err = c, false, errNotConnected
 	a.changed = sync.NewCond(&a.mu)
 	a.mu.Unlock()
-	if !managed {
-		return c.Connect(ctx)
-	}
 	go func() {
 		err := c.Run(ctx)
 		a.mu.Lock()
@@ -156,8 +135,8 @@ func (a *StationAgent) up(c *session.Conn, lastSeq uint64) {
 	a.mu.Unlock()
 }
 
-// down fails the outstanding request; in managed mode rpc then waits for
-// the next session and replays it.
+// down fails the outstanding request; rpc then waits for the next session
+// and replays it.
 func (a *StationAgent) down(_ *session.Conn, err error) {
 	a.mu.Lock()
 	a.conn, a.err = nil, err
@@ -206,8 +185,8 @@ func (a *StationAgent) awaitSession() error {
 }
 
 // rpc performs one request/response exchange, retrying across reconnects
-// in managed mode (once a one-shot session has died, awaitSession returns
-// its error). seq, when nonzero, is the request's report sequence number:
+// until Connect's context ends (then awaitSession returns why). seq, when
+// nonzero, is the request's report sequence number:
 // after a reconnect the resume state may show it already collated, in which
 // case the lost OK is synthesized instead of re-sending. A refusal from the
 // backend comes back as the error. Callers hold reqMu.
@@ -239,9 +218,9 @@ func (a *StationAgent) rpc(m proto.Message, seq uint64) (proto.Message, error) {
 }
 
 // Report sends chunk receipts and waits until the backend has collated
-// them. The agent assigns r.Seq when zero; in managed mode delivery
-// survives arbitrary connection failures (at-least-once on the wire,
-// exactly-once in the collator).
+// them. The agent assigns r.Seq when zero; delivery survives arbitrary
+// connection failures (at-least-once on the wire, exactly-once in the
+// collator).
 func (a *StationAgent) Report(r *proto.ChunkReport) error {
 	if len(r.Chunks) == 0 {
 		return errors.New("backend: empty report (use FetchDigest)")

@@ -2,11 +2,13 @@ package backend
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"dgs/internal/proto"
+	"dgs/internal/session"
 )
 
 var rxTime = time.Date(2020, 6, 1, 10, 0, 0, 0, time.UTC)
@@ -94,9 +96,7 @@ func startServer(t *testing.T) (*Server, string) {
 func dialAgent(t *testing.T, addr string, id uint32, tx bool) *StationAgent {
 	t.Helper()
 	a := &StationAgent{ID: id, Name: "gs", TxCapable: tx}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := a.Dial(ctx, addr); err != nil {
+	if err := a.Connect(t.Context(), addr); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { a.Close() })
@@ -152,9 +152,7 @@ func TestScheduleBroadcast(t *testing.T) {
 
 	got := make(chan *proto.Schedule, 2)
 	a1 := &StationAgent{ID: 1, Name: "a", OnSchedule: func(s *proto.Schedule) { got <- s }}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := a1.Dial(ctx, addr); err != nil {
+	if err := a1.Connect(t.Context(), addr); err != nil {
 		t.Fatal(err)
 	}
 	defer a1.Close()
@@ -177,7 +175,7 @@ func TestScheduleBroadcast(t *testing.T) {
 
 	// Late joiner receives the retained schedule right after the handshake.
 	a2 := &StationAgent{ID: 2, Name: "b", OnSchedule: func(s *proto.Schedule) { got <- s }}
-	if err := a2.Dial(ctx, addr); err != nil {
+	if err := a2.Connect(t.Context(), addr); err != nil {
 		t.Fatal(err)
 	}
 	defer a2.Close()
@@ -201,10 +199,8 @@ func TestManyStationsConcurrentReports(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			a := &StationAgent{ID: uint32(100 + g), Name: "w"}
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			if err := a.Dial(ctx, addr); err != nil {
-				t.Errorf("dial %d: %v", g, err)
+			if err := a.Connect(t.Context(), addr); err != nil {
+				t.Errorf("connect %d: %v", g, err)
 				return
 			}
 			defer a.Close()
@@ -234,37 +230,45 @@ func TestEmptyReportRejectedClientSide(t *testing.T) {
 	}
 }
 
+// TestAgentSurvivesServerShutdown: with the backend gone, a Report waits
+// for the session to come back, and fails with the context's error, not
+// another error, a hang or a panic, once the context bounding the session
+// ends.
 func TestAgentSurvivesServerShutdown(t *testing.T) {
 	srv, addr := startServer(t)
-	a := dialAgent(t, addr, 5, false)
+	a := &StationAgent{ID: 5, Name: "gs", Backoff: session.Backoff{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond}}
+	ctx, cancel := context.WithCancel(t.Context())
+	defer cancel()
+	if err := a.Connect(ctx, addr); err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
 	// Healthy round trip first.
 	if err := a.Report(&proto.ChunkReport{StationID: 5, Sat: 1,
 		Chunks: []proto.ChunkInfo{{ID: 1, Bits: 1, Received: rxTime}}}); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
-	// Subsequent requests must fail with an error, not hang or panic.
 	done := make(chan error, 1)
 	go func() {
 		done <- a.Report(&proto.ChunkReport{StationID: 5, Sat: 1,
 			Chunks: []proto.ChunkInfo{{ID: 2, Bits: 1, Received: rxTime}}})
 	}()
+	cancel()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("report succeeded against a closed server")
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("report error = %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("report hung after server shutdown")
+		t.Fatal("report hung after the session's context ended")
 	}
 }
 
 func TestAgentCloseUnblocksPending(t *testing.T) {
 	_, addr := startServer(t)
 	a := &StationAgent{ID: 9, Name: "x", TxCapable: true}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := a.Dial(ctx, addr); err != nil {
+	if err := a.Connect(t.Context(), addr); err != nil {
 		t.Fatal(err)
 	}
 	// Close the agent from another goroutine while a request may be in

@@ -14,9 +14,9 @@
 // the norm (Zhao et al.; Kim et al.). internal/session supplies what any
 // such hop needs — the Hello version gate, an I/O deadline on every read
 // and write on both ends, heartbeats that keep idle sessions inside those
-// deadlines and expose dead peers, and for a managed agent (Connect)
-// automatic redial under exponential backoff plus jitter. This package adds
-// what is specific to relaying chunk receipts:
+// deadlines and expose dead peers, and automatic redial under exponential
+// backoff plus jitter for the agent's one managed session (Connect). This
+// package adds what is specific to relaying chunk receipts:
 //
 //   - The backend answers the session's Resume probe with the station's
 //     last collated report sequence number, and the agent replays only

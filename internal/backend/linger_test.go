@@ -161,7 +161,7 @@ func (c *lingerConn) SetWriteDeadline(time.Time) error { return nil }
 // returns only after the peer's answer has been read and dispatched, every
 // round trip must still find its waiter. An owner that registers the waiter
 // after writing drops the reply as unsolicited and waits forever — the
-// StationAgent did, already in Dial's Resume probe.
+// StationAgent did, already in its Resume probe.
 func TestReplyBeforeWriteReturns(t *testing.T) {
 	const trips = 1000
 	owners := map[string]func(t *testing.T, ln *lingerNet, logf func(string, ...any)) error{
@@ -171,7 +171,7 @@ func TestReplyBeforeWriteReturns(t *testing.T) {
 			t.Cleanup(func() { srv.Close() })
 			a := &backend.StationAgent{ID: 8, Name: "eager", TxCapable: true, Logf: logf}
 			backend.SetDial(a, func(context.Context) (net.Conn, error) { return ln.Dial() })
-			if err := a.Dial(context.Background(), "linger"); err != nil {
+			if err := a.Connect(t.Context(), "linger"); err != nil {
 				return err
 			}
 			t.Cleanup(func() { a.Close() })

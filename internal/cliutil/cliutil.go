@@ -79,6 +79,16 @@ func Fraction(name string, v float64) {
 	}
 }
 
+// TxFraction requires v in (0, 1] for -tx-fraction. The station
+// population reads a zero share as its 0.1 default, so a network without
+// transmit-capable stations cannot be asked for.
+func TxFraction(v float64) {
+	Fraction("tx-fraction", v)
+	if v == 0 {
+		Failf("invalid -tx-fraction: must be > 0 (got 0): the station population reads 0 as its 0.1 default, so it cannot build a network without transmit-capable stations")
+	}
+}
+
 // Range requires v in [lo, hi] for flag name; lo and hi are finite.
 func Range(name string, v, lo, hi float64) {
 	if !(v >= lo && v <= hi) {

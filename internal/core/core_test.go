@@ -380,9 +380,6 @@ func TestGeographicValue(t *testing.T) {
 	if g.Value(out) != inner.Value(out) {
 		t.Fatal("out-of-region edge boosted")
 	}
-	if g.Name() == "" {
-		t.Fatal("empty name")
-	}
 }
 
 func TestBiddingValue(t *testing.T) {

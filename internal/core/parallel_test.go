@@ -35,18 +35,16 @@ func TestPlanEpochWorkerCountBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAssignmentForIndexMatchesScan checks the O(1) lookup against the
-// linear-scan fallback on the same plan.
+// TestAssignmentForIndexMatchesScan checks the O(1) lookup against a
+// linear scan of the same plan's slots.
 func TestAssignmentForIndexMatchesScan(t *testing.T) {
 	sched, sats := smallWorld(t, 16, 32)
 	plan := sched.PlanEpoch(sats, epoch, time.Hour, time.Minute, 100*8e9/86400.0)
-	// A copy without the index exercises the fallback path.
-	scan := &Plan{Version: plan.Version, Issued: plan.Issued, SlotDur: plan.SlotDur, Slots: plan.Slots}
 	for k := range plan.Slots {
 		at := epoch.Add(time.Duration(k)*time.Minute + 17*time.Second)
 		for sat := 0; sat < len(sats); sat++ {
 			gsA, rateA := plan.AssignmentFor(sat, at)
-			gsB, rateB := scan.AssignmentFor(sat, at)
+			gsB, rateB := scanAssignment(plan, sat, k)
 			if gsA != gsB || rateA != rateB {
 				t.Fatalf("slot %d sat %d: indexed (%d,%g) vs scan (%d,%g)", k, sat, gsA, rateA, gsB, rateB)
 			}
@@ -56,4 +54,15 @@ func TestAssignmentForIndexMatchesScan(t *testing.T) {
 	if gs, _ := plan.AssignmentFor(0, epoch.Add(48*time.Hour)); gs != -1 {
 		t.Fatal("out-of-horizon lookup must return -1")
 	}
+}
+
+// scanAssignment is the lookup's reference: sat's first assignment in slot
+// k by linear scan, or (-1, 0).
+func scanAssignment(p *Plan, sat, k int) (stationID int, rateBps float64) {
+	for _, a := range p.Slots[k].Assignments {
+		if a.Sat == sat {
+			return a.Station, a.PlannedRateBps
+		}
+	}
+	return -1, 0
 }

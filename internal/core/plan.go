@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -47,16 +48,15 @@ type Plan struct {
 	// index[k*nSats + sat] holds sat's position in Slots[k].Assignments,
 	// or -1. A flat []int32 instead of a per-slot map: the simulator does
 	// this lookup for every satellite at every step, and the dense table
-	// costs one bounds check and no hashing. PlanEpoch and NewPlan build
-	// the index at construction; plans assembled field-by-field (tests)
-	// fall back to the linear scan until BuildIndex is called.
+	// costs one bounds check and no hashing. Every constructor (PlanEpoch,
+	// NewPlan, RemapSats, MergePlans) builds it; a plan decoded from JSON
+	// carries none until BuildIndex runs.
 	index []int32
 	nSats int
 }
 
 // NewPlan assembles a plan from finished slots and builds its lookup
-// index, so hand-assembled plans get O(1) AssignmentFor instead of
-// silently falling back to the per-step linear scan.
+// index.
 func NewPlan(version int, issued time.Time, slotDur time.Duration, slots []Slot) *Plan {
 	p := &Plan{Version: version, Issued: issued, SlotDur: slotDur, Slots: slots}
 	p.BuildIndex()
@@ -64,8 +64,8 @@ func NewPlan(version int, issued time.Time, slotDur time.Duration, slots []Slot)
 }
 
 // BuildIndex (re)builds the per-slot satellite→assignment lookup. Call it
-// after constructing or mutating Slots by hand; PlanEpoch and NewPlan call
-// it for every plan they produce.
+// after decoding or mutating Slots, and only on a plan CheckPlan accepts:
+// a negative satellite index panics.
 func (p *Plan) BuildIndex() {
 	nSats := 0
 	for k := range p.Slots {
@@ -91,11 +91,6 @@ func (p *Plan) BuildIndex() {
 			p.index[base+a.Sat] = int32(j)
 		}
 	}
-	if p.index == nil {
-		// Mark even an all-empty plan as indexed so AssignmentFor never
-		// scans.
-		p.index = make([]int32, 0)
-	}
 }
 
 // AssignmentFor returns the planned station for a satellite at time t, or
@@ -108,20 +103,12 @@ func (p *Plan) AssignmentFor(sat int, t time.Time) (stationID int, rateBps float
 	if idx < 0 || idx >= len(p.Slots) {
 		return -1, 0
 	}
-	if p.index != nil {
-		if sat < 0 || sat >= p.nSats {
-			return -1, 0
-		}
-		if j := p.index[idx*p.nSats+sat]; j >= 0 {
-			a := p.Slots[idx].Assignments[j]
-			return a.Station, a.PlannedRateBps
-		}
+	if sat < 0 || sat >= p.nSats {
 		return -1, 0
 	}
-	for _, a := range p.Slots[idx].Assignments {
-		if a.Sat == sat {
-			return a.Station, a.PlannedRateBps
-		}
+	if j := p.index[idx*p.nSats+sat]; j >= 0 {
+		a := p.Slots[idx].Assignments[j]
+		return a.Station, a.PlannedRateBps
 	}
 	return -1, 0
 }
@@ -129,27 +116,13 @@ func (p *Plan) AssignmentFor(sat int, t time.Time) (stationID int, rateBps float
 // AssignedSlotCount returns the number of slots in which the satellite has
 // an assignment (the hybrid control plane sizes plan uploads with it).
 func (p *Plan) AssignedSlotCount(sat int) int {
-	if p == nil {
+	if p == nil || sat < 0 || sat >= p.nSats {
 		return 0
 	}
 	n := 0
-	if p.index != nil {
-		if sat < 0 || sat >= p.nSats {
-			return 0
-		}
-		for k := range p.Slots {
-			if p.index[k*p.nSats+sat] >= 0 {
-				n++
-			}
-		}
-		return n
-	}
 	for k := range p.Slots {
-		for _, a := range p.Slots[k].Assignments {
-			if a.Sat == sat {
-				n++
-				break
-			}
+		if p.index[k*p.nSats+sat] >= 0 {
+			n++
 		}
 	}
 	return n
@@ -178,6 +151,33 @@ func (p *Plan) RemapSats(global []int32) *Plan {
 	}
 	q.BuildIndex()
 	return q
+}
+
+// CheckPlan is the one check for a plan decoded from outside the process
+// (a checkpoint, a shard reply): it rejects a null plan, a non-positive
+// slot length, and an assignment naming a satellite or station outside
+// [0, nSats) or [0, nStations) — everything that would make BuildIndex,
+// MergePlans or AssignmentFor panic or allocate without bound. Its message
+// continues a phrase naming the plan, as in
+// fmt.Errorf("checkpoint plan %d %w", k, err).
+func CheckPlan(p *Plan, nSats, nStations int) error {
+	if p == nil {
+		return errors.New("is null")
+	}
+	if len(p.Slots) > 0 && p.SlotDur <= 0 {
+		return fmt.Errorf("(version %d): SlotDur %v not positive", p.Version, p.SlotDur)
+	}
+	for s, sl := range p.Slots {
+		for j, a := range sl.Assignments {
+			if a.Sat < 0 || a.Sat >= nSats {
+				return fmt.Errorf("(version %d) slot %d assignment %d: Sat %d outside [0, %d)", p.Version, s, j, a.Sat, nSats)
+			}
+			if a.Station < 0 || a.Station >= nStations {
+				return fmt.Errorf("(version %d) slot %d assignment %d: Station %d outside [0, %d)", p.Version, s, j, a.Station, nStations)
+			}
+		}
+	}
+	return nil
 }
 
 // Covers reports whether the plan has a slot for time t.
@@ -225,7 +225,6 @@ func (wt *weigher) add(g *match.Graph, sat *SatSnapshot, i, j int, rateBps float
 		MaxPriority:   sat.MaxPriority,
 		StationLatRad: gs.Location.LatRad,
 		StationLonRad: gs.Location.LonRad,
-		StationTx:     gs.TxCapable,
 		StationID:     gs.ID,
 	})
 	if w > 0 {

@@ -24,8 +24,6 @@ type EdgeContext struct {
 	MaxPriority float64
 	// StationLatRad/StationLonRad locate the station (for geographic Φ).
 	StationLatRad, StationLonRad float64
-	// StationTx reports whether the station is transmit-capable.
-	StationTx bool
 	// StationID is the station's ID (station.GroundStation.ID), for Φs that
 	// price stations individually.
 	StationID int
@@ -44,8 +42,6 @@ func (c EdgeContext) DeliverableBits() float64 {
 // over a candidate link now. Higher is better; non-positive edges are
 // dropped from the graph.
 type ValueFunc interface {
-	// Name identifies the function in reports ("latency", "throughput", …).
-	Name() string
 	// Value scores a candidate edge.
 	Value(c EdgeContext) float64
 }
@@ -55,9 +51,6 @@ type ValueFunc interface {
 // oldest data, so satellites sitting on stale data outbid fresher ones even
 // over mediocre links.
 type LatencyValue struct{}
-
-// Name implements ValueFunc.
-func (LatencyValue) Name() string { return "latency" }
 
 // Value implements ValueFunc.
 func (LatencyValue) Value(c EdgeContext) float64 {
@@ -78,9 +71,6 @@ func (LatencyValue) Value(c EdgeContext) float64 {
 // indifferent to their age.
 type ThroughputValue struct{}
 
-// Name implements ValueFunc.
-func (ThroughputValue) Name() string { return "throughput" }
-
 // Value implements ValueFunc.
 func (ThroughputValue) Value(c EdgeContext) float64 {
 	return c.DeliverableBits()
@@ -97,9 +87,6 @@ type GeographicValue struct {
 	// Boost multiplies edge values for stations inside the region (>1).
 	Boost float64
 }
-
-// Name implements ValueFunc.
-func (g GeographicValue) Name() string { return "geographic(" + g.Inner.Name() + ")" }
 
 // Value implements ValueFunc.
 func (g GeographicValue) Value(c EdgeContext) float64 {
@@ -120,9 +107,6 @@ type BiddingValue struct {
 	// Bids maps station ID to a multiplier; absent stations use 1.
 	Bids map[int]float64
 }
-
-// Name implements ValueFunc.
-func (b BiddingValue) Name() string { return "bidding(" + b.Inner.Name() + ")" }
 
 // Value implements ValueFunc.
 func (b BiddingValue) Value(c EdgeContext) float64 {

@@ -95,42 +95,39 @@ func TestPlanEpochWindowsMatchSweepOddSlot(t *testing.T) {
 }
 
 // TestNewPlanIndexes checks that NewPlan-built plans answer AssignmentFor
-// through the index identically to the linear-scan fallback, and that an
-// empty plan is still marked indexed.
+// and AssignedSlotCount through the index identically to a linear scan of
+// their slots, and that an empty plan answers -1.
 func TestNewPlanIndexes(t *testing.T) {
 	sched, sats := smallWorld(t, 16, 32)
 	built := sched.PlanEpoch(sats, epoch, time.Hour, time.Minute, 100*8e9/86400.0)
 
 	indexed := NewPlan(built.Version, built.Issued, built.SlotDur, built.Slots)
-	if indexed.index == nil {
-		t.Fatal("NewPlan did not build the lookup index")
-	}
-	scan := &Plan{Version: built.Version, Issued: built.Issued, SlotDur: built.SlotDur, Slots: built.Slots}
-	if scan.index != nil {
-		t.Fatal("field-assembled plan unexpectedly indexed")
-	}
+	counts := make([]int, len(sats))
 	for k := range built.Slots {
 		at := epoch.Add(time.Duration(k)*time.Minute + 29*time.Second)
 		for sat := -1; sat <= len(sats); sat++ {
 			gsA, rateA := indexed.AssignmentFor(sat, at)
-			gsB, rateB := scan.AssignmentFor(sat, at)
+			gsB, rateB := scanAssignment(built, sat, k)
 			if gsA != gsB || rateA != rateB {
 				t.Fatalf("slot %d sat %d: indexed (%d,%g) vs scan (%d,%g)", k, sat, gsA, rateA, gsB, rateB)
 			}
+			if gsB >= 0 {
+				counts[sat]++
+			}
 		}
 	}
-	for sat := 0; sat < len(sats); sat++ {
-		if a, b := indexed.AssignedSlotCount(sat), scan.AssignedSlotCount(sat); a != b {
-			t.Fatalf("sat %d: indexed AssignedSlotCount %d vs scan %d", sat, a, b)
+	for sat := range sats {
+		if got := indexed.AssignedSlotCount(sat); got != counts[sat] {
+			t.Fatalf("sat %d: indexed AssignedSlotCount %d vs scan %d", sat, got, counts[sat])
 		}
 	}
 
 	empty := NewPlan(1, epoch, time.Minute, nil)
-	if empty.index == nil {
-		t.Fatal("empty plan not marked indexed")
-	}
 	if gs, _ := empty.AssignmentFor(0, epoch); gs != -1 {
 		t.Fatal("empty plan lookup must return -1")
+	}
+	if n := empty.AssignedSlotCount(0); n != 0 {
+		t.Fatalf("empty plan AssignedSlotCount = %d, want 0", n)
 	}
 }
 

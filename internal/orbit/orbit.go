@@ -1,5 +1,4 @@
-// Package orbit turns raw propagator states into the quantities the DGS
-// scheduler consumes: geodetic sub-points, observer look angles, and
+// Package orbit turns raw propagator states into observer look angles and
 // satellite–ground-station passes (rise, culmination, set).
 package orbit
 
@@ -22,20 +21,6 @@ import (
 type Propagator interface {
 	PropagateTo(t time.Time) (sgp4.State, error)
 	PositionECEF(jd float64, rot frames.EarthRotation) (frames.Vec3, bool)
-}
-
-// Observation is the geometry between an observer and a satellite at an
-// instant.
-type Observation struct {
-	// Time of the observation.
-	Time time.Time
-	// Look holds azimuth, elevation and slant range from the observer.
-	Look frames.LookAngles
-	// SatGeodetic is the sub-satellite point with altitude.
-	SatGeodetic frames.Geodetic
-	// RangeRateKmS is the slant-range rate (positive = receding), estimated
-	// for Doppler bookkeeping.
-	RangeRateKmS float64
 }
 
 // Pass is a single contact window between a satellite and an observer.
@@ -67,30 +52,14 @@ func (p Pass) String() string {
 // window.
 var ErrNoPass = errors.New("orbit: no pass in search window")
 
-// Observe computes the instantaneous geometry between an observer and the
-// satellite driven by prop at time t.
-func Observe(prop Propagator, observer frames.Geodetic, t time.Time) (Observation, error) {
+// Observe computes the look angles (azimuth, elevation, slant range) from
+// an observer to the satellite driven by prop at time t.
+func Observe(prop Propagator, observer frames.Geodetic, t time.Time) (frames.LookAngles, error) {
 	st, err := prop.PropagateTo(t)
 	if err != nil {
-		return Observation{}, err
+		return frames.LookAngles{}, err
 	}
-	jd := astro.JulianDate(t)
-	ecef := frames.TEMEToECEF(st.PositionKm, jd)
-	look := frames.Look(observer, ecef)
-
-	// Numerical range rate over a 1-second baseline.
-	st2, err := prop.PropagateTo(t.Add(time.Second))
-	rr := 0.0
-	if err == nil {
-		ecef2 := frames.TEMEToECEF(st2.PositionKm, astro.JulianDate(t.Add(time.Second)))
-		rr = frames.Look(observer, ecef2).RangeKm - look.RangeKm
-	}
-	return Observation{
-		Time:         t,
-		Look:         look,
-		SatGeodetic:  frames.GeodeticFromECEF(ecef),
-		RangeRateKmS: rr,
-	}, nil
+	return frames.Look(observer, frames.TEMEToECEF(st.PositionKm, astro.JulianDate(t))), nil
 }
 
 // The pass search scans at passScanStep to bracket mask crossings — 30 s
@@ -107,10 +76,9 @@ const (
 // the paper's graph construction rule ("elevation is greater than zero").
 // A pass already in progress at start is reported with Rise = start.
 func NextPass(prop Propagator, observer frames.Geodetic, start time.Time, window time.Duration, minElevRad float64) (Pass, error) {
-	// The scan only needs elevation, so skip Observe's range-rate baseline
-	// (a second propagation per sample) and reuse one precomputed observer
-	// basis; frames.Look is exactly NewTopocentric(observer).Look, so the
-	// crossing times are unchanged.
+	// The scan reuses one precomputed observer basis instead of calling
+	// Observe per sample; frames.Look is exactly
+	// NewTopocentric(observer).Look, so the crossing times are unchanged.
 	tp := frames.NewTopocentric(observer)
 	elevationAt := func(t time.Time) (float64, error) {
 		st, err := prop.PropagateTo(t)

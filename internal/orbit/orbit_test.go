@@ -32,21 +32,18 @@ func issProp(t testing.TB) *sgp4.Propagator {
 func TestObserveGeometry(t *testing.T) {
 	p := issProp(t)
 	obs := frames.NewGeodeticDeg(40.0, -75.0, 0.1)
-	o, err := Observe(p, obs, p.TLE().Epoch)
+	look, err := Observe(p, obs, p.TLE().Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Look.RangeKm < 300 {
-		t.Errorf("range %.1f km implausibly small", o.Look.RangeKm)
+	if look.RangeKm < 300 {
+		t.Errorf("range %.1f km implausibly small", look.RangeKm)
 	}
-	if o.Look.RangeKm > 14000 {
-		t.Errorf("range %.1f km larger than Earth diameter + LEO", o.Look.RangeKm)
+	if look.RangeKm > 14000 {
+		t.Errorf("range %.1f km larger than Earth diameter + LEO", look.RangeKm)
 	}
-	if o.SatGeodetic.AltKm < 300 || o.SatGeodetic.AltKm > 400 {
-		t.Errorf("ISS altitude %.1f km", o.SatGeodetic.AltKm)
-	}
-	if o.Look.ElevationRad > 0 && o.Look.RangeKm > 2500 {
-		t.Errorf("above horizon but range %.0f km: inconsistent", o.Look.RangeKm)
+	if look.ElevationRad > 0 && look.RangeKm > 2500 {
+		t.Errorf("above horizon but range %.0f km: inconsistent", look.RangeKm)
 	}
 }
 
@@ -82,7 +79,7 @@ func TestPassesOverMidLatitude(t *testing.T) {
 		// Elevation at culmination must exceed elevation at rise+30s.
 		eRise, _ := Observe(p, obs, ps.Rise.Add(30*time.Second))
 		eCul, _ := Observe(p, obs, ps.Culmination)
-		if eCul.Look.ElevationRad+1e-6 < eRise.Look.ElevationRad {
+		if eCul.ElevationRad+1e-6 < eRise.ElevationRad {
 			t.Errorf("pass %d: culmination lower than rise+30s", i)
 		}
 	}
@@ -206,23 +203,29 @@ func TestRangeRateSignFlipsAtCulmination(t *testing.T) {
 	if !found {
 		t.Fatal("no substantial pass in 24 h")
 	}
-	early, err := Observe(p, obs, ps.Rise.Add(30*time.Second))
-	if err != nil {
-		t.Fatal(err)
+	// The slant-range rate over a 1 s baseline, in km/s.
+	rangeRate := func(at time.Time) float64 {
+		a, err := Observe(p, obs, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Observe(p, obs, at.Add(time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.RangeKm - a.RangeKm
 	}
-	late, err := Observe(p, obs, ps.Set.Add(-30*time.Second))
-	if err != nil {
-		t.Fatal(err)
+	early := rangeRate(ps.Rise.Add(30 * time.Second))
+	late := rangeRate(ps.Set.Add(-30 * time.Second))
+	if early >= 0 {
+		t.Errorf("approaching satellite should have negative range rate, got %.3f", early)
 	}
-	if early.RangeRateKmS >= 0 {
-		t.Errorf("approaching satellite should have negative range rate, got %.3f", early.RangeRateKmS)
-	}
-	if late.RangeRateKmS <= 0 {
-		t.Errorf("receding satellite should have positive range rate, got %.3f", late.RangeRateKmS)
+	if late <= 0 {
+		t.Errorf("receding satellite should have positive range rate, got %.3f", late)
 	}
 	// LEO range rates are bounded by orbital speed.
-	if math.Abs(early.RangeRateKmS) > 8 {
-		t.Errorf("range rate %.2f km/s exceeds orbital speed", early.RangeRateKmS)
+	if math.Abs(early) > 8 {
+		t.Errorf("range rate %.2f km/s exceeds orbital speed", early)
 	}
 }
 

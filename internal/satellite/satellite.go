@@ -184,15 +184,6 @@ func (s *Store) SentBefore(t time.Time) []ChunkID {
 	return ids
 }
 
-// NackAll returns every in-flight chunk to the pending queue.
-func (s *Store) NackAll() {
-	ids := make([]ChunkID, 0, len(s.inFlight))
-	for id := range s.inFlight {
-		ids = append(ids, id)
-	}
-	s.Nack(ids)
-}
-
 // PendingBits returns the bits waiting for transmission.
 func (s *Store) PendingBits() float64 { return s.pendingB }
 

@@ -141,21 +141,6 @@ func TestNackRequeues(t *testing.T) {
 	}
 }
 
-func TestNackAll(t *testing.T) {
-	s := newTestStore()
-	for i := 0; i < 5; i++ {
-		s.AddChunk(t0.Add(time.Duration(i)*time.Minute), 100, 0)
-	}
-	s.Transmit(500, t0)
-	if s.PendingChunks() != 0 {
-		t.Fatal("all should be in flight")
-	}
-	s.NackAll()
-	if s.PendingChunks() != 5 {
-		t.Fatalf("NackAll requeued %d", s.PendingChunks())
-	}
-}
-
 // TestSentStamp covers the per-chunk send time the simulator's nack scan
 // reads: Transmit stamps it, Nack clears it, SentBefore selects strictly
 // earlier sends in ascending ID order, and checkpoints carry it.

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"dgs/internal/core"
+	"dgs/internal/proto"
 	"dgs/internal/session"
 )
 
@@ -304,6 +307,65 @@ func TestFederationShardLossDegradesAndRejoins(t *testing.T) {
 	}
 }
 
+// TestFederationBadShardPlanDegrades: a shard that answers Info with a
+// valid topology but every plan query with a plan naming satellite -1 must
+// not crash the front tier. Its plan fails core.CheckPlan, so the shard
+// counts as missing: the merged world is degraded, and both the live plan
+// and a scratch plan still answer 200 from the healthy shard.
+func TestFederationBadShardPlanDegrades(t *testing.T) {
+	sh0 := startTestShard(t, 0, 2, "")
+	snap, part, err := NewShardWorld(fedWorldCfg(), 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewStore(snap, StoreConfig{PlanHorizon: fedPlanHorizon})
+	t.Cleanup(store.Close)
+	honest := NewShardServer(store, part)
+
+	var bad session.Server
+	bad.Init("shard", "front tier", func(c *session.Conn) (func(proto.Message), func()) {
+		frame, closed := honest.admit(c)
+		return func(m proto.Message) {
+			q, ok := m.(*proto.ShardQuery)
+			if !ok || (q.Kind != proto.ShardKindPlan && q.Kind != proto.ShardKindPlanAt) {
+				frame(m)
+				return
+			}
+			var doc shardPlanDoc
+			if err := json.Unmarshal(honest.answer(q).Body, &doc); err != nil {
+				t.Error(err)
+				return
+			}
+			first := &doc.Plan.Slots[0]
+			first.Assignments = append([]core.Assignment{{Sat: -1, Station: 0}}, first.Assignments...)
+			body, err := json.Marshal(doc)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			_ = c.Send(&proto.ShardReply{ID: q.ID, Body: body})
+		}, closed
+	})
+	addr, err := bad.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bad.Close() })
+
+	fed := startTestFederator(t, []string{sh0.addr, addr.String()})
+	if w := fed.Current(); !slices.Equal(w.Missing, []int{1}) {
+		t.Fatalf("missing shards %v, want [1]", w.Missing)
+	}
+	front := NewWithSource(fed, Config{}).Handler()
+	v2 := get(t, front, "/v2/plan")
+	if v2.Code != http.StatusOK || v2.Header().Get("X-World-Degraded") != "1" {
+		t.Fatalf("/v2/plan status %d, X-World-Degraded %q; want 200, \"1\"", v2.Code, v2.Header().Get("X-World-Degraded"))
+	}
+	if rec := get(t, front, "/v1/plan?hours=0.5"); rec.Code != http.StatusOK {
+		t.Fatalf("/v1/plan status %d, want 200", rec.Code)
+	}
+}
+
 // TestFederationApplyRoutesUpdates pushes a weather revision through the
 // front tier: every shard must apply it, and the next merged world must
 // reflect the bumped epoch vector and stream a delta to subscribers.
@@ -440,9 +502,9 @@ func TestFederationEpochVectorNeverTears(t *testing.T) {
 
 	// One satellite per shard, addressed by global index; each accepted
 	// update bumps exactly the owning shard's component.
-	globals := fed.topo.Load().globals
+	owner := fed.topo.Load().owner
 	for i := 0; i < 6; i++ {
-		g := int(globals[i%2][0])
+		g := slices.Index(owner, int32(i%2))
 		l1, l2 := tleLines(t, altTLE(t, full, g, int64(31+i)))
 		before := fed.Current().EpochVec
 		if _, err := fed.Apply(Update{TLEs: []TLEUpdate{{Sat: &g, Line1: l1, Line2: l2}}}); err != nil {

@@ -54,14 +54,12 @@ type fedTopo struct {
 	// cfg is the world configuration every shard resolved (shard 0's copy);
 	// caps is the live per-station capacity vector, so len(caps) is the live
 	// station count.
-	cfg         SnapshotConfig
-	caps        []int
-	planHorizon time.Duration
-	// owner maps a global satellite index to its shard; globals/locals are
-	// the per-shard partitions and their inverses.
-	owner   []int32
-	globals [][]int32
-	locals  []map[int32]int32
+	cfg  SnapshotConfig
+	caps []int
+	// owner maps a global satellite index to its shard; locals maps it, per
+	// shard, to that shard's local index.
+	owner  []int32
+	locals []map[int32]int32
 }
 
 // Federator is the merging front tier: it speaks the shard protocol to a
@@ -206,23 +204,20 @@ func validateTopology(infos []shardInfoDoc, n int) (*fedTopo, error) {
 			return nil, fmt.Errorf("serve: shard %d world (%+v, plan horizon %v) differs from shard 0's (%+v, plan horizon %v) — the fleet must share one configuration, every world flag",
 				i, in.Config, in.PlanHorizon, base.Config, base.PlanHorizon)
 		}
-		if len(in.Global) != in.OwnedSats || len(in.Global) == 0 {
-			return nil, fmt.Errorf("serve: shard %d owns %d satellites (global list %d)", i, in.OwnedSats, len(in.Global))
+		if len(in.Global) == 0 {
+			return nil, fmt.Errorf("serve: shard %d owns no satellites", i)
 		}
 	}
 	topo := &fedTopo{
-		cfg:         base.Config,
-		caps:        base.Caps,
-		planHorizon: base.PlanHorizon,
-		owner:       make([]int32, sats),
-		globals:     make([][]int32, n),
-		locals:      make([]map[int32]int32, n),
+		cfg:    base.Config,
+		caps:   base.Caps,
+		owner:  make([]int32, sats),
+		locals: make([]map[int32]int32, n),
 	}
 	for i := range topo.owner {
 		topo.owner[i] = -1
 	}
 	for s, in := range infos {
-		topo.globals[s] = in.Global
 		topo.locals[s] = make(map[int32]int32, len(in.Global))
 		prev := int32(-1)
 		for j, g := range in.Global {
@@ -291,7 +286,8 @@ func (f *Federator) coordinate() {
 }
 
 // rebuildLocked pulls every reachable shard's live plan, merges, and
-// publishes the next world. A missing shard degrades the plan to the
+// publishes the next world. A missing shard — unreachable, or answering
+// with a plan that fails core.CheckPlan — degrades the plan to the
 // surviving partitions and keeps its last-known epoch component; if no
 // shard answers, the previous world stays published (stale beats absent).
 // Rebuilds that observe no vector or membership change publish nothing.
@@ -307,12 +303,11 @@ func (f *Federator) rebuildLocked() error {
 	var plans []*core.Plan
 	var missing []int
 	for i, d := range docs {
-		if errs[i] != nil || d.Plan == nil {
+		if errs[i] != nil || !f.planOK(i, d.Plan, topo) {
 			missing = append(missing, i)
 			continue
 		}
 		vec[i] = d.WorldEpoch
-		d.Plan.BuildIndex()
 		plans = append(plans, d.Plan)
 	}
 	if len(plans) == 0 {
@@ -339,6 +334,17 @@ func (f *Federator) rebuildLocked() error {
 		Missing:  missing,
 	})
 	return nil
+}
+
+// planOK reports whether shard's plan may be merged: present and inside
+// the fleet's satellite and station ranges (core.CheckPlan). A plan that
+// fails is logged and its shard counted missing, like a lost one.
+func (f *Federator) planOK(shard int, p *core.Plan, topo *fedTopo) bool {
+	if err := core.CheckPlan(p, len(topo.owner), len(topo.caps)); err != nil {
+		f.logf("serve: shard %d plan %v — treating the shard as missing", shard, err)
+		return false
+	}
+	return true
 }
 
 // ---- WorldSource (the read and stream half is the embedded worldPub) ----
@@ -395,13 +401,14 @@ func (f *Federator) Apply(u Update) (ApplyResult, error) {
 			perShard[owner].TLEs = append(perShard[owner].TLEs, lu)
 			continue
 		}
-		// Catalog-number routing: the pinned ring names the owner; the
-		// shard resolves the local index itself.
+		// Catalog-number routing: the pinned consistent-hash ring every
+		// shard's loader partitioned with names the owner without a
+		// catalog; the shard resolves the local index itself.
 		el, err := tle.ParseLines(tu.Name, tu.Line1, tu.Line2)
 		if err != nil {
 			return ApplyResult{}, badUpdate("tles[%d]: %v", i, err)
 		}
-		owner := f.shardMapOwner(el.NoradID)
+		owner := shard.New(f.n).Owner(el.NoradID)
 		perShard[owner].TLEs = append(perShard[owner].TLEs, tu)
 	}
 	broadcastAll := u.Weather != nil || len(u.AddStations) > 0 || len(u.RemoveStations) > 0
@@ -477,13 +484,6 @@ func (f *Federator) refreshTopoLocked(shard int) error {
 	next.caps = info.Caps
 	f.topo.Store(&next)
 	return nil
-}
-
-// shardMapOwner routes a catalog number through the pinned consistent-
-// hash ring — the same ring every shard's loader partitioned with, so
-// the front tier derives the same owner without a catalog.
-func (f *Federator) shardMapOwner(norad int) int {
-	return shard.New(f.n).Owner(norad)
 }
 
 // ---- the federated WorldView ----
@@ -569,8 +569,7 @@ func (v *fedView) Plan(from time.Time, horizon, slot time.Duration) *core.Plan {
 	docs, errs := callAll[shardPlanDoc](f, proto.ShardKindPlanAt, body)
 	var parts []*core.Plan
 	for i, d := range docs {
-		if errs[i] == nil && d.Plan != nil {
-			d.Plan.BuildIndex()
+		if errs[i] == nil && f.planOK(i, d.Plan, topo) {
 			parts = append(parts, d.Plan)
 		}
 	}

@@ -10,17 +10,17 @@ import (
 // The shard federation documents: JSON bodies carried inside
 // proto.ShardQuery/ShardReply frames between the front tier and shard
 // backends. Every satellite index on this wire is GLOBAL (the full
-// constellation's population index): the shard server translates to its
-// local partition indices on the way in and lifts results back through
-// shard.Partition.Global on the way out, so the front tier never needs to
-// know how a shard numbers its satellites internally.
+// constellation's population index) except the TLE updates inside
+// shardApplyQuery, which carry the owning shard's LOCAL index (the front
+// tier translates them before routing). For the rest, the shard server
+// translates to its local partition indices on the way in and lifts
+// results back through shard.Partition.Global on the way out.
 
 // shardInfoDoc is the topology document (ShardKindInfo): everything the
 // front tier needs to validate a fleet and build its federated view.
 type shardInfoDoc struct {
-	Shard     int `json:"shard"`
-	Shards    int `json:"shards"`
-	OwnedSats int `json:"owned_sats"`
+	Shard  int `json:"shard"`
+	Shards int `json:"shards"`
 	// Caps is the live per-station capacity vector plan merging resolves
 	// contention against (identical on every shard); its length is the
 	// live station count.
@@ -33,8 +33,6 @@ type shardInfoDoc struct {
 	PlanHorizon time.Duration  `json:"plan_horizon_ns"`
 	// Global is the partition: the ascending global indices this shard owns.
 	Global []int32 `json:"global"`
-	// WorldEpoch is the shard's world epoch at reply time.
-	WorldEpoch uint64 `json:"world_epoch"`
 }
 
 // shardPlanDoc answers ShardKindPlan (the live plan) and ShardKindPlanAt
@@ -65,8 +63,7 @@ type shardPassesQuery struct {
 
 // shardPassesDoc is the pass-window answer, Sat lifted to global.
 type shardPassesDoc struct {
-	WorldEpoch uint64          `json:"world_epoch"`
-	Windows    []passes.Window `json:"windows"`
+	Windows []passes.Window `json:"windows"`
 }
 
 // shardLinkBudgetQuery asks for one link evaluation (Sat global).

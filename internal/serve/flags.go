@@ -10,7 +10,8 @@ import (
 // WorldFlags registers, on the command line's flag set, the ten flags
 // that define a served world, and returns the function that — after
 // flag.Parse — validates them (a bad value exits with the usage status;
-// so does -forecast-err 0, which SnapshotConfig cannot express)
+// so do -forecast-err 0 and -tx-fraction 0, which SnapshotConfig cannot
+// express)
 // and yields the snapshot configuration and the live-plan horizon. Every
 // dgs-shard of a fleet must agree on all of them (the front tier compares
 // each shard's resolved world with shard 0's and refuses a fleet that
@@ -20,7 +21,7 @@ func WorldFlags() func() (SnapshotConfig, time.Duration) {
 	sats := flag.Int("sats", 259, "constellation size")
 	stations := flag.Int("stations", 173, "ground-station count")
 	seed := cliutil.SeedFlag("population")
-	txFraction := flag.Float64("tx-fraction", 0.1, "fraction of transmit-capable stations")
+	txFraction := flag.Float64("tx-fraction", 0.1, "fraction of transmit-capable stations (0, 1]")
 	clearSky := flag.Bool("clear-sky", false, "disable weather attenuation")
 	forecastErr := flag.Float64("forecast-err", 0.3, "saturated forecast error fraction (0, 1]")
 	genGB := flag.Float64("gen-gb", 100, "per-satellite capture volume assumed for plan queries, GB/day")
@@ -31,7 +32,7 @@ func WorldFlags() func() (SnapshotConfig, time.Duration) {
 		cliutil.Seed("seed", *seed)
 		cliutil.PositiveInt("sats", *sats)
 		cliutil.PositiveInt("stations", *stations)
-		cliutil.Fraction("tx-fraction", *txFraction)
+		cliutil.TxFraction(*txFraction)
 		cliutil.Fraction("forecast-err", *forecastErr)
 		if *forecastErr == 0 {
 			// SnapshotConfig reads a zero error as its 0.3 default.

@@ -13,8 +13,8 @@ import (
 )
 
 // TestWorldFlags: WorldFlags refuses a bad world with exit status 2 and a
-// message naming the flag — -forecast-err 0 too, which a served world would
-// read as its 0.3 default — and resolves a good one. Each row parses in a
+// message naming the flag — -forecast-err 0 and -tx-fraction 0 too, which a
+// served world would read as its 0.3 and 0.1 defaults — and resolves a good one. Each row parses in a
 // child process (this test binary, started again), since a refusal exits.
 func TestWorldFlags(t *testing.T) {
 	if args, ok := os.LookupEnv("DGS_WORLD_FLAGS"); ok {
@@ -32,6 +32,7 @@ func TestWorldFlags(t *testing.T) {
 	}{
 		{"-forecast-err 0", 2, "cannot serve a perfect forecast"},
 		{"-forecast-err 1.5", 2, "-forecast-err"},
+		{"-tx-fraction 0", 2, "invalid -tx-fraction: must be > 0"},
 		{"-sats 0", 2, "-sats"},
 		{"-forecast-err 0.1 -plan-horizon 2h", 0, "forecast-err 0.1 plan-horizon 2h0m0s"},
 		{"", 0, "forecast-err 0.3 plan-horizon 1h0m0s"},

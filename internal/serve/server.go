@@ -42,7 +42,6 @@ func (c Config) withDefaults() Config {
 // requests from different epochs never merge into one computation.
 type Server struct {
 	store WorldSource
-	cfg   Config
 	cache *lruCache
 	fl    flightGroup
 	adm   *admission
@@ -77,7 +76,6 @@ func NewWithSource(src WorldSource, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		store:     src,
-		cfg:       cfg,
 		cache:     newLRU(cfg.CacheEntries),
 		adm:       newAdmission(cfg.MaxInFlight),
 		start:     time.Now(),

@@ -105,12 +105,10 @@ func (s *ShardServer) handle(kind uint8, body []byte) ([]byte, error) {
 		return json.Marshal(shardInfoDoc{
 			Shard:       s.part.Shard,
 			Shards:      s.part.Shards,
-			OwnedSats:   s.part.Len(),
 			Caps:        core.StationCaps(snap.sim.Stations),
 			Config:      snap.Config(),
 			PlanHorizon: s.store.cfg.PlanHorizon,
 			Global:      s.part.Global,
-			WorldEpoch:  world.Epoch,
 		})
 	case proto.ShardKindPlan:
 		return json.Marshal(shardPlanDoc{
@@ -136,7 +134,7 @@ func (s *ShardServer) handle(kind uint8, body []byte) ([]byte, error) {
 		if sat >= 0 {
 			local, owned := s.localOf[int32(sat)]
 			if !owned {
-				return json.Marshal(shardPassesDoc{WorldEpoch: world.Epoch})
+				return json.Marshal(shardPassesDoc{})
 			}
 			sat = int(local)
 		}
@@ -144,7 +142,7 @@ func (s *ShardServer) handle(kind uint8, body []byte) ([]byte, error) {
 		for i := range ws {
 			ws[i].Sat = int(s.part.Global[ws[i].Sat])
 		}
-		return json.Marshal(shardPassesDoc{WorldEpoch: world.Epoch, Windows: ws})
+		return json.Marshal(shardPassesDoc{Windows: ws})
 	case proto.ShardKindLinkBudget:
 		var q shardLinkBudgetQuery
 		if err := json.Unmarshal(body, &q); err != nil {

@@ -48,9 +48,6 @@ type World struct {
 	Snap WorldView
 	// Plan is the live incrementally maintained plan.
 	Plan *core.Plan
-	// ChangedSlots is how many plan slots the producing update re-evaluated
-	// (the full horizon for the initial build).
-	ChangedSlots int
 
 	// EpochVec, set only on federated worlds, is the composite epoch
 	// vector: component s is the world epoch of shard s this merged world
@@ -142,11 +139,10 @@ func NewStore(snap *Snapshot, cfg StoreConfig) *Store {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.publishLocked(&World{
-		Epoch:        1,
-		Built:        time.Now(),
-		Snap:         snap,
-		Plan:         ip.Plan(),
-		ChangedSlots: ip.LastChangedSlots(),
+		Epoch: 1,
+		Built: time.Now(),
+		Snap:  snap,
+		Plan:  ip.Plan(),
 	})
 	return s
 }
@@ -340,11 +336,10 @@ func (s *Store) Apply(u Update) (ApplyResult, error) {
 	plan := s.ip.Replan()
 	snap := old.Snap.(*Snapshot).rederive(s.ip, s.tles, s.fc)
 	w := &World{
-		Epoch:        old.Epoch + 1,
-		Built:        time.Now(),
-		Snap:         snap,
-		Plan:         plan,
-		ChangedSlots: s.ip.LastChangedSlots(),
+		Epoch: old.Epoch + 1,
+		Built: time.Now(),
+		Snap:  snap,
+		Plan:  plan,
 	}
 	s.publishLocked(w)
 	return ApplyResult{

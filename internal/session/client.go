@@ -12,14 +12,14 @@ import (
 	"dgs/internal/proto"
 )
 
-// ErrClosed is returned by Connect and Run after Close.
+// ErrClosed is returned by Run after Close.
 var ErrClosed = errors.New("session: client closed")
 
 // Client is the dialing end: one managed connection to a Server. The owner
-// fills the exported fields, then calls Connect (one session, no redial) or
-// Run (sessions until told to stop). The three callbacks are how it hears
-// back; they run on the client's goroutines, never concurrently for one
-// session, and must not call Close.
+// fills the exported fields, then calls Run, which keeps a session up until
+// told to stop. The three callbacks are how it hears back; they run on the
+// client's goroutines, never concurrently for one session, and must not
+// call Close.
 type Client struct {
 	// Dial opens the transport; ctx bounds the attempt.
 	Dial func(ctx context.Context) (net.Conn, error)
@@ -76,18 +76,10 @@ func (c *Client) Close() {
 	}
 }
 
-// Connect makes one attempt: dial, Hello→OK, Resume. On success the session
-// is up and serves in the background until the connection dies or Close;
-// ctx bounds the attempt only. A peer on another protocol version fails
-// with an error matching proto.ErrVersion.
-func (c *Client) Connect(ctx context.Context) error {
-	_, err := c.connect(ctx)
-	return err
-}
-
-// Run keeps a session up until ctx ends, Close, or a version mismatch, and
-// returns why it stopped. A session that was established and then died is
-// redialed at once; only failed attempts back off.
+// Run keeps a session up until ctx ends, Close, or a version mismatch (an
+// error matching proto.ErrVersion), and returns why it stopped. Each
+// attempt is dial, Hello→OK, Resume. A session that was established and
+// then died is redialed at once; only failed attempts back off.
 func (c *Client) Run(ctx context.Context) error {
 	closing := c.closing()
 	for attempt := 0; ; {
@@ -121,6 +113,9 @@ func (c *Client) Run(ctx context.Context) error {
 	}
 }
 
+// connect makes one attempt. On success the session is up and serves in
+// the background until the connection dies or Close; ctx bounds the
+// handshake.
 func (c *Client) connect(ctx context.Context) (*Conn, error) {
 	nc, err := c.Dial(ctx)
 	if err != nil {

@@ -8,9 +8,8 @@
 // connection on a Hello of the current protocol version, answers OK, and
 // keeps a registry of admitted connections. The dialing end (Client) dials,
 // handshakes (Hello→OK, then a Resume probe whose reply carries the peer's
-// resume point), pings while idle so both read deadlines hold, and — under
-// Run — redials with caller-seeded exponential backoff whenever the
-// connection dies. A version mismatch is permanent and never retried.
+// resume point), pings while idle so both read deadlines hold, and redials
+// with caller-seeded exponential backoff whenever the connection dies. A version mismatch is permanent and never retried.
 // Heartbeats are absorbed here in both directions; every other frame is
 // handed to the owner.
 //

@@ -199,9 +199,8 @@ func TestHeartbeatKeepsIdleSessionAlive(t *testing.T) {
 	// keep the otherwise-idle session open.
 	_, addr := startEcho(t, "127.0.0.1:0", 0, false, func(s *Server) { s.ReadTimeout = 200 * time.Millisecond })
 	p := newProbe(t, addr, 50*time.Millisecond)
-	if err := p.Connect(testCtx(t)); err != nil {
-		t.Fatal(err)
-	}
+	go p.Run(t.Context())
+	recv(t, p.ups, "session up")
 	time.Sleep(600 * time.Millisecond) // 3× the server deadline, all idle
 	if err := p.conn.Load().Send(&proto.ChunkReport{StationID: 7, Sat: 1, Chunks: []proto.ChunkInfo{{ID: 1, Bits: 1}}}); err != nil {
 		t.Fatalf("send after idle period: %v (heartbeats failed to keep the session alive)", err)
@@ -222,9 +221,8 @@ func TestIdleSessionDroppedWithoutHeartbeats(t *testing.T) {
 	// deadline being silently disabled.
 	_, addr := startEcho(t, "127.0.0.1:0", 0, false, func(s *Server) { s.ReadTimeout = 100 * time.Millisecond })
 	p := newProbe(t, addr, time.Hour)
-	if err := p.Connect(testCtx(t)); err != nil {
-		t.Fatal(err)
-	}
+	go p.Run(t.Context())
+	recv(t, p.ups, "session up")
 	recv(t, p.downs, "the server to drop a silent client past its read deadline")
 }
 
@@ -248,8 +246,8 @@ func TestCloseUnblocksPending(t *testing.T) {
 	if err := recv(t, ran, "Run to return"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("run error = %v, want ErrClosed", err)
 	}
-	if err := p.Connect(testCtx(t)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("connect after close = %v, want ErrClosed", err)
+	if err := p.Run(testCtx(t)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("run after close = %v, want ErrClosed", err)
 	}
 }
 

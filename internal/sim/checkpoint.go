@@ -171,8 +171,8 @@ func Restore(cfg Config, cp *Checkpoint) (*Engine, error) {
 
 	plans := make(map[int]*core.Plan, len(cp.Plans))
 	for k, p := range cp.Plans {
-		if err := checkPlan(k, p, len(w.sats), len(w.cfg.Stations)); err != nil {
-			return nil, err
+		if err := core.CheckPlan(p, len(w.sats), len(w.cfg.Stations)); err != nil {
+			return nil, fmt.Errorf("sim: checkpoint plan %d %w", k, err)
 		}
 		// A plan that crossed a JSON round trip lost its unexported lookup
 		// index; rebuilding is idempotent for one that didn't.
@@ -235,29 +235,4 @@ func Restore(cfg Config, cp *Checkpoint) (*Engine, error) {
 		return nil, fmt.Errorf("sim: restore: %w", err)
 	}
 	return e, nil
-}
-
-// checkPlan rejects carried plan k when the engine could not index or
-// execute it: a null entry, a non-positive slot length, or an assignment
-// naming a satellite or station outside the population.
-func checkPlan(k int, p *core.Plan, nSats, nStations int) error {
-	if p == nil {
-		return fmt.Errorf("sim: checkpoint plan %d is null", k)
-	}
-	if len(p.Slots) > 0 && p.SlotDur <= 0 {
-		return fmt.Errorf("sim: checkpoint plan %d (version %d): SlotDur %v not positive", k, p.Version, p.SlotDur)
-	}
-	for s, sl := range p.Slots {
-		for j, a := range sl.Assignments {
-			if a.Sat < 0 || a.Sat >= nSats {
-				return fmt.Errorf("sim: checkpoint plan %d (version %d) slot %d assignment %d: Sat %d outside [0, %d)",
-					k, p.Version, s, j, a.Sat, nSats)
-			}
-			if a.Station < 0 || a.Station >= nStations {
-				return fmt.Errorf("sim: checkpoint plan %d (version %d) slot %d assignment %d: Station %d outside [0, %d)",
-					k, p.Version, s, j, a.Station, nStations)
-			}
-		}
-	}
-	return nil
 }

@@ -10,7 +10,6 @@ import (
 // plan version it holds.
 type claim struct {
 	sat     int
-	rate    float64
 	version int
 }
 
@@ -54,7 +53,7 @@ func (e *Engine) downlink() {
 		if assigns[i].gs < 0 {
 			continue
 		}
-		claims[assigns[i].gs] = append(claims[assigns[i].gs], claim{sat: i, rate: assigns[i].rate, version: assigns[i].version})
+		claims[assigns[i].gs] = append(claims[assigns[i].gs], claim{sat: i, version: assigns[i].version})
 	}
 	served := w.served // satellites a station listens to
 	clear(served)

@@ -8,25 +8,21 @@ import (
 	"dgs/internal/satellite"
 )
 
-// EventRecorder is an Observer that streams every simulation event as one
-// JSON object per line (JSONL) to a writer, for offline analysis or piping
-// into other tools. Slot events are omitted by default (one per simulated
-// minute, almost always noise); set Slots to record them too.
+// EventRecorder is an Observer that streams every simulation event but the
+// slot ticks (one per simulated minute, almost always noise) as one JSON
+// object per line (JSONL) to a writer, for offline analysis or piping into
+// other tools.
 //
 // The recorder remembers the first write error and drops subsequent events,
 // so a full disk does not abort the run; check Err after the run.
 type EventRecorder struct {
-	// Slots enables recording of per-slot tick events.
-	Slots bool
-
-	w   io.Writer
 	enc *json.Encoder
 	err error
 }
 
 // NewEventRecorder creates a recorder streaming to w.
 func NewEventRecorder(w io.Writer) *EventRecorder {
-	return &EventRecorder{w: w, enc: json.NewEncoder(w)}
+	return &EventRecorder{enc: json.NewEncoder(w)}
 }
 
 // Err returns the first write error, if any.
@@ -39,7 +35,6 @@ type recordedEvent struct {
 	Type string    `json:"type"`
 	Time time.Time `json:"time"`
 
-	Index      int               `json:"index,omitempty"`
 	Version    int               `json:"version,omitempty"`
 	Slots      int               `json:"slots,omitempty"`
 	Sat        int               `json:"sat"`
@@ -61,13 +56,8 @@ func (r *EventRecorder) write(ev recordedEvent) {
 	r.err = r.enc.Encode(ev)
 }
 
-// OnSlot implements Observer.
-func (r *EventRecorder) OnSlot(ev SlotEvent) {
-	if !r.Slots {
-		return
-	}
-	r.write(recordedEvent{Type: "slot", Time: ev.Time, Index: ev.Index, Sat: -1})
-}
+// OnSlot implements Observer; slot ticks are not recorded.
+func (r *EventRecorder) OnSlot(SlotEvent) {}
 
 // OnPlan implements Observer.
 func (r *EventRecorder) OnPlan(ev PlanEvent) {
