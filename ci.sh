@@ -122,6 +122,15 @@ esac
 if printf '%s\n' "$diet" | grep -nEi 'PathTerms|(clear|rate|bps)[a-z]*[[:space:]]+(\[\])?float64'; then
     echo "carried edges keep no path terms and no float64 clear-sky rate: carry the quantized elevation and the rung" >&2; exit 1
 fi
+# The matcher sorts only what a station could still hold: Scratch builds a
+# satellite's preference row at its first proposal from the edges that
+# clear the stations' bars, and sorts just those. One prefOrder call site
+# in scratch.go; a sort of every list before the proposals is the cost
+# (most satellites at mega scale are refused by every station) it removed.
+sorts=$(git grep -ho 'prefOrder(' -- internal/match/scratch.go | wc -l)
+if [ "$sorts" -ne 1 ]; then
+    echo "internal/match/scratch.go has $sorts prefOrder call sites (want 1): sort a satellite's surviving edges at its first proposal, not every list up front" >&2; exit 1
+fi
 # One SGP4 kernel and one position fill: PropagateMinutes and
 # PositionECEF run one transcription of the propagation (SGP4's
 # short-period block appears once), and the position cache fills every

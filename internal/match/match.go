@@ -124,7 +124,7 @@ func (g *Graph) Edges() []Edge {
 type Matching struct {
 	// LeftToRight[i] is the station matched to satellite i, or -1.
 	LeftToRight []int
-	// RightToLeft[j] lists the satellites matched to station j.
+	// RightToLeft[j] lists the satellites matched to station j, ascending.
 	RightToLeft [][]int
 	// Value is the total weight of the matched edges.
 	Value float64
@@ -288,6 +288,9 @@ func Greedy(g *Graph) Matching {
 		m.RightToLeft[e.Right] = append(m.RightToLeft[e.Right], e.Left)
 		room[e.Right]--
 		m.Value += e.Weight
+	}
+	for j := range m.RightToLeft {
+		sort.Ints(m.RightToLeft[j])
 	}
 	return m
 }

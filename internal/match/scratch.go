@@ -1,6 +1,9 @@
 package match
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // Scratch runs the stable-matching algorithm with reusable buffers, for
 // callers that solve one matching per plan slot over graphs of similar
@@ -8,38 +11,49 @@ import "slices"
 // internal buffer reaches steady state and a Stable call allocates
 // nothing.
 //
+// A satellite's preference list is built at its first proposal, not up
+// front: each station keeps a bar, the weight a proposal must reach to be
+// held — 0 while it has room (every edge weight is positive), +Inf at
+// capacity 0, and its worst hold's weight once it is full. A full station
+// stays full and its worst hold only improves, so an edge below the bar is
+// refused for good; dropping it before the sort is the same as proposing
+// it and being turned down. At mega scale most satellites are refused by
+// every station they see, and most of their edges never reach the sort.
+//
 // The zero value is ready to use. Not safe for concurrent use. The
 // returned Matching's slices are owned by the Scratch and are valid only
 // until the next Stable call.
 type Scratch struct {
-	// Warm seeds each run's proposal processing order from the previous
-	// run's matching: satellites matched last slot are queued first,
-	// previously unmatched ones last. Satellite-proposing deferred
-	// acceptance with strict preferences (tie-breaks make both sides
-	// strict) reaches the same unique satellite-optimal stable matching
-	// for any proposal order, so warm starting changes the work done, not
-	// the outcome.
+	// Warm seeds each run's proposal order from the previous run's
+	// matching: satellites matched last slot propose first, so the
+	// stations' bars rise before the rest propose, and those lists shrink.
+	// Both sides rank a pair by its one weight with consistent
+	// tie-breaks, so the stable matching is unique (it is Greedy's) and
+	// the proposal order changes the work done, not the outcome.
 	Warm bool
 
 	prefBuf []Edge
-	prefs   [][]Edge
-	next    []int
+	next    []int // per-satellite next proposal, then end of row, in prefBuf
+	end     []int
 	heldOff []int // per-station [start, end) into heldSat/heldW, by capacity
 	heldLen []int
 	heldSat []int
 	heldW   []float64
-	free    []int
+	worst   []int     // per full station, the heldSat/heldW index of its worst hold
+	bar     []float64 // per station, the least weight it may still hold
 	l2r     []int
 	satW    []float64
 	r2l     [][]int
 	prevL2R []int
 }
 
-func growInts(b []int, n int) []int {
+// grow returns b resized to n, reusing its backing array when it fits.
+// The contents are not kept.
+func grow[T any](b []T, n int) []T {
 	if cap(b) >= n {
 		return b[:n]
 	}
-	return make([]int, n)
+	return make([]T, n)
 }
 
 // Stable computes the same matching as the package-level Stable (identical
@@ -49,121 +63,56 @@ func growInts(b []int, n int) []int {
 func (sc *Scratch) Stable(g *Graph) Matching {
 	nL, nR := g.nLeft, g.nRight
 
-	// Per-satellite preference lists, carved out of one flat buffer.
+	// Preference rows are carved out of one flat buffer as satellites
+	// first propose; only the edges that clear the bars are copied.
 	total := 0
 	for i := 0; i < nL; i++ {
 		total += len(g.adj[i])
 	}
-	if cap(sc.prefBuf) >= total {
-		sc.prefBuf = sc.prefBuf[:total]
-	} else {
-		sc.prefBuf = make([]Edge, total)
-	}
-	if cap(sc.prefs) >= nL {
-		sc.prefs = sc.prefs[:nL]
-	} else {
-		sc.prefs = make([][]Edge, nL)
-	}
-	off := 0
-	for i := 0; i < nL; i++ {
-		es := g.adj[i]
-		cp := sc.prefBuf[off : off+len(es) : off+len(es)]
-		copy(cp, es)
-		prefOrder(cp, true)
-		sc.prefs[i] = cp
-		off += len(es)
-	}
-
-	sc.next = growInts(sc.next, nL)
-	for i := range sc.next {
-		sc.next[i] = 0
-	}
+	sc.prefBuf = grow(sc.prefBuf, total)
+	sc.next = grow(sc.next, nL)
+	sc.end = grow(sc.end, nL)
 
 	// Station acceptance state: fixed-capacity spans in flat buffers.
-	sc.heldOff = growInts(sc.heldOff, nR+1)
-	sc.heldLen = growInts(sc.heldLen, nR)
+	sc.heldOff = grow(sc.heldOff, nR+1)
+	sc.heldLen = grow(sc.heldLen, nR)
+	sc.worst = grow(sc.worst, nR)
+	sc.bar = grow(sc.bar, nR)
 	capTotal := 0
 	for j := 0; j < nR; j++ {
 		sc.heldOff[j] = capTotal
 		sc.heldLen[j] = 0
+		if g.capacity[j] == 0 {
+			sc.bar[j] = math.Inf(1)
+		} else {
+			sc.bar[j] = 0
+		}
 		capTotal += g.capacity[j]
 	}
 	sc.heldOff[nR] = capTotal
-	sc.heldSat = growInts(sc.heldSat, capTotal)
-	if cap(sc.heldW) >= capTotal {
-		sc.heldW = sc.heldW[:capTotal]
-	} else {
-		sc.heldW = make([]float64, capTotal)
-	}
+	sc.heldSat = grow(sc.heldSat, capTotal)
+	sc.heldW = grow(sc.heldW, capTotal)
 
-	// worse reports whether proposal (wa, sa) ranks below (wb, sb) for a
-	// station: lower weight, higher satellite index as the tie-break.
-	worse := func(wa float64, sa int, wb float64, sb int) bool {
-		if wa != wb {
-			return wa < wb
-		}
-		return sa > sb
-	}
-
-	sc.free = sc.free[:0]
+	off := 0
 	if sc.Warm && len(sc.prevL2R) == nL {
 		for i := 0; i < nL; i++ {
 			if sc.prevL2R[i] >= 0 {
-				sc.free = append(sc.free, i)
+				off = sc.propose(g, i, off)
 			}
 		}
 		for i := 0; i < nL; i++ {
 			if sc.prevL2R[i] < 0 {
-				sc.free = append(sc.free, i)
+				off = sc.propose(g, i, off)
 			}
 		}
 	} else {
 		for i := 0; i < nL; i++ {
-			sc.free = append(sc.free, i)
-		}
-	}
-	for len(sc.free) > 0 {
-		s := sc.free[len(sc.free)-1]
-		sc.free = sc.free[:len(sc.free)-1]
-		if sc.next[s] >= len(sc.prefs[s]) {
-			continue // exhausted all options; stays unmatched
-		}
-		e := sc.prefs[s][sc.next[s]]
-		sc.next[s]++
-		j := e.Right
-		o, held := sc.heldOff[j], sc.heldLen[j]
-		if sc.heldOff[j+1]-o == 0 {
-			sc.free = append(sc.free, s)
-			continue
-		}
-		if held < sc.heldOff[j+1]-o {
-			sc.heldSat[o+held] = s
-			sc.heldW[o+held] = e.Weight
-			sc.heldLen[j]++
-			continue
-		}
-		worst := o
-		for k := o + 1; k < o+held; k++ {
-			if worse(sc.heldW[k], sc.heldSat[k], sc.heldW[worst], sc.heldSat[worst]) {
-				worst = k
-			}
-		}
-		if worse(sc.heldW[worst], sc.heldSat[worst], e.Weight, s) {
-			evicted := sc.heldSat[worst]
-			sc.heldSat[worst] = s
-			sc.heldW[worst] = e.Weight
-			sc.free = append(sc.free, evicted)
-		} else {
-			sc.free = append(sc.free, s)
+			off = sc.propose(g, i, off)
 		}
 	}
 
-	sc.l2r = growInts(sc.l2r, nL)
-	if cap(sc.satW) >= nL {
-		sc.satW = sc.satW[:nL]
-	} else {
-		sc.satW = make([]float64, nL)
-	}
+	sc.l2r = grow(sc.l2r, nL)
+	sc.satW = grow(sc.satW, nL)
 	for i := range sc.l2r {
 		sc.l2r[i] = -1
 	}
@@ -194,4 +143,80 @@ func (sc *Scratch) Stable(g *Graph) Matching {
 	}
 	sc.prevL2R = append(sc.prevL2R[:0], sc.l2r...)
 	return Matching{LeftToRight: sc.l2r, RightToLeft: sc.r2l, Value: value}
+}
+
+// propose builds satellite s's preference row at prefBuf[off:] from the
+// edges that clear their station's bar, then runs deferred acceptance from
+// s: each eviction hands the proposal on to the evicted satellite, whose
+// row was built at its own first proposal. It returns the end of s's row.
+func (sc *Scratch) propose(g *Graph, s, off int) int {
+	es := g.adj[s]
+	row := sc.prefBuf[off : off+len(es)]
+	n := 0
+	for _, e := range es {
+		// Always write, advance only on a keep: one load of the bar and
+		// no branch on a comparison that ties often at small scale.
+		row[n] = e
+		if e.Weight >= sc.bar[e.Right] {
+			n++
+		}
+	}
+	prefOrder(row[:n], true)
+	sc.next[s], sc.end[s] = off, off+n
+
+	for s >= 0 {
+		s = sc.place(s)
+	}
+	return off + n
+}
+
+// place proposes down satellite s's row until a station holds it or the row
+// runs out, and returns the satellite the acceptance evicted, or -1. A
+// satellite whose row runs out is never held, so never proposes again.
+// Capacity-0 stations never appear: their bar (+Inf) drops every edge.
+func (sc *Scratch) place(s int) int {
+	for k := sc.next[s]; k < sc.end[s]; k++ {
+		e := sc.prefBuf[k]
+		j := e.Right
+		if e.Weight < sc.bar[j] {
+			continue // a station filled above it since the row was built
+		}
+		o, held, c := sc.heldOff[j], sc.heldLen[j], sc.heldOff[j+1]-sc.heldOff[j]
+		if held < c {
+			sc.heldSat[o+held] = s
+			sc.heldW[o+held] = e.Weight
+			sc.heldLen[j]++
+			if held+1 == c {
+				sc.rebar(j)
+			}
+			sc.next[s] = k + 1
+			return -1
+		}
+		// Full and e.Weight ≥ bar: a tie goes to the lower satellite index.
+		w := sc.worst[j]
+		if e.Weight == sc.heldW[w] && s > sc.heldSat[w] {
+			continue
+		}
+		evicted := sc.heldSat[w]
+		sc.heldSat[w] = s
+		sc.heldW[w] = e.Weight
+		sc.rebar(j)
+		sc.next[s] = k + 1
+		return evicted
+	}
+	return -1
+}
+
+// rebar finds full station j's worst hold — lowest weight, higher
+// satellite index on a tie — and raises its bar to that weight.
+func (sc *Scratch) rebar(j int) {
+	o, end := sc.heldOff[j], sc.heldOff[j+1]
+	w := o
+	for k := o + 1; k < end; k++ {
+		if sc.heldW[k] < sc.heldW[w] || (sc.heldW[k] == sc.heldW[w] && sc.heldSat[k] > sc.heldSat[w]) {
+			w = k
+		}
+	}
+	sc.worst[j] = w
+	sc.bar[j] = sc.heldW[w]
 }

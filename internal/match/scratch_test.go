@@ -1,6 +1,7 @@
 package match
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -51,6 +52,36 @@ func TestScratchEqualsStable(t *testing.T) {
 			if err := IsValid(g, got); err != nil {
 				t.Fatalf("warm=%v iter %d: %v", warm, iter, err)
 			}
+		}
+	}
+}
+
+// TestScratchTiesMatchOracle is TestScratchEqualsStable where production
+// lives: rung rates are discrete and queue states repeat, so weights tie
+// often. Weights come from {1, 2, 3}, capacities from 0–3, and one
+// Scratch, warm or cold, solves every graph; each result must equal
+// Stable's and Greedy's field by field (see checkOracle).
+func TestScratchTiesMatchOracle(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(44))
+		sc := Scratch{Warm: warm}
+		for iter := 0; iter < 2000; iter++ {
+			nL, nR := 1+rng.Intn(40), 1+rng.Intn(12)
+			density := 0.1 + rng.Float64()*0.6
+			g := NewGraph(nL, nR)
+			for j := 0; j < nR; j++ {
+				if rng.Intn(2) == 0 {
+					g.SetCapacity(j, rng.Intn(4))
+				}
+			}
+			for i := 0; i < nL; i++ {
+				for j := 0; j < nR; j++ {
+					if rng.Float64() < density {
+						_ = g.AddEdge(i, j, float64(1+rng.Intn(3)))
+					}
+				}
+			}
+			checkOracle(t, g, sc.Stable(g), fmt.Sprintf("warm=%v iter %d", warm, iter))
 		}
 	}
 }
@@ -148,6 +179,22 @@ func TestGraphReset(t *testing.T) {
 func BenchmarkScratchStable259x173(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomGraph(rng, 259, 173, 0.08)
+	var sc Scratch
+	sc.Warm = true
+	sc.Stable(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.Stable(g)
+	}
+}
+
+// BenchmarkScratchStable10000x500 is one mega_epoch slot's shape: Walker
+// 10,000 × 500, about 13 edges a satellite, unit capacity, and a warm
+// Scratch, so most satellites are refused by every station they see.
+func BenchmarkScratchStable10000x500(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := randomGraph(rng, 10000, 500, 13.0/500)
 	var sc Scratch
 	sc.Warm = true
 	sc.Stable(g)
