@@ -122,6 +122,26 @@ esac
 if printf '%s\n' "$diet" | grep -nEi 'PathTerms|(clear|rate|bps)[a-z]*[[:space:]]+(\[\])?float64'; then
     echo "carried edges keep no path terms and no float64 clear-sky rate: carry the quantized elevation and the rung" >&2; exit 1
 fi
+# The fill keeps rungs, not rates: a slot's rated edges are ladder rungs,
+# one byte an edge — the carried rung column itself under a clear sky, a
+# per-slot buffer under weather — priced per station by the reduction
+# (rungPrices). No float64 per-edge rate buffer in the scheduler, the
+# epoch fill or the merge.
+fill=$(awk '/^type epochFill struct/,/^}/' internal/core/plan.go)
+case "$fill" in
+    *epochFill*rungs*) ;;
+    *) echo "epochFill (internal/core/plan.go) not found: point the fill guard at it" >&2; exit 1 ;;
+esac
+if printf '%s\n' "$fill" | grep -nE '\[\]float64' ||
+    git grep -nEi 'rates[^=(]*\[\]+float64|\) rateSlot\(.*float64' -- internal/core ':!*_test.go'; then
+    echo "the fill keeps ladder rungs ([]uint8), not float64 rates: price a rung through rungPrices" >&2; exit 1
+fi
+# One MODCOD search: the rung is a bucket lookup plus one compare
+# (dvbs2.rungOf), which Ladder.Rung and Select share; no top-down scan of
+# the envelope beside it.
+if git grep -nE 'for [a-z]+ := len\([^)]*\) - 1; [a-z]+ >= 0' -- internal/dvbs2 ':!*_test.go'; then
+    echo "internal/dvbs2 searches the MODCOD envelope by rungOf's bucket lookup only: no second, top-down scan" >&2; exit 1
+fi
 # The matcher sorts only what a station could still hold: Scratch builds a
 # satellite's preference row at its first proposal from the edges that
 # clear the stations' bars, and sorts just those. One prefOrder call site
@@ -223,7 +243,7 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # per-worker candidate scratch, the cover's cells built by whichever worker
 # asks first (NearRaces: racing callers get what a serial one does), and an
 # epoch re-carries only the pairs of replaced propagators and stations and
-# merges them into the clean edges, keeping the rates that still stand:
+# merges them into the clean edges, keeping the rungs that still stand:
 # cover ≡ cross product, patched ≡
 # from scratch (Incremental, RollingAfterDeltas), and the rolling planner's carried link
 # geometry plus the memo-free rate kernel ≡ fresh schedulers ≡ the test
@@ -239,7 +259,13 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # and the mask's sine bounds ≡ Look, in the carry and in the simulator's
 # uplink-contact test; SineTable: the quantized elevation looked up from
 # the sine ≡ quantize(asin);
-# ClearRates, Kernel: carried clear-sky rates ≡ the memo, never aliased;
+# ClearRates, Kernel: carried clear-sky rates ≡ the memo, and a weathered
+# epoch never rates into a carried rung column; Rung: a rung priced at its
+# station ≡ Kernel.Rate under random skies, and the MODCOD bucket lookup ≡
+# the top-down scan it replaced (FuzzLadderRung's seed corpus: every
+# threshold ± 1 ulp, every bucket edge, NaN and ±Inf); FillBytes: a clear
+# epoch's fill retains no byte beyond its carried slots, a weathered one
+# ≤ 1 B an edge;
 # Bidding: a station-priced Φ allocates exactly what its inner Φ does; Reach: past a station's link
 # reach nothing closes, so the range cut drops only what Carry drops;
 # NearCovers, CoverCovers, WidestCos, RangeCos, NearIsFiltered,
@@ -260,8 +286,8 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # exactly where the state path errs (FuzzPropagate's seed corpus). (core
 # rolls the paper's 12 h horizon six times against six fresh schedulers
 # per pass, hence the explicit timeout.)
-go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky|Stream|SinFloor|SineTable|RangeSinEl|ClearRates|Bidding|Reach|NearCovers|CoverCovers|WidestCos|RangeCos|NearIsFiltered|NearReuses|NearRaces|FuzzSitesNear|TermsTable|EdgeBytes|FuzzCarry|Prune|Reanchor|Incremental|InProgress|Workers|Visibility|SweepWindow|BitIdentical|MatchesScalar|AtRange|ReplaceProp|FuzzPropagate|Prefill|TxVisible' \
-    ./internal/passes ./internal/core ./internal/linkbudget ./internal/itu ./internal/frames ./internal/spatial ./internal/sim ./internal/poscache ./internal/sgp4
+go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky|Stream|SinFloor|SineTable|RangeSinEl|ClearRates|Rung|FillBytes|Bidding|Reach|NearCovers|CoverCovers|WidestCos|RangeCos|NearIsFiltered|NearReuses|NearRaces|FuzzSitesNear|TermsTable|EdgeBytes|FuzzCarry|Prune|Reanchor|Incremental|InProgress|Workers|Visibility|SweepWindow|BitIdentical|MatchesScalar|AtRange|ReplaceProp|FuzzPropagate|Prefill|TxVisible' \
+    ./internal/passes ./internal/core ./internal/linkbudget ./internal/dvbs2 ./internal/itu ./internal/frames ./internal/spatial ./internal/sim ./internal/poscache ./internal/sgp4
 
 echo "== go test -race (parallel pipeline + session + serving layers)"
 # session is the one managed wire session both station↔backend and
@@ -280,13 +306,13 @@ echo "== go test -race (parallel pipeline + session + serving layers)"
 # seeded chaos kill/rejoin convergence run). optimize fans whole sim
 # runs over the pool with a shared memo cache. core's streamed reducer
 # races its fill: the caller weighs, matches and drains slot k — reading
-# the edges and rates a worker just wrote, handed over on the readiness
+# the edges and rungs a worker just wrote, handed over on the readiness
 # channel — while other workers still carry and rate later slots, read the
 # carried per-instant slices earlier epochs built, and write their own
-# slots' rate buffers; fresh instants are published to the carried map only
+# slots' rung buffers; fresh instants are published to the carried map only
 # after the last fill. The prefill is the newest racer: its goroutines
 # carry and rate the next epoch under the forecast they were started with,
-# writing rate buffers while the caller steps the simulator (pruning and
+# writing rung buffers while the caller steps the simulator (pruning and
 # reading the shared position cache), and the next PlanEpoch reads those
 # buffers only through the same readiness channel, or after waiting.
 go test -race ./internal/passes ./internal/sim ./internal/core ./internal/pool ./internal/poscache ./internal/linkbudget \

@@ -9,10 +9,12 @@
 //     while epochs overlap it.
 //   - rate, per (edge, epoch): the forecast at this epoch's lead, blended
 //     and turned into weather terms once per (station, slot), composed
-//     with the carried terms into the edge's rate — or, under a clear sky,
-//     the carried rung's rate.
+//     with the carried terms into the edge's ladder rung, a byte — or,
+//     under a clear sky, the carried rung itself: a clear slot's rung
+//     column is its carried one, with no copy.
 //   - reduce, per slot (plan.go): weighting, matching and queue drain over
-//     the edges whose rate is positive, streamed behind the other two.
+//     the edges whose rate is positive, each rate read off its station's
+//     rung prices, streamed behind the other two.
 //
 // From-scratch planning carries every slot, a rolling epoch only the new
 // tail, a new forecast nothing, and a changed propagator or station only
@@ -113,7 +115,7 @@ func (ws *workerScratch) masks(net station.Network) []spatial.Mask {
 // product without the cover.
 func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats []bool, dirtyStations []int32, ws *workerScratch) *carriedSlot {
 	stSites := s.stationSites()
-	kern, sites, reach := s.rateKernel()
+	kern, sites, reach, _ := s.rateKernel()
 	restricted := dirtySats != nil || dirtyStations != nil
 	nGs := len(s.Stations)
 	mask := ws.masks(s.Stations)
@@ -158,36 +160,36 @@ func exact[S ~[]E, E any](s S) S {
 }
 
 // rateSlot rates a slot's carried edges under the forecast fc for instant
-// t issued lead earlier (clear sky when fc is nil) into dst, aligned with
-// cs.keys and grown when too small. A rate of zero or less means the link
-// does not close at this lead: the reduction and Visibility skip the edge.
+// t issued lead earlier (clear sky when fc is nil) into ladder rungs
+// aligned with cs.keys, and returns them with the buffer buf as it leaves
+// it. Priced at its station (rungPrices), a rung whose rate is zero or
+// less is a link that does not close at this lead: the reduction and
+// Visibility skip the edge.
 //
-// An edge whose station's quantized sky is the kernel's clear one —
-// every edge without a forecast — takes its carried rung's rate: the rate
-// of the rung Carry found under that sky, through Rate's own channel
-// product and cap, so the same bits Rate would return.
-func (s *Scheduler) rateSlot(dst []float64, cs *carriedSlot, t time.Time, lead time.Duration, fc *weather.Forecast, ws *workerScratch) []float64 {
-	n := len(cs.keys)
-	if cap(dst) < n {
-		// Headroom: the slot a buffer serves moves on by one epoch's
-		// stride every epoch, and its edge count wanders with it.
-		dst = make([]float64, n, n+n/8)
-	}
-	dst = dst[:n]
-	if n == 0 {
-		return dst
-	}
-	kern, sites, _ := s.rateKernel()
-	nGs := len(s.Stations)
+// Without a forecast the rungs are cs.rung itself — the rungs Carry found
+// under the kernel's clear sky — shared read-only, and buf is untouched.
+// Under weather they are written into buf, grown when too small, one byte
+// an edge: an edge whose station's quantized sky is the clear one copies
+// its carried rung, any other takes Kernel.RateRung, the rung Rate
+// selects. A caller keeps the returned buffer, never the returned rungs,
+// for its next call: those may be carried state.
+func (s *Scheduler) rateSlot(buf []uint8, cs *carriedSlot, t time.Time, lead time.Duration, fc *weather.Forecast, ws *workerScratch) (rungs, grown []uint8) {
 	// The lead-independent field samples come from the shared per-instant
 	// cache (hot across overlapping epochs); the per-lead blend is cheap.
 	comp := s.fcComponents(fc, t)
 	if comp == nil {
-		for x, key := range cs.keys {
-			dst[x] = kern.ClearRate(&sites[uint32(key)%uint32(nGs)], cs.rung[x])
-		}
-		return dst
+		return cs.rung, buf
 	}
+	n := len(cs.keys)
+	if cap(buf) < n {
+		buf = make([]uint8, n)
+	}
+	buf = buf[:n]
+	if n == 0 {
+		return buf, buf
+	}
+	kern, sites, _, _ := s.rateKernel()
+	nGs := len(s.Stations)
 	clearSky := kern.Weather(linkbudget.Conditions{})
 	if cap(ws.sky) < nGs {
 		ws.sky = make([]linkbudget.Sky, nGs)
@@ -203,12 +205,12 @@ func (s *Scheduler) rateSlot(dst []float64, cs *carriedSlot, t time.Time, lead t
 			known[j] = true
 		}
 		if sky[j] == clearSky {
-			dst[x] = kern.ClearRate(&sites[j], cs.rung[x])
+			buf[x] = cs.rung[x]
 		} else {
-			dst[x] = kern.Rate(&sites[j], cs.edge(x), &sky[j])
+			buf[x] = kern.RateRung(&sites[j], cs.edge(x), &sky[j])
 		}
 	}
-	return dst
+	return buf, buf
 }
 
 // Visibility computes the feasible edges at time t: satellite above the
@@ -227,19 +229,20 @@ func (s *Scheduler) Visibility(sats []SatSnapshot, t time.Time, lead time.Durati
 	positions := s.positionCache(sats)
 	var ws workerScratch
 	cs := s.carryPairs(positions, t, nil, nil, &ws)
-	rates := s.rateSlot(nil, cs, t, lead, s.Forecast, &ws)
+	rungs, _ := s.rateSlot(nil, cs, t, lead, s.Forecast, &ws)
 	stSites, at := s.stationSites(), positions.At(t)
-	_, _, reach := s.rateKernel()
+	_, _, reach, price := s.rateKernel()
 	nGs := len(s.Stations)
 	var edges []VisibleEdge
 	for x, key := range cs.keys {
-		if rates[x] <= 0 {
+		i, j := int(key)/nGs, int(key)%nGs
+		rate := price.rate(j, rungs[x])
+		if rate <= 0 {
 			continue
 		}
-		i, j := int(key)/nGs, int(key)%nGs
 		gs := s.Stations[j]
 		rangeKm, sinEl, _ := stSites.Above(j, at[i].Pos, reach[j], ws.mask[j])
-		edges = append(edges, VisibleEdge{Sat: i, Station: j, RateBps: rates[x], Geometry: linkbudget.Geometry{
+		edges = append(edges, VisibleEdge{Sat: i, Station: j, RateBps: rate, Geometry: linkbudget.Geometry{
 			RangeKm:         rangeKm,
 			ElevationRad:    math.Asin(sinEl),
 			StationLatRad:   gs.Location.LatRad,
@@ -249,7 +252,7 @@ func (s *Scheduler) Visibility(sats []SatSnapshot, t time.Time, lead time.Durati
 	return edges
 }
 
-// rateKey is what a slot's rates were rated from: its carried edges (one
+// rateKey is what a slot's rungs were rated from: its carried edges (one
 // instant, as carried or patched), the forecast lead and the forecast.
 type rateKey struct {
 	cs   *carriedSlot
@@ -261,9 +264,11 @@ type rateKey struct {
 // brings the scheduler's carried state to cover them — carrying each
 // instant not carried yet, patching each carried one whose satellites or
 // stations changed (diffCarried), and rating each slot whose rateKey
-// changed, into per-slot buffers reused across epochs — under the current
-// Forecast, which it captures. It runs on the caller with no fill in
-// flight; the fill itself runs wherever spawn and reduce put it.
+// changed — under the current Forecast, which it captures. A clear slot's
+// rungs are its carried column; a weathered slot's are written into the
+// scheduler's buffer for slot k (rungBuf), reused across epochs. It runs
+// on the caller with no fill in flight; the fill itself runs wherever
+// spawn and reduce put it.
 func (s *Scheduler) newFill(positions *poscache.Cache, start time.Time, n int, slotDur time.Duration) *epochFill {
 	// Another position cache, or another station count (packed keys
 	// renumbered), strands every carried edge.
@@ -283,8 +288,9 @@ func (s *Scheduler) newFill(positions *poscache.Cache, start time.Time, n int, s
 	}
 
 	f := &epochFill{start: start, n: n, slotDur: slotDur, positions: positions, fc: s.Forecast, slots: make([]*carriedSlot, n)}
-	for len(s.rates) < n {
-		s.rates = append(s.rates, nil)
+	for len(s.rungs) < n {
+		s.rungs = append(s.rungs, nil)
+		s.rungBuf = append(s.rungBuf, nil)
 		s.ratedAs = append(s.ratedAs, rateKey{})
 	}
 	// The instants not carried yet — in the steady state the tail the
@@ -305,13 +311,13 @@ func (s *Scheduler) newFill(positions *poscache.Cache, start time.Time, n int, s
 	// Carrying, patching and rating depend only on time, never on the
 	// evolving queue state, so they stream over the worker pool; every
 	// worker writes only its own slot's entries.
-	slots, rates, ratedAs, fc := f.slots, s.rates[:n], s.ratedAs[:n], f.fc
-	f.rates = rates
+	slots, rungs, bufs, ratedAs, fc := f.slots, s.rungs[:n], s.rungBuf[:n], s.ratedAs[:n], f.fc
+	f.rungs = rungs
 	f.fill = func(k int, ws *workerScratch) {
 		t := f.instant(k)
 		lead, cs := t.Sub(start), slots[k]
 		keep := cs != nil && ratedAs[k] == rateKey{cs, lead, fc}
-		patched := false
+		rate, patched := !keep, false
 		switch {
 		case cs == nil:
 			cs = s.carryPairs(positions, t, nil, nil, ws)
@@ -321,18 +327,23 @@ func (s *Scheduler) newFill(positions *poscache.Cache, start time.Time, n int, s
 			// or moved).
 			re := s.carryPairs(positions, t, satDirty, stDirty, ws)
 			if patched = len(re.keys) > 0 || slices.ContainsFunc(cs.keys, func(key int32) bool { return dirty[key] }); patched {
-				// Under the same lead and forecast the clean edges' rates
-				// stand and only the re-carried ones are rated; otherwise
-				// the whole slot is rated below.
-				if keep {
-					cs, rates[k] = mergeCarried(cs, re, dirty, true, rates[k], s.rateSlot(nil, re, t, lead, fc, ws))
+				// Under the same lead and forecast the clean edges' rungs
+				// stand and only the re-carried ones are rated, into the
+				// merged slot's own buffer. Otherwise — and under a clear
+				// sky, where the rungs are the merged slot's carried column
+				// — the whole slot is rated below.
+				if keep && fc != nil {
+					reRungs, _ := s.rateSlot(nil, re, t, lead, fc, ws)
+					cs, bufs[k] = mergeCarried(cs, re, dirty, true, rungs[k], reRungs)
+					rungs[k] = bufs[k]
 				} else {
 					cs, _ = mergeCarried(cs, re, dirty, false, nil, nil)
+					rate = true
 				}
 			}
 		}
-		if !keep {
-			rates[k] = s.rateSlot(rates[k], cs, t, lead, fc, ws)
+		if rate {
+			rungs[k], bufs[k] = s.rateSlot(bufs[k], cs, t, lead, fc, ws)
 		}
 		slots[k], ratedAs[k] = cs, rateKey{cs, lead, fc}
 		if patched || !keep {
@@ -388,18 +399,19 @@ func (s *Scheduler) diffCarried(props []orbit.Propagator, reused bool) (satDirty
 // mergeCarried merges old's clean edges (its dirty pairs dropped) with re,
 // the re-carried dirty pairs' edges — both ascending by packed key, and
 // disjoint — into a new slot in the same order, the order a full carry
-// emits, with their terms and, withRates, their given rates aligned.
-func mergeCarried(old, re *carriedSlot, dirty []bool, withRates bool, oldRates, reRates []float64) (*carriedSlot, []float64) {
+// emits, with their terms and, withRungs, their given rated rungs aligned
+// in a new column.
+func mergeCarried(old, re *carriedSlot, dirty []bool, withRungs bool, oldRungs, reRungs []uint8) (*carriedSlot, []uint8) {
 	n := len(old.keys) + len(re.keys)
 	out := &carriedSlot{keys: make([]int32, 0, n), eirp: make([]float64, 0, n), elevQ: make([]uint16, 0, n), rung: make([]uint8, 0, n)}
-	var rates []float64
-	if withRates {
-		rates = make([]float64, 0, n)
+	var rungs []uint8
+	if withRungs {
+		rungs = make([]uint8, 0, n)
 	}
-	take := func(from *carriedSlot, fromRates []float64, x int) {
+	take := func(from *carriedSlot, fromRungs []uint8, x int) {
 		out.push(from.keys[x], from.edge(x))
-		if withRates {
-			rates = append(rates, fromRates[x])
+		if withRungs {
+			rungs = append(rungs, fromRungs[x])
 		}
 	}
 	ri := 0
@@ -408,12 +420,12 @@ func mergeCarried(old, re *carriedSlot, dirty []bool, withRates bool, oldRates, 
 			continue
 		}
 		for ; ri < len(re.keys) && re.keys[ri] < key; ri++ {
-			take(re, reRates, ri)
+			take(re, reRungs, ri)
 		}
-		take(old, oldRates, oi)
+		take(old, oldRungs, oi)
 	}
 	for ; ri < len(re.keys); ri++ {
-		take(re, reRates, ri)
+		take(re, reRungs, ri)
 	}
-	return out, rates
+	return out, rungs
 }

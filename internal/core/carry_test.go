@@ -24,10 +24,16 @@ func sameCarried(a, b *carriedSlot) bool {
 
 // clearRates returns the clear-sky rates of a slot's carried rungs.
 func clearRates(s *Scheduler, cs *carriedSlot) []float64 {
-	kern, sites, _ := s.rateKernel()
+	return pricedRates(s, cs, cs.rung)
+}
+
+// pricedRates returns the rates of a slot's rungs (aligned with its keys)
+// as the reduction reads them: each priced at its station.
+func pricedRates(s *Scheduler, cs *carriedSlot, rungs []uint8) []float64 {
+	_, _, _, price := s.rateKernel()
 	out := make([]float64, len(cs.keys))
 	for x, key := range cs.keys {
-		out[x] = kern.ClearRate(&sites[int(key)%len(s.Stations)], cs.rung[x])
+		out[x] = price.rate(int(key)%len(s.Stations), rungs[x])
 	}
 	return out
 }
@@ -224,11 +230,11 @@ func TestReachCapsRangeCut(t *testing.T) {
 	}
 	want := []float64{dgsReach, 3500, 3500, 3500, beamReach}
 	sched := &Scheduler{Radio: linkbudget.DefaultRadio(), Stations: net}
-	if _, _, reach := sched.rateKernel(); !slices.Equal(reach, want) {
+	if _, _, reach, _ := sched.rateKernel(); !slices.Equal(reach, want) {
 		t.Errorf("range cuts %v, want %v", reach, want)
 	}
 	sched.SetStations(net[:1])
-	if _, _, reach := sched.rateKernel(); !slices.Equal(reach, want[:1]) {
+	if _, _, reach, _ := sched.rateKernel(); !slices.Equal(reach, want[:1]) {
 		t.Errorf("range cuts after SetStations %v, want %v", reach, want[:1])
 	}
 }
@@ -271,5 +277,101 @@ func TestCarriedEdgeBytes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFillBytes pins what an epoch's fill costs beyond its carried slots:
+// under a clear sky nothing — each slot's rung column is its carried
+// slot's, the same backing array, and no buffer is allocated — and under
+// weather at most one byte an edge (capacity × element size, so slack
+// counts), in buffers that are never a carried column.
+func TestFillBytes(t *testing.T) {
+	w := newRollingWorld(t,
+		dataset.Walker(dataset.WalkerOptions{T: 600, Epoch: epoch}),
+		dataset.Stations(dataset.StationOptions{N: 150, Seed: 3}))
+	const horizon = time.Hour
+	n := int(horizon / time.Minute)
+	for _, forecast := range []bool{false, true} {
+		s := w.sched(2, forecast)
+		s.PlanEpoch(w.sats, epoch, horizon, time.Minute, rollingGen)
+		edges, buffered := 0, 0
+		for k := range n {
+			cs := s.carried[epoch.Add(time.Duration(k)*time.Minute).UnixNano()]
+			edges += len(cs.keys)
+			buffered += cap(s.rungBuf[k])
+			if len(s.rungs[k]) != len(cs.keys) {
+				t.Fatalf("forecast=%v slot %d: %d rungs for %d edges", forecast, k, len(s.rungs[k]), len(cs.keys))
+			}
+			if len(cs.keys) == 0 {
+				continue
+			}
+			if shared := &s.rungs[k][0] == &cs.rung[0]; shared == forecast {
+				t.Fatalf("forecast=%v slot %d: rung column shared with the carried slot: %v", forecast, k, shared)
+			}
+		}
+		if edges < 100*n {
+			t.Fatalf("%d edges over %d slots; not a meaningful measure", edges, n)
+		}
+		limit := 0
+		if forecast {
+			limit = edges
+		}
+		if buffered > limit {
+			t.Errorf("forecast=%v: the fill retains %d B of rung buffers over %d edges, want at most %d", forecast, buffered, edges, limit)
+		}
+	}
+}
+
+// TestRungTableMatchesRate holds the reduction's price of a rung to the
+// kernel's rate: over carried edges of a paper-scale and a Walker instant
+// under random skies, the clear one included, and a capped and an uncapped
+// radio, the station's price of Kernel.RateRung's rung is Kernel.Rate, bit
+// for bit.
+func TestRungTableMatchesRate(t *testing.T) {
+	uncapped := linkbudget.DefaultRadio()
+	uncapped.MaxTotalRateBps = 0
+	rng := rand.New(rand.NewSource(13))
+	for _, tc := range []struct {
+		name     string
+		els      []tle.TLE
+		stations int
+	}{
+		{"paper", dataset.Satellites(dataset.SatelliteOptions{N: 259, Seed: 2, Epoch: epoch}), 173},
+		{"walker", dataset.Walker(dataset.WalkerOptions{T: 600, Epoch: epoch}), 150},
+	} {
+		for _, radio := range []linkbudget.Radio{linkbudget.DefaultRadio(), uncapped} {
+			net := dataset.Stations(dataset.StationOptions{N: tc.stations, Seed: 3})
+			s := &Scheduler{Radio: radio, Stations: net}
+			positions := s.positionCache(snapsFrom(propsFrom(t, tc.els)))
+			kern, sites, _, price := s.rateKernel()
+			var ws workerScratch
+			checked, closing := 0, 0
+			for k := range 6 {
+				cs := s.carryPairs(positions, epoch.Add(time.Duration(k)*17*time.Minute), nil, nil, &ws)
+				for range 20 {
+					var w linkbudget.Conditions
+					if rng.Intn(4) > 0 {
+						w = linkbudget.Conditions{RainMmH: 60 * rng.Float64() * rng.Float64(), CloudKgM2: 3 * rng.Float64()}
+					}
+					sky := kern.Weather(w)
+					for x, key := range cs.keys {
+						j := int(key) % len(net)
+						c := cs.edge(x)
+						rung := kern.RateRung(&sites[j], c, &sky)
+						got, want := price.rate(j, rung), kern.Rate(&sites[j], c, &sky)
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s cap=%v station %d under %+v: rung %d priced %v, Rate %v", tc.name, radio.MaxTotalRateBps, j, w, rung, got, want)
+						}
+						checked++
+						if want > 0 {
+							closing++
+						}
+					}
+				}
+			}
+			if checked == 0 || closing == 0 || closing == checked {
+				t.Fatalf("%s: %d edges checked, %d closing; not a meaningful comparison", tc.name, checked, closing)
+			}
+		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -316,14 +315,13 @@ func TestIncrementalValidation(t *testing.T) {
 
 // TestIncrementalTLEKeepsCleanRates: a TLE-only Replan re-rates no clean
 // slot. Every slot the refresh leaves unpatched keeps its carried edges and
-// its rate buffer — the same slice, bit for bit — and its instant's
+// its rung buffer — the same slice, byte for byte — and its instant's
 // forecast components are never sampled again; LastChangedSlots counts
 // exactly the patched slots, and the plan is still a fresh PlanEpoch's.
 func TestIncrementalTLEKeepsCleanRates(t *testing.T) {
 	els := dataset.Satellites(dataset.SatelliteOptions{N: 40, Seed: 2, Epoch: epoch})
 	alt := propsFrom(t, dataset.Satellites(dataset.SatelliteOptions{N: 40, Seed: 3, Epoch: epoch.Add(10 * time.Minute)}))
 	net := dataset.Stations(dataset.StationOptions{N: 30, Seed: 3})
-	bitsEqual := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for _, workers := range []int{1, 4} {
 		cfg := IncrementalConfig{
 			Start:         epoch,
@@ -340,9 +338,9 @@ func TestIncrementalTLEKeepsCleanRates(t *testing.T) {
 		}
 		s, n := ip.sched, len(ip.Plan().Slots)
 		at := func(k int) int64 { return epoch.Add(time.Duration(k) * time.Minute).UnixNano() }
-		slots, buffers, rates := make([]*carriedSlot, n), slices.Clone(s.rates[:n]), make([][]float64, n)
+		slots, buffers, rungs := make([]*carriedSlot, n), slices.Clone(s.rungs[:n]), make([][]uint8, n)
 		for k := range n {
-			slots[k], rates[k] = s.carried[at(k)], slices.Clone(s.rates[k])
+			slots[k], rungs[k] = s.carried[at(k)], slices.Clone(s.rungs[k])
 		}
 		for _, i := range []int{6, 27} {
 			if err := ip.UpdateTLE(i, alt[i]); err != nil {
@@ -357,8 +355,8 @@ func TestIncrementalTLEKeepsCleanRates(t *testing.T) {
 				patched++
 				continue
 			}
-			if len(buffers[k]) > 0 && &s.rates[k][0] != &buffers[k][0] || !slices.EqualFunc(s.rates[k], rates[k], bitsEqual) {
-				t.Fatalf("workers=%d slot %d: a clean slot's rate buffer changed", workers, k)
+			if len(buffers[k]) > 0 && &s.rungs[k][0] != &buffers[k][0] || !slices.Equal(s.rungs[k], rungs[k]) {
+				t.Fatalf("workers=%d slot %d: a clean slot's rung buffer changed", workers, k)
 			}
 			if _, ok := s.fcCache[at(k)]; ok {
 				t.Fatalf("workers=%d slot %d: a clean slot was rated again", workers, k)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -10,8 +12,9 @@ import (
 )
 
 // The reference the planner is held to. Production computes feasible edges
-// and their rates one way — carryPairs, then rateSlot with the memo-free
-// kernel — and the differential tests compare it, bit for bit, with this
+// and their rates one way — carryPairs, then rateSlot's ladder rungs from
+// the memo-free kernel, priced per station — and the differential tests
+// compare it, bit for bit, with this
 // exhaustive per-instant sweep: nothing carried between instants, each
 // candidate pair cut by frames.Topocentric.Look's elevation, weather taken
 // straight from Forecast.AtLead, and every rate looked up through
@@ -102,8 +105,11 @@ func planVia(s *Scheduler, sweep bool) planner {
 // sweepSched is a scheduler whose PlanEpoch takes every slot's edges and
 // rates from the oracle — swept afresh each epoch, with a private memo view
 // per worker — and hands them to the production stream and reduction as
-// keys and rates: a differential against it isolates the carry and the
-// rate pass.
+// keys and rungs: a differential against it isolates the carry and the
+// rate pass. The reduction reads rates only through the station's rung
+// prices, so each memo rate goes in as a rung its station prices at the
+// same bits — the lowest, where the aggregate cap prices several alike —
+// and a memo rate no rung prices exactly fails the sweep.
 type sweepSched struct{ *Scheduler }
 
 func (s sweepSched) PlanEpoch(sats []SatSnapshot, start time.Time, horizon, slotDur time.Duration, genBitsPerSec float64) *Plan {
@@ -116,10 +122,11 @@ func (s sweepSched) PlanEpoch(sats []SatSnapshot, start time.Time, horizon, slot
 	o := newOracle(s.Scheduler)
 	nGs := len(s.Stations)
 	slots := make([]*carriedSlot, n)
-	rates := make([][]float64, n)
+	rungs := make([][]uint8, n)
+	_, _, _, price := s.rateKernel()
 	var mu sync.Mutex
 	views := make(map[*workerScratch]*linkbudget.MemoView)
-	return s.stream(sats, start, slotDur, genBitsPerSec, slots, rates, func(k int, ws *workerScratch) {
+	return s.stream(sats, start, slotDur, genBitsPerSec, slots, rungs, func(k int, ws *workerScratch) {
 		mu.Lock()
 		view := views[ws]
 		if view == nil {
@@ -130,10 +137,21 @@ func (s sweepSched) PlanEpoch(sats []SatSnapshot, start time.Time, horizon, slot
 		t := start.Add(time.Duration(k) * slotDur)
 		edges := o.visibility(positions, t, t.Sub(start), view)
 		slots[k] = &carriedSlot{keys: make([]int32, len(edges))}
-		rates[k] = make([]float64, len(edges))
+		rungs[k] = make([]uint8, len(edges))
 		for x, e := range edges {
 			slots[k].keys[x] = int32(e.Sat*nGs + e.Station)
-			rates[k][x] = e.RateBps
+			rungs[k][x] = rungPricing(price, e.Station, e.RateBps)
 		}
 	})
+}
+
+// rungPricing returns the lowest rung station j prices at rate's exact
+// bits, and panics when none does.
+func rungPricing(price rungPrices, j int, rate float64) uint8 {
+	for r := range price.rungs {
+		if math.Float64bits(price.rate(j, uint8(r))) == math.Float64bits(rate) {
+			return uint8(r)
+		}
+	}
+	panic(fmt.Sprintf("station %d: memo rate %v (%#x) is no rung's price", j, rate, math.Float64bits(rate)))
 }

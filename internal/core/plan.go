@@ -244,13 +244,14 @@ func (wt *weigher) add(g *match.Graph, sat *SatSnapshot, i, j int, rateBps float
 // every 30 minutes), and everything about a slot but the forecast lead is
 // a function of the instant alone. So the scheduler carries, per slot
 // instant, the feasible edges, their lead-independent link terms and their
-// clear-sky rates (carry.go): an epoch reads each satellite's candidate
-// stations off the station cell index — typically a few percent of the
-// cross product — and computes look angles only for the instants no
+// clear-sky ladder rungs (carry.go): an epoch reads each satellite's
+// candidate stations off the station cell index — typically a few percent
+// of the cross product — and computes look angles only for the instants no
 // earlier epoch covered, then re-rates every slot's carried edges at its
-// new lead. Both depend only on time, never on the evolving queue state,
-// so they are the epoch's fill, which fans out over the worker pool in
-// slot order; the queue-dependent graph weighting, matching, and drain run
+// new lead into one rung byte an edge (under a clear sky, the carried
+// rungs themselves). Both depend only on time, never on the evolving queue
+// state, so they are the epoch's fill, which fans out over the worker pool
+// in slot order; the queue-dependent graph weighting, matching, and drain run
 // on the calling goroutine as a streamed reduction — slot k as soon as it
 // is filled, while later slots are still being carried and rated — over
 // one reusable graph with warm-started matching scratch.
@@ -302,7 +303,7 @@ func (s *Scheduler) PlanEpoch(sats []SatSnapshot, start time.Time, horizon, slot
 // The fill takes the Forecast, the position cache, the stations and the
 // propagators as they are now. A PlanEpoch that does not match them waits
 // for the prefill and plans as it would have without one (the carried
-// instants and rates it finished are kept where they still stand), as do
+// instants and rungs it finished are kept where they still stand), as do
 // SetStations and WaitPrefill. Replacing a propagator in the shared
 // position cache, or assigning Stations, while a prefill runs is the
 // caller's race: do either after WaitPrefill.
@@ -353,7 +354,7 @@ func (s *Scheduler) fillWorkers(n int) int {
 }
 
 // epochFill is one epoch's fill in flight: fill(k, ws) for each slot k in
-// [0, n) leaves slot k's edges in slots[k] and their rates in rates[k] and
+// [0, n) leaves slot k's edges in slots[k] and their rungs in rungs[k] and
 // writes nothing else that another fill or the reduction reads; its work
 // depends only on k (newFill builds it, carry.go). Worker goroutines claim
 // the slots in ascending order off one counter, however many join and
@@ -368,7 +369,7 @@ type epochFill struct {
 	positions *poscache.Cache
 	fc        *weather.Forecast
 	slots     []*carriedSlot
-	rates     [][]float64
+	rungs     [][]uint8
 	fill      func(k int, ws *workerScratch)
 
 	order   []int // claim order (Scheduler.fillOrder), or nil for ascending
@@ -445,7 +446,7 @@ func (s *Scheduler) reduce(f *epochFill, sats []SatSnapshot, genBitsPerSec float
 		ws := s.scratch(0)
 		for k := range n {
 			f.fill(k, ws)
-			r.slot(f.slots[k].keys, f.rates[k])
+			r.slot(f.slots[k].keys, f.rungs[k])
 		}
 		return r.finish()
 	}
@@ -457,7 +458,7 @@ func (s *Scheduler) reduce(f *epochFill, sats []SatSnapshot, genBitsPerSec float
 		early[<-f.filled] = true
 		for ; k < n && early[k]; k++ {
 			early[k] = false
-			r.slot(f.slots[k].keys, f.rates[k])
+			r.slot(f.slots[k].keys, f.rungs[k])
 		}
 	}
 	f.wg.Wait()
@@ -466,9 +467,10 @@ func (s *Scheduler) reduce(f *epochFill, sats []SatSnapshot, genBitsPerSec float
 
 // reducer is the queue-dependent sequential reduction behind every plan:
 // per-slot graph weighting, matching, and optimistic queue drain over each
-// slot's edges (packed keys) and their rates (aligned), skipping edges
-// whose rate is not positive. Edges and rates depend only on time (never
-// on the evolving queue state), which is what lets PlanEpoch compute them
+// slot's edges (packed keys) and their ladder rungs (aligned), each rung
+// priced at its station (rungPrices), skipping edges whose rate is not
+// positive. Edges and rungs depend only on time (never on the evolving
+// queue state), which is what lets PlanEpoch compute them
 // ahead of the reduction on other goroutines and carry them across epochs
 // — and lets an epoch patch only what a world delta touched and re-run
 // this reduction unchanged, byte-identical to a from-scratch rebuild.
@@ -478,6 +480,7 @@ type reducer struct {
 	s       *Scheduler
 	work    []SatSnapshot
 	wt      weigher
+	price   rungPrices
 	plan    *Plan
 	genBits float64 // capture refill per slot
 }
@@ -489,11 +492,13 @@ func (s *Scheduler) newReducer(sats []SatSnapshot, start time.Time, slotDur time
 		s.planG = match.NewGraph(0, 0)
 	}
 	s.matchScr.Warm = true
+	_, _, _, price := s.rateKernel()
 	return reducer{
 		s: s,
 		// Work on a copy: planning must not mutate the caller's snapshots.
-		work: slices.Clone(sats),
-		wt:   s.weigher(slotDur),
+		work:  slices.Clone(sats),
+		wt:    s.weigher(slotDur),
+		price: price,
 		plan: &Plan{
 			Version: s.nextVersion,
 			Issued:  start,
@@ -504,8 +509,8 @@ func (s *Scheduler) newReducer(sats []SatSnapshot, start time.Time, slotDur time
 	}
 }
 
-// slot reduces the plan's next slot over its edges (keys) and their rates.
-func (r *reducer) slot(keys []int32, rate []float64) {
+// slot reduces the plan's next slot over its edges (keys) and their rungs.
+func (r *reducer) slot(keys []int32, rungs []uint8) {
 	s, work, plan := r.s, r.work, r.plan
 	slotDur := plan.SlotDur
 	nGs := len(s.Stations)
@@ -520,9 +525,10 @@ func (r *reducer) slot(keys []int32, rate []float64) {
 	wbuf := s.wbuf[:0]
 	for x, key := range keys {
 		w := 0.0
-		if rate[x] > 0 {
-			i := int(key) / nGs
-			w = r.wt.add(g, &work[i], i, int(key)-i*nGs, rate[x])
+		i := int(key) / nGs
+		j := int(key) - i*nGs
+		if rate := r.price.rate(j, rungs[x]); rate > 0 {
+			w = r.wt.add(g, &work[i], i, j, rate)
 		}
 		wbuf = append(wbuf, w)
 	}
@@ -539,13 +545,13 @@ func (r *reducer) slot(keys []int32, rate []float64) {
 	// matched edge, so this scan emits assignments in ascending satellite
 	// order — the same order the LeftToRight iteration used to produce.
 	for x, key := range keys {
-		rt := rate[x]
-		if rt <= 0 {
-			continue
-		}
 		i := int(key) / nGs
 		j := int(key) - i*nGs
 		if m.LeftToRight[i] != j {
+			continue
+		}
+		rt := r.price.rate(j, rungs[x])
+		if rt <= 0 {
 			continue
 		}
 		slot.Assignments = append(slot.Assignments, Assignment{

@@ -289,44 +289,64 @@ func TestClearSkyAfterForecast(t *testing.T) {
 	}
 }
 
-// TestClearRatesNeverAliased: without a forecast the rate pass writes the
-// carried rungs' clear-sky rates into the epoch's rate buffers. Were a
-// buffer carried state, the next epoch's rates under weather would be
-// written into what every later epoch reads. A scheduler that plans clear,
-// then under weather, then clear again at the same start must leave every
-// carried slot and the clear-sky rates its rungs name as they were, and
-// plan the first plan again.
+// TestClearRatesNeverAliased: without a forecast a slot's rung column is
+// its carried slot's own rung column, shared on purpose — the fill keeps no
+// copy. Under weather the rate pass writes rungs into the scheduler's
+// per-slot buffers; were a buffer a carried column, that epoch's weathered
+// rungs would overwrite what every later clear epoch reads. A scheduler
+// that plans clear, then under weather, then clear again at the same start
+// must share every clear slot's column with its carried slot, write no
+// weathered rung into a carried column, leave every carried slot as it
+// was, and plan the first plan again.
 func TestClearRatesNeverAliased(t *testing.T) {
 	w := smallRollingWorld(t)
 	const horizon = 2 * time.Hour
+	n := int(horizon / time.Minute)
+	at := func(k int) int64 { return epoch.Add(time.Duration(k) * time.Minute).UnixNano() }
+	shared := func(s *Scheduler, k int) bool {
+		cs := s.carried[at(k)]
+		return len(cs.rung) > 0 && len(s.rungs[k]) > 0 && &s.rungs[k][0] == &cs.rung[0]
+	}
 	for _, workers := range []int{1, 4} {
 		s := w.sched(workers, false)
 		want := w.plan(t, s, epoch, horizon, time.Minute)
 		before := make(map[int64]carriedSlot, len(s.carried))
-		beforeBps := make(map[int64][]float64, len(s.carried))
 		for at, cs := range s.carried {
 			before[at] = carriedSlot{keys: slices.Clone(cs.keys), eirp: slices.Clone(cs.eirp), elevQ: slices.Clone(cs.elevQ), rung: slices.Clone(cs.rung)}
-			beforeBps[at] = clearRates(s, cs)
 		}
+		clearShared := func(when string) {
+			t.Helper()
+			for k := range n {
+				if len(s.carried[at(k)].keys) > 0 && !shared(s, k) {
+					t.Fatalf("workers=%d %s: slot %d's rungs are not its carried column", workers, when, k)
+				}
+			}
+		}
+		clearShared("first clear epoch")
 		s.Forecast = rollingForecast(true)
 		if stormy := w.plan(t, s, epoch, horizon, time.Minute); bytes.Equal(stormy, want) {
 			t.Fatal("the forecast changes nothing in this fixture; not a meaningful comparison")
+		}
+		for k := range n {
+			if shared(s, k) {
+				t.Fatalf("workers=%d: weathered slot %d rated into its carried rung column", workers, k)
+			}
 		}
 		s.Forecast = nil
 		if got := w.plan(t, s, epoch, horizon, time.Minute); !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d: clear-sky plan after a forecast differs from the first", workers)
 		}
+		clearShared("clear epoch after weather")
 		for at, cs := range s.carried {
-			was := before[at]
-			if !sameCarried(cs, &was) || !slices.Equal(clearRates(s, cs), beforeBps[at]) {
-				t.Fatalf("workers=%d: carried clear-sky rates of %v changed", workers, time.Unix(0, at).UTC())
+			if was := before[at]; !sameCarried(cs, &was) {
+				t.Fatalf("workers=%d: carried slot of %v changed", workers, time.Unix(0, at).UTC())
 			}
 		}
 	}
 }
 
 // TestRollingRatePassAllocFree pins the steady-state rate pass: with the
-// slot carried, the forecast components cached and the rate buffer and
+// slot carried, the forecast components cached and the rung buffer and
 // worker scratch warm, re-rating a slot at a new lead allocates nothing.
 func TestRollingRatePassAllocFree(t *testing.T) {
 	w := smallRollingWorld(t)
@@ -338,11 +358,11 @@ func TestRollingRatePassAllocFree(t *testing.T) {
 		t.Skip("no carried edges at the chosen instant")
 	}
 	ws := s.scr[0]
-	dst := s.rateSlot(nil, cs, at, 47*time.Minute, s.Forecast, ws)
+	_, buf := s.rateSlot(nil, cs, at, 47*time.Minute, s.Forecast, ws)
 	lead := time.Duration(0)
 	allocs := testing.AllocsPerRun(100, func() {
 		lead += time.Minute
-		dst = s.rateSlot(dst, cs, at, lead, s.Forecast, ws)
+		_, buf = s.rateSlot(buf, cs, at, lead, s.Forecast, ws)
 	})
 	if allocs > 0 {
 		t.Fatalf("warm rate pass allocates %.1f times per slot, want 0", allocs)
@@ -351,8 +371,9 @@ func TestRollingRatePassAllocFree(t *testing.T) {
 
 // runKernelOnCarriedEdges rates every carried edge of the horizon both ways
 // — the planner's rate pass, as PlanEpoch leaves it in the carried slots
-// and the rate buffers, and the oracle's attenuation memo on geometry and
-// forecast recomputed from scratch — with the forecast on and then off, and
+// and the slots' rungs, priced at their stations as the reduction reads
+// them, and the oracle's attenuation memo on geometry and forecast
+// recomputed from scratch — with the forecast on and then off, and
 // requires the same bits.
 func runKernelOnCarriedEdges(t *testing.T, w rollingWorld, horizon time.Duration) {
 	t.Helper()
@@ -372,10 +393,11 @@ func runKernelOnCarriedEdges(t *testing.T, w rollingWorld, horizon time.Duration
 		conds := make([]linkbudget.Conditions, nGs)
 		for k := range n {
 			at := epoch.Add(time.Duration(k) * time.Minute)
-			cs, rates := s.carried[at.UnixNano()], s.rates
+			cs := s.carried[at.UnixNano()]
 			if cs == nil {
 				t.Fatalf("slot %d: instant not carried", k)
 			}
+			rates := pricedRates(s, cs, s.rungs[k])
 			cached := positions.At(at)
 			for j, gs := range w.net {
 				conds[j] = linkbudget.Conditions{}
@@ -395,7 +417,7 @@ func runKernelOnCarriedEdges(t *testing.T, w rollingWorld, horizon time.Duration
 					StationHeightKm: gs.Location.AltKm,
 				}
 				want := view.RateBpsAt(o.path[j], gs.EffectiveTerminal(), geo, conds[j])
-				if got := rates[k][x]; math.Float64bits(got) != math.Float64bits(want) {
+				if got := rates[x]; math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("forecast=%v slot %d pair (%d,%d): rate pass %v vs memo %v", forecast, k, i, j, got, want)
 				}
 				edges++

@@ -21,7 +21,8 @@ import (
 	"dgs/internal/weather"
 )
 
-// Matcher selects a matching algorithm; match.Stable is the paper's choice.
+// Matcher selects a matching algorithm. The paper's stable matching is the
+// default: with no Matcher set, the scheduler runs its own match.Scratch.
 type Matcher func(*match.Graph) match.Matching
 
 // SatSnapshot is the scheduler's view of one satellite when building a plan.
@@ -57,7 +58,8 @@ type Scheduler struct {
 	Stations station.Network
 	// Value is Φ. Defaults to LatencyValue.
 	Value ValueFunc
-	// Match is the matching algorithm. Defaults to match.Stable.
+	// Match is the matching algorithm. Nil runs the scheduler's
+	// match.Scratch, the paper's stable matching.
 	Match Matcher
 	// Forecast supplies predicted weather; nil means clear sky. Assigning
 	// another forecast revises it: the next epoch re-rates every slot.
@@ -100,17 +102,21 @@ type Scheduler struct {
 	// carried maps a slot instant (UnixNano) to its exact-feasible edges
 	// and their lead-independent link terms, carried from carriedPos with
 	// the propagators carriedProps against the stations carriedNet; dirty
-	// marks the packed keys an epoch re-carries. rates[k] holds the current
-	// epoch's slot k rates, aligned with its carried edges, and ratedAs[k]
-	// what they were rated from (buffers reused across epochs). The last
-	// plan patched or re-rated lastChanged slots, reusing carried instants
-	// when lastReused.
+	// marks the packed keys an epoch re-carries. rungs[k] holds the current
+	// epoch's slot k ladder rungs, aligned with its carried edges, and
+	// ratedAs[k] what they were rated from. Under a clear sky rungs[k] is
+	// the carried slot's own rung column, shared read-only; under weather
+	// it is rungBuf[k], the scheduler's buffer for slot k, reused across
+	// epochs — never a carried column, which a later epoch would overwrite.
+	// The last plan patched or re-rated lastChanged slots, reusing carried
+	// instants when lastReused.
 	carried      map[int64]*carriedSlot
 	carriedPos   *poscache.Cache
 	carriedProps []orbit.Propagator
 	carriedNet   station.Network
 	dirty        []bool
-	rates        [][]float64
+	rungs        [][]uint8
+	rungBuf      [][]uint8
 	ratedAs      []rateKey
 	lastChanged  int
 	lastReused   bool
@@ -129,10 +135,12 @@ type Scheduler struct {
 	// kern is the link-rate kernel for Radio and sites its per-station
 	// constants (ground path, effective terminal): what every edge is
 	// rated with. reach[j] is station j's slant-range cut, the smaller of
-	// rangeCapKm and its link's reach.
+	// rangeCapKm and its link's reach, and price each station's rate at
+	// each ladder rung.
 	kern  *linkbudget.Kernel
 	sites []linkbudget.Site
 	reach []float64
+	price rungPrices
 	// fcMu guards fcCache, the per-instant forecast components (truth and
 	// error-field samples per station) of the forecast fcFor. Both are
 	// lead-independent, so overlapping epochs revisiting an instant blend
@@ -155,8 +163,9 @@ func (s *Scheduler) SetPlanVersion(v int) { s.nextVersion = v }
 
 // SetStations replaces the ground network and drops every lazily built
 // structure derived from it: the spatial cover and per-station
-// geometry, the rate kernel's sites and range cuts, the per-worker
-// scratch, and cached forecast components (sampled at the old stations).
+// geometry, the rate kernel's sites, range cuts and rung prices, the
+// per-worker scratch, and cached forecast components (sampled at the old
+// stations).
 // Carried edges survive a network of the same length: the next PlanEpoch
 // re-carries the pairs of each station whose *Station changed and keeps
 // the rest. A network of another length renumbers the packed keys, and
@@ -168,7 +177,7 @@ func (s *Scheduler) SetStations(net station.Network) {
 	s.Stations = net
 	s.mu.Lock()
 	s.stSites = nil
-	s.kern, s.sites, s.reach = nil, nil, nil
+	s.kern, s.sites, s.reach, s.price = nil, nil, nil, rungPrices{}
 	s.mu.Unlock()
 	s.fcMu.Lock()
 	s.fcCache = nil
@@ -182,7 +191,7 @@ func (s *Scheduler) SetStations(net station.Network) {
 // station fields (constraint bitmap, elevation mask) are still read live
 // each evaluation.
 func (s *Scheduler) stationSites() *spatial.Sites {
-	_, _, reach := s.rateKernel()
+	_, _, reach, _ := s.rateKernel()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stSites == nil {
@@ -196,9 +205,9 @@ func (s *Scheduler) stationSites() *spatial.Sites {
 }
 
 // rateKernel returns the link-rate kernel for the scheduler's radio plus
-// the per-station sites and slant-range cuts. A station whose reach is NaN
-// or +Inf (a degenerate terminal) keeps rangeCapKm as its cut.
-func (s *Scheduler) rateKernel() (*linkbudget.Kernel, []linkbudget.Site, []float64) {
+// the per-station sites, slant-range cuts and rung prices. A station whose
+// reach is NaN or +Inf (a degenerate terminal) keeps rangeCapKm as its cut.
+func (s *Scheduler) rateKernel() (*linkbudget.Kernel, []linkbudget.Site, []float64, rungPrices) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.kern == nil {
@@ -206,16 +215,32 @@ func (s *Scheduler) rateKernel() (*linkbudget.Kernel, []linkbudget.Site, []float
 		s.kern = k
 		s.sites = make([]linkbudget.Site, len(s.Stations))
 		s.reach = make([]float64, len(s.Stations))
+		s.price = rungPrices{rungs: k.Rungs(), bps: make([]float64, len(s.Stations)*k.Rungs())}
 		for j, gs := range s.Stations {
 			s.sites[j] = k.Site(gs.Location.LatRad, gs.Location.AltKm, gs.EffectiveTerminal())
 			s.reach[j] = rangeCapKm
 			if r := k.Reach(&s.sites[j]); r < s.reach[j] {
 				s.reach[j] = r
 			}
+			for r := range s.price.rungs {
+				s.price.bps[j*s.price.rungs+r] = k.ClearRate(&s.sites[j], uint8(r))
+			}
 		}
 	}
-	return s.kern, s.sites, s.reach
+	return s.kern, s.sites, s.reach, s.price
 }
+
+// rungPrices is every station's rate at every ladder rung:
+// bps[j·rungs + r] is kern.ClearRate(&sites[j], r) — the one expression
+// that turns a rung into a rate, so a rate read here has the bits
+// Kernel.Rate returns for the edge whose rung it is.
+type rungPrices struct {
+	bps   []float64
+	rungs int
+}
+
+// rate is station j's rate at a rung.
+func (p rungPrices) rate(j int, rung uint8) float64 { return p.bps[j*p.rungs+int(rung)] }
 
 // fcComponents returns the per-station forecast components (truth and
 // error-field samples) of fc for an instant, computing and caching the

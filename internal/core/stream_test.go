@@ -130,8 +130,8 @@ func TestStreamAdversarialOrderIncremental(t *testing.T) {
 
 // stream runs fill over the given slots through PlanEpoch's fan-out and
 // reduction — spawn, then reduce — with no carried state behind it.
-func (s *Scheduler) stream(sats []SatSnapshot, start time.Time, slotDur time.Duration, genBitsPerSec float64, slots []*carriedSlot, rates [][]float64, fill func(k int, ws *workerScratch)) *Plan {
-	f := &epochFill{start: start, n: len(slots), slotDur: slotDur, slots: slots, rates: rates, fill: fill}
+func (s *Scheduler) stream(sats []SatSnapshot, start time.Time, slotDur time.Duration, genBitsPerSec float64, slots []*carriedSlot, rungs [][]uint8, fill func(k int, ws *workerScratch)) *Plan {
+	f := &epochFill{start: start, n: len(slots), slotDur: slotDur, slots: slots, rungs: rungs, fill: fill}
 	if workers := s.fillWorkers(f.n); workers > 1 {
 		s.spawn(f, workers)
 	}
@@ -200,9 +200,9 @@ func TestPlanStreamAllocsIndependentOfSlots(t *testing.T) {
 			for k := range slots {
 				slots[k] = &carriedSlot{}
 			}
-			rates := make([][]float64, n)
+			rungs := make([][]uint8, n)
 			stream := func() {
-				s.stream(sats, epoch, time.Minute, rollingGen, slots, rates, func(int, *workerScratch) {})
+				s.stream(sats, epoch, time.Minute, rollingGen, slots, rungs, func(int, *workerScratch) {})
 			}
 			stream()
 			return testing.AllocsPerRun(50, stream)
@@ -224,11 +224,11 @@ func TestReduceBiddingAllocsIndependentOfEdges(t *testing.T) {
 	const n = 120
 	w.plan(t, s, epoch, n*time.Minute, time.Minute)
 	slots := make([]*carriedSlot, n)
-	rates := slices.Clone(s.rates[:n])
+	rungs := slices.Clone(s.rungs[:n])
 	edges := 0
 	for k := range slots {
 		slots[k] = s.carried[epoch.Add(time.Duration(k)*time.Minute).UnixNano()]
-		for _, r := range rates[k] {
+		for _, r := range pricedRates(s, slots[k], rungs[k]) {
 			if r > 0 {
 				edges++
 			}
@@ -238,7 +238,7 @@ func TestReduceBiddingAllocsIndependentOfEdges(t *testing.T) {
 		t.Fatalf("%d rated edges over %d stations; not a meaningful comparison", edges, len(w.net))
 	}
 	reduce := func() {
-		s.stream(w.sats, epoch, time.Minute, rollingGen, slots, rates, func(int, *workerScratch) {})
+		s.stream(w.sats, epoch, time.Minute, rollingGen, slots, rungs, func(int, *workerScratch) {})
 	}
 	s.Value = BiddingValue{Inner: LatencyValue{}, Bids: map[int]float64{3: 2, 17: 0.5}}
 	reduce()

@@ -95,11 +95,8 @@ func Table() []ModCod {
 // esN0dB after subtracting marginDB. ok is false when even the most robust
 // MODCOD does not close, in which case the link carries no data.
 func Select(esN0dB, marginDB float64) (m ModCod, ok bool) {
-	avail := esN0dB - marginDB
-	for i := len(envelope) - 1; i >= 0; i-- {
-		if envelope[i].RequiredEsN0dB <= avail {
-			return envelope[i], true
-		}
+	if r := rungOf(esN0dB - marginDB); r > 0 {
+		return envelope[r-1], true
 	}
 	return ModCod{}, false
 }
@@ -118,6 +115,61 @@ func Rate(esN0dB, marginDB, symbolRateHz float64) float64 {
 // MinEsN0dB+margin a DVB-S2 link is dead.
 func MinEsN0dB() float64 { return envelope[0].RequiredEsN0dB }
 
+// bucketDB is the width of the rung search's buckets over Es/N0 less the
+// margin, in dB: a quarter of the envelope's smallest threshold gap
+// (0.20 dB), so no bucket holds two thresholds.
+const bucketDB = 0.05
+
+// rungBuckets[b] is the number of envelope thresholds whose bucket,
+// bucketOf, is below b.
+var rungBuckets = buildBuckets()
+
+// bucketOf is the bucket of an Es/N0 less margin within the envelope's
+// thresholds. It is monotone in avail: the subtraction, the product by a
+// positive constant and the truncation of a non-negative value each round
+// monotonically.
+func bucketOf(avail float64) int {
+	return int((avail - envelope[0].RequiredEsN0dB) * (1 / bucketDB))
+}
+
+// buildBuckets counts the thresholds below each bucket, up to the top
+// threshold's, and panics should two thresholds share a bucket.
+func buildBuckets() []uint8 {
+	b := make([]uint8, bucketOf(envelope[len(envelope)-1].RequiredEsN0dB)+1)
+	for i, m := range envelope {
+		at := bucketOf(m.RequiredEsN0dB)
+		if i > 0 && at == bucketOf(envelope[i-1].RequiredEsN0dB) {
+			panic(fmt.Sprintf("dvbs2: %s and %s share a %v dB bucket", envelope[i-1].Name, m.Name, bucketDB))
+		}
+		for x := at + 1; x < len(b); x++ {
+			b[x]++
+		}
+	}
+	return b
+}
+
+// rungOf returns the number of envelope thresholds that avail reaches —
+// the rung of the most efficient MODCOD it satisfies, 0 for none (and for
+// NaN). Inside the envelope's span it is one bucket lookup and at most one
+// compare: bucketOf is monotone, so every threshold of an earlier bucket
+// than avail's is below it and every one of a later bucket above it, and
+// avail's own bucket holds at most one threshold, the one the lookup's
+// count stops at.
+func rungOf(avail float64) int {
+	if !(avail >= envelope[0].RequiredEsN0dB) {
+		return 0
+	}
+	top := len(envelope)
+	if avail >= envelope[top-1].RequiredEsN0dB {
+		return top
+	}
+	r := int(rungBuckets[bucketOf(avail)])
+	if avail >= envelope[r].RequiredEsN0dB {
+		r++
+	}
+	return r
+}
+
 // Ladder is Rate for one symbol rate with the per-MODCOD products hoisted:
 // callers that rate many links against the same carrier (the scheduler's
 // rate pass) build it once. Its Rate returns exactly what the package's
@@ -126,32 +178,25 @@ func MinEsN0dB() float64 { return envelope[0].RequiredEsN0dB }
 // the most robust, so a caller can keep a link's rung and read the same
 // rate back with RungRate.
 type Ladder struct {
-	// need holds the envelope's thresholds, ascending; rate[i] is the
-	// information rate of rung i, which needs need[i-1].
-	need, rate []float64
+	// rate[i] is the information rate of rung i.
+	rate []float64
 }
 
 // NewLadder builds the ladder for a symbol rate.
 func NewLadder(symbolRateHz float64) Ladder {
-	l := Ladder{need: make([]float64, len(envelope)), rate: make([]float64, len(envelope)+1)}
+	l := Ladder{rate: make([]float64, len(envelope)+1)}
 	for i, m := range envelope {
-		l.need[i] = m.RequiredEsN0dB
 		l.rate[i+1] = m.SpectralEff * symbolRateHz
 	}
 	return l
 }
 
+// Rungs returns the number of rungs, the dead link's rung 0 included.
+func (l Ladder) Rungs() int { return len(l.rate) }
+
 // Rung returns the rung of the most efficient MODCOD that esN0dB less
 // marginDB satisfies, or 0 when none does.
-func (l Ladder) Rung(esN0dB, marginDB float64) int {
-	avail := esN0dB - marginDB
-	for i := len(l.need) - 1; i >= 0; i-- {
-		if l.need[i] <= avail {
-			return i + 1
-		}
-	}
-	return 0
-}
+func (l Ladder) Rung(esN0dB, marginDB float64) int { return rungOf(esN0dB - marginDB) }
 
 // RungRate returns the information bit rate in bits/s of a rung.
 func (l Ladder) RungRate(rung int) float64 { return l.rate[rung] }

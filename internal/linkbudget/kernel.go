@@ -23,9 +23,13 @@ import (
 //     bucket (once per process, sineBuckets), with no arcsine — and the
 //     clear-sky rate's ladder rung;
 //   - per weather sample (Weather): the quantized rain and cloud terms;
-//   - per evaluation (Rate): the path terms from the elevation's table row,
-//     five divisions and the MODCOD search; under a clear sky (ClearRate)
-//     a rung lookup.
+//   - per evaluation (RateRung): the path terms from the elevation's table
+//     row and five divisions, which give the link's Es/N0, and the MODCOD
+//     search — one bucket lookup — which gives its ladder rung;
+//   - per (station, rung) (ClearRate): the rung's rate through the
+//     channel product and the aggregate cap — a function of the rung and
+//     the station alone, so a caller can keep the rung, a byte, and price
+//     it from a per-station table. Rate is ClearRate of RateRung.
 //
 // Every part is the memo path's own arithmetic on the same float64 inputs,
 // composed in the same association, so Rate's result is bit-identical to
@@ -189,7 +193,7 @@ func (k *Kernel) Carry(s *Site, rangeKm, sinEl float64) (c Carried, ok bool) {
 		return Carried{}, false
 	}
 	c = Carried{EIRPLessFSPL: k.radio.EIRPdBW - FSPLdB(rangeKm, k.radio.FreqGHz), ElevQ: k.sines.elevQ(sinEl)}
-	c.Rung = uint8(k.acm.Rung(k.esN0(s, c, &k.clear), s.marginDB))
+	c.Rung = k.RateRung(s, c, &k.clear)
 	if k.ClearRate(s, c.Rung) <= 0 {
 		return Carried{}, false
 	}
@@ -233,17 +237,29 @@ func (k *Kernel) Weather(w Conditions) Sky {
 
 // Rate composes the three parts into the achievable rate in bits/s: the
 // Es/N0 budget of esN0WithAtten, then rateFromEsN0's ACM selection and
-// aggregate cap.
+// aggregate cap — the rate of RateRung's rung.
 func (k *Kernel) Rate(s *Site, c Carried, w *Sky) float64 {
-	return k.capped(k.acm.Rate(k.esN0(s, c, w), s.marginDB) * s.channels)
+	return k.ClearRate(s, k.RateRung(s, c, w))
 }
 
-// ClearRate is the rate of a carried link under a clear sky from its
-// carried rung: the ladder rung's rate through Rate's channel product and
-// cap, so the same bits Rate returns under Weather(Conditions{}).
+// RateRung is the ladder rung Rate selects: that of the most efficient
+// MODCOD the link's Es/N0 under w, less the site's margin, satisfies, or 0
+// when the link does not close.
+func (k *Kernel) RateRung(s *Site, c Carried, w *Sky) uint8 {
+	return uint8(k.acm.Rung(k.esN0(s, c, w), s.marginDB))
+}
+
+// ClearRate is a rung's rate at a site: the ladder rung's rate through the
+// channel product and the aggregate cap. Named for the carried rung, the
+// clear-sky one, whose ClearRate is the bits Rate returns under
+// Weather(Conditions{}); it prices every rung RateRung yields the same way.
 func (k *Kernel) ClearRate(s *Site, rung uint8) float64 {
 	return k.capped(k.acm.RungRate(int(rung)) * s.channels)
 }
+
+// Rungs returns the number of ladder rungs, rung 0 (no link) included:
+// every rung RateRung yields is below it.
+func (k *Kernel) Rungs() int { return k.acm.Rungs() }
 
 // capped applies the radio's aggregate rate cap.
 func (k *Kernel) capped(total float64) float64 {
