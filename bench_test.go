@@ -118,18 +118,19 @@ func ablationGraph(seed int64) *match.Graph {
 }
 
 // BenchmarkAblationMatching compares the paper's stable-matching choice
-// against optimal (Hungarian) and greedy on a full-scale slot graph,
+// (the scheduler's Scratch, reused across iterations as across slots)
+// against optimal (Hungarian) matching on a full-scale slot graph,
 // reporting the value each attains.
 func BenchmarkAblationMatching(b *testing.B) {
 	g := ablationGraph(1)
 	optVal := match.MaxWeight(g).Value
+	var sc match.Scratch
 	for _, m := range []struct {
 		name string
 		f    core.Matcher
 	}{
-		{"stable", match.Stable},
+		{"stable", sc.Stable},
 		{"optimal", match.MaxWeight},
-		{"greedy", match.Greedy},
 	} {
 		b.Run(m.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -148,7 +149,10 @@ func BenchmarkAblationMatching(b *testing.B) {
 func BenchmarkAblationHysteresis(b *testing.B) {
 	for _, boost := range []float64{1, 2, 5} {
 		b.Run(fmt.Sprintf("boost-%g", boost), func(b *testing.B) {
-			sticky := core.WithHysteresis(match.Stable, boost)
+			// A new Scratch per slot: prev must outlive the next call.
+			sticky := core.WithHysteresis(func(g *match.Graph) match.Matching {
+				return new(match.Scratch).Stable(g)
+			}, boost)
 			churn := 0
 			var prev match.Matching
 			for i := 0; i < b.N; i++ {

@@ -151,6 +151,15 @@ sorts=$(git grep -ho 'prefOrder(' -- internal/match/scratch.go | wc -l)
 if [ "$sorts" -ne 1 ]; then
     echo "internal/match/scratch.go has $sorts prefOrder call sites (want 1): sort a satellite's surviving edges at its first proposal, not every list up front" >&2; exit 1
 fi
+# One stable matcher: the stable matching is unique and is greedy's
+# (DESIGN §5), so Scratch is its only production implementation. The
+# textbook Gale–Shapley, greedy and the blocking-pair checker are the
+# tests' oracles (internal/match/oracle_test.go), and no matcher name
+# selects a second route to the same matching.
+if git grep -nE '^func (Stable|Greedy|BlockingPair)\(' -- internal/match ':!*_test.go' ||
+    git grep -nE 'MatcherName = "greedy"' -- dgs.go; then
+    echo "Scratch is the only stable matcher: Stable, Greedy and BlockingPair live in internal/match/oracle_test.go, and dgs.MatcherName has no \"greedy\"" >&2; exit 1
+fi
 # One SGP4 kernel and one position fill: PropagateMinutes and
 # PositionECEF run one transcription of the propagation (SGP4's
 # short-period block appears once), and the position cache fills every

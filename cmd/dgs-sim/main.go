@@ -47,7 +47,7 @@ func main() {
 	stations := flag.Int("stations", 173, "DGS network size")
 	seed := cliutil.SeedFlag("population and weather")
 	value := flag.String("value", "latency", "value function: latency, throughput")
-	matcher := flag.String("matcher", "stable", "matching algorithm: stable, optimal, greedy")
+	matcher := flag.String("matcher", "stable", "matching algorithm: stable, optimal")
 	forecastErr := flag.Float64("forecast-err", 0.3, "saturated forecast error fraction [0,1]")
 	clearSky := flag.Bool("clear-sky", false, "disable weather entirely")
 	txFraction := flag.Float64("tx-fraction", 0.1, "fraction of TX-capable DGS stations (0, 1]")
@@ -71,6 +71,16 @@ func main() {
 	cliutil.PositiveFloat("gen-gb", *genGB)
 	cliutil.NonNegativeDuration("step", *step)
 	cliutil.NonNegativeInt("workers", *workers)
+	switch dgs.ValueName(*value) {
+	case dgs.ValueLatency, dgs.ValueThroughput:
+	default:
+		cliutil.Failf("invalid -value: %q (want latency or throughput)", *value)
+	}
+	switch dgs.MatcherName(*matcher) {
+	case dgs.MatchStable, dgs.MatchOptimal:
+	default:
+		cliutil.Failf("invalid -matcher: %q (want stable or optimal)", *matcher)
+	}
 
 	if *pprofAddr != "" {
 		addr, err := cliutil.StartPprof(*pprofAddr)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -44,7 +45,7 @@ func run(t *testing.T, args ...string) (stdout, stderr string, code int) {
 var tiny = []string{"-days", "1", "-sats", "8", "-stations", "12", "-q"}
 
 // TestFlags: a bad invocation exits 2 and names the flag, printing no
-// summary; a good one exits 0 with one.
+// summary and creating no -events file; a good one exits 0 with one.
 func TestFlags(t *testing.T) {
 	for _, row := range []struct {
 		name string
@@ -59,17 +60,24 @@ func TestFlags(t *testing.T) {
 		{"zero tx fraction", []string{"-tx-fraction", "0"}, 2, "invalid -tx-fraction: must be > 0"},
 		{"negative gen", []string{"-gen-gb", "-3"}, 2, "-gen-gb"},
 		{"unknown system", []string{"-system", "hybrid"}, 2, "unknown system"},
+		{"greedy matcher", []string{"-matcher", "greedy"}, 2, "invalid -matcher"},
+		{"unknown matcher", []string{"-matcher", "bogus"}, 2, "invalid -matcher"},
+		{"unknown value", []string{"-value", "bogus"}, 2, "invalid -value"},
 		{"unknown flag", []string{"-sattelites", "3"}, 2, "-sattelites"},
 		{"stray argument", []string{"-days", "x"}, 2, "-days"},
 		{"tiny run", tiny, 0, ""},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			stdout, stderr, code := run(t, row.args...)
+			events := filepath.Join(t.TempDir(), "events.jsonl")
+			stdout, stderr, code := run(t, append([]string{"-events", events}, row.args...)...)
 			if code != row.code || !strings.Contains(stderr, row.say) {
 				t.Fatalf("exit %d, want %d; stderr %q, want it to say %q", code, row.code, stderr, row.say)
 			}
 			if summary := strings.Contains(stdout, "delivered"); summary != (row.code == 0) {
 				t.Fatalf("exit %d with summary %v:\n%s", code, summary, stdout)
+			}
+			if _, err := os.Stat(events); (err == nil) != (row.code == 0) {
+				t.Fatalf("exit %d, events file: %v", code, err)
 			}
 		})
 	}

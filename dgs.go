@@ -78,8 +78,6 @@ const (
 	MatchStable MatcherName = "stable"
 	// MatchOptimal is max-weight (Hungarian) matching.
 	MatchOptimal MatcherName = "optimal"
-	// MatchGreedy is the greedy heuristic.
-	MatchGreedy MatcherName = "greedy"
 )
 
 // Options tunes a run. The zero value reproduces the paper's setup at
@@ -202,8 +200,6 @@ func matcherFunc(m MatcherName) (core.Matcher, error) {
 		return nil, nil
 	case MatchOptimal:
 		return match.MaxWeight, nil
-	case MatchGreedy:
-		return match.Greedy, nil
 	default:
 		return nil, fmt.Errorf("dgs: unknown matcher %q", m)
 	}

@@ -74,7 +74,7 @@ func TestConfigValueAndMatcherValidation(t *testing.T) {
 			t.Fatalf("%v: %v", v, err)
 		}
 	}
-	for _, m := range []MatcherName{MatchStable, MatchOptimal, MatchGreedy} {
+	for _, m := range []MatcherName{MatchStable, MatchOptimal} {
 		opt = tiny()
 		opt.Matcher = m
 		if _, err := Config(SystemDGS, opt); err != nil {

@@ -429,7 +429,7 @@ func TestMatcherPluggable(t *testing.T) {
 	if len(g.Edges()) == 0 {
 		t.Skip("no edges at this instant")
 	}
-	stable := match.Stable(g)
+	stable := new(match.Scratch).Stable(g)
 	optimal := match.MaxWeight(g)
 	if optimal.Value+1e-9 < stable.Value {
 		t.Fatal("optimal matching worse than stable")

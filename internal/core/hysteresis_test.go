@@ -19,10 +19,16 @@ func randomGraph(rng *rand.Rand, nLeft, nRight int) *match.Graph {
 	return g
 }
 
+// stable runs the stable matching on a new Scratch per call, so a result
+// outlives the next call (a Scratch reuses its slices).
+func stable(g *match.Graph) match.Matching {
+	return new(match.Scratch).Stable(g)
+}
+
 func TestHysteresisReducesChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	plain := match.Stable
-	sticky := WithHysteresis(match.Stable, 3.0)
+	plain := stable
+	sticky := WithHysteresis(stable, 3.0)
 
 	// Two slightly different consecutive graphs: perturb weights a little.
 	base := randomGraph(rng, 30, 20)
@@ -62,7 +68,7 @@ func TestHysteresisReducesChurn(t *testing.T) {
 func TestHysteresisReportsOriginalValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomGraph(rng, 15, 10)
-	sticky := WithHysteresis(match.Stable, 4.0)
+	sticky := WithHysteresis(stable, 4.0)
 	m1 := sticky(g)
 	if err := match.IsValid(g, m1); err != nil {
 		t.Fatal(err)
@@ -84,7 +90,7 @@ func TestHysteresisReportsOriginalValue(t *testing.T) {
 func TestHysteresisBoostBelowOneClamped(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := randomGraph(rng, 10, 10)
-	m := WithHysteresis(match.Stable, 0.1)(g)
+	m := WithHysteresis(stable, 0.1)(g)
 	if err := match.IsValid(g, m); err != nil {
 		t.Fatal(err)
 	}

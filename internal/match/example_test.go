@@ -8,15 +8,16 @@ import (
 
 // The paper's core scheduling step: satellites (left) and ground stations
 // (right) form a weighted bipartite graph; Gale-Shapley stable matching
-// picks the links for this slot.
-func ExampleStable() {
+// picks the links for this slot. One Scratch serves every slot.
+func ExampleScratch_Stable() {
 	g := match.NewGraph(3, 2)
 	_ = g.AddEdge(0, 0, 9.0) // satellite 0 values station 0 highly
 	_ = g.AddEdge(0, 1, 4.0)
 	_ = g.AddEdge(1, 0, 7.0)
 	_ = g.AddEdge(2, 1, 5.0)
 
-	m := match.Stable(g)
+	var sc match.Scratch
+	m := sc.Stable(g)
 	for sat, gs := range m.LeftToRight {
 		fmt.Printf("satellite %d -> station %d\n", sat, gs)
 	}
@@ -36,7 +37,7 @@ func ExampleMaxWeight() {
 	_ = g.AddEdge(0, 1, 9)
 	_ = g.AddEdge(1, 0, 9)
 
-	stable := match.Stable(g)
+	stable := new(match.Scratch).Stable(g)
 	optimal := match.MaxWeight(g)
 	fmt.Println("stable:", stable.Value, "optimal:", optimal.Value)
 	// Output: stable: 10 optimal: 18

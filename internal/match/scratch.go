@@ -5,11 +5,12 @@ import (
 	"slices"
 )
 
-// Scratch runs the stable-matching algorithm with reusable buffers, for
-// callers that solve one matching per plan slot over graphs of similar
-// shape (the scheduler's per-epoch reduction). After a few slots every
-// internal buffer reaches steady state and a Stable call allocates
-// nothing.
+// Scratch is the package's stable matcher: satellite-proposing deferred
+// acceptance (Gale–Shapley generalized to station capacities, the
+// hospitals/residents variant) with reusable buffers, for callers that
+// solve one matching per plan slot over graphs of similar shape (the
+// scheduler's per-epoch reduction). After a few slots every internal
+// buffer reaches steady state and a Stable call allocates nothing.
 //
 // A satellite's preference list is built at its first proposal, not up
 // front: each station keeps a bar, the weight a proposal must reach to be
@@ -28,7 +29,7 @@ type Scratch struct {
 	// matching: satellites matched last slot propose first, so the
 	// stations' bars rise before the rest propose, and those lists shrink.
 	// Both sides rank a pair by its one weight with consistent
-	// tie-breaks, so the stable matching is unique (it is Greedy's) and
+	// tie-breaks, so the stable matching is unique (the greedy one) and
 	// the proposal order changes the work done, not the outcome.
 	Warm bool
 
@@ -56,10 +57,11 @@ func grow[T any](b []T, n int) []T {
 	return make([]T, n)
 }
 
-// Stable computes the same matching as the package-level Stable (identical
-// LeftToRight and RightToLeft; Value may differ in the last bits because
-// the matched weights are accumulated in satellite order rather than
-// station-held order).
+// Stable computes g's stable matching. Both sides rank a pair by its
+// weight, a satellite breaking ties by the lower station index and a
+// station by the lower satellite index, so the matching is unique: no
+// satellite and station would both rather link to each other than keep
+// their assigned links. Value sums the matched weights in satellite order.
 func (sc *Scratch) Stable(g *Graph) Matching {
 	nL, nR := g.nLeft, g.nRight
 
@@ -161,7 +163,7 @@ func (sc *Scratch) propose(g *Graph, s, off int) int {
 			n++
 		}
 	}
-	prefOrder(row[:n], true)
+	prefOrder(row[:n])
 	sc.next[s], sc.end[s] = off, off+n
 
 	for s >= 0 {

@@ -10,8 +10,8 @@ import (
 // TestScratchEqualsStable is the Scratch solver's correctness contract:
 // on random graphs (including capacities and graphs with unmatchable
 // satellites), warm or cold, one Scratch reused across a sequence of
-// graphs must produce exactly the matching the package-level Stable
-// computes — identical LeftToRight and RightToLeft; Value equal up to
+// graphs must produce exactly the matching the textbook Gale–Shapley
+// oracle Stable (oracle_test.go) computes — identical LeftToRight and RightToLeft; Value equal up to
 // float summation order.
 func TestScratchEqualsStable(t *testing.T) {
 	for _, warm := range []bool{false, true} {
@@ -162,7 +162,8 @@ func TestGraphReset(t *testing.T) {
 		t.Fatalf("reset graph kept %d edges", len(g.Edges()))
 	}
 	_ = g.AddEdge(2, 1, 7)
-	m := Stable(g)
+	var sc Scratch
+	m := sc.Stable(g)
 	if m.LeftToRight[2] != 1 {
 		t.Fatalf("matching on reset graph: %v", m.LeftToRight)
 	}
@@ -171,7 +172,7 @@ func TestGraphReset(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		_ = g.AddEdge(i, 1, float64(i+1))
 	}
-	if m := Stable(g); m.Size() != 1 {
+	if m := sc.Stable(g); m.Size() != 1 {
 		t.Fatalf("reset graph kept old capacity: matched %d", m.Size())
 	}
 }
