@@ -63,6 +63,11 @@ fi
 if git grep -nE 'AppendNear|SubPointOf|type Grid' -- '*.go' ':!*_test.go'; then
     echo "no station grid or sub-point: candidates come from spatial.Sites' direction cover" >&2; exit 1
 fi
+# One pass search: contact windows come from passes.Predictor only; the
+# per-pair scan trace.Collect replaced is a test oracle.
+if git grep -nE 'func NextPass\(|func Passes\(|ErrNoPass|orbit\.Passes' -- '*.go' ':!*_test.go'; then
+    echo "contact windows come from passes.Predictor only: no per-pair pass search" >&2; exit 1
+fi
 # One planning path: the carry and the rate kernel are the only way the
 # planner computes edges and rates. The memo-rated sweep they are held to
 # lives in core's tests (oracle_test.go), with no switch to reach it.

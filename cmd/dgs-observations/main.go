@@ -43,8 +43,9 @@ func main() {
 func window(hours float64) time.Duration { return time.Duration(hours * float64(time.Hour)) }
 
 // observe collects the observation log of a synthetic population over the
-// window and writes its contact-geometry statistics to out. It returns an
-// error when the log fails the paper's anchors, after reporting why.
+// window and writes its contact-geometry statistics to out — none for an
+// empty log, which has none to report. It returns an error when the log
+// fails the paper's anchors, after reporting why.
 func observe(out io.Writer, sats, stations int, hours float64, seed int64) error {
 	els, net := dgs.Population(dgs.Options{Satellites: sats, Stations: stations, Seed: seed})
 	props := make([]orbit.Propagator, 0, len(els))
@@ -61,14 +62,16 @@ func observe(out io.Writer, sats, stations int, hours float64, seed int64) error
 	}
 
 	days := hours / 24
-	dur := log.Durations()
-	el := log.MaxElevations()
-	rate := log.PassesPerStationDay(days)
-	fmt.Fprintf(out, "observations        %d\n", log.Len())
-	fmt.Fprintf(out, "pass duration       median %.1f min, p90 %.1f, max %.1f\n",
-		dur.Median(), dur.Percentile(90), dur.Max())
-	fmt.Fprintf(out, "culmination         median %.1f°, p90 %.1f°\n", el.Median(), el.Percentile(90))
-	fmt.Fprintf(out, "passes/station/day  median %.1f, max %.1f\n", rate.Median(), rate.Max())
+	if log.Len() > 0 {
+		dur := log.Durations()
+		el := log.MaxElevations()
+		rate := log.PassesPerStationDay(days)
+		fmt.Fprintf(out, "observations        %d\n", log.Len())
+		fmt.Fprintf(out, "pass duration       median %.1f min, p90 %.1f, max %.1f\n",
+			dur.Median(), dur.Percentile(90), dur.Max())
+		fmt.Fprintf(out, "culmination         median %.1f°, p90 %.1f°\n", el.Median(), el.Percentile(90))
+		fmt.Fprintf(out, "passes/station/day  median %.1f, max %.1f\n", rate.Median(), rate.Max())
+	}
 	if err := log.ValidateAgainstPaper(days, sats); err != nil {
 		fmt.Fprintf(out, "validation          FAILED: %v\n", err)
 		return err

@@ -51,3 +51,15 @@ func TestObservationCountMatchesCollect(t *testing.T) {
 		t.Fatalf("report counts %d observations, trace.Collect finds %d", got, log.Len())
 	}
 }
+
+// TestEmptyLogPrintsOnlyTheFailure: a window too short for any pass prints
+// the validation failure alone, not rows of statistics over no samples.
+func TestEmptyLogPrintsOnlyTheFailure(t *testing.T) {
+	var out bytes.Buffer
+	if err := observe(&out, 1, 40, 0.5, 2); err == nil {
+		t.Fatalf("an empty log validated:\n%s", out.String())
+	}
+	if got, want := out.String(), "validation          FAILED: trace: empty log\n"; got != want {
+		t.Fatalf("report %q, want %q", got, want)
+	}
+}

@@ -34,7 +34,9 @@ import (
 	"dgs/internal/passes"
 	"dgs/internal/poscache"
 	"dgs/internal/sgp4"
+	"dgs/internal/station"
 	"dgs/internal/tle"
+	"dgs/internal/trace"
 )
 
 func main() {
@@ -63,83 +65,109 @@ func main() {
 	cliutil.PositiveInt("stations", *stations)
 	cliutil.NonNegativeInt("workers", *workers)
 	cliutil.NonNegativeInt("top", *top)
+	var start time.Time
+	if *from != "" {
+		var err error
+		if start, err = time.Parse(time.RFC3339, *from); err != nil {
+			cliutil.Failf("invalid -from: %q is not an RFC3339 time such as 2020-06-01T00:00:00Z", *from)
+		}
+	}
+	if _, ok := builtinTLE(*builtin); *builtin != "" && !ok {
+		cliutil.Failf("invalid -builtin: unknown satellite %q (try iss, noaa18)", *builtin)
+	}
+	if *sats == 0 && *tleFile == "" && *builtin == "" {
+		cliutil.Failf("need -tle FILE or -builtin NAME, or -sats N for population mode")
+	}
 
 	if *sats > 0 {
-		populationMain(os.Stdout, *sats, *stations, *walker, *workers, *seed, *hours, *from, *top)
+		if *from == "" {
+			start = time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
+		}
+		populationMain(os.Stdout, *sats, *stations, *walker, *workers, *seed, *hours, start, *top)
 		return
 	}
 
-	text, err := tleText(*tleFile, *builtin)
-	if err != nil {
-		fatal(err)
-	}
-	if err := satelliteMain(os.Stdout, text, *lat, *lon, *alt, *hours, *minEl, *from, *rates); err != nil {
-		fatal(err)
-	}
-}
-
-// tleText reads the TLE named by -tle or -builtin.
-func tleText(file, builtin string) (string, error) {
-	switch {
-	case file != "":
-		b, err := os.ReadFile(file)
-		return string(b), err
-	case builtin != "":
-		all := dataset.RealTLEs()
-		switch strings.ToLower(builtin) {
-		case "iss":
-			return all[1], nil
-		case "noaa18":
-			return all[2], nil
+	source, text := "-builtin", ""
+	if *tleFile != "" {
+		source = "-tle"
+		b, err := os.ReadFile(*tleFile)
+		if err != nil {
+			fatal(err)
 		}
-		return "", fmt.Errorf("unknown builtin %q (try iss, noaa18)", builtin)
+		text = string(b)
+	} else {
+		text, _ = builtinTLE(*builtin)
 	}
-	return "", fmt.Errorf("need -tle FILE or -builtin NAME")
-}
-
-// satelliteMain lists one satellite's passes over one station, writing
-// the report to out.
-func satelliteMain(out io.Writer, text string, lat, lon, alt, hours, minEl float64, from string, rates bool) error {
 	el, err := tle.Parse(text)
 	if err != nil {
-		return err
+		fatal(err)
 	}
+	gs := &station.Station{
+		Name:            "observer",
+		Location:        frames.NewGeodeticDeg(*lat, *lon, *alt),
+		MinElevationRad: *minEl * astro.Deg2Rad,
+	}
+	if passes.BeyondCut(gs, el.SemiMajorAxisKm()*(1+el.Eccentricity)) {
+		cliutil.Failf("invalid %s: %s reaches %.0f km altitude, where it can stand above the %g° mask farther than the pass predictor's 3,500 km slant-range cut, so its passes cannot be listed",
+			source, satName(el), el.ApogeeKm(), *minEl)
+	}
+	if *from == "" {
+		start = el.Epoch
+	}
+	if err := satelliteMain(os.Stdout, el, gs, start, *hours, *rates); err != nil {
+		fatal(err)
+	}
+}
+
+// builtinTLE returns the embedded element set -builtin names.
+func builtinTLE(name string) (string, bool) {
+	all := dataset.RealTLEs()
+	switch strings.ToLower(name) {
+	case "iss":
+		return all[1], true
+	case "noaa18":
+		return all[2], true
+	}
+	return "", false
+}
+
+// satName is the element set's name, or its catalogue number when unnamed.
+func satName(el tle.TLE) string {
+	if el.Name != "" {
+		return el.Name
+	}
+	return fmt.Sprintf("NORAD %d", el.NoradID)
+}
+
+// satelliteMain lists the passes of the satellite el over the one station
+// gs, from start for hours, writing the report to out. The passes are
+// trace.Collect's over a one-satellite, one-station population.
+func satelliteMain(out io.Writer, el tle.TLE, gs *station.Station, start time.Time, hours float64, rates bool) error {
 	prop, err := sgp4.New(el)
 	if err != nil {
 		return err
 	}
-
-	start := el.Epoch
-	if from != "" {
-		if start, err = time.Parse(time.RFC3339, from); err != nil {
-			return err
-		}
-	}
-
-	obs := frames.NewGeodeticDeg(lat, lon, alt)
-	name := el.Name
-	if name == "" {
-		name = fmt.Sprintf("NORAD %d", el.NoradID)
-	}
+	window := time.Duration(hours * float64(time.Hour))
+	obs := gs.Location
 	fmt.Fprintf(out, "%s over (%.3f°, %.3f°), %v from %s, mask %.0f°\n",
-		name, lat, lon, time.Duration(hours*float64(time.Hour)).Round(time.Minute),
-		start.Format(time.RFC3339), minEl)
+		satName(el), obs.LatDeg(), obs.LonDeg(), window.Round(time.Minute),
+		start.Format(time.RFC3339), gs.MinElevationRad*astro.Rad2Deg)
 	fmt.Fprintf(out, "orbit: %.1f min period, ~%.0f km altitude, %.2f° inclination\n\n",
 		el.PeriodMinutes(), (el.ApogeeKm()+el.PerigeeKm())/2, el.InclinationDeg)
 
-	passes, err := orbit.Passes(prop, obs, start, time.Duration(hours*float64(time.Hour)), minEl*astro.Deg2Rad)
+	log, err := trace.Collect([]orbit.Propagator{prop}, station.Network{gs}, start, window)
 	if err != nil {
 		return err
 	}
-	if len(passes) == 0 {
+	if log.Len() == 0 {
 		fmt.Fprintln(out, "no passes in window")
 		return nil
 	}
-	for i, p := range passes {
+	for i, p := range log.Observations() {
 		fmt.Fprintf(out, "%2d  rise %s  culm %s  set %s  dur %5.1f min  max el %5.1f°",
 			i+1,
 			p.Rise.Format("15:04:05"), p.Culmination.Format("15:04:05"), p.Set.Format("15:04:05"),
-			p.Duration().Minutes(), p.MaxElevationDeg())
+			p.Duration().Minutes(), p.MaxElevationRad*astro.Rad2Deg)
 		if rates {
 			look, err := orbit.Observe(prop, obs, p.Culmination)
 			if err == nil {
@@ -162,14 +190,7 @@ func satelliteMain(out io.Writer, text string, lat, lon, alt, hours, minEl float
 // path as a standalone tool. It reports the candidate-index pruning stats
 // alongside the windows so the spatial index's effect is visible from the
 // command line. The report goes to out.
-func populationMain(out io.Writer, nSat, nGs int, walker bool, workers int, seed int64, hours float64, from string, top int) {
-	start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
-	if from != "" {
-		var err error
-		if start, err = time.Parse(time.RFC3339, from); err != nil {
-			fatal(err)
-		}
-	}
+func populationMain(out io.Writer, nSat, nGs int, walker bool, workers int, seed int64, hours float64, start time.Time, top int) {
 	var tles []tle.TLE
 	kind := "EO mix"
 	if walker {

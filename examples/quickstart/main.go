@@ -9,12 +9,15 @@ import (
 	"log"
 	"time"
 
+	"dgs/internal/astro"
 	"dgs/internal/dataset"
 	"dgs/internal/frames"
 	"dgs/internal/linkbudget"
 	"dgs/internal/orbit"
 	"dgs/internal/sgp4"
+	"dgs/internal/station"
 	"dgs/internal/tle"
+	"dgs/internal/trace"
 )
 
 func main() {
@@ -37,30 +40,31 @@ func main() {
 	}
 	fmt.Printf("sub-satellite point 45 min after epoch: %s\n\n", sub)
 
-	// 3. Predict a day of passes over a mid-latitude DGS node.
-	zurich := frames.NewGeodeticDeg(47.37, 8.54, 0.4)
-	passes, err := orbit.Passes(prop, zurich, el.Epoch, 24*time.Hour, 0)
+	// 3. Predict a day of passes over a mid-latitude DGS node, with the
+	// pass predictor the scheduler runs, over a one-station network.
+	zurich := &station.Station{Name: "Zurich", Location: frames.NewGeodeticDeg(47.37, 8.54, 0.4)}
+	contacts, err := trace.Collect([]orbit.Propagator{prop}, station.Network{zurich}, el.Epoch, 24*time.Hour)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("passes over Zurich in 24 h: %d\n", len(passes))
+	fmt.Printf("passes over Zurich in 24 h: %d\n", contacts.Len())
 
 	// 4. For each pass, estimate what a 1 m DGS dish could receive.
 	radio := linkbudget.DefaultRadio()
 	node := linkbudget.DGSTerminal()
-	for i, p := range passes {
-		look, err := orbit.Observe(prop, zurich, p.Culmination)
+	for i, p := range contacts.Observations() {
+		look, err := orbit.Observe(prop, zurich.Location, p.Culmination)
 		if err != nil {
 			log.Fatal(err)
 		}
 		geo := linkbudget.Geometry{
 			RangeKm:       look.RangeKm,
 			ElevationRad:  look.ElevationRad,
-			StationLatRad: zurich.LatRad,
+			StationLatRad: zurich.Location.LatRad,
 		}
 		clear := linkbudget.RateBps(radio, node, geo, linkbudget.Conditions{})
 		rain := linkbudget.RateBps(radio, node, geo, linkbudget.Conditions{RainMmH: 10})
 		fmt.Printf("  pass %d: %5.1f min, max el %4.1f°, rate %6.1f Mbps clear / %6.1f Mbps in 10 mm/h rain\n",
-			i+1, p.Duration().Minutes(), p.MaxElevationDeg(), clear/1e6, rain/1e6)
+			i+1, p.Duration().Minutes(), p.MaxElevationRad*astro.Rad2Deg, clear/1e6, rain/1e6)
 	}
 }

@@ -180,14 +180,6 @@ func CheckPlan(p *Plan, nSats, nStations int) error {
 	return nil
 }
 
-// Covers reports whether the plan has a slot for time t.
-func (p *Plan) Covers(t time.Time) bool {
-	if p == nil || len(p.Slots) == 0 {
-		return false
-	}
-	return !t.Before(p.Issued) && t.Before(p.Issued.Add(time.Duration(len(p.Slots))*p.SlotDur))
-}
-
 // BuildGraph turns visibility into the weighted bipartite graph of §3.1.
 func (s *Scheduler) BuildGraph(sats []SatSnapshot, edges []VisibleEdge, slotDur time.Duration) *match.Graph {
 	g := match.NewGraph(len(sats), len(s.Stations))

@@ -24,6 +24,7 @@ package passes
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -52,29 +53,8 @@ type Window struct {
 	Rise, Set time.Time
 }
 
-// Covers reports whether t falls inside the window's conservative bracket.
-func (w Window) Covers(t time.Time) bool {
-	return !t.Before(w.Start) && !t.After(w.End)
-}
-
 // Windows is a set of predicted contacts sorted by (Start, Sat, Station).
 type Windows []Window
-
-// Covering yields, in order, the windows whose conservative [Start, End]
-// bracket contains t. It relies on the sort order to stop scanning at the
-// first window starting after t.
-func (ws Windows) Covering(t time.Time) func(yield func(Window) bool) {
-	return func(yield func(Window) bool) {
-		for _, w := range ws {
-			if w.Start.After(t) {
-				return
-			}
-			if !w.End.Before(t) && !yield(w) {
-				return
-			}
-		}
-	}
-}
 
 // CompareWindows is the canonical (Start, Sat, Station) order of a window
 // set; the tuple is unique per window, so the order is total and
@@ -93,6 +73,22 @@ func CompareWindows(a, b Window) int {
 // maxRangeKm prunes pairs beyond plausible slant range before the
 // elevation test, mirroring the planner's cut.
 const maxRangeKm = 3500
+
+// BeyondCut reports whether a satellite that never rises farther than
+// maxRadiusKm from the Earth's centre could stand above gs's elevation
+// mask farther away than the predictor's slant-range cut, where the
+// predictor would not see it. The bound is the slant range of the farthest
+// point of that sphere above the mask, with the mask lowered by the angle
+// between the station's geodetic and geocentric verticals so that it holds
+// on the ellipsoid. For a sea-level station under a 0° mask it first
+// reports apogees of 874 km (at 66° latitude) to 897 km (on the equator).
+func BeyondCut(gs *station.Station, maxRadiusKm float64) bool {
+	pos := gs.Location.ECEF()
+	rho := pos.Norm()
+	el := gs.MinElevationRad - math.Abs(gs.Location.LatRad-math.Atan2(pos.Z, math.Hypot(pos.X, pos.Y)))
+	cos, sin := math.Cos(el), math.Sin(el)
+	return math.Sqrt(maxRadiusKm*maxRadiusKm-rho*rho*cos*cos)-rho*sin > maxRangeKm
+}
 
 // Config tunes the predictor. The zero value selects the defaults.
 type Config struct {

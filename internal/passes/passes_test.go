@@ -70,7 +70,7 @@ func TestWindowsCoverAboveInstants(t *testing.T) {
 
 	covered := func(sat, st int, at time.Time) bool {
 		for _, w := range ws {
-			if w.Sat == sat && w.Station == st && w.Covers(at) {
+			if w.Sat == sat && w.Station == st && !at.Before(w.Start) && !at.After(w.End) {
 				return true
 			}
 		}
@@ -206,35 +206,6 @@ func checkSpanClip(t *testing.T, p *Predictor, from, cut, to time.Time) (dropped
 		}
 	}
 	return dropped, moved
-}
-
-// TestCoveringIterator checks the sorted-order iterator contract.
-func TestCoveringIterator(t *testing.T) {
-	t0 := epoch
-	ws := Windows{
-		{Sat: 0, Station: 1, Start: t0, End: t0.Add(10 * time.Minute)},
-		{Sat: 2, Station: 0, Start: t0.Add(5 * time.Minute), End: t0.Add(8 * time.Minute)},
-		{Sat: 1, Station: 3, Start: t0.Add(20 * time.Minute), End: t0.Add(30 * time.Minute)},
-	}
-	var got []Window
-	for w := range ws.Covering(t0.Add(6 * time.Minute)) {
-		got = append(got, w)
-	}
-	if len(got) != 2 || got[0].Sat != 0 || got[1].Sat != 2 {
-		t.Fatalf("Covering(t0+6m) = %+v, want windows for sats 0 and 2", got)
-	}
-	for w := range ws.Covering(t0.Add(15 * time.Minute)) {
-		t.Fatalf("Covering(t0+15m) yielded %+v, want none", w)
-	}
-	// Early termination.
-	n := 0
-	for range ws.Covering(t0.Add(6 * time.Minute)) {
-		n++
-		break
-	}
-	if n != 1 {
-		t.Fatalf("early-terminated iteration ran %d times", n)
-	}
 }
 
 // TestPrune: a query from a later cut on the same stride grid reports

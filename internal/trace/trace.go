@@ -2,18 +2,23 @@
 // style of the SatNOGS public database the paper validates against (§4:
 // "We use the SatNOGS measurements to validate other aspects of our design
 // like orbit calculation, observation times, satellite-ground station link
-// duration"). A Log is collected from the same orbit machinery the
-// scheduler uses and summarized into the statistics the paper checks.
+// duration"). A Log is collected by the pass predictor the planner and the
+// pass API run (internal/passes) and summarized into the statistics the
+// paper checks.
 package trace
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
+	"dgs/internal/frames"
 	"dgs/internal/metrics"
 	"dgs/internal/orbit"
+	"dgs/internal/passes"
+	"dgs/internal/poscache"
 	"dgs/internal/station"
 )
 
@@ -21,9 +26,12 @@ import (
 type Observation struct {
 	// Station and Sat are population indices.
 	Station, Sat int
-	// Rise and Set bound the contact.
+	// Rise and Set bound the contact: the first and the last instant the
+	// predictor knows the satellite above the station's mask.
 	Rise, Set time.Time
-	// MaxElevationRad is the culmination elevation.
+	// Culmination is the sampled instant of highest elevation, and
+	// MaxElevationRad the elevation there.
+	Culmination     time.Time
 	MaxElevationRad float64
 }
 
@@ -33,6 +41,9 @@ func (o Observation) Duration() time.Duration { return o.Set.Sub(o.Rise) }
 // Log is an append-only observation record.
 type Log struct {
 	obs []Observation
+	// stations is the size of the network observed; stations 0 through
+	// stations−1 exist whether or not they saw a pass.
+	stations int
 }
 
 // Add appends an observation.
@@ -67,18 +78,25 @@ func (l *Log) MaxElevations() metrics.Dist {
 	return d
 }
 
-// PassesPerStationDay returns, per station, its observation rate per day.
+// PassesPerStationDay returns, per station, its observation rate per day:
+// one sample for every station of the network observed, 0 for a station
+// that saw no pass. A log assembled with Add alone counts stations 0
+// through the highest index it holds.
 func (l *Log) PassesPerStationDay(days float64) metrics.Dist {
 	var d metrics.Dist
 	if days <= 0 {
 		return d
 	}
-	perStation := map[int]int{}
+	n := l.stations
+	for _, o := range l.obs {
+		n = max(n, o.Station+1)
+	}
+	perStation := make([]int, n)
 	for _, o := range l.obs {
 		perStation[o.Station]++
 	}
-	for _, n := range perStation {
-		d.Add(float64(n) / days)
+	for _, k := range perStation {
+		d.Add(float64(k) / days)
 	}
 	return d
 }
@@ -89,33 +107,72 @@ func (l *Log) String() string {
 	return fmt.Sprintf("%d observations, median pass %.1f min", l.Len(), d.Median())
 }
 
-// Collect predicts every pass of every satellite over every station in the
-// window and records it, mirroring how SatNOGS accumulates its database.
-// Pass search is per pair, so cost grows with |S|·|G|; use modest
-// populations (the validation needs statistics, not the full fleet).
+// The scan strides at scanStep, which cannot skip a LEO pass above a 0°
+// mask, and runs chase past the window so that a pass rising inside it is
+// followed to its set.
+const (
+	scanStep = 30 * time.Second
+	chase    = 30 * time.Minute
+)
+
+// Collect predicts every pass of every satellite over every station that
+// rises in [start, start+window) and records it, mirroring how SatNOGS
+// accumulates its database. The passes are passes.Predictor's windows,
+// which the planner and the pass API run too; a pass still up at
+// start+window+chase is left out. Like the planner, the predictor sees no
+// contact beyond its 3,500 km slant-range cut (passes.BeyondCut).
 func Collect(props []orbit.Propagator, net station.Network, start time.Time, window time.Duration) (*Log, error) {
 	if len(props) == 0 || len(net) == 0 {
 		return nil, errors.New("trace: need satellites and stations")
 	}
-	log := &Log{}
-	for si, prop := range props {
-		for _, gs := range net {
-			passes, err := orbit.Passes(prop, gs.Location, start, window, gs.MinElevationRad)
-			if err != nil {
-				return nil, fmt.Errorf("trace: sat %d over %s: %w", si, gs.Name, err)
-			}
-			for _, p := range passes {
-				log.Add(Observation{
-					Station:         gs.ID,
-					Sat:             si,
-					Rise:            p.Rise,
-					Set:             p.Set,
-					MaxElevationRad: p.MaxElevationRad,
-				})
-			}
+	// Listing every satellite propagates each one per stride instant
+	// instead of caching the population at every instant of the span.
+	sats := make([]int, len(props))
+	for i := range sats {
+		sats[i] = i
+	}
+	pred := passes.New(poscache.New(props), net, passes.Config{CoarseStep: scanStep, Sats: sats})
+	end := start.Add(window)
+	log := &Log{stations: len(net)}
+	for _, w := range pred.WindowsBetween(nil, start, end.Add(chase)) {
+		if !w.Rise.Before(end) || w.Set.IsZero() {
+			continue
 		}
+		gs := net[w.Station]
+		culm, el, err := culminate(props[w.Sat], gs.Location, w.Rise, w.Set)
+		if err != nil {
+			return nil, fmt.Errorf("trace: sat %d over %s: %w", w.Sat, gs.Name, err)
+		}
+		log.Add(Observation{
+			Station:         w.Station,
+			Sat:             w.Sat,
+			Rise:            w.Rise,
+			Set:             w.Set,
+			Culmination:     culm,
+			MaxElevationRad: el,
+		})
 	}
 	return log, nil
+}
+
+// culminate samples the elevation of prop over observer at evenly spaced
+// instants from rise to set — about one a second, at most 257 — and
+// returns the highest sample and its instant.
+func culminate(prop orbit.Propagator, observer frames.Geodetic, rise, set time.Time) (time.Time, float64, error) {
+	n := min(max(int(set.Sub(rise)/time.Second)+1, 2), 256)
+	step := set.Sub(rise) / time.Duration(n)
+	best, bestEl := rise, math.Inf(-1)
+	for k := 0; k <= n; k++ {
+		t := rise.Add(time.Duration(k) * step)
+		look, err := orbit.Observe(prop, observer, t)
+		if err != nil {
+			return time.Time{}, 0, err
+		}
+		if look.ElevationRad > bestEl {
+			best, bestEl = t, look.ElevationRad
+		}
+	}
+	return best, bestEl, nil
 }
 
 // ValidateAgainstPaper checks the log against the contact-geometry anchors
