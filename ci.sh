@@ -208,8 +208,9 @@ fi
 # Fixed pipelines are plain code: the simulator calls its five per-slot
 # steps in order (no stage interface), the optimizer's one Search runs
 # every strategy chain and owns the one strategy parser (no Searcher, no
-# front end spelling out the chained strategy), and Φ reads the station
-# from its EdgeContext (no per-station rebinding side door).
+# front end spelling out the chained strategy), and Φ reads each link's
+# station from the Link of the satellite row it weighs (no per-station
+# rebinding side door).
 if git grep -nE 'type stage interface' -- internal/sim ':!*_test.go' ||
     git grep -nE 'Searcher interface' -- internal/optimize ':!*_test.go' ||
     git grep -nE 'StationAware|WithStation\(' -- internal/core ':!*_test.go' ||
@@ -217,9 +218,17 @@ if git grep -nE 'type stage interface' -- internal/sim ':!*_test.go' ||
     echo "fixed pipelines take no plug-in points: no sim stage interface, no optimize.Searcher, no core.StationAware, and strategy names parsed only in internal/optimize" >&2; exit 1
 fi
 
+# One Φ path: Φ weighs a satellite's row of links in one Values call. The
+# per-edge EdgeContext, the weigher that built one per edge and the per-edge
+# Value methods live only in internal/core/value_oracle_test.go, as the
+# oracle the row Values are held to.
+if git grep -nE 'EdgeContext|type weigher|\) Value\(' -- internal/core ':!*_test.go'; then
+    echo "Φ has one path: no EdgeContext, weigher or per-edge Value method in non-test internal/core" >&2; exit 1
+fi
+
 # Nothing nobody reads: the library computes no output no caller consumes
-# and keeps no second path only tests take — no StationTx on Φ's
-# EdgeContext, no range rate or sub-point from orbit.Observe, no NackAll on
+# and keeps no second path only tests take — no StationTx on the Link Φ
+# reads, no range rate or sub-point from orbit.Observe, no NackAll on
 # the satellite store, no OwnedSats on the shard wire, no one-shot
 # StationAgent.Dial or session Client.Connect beside the managed session,
 # and no Name method on Φ.
@@ -300,7 +309,7 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # exactly where the state path errs (FuzzPropagate's seed corpus). (core
 # rolls the paper's 12 h horizon six times against six fresh schedulers
 # per pass, hence the explicit timeout.)
-go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|ClearSky|Stream|SinFloor|SineTable|RangeSinEl|ClearRates|Rung|FillBytes|Bidding|Reach|NearCovers|CoverCovers|WidestCos|RangeCos|NearIsFiltered|NearReuses|NearRaces|FuzzSitesNear|TermsTable|EdgeBytes|FuzzCarry|Prune|Reanchor|Incremental|InProgress|Workers|Visibility|SweepWindow|BitIdentical|MatchesScalar|AtRange|ReplaceProp|FuzzPropagate|Prefill|TxVisible' \
+go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|Values|ClearSky|Stream|SinFloor|SineTable|RangeSinEl|ClearRates|Rung|FillBytes|Bidding|Reach|NearCovers|CoverCovers|WidestCos|RangeCos|NearIsFiltered|NearReuses|NearRaces|FuzzSitesNear|TermsTable|EdgeBytes|FuzzCarry|Prune|Reanchor|Incremental|InProgress|Workers|Visibility|SweepWindow|BitIdentical|MatchesScalar|AtRange|ReplaceProp|FuzzPropagate|Prefill|TxVisible' \
     ./internal/passes ./internal/core ./internal/linkbudget ./internal/dvbs2 ./internal/itu ./internal/frames ./internal/spatial ./internal/sim ./internal/poscache ./internal/sgp4
 
 echo "== go test -race (parallel pipeline + session + serving layers)"

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -78,6 +79,16 @@ func main() {
 	if *sats == 0 && *tleFile == "" && *builtin == "" {
 		cliutil.Failf("need -tle FILE or -builtin NAME, or -sats N for population mode")
 	}
+	// Refuse a flag only the other mode reads; -hours and -from serve both.
+	other, mode := []string{"stations", "walker", "workers", "seed", "top"}, "single-satellite mode (no -sats)"
+	if *sats > 0 {
+		other, mode = []string{"tle", "builtin", "lat", "lon", "alt", "min-el", "rates"}, "population mode (-sats)"
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(other, f.Name) {
+			cliutil.Failf("invalid -%s: %s does not read it", f.Name, mode)
+		}
+	})
 
 	if *sats > 0 {
 		if *from == "" {

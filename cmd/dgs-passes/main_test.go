@@ -52,7 +52,8 @@ func run(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	return out.String(), errOut.String(), code
 }
 
-// TestFlags: a bad invocation exits 2 and names the flag before any work,
+// TestFlags: a bad invocation — a bad value, or a flag only the other mode
+// reads — exits 2 and names the flag before any work,
 // elements the pass predictor's slant-range cut would truncate exit 2 and
 // say why, and an element file that cannot be read exits 1; none prints
 // anything on stdout.
@@ -82,6 +83,14 @@ func TestFlags(t *testing.T) {
 		{"mask past the zenith", []string{"-builtin", "iss", "-min-el", "95"}, 2, "-min-el"},
 		{"beyond the range cut", []string{"-tle", high}, 2, "3,500 km slant-range cut"},
 		{"missing file", []string{"-tle", filepath.Join(dir, "absent.tle")}, 1, "absent.tle"},
+		{"mask in population mode", []string{"-sats", "3", "-hours", "1", "-min-el", "30"}, 2, "-min-el"},
+		{"station latitude in population mode", []string{"-sats", "3", "-lat", "10"}, 2, "-lat"},
+		{"rates in population mode", []string{"-sats", "3", "-rates"}, 2, "-rates"},
+		{"builtin in population mode", []string{"-sats", "3", "-builtin", "iss"}, 2, "-builtin"},
+		{"network size in satellite mode", []string{"-builtin", "iss", "-stations", "5"}, 2, "-stations"},
+		{"walker in satellite mode", []string{"-builtin", "iss", "-walker"}, 2, "-walker"},
+		{"top in satellite mode", []string{"-builtin", "iss", "-from", "2020-06-01T00:00:00Z", "-top", "5"}, 2, "-top"},
+		{"seed in satellite mode", []string{"-builtin", "iss", "-seed", "3"}, 2, "-seed"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			stdout, stderr, code := run(t, row.args...)
@@ -92,6 +101,10 @@ func TestFlags(t *testing.T) {
 				t.Fatalf("exit %d printed on stdout:\n%s", code, stdout)
 			}
 		})
+	}
+	// The flags both modes read pass in either.
+	if stdout, stderr, code := run(t, "-sats", "3", "-stations", "5", "-hours", "1", "-from", "2020-06-01T00:00:00Z", "-top", "0"); code != 0 || !strings.Contains(stdout, "3-satellite EO mix") {
+		t.Fatalf("population mode: exit %d; stderr %q; stdout:\n%s", code, stderr, stdout)
 	}
 	// The same orbit under a 10° mask stays inside the cut and is listed.
 	if stdout, stderr, code := run(t, "-tle", high, "-min-el", "10", "-hours", "6"); code != 0 || !strings.Contains(stdout, " 1  rise ") {

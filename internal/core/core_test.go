@@ -9,6 +9,7 @@ import (
 
 	"dgs/internal/astro"
 	"dgs/internal/dataset"
+	"dgs/internal/frames"
 	"dgs/internal/linkbudget"
 	"dgs/internal/match"
 	"dgs/internal/sgp4"
@@ -314,42 +315,38 @@ func TestAssignmentForLookup(t *testing.T) {
 }
 
 func TestValueFunctions(t *testing.T) {
-	ctx := EdgeContext{
-		RateBps:     100e6,
-		SlotSeconds: 60,
-		PendingBits: 1e12,
-		OldestAge:   time.Hour,
-	}
-	lat := LatencyValue{}.Value(ctx)
-	thr := ThroughputValue{}.Value(ctx)
+	sat := SatSnapshot{PendingBits: 1e12, OldestAge: time.Hour}
+	link := Link{RateBps: 100e6, Station: &station.Station{}}
+	lat := valueOne(LatencyValue{}, sat, 60, link)
+	thr := valueOne(ThroughputValue{}, sat, 60, link)
 	if lat <= 0 || thr <= 0 {
 		t.Fatal("value functions must be positive for useful edges")
 	}
 	// Latency Φ rewards age; throughput Φ ignores it.
-	older := ctx
+	older := sat
 	older.OldestAge = 10 * time.Hour
-	if (LatencyValue{}).Value(older) <= lat {
+	if valueOne(LatencyValue{}, older, 60, link) <= lat {
 		t.Fatal("latency value must grow with age")
 	}
-	if (ThroughputValue{}).Value(older) != thr {
+	if valueOne(ThroughputValue{}, older, 60, link) != thr {
 		t.Fatal("throughput value must ignore age")
 	}
 	// Both reward rate.
-	faster := ctx
+	faster := link
 	faster.RateBps *= 2
-	if (LatencyValue{}).Value(faster) <= lat || (ThroughputValue{}).Value(faster) <= thr {
+	if valueOne(LatencyValue{}, sat, 60, faster) <= lat || valueOne(ThroughputValue{}, sat, 60, faster) <= thr {
 		t.Fatal("value must grow with rate")
 	}
 	// No pending data: worthless.
-	empty := ctx
+	empty := sat
 	empty.PendingBits = 0
-	if (LatencyValue{}).Value(empty) != 0 || (ThroughputValue{}).Value(empty) != 0 {
+	if valueOne(LatencyValue{}, empty, 60, link) != 0 || valueOne(ThroughputValue{}, empty, 60, link) != 0 {
 		t.Fatal("empty queue must be worthless")
 	}
 	// Priority boosts the latency value.
-	urgent := ctx
+	urgent := sat
 	urgent.MaxPriority = 5
-	if (LatencyValue{}).Value(urgent) <= lat {
+	if valueOne(LatencyValue{}, urgent, 60, link) <= lat {
 		t.Fatal("priority must boost latency value")
 	}
 }
@@ -362,25 +359,25 @@ func TestGeographicValue(t *testing.T) {
 		LonMinRad: -0.5, LonMaxRad: 0.5,
 		Boost: 3,
 	}
-	in := EdgeContext{RateBps: 1e6, SlotSeconds: 60, PendingBits: 1e12, StationLatRad: 0.7, StationLonRad: 0}
-	out := in
-	out.StationLatRad = 0.1
-	if g.Value(in) != 3*inner.Value(in) {
+	sat := SatSnapshot{PendingBits: 1e12}
+	in := Link{RateBps: 1e6, Station: &station.Station{Location: frames.Geodetic{LatRad: 0.7}}}
+	out := Link{RateBps: 1e6, Station: &station.Station{Location: frames.Geodetic{LatRad: 0.1}}}
+	if valueOne(g, sat, 60, in) != 3*valueOne(inner, sat, 60, in) {
 		t.Fatal("in-region edge not boosted")
 	}
-	if g.Value(out) != inner.Value(out) {
+	if valueOne(g, sat, 60, out) != valueOne(inner, sat, 60, out) {
 		t.Fatal("out-of-region edge boosted")
 	}
 }
 
 func TestBiddingValue(t *testing.T) {
 	b := BiddingValue{Inner: ThroughputValue{}, Bids: map[int]float64{7: 2.5}}
-	ctx := EdgeContext{RateBps: 1e6, SlotSeconds: 60, PendingBits: 1e12}
-	base := ThroughputValue{}.Value(ctx)
-	ctx.StationID = 7
-	v7 := b.Value(ctx)
-	ctx.StationID = 8
-	v8 := b.Value(ctx)
+	sat := SatSnapshot{PendingBits: 1e12}
+	link := Link{RateBps: 1e6, Station: &station.Station{ID: 7}}
+	base := valueOne(ThroughputValue{}, sat, 60, link)
+	v7 := valueOne(b, sat, 60, link)
+	link.Station = &station.Station{ID: 8}
+	v8 := valueOne(b, sat, 60, link)
 	if math.Abs(v7-2.5*base) > 1e-9 {
 		t.Fatalf("bid multiplier not applied: %v", v7)
 	}

@@ -181,50 +181,38 @@ func CheckPlan(p *Plan, nSats, nStations int) error {
 }
 
 // BuildGraph turns visibility into the weighted bipartite graph of §3.1.
+// Φ weighs each run of consecutive edges of one satellite in one call.
 func (s *Scheduler) BuildGraph(sats []SatSnapshot, edges []VisibleEdge, slotDur time.Duration) *match.Graph {
 	g := match.NewGraph(len(sats), len(s.Stations))
 	for j, gs := range s.Stations {
 		g.SetCapacity(j, gs.Capacity())
 	}
-	wt := s.weigher(slotDur)
-	for _, e := range edges {
-		wt.add(g, &sats[e.Sat], e.Sat, e.Station, e.RateBps)
+	val, slotSec := s.value(), slotDur.Seconds()
+	links := make([]Link, 0, len(s.Stations))
+	w := make([]float64, len(edges))
+	for a := 0; a < len(edges); {
+		i := edges[a].Sat
+		links = links[:0]
+		b := a
+		for ; b < len(edges) && edges[b].Sat == i; b++ {
+			links = append(links, Link{RateBps: edges[b].RateBps, Station: s.Stations[edges[b].Station]})
+		}
+		val.Values(&sats[i], slotSec, links, w[a:b])
+		for x := a; x < b; x++ {
+			if w[x] > 0 {
+				addEdge(g, i, edges[x].Station, w[x])
+			}
+		}
+		a = b
 	}
 	return g
 }
 
-// weigher evaluates Φ for the edges of one plan's slots.
-type weigher struct {
-	s       *Scheduler
-	val     ValueFunc
-	slotSec float64
-}
-
-func (s *Scheduler) weigher(slotDur time.Duration) weigher {
-	return weigher{s: s, val: s.value(), slotSec: slotDur.Seconds()}
-}
-
-// add computes the Φ weight of the edge (i, j) at the given rate against
-// satellite i's queue state, adds the edge to g when the weight is
-// positive, and returns the weight either way.
-func (wt *weigher) add(g *match.Graph, sat *SatSnapshot, i, j int, rateBps float64) float64 {
-	gs := wt.s.Stations[j]
-	w := wt.val.Value(EdgeContext{
-		RateBps:       rateBps,
-		SlotSeconds:   wt.slotSec,
-		PendingBits:   sat.PendingBits,
-		OldestAge:     sat.OldestAge,
-		MaxPriority:   sat.MaxPriority,
-		StationLatRad: gs.Location.LatRad,
-		StationLonRad: gs.Location.LonRad,
-		StationID:     gs.ID,
-	})
-	if w > 0 {
-		if err := g.AddEdge(i, j, w); err != nil {
-			panic(fmt.Sprintf("core: internal edge error: %v", err))
-		}
+// addEdge adds the edge (i, j) of weight w to g.
+func addEdge(g *match.Graph, i, j int, w float64) {
+	if err := g.AddEdge(i, j, w); err != nil {
+		panic(fmt.Sprintf("core: internal edge error: %v", err))
 	}
-	return w
 }
 
 // PlanEpoch produces a plan covering [start, start+horizon) at slotDur
@@ -471,7 +459,6 @@ func (s *Scheduler) reduce(f *epochFill, sats []SatSnapshot, genBitsPerSec float
 type reducer struct {
 	s       *Scheduler
 	work    []SatSnapshot
-	wt      weigher
 	price   rungPrices
 	plan    *Plan
 	genBits float64 // capture refill per slot
@@ -489,7 +476,6 @@ func (s *Scheduler) newReducer(sats []SatSnapshot, start time.Time, slotDur time
 		s: s,
 		// Work on a copy: planning must not mutate the caller's snapshots.
 		work:  slices.Clone(sats),
-		wt:    s.weigher(slotDur),
 		price: price,
 		plan: &Plan{
 			Version: s.nextVersion,
@@ -505,26 +491,39 @@ func (s *Scheduler) newReducer(sats []SatSnapshot, start time.Time, slotDur time
 func (r *reducer) slot(keys []int32, rungs []uint8) {
 	s, work, plan := r.s, r.work, r.plan
 	slotDur := plan.SlotDur
+	val, slotSec := s.value(), slotDur.Seconds()
 	nGs := len(s.Stations)
 	g := s.planG
 	g.Reset(len(work), nGs)
 	for j, gs := range s.Stations {
 		g.SetCapacity(j, gs.Capacity())
 	}
-	// wbuf holds the Φ weight of every rated edge — including dropped
-	// non-positive ones — aligned with keys: the matched edge for a
-	// satellite is found by scanning keys, so its weight is wbuf[x].
-	wbuf := s.wbuf[:0]
-	for x, key := range keys {
-		w := 0.0
-		i := int(key) / nGs
-		j := int(key) - i*nGs
-		if rate := r.price.rate(j, rungs[x]); rate > 0 {
-			w = r.wt.add(g, &work[i], i, j, rate)
-		}
-		wbuf = append(wbuf, w)
-	}
+	// wbuf holds the Φ weight of every edge, aligned with keys: the
+	// matched edge for a satellite is found by scanning keys, so its
+	// weight is wbuf[x]. The keys are satellite-major, so each satellite's
+	// edges are one run, which Φ weighs in one call straight into wbuf; an
+	// edge whose priced rate is not positive stays out of the graph.
+	wbuf := slices.Grow(s.wbuf[:0], len(keys))[:len(keys)]
 	s.wbuf = wbuf
+	links := s.links
+	for a := 0; a < len(keys); {
+		i := int(keys[a]) / nGs
+		end := (i + 1) * nGs
+		links = links[:0]
+		b := a
+		for ; b < len(keys) && int(keys[b]) < end; b++ {
+			j := int(keys[b]) - i*nGs
+			links = append(links, Link{RateBps: r.price.rate(j, rungs[b]), Station: s.Stations[j]})
+		}
+		val.Values(&work[i], slotSec, links, wbuf[a:b])
+		for x := a; x < b; x++ {
+			if links[x-a].RateBps > 0 && wbuf[x] > 0 {
+				addEdge(g, i, int(keys[x])-i*nGs, wbuf[x])
+			}
+		}
+		a = b
+	}
+	s.links = links
 	var m match.Matching
 	if s.Match != nil {
 		m = s.Match(g)
@@ -542,10 +541,8 @@ func (r *reducer) slot(keys []int32, rungs []uint8) {
 		if m.LeftToRight[i] != j {
 			continue
 		}
+		// A matched edge is in the graph, so its rate is positive.
 		rt := r.price.rate(j, rungs[x])
-		if rt <= 0 {
-			continue
-		}
 		slot.Assignments = append(slot.Assignments, Assignment{
 			Sat:            i,
 			Station:        j,
@@ -553,7 +550,7 @@ func (r *reducer) slot(keys []int32, rungs []uint8) {
 			Weight:         wbuf[x],
 		})
 		// Drain the modeled queue.
-		sent := rt * slotDur.Seconds()
+		sent := rt * slotSec
 		if sent > work[i].PendingBits {
 			sent = work[i].PendingBits
 		}

@@ -56,7 +56,7 @@ type Scheduler struct {
 	Radio linkbudget.Radio
 	// Stations is the ground network (right side of the graph).
 	Stations station.Network
-	// Value is Φ. Defaults to LatencyValue.
+	// Value is Φ, called once per satellite row. Defaults to LatencyValue.
 	Value ValueFunc
 	// Match is the matching algorithm. Nil runs the scheduler's
 	// match.Scratch, the paper's stable matching.
@@ -82,12 +82,13 @@ type Scheduler struct {
 	nextVersion int
 
 	// Single-threaded PlanEpoch scratch: the reusable matching graph with
-	// its aligned edge-weight buffer, the stable-matching scratch, the
-	// per-worker scratch of the slot fan-out, and the stream's readiness
-	// state (spawn, reduce).
+	// its aligned edge-weight buffer, the satellite row Φ weighs, the
+	// stable-matching scratch, the per-worker scratch of the slot fan-out,
+	// and the stream's readiness state (spawn, reduce).
 	planG    *match.Graph
 	matchScr match.Scratch
 	wbuf     []float64
+	links    []Link
 	scr      []*workerScratch
 	filled   chan int
 	early    []bool

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -213,22 +212,23 @@ func TestPlanStreamAllocsIndependentOfSlots(t *testing.T) {
 	}
 }
 
-// TestReduceBiddingAllocsIndependentOfEdges: a station-priced Φ reads the
-// station from the edge's context, so it costs nothing to set up per plan
-// or per edge — over the same warm slots the reduction under BiddingValue
-// allocates exactly as much as under its inner Φ, while it weighs far more
-// edges than there are stations.
+// TestReduceBiddingAllocsIndependentOfEdges: Φ weighs each satellite's
+// row straight into the reduction's reused buffers, and a station-priced
+// Φ reads the station off each Link, so no built-in Φ costs anything to
+// set up per plan, per slot or per row. Over the same warm epoch every
+// built-in Φ's PlanEpoch allocates exactly as much as ThroughputValue's,
+// while they weigh far more edges than there are stations. And under a Φ
+// that values every link at 0 — no slot has an assignment to allocate — a
+// warm PlanEpoch allocates as much over 120 slots as over 30.
 func TestReduceBiddingAllocsIndependentOfEdges(t *testing.T) {
 	w := smallRollingWorld(t)
 	s := w.sched(1, false)
 	const n = 120
 	w.plan(t, s, epoch, n*time.Minute, time.Minute)
-	slots := make([]*carriedSlot, n)
-	rungs := slices.Clone(s.rungs[:n])
 	edges := 0
-	for k := range slots {
-		slots[k] = s.carried[epoch.Add(time.Duration(k)*time.Minute).UnixNano()]
-		for _, r := range pricedRates(s, slots[k], rungs[k]) {
+	for k := range n {
+		cs := s.carried[epoch.Add(time.Duration(k)*time.Minute).UnixNano()]
+		for _, r := range pricedRates(s, cs, s.rungs[k]) {
 			if r > 0 {
 				edges++
 			}
@@ -237,16 +237,38 @@ func TestReduceBiddingAllocsIndependentOfEdges(t *testing.T) {
 	if edges < 10*len(w.net) {
 		t.Fatalf("%d rated edges over %d stations; not a meaningful comparison", edges, len(w.net))
 	}
-	reduce := func() {
-		s.stream(w.sats, epoch, time.Minute, rollingGen, slots, rungs, func(int, *workerScratch) {})
+	allocs := func(v ValueFunc, slots int) float64 {
+		s.Value = v
+		plan := func() { s.PlanEpoch(w.sats, epoch, time.Duration(slots)*time.Minute, time.Minute, rollingGen) }
+		plan()
+		return testing.AllocsPerRun(10, plan)
 	}
-	s.Value = BiddingValue{Inner: LatencyValue{}, Bids: map[int]float64{3: 2, 17: 0.5}}
-	reduce()
-	bidding := testing.AllocsPerRun(10, reduce)
-	s.Value = LatencyValue{}
-	reduce()
-	plain := testing.AllocsPerRun(10, reduce)
-	if bidding != plain {
-		t.Fatalf("BiddingValue costs %.0f allocations per plan, its inner Φ %.0f (%d stations, %d weighted edges)", bidding, plain, len(w.net), edges)
+	bids := map[int]float64{3: 2, 17: 0.5}
+	geo := func(inner ValueFunc) GeographicValue {
+		return GeographicValue{Inner: inner, LatMinRad: 0.2, LatMaxRad: 1, LonMinRad: -1, LonMaxRad: 1, Boost: 5}
+	}
+	plain := allocs(ThroughputValue{}, n)
+	for name, v := range map[string]ValueFunc{
+		"latency":           LatencyValue{},
+		"geo(latency)":      geo(LatencyValue{}),
+		"bid(latency)":      BiddingValue{Inner: LatencyValue{}, Bids: bids},
+		"bid(throughput)":   BiddingValue{Inner: ThroughputValue{}, Bids: bids},
+		"geo(bid(latency))": geo(BiddingValue{Inner: LatencyValue{}, Bids: bids}),
+	} {
+		if got := allocs(v, n); got != plain {
+			t.Errorf("%s costs %.0f allocations per plan, ThroughputValue %.0f (%d stations, %d weighted edges)", name, got, plain, len(w.net), edges)
+		}
+	}
+	if few, many := allocs(zeroValue{}, 30), allocs(zeroValue{}, n); many != few {
+		t.Errorf("with no assignment to make, a warm plan allocates %.0f times over 30 slots but %.0f over %d", few, many, n)
+	}
+}
+
+// zeroValue values every link at 0, so no edge enters the graph.
+type zeroValue struct{}
+
+func (zeroValue) Values(_ *SatSnapshot, _ float64, links []Link, w []float64) {
+	for x := range links {
+		w[x] = 0
 	}
 }

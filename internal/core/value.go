@@ -4,46 +4,37 @@
 // transmit-capable stations upload to satellites.
 package core
 
-import (
-	"time"
-)
+import "dgs/internal/station"
 
-// EdgeContext is everything Φ may consider when valuing a potential
-// satellite→station link during one slot.
-type EdgeContext struct {
+// Link is one candidate satellite→station link of a slot, as Φ sees it.
+type Link struct {
 	// RateBps is the predicted link rate from the link-quality model.
 	RateBps float64
-	// SlotSeconds is the slot duration.
-	SlotSeconds float64
-	// PendingBits is the satellite's transmittable backlog.
-	PendingBits float64
-	// OldestAge is the age of the satellite's oldest undelivered data at
-	// the slot start.
-	OldestAge time.Duration
-	// MaxPriority is the highest chunk priority waiting on the satellite.
-	MaxPriority float64
-	// StationLatRad/StationLonRad locate the station (for geographic Φ).
-	StationLatRad, StationLonRad float64
-	// StationID is the station's ID (station.GroundStation.ID), for Φs that
-	// price stations individually.
-	StationID int
-}
-
-// DeliverableBits is the data volume this edge could move in the slot.
-func (c EdgeContext) DeliverableBits() float64 {
-	d := c.RateBps * c.SlotSeconds
-	if c.PendingBits < d {
-		d = c.PendingBits
-	}
-	return d
+	// Station is the receiving station: its location for a geographic Φ,
+	// its ID for a Φ that prices stations individually.
+	Station *station.Station
 }
 
 // ValueFunc is the paper's Φ: the value of transmitting a satellite's data
 // over a candidate link now. Higher is better; non-positive edges are
-// dropped from the graph.
+// dropped from the graph. Φ weighs a satellite's row: one call for a run of
+// one satellite's candidate links in a slot.
 type ValueFunc interface {
-	// Value scores a candidate edge.
-	Value(c EdgeContext) float64
+	// Values writes the value of each of sat's links into w (len(w) ==
+	// len(links)). w[x] may depend only on sat's queue fields (PendingBits,
+	// OldestAge, MaxPriority), slotSeconds and links[x], so splitting a row
+	// anywhere gives the same weights. It must not retain links or w.
+	Values(sat *SatSnapshot, slotSeconds float64, links []Link, w []float64)
+}
+
+// deliverable is the data volume a link at rateBps could move in the slot:
+// the slot's capacity, capped by the satellite's backlog.
+func deliverable(rateBps, slotSeconds, pendingBits float64) float64 {
+	d := rateBps * slotSeconds
+	if pendingBits < d {
+		d = pendingBits
+	}
+	return d
 }
 
 // LatencyValue is Φ(x,t) = t: minimizing the time between capture and
@@ -52,28 +43,33 @@ type ValueFunc interface {
 // over mediocre links.
 type LatencyValue struct{}
 
-// Value implements ValueFunc.
-func (LatencyValue) Value(c EdgeContext) float64 {
-	d := c.DeliverableBits()
-	if d <= 0 {
-		return 0
-	}
-	ageMin := c.OldestAge.Minutes()
+// Values implements ValueFunc.
+func (LatencyValue) Values(sat *SatSnapshot, slotSeconds float64, links []Link, w []float64) {
+	ageMin := sat.OldestAge.Minutes()
 	if ageMin < 0 {
 		ageMin = 0
 	}
 	// 1+age so a link is still worth something for brand-new data; the
 	// deliverable term keeps the tie-break on link quality.
-	return (1 + ageMin) * d * (1 + c.MaxPriority)
+	age, prio := 1+ageMin, 1+sat.MaxPriority
+	for x := range links {
+		if d := deliverable(links[x].RateBps, slotSeconds, sat.PendingBits); d <= 0 {
+			w[x] = 0
+		} else {
+			w[x] = age * d * prio
+		}
+	}
 }
 
 // ThroughputValue is Φ(x,t) = |x|: maximizing bits on the ground,
 // indifferent to their age.
 type ThroughputValue struct{}
 
-// Value implements ValueFunc.
-func (ThroughputValue) Value(c EdgeContext) float64 {
-	return c.DeliverableBits()
+// Values implements ValueFunc.
+func (ThroughputValue) Values(sat *SatSnapshot, slotSeconds float64, links []Link, w []float64) {
+	for x := range links {
+		w[x] = deliverable(links[x].RateBps, slotSeconds, sat.PendingBits)
+	}
 }
 
 // GeographicValue boosts data destined for (or stations inside) a
@@ -88,14 +84,16 @@ type GeographicValue struct {
 	Boost float64
 }
 
-// Value implements ValueFunc.
-func (g GeographicValue) Value(c EdgeContext) float64 {
-	v := g.Inner.Value(c)
-	if c.StationLatRad >= g.LatMinRad && c.StationLatRad <= g.LatMaxRad &&
-		c.StationLonRad >= g.LonMinRad && c.StationLonRad <= g.LonMaxRad {
-		v *= g.Boost
+// Values implements ValueFunc.
+func (g GeographicValue) Values(sat *SatSnapshot, slotSeconds float64, links []Link, w []float64) {
+	g.Inner.Values(sat, slotSeconds, links, w)
+	for x := range links {
+		loc := &links[x].Station.Location
+		if loc.LatRad >= g.LatMinRad && loc.LatRad <= g.LatMaxRad &&
+			loc.LonRad >= g.LonMinRad && loc.LonRad <= g.LonMaxRad {
+			w[x] *= g.Boost
+		}
 	}
-	return v
 }
 
 // BiddingValue implements the paper's "bidding for priority access" hook: a
@@ -108,11 +106,12 @@ type BiddingValue struct {
 	Bids map[int]float64
 }
 
-// Value implements ValueFunc.
-func (b BiddingValue) Value(c EdgeContext) float64 {
-	v := b.Inner.Value(c)
-	if m, ok := b.Bids[c.StationID]; ok {
-		v *= m
+// Values implements ValueFunc.
+func (b BiddingValue) Values(sat *SatSnapshot, slotSeconds float64, links []Link, w []float64) {
+	b.Inner.Values(sat, slotSeconds, links, w)
+	for x := range links {
+		if m, ok := b.Bids[links[x].Station.ID]; ok {
+			w[x] *= m
+		}
 	}
-	return v
 }

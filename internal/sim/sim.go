@@ -65,7 +65,7 @@ type Config struct {
 	Stations station.Network
 	// TLEs is the constellation.
 	TLEs []tle.TLE
-	// Value is Φ; nil = latency-optimized.
+	// Value is Φ, one call per satellite row; nil = latency-optimized.
 	Value core.ValueFunc
 	// Matcher is the matching algorithm; nil = stable matching.
 	Matcher core.Matcher
