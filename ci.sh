@@ -34,6 +34,11 @@ fi
 echo "== go vet"
 go vet ./...
 
+echo "== go vet (GOARCH=386)"
+# The matcher and the planner build and vet on 32-bit: an int constant
+# past 2^31 in their tests fails here, not on a 32-bit user's machine.
+GOARCH=386 go vet ./internal/match ./internal/core
+
 echo "== importcheck (zero-dependency policy)"
 go run ./tools/importcheck
 # The library keeps only what the system runs: every internal package is
@@ -148,13 +153,32 @@ if git grep -nE 'for [a-z]+ := len\([^)]*\) - 1; [a-z]+ >= 0' -- internal/dvbs2 
     echo "internal/dvbs2 searches the MODCOD envelope by rungOf's bucket lookup only: no second, top-down scan" >&2; exit 1
 fi
 # The matcher sorts only what a station could still hold: Scratch builds a
-# satellite's preference row at its first proposal from the edges that
-# clear the stations' bars, and sorts just those. One prefOrder call site
-# in scratch.go; a sort of every list before the proposals is the cost
-# (most satellites at mega scale are refused by every station) it removed.
+# satellite's preference row at its first proposal from the links that
+# clear the stations' bars, and sorts just those, and only when they are
+# not already in preference order. One prefOrder call site in scratch.go;
+# a sort of every list before the proposals is the cost (most satellites
+# at mega scale are refused by every station) it removed.
 sorts=$(git grep -ho 'prefOrder(' -- internal/match/scratch.go | wc -l)
 if [ "$sorts" -ne 1 ]; then
     echo "internal/match/scratch.go has $sorts prefOrder call sites (want 1): sort a satellite's surviving edges at its first proposal, not every list up front" >&2; exit 1
+fi
+# The matcher reads the slot in place: the reduction hands match.Scratch
+# the slot's own compressed rows (offsets, stations, Φ weights, the plan's
+# capacities), and only a Matcher (-matcher optimal) gets a match.Graph,
+# built from those rows by match.Rows.Graph. No reusable per-slot graph
+# and no edge-by-edge AddEdge copy outside BuildGraph (the benchmark's
+# probe) and the Matcher wrapper in hysteresis.go.
+corefiles=$(git ls-files 'internal/core/*.go' | grep -v -e '_test\.go$' -e '/hysteresis\.go$')
+case "$corefiles" in
+    *internal/core/plan.go*) ;;
+    *) echo "internal/core/plan.go not found: point the in-place guard at the reduction" >&2; exit 1 ;;
+esac
+grep -q '^func (s \*Scheduler) BuildGraph(' internal/core/plan.go ||
+    { echo "BuildGraph (internal/core/plan.go) not found: point the in-place guard at it" >&2; exit 1; }
+# shellcheck disable=SC2086
+if awk '/^func \(s \*Scheduler\) BuildGraph\(/,/^}/ {next} {print FILENAME ":" FNR ": " $0}' $corefiles |
+    grep -E 'planG|\.Reset\(|AddEdge'; then
+    echo "the reduction matches the slot's rows in place: no reusable graph (planG, Reset) and no AddEdge outside BuildGraph and the Matcher path" >&2; exit 1
 fi
 # One stable matcher: the stable matching is unique and is greedy's
 # (DESIGN §5), so Scratch is its only production implementation. The
@@ -306,11 +330,16 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # TEMEToECEF reference at any worker split (BitIdentical, MatchesScalar),
 # a block fill ≡ per-instant fills with hits shared (AtRange), a patched
 # cache ≡ a rebuilt one (ReplaceProp), and the position path reports ok
-# exactly where the state path errs (FuzzPropagate's seed corpus). (core
+# exactly where the state path errs (FuzzPropagate's seed corpus). The
+# reduction hands the matcher the slot's own rows: the rows entry ≡ the
+# Graph adapter ≡ the oracles on shuffled, ordered, tied and absent links,
+# and allocates nothing warm (StableRows), and a link whose rate is not
+# positive is never planned, a NaN weight is dropped and +Inf panics
+# (ReduceNonPositive, ReduceWeight). (core
 # rolls the paper's 12 h horizon six times against six fresh schedulers
 # per pass, hence the explicit timeout.)
-go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|Values|ClearSky|Stream|SinFloor|SineTable|RangeSinEl|ClearRates|Rung|FillBytes|Bidding|Reach|NearCovers|CoverCovers|WidestCos|RangeCos|NearIsFiltered|NearReuses|NearRaces|FuzzSitesNear|TermsTable|EdgeBytes|FuzzCarry|Prune|Reanchor|Incremental|InProgress|Workers|Visibility|SweepWindow|BitIdentical|MatchesScalar|AtRange|ReplaceProp|FuzzPropagate|Prefill|TxVisible' \
-    ./internal/passes ./internal/core ./internal/linkbudget ./internal/dvbs2 ./internal/itu ./internal/frames ./internal/spatial ./internal/sim ./internal/poscache ./internal/sgp4
+go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|Values|ClearSky|Stream|SinFloor|SineTable|RangeSinEl|ClearRates|Rung|FillBytes|Bidding|Reach|NearCovers|CoverCovers|WidestCos|RangeCos|NearIsFiltered|NearReuses|NearRaces|FuzzSitesNear|TermsTable|EdgeBytes|FuzzCarry|Prune|Reanchor|Incremental|InProgress|Workers|Visibility|SweepWindow|BitIdentical|MatchesScalar|AtRange|ReplaceProp|FuzzPropagate|Prefill|TxVisible|StableRows|ReduceNonPositive|ReduceWeight' \
+    ./internal/match ./internal/passes ./internal/core ./internal/linkbudget ./internal/dvbs2 ./internal/itu ./internal/frames ./internal/spatial ./internal/sim ./internal/poscache ./internal/sgp4
 
 echo "== go test -race (parallel pipeline + session + serving layers)"
 # session is the one managed wire session both station↔backend and

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -200,19 +201,14 @@ func (s *Scheduler) BuildGraph(sats []SatSnapshot, edges []VisibleEdge, slotDur 
 		val.Values(&sats[i], slotSec, links, w[a:b])
 		for x := a; x < b; x++ {
 			if w[x] > 0 {
-				addEdge(g, i, edges[x].Station, w[x])
+				if err := g.AddEdge(i, edges[x].Station, w[x]); err != nil {
+					panic(fmt.Sprintf("core: internal edge error: %v", err))
+				}
 			}
 		}
 		a = b
 	}
 	return g
-}
-
-// addEdge adds the edge (i, j) of weight w to g.
-func addEdge(g *match.Graph, i, j int, w float64) {
-	if err := g.AddEdge(i, j, w); err != nil {
-		panic(fmt.Sprintf("core: internal edge error: %v", err))
-	}
 }
 
 // PlanEpoch produces a plan covering [start, start+horizon) at slotDur
@@ -231,10 +227,10 @@ func addEdge(g *match.Graph, i, j int, w float64) {
 // new lead into one rung byte an edge (under a clear sky, the carried
 // rungs themselves). Both depend only on time, never on the evolving queue
 // state, so they are the epoch's fill, which fans out over the worker pool
-// in slot order; the queue-dependent graph weighting, matching, and drain run
+// in slot order; the queue-dependent weighting, matching, and drain run
 // on the calling goroutine as a streamed reduction — slot k as soon as it
-// is filled, while later slots are still being carried and rated — over
-// one reusable graph with warm-started matching scratch.
+// is filled, while later slots are still being carried and rated — which
+// hands the warm-started matching scratch the slot's own rows, no graph.
 //
 // When a Prefill of this epoch is in flight — same start, slot count and
 // slot length, and nothing changed since: the same Forecast and position
@@ -446,7 +442,7 @@ func (s *Scheduler) reduce(f *epochFill, sats []SatSnapshot, genBitsPerSec float
 }
 
 // reducer is the queue-dependent sequential reduction behind every plan:
-// per-slot graph weighting, matching, and optimistic queue drain over each
+// per-slot weighting, matching, and optimistic queue drain over each
 // slot's edges (packed keys) and their ladder rungs (aligned), each rung
 // priced at its station (rungPrices), skipping edges whose rate is not
 // positive. Edges and rungs depend only on time (never on the evolving
@@ -467,10 +463,11 @@ type reducer struct {
 // newReducer starts a plan of n slots from start.
 func (s *Scheduler) newReducer(sats []SatSnapshot, start time.Time, slotDur time.Duration, n int, genBitsPerSec float64) reducer {
 	s.nextVersion++
-	if s.planG == nil {
-		s.planG = match.NewGraph(0, 0)
-	}
 	s.matchScr.Warm = true
+	s.rows.Capacity = s.rows.Capacity[:0]
+	for _, gs := range s.Stations {
+		s.rows.Capacity = append(s.rows.Capacity, max(0, min(gs.Capacity(), len(sats))))
+	}
 	_, _, _, price := s.rateKernel()
 	return reducer{
 		s: s,
@@ -493,61 +490,72 @@ func (r *reducer) slot(keys []int32, rungs []uint8) {
 	slotDur := plan.SlotDur
 	val, slotSec := s.value(), slotDur.Seconds()
 	nGs := len(s.Stations)
-	g := s.planG
-	g.Reset(len(work), nGs)
-	for j, gs := range s.Stations {
-		g.SetCapacity(j, gs.Capacity())
-	}
-	// wbuf holds the Φ weight of every edge, aligned with keys: the
-	// matched edge for a satellite is found by scanning keys, so its
-	// weight is wbuf[x]. The keys are satellite-major, so each satellite's
-	// edges are one run, which Φ weighs in one call straight into wbuf; an
-	// edge whose priced rate is not positive stays out of the graph.
-	wbuf := slices.Grow(s.wbuf[:0], len(keys))[:len(keys)]
-	s.wbuf = wbuf
-	links := s.links
+	// The keys are satellite-major, so each satellite's edges are one run:
+	// its row of the slot's rows, which Φ weighs in one call straight into
+	// Weight. An edge whose priced rate is not positive weighs 0: absent.
+	rows := &s.rows
+	rows.Off = slices.Grow(rows.Off[:0], len(work)+1)[:len(work)+1]
+	rows.Right = slices.Grow(rows.Right[:0], len(keys))[:len(keys)]
+	rows.Weight = slices.Grow(rows.Weight[:0], len(keys))[:len(keys)]
+	links, w := s.links, rows.Weight
+	row := 0 // the next satellite whose row has no offset yet
 	for a := 0; a < len(keys); {
 		i := int(keys[a]) / nGs
 		end := (i + 1) * nGs
+		for ; row <= i; row++ {
+			rows.Off[row] = int32(a)
+		}
 		links = links[:0]
 		b := a
 		for ; b < len(keys) && int(keys[b]) < end; b++ {
 			j := int(keys[b]) - i*nGs
+			rows.Right[b] = int32(j)
 			links = append(links, Link{RateBps: r.price.rate(j, rungs[b]), Station: s.Stations[j]})
 		}
-		val.Values(&work[i], slotSec, links, wbuf[a:b])
+		val.Values(&work[i], slotSec, links, w[a:b])
 		for x := a; x < b; x++ {
-			if links[x-a].RateBps > 0 && wbuf[x] > 0 {
-				addEdge(g, i, int(keys[x])-i*nGs, wbuf[x])
+			if links[x-a].RateBps <= 0 {
+				w[x] = 0
+			} else if math.IsInf(w[x], 1) {
+				panic(fmt.Sprintf("core: internal edge error: edge (%d,%d) has invalid weight %v", i, rows.Right[x], w[x]))
 			}
 		}
 		a = b
 	}
+	for ; row <= len(work); row++ {
+		rows.Off[row] = int32(len(keys))
+	}
 	s.links = links
 	var m match.Matching
 	if s.Match != nil {
-		m = s.Match(g)
+		m = s.Match(rows.Graph())
 	} else {
-		m = s.matchScr.Stable(g)
+		m = s.matchScr.StableRows(*rows)
 	}
 
 	slot := Slot{Start: plan.Issued.Add(time.Duration(len(plan.Slots)) * slotDur)}
-	// The keys are satellite-major and a satellite holds at most one
-	// matched edge, so this scan emits assignments in ascending satellite
-	// order — the same order the LeftToRight iteration used to produce.
-	for x, key := range keys {
-		i := int(key) / nGs
-		j := int(key) - i*nGs
-		if m.LeftToRight[i] != j {
+	if size := m.Size(); size > 0 {
+		slot.Assignments = make([]Assignment, 0, size)
+	}
+	// Ascending satellite order; a matched satellite's station is found
+	// in its own row.
+	for i, j := range m.LeftToRight {
+		if j < 0 {
 			continue
 		}
-		// A matched edge is in the graph, so its rate is positive.
+		lo := int(rows.Off[i])
+		k := slices.Index(rows.Right[lo:rows.Off[i+1]], int32(j))
+		if k < 0 {
+			continue // not an edge: only a broken Matcher returns one
+		}
+		x := lo + k
+		// A matched edge has a positive weight, so its rate is positive.
 		rt := r.price.rate(j, rungs[x])
 		slot.Assignments = append(slot.Assignments, Assignment{
 			Sat:            i,
 			Station:        j,
 			PlannedRateBps: rt,
-			Weight:         wbuf[x],
+			Weight:         w[x],
 		})
 		// Drain the modeled queue.
 		sent := rt * slotSec

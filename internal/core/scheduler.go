@@ -81,13 +81,13 @@ type Scheduler struct {
 
 	nextVersion int
 
-	// Single-threaded PlanEpoch scratch: the reusable matching graph with
-	// its aligned edge-weight buffer, the satellite row Φ weighs, the
+	// Single-threaded PlanEpoch scratch: the slot being reduced in the
+	// compressed-row form the stable matcher reads in place (its
+	// capacities set once a plan), the satellite row Φ weighs, the
 	// stable-matching scratch, the per-worker scratch of the slot fan-out,
 	// and the stream's readiness state (spawn, reduce).
-	planG    *match.Graph
+	rows     match.Rows
 	matchScr match.Scratch
-	wbuf     []float64
 	links    []Link
 	scr      []*workerScratch
 	filled   chan int

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -271,4 +273,107 @@ func (zeroValue) Values(_ *SatSnapshot, _ float64, links []Link, w []float64) {
 	for x := range links {
 		w[x] = 0
 	}
+}
+
+// handSlot reduces one slot of every (satellite, station) pair of s, pair
+// (i, j) at ladder rung rung(i, j), through the stream's reduction, at one
+// worker and with no capture.
+func handSlot(s *Scheduler, sats []SatSnapshot, rung func(i, j int) uint8) *Plan {
+	s.Workers = 1
+	nGs := len(s.Stations)
+	cs := &carriedSlot{}
+	var rungs []uint8
+	for i := range sats {
+		for j := range nGs {
+			cs.keys = append(cs.keys, int32(i*nGs+j))
+			rungs = append(rungs, rung(i, j))
+		}
+	}
+	return s.stream(sats, epoch, time.Minute, 0, []*carriedSlot{cs}, [][]uint8{rungs}, func(int, *workerScratch) {})
+}
+
+// constValue values every link at w.
+type constValue struct{ w float64 }
+
+func (c constValue) Values(_ *SatSnapshot, _ float64, links []Link, w []float64) {
+	for x := range links {
+		w[x] = c.w
+	}
+}
+
+// TestReduceNonPositiveRateNeverPlanned: a link whose priced rate is not
+// positive is absent from the matching however Φ weighs it. With negative
+// backlogs under a negative bid, ThroughputValue × BiddingValue weighs every
+// link 1e9, the links that cannot close (rung 0, rate 0) included; on
+// either matching path no satellite is planned on one, and a satellite
+// whose every link is rate 0 is not planned at all.
+func TestReduceNonPositiveRateNeverPlanned(t *testing.T) {
+	for _, optimal := range []bool{false, true} {
+		s, sats := smallWorld(t, 6, 8)
+		_, _, _, price := s.rateKernel()
+		top := uint8(price.rungs - 1)
+		if price.rate(0, 0) > 0 || price.rate(0, top) <= 0 {
+			t.Fatalf("rung 0 rates %v and rung %d %v: want 0 and positive", price.rate(0, 0), top, price.rate(0, top))
+		}
+		bids := map[int]float64{}
+		for _, gs := range s.Stations {
+			bids[gs.ID] = -1
+		}
+		s.Value = BiddingValue{Inner: ThroughputValue{}, Bids: bids}
+		if optimal {
+			s.Match = match.MaxWeight
+		}
+		for i := range sats {
+			sats[i].PendingBits = -1e9
+		}
+		w := make([]float64, 1)
+		s.Value.Values(&sats[0], 60, []Link{{RateBps: 0, Station: s.Stations[0]}}, w)
+		if w[0] <= 0 {
+			t.Fatalf("Φ weighs a rate-0 link %v; not a meaningful check", w[0])
+		}
+		// Satellite 0 sees only rate-0 links; the others see one rate-0
+		// link at every other station.
+		plan := handSlot(s, sats, func(i, j int) uint8 {
+			if i == 0 || (i+j)%2 == 0 {
+				return 0
+			}
+			return top
+		})
+		as := plan.Slots[0].Assignments
+		if len(as) == 0 {
+			t.Fatalf("optimal=%v: nothing planned; not a meaningful check", optimal)
+		}
+		for _, a := range as {
+			if a.Sat == 0 || a.PlannedRateBps <= 0 {
+				t.Fatalf("optimal=%v: planned %+v on a link of rate %v", optimal, a, a.PlannedRateBps)
+			}
+		}
+	}
+}
+
+// TestReduceWeightCorners pins what the reduction does with a weight no
+// link should have: +Inf on a link of positive rate panics with the
+// internal edge error, +Inf on a link that cannot close is ignored with
+// the link, and a NaN or -Inf weight drops the link silently.
+func TestReduceWeightCorners(t *testing.T) {
+	s, sats := smallWorld(t, 3, 4)
+	_, _, _, price := s.rateKernel()
+	top := uint8(price.rungs - 1)
+	at := func(r uint8) func(i, j int) uint8 { return func(int, int) uint8 { return r } }
+	for _, w := range []float64{math.NaN(), math.Inf(-1)} {
+		s.Value = constValue{w}
+		if n := len(handSlot(s, sats, at(top)).Slots[0].Assignments); n != 0 {
+			t.Fatalf("weight %v: %d links planned, want none", w, n)
+		}
+	}
+	s.Value = constValue{math.Inf(1)}
+	if n := len(handSlot(s, sats, at(0)).Slots[0].Assignments); n != 0 {
+		t.Fatalf("+Inf on rate-0 links: %d links planned, want none", n)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.HasPrefix(msg, "core: internal edge error") {
+			t.Fatalf("+Inf weight on a closing link: recovered %q, want the internal edge error", msg)
+		}
+	}()
+	handSlot(s, sats, at(top))
 }

@@ -65,10 +65,35 @@ func graphFromBytes(data []byte) *Graph {
 	return g
 }
 
+// reversedRows lists g as Rows with every row in descending station order,
+// so a row with a tie arrives out of order, and with an absent link — weight
+// 0, -1 or NaN in turn — to each station the satellite has no edge to.
+func reversedRows(g *Graph) Rows {
+	w := make([]float64, g.nLeft*g.nRight)
+	for _, e := range g.Edges() {
+		w[e.Left*g.nRight+e.Right] = e.Weight
+	}
+	absent := []float64{0, -1, math.NaN()}
+	r := Rows{Off: []int32{0}, Capacity: g.capacity}
+	for i := 0; i < g.nLeft; i++ {
+		for j := g.nRight - 1; j >= 0; j-- {
+			x := w[i*g.nRight+j]
+			if x == 0 {
+				x = absent[(i+j)%len(absent)]
+			}
+			r.Right = append(r.Right, int32(j))
+			r.Weight = append(r.Weight, x)
+		}
+		r.Off = append(r.Off, int32(len(r.Right)))
+	}
+	return r
+}
+
 // FuzzStable attacks the Scratch matcher's pruned, lazily sorted proposals
 // where ties are the rule: one Scratch solves a graph cold, again warm
-// from its own matching, then a reweighted copy warm from the stale one,
-// each checked against the oracle.
+// from its own matching, then the same instance as out-of-order rows
+// through StableRows, then a reweighted copy warm from the stale one, each
+// checked against the oracle.
 func FuzzStable(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 1, 1, 1, 2, 3, 3, 2, 1})
@@ -79,6 +104,7 @@ func FuzzStable(f *testing.F) {
 		sc := Scratch{Warm: true}
 		checkOracle(t, g, sc.Stable(g), "cold")
 		checkOracle(t, g, sc.Stable(g), "warm")
+		checkOracle(t, g, sc.StableRows(reversedRows(g)), "warm, reversed rows")
 		h := NewGraph(g.NLeft(), g.NRight())
 		for j := 0; j < g.NRight(); j++ {
 			h.SetCapacity(j, g.Capacity(j))

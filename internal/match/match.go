@@ -1,9 +1,10 @@
 // Package match implements the bipartite matching at the heart of the DGS
 // scheduler (paper §3.1): stable matching (the paper's choice, robust to a
-// fragmented federation), run by the allocation-free, warm-started Scratch,
-// and optimal max-weight matching (MaxWeight, the Hungarian algorithm; the
-// paper's considered alternative, kept for the ablation). Both sides rank
-// a pair by its one weight with consistent tie-breaks, so the stable
+// fragmented federation), run by the allocation-free, warm-started Scratch
+// straight over the slot rows the scheduler holds (Rows), and optimal
+// max-weight matching over a Graph (MaxWeight, the Hungarian algorithm;
+// the paper's considered alternative, kept for the ablation). Both sides
+// rank a pair by its one weight with consistent tie-breaks, so the stable
 // matching is unique and equals the greedy one (DESIGN §5); the package's
 // tests hold Scratch to a textbook Gale–Shapley and to greedy.
 //
@@ -54,32 +55,6 @@ func NewGraph(nLeft, nRight int) *Graph {
 	}
 }
 
-// Reset reshapes g in place for reuse, dropping all edges and restoring
-// every station to unit capacity. Adjacency and capacity buffers are
-// retained, so a graph recycled across the scheduler's per-slot loop
-// reaches a steady state with no allocations.
-func (g *Graph) Reset(nLeft, nRight int) {
-	if cap(g.capacity) >= nRight {
-		g.capacity = g.capacity[:nRight]
-	} else {
-		g.capacity = make([]int, nRight)
-	}
-	for j := range g.capacity {
-		g.capacity[j] = 1
-	}
-	if cap(g.adj) >= nLeft {
-		g.adj = g.adj[:nLeft]
-	} else {
-		adj := make([][]Edge, nLeft)
-		copy(adj, g.adj)
-		g.adj = adj
-	}
-	for i := range g.adj {
-		g.adj[i] = g.adj[i][:0]
-	}
-	g.nLeft, g.nRight = nLeft, nRight
-}
-
 // NLeft returns the number of left (satellite) nodes.
 func (g *Graph) NLeft() int { return g.nLeft }
 
@@ -123,6 +98,33 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
+// Rows is one matching instance in compressed-row form, the layout the
+// scheduler's reduction holds a slot in: satellite i links to the stations
+// Right[Off[i]:Off[i+1]] at the aligned Weight (≤ 0 or NaN: absent; a
+// positive weight must be finite), and station j holds up to Capacity[j]
+// satellites, clamped to [0, NLeft] as SetCapacity clamps.
+type Rows struct {
+	Off      []int32 // NLeft+1 row offsets into Right and Weight
+	Right    []int32
+	Weight   []float64
+	Capacity []int
+}
+
+// Graph builds r's Graph, for the matchers that take one (MaxWeight).
+func (r Rows) Graph() *Graph {
+	g := NewGraph(len(r.Off)-1, len(r.Capacity))
+	for j, c := range r.Capacity {
+		g.SetCapacity(j, c)
+	}
+	for i := range g.adj {
+		for x := r.Off[i]; x < r.Off[i+1]; x++ {
+			// AddEdge drops a weight ≤ 0 and refuses NaN and ±Inf: absent.
+			_ = g.AddEdge(i, int(r.Right[x]), r.Weight[x])
+		}
+	}
+	return g
+}
+
 // Matching maps left nodes to right nodes. Unmatched entries are -1.
 type Matching struct {
 	// LeftToRight[i] is the station matched to satellite i, or -1.
@@ -152,24 +154,25 @@ func (m Matching) Size() int {
 	return n
 }
 
-// prefOrder sorts edges by descending weight, then ascending station and
-// satellite index: the strict preference order both sides of the stable
-// matching agree on. slices.SortFunc rather than sort.Slice: the latter
-// builds a reflect-based swapper per call, which dominated the scheduler's
-// allocation profile. The comparator is a total order over distinct edges,
-// so the result is independent of the input order even though the sort is
-// unstable.
-func prefOrder(edges []Edge) {
-	slices.SortFunc(edges, func(a, b Edge) int {
+// pref is one entry of a satellite's preference row: a link's weight and
+// station, 16 bytes where an Edge is 24.
+type pref struct {
+	w float64
+	j int32
+}
+
+// prefOrder sorts a preference row by descending weight, then ascending
+// station: the strict order both sides of the stable matching agree on (a
+// row holds one satellite's links, so the station decides every tie).
+func prefOrder(row []pref) {
+	slices.SortFunc(row, func(a, b pref) int {
 		switch {
-		case a.Weight > b.Weight:
+		case a.w > b.w:
 			return -1
-		case a.Weight < b.Weight:
+		case a.w < b.w:
 			return 1
-		case a.Right != b.Right:
-			return a.Right - b.Right
 		default:
-			return a.Left - b.Left
+			return int(a.j - b.j)
 		}
 	})
 }

@@ -269,7 +269,7 @@ func TestCapacityExpandsMatching(t *testing.T) {
 
 // TestCapacityClampedToSatellites pins SetCapacity's clamp: a capacity
 // beyond the satellite count is stored as NLeft, and every matcher returns
-// the same matching at 1<<40 beams as at NLeft. The clamp is what bounds
+// the same matching at math.MaxInt beams as at NLeft. The clamp is what bounds
 // memory: the Scratch solver sizes its held buffers by the sum of
 // capacities, and MaxWeight expands each station into capacity copies.
 func TestCapacityClampedToSatellites(t *testing.T) {
@@ -294,19 +294,19 @@ func TestCapacityClampedToSatellites(t *testing.T) {
 			want[k].LeftToRight = slices.Clone(want[k].LeftToRight)
 		}
 		for j := 0; j < g.NRight(); j++ {
-			g.SetCapacity(j, 1<<40)
+			g.SetCapacity(j, math.MaxInt)
 			if c := g.Capacity(j); c != g.NLeft() {
-				t.Fatalf("iter %d: capacity 1<<40 stored as %d, want NLeft = %d", iter, c, g.NLeft())
+				t.Fatalf("iter %d: capacity math.MaxInt stored as %d, want NLeft = %d", iter, c, g.NLeft())
 			}
 		}
 		for k, m := range matchers {
 			got := m.run(g)
 			if got.Value != want[k].Value {
-				t.Fatalf("iter %d: %s value %v at capacity 1<<40, want %v as at NLeft", iter, m.name, got.Value, want[k].Value)
+				t.Fatalf("iter %d: %s value %v at capacity math.MaxInt, want %v as at NLeft", iter, m.name, got.Value, want[k].Value)
 			}
 			for i := range want[k].LeftToRight {
 				if got.LeftToRight[i] != want[k].LeftToRight[i] {
-					t.Fatalf("iter %d: %s matched sat %d to %d at capacity 1<<40, want %d", iter, m.name, i, got.LeftToRight[i], want[k].LeftToRight[i])
+					t.Fatalf("iter %d: %s matched sat %d to %d at capacity math.MaxInt, want %d", iter, m.name, i, got.LeftToRight[i], want[k].LeftToRight[i])
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package match
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -10,6 +11,26 @@ import (
 // to. Stable and Greedy reach one matching by two unrelated routes, and
 // DESIGN §5 proves it is the only stable one, so Scratch must equal both
 // field by field.
+
+// edgeOrder sorts edges by descending weight, then ascending station and
+// satellite index: the strict preference order both sides of the stable
+// matching agree on, over a whole graph's edges. The comparator is a total
+// order over distinct edges, so the result is independent of the input
+// order even though the sort is unstable.
+func edgeOrder(edges []Edge) {
+	slices.SortFunc(edges, func(a, b Edge) int {
+		switch {
+		case a.Weight > b.Weight:
+			return -1
+		case a.Weight < b.Weight:
+			return 1
+		case a.Right != b.Right:
+			return a.Right - b.Right
+		default:
+			return a.Left - b.Left
+		}
+	})
+}
 
 // Stable computes a stable matching with the textbook satellite-proposing
 // Gale–Shapley algorithm generalized to station capacities (the
@@ -27,7 +48,7 @@ func Stable(g *Graph) Matching {
 	for i, es := range g.adj {
 		cp := make([]Edge, len(es))
 		copy(cp, es)
-		prefOrder(cp)
+		edgeOrder(cp)
 		prefs[i] = cp
 	}
 	next := make([]int, g.nLeft) // next proposal index per satellite
@@ -106,7 +127,7 @@ func Stable(g *Graph) Matching {
 func Greedy(g *Graph) Matching {
 	m := newMatching(g.nLeft, g.nRight)
 	edges := g.Edges()
-	prefOrder(edges)
+	edgeOrder(edges)
 	room := make([]int, g.nRight)
 	copy(room, g.capacity)
 	for _, e := range edges {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -86,6 +87,93 @@ func TestScratchTiesMatchOracle(t *testing.T) {
 	}
 }
 
+// randomRows draws one instance twice, independently: as Rows, the form
+// the scheduler hands the matcher, and as the Graph of its present links,
+// which the oracles read. Each row lists its links either in preference
+// order (weight descending, station ascending) or shuffled, and mixes in
+// absent links — weight 0, negative, NaN or -Inf — anywhere. Weights are
+// continuous, drawn from {1, 2, 3}, or one per row (all tied, the
+// saturated-backlog case); capacities run from 0 to far above nL.
+func randomRows(rng *rand.Rand, nL, nR int) (Rows, *Graph) {
+	g := NewGraph(nL, nR)
+	r := Rows{Off: make([]int32, nL+1), Capacity: make([]int, nR)}
+	for j := range r.Capacity {
+		switch rng.Intn(6) {
+		case 0:
+			r.Capacity[j] = 0
+		case 1:
+			r.Capacity[j] = nL + rng.Intn(3)
+		case 2:
+			r.Capacity[j] = math.MaxInt
+		default:
+			r.Capacity[j] = 1 + rng.Intn(3)
+		}
+		g.SetCapacity(j, r.Capacity[j])
+	}
+	absent := []float64{0, -1, math.NaN(), math.Inf(-1), -math.SmallestNonzeroFloat64}
+	density := 0.1 + rng.Float64()*0.7
+	for i := 0; i < nL; i++ {
+		kind, tie := rng.Intn(3), float64(1+rng.Intn(3))
+		var row, gone []pref
+		for j := 0; j < nR; j++ {
+			if rng.Float64() >= density {
+				continue
+			}
+			w := tie
+			switch {
+			case rng.Intn(5) == 0:
+				gone = append(gone, pref{w: absent[rng.Intn(len(absent))], j: int32(j)})
+				continue
+			case kind == 0:
+				w = 0.1 + rng.Float64()*10
+			case kind == 1:
+				w = float64(1 + rng.Intn(3))
+			}
+			_ = g.AddEdge(i, j, w)
+			row = append(row, pref{w: w, j: int32(j)})
+		}
+		if rng.Intn(2) == 0 {
+			rng.Shuffle(len(row), func(a, b int) { row[a], row[b] = row[b], row[a] })
+		} else {
+			prefOrder(row)
+		}
+		for _, p := range gone {
+			row = slices.Insert(row, rng.Intn(len(row)+1), p)
+		}
+		for _, p := range row {
+			r.Right = append(r.Right, p.j)
+			r.Weight = append(r.Weight, p.w)
+		}
+		r.Off[i+1] = int32(len(r.Right))
+	}
+	return r, g
+}
+
+// TestStableRowsMatchesOracle: the rows entry and the Graph adapter, each
+// on one Scratch reused warm or cold across a sequence of instances, equal
+// the oracles Stable and Greedy field by field and admit no blocking pair
+// (checkOracle). The rows arrive shuffled or already ordered, with ties,
+// absent links and capacities of 0 and above nL; a row taken for ordered
+// when it is not, or an absent link matched, shows as a wrong matching.
+func TestStableRowsMatchesOracle(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(51))
+		rowsScr, graphScr := Scratch{Warm: warm}, Scratch{Warm: warm}
+		for iter := 0; iter < 1500; iter++ {
+			r, g := randomRows(rng, 1+rng.Intn(30), 1+rng.Intn(12))
+			label := fmt.Sprintf("warm=%v iter %d", warm, iter)
+			checkOracle(t, g, rowsScr.StableRows(r), label+" rows")
+			checkOracle(t, g, graphScr.Stable(g), label+" graph")
+			got, want := r.Graph().Edges(), g.Edges()
+			edgeOrder(got)
+			edgeOrder(want)
+			if !slices.Equal(got, want) || !slices.Equal(r.Graph().capacity, g.capacity) {
+				t.Fatalf("%s: Rows.Graph has edges %v, want %v", label, got, want)
+			}
+		}
+	}
+}
+
 // TestScratchWarmSequence feeds a slowly drifting graph sequence — the
 // scheduler's slot-to-slot workload — and checks warm restarts stay exact.
 func TestScratchWarmSequence(t *testing.T) {
@@ -147,33 +235,14 @@ func TestScratchSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestGraphReset checks that a Reset graph behaves like a fresh one while
-// reusing its backing storage.
-func TestGraphReset(t *testing.T) {
-	g := NewGraph(4, 3)
-	g.SetCapacity(1, 2)
-	_ = g.AddEdge(0, 0, 5)
-	_ = g.AddEdge(1, 1, 3)
-	g.Reset(3, 2)
-	if g.NLeft() != 3 || g.NRight() != 2 {
-		t.Fatalf("reset shape (%d,%d), want (3,2)", g.NLeft(), g.NRight())
-	}
-	if len(g.Edges()) != 0 {
-		t.Fatalf("reset graph kept %d edges", len(g.Edges()))
-	}
-	_ = g.AddEdge(2, 1, 7)
-	var sc Scratch
-	m := sc.Stable(g)
-	if m.LeftToRight[2] != 1 {
-		t.Fatalf("matching on reset graph: %v", m.LeftToRight)
-	}
-	// Capacities revert to 1 on reset.
-	g.Reset(4, 3)
-	for i := 0; i < 4; i++ {
-		_ = g.AddEdge(i, 1, float64(i+1))
-	}
-	if m := sc.Stable(g); m.Size() != 1 {
-		t.Fatalf("reset graph kept old capacity: matched %d", m.Size())
+// TestStableRowsAllocFree: warm, the rows entry allocates nothing.
+func TestStableRowsAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	r, _ := randomRows(rng, 259, 173)
+	sc := Scratch{Warm: true}
+	sc.StableRows(r)
+	if allocs := testing.AllocsPerRun(50, func() { sc.StableRows(r) }); allocs > 0 {
+		t.Fatalf("a warm StableRows allocates %.1f times per call, want 0", allocs)
 	}
 }
 
