@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -72,8 +73,7 @@ func TestStationsCollateTogether(t *testing.T) {
 	}
 	now := issued.Add(30 * time.Second)
 	c := backend.NewCollator()
-	var chunks int
-	var bits uint64
+	var ids []uint64
 	for _, rep := range []*reporter{
 		newReporter(1, issued),
 		newReporter(2, issued),
@@ -85,20 +85,21 @@ func TestStationsCollateTogether(t *testing.T) {
 				t.Fatalf("station %d: reports %+v, want one for satellite 5", rep.station, reports)
 			}
 			for _, ch := range reports[0].Chunks {
-				chunks++
-				bits += ch.Bits
+				ids = append(ids, ch.ID)
 			}
 			c.Report(reports[0])
 		}
 	}
-	if got := c.ReceivedChunks(5); got != chunks {
-		t.Fatalf("collated %d chunks of satellite 5, stations reported %d", got, chunks)
+	slices.Sort(ids)
+	var got []uint64
+	for _, r := range c.Receipts(5) {
+		got = append(got, r.ID)
 	}
-	if got := c.ReceivedBits(5); got != bits {
-		t.Fatalf("collated %d bits of satellite 5, stations reported %d", got, bits)
+	if !slices.Equal(got, ids) {
+		t.Fatalf("collated chunks %v of satellite 5, stations reported %v", got, ids)
 	}
-	if got := c.ReceivedChunks(6); got != 0 {
-		t.Fatalf("satellite 6 (station 3's) got %d chunks", got)
+	if got := c.Receipts(6); len(got) != 0 {
+		t.Fatalf("satellite 6 (station 3's) got %d chunks", len(got))
 	}
 	// Outside the schedule's slots a station reports nothing.
 	if got := newReporter(1, issued).reports(sched, issued.Add(time.Hour)); got != nil {

@@ -264,35 +264,3 @@ func Run(ctx context.Context, sys System, opt Options) (*sim.Result, error) {
 	}
 	return sim.Run(ctx, cfg)
 }
-
-// SeedsResult aggregates a multi-seed study of one system.
-type SeedsResult struct {
-	// PerSeed holds each seed's result in seed order.
-	PerSeed []*sim.Result
-	// LatencyMedians and BacklogMedians collect the per-seed medians, the
-	// quantities whose spread expresses run-to-run variance.
-	LatencyMedians, BacklogMedians []float64
-}
-
-// RunSeeds executes a system across n seeds (population and weather both
-// vary) for confidence-interval reporting. Seeds run sequentially and ctx
-// is honored both between seeds and at every slot boundary within one; use
-// small Options for wide sweeps.
-func RunSeeds(ctx context.Context, sys System, opt Options, n int) (*SeedsResult, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("dgs: need at least one seed")
-	}
-	out := &SeedsResult{}
-	for k := 0; k < n; k++ {
-		o := opt
-		o.Seed = opt.Seed + int64(k)*1000
-		res, err := Run(ctx, sys, o)
-		if err != nil {
-			return nil, fmt.Errorf("dgs: seed %d: %w", k, err)
-		}
-		out.PerSeed = append(out.PerSeed, res)
-		out.LatencyMedians = append(out.LatencyMedians, res.LatencyMin.Median())
-		out.BacklogMedians = append(out.BacklogMedians, res.BacklogGB.Median())
-	}
-	return out, nil
-}

@@ -106,25 +106,3 @@ func TestPopulationBeams(t *testing.T) {
 		}
 	}
 }
-
-func TestRunSeeds(t *testing.T) {
-	opt := tiny()
-	opt.Days = 1
-	res, err := RunSeeds(context.Background(), SystemDGS, opt, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerSeed) != 3 || len(res.LatencyMedians) != 3 {
-		t.Fatalf("got %d seeds", len(res.PerSeed))
-	}
-	// Different seeds produce different populations: results should not be
-	// bit-identical across all three.
-	same := res.LatencyMedians[0] == res.LatencyMedians[1] &&
-		res.LatencyMedians[1] == res.LatencyMedians[2]
-	if same && res.PerSeed[0].DeliveredGB == res.PerSeed[1].DeliveredGB {
-		t.Error("all seeds produced identical results")
-	}
-	if _, err := RunSeeds(context.Background(), SystemDGS, opt, 0); err == nil {
-		t.Error("zero seeds accepted")
-	}
-}

@@ -65,8 +65,6 @@ const (
 	EarthRadiusKm = 6378.137
 	// EarthFlattening is the WGS-84 flattening f.
 	EarthFlattening = 1.0 / 298.257223563
-	// EarthRotationRadS is the Earth rotation rate in rad/s (ω⊕).
-	EarthRotationRadS = 7.292115146706979e-5
 )
 
 // JulianDate converts a time to a Julian date (UT). The algorithm is the
@@ -80,18 +78,6 @@ func JulianDate(t time.Time) float64 {
 		float64(t.Minute())/60 +
 		(float64(t.Second())+float64(t.Nanosecond())/1e9)/3600) / 24
 	return float64(jdn) + 0.5 + frac
-}
-
-// TimeFromJulian converts a Julian date back to a time.Time in UTC.
-// It inverts JulianDate to within a few hundred nanoseconds.
-func TimeFromJulian(jd float64) time.Time {
-	// Days since the Go zero-friendly epoch 2000-01-01T12:00:00Z (JD 2451545.0).
-	const j2000 = 2451545.0
-	sec := (jd - j2000) * 86400.0
-	base := time.Date(2000, 1, 2, 12, 0, 0, 0, time.UTC).AddDate(0, 0, -1)
-	whole := math.Trunc(sec)
-	nanos := (sec - whole) * 1e9
-	return base.Add(time.Duration(whole)*time.Second + time.Duration(nanos)).UTC()
 }
 
 // J2000Centuries returns Julian centuries since J2000.0 for a Julian date.

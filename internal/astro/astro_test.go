@@ -161,3 +161,15 @@ func TestSunDirectionUnit(t *testing.T) {
 		}
 	}
 }
+
+// TimeFromJulian converts a Julian date back to a time.Time in UTC: the
+// inverse JulianDate is held to, within a few hundred nanoseconds.
+func TimeFromJulian(jd float64) time.Time {
+	// Days since the Go zero-friendly epoch 2000-01-01T12:00:00Z (JD 2451545.0).
+	const j2000 = 2451545.0
+	sec := (jd - j2000) * 86400.0
+	base := time.Date(2000, 1, 2, 12, 0, 0, 0, time.UTC).AddDate(0, 0, -1)
+	whole := math.Trunc(sec)
+	nanos := (sec - whole) * 1e9
+	return base.Add(time.Duration(whole)*time.Second + time.Duration(nanos)).UTC()
+}

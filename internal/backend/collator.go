@@ -79,13 +79,6 @@ func (c *Collator) LastSeq(station uint32) uint64 {
 	return c.lastSeq[station]
 }
 
-// Replays returns how many sequenced reports were dropped as duplicates.
-func (c *Collator) Replays() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.replays
-}
-
 // Digest returns the acks for a satellite's next uplink: the receipts
 // received at or before cutoff that no digest has carried yet, sorted by
 // chunk ID and cut to the lowest limit of them (limit < 0: no limit). The
@@ -132,19 +125,4 @@ func (c *Collator) Receipts(sat uint32) []proto.ChunkInfo {
 	}
 	slices.SortFunc(out, func(a, b proto.ChunkInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return out
-}
-
-// ReceivedBits returns the total bits on the ground for a satellite.
-func (c *Collator) ReceivedBits(sat uint32) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bits[sat]
-}
-
-// ReceivedChunks returns how many chunk receptions were collated for sat,
-// digested or not; a chunk re-sent after its digest counts again.
-func (c *Collator) ReceivedChunks(sat uint32) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.chunks[sat]
 }

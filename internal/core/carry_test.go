@@ -175,7 +175,7 @@ func TestCarryGridMatchesCrossProduct(t *testing.T) {
 			net := dataset.Stations(dataset.StationOptions{N: tc.stations, Seed: 3})
 			net[5].Constraints = station.NewBitmap(len(tc.els))
 			for i := 0; i < len(tc.els); i += 2 {
-				net[5].Constraints.Set(i, true)
+				setAllowed(&net[5].Constraints, i, true)
 			}
 			net[9].MinElevationRad = math.Pi
 			sched := &Scheduler{Radio: linkbudget.DefaultRadio(), Stations: net}
@@ -358,7 +358,7 @@ func TestRungTableMatchesRate(t *testing.T) {
 						j := int(key) % len(net)
 						c := cs.edge(x)
 						rung := kern.RateRung(&sites[j], c, &sky)
-						got, want := price.rate(j, rung), kern.Rate(&sites[j], c, &sky)
+						got, want := price.rate(j, rung), kern.ClearRate(&sites[j], rung)
 						if math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("%s cap=%v station %d under %+v: rung %d priced %v, Rate %v", tc.name, radio.MaxTotalRateBps, j, w, rung, got, want)
 						}

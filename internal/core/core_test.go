@@ -78,7 +78,7 @@ func TestVisibilityHonorsConstraints(t *testing.T) {
 	}
 	// Allow exactly satellite 0 everywhere.
 	for _, gs := range sched.Stations {
-		gs.Constraints.Set(0, true)
+		setAllowed(&gs.Constraints, 0, true)
 	}
 	for _, e := range sched.Visibility(sats, at, 0) {
 		if e.Sat != 0 {
@@ -169,7 +169,7 @@ func TestVisibilityMatchesSweep(t *testing.T) {
 			first, last := edges[0], edges[len(edges)-1]
 			bm := station.NewBitmap(len(sats))
 			for i := range sats {
-				bm.Set(i, i != first.Sat)
+				setAllowed(&bm, i, i != first.Sat)
 			}
 			sched.Stations[first.Station].Constraints = bm
 			sched.Stations[last.Station].MinElevationRad = last.Geometry.ElevationRad
@@ -442,5 +442,17 @@ func BenchmarkVisibilityFullPopulation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sched.Visibility(sats, epoch.Add(time.Duration(i)*time.Minute), 0)
+	}
+}
+
+// setAllowed changes bit i of a constraint bitmap, growing it as needed.
+func setAllowed(b *station.Bitmap, i int, allowed bool) {
+	for i/64 >= len(*b) {
+		*b = append(*b, 0)
+	}
+	if allowed {
+		(*b)[i/64] |= 1 << (i % 64)
+	} else {
+		(*b)[i/64] &^= 1 << (i % 64)
 	}
 }

@@ -91,7 +91,7 @@ func testMergeNonContended(t *testing.T, els []tle.TLE, net station.Network, nSh
 	t.Helper()
 	snaps := snapsFrom(propsFrom(t, els))
 	caps := StationCaps(net)
-	parts := shard.New(nShards).Partitions(noradsOf(els))
+	parts := partitions(nShards, noradsOf(els))
 	const horizon = 30 * time.Minute
 	plans := make([]*Plan, len(parts))
 	for s, part := range parts {
@@ -270,7 +270,7 @@ func TestMergeGroupingInvariance(t *testing.T) {
 	net := dataset.Stations(dataset.StationOptions{N: 173, Seed: 4})
 	snaps := snapsFrom(propsFrom(t, els))
 	caps := StationCaps(net)
-	parts := shard.New(4).Partitions(noradsOf(els))
+	parts := partitions(4, noradsOf(els))
 	const horizon = 30 * time.Minute
 	plans := make([]*Plan, len(parts))
 	for s, part := range parts {
@@ -425,4 +425,14 @@ func TestRemapSats(t *testing.T) {
 	if q.Slots[1].Assignments != nil {
 		t.Fatal("empty slot grew assignments")
 	}
+}
+
+// partitions splits a constellation across every one of n shards.
+func partitions(n int, norads []int) []shard.Partition {
+	m := shard.New(n)
+	parts := make([]shard.Partition, n)
+	for s := range parts {
+		parts[s] = m.Partition(norads, s)
+	}
+	return parts
 }

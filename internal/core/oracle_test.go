@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"dgs/internal/frames"
 	"dgs/internal/linkbudget"
 	"dgs/internal/poscache"
 	"dgs/internal/spatial"
@@ -28,12 +29,14 @@ type oracle struct {
 	memo  *linkbudget.AttenMemo
 	path  []int // station index → memo path handle
 	sites *spatial.Sites
+	topo  []frames.Topocentric // station index → topocentric basis
 }
 
 func newOracle(s *Scheduler) *oracle {
 	o := &oracle{s: s, memo: linkbudget.NewAttenMemo(s.Radio), path: make([]int, len(s.Stations)), sites: spatial.NewSites(s.Stations, rangeCapKm)}
 	for j, gs := range s.Stations {
 		o.path[j] = o.memo.Register(gs.Location.LatRad, gs.Location.AltKm)
+		o.topo = append(o.topo, frames.NewTopocentric(gs.Location))
 	}
 	return o
 }
@@ -66,7 +69,7 @@ func (o *oracle) visibility(positions *poscache.Cache, t time.Time, lead time.Du
 			if !gs.Allows(i) {
 				continue
 			}
-			tp := sites.Topo(j)
+			tp := o.topo[j]
 			if e.Pos.Sub(tp.ECEF).Norm() > maxRange {
 				continue
 			}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dgs/internal/dataset"
+	"dgs/internal/frames"
 	"dgs/internal/linkbudget"
 	"dgs/internal/orbit"
 	"dgs/internal/poscache"
@@ -379,7 +380,6 @@ func runKernelOnCarriedEdges(t *testing.T, w rollingWorld, horizon time.Duration
 	t.Helper()
 	s := w.sched(0, true)
 	positions := s.positionCache(w.sats)
-	sites := s.stationSites()
 	o := newOracle(s)
 	view := o.memo.View()
 	n := int(horizon / time.Minute)
@@ -409,7 +409,7 @@ func runKernelOnCarriedEdges(t *testing.T, w rollingWorld, horizon time.Duration
 			for x, key := range cs.keys {
 				i, j := int(key)/nGs, int(key)%nGs
 				gs := w.net[j]
-				look := sites.Topo(j).Look(cached[i].Pos)
+				look := frames.NewTopocentric(gs.Location).Look(cached[i].Pos)
 				geo := linkbudget.Geometry{
 					RangeKm:         look.RangeKm,
 					ElevationRad:    look.ElevationRad,

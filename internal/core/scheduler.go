@@ -233,8 +233,8 @@ func (s *Scheduler) rateKernel() (*linkbudget.Kernel, []linkbudget.Site, []float
 
 // rungPrices is every station's rate at every ladder rung:
 // bps[j·rungs + r] is kern.ClearRate(&sites[j], r) — the one expression
-// that turns a rung into a rate, so a rate read here has the bits
-// Kernel.Rate returns for the edge whose rung it is.
+// that turns a rung into a rate, so a rate read here has the bits of
+// ClearRate(RateRung) for the edge whose rung it is.
 type rungPrices struct {
 	bps   []float64
 	rungs int

@@ -83,14 +83,6 @@ func buildEnvelope() []ModCod {
 	return out
 }
 
-// Table returns a copy of the full MODCOD table sorted by required Es/N0.
-func Table() []ModCod {
-	out := make([]ModCod, len(table))
-	copy(out, table)
-	sort.Slice(out, func(i, j int) bool { return out[i].RequiredEsN0dB < out[j].RequiredEsN0dB })
-	return out
-}
-
 // Select returns the most efficient MODCOD whose threshold is satisfied by
 // esN0dB after subtracting marginDB. ok is false when even the most robust
 // MODCOD does not close, in which case the link carries no data.
@@ -200,9 +192,3 @@ func (l Ladder) Rung(esN0dB, marginDB float64) int { return rungOf(esN0dB - marg
 
 // RungRate returns the information bit rate in bits/s of a rung.
 func (l Ladder) RungRate(rung int) float64 { return l.rate[rung] }
-
-// Rate returns the information bit rate in bits/s of the most efficient
-// MODCOD that esN0dB less marginDB satisfies, or 0 when none does.
-func (l Ladder) Rate(esN0dB, marginDB float64) float64 {
-	return l.rate[l.Rung(esN0dB, marginDB)]
-}

@@ -2,6 +2,7 @@ package dvbs2
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -149,4 +150,12 @@ func BenchmarkSelect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Select(float64(i%20), 1)
 	}
+}
+
+// Table returns a copy of the full MODCOD table sorted by required Es/N0.
+func Table() []ModCod {
+	out := make([]ModCod, len(table))
+	copy(out, table)
+	sort.Slice(out, func(i, j int) bool { return out[i].RequiredEsN0dB < out[j].RequiredEsN0dB })
+	return out
 }

@@ -94,3 +94,9 @@ func FuzzLadderRung(f *testing.F) {
 		}
 	})
 }
+
+// Rate returns the information bit rate in bits/s of the most efficient
+// MODCOD that esN0dB less marginDB satisfies, or 0 when none does.
+func (l Ladder) Rate(esN0dB, marginDB float64) float64 {
+	return l.rate[l.Rung(esN0dB, marginDB)]
+}

@@ -17,9 +17,6 @@ type Vec3 struct {
 	X, Y, Z float64
 }
 
-// Add returns v + w.
-func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v.X + w.X, v.Y + w.Y, v.Z + w.Z} }
-
 // Sub returns v − w.
 func (v Vec3) Sub(w Vec3) Vec3 { return Vec3{v.X - w.X, v.Y - w.Y, v.Z - w.Z} }
 
@@ -28,15 +25,6 @@ func (v Vec3) Scale(s float64) Vec3 { return Vec3{s * v.X, s * v.Y, s * v.Z} }
 
 // Dot returns the scalar product v·w.
 func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
-
-// Cross returns the vector product v×w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
-	}
-}
 
 // Norm returns |v|.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }

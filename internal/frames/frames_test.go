@@ -254,3 +254,15 @@ func TestRangeSinElMatchesLook(t *testing.T) {
 		checkRangeSinEl(t, row.name+" from the pole", NewTopocentric(NewGeodeticDeg(90, 0, 0)), row.target)
 	}
 }
+
+// Add returns v + w.
+func (v Vec3) Add(w Vec3) Vec3 { return Vec3{v.X + w.X, v.Y + w.Y, v.Z + w.Z} }
+
+// Cross returns the vector product v×w.
+func (v Vec3) Cross(w Vec3) Vec3 {
+	return Vec3{
+		v.Y*w.Z - v.Z*w.Y,
+		v.Z*w.X - v.X*w.Z,
+		v.X*w.Y - v.Y*w.X,
+	}
+}

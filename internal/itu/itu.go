@@ -259,13 +259,6 @@ type PathTerms struct {
 	SinEl, Ls, LsCos float64
 }
 
-// Terms evaluates the path's weather-independent terms: its elevation's
-// ElevationTrig completed with the station's depth below the rain height.
-func (p SlantPath) Terms() PathTerms {
-	e := TrigOf(p.ElevationRad)
-	return e.Terms(RainHeightKm(p.LatitudeRad) - p.StationHeightKm)
-}
-
 // ElevationTrig is the elevation-only part of PathTerms: the Sin of the
 // clamped elevation, which the cloud and gas cosecants divide by, and the
 // Sincos pair the rain slant length takes. A caller that evaluates many

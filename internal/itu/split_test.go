@@ -33,3 +33,10 @@ func TestKernelSplitMatchesTotalAttenuation(t *testing.T) {
 		}
 	}
 }
+
+// Terms evaluates the path's weather-independent terms: its elevation's
+// ElevationTrig completed with the station's depth below the rain height.
+func (p SlantPath) Terms() PathTerms {
+	e := TrigOf(p.ElevationRad)
+	return e.Terms(RainHeightKm(p.LatitudeRad) - p.StationHeightKm)
+}

@@ -9,7 +9,7 @@ import (
 	"dgs/internal/itu"
 )
 
-// Kernel evaluates AttenMemo.RateBpsAt's value with no memo, by splitting
+// Kernel evaluates the memo's RateBpsAt value with no memo, by splitting
 // the evaluation along what each part depends on, so that a caller rating
 // the same links again under new weather — the planner's overlapping
 // epochs — repeats only the part that changed:
@@ -29,12 +29,12 @@ import (
 //   - per (station, rung) (ClearRate): the rung's rate through the
 //     channel product and the aggregate cap — a function of the rung and
 //     the station alone, so a caller can keep the rung, a byte, and price
-//     it from a per-station table. Rate is ClearRate of RateRung.
+//     it from a per-station table. A link's rate is ClearRate of RateRung.
 //
 // Every part is the memo path's own arithmetic on the same float64 inputs,
-// composed in the same association, so Rate's result is bit-identical to
-// AttenMemo.RateBpsAt's — the memo stays as the reference the tests hold
-// the kernel to.
+// composed in the same association, so that rate is bit-identical to the
+// memo's RateBpsAt — the memo stays as the reference the tests hold the
+// kernel to.
 type Kernel struct {
 	radio   Radio
 	carrier itu.Carrier
@@ -235,13 +235,6 @@ func (k *Kernel) Weather(w Conditions) Sky {
 	return k.carrier.Sky(float64(rainQ)*rainStepMmH, float64(cloudQ)*cloudStepKg)
 }
 
-// Rate composes the three parts into the achievable rate in bits/s: the
-// Es/N0 budget of esN0WithAtten, then rateFromEsN0's ACM selection and
-// aggregate cap — the rate of RateRung's rung.
-func (k *Kernel) Rate(s *Site, c Carried, w *Sky) float64 {
-	return k.ClearRate(s, k.RateRung(s, c, w))
-}
-
 // RateRung is the ladder rung Rate selects: that of the most efficient
 // MODCOD the link's Es/N0 under w, less the site's margin, satisfies, or 0
 // when the link does not close.
@@ -277,7 +270,8 @@ func (k *Kernel) esN0(s *Site, c Carried, w *Sky) float64 {
 // path returns the weather-independent path terms of a quantized
 // elevation, which Carry keeps up to the zenith: the process-wide table of
 // its trigonometry, completed with the site's depth below the rain height
-// — the operations and operands of itu.SlantPath.Terms.
+// — the operations and operands of itu.TrigOf(θ).Terms(depth) on the
+// elevation itself.
 func (k *Kernel) path(s *Site, elevQ uint16) itu.PathTerms {
 	return k.trig[elevQ].Terms(s.rainDepthKm)
 }

@@ -292,7 +292,7 @@ func TestReachPins(t *testing.T) {
 }
 
 // TestPathTermsTableMatchesTerms holds the path terms Rate rebuilds from a
-// carried elevation to itu.SlantPath.Terms bit for bit at every quantized
+// carried elevation to itu.TrigOf(θ).Terms(depth) bit for bit at every quantized
 // elevation up to the zenith — the whole table — for stations at latitudes
 // in every rain-height regime and heights below, at and above it. Carry
 // keeps the elevation's quantization, given its sine; a sine of 1 is the
@@ -310,7 +310,8 @@ func TestPathTermsTableMatchesTerms(t *testing.T) {
 		if !ok || int64(c.ElevQ) != elevQ {
 			t.Fatalf("latitude %v, height %v, sine %v (q %d): carried %v at q %d", lat, height, sinEl, elevQ, ok, c.ElevQ)
 		}
-		want := itu.SlantPath{ElevationRad: float64(elevQ) * elevStepRad, StationHeightKm: height, LatitudeRad: lat}.Terms()
+		trig := itu.TrigOf(float64(elevQ) * elevStepRad)
+		want := trig.Terms(itu.RainHeightKm(lat) - height)
 		got := k.path(site, c.ElevQ)
 		if math.Float64bits(got.SinEl) != math.Float64bits(want.SinEl) ||
 			math.Float64bits(got.Ls) != math.Float64bits(want.Ls) ||
@@ -374,4 +375,11 @@ func TestSineTableMatchesAsin(t *testing.T) {
 		check(rng.Float64())
 		check(1 - rng.Float64()*rng.Float64()*1e-3)
 	}
+}
+
+// Rate composes the three parts into the achievable rate in bits/s: the
+// Es/N0 budget of esN0WithAtten, then rateFromEsN0's ACM selection and
+// aggregate cap — the rate of RateRung's rung.
+func (k *Kernel) Rate(s *Site, c Carried, w *Sky) float64 {
+	return k.ClearRate(s, k.RateRung(s, c, w))
 }

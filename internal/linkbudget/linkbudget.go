@@ -113,11 +113,6 @@ func (t Terminal) GainDBi(freqGHz float64) float64 {
 	return AntennaGainDBi(t.DishDiameterM, t.Efficiency, freqGHz)
 }
 
-// GOverTdB returns the terminal figure of merit G/T in dB/K.
-func (t Terminal) GOverTdB(freqGHz float64) float64 {
-	return t.GainDBi(freqGHz) - astro.DB(t.NoiseTempK)
-}
-
 // Conditions is the weather along the path, as produced by the weather
 // provider (truth) or forecast (scheduler view).
 type Conditions struct {

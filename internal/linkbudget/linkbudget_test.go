@@ -229,3 +229,8 @@ func BenchmarkRateBps(b *testing.B) {
 		RateBps(r, term, geo, w)
 	}
 }
+
+// GOverTdB returns the terminal figure of merit G/T in dB/K.
+func (t Terminal) GOverTdB(freqGHz float64) float64 {
+	return t.GainDBi(freqGHz) - astro.DB(t.NoiseTempK)
+}

@@ -52,9 +52,6 @@ func NewAttenMemo(r Radio) *AttenMemo {
 	return &AttenMemo{radio: r}
 }
 
-// Radio returns the radio this memo was built for.
-func (am *AttenMemo) Radio() Radio { return am.radio }
-
 // Register adds a ground path (station latitude and height) and returns
 // its handle for RateBpsAt/EsN0dBAt. Registering the same pair again
 // returns the existing handle.
@@ -70,17 +67,6 @@ func (am *AttenMemo) Register(latRad, heightKm float64) int {
 	am.paths = append(am.paths, spec)
 	am.byPath = append(am.byPath, make(map[uint64]float64, 256))
 	return len(am.paths) - 1
-}
-
-// Len returns the number of cached attenuation entries across all paths.
-func (am *AttenMemo) Len() int {
-	am.mu.RLock()
-	defer am.mu.RUnlock()
-	n := 0
-	for _, m := range am.byPath {
-		n += len(m)
-	}
-	return n
 }
 
 // quantize buckets the continuous attenuation inputs: the elevation by
@@ -105,15 +91,8 @@ func quantize(elevRad float64, w Conditions) (elevQ, rainQ, cloudQ int64) {
 	return
 }
 
-// attenuationAt returns the memoized weather attenuation for a registered
-// path.
-func (am *AttenMemo) attenuationAt(path int, g Geometry, w Conditions) float64 {
-	elevQ, rainQ, cloudQ := quantize(g.ElevationRad, w)
-	return am.attenuationForKey(path, elevQ, rainQ, cloudQ)
-}
-
-// attenuationForKey is attenuationAt after quantization: the shared locked
-// lookup-or-compute step, also the miss path of MemoView.
+// attenuationForKey is the memo's locked lookup-or-compute step for a
+// quantized key, also the miss path of MemoView.
 func (am *AttenMemo) attenuationForKey(path int, elevQ, rainQ, cloudQ int64) float64 {
 	key := uint64(elevQ)<<32 | uint64(rainQ)<<16 | uint64(cloudQ)
 
@@ -149,19 +128,4 @@ func attenuationFromKey(r Radio, spec pathSpec, elevQ, rainQ, cloudQ int64) floa
 	return itu.TotalAttenuation(sp, r.FreqGHz,
 		float64(rainQ)*rainStepMmH, float64(cloudQ)*cloudStepKg,
 		r.Polarization)
-}
-
-// EsN0dBAt is EsN0dB for a registered path, with the attenuation term
-// served from the memo.
-func (am *AttenMemo) EsN0dBAt(path int, t Terminal, g Geometry, w Conditions) float64 {
-	if g.ElevationRad <= 0 || g.RangeKm <= 0 {
-		return math.Inf(-1)
-	}
-	return esN0WithAtten(am.radio, t, g, am.attenuationAt(path, g, w))
-}
-
-// RateBpsAt is RateBps for a registered path, with the attenuation term
-// served from the memo.
-func (am *AttenMemo) RateBpsAt(path int, t Terminal, g Geometry, w Conditions) float64 {
-	return rateFromEsN0(am.radio, t, am.EsN0dBAt(path, t, g, w))
 }

@@ -109,3 +109,39 @@ func TestMemoConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// Radio returns the radio this memo was built for.
+func (am *AttenMemo) Radio() Radio { return am.radio }
+
+// Len returns the number of cached attenuation entries across all paths.
+func (am *AttenMemo) Len() int {
+	am.mu.RLock()
+	defer am.mu.RUnlock()
+	n := 0
+	for _, m := range am.byPath {
+		n += len(m)
+	}
+	return n
+}
+
+// attenuationAt returns the memoized weather attenuation for a registered
+// path.
+func (am *AttenMemo) attenuationAt(path int, g Geometry, w Conditions) float64 {
+	elevQ, rainQ, cloudQ := quantize(g.ElevationRad, w)
+	return am.attenuationForKey(path, elevQ, rainQ, cloudQ)
+}
+
+// EsN0dBAt is EsN0dB for a registered path, with the attenuation term
+// served from the memo.
+func (am *AttenMemo) EsN0dBAt(path int, t Terminal, g Geometry, w Conditions) float64 {
+	if g.ElevationRad <= 0 || g.RangeKm <= 0 {
+		return math.Inf(-1)
+	}
+	return esN0WithAtten(am.radio, t, g, am.attenuationAt(path, g, w))
+}
+
+// RateBpsAt is RateBps for a registered path, with the attenuation term
+// served from the memo.
+func (am *AttenMemo) RateBpsAt(path int, t Terminal, g Geometry, w Conditions) float64 {
+	return rateFromEsN0(am.radio, t, am.EsN0dBAt(path, t, g, w))
+}

@@ -58,9 +58,6 @@ func (am *AttenMemo) View() *MemoView {
 	}
 }
 
-// Memo returns the shared memo this view fronts.
-func (v *MemoView) Memo() *AttenMemo { return v.am }
-
 func (v *MemoView) attenuationAt(path int, g Geometry, w Conditions) float64 {
 	elevQ, rainQ, cloudQ := quantize(g.ElevationRad, w)
 	if path < 0 || path >= len(v.paths) || path >= 1<<viewPathBits {
@@ -86,7 +83,8 @@ func (v *MemoView) EsN0dBAt(path int, t Terminal, g Geometry, w Conditions) floa
 	return esN0WithAtten(v.am.radio, t, g, v.attenuationAt(path, g, w))
 }
 
-// RateBpsAt mirrors AttenMemo.RateBpsAt through the front cache.
+// RateBpsAt is RateBps for a registered path, with the attenuation term
+// served through the front cache.
 func (v *MemoView) RateBpsAt(path int, t Terminal, g Geometry, w Conditions) float64 {
 	return rateFromEsN0(v.am.radio, t, v.EsN0dBAt(path, t, g, w))
 }

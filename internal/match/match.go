@@ -180,70 +180,67 @@ func prefOrder(row []pref) {
 // MaxWeight computes the maximum-total-weight matching with the Hungarian
 // algorithm (Jonker–Volgenant potentials, O(n³)). Station capacities are
 // honored by replicating station slots. This is the paper's "optimal
-// matching" alternative, used for ablation.
+// matching" alternative, used for ablation. Only satellites and stations
+// that carry an edge take part, a station with min(capacity, degree)
+// slots. The optimal value is unique; which of several optimal matchings
+// is returned is not.
 func MaxWeight(g *Graph) Matching {
 	m := newMatching(g.nLeft, g.nRight)
-
-	// Expand stations into unit slots.
-	slotOf := make([]int, 0, g.nRight)
-	for j := 0; j < g.nRight; j++ {
-		for c := 0; c < g.capacity[j]; c++ {
+	var sats, slotOf []int
+	degree := make([]int, g.nRight)
+	for i, es := range g.adj {
+		if len(es) > 0 {
+			sats = append(sats, i)
+		}
+		for _, e := range es {
+			degree[e.Right]++
+		}
+	}
+	first := make([]int, g.nRight) // station → its first slot
+	for j, d := range degree {
+		first[j] = len(slotOf)
+		for range min(d, g.capacity[j]) {
 			slotOf = append(slotOf, j)
 		}
 	}
-	slotIndex := make(map[int]int, g.nRight) // station -> first slot
-	for s := len(slotOf) - 1; s >= 0; s-- {
-		slotIndex[slotOf[s]] = s
-	}
-
-	n := g.nLeft
-	mm := len(slotOf)
-	if n == 0 || mm == 0 {
+	if len(slotOf) == 0 {
 		return m
 	}
-	// The algorithm needs rows ≤ cols; pad virtual slots (weight 0 ⇒
-	// unmatched) when stations are scarce.
-	cols := mm
-	if n > cols {
-		cols = n
-	}
-
-	// Build the cost matrix: minimize negative weight; absent edges cost 0
-	// (equivalent to leaving the satellite unmatched).
-	cost := make([][]float64, n)
-	for i := range cost {
-		cost[i] = make([]float64, cols)
-	}
-	for i, es := range g.adj {
-		for _, e := range es {
-			for s := slotIndex[e.Right]; s < mm && slotOf[s] == e.Right; s++ {
-				cost[i][s] = -e.Weight
+	// The algorithm needs rows ≤ cols; virtual slots pad the columns when
+	// stations are scarce. Absent edges cost 0, which is leaving the
+	// satellite unmatched.
+	n, cols := len(sats), max(len(sats), len(slotOf))
+	cost := make([]float64, n*cols)
+	for r, i := range sats {
+		for _, e := range g.adj[i] {
+			for s := first[e.Right]; s < len(slotOf) && slotOf[s] == e.Right; s++ {
+				cost[r*cols+s] = -e.Weight
 			}
 		}
 	}
 
-	u := make([]float64, n+1)
-	v := make([]float64, cols+1)
-	p := make([]int, cols+1) // p[j]: row assigned to column j (1-based)
-	way := make([]int, cols+1)
+	// The Hungarian state, reused from row to row: p[j] is the row
+	// (1-based) assigned to column j.
+	u, v, minv := make([]float64, n+1), make([]float64, cols+1), make([]float64, cols+1)
+	p, way, used := make([]int, cols+1), make([]int, cols+1), make([]bool, cols+1)
 	for i := 1; i <= n; i++ {
 		p[0] = i
 		j0 := 0
-		minv := make([]float64, cols+1)
-		used := make([]bool, cols+1)
 		for j := range minv {
 			minv[j] = math.Inf(1)
+			used[j] = false
 		}
 		for {
 			used[j0] = true
 			i0 := p[j0]
+			row := cost[(i0-1)*cols : i0*cols]
 			delta := math.Inf(1)
 			j1 := -1
 			for j := 1; j <= cols; j++ {
 				if used[j] {
 					continue
 				}
-				cur := cost[i0-1][j-1] - u[i0] - v[j]
+				cur := row[j-1] - u[i0] - v[j]
 				if cur < minv[j] {
 					minv[j] = cur
 					way[j] = j0
@@ -266,37 +263,22 @@ func MaxWeight(g *Graph) Matching {
 				break
 			}
 		}
-		for {
+		for j0 != 0 {
 			j1 := way[j0]
 			p[j0] = p[j1]
 			j0 = j1
-			if j0 == 0 {
-				break
-			}
 		}
 	}
 
 	// Extract the assignment, keeping only genuine edges.
-	weightOf := func(left, right int) (float64, bool) {
-		for _, e := range g.adj[left] {
-			if e.Right == right {
-				return e.Weight, true
-			}
-		}
-		return 0, false
-	}
-	for j := 1; j <= cols; j++ {
-		i := p[j]
-		if i == 0 || j > mm {
+	for s, r := range p[1 : len(slotOf)+1] {
+		if r == 0 || cost[(r-1)*cols+s] == 0 {
 			continue
 		}
-		left := i - 1
-		right := slotOf[j-1]
-		if w, ok := weightOf(left, right); ok {
-			m.LeftToRight[left] = right
-			m.RightToLeft[right] = append(m.RightToLeft[right], left)
-			m.Value += w
-		}
+		left, right := sats[r-1], slotOf[s]
+		m.LeftToRight[left] = right
+		m.RightToLeft[right] = append(m.RightToLeft[right], left)
+		m.Value -= cost[(r-1)*cols+s]
 	}
 	for j := range m.RightToLeft {
 		sort.Ints(m.RightToLeft[j])

@@ -77,40 +77,14 @@ func (d *Dist) Mean() float64 {
 	return s / float64(len(d.samples))
 }
 
-// Min and Max return the extremes, or NaN when empty.
-func (d *Dist) Min() float64 {
-	if len(d.samples) == 0 {
-		return math.NaN()
-	}
-	d.ensureSorted()
-	return d.samples[0]
-}
-
-// Max returns the largest sample, or NaN when empty.
+// Max returns the largest sample, or NaN when empty (Percentile(0) is the
+// smallest).
 func (d *Dist) Max() float64 {
 	if len(d.samples) == 0 {
 		return math.NaN()
 	}
 	d.ensureSorted()
 	return d.samples[len(d.samples)-1]
-}
-
-// Sum returns the total of all samples.
-func (d *Dist) Sum() float64 {
-	s := 0.0
-	for _, v := range d.samples {
-		s += v
-	}
-	return s
-}
-
-// Samples returns a copy of the raw samples in insertion order (or sorted
-// order if a percentile has been queried). Determinism tests compare two
-// runs' distributions element-wise through it.
-func (d *Dist) Samples() []float64 {
-	out := make([]float64, len(d.samples))
-	copy(out, d.samples)
-	return out
 }
 
 // distJSON is the wire form of Dist. Samples are kept in their current

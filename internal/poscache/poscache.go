@@ -181,10 +181,3 @@ func (c *Cache) Prune(t time.Time) {
 	}
 	c.mu.Unlock()
 }
-
-// Size returns the number of cached instants (for tests and diagnostics).
-func (c *Cache) Size() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.slots)
-}

@@ -2,6 +2,7 @@ package poscache
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -50,11 +51,11 @@ func (s scalarProp) PositionECEF(jd float64, _ frames.EarthRotation) (frames.Vec
 }
 
 // timeAt returns an instant whose Julian date is exactly jd. A float64
-// Julian date resolves ≈40 µs, so TimeFromJulian's sub-microsecond
-// inversion lands on the same value; timeAt panics if it ever does not,
-// rather than let the reference drift by an ulp.
+// Julian date resolves ≈40 µs, so counting nanoseconds from the Unix
+// epoch (JD 2440587.5) lands on the same value; timeAt panics if it ever
+// does not, rather than let the reference drift by an ulp.
 func timeAt(jd float64) time.Time {
-	t := astro.TimeFromJulian(jd)
+	t := time.Unix(0, int64(math.Round((jd-2440587.5)*86400e9))).UTC()
 	if astro.JulianDate(t) != jd {
 		panic(fmt.Sprintf("no exact instant for JD %.17g", jd))
 	}
@@ -341,4 +342,11 @@ func TestReplacePropMatchesRebuild(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Size returns the number of cached instants (for tests and diagnostics).
+func (c *Cache) Size() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.slots)
 }

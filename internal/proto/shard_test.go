@@ -32,7 +32,7 @@ func TestShardReplyRoundTrip(t *testing.T) {
 func TestShardEpochRoundTrip(t *testing.T) {
 	got := roundTrip(t, &ShardEpoch{Epoch: 1 << 40}).(*ShardEpoch)
 	if got.Epoch != 1<<40 {
-		t.Fatalf("epoch = %d, want %d", got.Epoch, 1<<40)
+		t.Fatalf("epoch = %d, want %d", got.Epoch, uint64(1<<40))
 	}
 }
 

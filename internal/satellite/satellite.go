@@ -199,16 +199,9 @@ func (s *Store) updatePeak() {
 	}
 }
 
-// InFlightBits returns the bits transmitted but not yet acknowledged.
-func (s *Store) InFlightBits() float64 { return s.inFlightB }
-
 // StoredBits returns all bits the satellite must keep (pending + in-flight):
 // per §3.3, nothing is dropped before an ack.
 func (s *Store) StoredBits() float64 { return s.PendingBits() + s.inFlightB }
-
-// BacklogBits is the paper's backlog metric: data captured but not yet
-// delivered to the ground.
-func (s *Store) BacklogBits() float64 { return s.generated - s.delivered }
 
 // GeneratedBits returns total bits ever captured.
 func (s *Store) GeneratedBits() float64 { return s.generated }
@@ -225,9 +218,6 @@ func (s *Store) OldestPending() (time.Time, bool) {
 	}
 	return s.pending[0].Captured, true
 }
-
-// PendingChunks returns the number of chunks waiting.
-func (s *Store) PendingChunks() int { return s.pending.Len() }
 
 // CheckConservation validates the bits-conservation invariant:
 // generated = delivered + stored.

@@ -341,3 +341,13 @@ func TestPeakStorageTracking(t *testing.T) {
 		t.Fatal("peak moved for smaller load")
 	}
 }
+
+// InFlightBits returns the bits transmitted but not yet acknowledged.
+func (s *Store) InFlightBits() float64 { return s.inFlightB }
+
+// BacklogBits is the paper's backlog metric: data captured but not yet
+// delivered to the ground.
+func (s *Store) BacklogBits() float64 { return s.generated - s.delivered }
+
+// PendingChunks returns the number of chunks waiting.
+func (s *Store) PendingChunks() int { return s.pending.Len() }

@@ -47,16 +47,3 @@ func (g *flightGroup) do(key string, fn func() ([]byte, error)) (b []byte, err e
 	c.wg.Done()
 	return c.b, c.err, false
 }
-
-// waiters reports how many followers are parked on key's in-flight call
-// (0, false when no call is in flight). Tests use it to deterministically
-// stage a deduplicated herd.
-func (g *flightGroup) waitersFor(key string) (int, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	c, ok := g.m[key]
-	if !ok {
-		return 0, false
-	}
-	return c.waiters, true
-}

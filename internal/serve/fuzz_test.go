@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -76,7 +77,7 @@ func FuzzUpdates(f *testing.F) {
 	f1, f2 := tleLines(f, foreign)
 	idx, bad := 3, snap.Sats()
 	for _, u := range []Update{
-		{AddStations: []StationUpdate{{Name: "x", LatDeg: 10, LonDeg: 10, Beams: 1 << 40}}},
+		{AddStations: []StationUpdate{{Name: "x", LatDeg: 10, LonDeg: 10, Beams: math.MaxInt}}},
 		// The rejection rows of TestUpdatesTLEResolutionAndValidation.
 		{TLEs: []TLEUpdate{{Line1: f1, Line2: f2}}},
 		{TLEs: []TLEUpdate{{Sat: &bad, Line1: l1, Line2: l2}}},

@@ -16,6 +16,8 @@ import (
 	"dgs"
 	"dgs/internal/frames"
 	"dgs/internal/linkbudget"
+	"dgs/internal/orbit"
+	"dgs/internal/poscache"
 )
 
 // The package-wide test world: small enough for -race, big enough that
@@ -216,17 +218,17 @@ func TestPassesSatQueryDoesNotFillWorld(t *testing.T) {
 	}
 	from := dgs.Start.Add(time.Hour)
 	to := from.Add(2 * time.Hour)
-	if n := snap.positions.Size(); n != 0 {
+	if n := cachedInstants(snap.positions); n != 0 {
 		t.Fatalf("fresh snapshot already holds %d instants", n)
 	}
 	if len(snap.Passes(from, to, 3, -1)) == 0 {
 		t.Fatal("sat=3 saw no pass in 2 h; the pin is vacuous")
 	}
-	if n := snap.positions.Size(); n != 0 {
+	if n := cachedInstants(snap.positions); n != 0 {
 		t.Fatalf("sat=3 query filled %d population instants, want 0", n)
 	}
 	snap.Passes(from, to, -1, 3)
-	if n, want := snap.positions.Size(), int(to.Sub(from)/snap.Config().Slot); n != want {
+	if n, want := cachedInstants(snap.positions), int(to.Sub(from)/snap.Config().Slot); n != want {
 		t.Fatalf("station=3 query filled %d instants, want the %d strides of its range", n, want)
 	}
 }
@@ -630,4 +632,27 @@ func TestDedupDeterministic(t *testing.T) {
 	if st.Misses != followers+1 {
 		t.Fatalf("misses = %d, want %d (every request reached compute path)", st.Misses, followers+1)
 	}
+}
+
+// cachedInstants counts the instants c holds. ReplaceProp re-propagates
+// the swapped-in satellite once at every cached instant, so swapping
+// satellite 0's own propagator in behind a counter, then back, counts
+// them and leaves every entry bit-identical.
+func cachedInstants(c *poscache.Cache) int {
+	p := c.Props()[0]
+	n := &countingProp{Propagator: p}
+	c.ReplaceProp(0, n)
+	c.ReplaceProp(0, p)
+	return n.calls
+}
+
+// countingProp counts its PositionECEF calls.
+type countingProp struct {
+	orbit.Propagator
+	calls int
+}
+
+func (p *countingProp) PositionECEF(jd float64, rot frames.EarthRotation) (frames.Vec3, bool) {
+	p.calls++
+	return p.Propagator.PositionECEF(jd, rot)
 }

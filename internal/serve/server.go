@@ -63,12 +63,6 @@ type Server struct {
 	computeHook func(key string)
 }
 
-// New builds a Server over a loaded snapshot, synchronously publishing
-// the first world (epoch 1).
-func New(snap *Snapshot, cfg Config) *Server {
-	return NewWithSource(NewStore(snap, StoreConfig{}), cfg)
-}
-
 // NewWithSource builds a Server over any world source — a single-process
 // Store or a Federator fronting shard backends. The handlers are
 // identical either way; only the source decides where worlds come from.
@@ -97,15 +91,6 @@ func NewWithSource(src WorldSource, cfg Config) *Server {
 	s.vars.Set("stream_subscribers", expvar.Func(func() any { return s.store.Subscribers() }))
 	s.vars.Set("worlds_retired", expvar.Func(func() any { return s.store.RetiredWorlds() }))
 	return s
-}
-
-// Stats snapshots one endpoint's counters ("passes", "plan",
-// "linkbudget", "updates", "optimize").
-func (s *Server) Stats(endpoint string) EndpointStats {
-	if st := s.endpoints[endpoint]; st != nil {
-		return st.snapshot()
-	}
-	return EndpointStats{}
 }
 
 // handler is one endpoint's request handler. st is the endpoint's

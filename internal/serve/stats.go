@@ -63,21 +63,3 @@ func (st *endpointStats) vars() *expvar.Map {
 	}))
 	return m
 }
-
-// EndpointStats is a point-in-time snapshot of one endpoint's counters,
-// exposed for tests and diagnostics.
-type EndpointStats struct {
-	Hits, Misses, Dedups, Rejected, Errors int64
-	Latency                                metrics.Summary
-}
-
-func (st *endpointStats) snapshot() EndpointStats {
-	return EndpointStats{
-		Hits:     st.hits.Value(),
-		Misses:   st.misses.Value(),
-		Dedups:   st.dedups.Value(),
-		Rejected: st.rejected.Value(),
-		Errors:   st.errors.Value(),
-		Latency:  st.latencySummary(),
-	}
-}

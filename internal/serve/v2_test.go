@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -237,7 +238,7 @@ func TestUpdatesTLEResolutionAndValidation(t *testing.T) {
 // request, so the add publishes epoch 2 and the world keeps taking updates.
 func TestUpdatesHugeBeams(t *testing.T) {
 	h := New(testSnapshot(t), Config{}).Handler()
-	rec := postJSON(t, h, "/v2/updates", Update{AddStations: []StationUpdate{{Name: "x", LatDeg: 10, LonDeg: 10, Beams: 1 << 40}}})
+	rec := postJSON(t, h, "/v2/updates", Update{AddStations: []StationUpdate{{Name: "x", LatDeg: 10, LonDeg: 10, Beams: math.MaxInt}}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("huge-beams add = %d body %s, want 200", rec.Code, rec.Body.String())
 	}

@@ -10,9 +10,8 @@ import (
 )
 
 // KeplerJ2 is a two-body propagator with secular J2 rates on Ω, ω and M.
-// It is far less accurate than SGP4 (no drag, no periodic terms) and exists
-// as an independent cross-check of the SGP4 port plus a cheap fallback for
-// coarse visibility screening.
+// It is far less accurate than SGP4 (no drag, no periodic terms); it is the
+// independent oracle the tests cross-check the SGP4 port against.
 type KeplerJ2 struct {
 	epochJD float64
 

@@ -86,9 +86,6 @@ func New(t tle.TLE) (*Propagator, error) {
 	return p, nil
 }
 
-// TLE returns the element set the propagator was built from.
-func (p *Propagator) TLE() tle.TLE { return p.tle }
-
 // init performs the work of the reference sgp4init for the near-Earth case.
 func (p *Propagator) init() error {
 	const x2o3 = 2.0 / 3.0

@@ -106,20 +106,6 @@ func (m *Map) Partition(norads []int, shard int) Partition {
 	return p
 }
 
-// Partitions splits a constellation across every shard. The partitions are
-// disjoint and cover every index.
-func (m *Map) Partitions(norads []int) []Partition {
-	parts := make([]Partition, m.n)
-	for s := range parts {
-		parts[s] = Partition{Shard: s, Shards: m.n}
-	}
-	for i, id := range norads {
-		s := m.Owner(id)
-		parts[s].Global = append(parts[s].Global, int32(i))
-	}
-	return parts
-}
-
 // keyHash is the pinned key hash: FNV-1a over the catalog number's decimal
 // digits, avalanched through mix64. The finalizer matters: raw FNV-1a only
 // diffuses a string's last characters into the low bits, so sequential

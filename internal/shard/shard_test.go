@@ -142,3 +142,17 @@ func TestLocalOf(t *testing.T) {
 		t.Fatalf("Len() = %d, want 3", p.Len())
 	}
 }
+
+// Partitions splits a constellation across every shard. The partitions are
+// disjoint and cover every index.
+func (m *Map) Partitions(norads []int) []Partition {
+	parts := make([]Partition, m.n)
+	for s := range parts {
+		parts[s] = Partition{Shard: s, Shards: m.n}
+	}
+	for i, id := range norads {
+		s := m.Owner(id)
+		parts[s].Global = append(parts[s].Global, int32(i))
+	}
+	return parts
+}

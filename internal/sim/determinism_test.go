@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"runtime"
@@ -11,9 +12,24 @@ import (
 	"dgs/internal/metrics"
 )
 
+// samplesOf returns d's samples in their current order (insertion order,
+// or sorted once a percentile was read), read from the JSON form the
+// checkpoint keeps them in; never nil.
+func samplesOf(d *metrics.Dist) []float64 {
+	raw, err := json.Marshal(d)
+	if err != nil {
+		panic(err)
+	}
+	var w struct{ Samples []float64 }
+	if err := json.Unmarshal(raw, &w); err != nil {
+		panic(err)
+	}
+	return append([]float64{}, w.Samples...)
+}
+
 // distsEqual compares two distributions sample-by-sample, bit-exact.
 func distsEqual(a, b *metrics.Dist) error {
-	as, bs := a.Samples(), b.Samples()
+	as, bs := samplesOf(a), samplesOf(b)
 	if len(as) != len(bs) {
 		return fmt.Errorf("sample counts differ: %d vs %d", len(as), len(bs))
 	}

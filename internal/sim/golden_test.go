@@ -96,10 +96,10 @@ type goldenResult struct {
 
 func toGolden(r *Result) goldenResult {
 	return goldenResult{
-		BacklogGB:         r.BacklogGB.Samples(),
-		LatencyMin:        r.LatencyMin.Samples(),
-		PeakStorageGB:     r.PeakStorageGB.Samples(),
-		EventLatencyMin:   r.EventLatencyMin.Samples(),
+		BacklogGB:         samplesOf(&r.BacklogGB),
+		LatencyMin:        samplesOf(&r.LatencyMin),
+		PeakStorageGB:     samplesOf(&r.PeakStorageGB),
+		EventLatencyMin:   samplesOf(&r.EventLatencyMin),
 		GeneratedGB:       r.GeneratedGB,
 		DeliveredGB:       r.DeliveredGB,
 		LostGB:            r.LostGB,
@@ -273,7 +273,7 @@ func metricsDistJSONStable(t *testing.T, samples []float64) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if err := samplesBitEqual("roundtrip", d.Samples(), back.Samples()); err != nil {
+	if err := samplesBitEqual("roundtrip", samplesOf(&d), samplesOf(&back)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -133,7 +133,7 @@ func TestObserverSequence(t *testing.T) {
 	if delivered == 0 {
 		t.Fatal("run delivered nothing; the sequence assertions are vacuous")
 	}
-	for i, s := range res.LatencyMin.Samples() {
+	for i, s := range samplesOf(&res.LatencyMin) {
 		if math.Float64bits(s) != math.Float64bits(latencies[i]) {
 			t.Fatalf("latency sample %d: event %v, Result %v", i, latencies[i], s)
 		}

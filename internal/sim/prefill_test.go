@@ -180,11 +180,11 @@ func TestTxVisibleMatchesLook(t *testing.T) {
 		sinLon, cosLon := math.Sincos(tx.Location.LonRad)
 		place := func(el, az, rangeKm float64) frames.Vec3 {
 			s, e, z := -math.Cos(el)*math.Cos(az), math.Cos(el)*math.Sin(az), math.Sin(el)
-			return topo.ECEF.Add(frames.Vec3{
+			return topo.ECEF.Sub(frames.Vec3{
 				X: sinLat*cosLon*s - sinLon*e + cosLat*cosLon*z,
 				Y: sinLat*sinLon*s + cosLon*e + cosLat*sinLon*z,
 				Z: -cosLat*s + sinLat*z,
-			}.Scale(rangeKm))
+			}.Scale(-rangeKm))
 		}
 		var at []frames.Vec3
 		for range 300 {

@@ -64,7 +64,7 @@ func TestHybridRunDeliversData(t *testing.T) {
 	if res.LatencyMin.N() == 0 {
 		t.Fatal("no latency samples")
 	}
-	if res.LatencyMin.Min() < 0 {
+	if res.LatencyMin.Percentile(0) < 0 {
 		t.Fatal("negative latency")
 	}
 	if res.DeliveredGB > res.GeneratedGB+1 {
@@ -232,7 +232,7 @@ func TestDailyBacklogSamples(t *testing.T) {
 	if res.BacklogGB.N() != 6*2 {
 		t.Fatalf("backlog samples = %d, want 12", res.BacklogGB.N())
 	}
-	if res.BacklogGB.Min() < 0 {
+	if res.BacklogGB.Percentile(0) < 0 {
 		t.Fatal("negative backlog")
 	}
 }
@@ -352,7 +352,7 @@ func TestPeakStoragePerSatellite(t *testing.T) {
 	// §3.3: satellites store for roughly an orbit of capture or more; with
 	// 100 GB/day and 6 h simulated, peaks must be positive and ≤ total
 	// generation.
-	if res.PeakStorageGB.Min() <= 0 {
+	if res.PeakStorageGB.Percentile(0) <= 0 {
 		t.Fatal("nonpositive peak storage")
 	}
 	if res.PeakStorageGB.Max() > 25+1 {

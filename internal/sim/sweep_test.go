@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -21,10 +22,10 @@ import (
 type scalarProp struct{ orbit.Propagator }
 
 func (s scalarProp) PositionECEF(jd float64, _ frames.EarthRotation) (frames.Vec3, bool) {
-	// A float64 Julian date resolves ≈40 µs, so TimeFromJulian's
-	// sub-microsecond inversion lands on jd itself; refuse it if not,
+	// A float64 Julian date resolves ≈40 µs, so counting nanoseconds from
+	// the Unix epoch (JD 2440587.5) lands on jd itself; refuse it if not,
 	// rather than let the reference drift by an ulp.
-	t := astro.TimeFromJulian(jd)
+	t := time.Unix(0, int64(math.Round((jd-2440587.5)*86400e9))).UTC()
 	if astro.JulianDate(t) != jd {
 		panic(fmt.Sprintf("no exact instant for JD %.17g", jd))
 	}

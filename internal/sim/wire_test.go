@@ -86,7 +86,7 @@ func TestWireCollatesWhatSimCollates(t *testing.T) {
 	var acked, waiting int
 	for i, sc := range cp.Sats {
 		want := relayed[i] + len(sc.Unacked)
-		if got := srv.Collator.ReceivedChunks(uint32(i)); got != want {
+		if got := len(srv.Collator.Receipts(uint32(i))); got != want {
 			t.Errorf("sat %d: wire collated %d chunks, simulator %d (%d relayed + %d awaiting a digest)",
 				i, got, want, relayed[i], len(sc.Unacked))
 		}
@@ -101,7 +101,7 @@ func TestWireCollatesWhatSimCollates(t *testing.T) {
 	if faulty.Stats.Cuts.Load() == 0 || faulty.Stats.Refused.Load() == 0 {
 		t.Fatalf("fault schedule idle: cuts=%d refused=%d", faulty.Stats.Cuts.Load(), faulty.Stats.Refused.Load())
 	}
-	t.Logf("%d chunks relayed, %d awaiting a digest; cuts=%d flips=%d refused=%d replays=%d",
+	t.Logf("%d chunks relayed, %d awaiting a digest; cuts=%d flips=%d refused=%d",
 		acked, waiting, faulty.Stats.Cuts.Load(), faulty.Stats.Flips.Load(),
-		faulty.Stats.Refused.Load(), srv.Collator.Replays())
+		faulty.Stats.Refused.Load())
 }

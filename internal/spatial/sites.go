@@ -49,9 +49,6 @@ func NewSites(net station.Network, maxRangeKm float64) *Sites {
 	return s
 }
 
-// Topo returns station j's topocentric basis.
-func (s *Sites) Topo(j int) *frames.Topocentric { return &s.topo[j] }
-
 // cell returns cover cell c's stations, ascending: every station within
 // ψ_max plus the cell's corner radius of its centre, built on first use.
 func (s *Sites) cell(c int) []int32 {

@@ -310,3 +310,6 @@ func BenchmarkSitesNear(b *testing.B) {
 	}
 	b.ReportMetric(float64(cands)/float64(len(pos)*len(net)), "cand/pair")
 }
+
+// Topo returns station j's topocentric basis.
+func (s *Sites) Topo(j int) *frames.Topocentric { return &s.topo[j] }

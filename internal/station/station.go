@@ -20,18 +20,6 @@ type Bitmap []uint64
 // NewBitmap returns a bitmap able to hold n satellites, all disallowed.
 func NewBitmap(n int) Bitmap { return make(Bitmap, (n+63)/64) }
 
-// Set changes bit i. Out-of-range indices grow the bitmap.
-func (b *Bitmap) Set(i int, allowed bool) {
-	for i/64 >= len(*b) {
-		*b = append(*b, 0)
-	}
-	if allowed {
-		(*b)[i/64] |= 1 << (i % 64)
-	} else {
-		(*b)[i/64] &^= 1 << (i % 64)
-	}
-}
-
 // Allowed reports whether downlink from satellite i is permitted.
 // Out-of-range indices are disallowed.
 func (b Bitmap) Allowed(i int) bool {
@@ -39,17 +27,6 @@ func (b Bitmap) Allowed(i int) bool {
 		return false
 	}
 	return b[i/64]&(1<<(i%64)) != 0
-}
-
-// Count returns the number of allowed satellites.
-func (b Bitmap) Count() int {
-	n := 0
-	for _, w := range b {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
 }
 
 // Station is one DGS ground station.
@@ -123,14 +100,6 @@ func (n Network) TxStations() Network {
 		}
 	}
 	return out
-}
-
-// TxFraction returns the fraction of stations that are transmit-capable.
-func (n Network) TxFraction() float64 {
-	if len(n) == 0 {
-		return 0
-	}
-	return float64(len(n.TxStations())) / float64(len(n))
 }
 
 // Subset returns a deterministic pseudo-random subset containing the given

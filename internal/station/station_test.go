@@ -189,3 +189,34 @@ func TestEffectiveTerminal(t *testing.T) {
 		t.Fatalf("4-beam split costs %.2f dB, want ~6.02", lossDB)
 	}
 }
+
+// Set changes bit i. Out-of-range indices grow the bitmap.
+func (b *Bitmap) Set(i int, allowed bool) {
+	for i/64 >= len(*b) {
+		*b = append(*b, 0)
+	}
+	if allowed {
+		(*b)[i/64] |= 1 << (i % 64)
+	} else {
+		(*b)[i/64] &^= 1 << (i % 64)
+	}
+}
+
+// Count returns the number of allowed satellites.
+func (b Bitmap) Count() int {
+	n := 0
+	for _, w := range b {
+		for ; w != 0; w &= w - 1 {
+			n++
+		}
+	}
+	return n
+}
+
+// TxFraction returns the fraction of stations that are transmit-capable.
+func (n Network) TxFraction() float64 {
+	if len(n) == 0 {
+		return 0
+	}
+	return float64(len(n.TxStations())) / float64(len(n))
+}

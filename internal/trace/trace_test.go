@@ -86,8 +86,8 @@ func TestPassesPerStationDay(t *testing.T) {
 	if d.N() != 3 {
 		t.Fatalf("stations counted = %d, want 3", d.N())
 	}
-	if d.Max() != 3 || d.Min() != 0 || d.Median() != 1 {
-		t.Fatalf("rates = [%v, %v] median %v, want [0, 3] median 1", d.Min(), d.Max(), d.Median())
+	if d.Max() != 3 || d.Percentile(0) != 0 || d.Median() != 1 {
+		t.Fatalf("rates = [%v, %v] median %v, want [0, 3] median 1", d.Percentile(0), d.Max(), d.Median())
 	}
 }
 
@@ -119,8 +119,8 @@ func TestPassesPerStationDayCountsSilentStations(t *testing.T) {
 	if d.N() != nGs {
 		t.Fatalf("%d rate samples, want one per station (%d); %d stations saw a pass", d.N(), nGs, len(busy))
 	}
-	if d.Min() != 0 {
-		t.Fatalf("least rate %v, want 0 for a silent station", d.Min())
+	if d.Percentile(0) != 0 {
+		t.Fatalf("least rate %v, want 0 for a silent station", d.Percentile(0))
 	}
 	if got, want := d.Mean(), float64(log.Len())/days/nGs; math.Abs(got-want) > 1e-9*want {
 		t.Fatalf("mean rate %v, want the network's %v", got, want)
