@@ -249,6 +249,22 @@ if git grep -nE 'EdgeContext|type weigher|\) Value\(' -- internal/core ':!*_test
     echo "Φ has one path: no EdgeContext, weigher or per-edge Value method in non-test internal/core" >&2; exit 1
 fi
 
+# One noise path: a weather sample hashes its lattice corners through the
+# reusable cells (weather.Cells, the throwaway ones Field.At uses), with
+# the shared-prefix corner hash. The from-scratch hash3/valueNoise3 they
+# are held to bit for bit live in internal/weather/oracle_test.go.
+if git grep -nE 'hash3\(|valueNoise3' -- internal/weather ':!*_test.go'; then
+    echo "internal/weather has one noise path: hash3 and valueNoise3 are the oracle in oracle_test.go" >&2; exit 1
+fi
+# Plan bodies rendered once: planRender writes each slot's JSON once and
+# the /v1 and /v2 bodies and the stream delta splice those bytes. The
+# reflected wire types are the oracle in internal/serve/plan_oracle_test.go,
+# and no production path marshals a plan through encoding/json.
+if git grep -nE '(json\.Marshal|mustMarshal|marshalBody)\((plan|wireSlot|core\.Plan)|type plan(Assignment|Slot|Response|Head|V2Response|DeltaEvent) struct' \
+    -- internal/serve ':!*_test.go'; then
+    echo "plan bodies are rendered once by planRender: no encoding/json plan wire type in non-test internal/serve" >&2; exit 1
+fi
+
 # Nothing nobody reads: the library computes no output no caller consumes
 # and keeps no second path only tests take — no StationTx on the Link Φ
 # reads, no range rate or sub-point from orbit.Observe, no NackAll on
@@ -279,7 +295,9 @@ go test -count=5 -cpu 1,2,4 ./internal/session ./internal/backend
 # plan and optimizer streams share one SSE writer (serveSSE), whose relay
 # loop races the subscription's eviction, the source's close and the
 # client's disconnect: its tests repeat here too.
-go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream|OptimizeStream|SSEWriter' ./internal/serve
+# The plan renderer's bodies ≡ encoding/json's (PlanBody: FuzzPlanBody's
+# seed corpus, every float and int form change among it) ride along.
+go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream|OptimizeStream|SSEWriter|PlanBody' ./internal/serve
 # The pair-subset scan shards and refines like the unrestricted one: its
 # filter-after identity must hold at every worker split, and a pass query
 # is a pure function of its span (Prune, Reanchor, Incremental, InProgress:
@@ -311,7 +329,10 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # the top-down scan it replaced (FuzzLadderRung's seed corpus: every
 # threshold ± 1 ulp, every bucket edge, NaN and ±Inf); FillBytes: a clear
 # epoch's fill retains no byte beyond its carried slots, a weathered one
-# ≤ 1 B an edge;
+# ≤ 1 B an edge; Components: a forecast sampled through reused noise cells
+# — across forecasts, stations, backward steps, times before the field
+# epoch, the poles, the longitude wrap and a NaN latitude — ≡ the
+# from-scratch hash, bit for bit (FuzzComponents' seed corpus too);
 # Bidding: a station-priced Φ allocates exactly what its inner Φ does; Reach: past a station's link
 # reach nothing closes, so the range cut drops only what Carry drops;
 # NearCovers, CoverCovers, WidestCos, RangeCos, NearIsFiltered,
@@ -337,8 +358,14 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # (ReduceNonPositive, ReduceWeight). (core
 # rolls the paper's 12 h horizon six times against six fresh schedulers
 # per pass, hence the explicit timeout.)
-go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|Values|ClearSky|Stream|SinFloor|SineTable|RangeSinEl|ClearRates|Rung|FillBytes|Bidding|Reach|NearCovers|CoverCovers|WidestCos|RangeCos|NearIsFiltered|NearReuses|NearRaces|FuzzSitesNear|TermsTable|EdgeBytes|FuzzCarry|Prune|Reanchor|Incremental|InProgress|Workers|Visibility|SweepWindow|BitIdentical|MatchesScalar|AtRange|ReplaceProp|FuzzPropagate|Prefill|TxVisible|StableRows|ReduceNonPositive|ReduceWeight' \
-    ./internal/match ./internal/passes ./internal/core ./internal/linkbudget ./internal/dvbs2 ./internal/itu ./internal/frames ./internal/spatial ./internal/sim ./internal/poscache ./internal/sgp4
+go test -timeout 30m -count=5 -cpu 1,2,4 -run 'Subset|Carry|IncrementalDifferential|Rolling|Kernel|Values|ClearSky|Stream|SinFloor|SineTable|RangeSinEl|ClearRates|Rung|FillBytes|Bidding|Reach|NearCovers|CoverCovers|WidestCos|RangeCos|NearIsFiltered|NearReuses|NearRaces|FuzzSitesNear|TermsTable|EdgeBytes|FuzzCarry|Prune|Reanchor|Incremental|InProgress|Workers|Visibility|SweepWindow|BitIdentical|MatchesScalar|AtRange|ReplaceProp|FuzzPropagate|Prefill|TxVisible|StableRows|ReduceNonPositive|ReduceWeight|Components' \
+    ./internal/match ./internal/passes ./internal/core ./internal/linkbudget ./internal/dvbs2 ./internal/itu ./internal/frames ./internal/spatial ./internal/sim ./internal/poscache ./internal/sgp4 ./internal/weather
+
+echo "== go test (GOARCH=386): weather"
+# The noise lattice converts float corners to int64 and mixes them in
+# uint64 arithmetic; on 32-bit both are multi-word, and the oracle must
+# still match bit for bit.
+GOARCH=386 go test ./internal/weather
 
 echo "== go test -race (parallel pipeline + session + serving layers)"
 # session is the one managed wire session both station↔backend and

@@ -3,7 +3,9 @@ package backend
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,11 +31,10 @@ func TestCollatorReportDigest(t *testing.T) {
 			{ID: 12, Bits: 50, Received: rxTime.Add(time.Hour)},
 		},
 	})
-	if got := c.ReceivedChunks(7); got != 3 {
-		t.Fatalf("received chunks = %d, want 3 (duplicate collapsed)", got)
-	}
-	if got := c.ReceivedBits(7); got != 250 {
-		t.Fatalf("received bits = %d, want 250", got)
+	// The duplicate collapses onto the first reception of chunk 11.
+	want := []proto.ChunkInfo{{ID: 10, Received: rxTime}, {ID: 11, Received: rxTime.Add(time.Minute)}, {ID: 12, Received: rxTime.Add(time.Hour)}}
+	if got := c.Receipts(7); !slices.Equal(got, want) {
+		t.Fatalf("receipts = %v, want %v", got, want)
 	}
 
 	// Digest honors the cutoff: chunk 12 arrived an hour later.
@@ -52,14 +53,15 @@ func TestCollatorReportDigest(t *testing.T) {
 		t.Fatalf("third digest = %v", d.ChunkIDs)
 	}
 	// Other satellites are untouched.
-	if got := c.ReceivedChunks(9); got != 0 {
-		t.Fatalf("satellite 9 has %d chunks", got)
+	if got := c.Receipts(9); len(got) != 0 {
+		t.Fatalf("satellite 9 has receipts %v", got)
 	}
 }
 
 func TestCollatorConcurrency(t *testing.T) {
 	c := NewCollator()
 	var wg sync.WaitGroup
+	var digested atomic.Int64
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -70,13 +72,14 @@ func TestCollatorConcurrency(t *testing.T) {
 					Chunks: []proto.ChunkInfo{{ID: uint64(g*1000 + i), Bits: 1, Received: rxTime}},
 				})
 				if i%10 == 0 {
-					c.Digest(uint32(g%2), rxTime.Add(time.Hour), -1)
+					d, _ := c.Digest(uint32(g%2), rxTime.Add(time.Hour), -1)
+					digested.Add(int64(len(d.ChunkIDs)))
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := c.ReceivedChunks(0) + c.ReceivedChunks(1); got != 1600 {
+	if got := int(digested.Load()) + len(c.Receipts(0)) + len(c.Receipts(1)); got != 1600 {
 		t.Fatalf("total chunks = %d, want 1600", got)
 	}
 }
@@ -121,8 +124,8 @@ func TestEndToEndAckRelay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("report: %v", err)
 	}
-	if got := srv.Collator.ReceivedChunks(99); got != 2 {
-		t.Fatalf("server collator has %d chunks", got)
+	if got := srv.Collator.Receipts(99); len(got) != 2 {
+		t.Fatalf("server collator holds receipts %v, want 2", got)
 	}
 
 	d, err := tx.FetchDigest(99)
@@ -217,7 +220,7 @@ func TestManyStationsConcurrentReports(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := srv.Collator.ReceivedChunks(1); got != nStations*perStation {
+	if got := len(srv.Collator.Receipts(1)); got != nStations*perStation {
 		t.Fatalf("collated %d chunks, want %d", got, nStations*perStation)
 	}
 }

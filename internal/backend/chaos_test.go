@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -26,8 +27,9 @@ const (
 
 // runChaosWorkload runs the full station↔backend workload over the given
 // listener wrapper (nil = clean network) and returns the wire encoding of
-// every satellite's final ack digest plus the server for state assertions.
-func runChaosWorkload(t *testing.T, wrap func(net.Listener) net.Listener) ([]byte, *Server) {
+// every satellite's final ack digest, each satellite's receipts as they
+// stood before it, and the server for state assertions.
+func runChaosWorkload(t *testing.T, wrap func(net.Listener) net.Listener) ([]byte, [][]proto.ChunkInfo, *Server) {
 	t.Helper()
 
 	srv := NewServer(nil)
@@ -94,13 +96,15 @@ func runChaosWorkload(t *testing.T, wrap func(net.Listener) net.Listener) ([]byt
 	// the satellite's nack timeout, not a replay), so the equivalence
 	// property is stated on the collator's output.
 	var buf bytes.Buffer
+	var receipts [][]proto.ChunkInfo
 	for sat := uint32(1); sat <= chaosSatellites; sat++ {
+		receipts = append(receipts, srv.Collator.Receipts(sat))
 		d, _ := srv.Collator.Digest(sat, rxTime.Add(24*time.Hour), -1)
 		if err := proto.Write(&buf, d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return buf.Bytes(), srv
+	return buf.Bytes(), receipts, srv
 }
 
 // TestChaosEquivalence is the headline fault-tolerance property: under an
@@ -113,10 +117,10 @@ func TestChaosEquivalence(t *testing.T) {
 		t.Skip("chaos run takes a few seconds")
 	}
 
-	clean, cleanSrv := runChaosWorkload(t, nil)
+	clean, cleanReceipts, _ := runChaosWorkload(t, nil)
 
 	var faultLn *faultnet.Listener
-	faulty, faultySrv := runChaosWorkload(t, func(ln net.Listener) net.Listener {
+	faulty, faultyReceipts, faultySrv := runChaosWorkload(t, func(ln net.Listener) net.Listener {
 		faultLn = faultnet.NewListener(ln, faultnet.Schedule{
 			Seed:            42,
 			CutMeanBytes:    768,
@@ -134,14 +138,17 @@ func TestChaosEquivalence(t *testing.T) {
 		t.Fatalf("digest streams differ: clean %d bytes, faulty %d bytes", len(clean), len(faulty))
 	}
 
-	// Zero duplicates: every chunk collated exactly once, totals exact.
+	// Zero duplicates: every chunk collated exactly once, with the
+	// reception time of the clean run.
 	perSat := chaosStations * chaosReports * chaosChunks / chaosSatellites
-	for sat := uint32(1); sat <= chaosSatellites; sat++ {
-		if got := faultySrv.Collator.ReceivedChunks(sat); got != perSat {
-			t.Errorf("sat %d: %d chunks under faults, want %d", sat, got, perSat)
+	for s := range chaosSatellites {
+		if got := len(faultyReceipts[s]); got != perSat {
+			t.Errorf("sat %d: %d chunks under faults, want %d", s+1, got, perSat)
 		}
-		if c, f := cleanSrv.Collator.ReceivedBits(sat), faultySrv.Collator.ReceivedBits(sat); c != f {
-			t.Errorf("sat %d: bits clean=%d faulty=%d", sat, c, f)
+		if !slices.EqualFunc(cleanReceipts[s], faultyReceipts[s], func(c, f proto.ChunkInfo) bool {
+			return c.ID == f.ID && c.Received.Equal(f.Received)
+		}) {
+			t.Errorf("sat %d: receipts differ between the clean and the faulty run", s+1)
 		}
 	}
 	// Every station's full sequence was applied.
@@ -166,7 +173,6 @@ func TestChaosEquivalence(t *testing.T) {
 	if faultLn.Stats.Partition.Load() == 0 {
 		t.Error("partition window killed no traffic")
 	}
-	t.Logf("faults injected: cuts=%d flips=%d delays=%d refused=%d partition=%d; replays dropped=%d",
-		cuts, flips, faultLn.Stats.Delays.Load(), refused,
-		faultLn.Stats.Partition.Load(), faultySrv.Collator.Replays())
+	t.Logf("faults injected: cuts=%d flips=%d delays=%d refused=%d partition=%d",
+		cuts, flips, faultLn.Stats.Delays.Load(), refused, faultLn.Stats.Partition.Load())
 }

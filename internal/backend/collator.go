@@ -24,20 +24,14 @@ type Collator struct {
 	mu sync.Mutex
 	// receipts[sat][chunk] = ground reception time, until digested.
 	receipts map[uint32]map[uint64]time.Time
-	// bits and chunks total every receipt ever collated, per satellite.
-	bits   map[uint32]uint64
-	chunks map[uint32]int
 	// lastSeq[station] is the highest applied report sequence number.
 	lastSeq map[uint32]uint64
-	replays int
 }
 
 // NewCollator returns an empty collator.
 func NewCollator() *Collator {
 	return &Collator{
 		receipts: make(map[uint32]map[uint64]time.Time),
-		bits:     make(map[uint32]uint64),
-		chunks:   make(map[uint32]int),
 		lastSeq:  make(map[uint32]uint64),
 	}
 }
@@ -50,7 +44,6 @@ func (c *Collator) Report(r *proto.ChunkReport) bool {
 	defer c.mu.Unlock()
 	if r.Seq != 0 {
 		if r.Seq <= c.lastSeq[r.StationID] {
-			c.replays++
 			return false
 		}
 		c.lastSeq[r.StationID] = r.Seq
@@ -60,14 +53,11 @@ func (c *Collator) Report(r *proto.ChunkReport) bool {
 		m = make(map[uint64]time.Time)
 		c.receipts[r.Sat] = m
 	}
-	held := len(m)
 	for _, ch := range r.Chunks {
 		if _, dup := m[ch.ID]; !dup {
 			m[ch.ID] = ch.Received
-			c.bits[r.Sat] += ch.Bits
 		}
 	}
-	c.chunks[r.Sat] += len(m) - held
 	return true
 }
 

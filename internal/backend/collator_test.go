@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 	"time"
@@ -29,22 +30,24 @@ func TestCollatorRedigestsAfterLostDigest(t *testing.T) {
 
 // TestCollatorMemoryBoundedByInFlight: receipts leave the collator with the
 // digest that carries them, so a long run of report+digest cycles holds no
-// more than the chunks awaiting a digest, while the totals keep counting.
+// more than the chunks awaiting a digest, and every chunk is digested.
 func TestCollatorMemoryBoundedByInFlight(t *testing.T) {
 	c := NewCollator()
+	digested := 0
 	for k := uint64(0); k < 1000; k++ {
 		c.Report(&proto.ChunkReport{StationID: 1, Sat: 7,
 			Chunks: []proto.ChunkInfo{{ID: k, Bits: 1, Received: rxTime}}})
 		if held := len(c.receipts[7]); held != 1 {
 			t.Fatalf("cycle %d: %d receipts held, want 1 (the one in flight)", k, held)
 		}
-		c.Digest(7, rxTime, -1)
+		d, _ := c.Digest(7, rxTime, -1)
+		digested += len(d.ChunkIDs)
 		if held := len(c.receipts[7]); held != 0 {
 			t.Fatalf("cycle %d: %d receipts held after the digest, want 0", k, held)
 		}
 	}
-	if got := c.ReceivedChunks(7); got != 1000 {
-		t.Fatalf("received chunks = %d, want 1000", got)
+	if digested != 1000 {
+		t.Fatalf("digested %d chunks, want 1000", digested)
 	}
 }
 
@@ -65,7 +68,6 @@ func FuzzCollator(f *testing.F) {
 		model := map[uint32]map[uint64]time.Time{}
 		lastSeq := map[uint32]uint64{}
 		received := map[uint32]int{}
-		bits := map[uint32]uint64{}
 		digested := map[uint32]int{}
 		for ; len(ops) >= 4; ops = ops[4:] {
 			op, sat, a, b := ops[0], uint32(ops[1]%3), ops[2], ops[3]
@@ -95,7 +97,6 @@ func FuzzCollator(f *testing.F) {
 					if _, dup := model[sat][ch.ID]; !dup {
 						model[sat][ch.ID] = ch.Received
 						received[sat]++
-						bits[sat] += ch.Bits
 					}
 				}
 			} else {
@@ -130,6 +131,14 @@ func FuzzCollator(f *testing.F) {
 					t.Fatalf("sat %d: %d receipts held, %d not yet digested", s, len(m), len(model[s]))
 				}
 			}
+			var want []proto.ChunkInfo
+			for id, at := range model[sat] {
+				want = append(want, proto.ChunkInfo{ID: id, Received: at})
+			}
+			slices.SortFunc(want, func(x, y proto.ChunkInfo) int { return cmp.Compare(x.ID, y.ID) })
+			if got := c.Receipts(sat); !slices.Equal(got, want) {
+				t.Fatalf("sat %d: receipts %v, want %v", sat, got, want)
+			}
 		}
 		// Drain: every reception is digested exactly once.
 		for sat := uint32(0); sat < 3; sat++ {
@@ -138,12 +147,8 @@ func FuzzCollator(f *testing.F) {
 				t.Fatalf("sat %d: unlimited digest left %d behind", sat, left)
 			}
 			digested[sat] += len(d.ChunkIDs)
-			if digested[sat] != received[sat] || c.ReceivedChunks(sat) != received[sat] {
-				t.Fatalf("sat %d: %d receptions, %d digested, collator counts %d",
-					sat, received[sat], digested[sat], c.ReceivedChunks(sat))
-			}
-			if c.ReceivedBits(sat) != bits[sat] {
-				t.Fatalf("sat %d: bits = %d, want %d", sat, c.ReceivedBits(sat), bits[sat])
+			if digested[sat] != received[sat] {
+				t.Fatalf("sat %d: %d receptions, %d digested", sat, received[sat], digested[sat])
 			}
 		}
 	})

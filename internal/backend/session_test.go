@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -27,11 +28,8 @@ func TestCollatorSeqDedup(t *testing.T) {
 	if c.Report(r) {
 		t.Fatal("replay applied")
 	}
-	if got := c.Replays(); got != 1 {
-		t.Fatalf("replays = %d, want 1", got)
-	}
-	if got := c.ReceivedBits(7); got != 100 {
-		t.Fatalf("bits = %d, want 100 (replay must not double-count)", got)
+	if got := c.Receipts(7); !slices.Equal(got, []proto.ChunkInfo{{ID: 10, Received: rxTime}}) {
+		t.Fatalf("receipts = %v, want chunk 10 once", got)
 	}
 	// Same Seq from a different station is independent.
 	if !c.Report(&proto.ChunkReport{StationID: 2, Sat: 7, Seq: 1,
@@ -111,8 +109,8 @@ func TestManagedAgentReconnectsAndResumes(t *testing.T) {
 	report(2)
 	report(3)
 
-	if got := srv.Collator.ReceivedChunks(5); got != 3 {
-		t.Fatalf("collated %d chunks, want 3", got)
+	if got := srv.Collator.Receipts(5); len(got) != 3 {
+		t.Fatalf("collated receipts %v, want 3", got)
 	}
 	if got := srv.Collator.LastSeq(21); got != 3 {
 		t.Fatalf("lastSeq = %d, want 3", got)

@@ -73,13 +73,15 @@ func (cs *carriedSlot) push(key int32, c linkbudget.Carried) {
 
 // workerScratch is the private scratch of one worker of the slot fan-out,
 // persisting across the slots and epochs it processes: the weather terms
-// per station for the slot being rated, the slot an instant is carried
-// into before its columns are copied out at their exact size, the
+// per station for the slot being rated, each station's forecast noise
+// cells (allocated on the first weathered rating), the slot an instant is
+// carried into before its columns are copied out at their exact size, the
 // per-station elevation-mask bounds of the instant being carried, and the
 // candidate buffer.
 type workerScratch struct {
 	sky   []linkbudget.Sky
 	known []bool
+	cells []weather.Cells
 	build carriedSlot
 	mask  []spatial.Mask
 	cand  []int32
@@ -176,7 +178,7 @@ func exact[S ~[]E, E any](s S) S {
 func (s *Scheduler) rateSlot(buf []uint8, cs *carriedSlot, t time.Time, lead time.Duration, fc *weather.Forecast, ws *workerScratch) (rungs, grown []uint8) {
 	// The lead-independent field samples come from the shared per-instant
 	// cache (hot across overlapping epochs); the per-lead blend is cheap.
-	comp := s.fcComponents(fc, t)
+	comp := s.fcComponents(fc, t, ws)
 	if comp == nil {
 		return cs.rung, buf
 	}

@@ -249,8 +249,10 @@ func (p rungPrices) rate(j int, rung uint8) float64 { return p.bps[j*p.rungs+int
 // after publication, so concurrent slots touching the same instant are
 // safe. Returns nil when fc is nil (clear sky). fc is the caller's, never
 // read off Forecast here: a prefill's workers rate under the forecast it
-// captured while the caller may assign another.
-func (s *Scheduler) fcComponents(fc *weather.Forecast, t time.Time) []weather.Sample {
+// captured while the caller may assign another. Stations are sampled
+// through the worker's noise cells, which a nearby instant almost always
+// finds still holding its corners.
+func (s *Scheduler) fcComponents(fc *weather.Forecast, t time.Time, ws *workerScratch) []weather.Sample {
 	if fc == nil {
 		return nil
 	}
@@ -263,8 +265,11 @@ func (s *Scheduler) fcComponents(fc *weather.Forecast, t time.Time) []weather.Sa
 		return comp
 	}
 	comp = make([]weather.Sample, 2*len(s.Stations))
+	if len(ws.cells) != len(s.Stations) {
+		ws.cells = make([]weather.Cells, len(s.Stations))
+	}
 	for j, gs := range s.Stations {
-		comp[2*j], comp[2*j+1] = fc.Components(gs.Location.LatRad, gs.Location.LonRad, t)
+		comp[2*j], comp[2*j+1] = fc.Components(gs.Location.LatRad, gs.Location.LonRad, t, &ws.cells[j])
 	}
 	s.fcMu.Lock()
 	if s.fcCache == nil || s.fcFor != fc {

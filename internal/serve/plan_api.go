@@ -1,10 +1,11 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -14,139 +15,193 @@ import (
 
 // ---- plan queries (/v1/plan, /v2/plan, /v2/plan/stream) ----
 
-type planAssignment struct {
-	Sat     int     `json:"sat"`
-	Station int     `json:"station"`
-	RateBps float64 `json:"rate_bps"`
-	Weight  float64 `json:"weight"`
+// planRender is one plan rendered once: slots holds the JSON object of
+// every slot with an assignment, in order and comma-separated, and
+// at[k] is such a slot k's object within it. The /v1/plan and /v2/plan
+// bodies embed slots whole; a stream delta copies the objects of the
+// slots it names. The text is what encoding/json makes of the wire types
+// in plan_oracle_test.go (FuzzPlanBody holds the two to each other); err
+// records a number or instant JSON cannot carry.
+type planRender struct {
+	plan        *core.Plan
+	slots       []byte
+	at          [][2]int
+	assignments int
+	err         error
 }
 
-type planSlot struct {
-	Start       time.Time        `json:"start"`
-	Assignments []planAssignment `json:"assignments"`
-}
-
-type planResponse struct {
-	Issued      time.Time  `json:"issued"`
-	SlotSec     float64    `json:"slot_s"`
-	TotalSlots  int        `json:"total_slots"`
-	Assignments int        `json:"assignments"`
-	Slots       []planSlot `json:"slots"`
-}
-
-// planHead is the epoch envelope the live plan and its stream deltas
-// share. The federated fields are omitempty so monolith bodies stay
-// byte-frozen: a single-process world never sets them.
-type planHead struct {
-	Epoch       uint64 `json:"epoch"`
-	PlanVersion int    `json:"plan_version"`
-	// EpochVec is the composite per-shard epoch vector of a federated
-	// world; Degraded and MissingShards mark partial coverage after a
-	// shard loss (degradation is an annotated response, never an error).
-	EpochVec      []uint64 `json:"epoch_vector,omitempty"`
-	Degraded      bool     `json:"degraded,omitempty"`
-	MissingShards []int    `json:"missing_shards,omitempty"`
-}
-
-// planV2Response is the epoch-tagged live-plan shape.
-type planV2Response struct {
-	planHead
-	planResponse
-}
-
-// planDeltaEvent is the SSE delta payload: the slots an epoch swap
-// changed (with their full new assignment sets) and the slots whose
-// assignments vanished entirely.
-type planDeltaEvent struct {
-	planHead
-	Changed []planSlot  `json:"changed"`
-	Removed []time.Time `json:"removed"`
-}
-
-func (w *World) head() planHead {
-	return planHead{
-		Epoch:         w.Epoch,
-		PlanVersion:   w.Plan.Version,
-		EpochVec:      w.EpochVec,
-		Degraded:      w.Degraded(),
-		MissingShards: w.Missing,
-	}
-}
-
-// wireSlot renders one plan slot — the one slot renderer under the plan
-// bodies and the stream deltas.
-func wireSlot(sl core.Slot) planSlot {
-	out := planSlot{Start: sl.Start, Assignments: make([]planAssignment, 0, len(sl.Assignments))}
-	for _, a := range sl.Assignments {
-		out.Assignments = append(out.Assignments, planAssignment{
-			Sat: a.Sat, Station: a.Station, RateBps: a.PlannedRateBps, Weight: a.Weight,
-		})
-	}
-	return out
-}
-
-func planWire(plan *core.Plan) planResponse {
-	resp := planResponse{
-		Issued:     plan.Issued,
-		SlotSec:    plan.SlotDur.Seconds(),
-		TotalSlots: len(plan.Slots),
-		Slots:      make([]planSlot, 0, len(plan.Slots)),
-	}
+func renderPlan(plan *core.Plan) *planRender {
+	r := &planRender{plan: plan, at: make([][2]int, len(plan.Slots))}
 	for _, sl := range plan.Slots {
-		if len(sl.Assignments) > 0 {
-			resp.Slots = append(resp.Slots, wireSlot(sl))
-			resp.Assignments += len(sl.Assignments)
-		}
+		r.assignments += len(sl.Assignments)
 	}
-	return resp
+	// About 80 bytes an assignment and 64 a slot's opening: grown rarely.
+	b := make([]byte, 0, 96*r.assignments+64*len(plan.Slots))
+	for k, sl := range plan.Slots {
+		if len(sl.Assignments) == 0 {
+			continue
+		}
+		if len(b) > 0 {
+			b = append(b, ',')
+		}
+		lo := len(b)
+		b = append(b, `{"start":`...)
+		b = r.appendTime(b, sl.Start)
+		b = append(b, `,"assignments":[`...)
+		for i, a := range sl.Assignments {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"sat":`...)
+			b = strconv.AppendInt(b, int64(a.Sat), 10)
+			b = append(b, `,"station":`...)
+			b = strconv.AppendInt(b, int64(a.Station), 10)
+			b = append(b, `,"rate_bps":`...)
+			b = r.appendFloat(b, a.PlannedRateBps)
+			b = append(b, `,"weight":`...)
+			b = r.appendFloat(b, a.Weight)
+			b = append(b, '}')
+		}
+		b = append(b, "]}"...)
+		r.at[k] = [2]int{lo, len(b)}
+	}
+	r.slots = b
+	return r
 }
 
-// mustMarshal renders a marshal-safe event payload (no trailing newline —
-// the SSE path embeds it as one data line).
-func mustMarshal(v any) []byte {
-	b, err := json.Marshal(v)
+// appendTime appends t's JSON text, time.Time.MarshalJSON's.
+func (r *planRender) appendTime(b []byte, t time.Time) []byte {
+	j, err := t.MarshalJSON()
 	if err != nil {
-		panic(fmt.Sprintf("serve: marshal %T: %v", v, err))
+		r.err = err
+	}
+	return append(b, j...)
+}
+
+// appendFloat appends f as encoding/json does: the shortest text that
+// round-trips, in exponent form below 1e-6 or at 1e21 and above, with a
+// one-digit negative exponent unpadded (e-7, not e-07).
+func (r *planRender) appendFloat(b []byte, f float64) []byte {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		r.err = fmt.Errorf("serve: plan number %v has no JSON form", f)
+		return b
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
 	}
 	return b
 }
 
-// marshalPlanV2 renders a world's live plan to its canonical v2 body.
-func marshalPlanV2(w *World) []byte {
-	return mustMarshal(planV2Response{planHead: w.head(), planResponse: planWire(w.Plan)})
+// appendFields appends the plan's fields after an object's opening,
+// closing the object.
+func (r *planRender) appendFields(b []byte) []byte {
+	b = append(b, `"issued":`...)
+	b = r.appendTime(b, r.plan.Issued)
+	b = append(b, `,"slot_s":`...)
+	b = r.appendFloat(b, r.plan.SlotDur.Seconds())
+	b = append(b, `,"total_slots":`...)
+	b = strconv.AppendInt(b, int64(len(r.plan.Slots)), 10)
+	b = append(b, `,"assignments":`...)
+	b = strconv.AppendInt(b, int64(r.assignments), 10)
+	b = append(b, `,"slots":[`...)
+	b = append(b, r.slots...)
+	return append(b, "]}"...)
 }
 
-// marshalPlanDelta diffs the new world's plan against the previous plan
-// on their shared slot grid and renders the delta event payload.
-func marshalPlanDelta(w *World, prev *core.Plan) []byte {
-	ev := planDeltaEvent{planHead: w.head(), Changed: []planSlot{}, Removed: []time.Time{}}
-	for k := range w.Plan.Slots {
-		ns := w.Plan.Slots[k]
+// v1Body is the /v1/plan body, newline-terminated.
+func (r *planRender) v1Body() ([]byte, error) {
+	b := append(make([]byte, 0, len(r.slots)+128), '{')
+	return append(r.appendFields(b), '\n'), r.err
+}
+
+// appendHead opens w's epoch envelope, the fields the live plan and its
+// stream deltas share. The federated fields are left out when unset, so
+// monolith bodies stay byte-frozen: a single-process world never sets
+// them.
+func appendHead(b []byte, w *World) []byte {
+	b = append(b, `{"epoch":`...)
+	b = strconv.AppendUint(b, w.Epoch, 10)
+	b = append(b, `,"plan_version":`...)
+	b = strconv.AppendInt(b, int64(w.Plan.Version), 10)
+	if len(w.EpochVec) > 0 {
+		b = append(b, `,"epoch_vector":[`...)
+		for i, e := range w.EpochVec {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendUint(b, e, 10)
+		}
+		b = append(b, ']')
+	}
+	if w.Degraded() {
+		b = append(b, `,"degraded":true,"missing_shards":[`...)
+		for i, m := range w.Missing {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(m), 10)
+		}
+		b = append(b, ']')
+	}
+	return b
+}
+
+// must returns a live-plan payload, whose plan a planner made: a number
+// JSON cannot carry there is a server bug.
+func (r *planRender) must(b []byte) []byte {
+	if r.err != nil {
+		panic(r.err)
+	}
+	return b
+}
+
+// v2Body is the canonical /v2/plan body of w, whose plan r rendered (no
+// trailing newline).
+func (r *planRender) v2Body(w *World) []byte {
+	b := append(appendHead(make([]byte, 0, len(r.slots)+256), w), ',')
+	return r.must(r.appendFields(b))
+}
+
+// delta is the stream's delta payload for w, whose plan r rendered: the
+// slots that differ from prev's on their shared slot grid, each with its
+// full new assignment set, and the starts of those whose assignments all
+// vanished.
+func (r *planRender) delta(w *World, prev *core.Plan) []byte {
+	b := append(appendHead(nil, w), `,"changed":[`...)
+	var removed []time.Time
+	for k, ns := range w.Plan.Slots {
 		var os *core.Slot
 		if prev != nil && k < len(prev.Slots) {
 			os = &prev.Slots[k]
 		}
-		same := os != nil && len(os.Assignments) == len(ns.Assignments)
-		if same {
-			for i := range ns.Assignments {
-				if os.Assignments[i] != ns.Assignments[i] {
-					same = false
-					break
-				}
-			}
-		}
-		if same {
+		if os != nil && slices.Equal(os.Assignments, ns.Assignments) {
 			continue
 		}
 		if len(ns.Assignments) == 0 {
 			if os != nil && len(os.Assignments) > 0 {
-				ev.Removed = append(ev.Removed, ns.Start)
+				removed = append(removed, ns.Start)
 			}
 			continue
 		}
-		ev.Changed = append(ev.Changed, wireSlot(ns))
+		if b[len(b)-1] != '[' {
+			b = append(b, ',')
+		}
+		b = append(b, r.slots[r.at[k][0]:r.at[k][1]]...)
 	}
-	return mustMarshal(ev)
+	b = append(b, `],"removed":[`...)
+	for i, t := range removed {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = r.appendTime(b, t)
+	}
+	return r.must(append(b, "]}"...))
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, st *endpointStats) {
@@ -192,7 +247,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, st *endpoint
 
 	key := fmt.Sprintf("e%d|plan|%d|%d|%d", world.Epoch, from.UnixNano(), horizon, slot)
 	s.serveComputed(w, st, key, q.Get("nocache") != "", func() ([]byte, error) {
-		return marshalBody(planWire(snap.Plan(from, horizon, slot)))
+		return renderPlan(snap.Plan(from, horizon, slot)).v1Body()
 	})
 }
 

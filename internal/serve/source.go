@@ -118,14 +118,15 @@ func (p *worldPub) RetiredWorlds() int {
 // one joins the drain queue and every stream subscriber gets the plan
 // delta. Callers hold mu.
 func (p *worldPub) publishLocked(w *World) {
-	w.planJSON = marshalPlanV2(w)
+	r := renderPlan(w.Plan)
+	w.planJSON = r.v2Body(w)
 	old := p.cur.Swap(w)
 	if old == nil {
 		return
 	}
 	p.retired = append(p.retired, old)
 	p.pruneRetiredLocked()
-	p.hub.broadcast(sseEvent("delta", w.Epoch, marshalPlanDelta(w, old.Plan)))
+	p.hub.broadcast(sseEvent("delta", w.Epoch, r.delta(w, old.Plan)))
 }
 
 // pruneRetiredLocked drops retired worlds with no remaining readers.

@@ -61,9 +61,10 @@ func NewField(seed uint64) *Field {
 	}
 	// Estimate the FBM distribution once, deterministically.
 	var sum, sumsq float64
+	var cells [octaves]lattice
 	const n = 4096
 	for i := 0; i < n; i++ {
-		v := fbm3(seed, float64(i)*0.731, float64(i)*0.389, float64(i)*0.211, 3)
+		v := fbm(&cells, seed, float64(i)*0.731, float64(i)*0.389, float64(i)*0.211)
 		sum += v
 		sumsq += v * v
 	}
@@ -97,6 +98,17 @@ func CloudCover(latRad float64) float64 {
 
 // At returns the weather truth for a location and time.
 func (f *Field) At(latRad, lonRad float64, t time.Time) Sample {
+	var cells fieldCells
+	return f.at(&cells, latRad, lonRad, t, RainProbability(latRad), CloudCover(latRad))
+}
+
+// fieldCells is one location's noise cells in one field: three octaves of
+// the rain channel, then three of the cloud channel.
+type fieldCells [2][octaves]lattice
+
+// at is At through the caller's cells, given the latitude's climatology p
+// (RainProbability) and cc (CloudCover).
+func (f *Field) at(cells *fieldCells, latRad, lonRad float64, t time.Time, p, cc float64) Sample {
 	hours := t.Sub(f.epoch).Hours()
 	// Advect the field westward at ~15 degrees/hour-equivalent of cell
 	// drift: storms at mid-latitudes move with the jet stream.
@@ -108,10 +120,9 @@ func (f *Field) At(latRad, lonRad float64, t time.Time) Sample {
 	y := latDeg / cellDeg
 	z := hours / f.corrHours
 
-	nRain := f.uniform(fbm3(f.seed, x, y, z, 3))
-	nCloud := f.uniform(fbm3(f.seed^0x9e3779b97f4a7c15, x*1.3, y*1.3, z*0.8, 3))
+	nRain := f.uniform(fbm(&cells[0], f.seed, x, y, z))
+	nCloud := f.uniform(fbm(&cells[1], f.seed^0x9e3779b97f4a7c15, x*1.3, y*1.3, z*0.8))
 
-	p := RainProbability(latRad)
 	var rain float64
 	if thresh := 1 - p; nRain > thresh && p > 0 {
 		// Quadratic shaping: most rain events are light, a few are severe.
@@ -119,7 +130,6 @@ func (f *Field) At(latRad, lonRad float64, t time.Time) Sample {
 		rain = f.maxRain * u * u
 	}
 
-	cc := CloudCover(latRad)
 	cloud := 0.0
 	if nCloud < cc {
 		// Cloud water scales with how deep inside the cloudy regime we are.
@@ -172,13 +182,32 @@ func (f *Forecast) AtLead(latRad, lonRad float64, t time.Time, lead time.Duratio
 	return f.BlendAtLead(truth, f.errField.At(latRad, lonRad, t), lead)
 }
 
+// Cells is one location's reusable noise cells for Forecast.Components:
+// each field's six lattices and the climatology of the last latitude
+// sampled. A cell is reused only for an equal seed and an equal lattice
+// corner, so one Cells may serve any forecast, location and time — a
+// mismatch only costs a rehash. The zero value is ready to use; a Cells
+// is not safe for concurrent use.
+type Cells struct {
+	field        [2]fieldCells // truth, error field
+	latBits      uint64
+	rainP, cloud float64
+	climate      bool
+}
+
 // Components returns the two lead-independent samples AtLead blends: the
 // truth field and the decorrelated error field at (lat, lon, t). Callers
 // that evaluate the same place and valid time at many leads (the
 // scheduler's overlapping plan epochs) can cache these and blend per lead
-// with BlendAtLead, skipping the expensive noise-field evaluations.
-func (f *Forecast) Components(latRad, lonRad float64, t time.Time) (truth, alt Sample) {
-	return f.truth.At(latRad, lonRad, t), f.errField.At(latRad, lonRad, t)
+// with BlendAtLead, skipping the expensive noise-field evaluations; c
+// carries the noise cells from one call to the next, which at a fixed
+// location almost always still hold the corners a nearby time needs.
+func (f *Forecast) Components(latRad, lonRad float64, t time.Time, c *Cells) (truth, alt Sample) {
+	if b := math.Float64bits(latRad); !c.climate || c.latBits != b {
+		c.latBits, c.rainP, c.cloud, c.climate = b, RainProbability(latRad), CloudCover(latRad), true
+	}
+	return f.truth.at(&c.field[0], latRad, lonRad, t, c.rainP, c.cloud),
+		f.errField.at(&c.field[1], latRad, lonRad, t, c.rainP, c.cloud)
 }
 
 // BlendAtLead combines Components into the forecast AtLead would return
@@ -196,47 +225,71 @@ func (f *Forecast) BlendAtLead(truth, alt Sample, lead time.Duration) Sample {
 
 // ---- deterministic value noise ----
 
-// hash3 maps an integer lattice point (and seed) to [0, 1).
-func hash3(seed uint64, x, y, z int64) float64 {
-	h := seed
-	for _, v := range [3]int64{x, y, z} {
-		h ^= uint64(v) * 0x9e3779b97f4a7c15
-		h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-		h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-		h ^= h >> 31
+// octaves is the number of value-noise octaves a field channel sums.
+const octaves = 3
+
+// lattice is one octave's noise cell: the seed and integer corner it was
+// hashed for and its 8 corner values, c[dz<<2|dy<<1|dx].
+type lattice struct {
+	hashed     bool
+	seed       uint64
+	ix, iy, iz int64
+	c          [8]float64
+}
+
+// mix folds one lattice coordinate into a hash state (splitmix64's
+// finalizer).
+func mix(h uint64, v int64) uint64 {
+	h ^= uint64(v) * 0x9e3779b97f4a7c15
+	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// rehash hashes the cell at corner (ix, iy, iz) under seed: each corner is
+// the seed mixed with x, then y, then z, mapped to [0, 1), and corners
+// sharing a prefix share its rounds (2 + 4 + 8 instead of 24).
+func (l *lattice) rehash(seed uint64, ix, iy, iz int64) {
+	l.hashed, l.seed, l.ix, l.iy, l.iz = true, seed, ix, iy, iz
+	for dx := range int64(2) {
+		hx := mix(seed, ix+dx)
+		for dy := range int64(2) {
+			hxy := mix(hx, iy+dy)
+			for dz := range int64(2) {
+				l.c[dz<<2|dy<<1|dx] = float64(mix(hxy, iz+dz)>>11) / float64(1<<53)
+			}
+		}
 	}
-	return float64(h>>11) / float64(1<<53)
 }
 
 // smooth is the quintic fade used by gradient noise.
 func smooth(t float64) float64 { return t * t * t * (t*(t*6-15) + 10) }
 
-// valueNoise3 is trilinear-interpolated lattice noise in [0, 1).
-func valueNoise3(seed uint64, x, y, z float64) float64 {
+func lerp(a, b, t float64) float64 { return a + (b-a)*t }
+
+// noise is trilinear-interpolated lattice noise in [0, 1) at (x, y, z)
+// under seed, rehashing the cell only when it holds another seed's or
+// another corner's values.
+func (l *lattice) noise(seed uint64, x, y, z float64) float64 {
 	xi, yi, zi := math.Floor(x), math.Floor(y), math.Floor(z)
 	xf, yf, zf := smooth(x-xi), smooth(y-yi), smooth(z-zi)
 	ix, iy, iz := int64(xi), int64(yi), int64(zi)
-
-	lerp := func(a, b, t float64) float64 { return a + (b-a)*t }
-	c000 := hash3(seed, ix, iy, iz)
-	c100 := hash3(seed, ix+1, iy, iz)
-	c010 := hash3(seed, ix, iy+1, iz)
-	c110 := hash3(seed, ix+1, iy+1, iz)
-	c001 := hash3(seed, ix, iy, iz+1)
-	c101 := hash3(seed, ix+1, iy, iz+1)
-	c011 := hash3(seed, ix, iy+1, iz+1)
-	c111 := hash3(seed, ix+1, iy+1, iz+1)
+	if !l.hashed || l.seed != seed || l.ix != ix || l.iy != iy || l.iz != iz {
+		l.rehash(seed, ix, iy, iz)
+	}
+	c := &l.c
 	return lerp(
-		lerp(lerp(c000, c100, xf), lerp(c010, c110, xf), yf),
-		lerp(lerp(c001, c101, xf), lerp(c011, c111, xf), yf),
+		lerp(lerp(c[0], c[1], xf), lerp(c[2], c[3], xf), yf),
+		lerp(lerp(c[4], c[5], xf), lerp(c[6], c[7], xf), yf),
 		zf)
 }
 
-// fbm3 sums octaves of value noise, normalized to [0, 1).
-func fbm3(seed uint64, x, y, z float64, octaves int) float64 {
+// fbm sums the octaves of value noise, normalized to [0, 1), octave o
+// through cells[o].
+func fbm(cells *[octaves]lattice, seed uint64, x, y, z float64) float64 {
 	sum, amp, norm := 0.0, 1.0, 0.0
-	for o := 0; o < octaves; o++ {
-		sum += amp * valueNoise3(seed+uint64(o)*0x100000001b3, x, y, z)
+	for o := range cells {
+		sum += amp * cells[o].noise(seed+uint64(o)*0x100000001b3, x, y, z)
 		norm += amp
 		amp *= 0.5
 		x *= 2
