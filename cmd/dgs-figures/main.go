@@ -2,12 +2,15 @@
 // (§4): the station map (Fig. 2), the backlog CDF (Fig. 3a), the latency
 // CDF (Fig. 3b), and the value-function comparison (Fig. 3c), plus the
 // headline summary numbers. Output is a text table plus optional CSV for
-// plotting.
+// plotting. -fig ablations, which -fig all leaves out, varies one design
+// choice at a time from the DGS reference: the TX-capable share, the
+// forecast error and the beams per station.
 //
 // Usage:
 //
 //	dgs-figures -fig 3a -days 2
 //	dgs-figures -fig all -days 2 -csv out/
+//	dgs-figures -fig ablations -days 2
 package main
 
 import (
@@ -26,8 +29,9 @@ import (
 	"dgs/internal/sim"
 )
 
-// figures are the -fig values: one figure, the summary, or all of them.
-var figures = []string{"2", "3a", "3b", "3c", "summary", "all"}
+// figures are the -fig values: one figure, the summary, the ablations, or
+// all of the paper's figures.
+var figures = []string{"2", "3a", "3b", "3c", "summary", "ablations", "all"}
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: "+strings.Join(figures, ", "))
@@ -51,6 +55,9 @@ func main() {
 		Seed:       *seed,
 		Satellites: *sats,
 		Stations:   *stations,
+		// dgs.Options' own default, stated so that a variant's 0 can mean
+		// a perfect forecast (see runVariants).
+		ForecastErr: 0.3,
 		Progress: func(day int, r *sim.Result) {
 			fmt.Fprintf(os.Stderr, "  … day %d done (delivered %.0f GB so far)\n", day, r.DeliveredGB)
 		},
@@ -71,6 +78,41 @@ func main() {
 	if has("3c") {
 		figure3c(ctx, opt, *csvDir)
 	}
+	if want == "ablations" {
+		ablations(ctx, opt)
+	}
+}
+
+// variant is one labelled run of a figure: a system under its options.
+type variant struct {
+	label string
+	sys   dgs.System
+	opt   dgs.Options
+}
+
+// vary returns opt with set applied.
+func vary(opt dgs.Options, set func(*dgs.Options)) dgs.Options {
+	set(&opt)
+	return opt
+}
+
+// runVariants simulates each variant in turn. A variant's ForecastErr is
+// the simulator's as given: dgs.Options reads 0 as its 0.3 default, here it
+// is a perfect forecast.
+func runVariants(ctx context.Context, variants []variant) []*sim.Result {
+	results := make([]*sim.Result, len(variants))
+	for i, v := range variants {
+		fmt.Fprintf(os.Stderr, "running %s (%d days)…\n", v.label, v.opt.Days)
+		cfg, err := dgs.Config(v.sys, v.opt)
+		if err != nil {
+			fatal(err)
+		}
+		cfg.ForecastErr = v.opt.ForecastErr
+		if results[i], err = sim.Run(ctx, cfg); err != nil {
+			fatal(err)
+		}
+	}
+	return results
 }
 
 // figure2 renders the ground-station map as ASCII (Fig. 2) and CSV.
@@ -112,57 +154,36 @@ func figure2(opt dgs.Options, csvDir string) {
 // figure3ab runs the three systems once and prints both the backlog and
 // latency views (Fig. 3a, 3b) plus the paper-style summary.
 func figure3ab(ctx context.Context, opt dgs.Options, csvDir string, show3a, show3b, showSummary bool) {
-	systems := []dgs.System{dgs.SystemBaseline, dgs.SystemDGS, dgs.SystemDGS25}
-	results := make([]*sim.Result, len(systems))
-	for i, sys := range systems {
-		fmt.Fprintf(os.Stderr, "running %v (%d days)…\n", sys, opt.Days)
-		res, err := dgs.Run(ctx, sys, opt)
-		if err != nil {
-			fatal(err)
-		}
-		results[i] = res
+	var variants []variant
+	for _, sys := range []dgs.System{dgs.SystemBaseline, dgs.SystemDGS, dgs.SystemDGS25} {
+		variants = append(variants, variant{sys.String(), sys, opt})
 	}
+	results := runVariants(ctx, variants)
 
 	if show3a {
 		fmt.Println("== Figure 3a: per-satellite daily data backlog (GB) ==")
-		rows := make([]struct {
-			Label string
-			S     metrics.Summary
-		}, len(systems))
-		for i := range systems {
-			rows[i].Label = systems[i].String()
-			rows[i].S = results[i].BacklogGB.Summarize()
-		}
-		fmt.Print(metrics.Table(rows))
+		fmt.Print(summaryTable(variants, results, func(r *sim.Result) *metrics.Dist { return &r.BacklogGB }))
 		fmt.Println("paper reports:     Baseline 8.5/28.9/80.7   DGS 1.9/5.3/16.7   DGS(25%) 3.9/20.1/66.7")
 		fmt.Println()
 		if csvDir != "" {
-			writeCDFs(csvDir, "fig3a_backlog", systems, results, func(r *sim.Result) *metrics.Dist { return &r.BacklogGB })
+			writeCDFs(csvDir, "fig3a_backlog.csv", "system,value,cdf\n", variants, results, func(r *sim.Result) *metrics.Dist { return &r.BacklogGB })
 		}
 	}
 	if show3b {
 		fmt.Println("== Figure 3b: capture→delivery latency (minutes) ==")
-		rows := make([]struct {
-			Label string
-			S     metrics.Summary
-		}, len(systems))
-		for i := range systems {
-			rows[i].Label = systems[i].String()
-			rows[i].S = results[i].LatencyMin.Summarize()
-		}
-		fmt.Print(metrics.Table(rows))
+		fmt.Print(summaryTable(variants, results, latency))
 		fmt.Println("paper reports:     Baseline 58/293/438   DGS 12/44/88   DGS(25%) 20/58/88")
 		fmt.Println()
 		if csvDir != "" {
-			writeCDFs(csvDir, "fig3b_latency", systems, results, func(r *sim.Result) *metrics.Dist { return &r.LatencyMin })
+			writeCDFs(csvDir, "fig3b_latency.csv", "system,value,cdf\n", variants, results, latency)
 		}
 	}
 	if showSummary {
 		fmt.Println("== Headline summary (§4) ==")
-		for i, sys := range systems {
+		for i, v := range variants {
 			r := results[i]
 			fmt.Printf("%-10s delivered %8.1f GB of %8.1f generated; lost %7.1f GB; tx contacts %d; plan uploads %d\n",
-				sys, r.DeliveredGB, r.GeneratedGB, r.LostGB, r.TxContacts, r.PlanUploads)
+				v.label, r.DeliveredGB, r.GeneratedGB, r.LostGB, r.TxContacts, r.PlanUploads)
 		}
 		fmt.Println()
 	}
@@ -171,57 +192,78 @@ func figure3ab(ctx context.Context, opt dgs.Options, csvDir string, show3a, show
 // figure3c compares value functions on the 25% network (Fig. 3c).
 func figure3c(ctx context.Context, opt dgs.Options, csvDir string) {
 	fmt.Println("== Figure 3c: value-function adaptability (latency, minutes) ==")
-	type variant struct {
-		label string
-		sys   dgs.System
-		value dgs.ValueName
-	}
 	variants := []variant{
-		{"Baseline (L)", dgs.SystemBaseline, dgs.ValueLatency},
-		{"DGS(25% L)", dgs.SystemDGS25, dgs.ValueLatency},
-		{"DGS(25% T)", dgs.SystemDGS25, dgs.ValueThroughput},
+		{"Baseline (L)", dgs.SystemBaseline, opt},
+		{"DGS(25% L)", dgs.SystemDGS25, opt},
+		{"DGS(25% T)", dgs.SystemDGS25, vary(opt, func(o *dgs.Options) { o.Value = dgs.ValueThroughput })},
 	}
+	results := runVariants(ctx, variants)
+	fmt.Print(summaryTable(variants, results, latency))
+	fmt.Println("paper reports:     DGS(25% L) 20/58/-   DGS(25% T) 22/119/-")
+	fmt.Println()
+	if csvDir != "" {
+		writeCDFs(csvDir, "fig3c_valuefunction.csv", "system,latency_min,cdf\n", variants, results, latency)
+	}
+}
+
+// ablationVariants are the DGS runs of -fig ablations: the reference at
+// opt, then one design choice varied at a time — the share of TX-capable
+// stations, the forecast error (0: the planner knows the weather) and the
+// beams per station.
+func ablationVariants(opt dgs.Options) []variant {
+	return []variant{
+		{"DGS (reference)", dgs.SystemDGS, opt},
+		{"TX fraction 0.05", dgs.SystemDGS, vary(opt, func(o *dgs.Options) { o.TxFraction = 0.05 })},
+		{"TX fraction 0.25", dgs.SystemDGS, vary(opt, func(o *dgs.Options) { o.TxFraction = 0.25 })},
+		{"forecast error 0", dgs.SystemDGS, vary(opt, func(o *dgs.Options) { o.ForecastErr = 0 })},
+		{"forecast error 1.0", dgs.SystemDGS, vary(opt, func(o *dgs.Options) { o.ForecastErr = 1 })},
+		{"3 beams", dgs.SystemDGS, vary(opt, func(o *dgs.Options) { o.Beams = 3 })},
+	}
+}
+
+// ablations prints one row per ablation variant: what it delivered and
+// lost, its latency, and what the forecast and the control plane did.
+func ablations(ctx context.Context, opt dgs.Options) {
+	fmt.Println("== Ablations: DGS, one design choice varied from the reference ==")
+	variants := ablationVariants(opt)
+	results := runVariants(ctx, variants)
+	fmt.Printf("%-18s %12s %8s %8s %8s %12s %12s %12s\n",
+		"variant", "delivered GB", "lost GB", "lat med", "lat p90", "mispredicted", "plan uploads", "tx contacts")
+	for i, v := range variants {
+		r := results[i]
+		s := r.LatencyMin.Summarize()
+		fmt.Printf("%-18s %12.1f %8.1f %8.1f %8.1f %12d %12d %12d\n",
+			v.label, r.DeliveredGB, r.LostGB, s.Median, s.P90, r.SlotsMispredicted, r.PlanUploads, r.TxContacts)
+	}
+	fmt.Println()
+}
+
+// latency picks a result's capture→delivery latencies.
+func latency(r *sim.Result) *metrics.Dist { return &r.LatencyMin }
+
+// summaryTable is the median/p90/p99 table of each variant's pick.
+func summaryTable(variants []variant, results []*sim.Result, pick func(*sim.Result) *metrics.Dist) string {
 	rows := make([]struct {
 		Label string
 		S     metrics.Summary
 	}, len(variants))
-	dists := make([]*metrics.Dist, len(variants))
 	for i, v := range variants {
-		o := opt
-		o.Value = v.value
-		fmt.Fprintf(os.Stderr, "running %s…\n", v.label)
-		res, err := dgs.Run(ctx, v.sys, o)
-		if err != nil {
-			fatal(err)
-		}
 		rows[i].Label = v.label
-		rows[i].S = res.LatencyMin.Summarize()
-		dists[i] = &res.LatencyMin
+		rows[i].S = pick(results[i]).Summarize()
 	}
-	fmt.Print(metrics.Table(rows))
-	fmt.Println("paper reports:     DGS(25% L) 20/58/-   DGS(25% T) 22/119/-")
-	fmt.Println()
-	if csvDir != "" {
-		var b strings.Builder
-		b.WriteString("system,latency_min,cdf\n")
-		for i, v := range variants {
-			for _, p := range dists[i].CDF(200) {
-				fmt.Fprintf(&b, "%s,%.3f,%.5f\n", v.label, p.Value, p.F)
-			}
-		}
-		writeFile(csvDir, "fig3c_valuefunction.csv", b.String())
-	}
+	return metrics.Table(rows)
 }
 
-func writeCDFs(dir, name string, systems []dgs.System, results []*sim.Result, pick func(*sim.Result) *metrics.Dist) {
+// writeCDFs writes each variant's CDF of its pick, 200 points a variant.
+func writeCDFs(dir, name, header string, variants []variant, results []*sim.Result, pick func(*sim.Result) *metrics.Dist) {
 	var b strings.Builder
-	b.WriteString("system,value,cdf\n")
-	for i, sys := range systems {
+	b.WriteString(header)
+	for i, v := range variants {
 		for _, p := range pick(results[i]).CDF(200) {
-			fmt.Fprintf(&b, "%s,%.3f,%.5f\n", sys, p.Value, p.F)
+			fmt.Fprintf(&b, "%s,%.3f,%.5f\n", v.label, p.Value, p.F)
 		}
 	}
-	writeFile(dir, name+".csv", b.String())
+	writeFile(dir, name, b.String())
 }
 
 func writeFile(dir, name, content string) {

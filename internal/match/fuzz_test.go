@@ -105,9 +105,9 @@ func FuzzStable(f *testing.F) {
 		checkOracle(t, g, sc.Stable(g), "cold")
 		checkOracle(t, g, sc.Stable(g), "warm")
 		checkOracle(t, g, sc.StableRows(reversedRows(g)), "warm, reversed rows")
-		h := NewGraph(g.NLeft(), g.NRight())
-		for j := 0; j < g.NRight(); j++ {
-			h.SetCapacity(j, g.Capacity(j))
+		h := NewGraph(g.nLeft, g.nRight)
+		for j := 0; j < g.nRight; j++ {
+			h.SetCapacity(j, g.capacity[j])
 		}
 		for _, e := range g.Edges() {
 			_ = h.AddEdge(e.Left, e.Right, float64(int(e.Weight)%3+1))

@@ -55,22 +55,13 @@ func NewGraph(nLeft, nRight int) *Graph {
 	}
 }
 
-// NLeft returns the number of left (satellite) nodes.
-func (g *Graph) NLeft() int { return g.nLeft }
-
-// NRight returns the number of right (station) nodes.
-func (g *Graph) NRight() int { return g.nRight }
-
 // SetCapacity sets a station's simultaneous-link capacity (beamforming),
-// clamped to [0, NLeft]: a station never holds more satellites than the
+// clamped to [0, nLeft]: a station never holds more satellites than the
 // graph has, so the clamp changes no matching, but it keeps the matchers'
 // per-capacity buffers sized by the graph rather than by the request.
 func (g *Graph) SetCapacity(right, c int) {
 	g.capacity[right] = max(0, min(c, g.nLeft))
 }
-
-// Capacity returns a station's simultaneous-link capacity.
-func (g *Graph) Capacity(right int) int { return g.capacity[right] }
 
 // AddEdge inserts a feasible link. Edges with non-positive weight are
 // dropped: a zero-value link never beats staying idle, and negative or NaN

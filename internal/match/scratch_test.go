@@ -21,7 +21,7 @@ func TestScratchEqualsStable(t *testing.T) {
 		sc.Warm = warm
 		for iter := 0; iter < 300; iter++ {
 			g := randomGraph(rng, 1+rng.Intn(25), 1+rng.Intn(25), 0.1+rng.Float64()*0.5)
-			for j := 0; j < g.NRight(); j++ {
+			for j := 0; j < g.nRight; j++ {
 				if rng.Intn(3) == 0 {
 					g.SetCapacity(j, rng.Intn(4)) // includes capacity 0
 				}
@@ -246,17 +246,24 @@ func TestStableRowsAllocFree(t *testing.T) {
 	}
 }
 
+// BenchmarkScratchStable259x173 times the stable matching of paperSlot,
+// warm as across a run's slots, and reports its value and its share of
+// the optimal (MaxWeight) value: the paper's §3.1 choice of stability over
+// optimality, quantified.
 func BenchmarkScratchStable259x173(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := randomGraph(rng, 259, 173, 0.08)
+	g := paperSlot()
+	opt := MaxWeight(g).Value
 	var sc Scratch
 	sc.Warm = true
 	sc.Stable(g)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var m Matching
 	for i := 0; i < b.N; i++ {
-		sc.Stable(g)
+		m = sc.Stable(g)
 	}
+	b.ReportMetric(m.Value, "value")
+	b.ReportMetric(100*m.Value/opt, "pct-of-optimal")
 }
 
 // BenchmarkScratchStable10000x500 is one mega_epoch slot's shape: Walker

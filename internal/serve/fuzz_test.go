@@ -85,6 +85,8 @@ func FuzzUpdates(f *testing.F) {
 		{},
 		{RemoveStations: []int{99}},
 		{AddStations: []StationUpdate{{Name: "x", LatDeg: 123}}},
+		{Weather: &WeatherUpdate{Seed: 9, ErrFraction: -0.1}},
+		{Weather: &WeatherUpdate{Seed: 9, ErrFraction: 1.5}},
 		// One valid body of each kind.
 		{TLEs: []TLEUpdate{{Sat: &idx, Line1: l1, Line2: l2}}},
 		{Weather: &WeatherUpdate{Seed: 9, ErrFraction: 0.25}},

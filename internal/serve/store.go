@@ -184,7 +184,8 @@ type TLEUpdate struct {
 }
 
 // WeatherUpdate replaces the forecast: a fresh synthetic weather field
-// (seeded) with the given saturated error fraction, or clear sky.
+// (seeded) with the given saturated error fraction in [0, 1] (0: the
+// world's configured one), or clear sky.
 type WeatherUpdate struct {
 	Seed        uint64  `json:"seed"`
 	ErrFraction float64 `json:"err_fraction"`
@@ -300,6 +301,9 @@ func (s *Store) Apply(u Update) (ApplyResult, error) {
 		if j < 0 || j >= len(s.ip.Stations()) {
 			return ApplyResult{}, badUpdate("remove_stations[%d]: station %d out of range [0, %d)", i, j, len(s.ip.Stations()))
 		}
+	}
+	if w := u.Weather; w != nil && (w.ErrFraction < 0 || w.ErrFraction > 1) {
+		return ApplyResult{}, badUpdate("weather: err_fraction %g out of [0, 1]", w.ErrFraction)
 	}
 
 	// Apply. Planner preconditions are established above, so errors here

@@ -1,8 +1,8 @@
 package serve
 
 import (
-	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 )
 
@@ -13,8 +13,15 @@ const subBuffer = 16
 
 // sseEvent formats one server-sent event: the event name, the world epoch
 // (or job sequence number) as the event id, and a single-line JSON payload.
+// The payload can be a whole plan, so it is copied once, into a buffer
+// sized for the event up front.
 func sseEvent(event string, id uint64, data []byte) []byte {
-	return fmt.Appendf(nil, "event: %s\nid: %d\ndata: %s\n\n", event, id, data)
+	const head, mid, tail, maxID = "event: ", "\nid: ", "\ndata: ", len("18446744073709551615")
+	b := make([]byte, 0, len(head)+len(event)+len(mid)+maxID+len(tail)+len(data)+2)
+	b = append(append(b, head...), event...)
+	b = strconv.AppendUint(append(b, mid...), id, 10)
+	b = append(append(b, tail...), data...)
+	return append(b, "\n\n"...)
 }
 
 // serveSSE is the one event-stream writer behind /v2/plan/stream and

@@ -195,6 +195,9 @@ func TestUpdatesTLEResolutionAndValidation(t *testing.T) {
 	reject("remove out of range", Update{RemoveStations: []int{99}}, errInvalidArgument)
 	// Latitude out of range.
 	reject("bad latitude", Update{AddStations: []StationUpdate{{Name: "x", LatDeg: 123}}}, errInvalidArgument)
+	// Forecast error outside [0, 1].
+	reject("negative err_fraction", Update{Weather: &WeatherUpdate{Seed: 9, ErrFraction: -0.1}}, errInvalidArgument)
+	reject("err_fraction above 1", Update{Weather: &WeatherUpdate{Seed: 9, ErrFraction: 1.5}}, errInvalidArgument)
 	// Unknown field in the body (strict decoding).
 	raw := httptest.NewRequest(http.MethodPost, "/v2/updates", strings.NewReader(`{"tless":[]}`))
 	rr := httptest.NewRecorder()
@@ -489,6 +492,26 @@ func TestReadyzLifecycle(t *testing.T) {
 	}
 	if !ready.Ready || ready.Epoch != 1 {
 		t.Fatalf("readyz = %+v, want ready at epoch 1", ready)
+	}
+}
+
+// TestSSEEventMatchesFmt: sseEvent writes the bytes of the fmt form it
+// replaced, for every event name the streams send, the extreme ids and an
+// empty payload, in one allocation.
+func TestSSEEventMatchesFmt(t *testing.T) {
+	plan := bytes.Repeat([]byte(`{"slot":1}`), 1000)
+	for _, event := range []string{"plan", "delta", "status", "progress", "report", "done", "error"} {
+		for _, id := range []uint64{0, 1, 17, math.MaxUint64} {
+			for _, data := range [][]byte{nil, []byte(`{}`), plan} {
+				want := fmt.Appendf(nil, "event: %s\nid: %d\ndata: %s\n\n", event, id, data)
+				if got := sseEvent(event, id, data); !bytes.Equal(got, want) {
+					t.Fatalf("sseEvent(%q, %d, %d bytes) = %q, want %q", event, id, len(data), got, want)
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { sseEvent("delta", math.MaxUint64, plan) }); n != 1 {
+		t.Fatalf("sseEvent allocates %v times, want 1", n)
 	}
 }
 

@@ -19,8 +19,9 @@
 // Each unreached declaration is printed with its direct users: bench,
 // example, test, or dead production code ("via"). One that neither bench
 // nor example code reaches fails the check (exit 1) unless the allowlist
-// names it or an allowlisted declaration reaches it. Run it from the
-// module root: go run ./tools/deadcheck
+// names it or an allowlisted declaration reaches it. An allowlist key that
+// names no declaration fails the check too, so an entry cannot outlive its
+// code. Run it from the module root: go run ./tools/deadcheck
 package main
 
 import (
@@ -33,6 +34,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -44,8 +46,7 @@ import (
 // allow names the declarations that may stay although only tests reach
 // them, each with the reason it stays.
 var allow = map[string]string{
-	"dgs/internal/core.WithHysteresis": "the root BenchmarkAblationHysteresis and EXPERIMENTS.md's hysteresis ablation run it; the reproduction item decides its fate",
-	"dgs/internal/core.BiddingValue":   "the paper's bidding hook (DESIGN §2), a station-priced Φ for the system to plug in",
+	"dgs/internal/core.BiddingValue": "the paper's bidding hook (DESIGN §2), a station-priced Φ for the system to plug in",
 }
 
 // decl is a module-level declaration, or the init code of a package's
@@ -71,7 +72,7 @@ type graph struct {
 }
 
 func main() {
-	code, err := run(".", os.Stdout)
+	code, err := run(".", allow, os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "deadcheck:", err)
 		os.Exit(2)
@@ -79,9 +80,9 @@ func main() {
 	os.Exit(code)
 }
 
-// run checks the module rooted at dir, reports to out and returns the
-// exit code.
-func run(dir string, out io.Writer) (int, error) {
+// run checks the module rooted at dir against the allowlist allow (keyed
+// like decl.key), reports to out and returns the exit code.
+func run(dir string, allow map[string]string, out io.Writer) (int, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
 		return 0, err
@@ -133,8 +134,14 @@ func run(dir string, out io.Writer) (int, error) {
 		file, _ := filepath.Rel(dir, d.pos.Filename) // go list names files under dir
 		fmt.Fprintf(out, "%s:%d: %s: %s; %s\n", file, d.pos.Line, g.short(d.key), verdict, g.usersOf(d))
 	}
+	for _, k := range slices.Sorted(maps.Keys(allow)) {
+		if g.decls[k] == nil {
+			fmt.Fprintf(out, "allowlist: %s: STALE; names no declaration\n", k)
+			fails++
+		}
+	}
 	if fails > 0 {
-		fmt.Fprintf(out, "deadcheck: %d declaration(s) no binary, bench or example reaches: delete them, or move them into the _test.go files that use them\n", fails)
+		fmt.Fprintf(out, "deadcheck: %d failure(s): delete each DEAD declaration (no binary, bench or example reaches it) or move it into the _test.go files that use it, and drop each STALE allowlist key\n", fails)
 		return 1, nil
 	}
 	fmt.Fprintf(out, "deadcheck: every declaration outside bench/ and examples/ is reached by a binary, bench or example (%d reached only by those or allowlisted)\n", listed)
