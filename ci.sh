@@ -56,13 +56,16 @@ fi
 # cover; the pass predictor serves the pass endpoints and dgs-passes, and
 # must not grow back underneath core.
 if go list -deps ./internal/core | grep -qx dgs/internal/passes; then echo "core must not depend on passes" >&2; exit 1; fi
-# One visibility path: only spatial.Sites builds the station cover and
-# topocentric bases the planner and the pass scan test pairs with, so the
-# plan and the pass API cannot disagree about who sees whom. The
+# One visibility path: only spatial.Sites builds a station's topocentric
+# basis, tests a pair's elevation sine and takes its look angles — for the
+# planner's carry, the pass scan, the simulator's uplink (a cover over the
+# TX stations) and downlink (the planner's own Sites), the link-budget
+# endpoint and orbit.Observe (trace's culminations, dgs-passes -rates) —
+# so no two of them can disagree about who sees whom. The
 # latitude-longitude station grid and the sub-points it was queried with
 # are gone: candidates come from the cover over satellite directions.
-if git grep -nE 'frames\.NewTopocentric' -- internal/core internal/passes ':!*_test.go'; then
-    echo "core and passes must take station geometry from spatial.Sites" >&2; exit 1
+if git grep -nE 'frames\.(NewTopocentric|Look)\(|\.RangeSinEl\(' -- '*.go' ':!*_test.go' ':!internal/spatial' ':!internal/frames'; then
+    echo "station geometry comes from spatial.Sites: no topocentric basis, look angle or elevation sine outside internal/spatial and internal/frames" >&2; exit 1
 fi
 if git grep -nE 'AppendNear|SubPointOf|type Grid' -- '*.go' ':!*_test.go'; then
     echo "no station grid or sub-point: candidates come from spatial.Sites' direction cover" >&2; exit 1
@@ -330,7 +333,9 @@ go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream
 # worker), and the carry's shortcuts must cut exactly what they replace
 # (SinFloor, MaskTable, RangeSinEl, TxVisible: the azimuth-free elevation
 # and the mask's sine bounds ≡ Look, in the carry and in the simulator's
-# uplink-contact test; SineTable: the quantized elevation looked up from
+# uplink-contact test, whose TX cover, cut for the run's apogee, misses no
+# TX station Look puts a satellite above — FuzzTxVisible's seed corpus;
+# SineTable: the quantized elevation looked up from
 # the sine ≡ quantize(asin);
 # ClearRates, Kernel: carried clear-sky rates ≡ the memo, and a weathered
 # epoch never rates into a carried rung column; Rung: a rung priced at its

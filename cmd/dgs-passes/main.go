@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -35,6 +36,7 @@ import (
 	"dgs/internal/passes"
 	"dgs/internal/poscache"
 	"dgs/internal/sgp4"
+	"dgs/internal/spatial"
 	"dgs/internal/station"
 	"dgs/internal/tle"
 	"dgs/internal/trace"
@@ -174,13 +176,14 @@ func satelliteMain(out io.Writer, el tle.TLE, gs *station.Station, start time.Ti
 		fmt.Fprintln(out, "no passes in window")
 		return nil
 	}
+	sites := spatial.NewSites(station.Network{gs}, math.Inf(1))
 	for i, p := range log.Observations() {
 		fmt.Fprintf(out, "%2d  rise %s  culm %s  set %s  dur %5.1f min  max el %5.1f°",
 			i+1,
 			p.Rise.Format("15:04:05"), p.Culmination.Format("15:04:05"), p.Set.Format("15:04:05"),
 			p.Duration().Minutes(), p.MaxElevationRad*astro.Rad2Deg)
 		if rates {
-			look, err := orbit.Observe(prop, obs, p.Culmination)
+			look, err := orbit.Observe(prop, sites, 0, p.Culmination)
 			if err == nil {
 				geo := linkbudget.Geometry{
 					RangeKm:       look.RangeKm,

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 	"time"
 
 	"dgs/internal/astro"
@@ -15,6 +16,7 @@ import (
 	"dgs/internal/linkbudget"
 	"dgs/internal/orbit"
 	"dgs/internal/sgp4"
+	"dgs/internal/spatial"
 	"dgs/internal/station"
 	"dgs/internal/tle"
 	"dgs/internal/trace"
@@ -52,8 +54,9 @@ func main() {
 	// 4. For each pass, estimate what a 1 m DGS dish could receive.
 	radio := linkbudget.DefaultRadio()
 	node := linkbudget.DGSTerminal()
+	sites := spatial.NewSites(station.Network{zurich}, math.Inf(1))
 	for i, p := range contacts.Observations() {
-		look, err := orbit.Observe(prop, zurich.Location, p.Culmination)
+		look, err := orbit.Observe(prop, sites, 0, p.Culmination)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -116,7 +116,7 @@ func (ws *workerScratch) masks(net station.Network) []spatial.Mask {
 // (ascending) — which, with every station listed, is the full cross
 // product without the cover.
 func (s *Scheduler) carryPairs(positions *poscache.Cache, t time.Time, dirtySats []bool, dirtyStations []int32, ws *workerScratch) *carriedSlot {
-	stSites := s.stationSites()
+	stSites := s.StationSites()
 	kern, sites, reach, _ := s.rateKernel()
 	restricted := dirtySats != nil || dirtyStations != nil
 	nGs := len(s.Stations)
@@ -232,7 +232,7 @@ func (s *Scheduler) Visibility(sats []SatSnapshot, t time.Time, lead time.Durati
 	var ws workerScratch
 	cs := s.carryPairs(positions, t, nil, nil, &ws)
 	rungs, _ := s.rateSlot(nil, cs, t, lead, s.Forecast, &ws)
-	stSites, at := s.stationSites(), positions.At(t)
+	stSites, at := s.StationSites(), positions.At(t)
 	_, _, reach, price := s.rateKernel()
 	nGs := len(s.Stations)
 	var edges []VisibleEdge
@@ -307,7 +307,7 @@ func (s *Scheduler) newFill(positions *poscache.Cache, start time.Time, n int, s
 	}
 	positions.AtRange(fresh)
 	// Built before any worker reads them.
-	s.stationSites()
+	s.StationSites()
 	s.rateKernel()
 
 	// Carrying, patching and rating depend only on time, never on the

@@ -186,12 +186,12 @@ func (s *Scheduler) SetStations(net station.Network) {
 	s.scr = nil
 }
 
-// stationSites returns the station network's visibility index for the
+// StationSites returns the station network's visibility index for the
 // largest range cut, built on first use and shared across the worker
-// pool. It derives from station locations and terminals only; mutable
-// station fields (constraint bitmap, elevation mask) are still read live
-// each evaluation.
-func (s *Scheduler) stationSites() *spatial.Sites {
+// pool and with the simulator's downlink. It derives from station
+// locations and terminals only; mutable station fields (constraint bitmap,
+// elevation mask) are still read live each evaluation.
+func (s *Scheduler) StationSites() *spatial.Sites {
 	_, _, reach, _ := s.rateKernel()
 	s.mu.Lock()
 	defer s.mu.Unlock()

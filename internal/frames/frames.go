@@ -175,12 +175,6 @@ func (l LookAngles) AzimuthDeg() float64 { return l.AzimuthRad * astro.Rad2Deg }
 // ElevationDeg returns elevation in degrees.
 func (l LookAngles) ElevationDeg() float64 { return l.ElevationRad * astro.Rad2Deg }
 
-// Look computes the look angles from a geodetic observer to a target given in
-// ECEF kilometres, via the south-east-zenith (SEZ) topocentric frame.
-func Look(observer Geodetic, targetECEF Vec3) LookAngles {
-	return NewTopocentric(observer).Look(targetECEF)
-}
-
 // Topocentric is a precomputed SEZ observer basis for a fixed ground site.
 // Building it once and calling Look per target skips the geodetic→ECEF
 // conversion and the latitude/longitude sincos that dominate repeated
@@ -205,7 +199,7 @@ func NewTopocentric(observer Geodetic) Topocentric {
 }
 
 // Look computes the look angles from the precomputed observer basis to a
-// target in ECEF kilometres. Identical arithmetic to the package-level Look.
+// target in ECEF kilometres, via the south-east-zenith (SEZ) frame.
 func (tp Topocentric) Look(targetECEF Vec3) LookAngles {
 	s, e, z := tp.sez(targetECEF)
 	rng, sinEl := rangeSinEl(s, e, z)

@@ -137,7 +137,7 @@ func TestLookAnglesZenith(t *testing.T) {
 	obs := NewGeodeticDeg(47.0, 8.0, 0.5)
 	// A target directly above the observer at 500 km.
 	above := Geodetic{LatRad: obs.LatRad, LonRad: obs.LonRad, AltKm: obs.AltKm + 500}
-	la := Look(obs, above.ECEF())
+	la := NewTopocentric(obs).Look(above.ECEF())
 	if la.ElevationDeg() < 89.99 {
 		t.Errorf("elevation to zenith target = %v deg", la.ElevationDeg())
 	}
@@ -159,7 +159,7 @@ func TestLookAnglesCardinal(t *testing.T) {
 		{"west", NewGeodeticDeg(0, -5, 300), 270},
 	}
 	for _, c := range cases {
-		la := Look(obs, c.target.ECEF())
+		la := NewTopocentric(obs).Look(c.target.ECEF())
 		if math.Abs(astro.NormalizePi((la.AzimuthDeg()-c.wantAz)*astro.Deg2Rad))*astro.Rad2Deg > 0.2 {
 			t.Errorf("%s: azimuth = %.3f, want %.0f", c.name, la.AzimuthDeg(), c.wantAz)
 		}
@@ -172,7 +172,7 @@ func TestLookAnglesCardinal(t *testing.T) {
 func TestLookAnglesBelowHorizon(t *testing.T) {
 	obs := NewGeodeticDeg(0, 0, 0)
 	// Antipodal satellite is far below the horizon.
-	la := Look(obs, NewGeodeticDeg(0, 180, 500).ECEF())
+	la := NewTopocentric(obs).Look(NewGeodeticDeg(0, 180, 500).ECEF())
 	if la.ElevationRad >= 0 {
 		t.Fatalf("antipodal target must be below horizon, got %.2f deg", la.ElevationDeg())
 	}

@@ -9,6 +9,7 @@ import (
 	"dgs/internal/astro"
 	"dgs/internal/frames"
 	"dgs/internal/sgp4"
+	"dgs/internal/spatial"
 )
 
 // Propagator produces an inertial (TEME) state at a given time, and the
@@ -23,11 +24,11 @@ type Propagator interface {
 }
 
 // Observe computes the look angles (azimuth, elevation, slant range) from
-// an observer to the satellite driven by prop at time t.
-func Observe(prop Propagator, observer frames.Geodetic, t time.Time) (frames.LookAngles, error) {
+// station j of sites to the satellite driven by prop at time t.
+func Observe(prop Propagator, sites *spatial.Sites, j int, t time.Time) (frames.LookAngles, error) {
 	st, err := prop.PropagateTo(t)
 	if err != nil {
 		return frames.LookAngles{}, err
 	}
-	return frames.Look(observer, frames.TEMEToECEF(st.PositionKm, astro.JulianDate(t))), nil
+	return sites.Look(j, frames.TEMEToECEF(st.PositionKm, astro.JulianDate(t))), nil
 }

@@ -1,10 +1,13 @@
 package orbit
 
 import (
+	"math"
 	"testing"
 
 	"dgs/internal/frames"
 	"dgs/internal/sgp4"
+	"dgs/internal/spatial"
+	"dgs/internal/station"
 	"dgs/internal/tle"
 )
 
@@ -31,8 +34,8 @@ func TestObserveGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := frames.NewGeodeticDeg(40.0, -75.0, 0.1)
-	look, err := Observe(p, obs, el.Epoch)
+	obs := spatial.NewSites(station.Network{{Location: frames.NewGeodeticDeg(40.0, -75.0, 0.1)}}, math.Inf(1))
+	look, err := Observe(p, obs, 0, el.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}

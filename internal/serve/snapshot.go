@@ -2,12 +2,12 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"dgs"
 	"dgs/internal/core"
 	"dgs/internal/dvbs2"
-	"dgs/internal/frames"
 	"dgs/internal/itu"
 	"dgs/internal/linkbudget"
 	"dgs/internal/orbit"
@@ -16,6 +16,7 @@ import (
 	"dgs/internal/sgp4"
 	"dgs/internal/shard"
 	"dgs/internal/sim"
+	"dgs/internal/spatial"
 	"dgs/internal/tle"
 	"dgs/internal/weather"
 )
@@ -107,7 +108,7 @@ type Snapshot struct {
 	positions *poscache.Cache
 	fc        *weather.Forecast
 	radio     linkbudget.Radio
-	topo      []frames.Topocentric
+	sites     *spatial.Sites
 	genRate   float64 // capture rate, bits/s
 
 	// planSnaps is the fixed queue state plan queries run against; each
@@ -216,10 +217,7 @@ func newSnapshotLoaded(cfg SnapshotConfig, sc sim.Config) (*Snapshot, error) {
 func (s *Snapshot) derive() {
 	s.positions = poscache.New(s.props)
 
-	s.topo = make([]frames.Topocentric, len(s.sim.Stations))
-	for j, gs := range s.sim.Stations {
-		s.topo[j] = frames.NewTopocentric(gs.Location)
-	}
+	s.sites = spatial.NewSites(s.sim.Stations, math.Inf(1))
 
 	// Plan queries run against a fixed, deterministic queue state: every
 	// satellite one hour behind on capture. The point of the endpoint is
@@ -336,7 +334,7 @@ func (s *Snapshot) LinkBudgetAt(sat, gs int, t time.Time, lead time.Duration) Li
 	if !e.OK {
 		return lb
 	}
-	look := s.topo[gs].Look(e.Pos)
+	look := s.sites.Look(gs, e.Pos)
 	if look.ElevationRad <= st.MinElevationRad {
 		return lb
 	}

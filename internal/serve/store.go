@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -231,6 +232,15 @@ func IsUpdateError(err error) bool {
 // update leaves the world untouched. Returns the published result and
 // broadcasts a plan delta to stream subscribers.
 func (s *Store) Apply(u Update) (ApplyResult, error) {
+	// A weather revision's forecast (two field calibrations) depends only
+	// on the update and the immutable config: validate and build it
+	// unlocked. A zero err_fraction is the world's default.
+	var fc *weather.Forecast
+	if w := u.Weather; w != nil && (w.ErrFraction < 0 || w.ErrFraction > 1) {
+		return ApplyResult{}, badUpdate("weather: err_fraction %g out of [0, 1]", w.ErrFraction)
+	} else if w != nil && !w.ClearSky {
+		fc = weather.NewForecast(weather.NewField(w.Seed), cmp.Or(w.ErrFraction, s.cur.Load().Snap.Config().ForecastErr))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -302,9 +312,6 @@ func (s *Store) Apply(u Update) (ApplyResult, error) {
 			return ApplyResult{}, badUpdate("remove_stations[%d]: station %d out of range [0, %d)", i, j, len(s.ip.Stations()))
 		}
 	}
-	if w := u.Weather; w != nil && (w.ErrFraction < 0 || w.ErrFraction > 1) {
-		return ApplyResult{}, badUpdate("weather: err_fraction %g out of [0, 1]", w.ErrFraction)
-	}
 
 	// Apply. Planner preconditions are established above, so errors here
 	// are store bugs, not client input.
@@ -315,15 +322,7 @@ func (s *Store) Apply(u Update) (ApplyResult, error) {
 		s.tles[r.sat] = r.el
 	}
 	if u.Weather != nil {
-		if u.Weather.ClearSky {
-			s.fc = nil
-		} else {
-			errFrac := u.Weather.ErrFraction
-			if errFrac <= 0 {
-				errFrac = old.Snap.Config().ForecastErr
-			}
-			s.fc = weather.NewForecast(weather.NewField(u.Weather.Seed), errFrac)
-		}
+		s.fc = fc
 		s.ip.SetForecast(s.fc)
 	}
 	for _, st := range adds {

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"cmp"
+	"slices"
+
 	"dgs/internal/linkbudget"
 	"dgs/internal/proto"
 	"dgs/internal/satellite"
@@ -14,11 +17,10 @@ type claim struct {
 }
 
 // slotAssign is a satellite's resolved planned assignment for one slot,
-// looked up once and shared by the claims pass and the execution pass.
+// looked up once for the claims and the execution pass.
 type slotAssign struct {
-	gs      int
-	rate    float64
-	version int
+	gs   int
+	rate float64
 }
 
 // downlink executes the slot: every satellite acts on the plan it
@@ -32,9 +34,10 @@ func (e *Engine) downlink() {
 	w := e.w
 	cfg := &w.cfg
 
-	// Resolve each satellite's planned assignment once for this step; both
-	// the claims pass and the execution pass below reuse it.
-	assigns := w.assigns
+	// Resolve each satellite's planned assignment once for this step, and
+	// each station's claimants; the execution pass below reuses both.
+	assigns, claims := w.assigns, w.claims // claims: station -> claimants
+	clear(claims)
 	for i, s := range w.sats {
 		satPlan := s.heldPlan
 		if !cfg.Hybrid {
@@ -45,33 +48,21 @@ func (e *Engine) downlink() {
 		if satPlan != nil {
 			v = satPlan.Version
 		}
-		assigns[i] = slotAssign{gs: gsIdx, rate: plannedRate, version: v}
-	}
-	claims := w.claims // station -> claimants
-	clear(claims)
-	for i := range w.sats {
-		if assigns[i].gs < 0 {
-			continue
+		assigns[i] = slotAssign{gs: gsIdx, rate: plannedRate}
+		if gsIdx >= 0 {
+			claims[gsIdx] = append(claims[gsIdx], claim{sat: i, version: v})
 		}
-		claims[assigns[i].gs] = append(claims[assigns[i].gs], claim{sat: i, version: assigns[i].version})
 	}
 	served := w.served // satellites a station listens to
 	clear(served)
 	for gsIdx, cs := range claims {
-		capacity := cfg.Stations[gsIdx].Capacity()
 		// Newest plan version wins; deterministic tie-break on index.
-		for k := 0; k < capacity && len(cs) > 0; k++ {
-			best := 0
-			for x := 1; x < len(cs); x++ {
-				if cs[x].version > cs[best].version ||
-					(cs[x].version == cs[best].version && cs[x].sat < cs[best].sat) {
-					best = x
-				}
-			}
-			served[cs[best].sat] = true
-			cs = append(cs[:best], cs[best+1:]...)
+		slices.SortFunc(cs, func(a, b claim) int { return cmp.Or(b.version-a.version, a.sat-b.sat) })
+		for _, c := range cs[:min(cfg.Stations[gsIdx].Capacity(), len(cs))] {
+			served[c.sat] = true
 		}
 	}
+	sites := w.sched.StationSites() // the bases the plan was carried with
 	for i, s := range w.sats {
 		gsIdx, plannedRate := assigns[i].gs, assigns[i].rate
 		if gsIdx < 0 {
@@ -84,7 +75,7 @@ func (e *Engine) downlink() {
 		if !w.ecefs[i].OK {
 			continue
 		}
-		look := w.topo[gsIdx].Look(w.ecefs[i].Pos)
+		look := sites.Look(gsIdx, w.ecefs[i].Pos)
 		if look.ElevationRad <= gs.MinElevationRad {
 			continue
 		}
@@ -99,17 +90,13 @@ func (e *Engine) downlink() {
 			RainMmH: wt.RainMmH, CloudKgM2: wt.CloudKgM2,
 		})
 
-		txRate := plannedRate
-		decodable := true
+		txRate, decodable := plannedRate, listening
 		if cfg.Hybrid {
 			// Open loop: the satellite uses the planned MODCOD. If the
 			// true channel is worse, the frames do not decode. If the
 			// station is pointed at a newer-plan satellite, nothing is
 			// listening at all.
 			if plannedRate > actualRate {
-				decodable = false
-			}
-			if !listening {
 				decodable = false
 			}
 		} else {

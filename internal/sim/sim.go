@@ -22,7 +22,8 @@
 //
 //   - World (world.go) owns every piece of mutable run state — satellite
 //     runtimes, the backend's ack collator, the current plan, the clock —
-//     plus the hot-path helpers (snapshot, txVisible) with reusable scratch.
+//     plus the hot-path helpers (snapshot, txVisible) with reusable scratch,
+//     taking station geometry from spatial.Sites only.
 //   - Engine (engine.go) advances a World one slot per Step, calling
 //     capture → plan → downlink → uplink → account in that order; each is
 //     an Engine method in its own file, and they share state only through

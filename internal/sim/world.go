@@ -2,11 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
+	"dgs/internal/astro"
 	"dgs/internal/backend"
 	"dgs/internal/core"
-	"dgs/internal/frames"
 	"dgs/internal/linkbudget"
 	"dgs/internal/poscache"
 	"dgs/internal/proto"
@@ -14,6 +15,7 @@ import (
 	"dgs/internal/sgp4"
 	"dgs/internal/spatial"
 	"dgs/internal/station"
+	"dgs/internal/tle"
 	"dgs/internal/weather"
 
 	"dgs/internal/orbit"
@@ -53,19 +55,16 @@ type World struct {
 	// run (zero when injection is off).
 	eventPeriod time.Duration
 
-	sats       []*satRuntime
-	truth      weather.Provider
-	fc         *weather.Forecast
-	positions  *poscache.Cache
-	sched      *core.Scheduler
-	txStations station.Network
-	// txMask is the sine bounds of each TX station's elevation mask,
-	// aligned with txStations: txVisible tests the sine against them.
-	txMask []spatial.Mask
-	// topo is each station's precomputed look-angle basis, by station
-	// index: the per-step visibility tests would otherwise rebuild it for
-	// every (satellite, station) pair.
-	topo []frames.Topocentric
+	sats      []*satRuntime
+	truth     weather.Provider
+	fc        *weather.Forecast
+	positions *poscache.Cache
+	sched     *core.Scheduler
+	// txSites covers the TX stations (x is TxStations()[x]), txMask holds
+	// their mask bounds, and txNear is txVisible's candidate scratch.
+	txSites *spatial.Sites
+	txMask  []spatial.Mask
+	txNear  []int32
 
 	// Backend state: the stations' receipts awaiting an ack digest, keyed by
 	// satellite index (hybrid only: the baseline acks on reception), each
@@ -106,7 +105,8 @@ func newWorld(cfg Config) (*World, error) {
 	if err := cfg.Stations.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	if cfg.Hybrid && len(cfg.Stations.TxStations()) == 0 {
+	tx := cfg.Stations.TxStations()
+	if cfg.Hybrid && len(tx) == 0 {
 		return nil, fmt.Errorf("sim: hybrid run requires at least one TX-capable station")
 	}
 
@@ -126,8 +126,9 @@ func newWorld(cfg Config) (*World, error) {
 		w.fc = weather.NewForecast(field, cfg.ForecastErr)
 	}
 
-	// Satellites.
+	// Satellites, and their propagators for the position cache.
 	w.sats = make([]*satRuntime, 0, len(cfg.TLEs))
+	props := make([]orbit.Propagator, 0, len(cfg.TLEs))
 	if cfg.EventsPerSatPerDay > 0 {
 		w.eventPeriod = time.Duration(86400/cfg.EventsPerSatPerDay) * time.Second
 	}
@@ -145,15 +146,12 @@ func newWorld(cfg Config) (*World, error) {
 			sr.nextEvent = cfg.Start.Add(time.Duration(i%97) * w.eventPeriod / 97)
 		}
 		w.sats = append(w.sats, sr)
+		props = append(props, p)
 	}
 
 	// One shared position cache serves the engine (per-step propagation,
 	// TX-contact checks) and the scheduler's planning sweep: each instant
 	// is propagated exactly once, in parallel over the pool.
-	props := make([]orbit.Propagator, len(w.sats))
-	for i, s := range w.sats {
-		props[i] = s.prop
-	}
 	w.positions = poscache.New(props)
 	w.positions.Workers = cfg.Workers
 
@@ -175,7 +173,10 @@ func newWorld(cfg Config) (*World, error) {
 	w.end = cfg.Start.Add(cfg.Duration)
 	w.nextPlan = cfg.Start
 	w.nextDayMark = cfg.Start.Add(24 * time.Hour)
-	w.indexStations(cfg.Stations)
+	w.txSites = spatial.NewSites(tx, uplinkRangeKm(tx, cfg.TLEs))
+	for _, gs := range tx {
+		w.txMask = append(w.txMask, spatial.NewMask(gs.MinElevationRad))
+	}
 
 	w.assigns = make([]slotAssign, len(w.sats))
 	w.claims = make(map[int][]claim)
@@ -183,34 +184,39 @@ func newWorld(cfg Config) (*World, error) {
 	return w, nil
 }
 
-// indexStations precomputes the per-station geometry of the visibility
-// tests: every station's look-angle basis and the TX stations with their
-// elevation-mask sine bounds.
-func (w *World) indexStations(net station.Network) {
-	w.txStations = net.TxStations()
-	w.txMask = make([]spatial.Mask, len(w.txStations))
-	for x, gs := range w.txStations {
-		w.txMask[x] = spatial.NewMask(gs.MinElevationRad)
+// uplinkRangeKm is the slant-range cut of the uplink's cover: the farthest
+// a satellite at the highest mean-element apogee of tles, a(1+e), stands
+// from a station of tx while above −1° (the lowest mask Network.Validate
+// allows) lowered by the angle between the station's geodetic and
+// geocentric verticals: passes.BeyondCut's bound. The cover's 4° margin
+// absorbs SGP4's short-period excursions past the mean apogee.
+func uplinkRangeKm(tx station.Network, tles []tle.TLE) (cut float64) {
+	apogee := 0.0
+	for _, el := range tles {
+		apogee = math.Max(apogee, el.SemiMajorAxisKm()*(1+el.Eccentricity))
 	}
-	w.topo = make([]frames.Topocentric, len(net))
-	for j, gs := range net {
-		w.topo[j] = frames.NewTopocentric(gs.Location)
+	for _, gs := range tx {
+		pos := gs.Location.ECEF()
+		rho := pos.Norm()
+		el := -1*astro.Deg2Rad - math.Abs(gs.Location.LatRad-math.Atan2(pos.Z, math.Hypot(pos.X, pos.Y)))
+		cut = math.Max(cut, math.Sqrt(apogee*apogee-rho*rho*math.Cos(el)*math.Cos(el))-rho*math.Sin(el))
 	}
+	return cut
 }
 
 // txVisible reports whether satellite i is above the elevation mask of some
 // transmit-capable station at the current slot (an uplink opportunity: plan
 // upload + cumulative acks on the low-rate S-band side channel). It reads
-// the slot's cached positions; the engine prologue must have run. The test
-// is Look's elevation against the mask, with the carry's shortcut: a sine
-// clear of the mask's bounds decides it without the arcsine, and the
-// azimuth is never computed.
+// the slot's cached positions; the engine prologue must have run. Each of
+// the TX cover's candidates takes Above's sine test against its mask.
 func (w *World) txVisible(i int) bool {
 	if !w.ecefs[i].OK {
 		return false
 	}
-	for x, gs := range w.txStations {
-		if _, sinEl := w.topo[gs.ID].RangeSinEl(w.ecefs[i].Pos); w.txMask[x].Clears(sinEl) {
+	pos := w.ecefs[i].Pos
+	w.txNear = w.txSites.Near(w.txNear, pos)
+	for _, x := range w.txNear {
+		if _, _, ok := w.txSites.Above(int(x), pos, math.Inf(1), w.txMask[x]); ok {
 			return true
 		}
 	}

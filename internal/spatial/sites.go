@@ -11,9 +11,9 @@ import (
 
 // Sites answers "which stations can a satellite at pos see" for a fixed
 // station network and range cut: the cover over satellite directions plus
-// each station's topocentric basis. The planner carries every instant
-// through it and the pass scan strides every span through it, so the plan
-// and the pass API cannot disagree about who sees whom. Station locations
+// each station's topocentric basis. The planner's carry, the pass scan
+// and the simulator's uplink all ask it, so the plan, the pass API and the
+// uplink cannot disagree about who sees whom. Station locations
 // must not change afterwards; masks and constraint bitmaps are the
 // caller's to read live. Safe for concurrent queries: a cover cell is
 // built on its first query and published by compare-and-swap, and its
@@ -142,3 +142,7 @@ func (s *Sites) Above(j int, pos frames.Vec3, maxRangeKm float64, mask Mask) (ra
 	}
 	return rangeKm, sinEl, true
 }
+
+// Look returns the look angles from station j to ECEF position pos:
+// frames.Topocentric.Look's, bit for bit.
+func (s *Sites) Look(j int, pos frames.Vec3) frames.LookAngles { return s.topo[j].Look(pos) }

@@ -11,8 +11,6 @@ import (
 	"dgs/internal/astro"
 	"dgs/internal/dataset"
 	"dgs/internal/frames"
-	"dgs/internal/orbit"
-	"dgs/internal/poscache"
 	"dgs/internal/sgp4"
 	"dgs/internal/station"
 )
@@ -155,7 +153,8 @@ func TestNearCoversRange(t *testing.T) {
 
 // TestSitesAboveMatchesLook: Above accepts exactly the pairs within range
 // whose Look elevation clears the mask, and reports Look's range and the
-// sine whose arcsine is Look's elevation, bit for bit.
+// sine whose arcsine is Look's elevation, bit for bit; Sites.Look is
+// Look's angles, bit for bit.
 func TestSitesAboveMatchesLook(t *testing.T) {
 	net, pos := sitesWorld()
 	const maxRange = 3500.0
@@ -165,6 +164,9 @@ func TestSitesAboveMatchesLook(t *testing.T) {
 		for j, gs := range net {
 			tp := frames.NewTopocentric(gs.Location)
 			look := tp.Look(p)
+			if got := s.Look(j, p); got != look {
+				t.Fatalf("station %d at %+v: Sites.Look %+v, Topocentric.Look %+v", j, p, got, look)
+			}
 			want := p.Sub(tp.ECEF).Norm() <= maxRange && look.ElevationRad > gs.MinElevationRad
 			rangeKm, sinEl, ok := s.Above(j, p, maxRange, NewMask(gs.MinElevationRad))
 			if ok != want {
@@ -217,7 +219,7 @@ func TestNearRacesCellPublication(t *testing.T) {
 
 // FuzzSitesNear attacks the cover with random station sets — poles, the
 // antimeridian and altitudes from −0.4 to 5 km among them — satellites
-// from 150 km to 40,000 km up, range cuts of 2,256 km, 3,500 km and none,
+// from just above R⊕ (21 km above a polar station) to 40,000 km up, range cuts of 2,256 km, 3,500 km and none,
 // and masks from −1° to 90°: Near must come back ascending, without
 // duplicates, inside the network, and holding every station Above
 // accepts.
@@ -236,12 +238,13 @@ func FuzzSitesNear(f *testing.F) {
 		{5, 255, 53, 12, 550, 0, 10},
 		{6, 1, 0, 0, 20_000, 1, 90},
 		{7, 60, 45, 45, 35_786, 0, 0.5},
+		{1, 255, 85.479, 112.91, 0.5, 0, -1}, // 4.6° from a polar station
 	} {
 		f.Add(c.seed, c.n, c.lat, c.lon, c.altKm, c.cut, c.maskDeg)
 	}
 	cuts := []float64{2256, 3500, math.Inf(1)}
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, lat, lon, altKm float64, cut uint8, maskDeg float64) {
-		if !(math.Abs(lat) <= 90) || !(math.Abs(lon) <= 360) || !(altKm >= 150 && altKm <= 40_000) || !(maskDeg >= -1 && maskDeg <= 90) {
+		if !(math.Abs(lat) <= 90) || !(math.Abs(lon) <= 360) || !(altKm > 0 && altKm <= 40_000) || !(maskDeg >= -1 && maskDeg <= 90) {
 			return
 		}
 		rng := rand.New(rand.NewSource(seed))
@@ -282,18 +285,15 @@ func FuzzSitesNear(f *testing.F) {
 // candidates' share of the cross product.
 func BenchmarkSitesNear(b *testing.B) {
 	start := time.Date(2020, 6, 1, 0, 0, 0, 0, time.UTC)
-	var props []orbit.Propagator
+	jd := astro.JulianDate(start)
+	var pos []frames.Vec3
 	for _, el := range dataset.Walker(dataset.WalkerOptions{T: 10_000, Epoch: start}) {
 		p, err := sgp4.New(el)
 		if err != nil {
 			b.Fatal(err)
 		}
-		props = append(props, p)
-	}
-	var pos []frames.Vec3
-	for _, e := range poscache.New(props).At(start) {
-		if e.OK {
-			pos = append(pos, e.Pos)
+		if at, ok := p.PositionECEF(jd, frames.NewEarthRotation(jd)); ok {
+			pos = append(pos, at)
 		}
 	}
 	net := dataset.Stations(dataset.StationOptions{N: 500, Seed: 2})

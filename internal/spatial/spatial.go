@@ -7,15 +7,15 @@
 // never miss a site within the range cut that can clear its mask.
 //
 // Geometry: a satellite at geocentric radius r sees, at best, sites
-// within the horizon central angle ψ = acos(R⊕/r) of its direction
-// (elevation 0°; any positive mask shrinks the disk). A slant-range cut
-// bounds the central angle too, given the radii of the satellite and of
-// the sites; the disk searched is the smaller. Both carry a fixed 4°
-// margin absorbing the geoid-vs-sphere error (station radii off R⊕, the
-// zenith off the geocentric direction) and masks a degree below the
-// horizon. Every disk is handled by its cosine, composed algebraically
-// (cos ψ = R⊕/r, cos ψ = 1 − 2s² for a chord, and the angle-sum formula
-// for the margin), so a query takes no trigonometric call.
+// within the horizon central angle ψ = acos(a/r) of its direction, a the
+// lowest site's radius or R⊕ if that is lower (elevation 0°; any positive
+// mask shrinks the disk). A slant-range cut bounds the central angle too,
+// given the radii of the satellite and of the sites; the disk searched is
+// the smaller. Both carry a fixed 4° margin absorbing the zenith off the
+// geocentric direction and masks a degree below the horizon. Every disk
+// is handled by its cosine, composed algebraically (cos ψ = a/r,
+// cos ψ = 1 − 2s² for a chord, and the angle-sum formula for the
+// margin), so a query takes no trigonometric call.
 //
 // The cover: satellite directions fall into 6 × 32 × 32 gnomonic
 // cube-face cells. A cell lists, ascending, the stations within ψ_max + ρ
@@ -46,10 +46,10 @@ func addAngles(ca, cb float64) float64 {
 }
 
 // horizonCos returns the cosine of the inflated horizon central angle for
-// a geocentric radius r (km) above the Earth's: the widest great-circle
-// distance at which any site could see the object, plus the margin.
-func horizonCos(rKm float64) float64 {
-	return addAngles(astro.EarthRadiusKm/rKm, marginCos)
+// a geocentric radius r (km) above the Earth's: the widest at which a site
+// no lower than min(minRKm, R⊕) could see the object, plus the margin.
+func horizonCos(rKm, minRKm float64) float64 {
+	return addAngles(math.Min(minRKm, astro.EarthRadiusKm)/rKm, marginCos)
 }
 
 // rangeCos returns the cosine of the inflated central angle beyond which a
@@ -72,16 +72,17 @@ func rangeCos(rangeKm, rKm, minRKm, maxRKm float64) float64 {
 // diskCos is the cosine of the disk searched around an object at
 // geocentric radius rKm: the smaller of its horizon and range disks.
 func (s *Sites) diskCos(rKm float64) float64 {
-	return math.Max(horizonCos(rKm), rangeCos(s.rangeKm, rKm, s.minRKm, s.maxRKm))
+	return math.Max(horizonCos(rKm, s.minRKm), rangeCos(s.rangeKm, rKm, s.minRKm, s.maxRKm))
 }
 
 // widestCos returns a lower bound on diskCos over every radius above the
 // Earth's: the cosine of ψ_max. The horizon disk widens with the radius
 // and the range disk narrows, so the widest is where they cross; bisection
-// brackets the crossing in [lo, hi], and with the horizon's cosine falling
-// and the range's rising, no radius has a disk wider than the horizon's at
-// hi or the range's at lo. Without a finite cut it is the horizon's limit,
-// 94°.
+// brackets the crossing in [lo, hi]. Below lo the horizon disk is narrower
+// than the range disk at lo, and above it the range disk narrows, so no
+// radius has a disk wider than the range's at lo — also when a station
+// below R⊕ makes the horizon disk the wider at R⊕ already, and lo stays
+// there. Without a finite cut it is the horizon's limit, 94°.
 func (s *Sites) widestCos() float64 {
 	if !(math.Abs(s.rangeKm) < math.Inf(1)) {
 		return addAngles(0, marginCos)
@@ -89,13 +90,13 @@ func (s *Sites) widestCos() float64 {
 	lo, hi := astro.EarthRadiusKm, math.Max(s.maxRKm, astro.EarthRadiusKm)+math.Abs(s.rangeKm)
 	for range 100 { // past the float64 resolution
 		mid := (lo + hi) / 2
-		if horizonCos(mid) > rangeCos(s.rangeKm, mid, s.minRKm, s.maxRKm) {
+		if horizonCos(mid, s.minRKm) > rangeCos(s.rangeKm, mid, s.minRKm, s.maxRKm) {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return math.Min(horizonCos(hi), rangeCos(s.rangeKm, lo, s.minRKm, s.maxRKm))
+	return rangeCos(s.rangeKm, lo, s.minRKm, s.maxRKm)
 }
 
 // cellsPerEdge is the cover's resolution: each cube face is cut into

@@ -154,6 +154,9 @@ func (n Network) Validate() error {
 		if lat < -90 || lat > 90 {
 			return fmt.Errorf("station %d latitude %.2f out of range", i, lat)
 		}
+		if s.MinElevationRad < -1*astro.Deg2Rad {
+			return fmt.Errorf("station %d elevation mask %g° is below the visibility cover's -1° floor", i, s.MinElevationRad*astro.Rad2Deg)
+		}
 	}
 	return nil
 }

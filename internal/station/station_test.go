@@ -1,10 +1,12 @@
 package station
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"dgs/internal/astro"
 	"dgs/internal/frames"
 	"dgs/internal/linkbudget"
 )
@@ -162,6 +164,15 @@ func TestValidate(t *testing.T) {
 	net[3].Terminal.DishDiameterM = 0
 	if err := net.Validate(); err == nil {
 		t.Fatal("dishless station accepted")
+	}
+	net[3].Terminal.DishDiameterM = 1
+	net[4].MinElevationRad = -1 * astro.Deg2Rad
+	if err := net.Validate(); err != nil {
+		t.Fatalf("a -1° mask refused: %v", err)
+	}
+	net[4].MinElevationRad = math.Nextafter(-1*astro.Deg2Rad, math.Inf(-1))
+	if err := net.Validate(); err == nil || !strings.Contains(err.Error(), "station 4 elevation mask -1") {
+		t.Fatalf("a mask below -1° accepted or not named: %v", err)
 	}
 }
 

@@ -14,11 +14,11 @@ import (
 	"sort"
 	"time"
 
-	"dgs/internal/frames"
 	"dgs/internal/metrics"
 	"dgs/internal/orbit"
 	"dgs/internal/passes"
 	"dgs/internal/poscache"
+	"dgs/internal/spatial"
 	"dgs/internal/station"
 )
 
@@ -132,16 +132,16 @@ func Collect(props []orbit.Propagator, net station.Network, start time.Time, win
 		sats[i] = i
 	}
 	pred := passes.New(poscache.New(props), net, passes.Config{CoarseStep: scanStep, Sats: sats})
+	sites := spatial.NewSites(net, math.Inf(1))
 	end := start.Add(window)
 	log := &Log{stations: len(net)}
 	for _, w := range pred.WindowsBetween(nil, start, end.Add(chase)) {
 		if !w.Rise.Before(end) || w.Set.IsZero() {
 			continue
 		}
-		gs := net[w.Station]
-		culm, el, err := culminate(props[w.Sat], gs.Location, w.Rise, w.Set)
+		culm, el, err := culminate(props[w.Sat], sites, w.Station, w.Rise, w.Set)
 		if err != nil {
-			return nil, fmt.Errorf("trace: sat %d over %s: %w", w.Sat, gs.Name, err)
+			return nil, fmt.Errorf("trace: sat %d over %s: %w", w.Sat, net[w.Station].Name, err)
 		}
 		log.Add(Observation{
 			Station:         w.Station,
@@ -155,16 +155,16 @@ func Collect(props []orbit.Propagator, net station.Network, start time.Time, win
 	return log, nil
 }
 
-// culminate samples the elevation of prop over observer at evenly spaced
-// instants from rise to set — about one a second, at most 257 — and
-// returns the highest sample and its instant.
-func culminate(prop orbit.Propagator, observer frames.Geodetic, rise, set time.Time) (time.Time, float64, error) {
+// culminate samples the elevation of prop over station j of sites at
+// evenly spaced instants from rise to set — about one a second, at most
+// 257 — and returns the highest sample and its instant.
+func culminate(prop orbit.Propagator, sites *spatial.Sites, j int, rise, set time.Time) (time.Time, float64, error) {
 	n := min(max(int(set.Sub(rise)/time.Second)+1, 2), 256)
 	step := set.Sub(rise) / time.Duration(n)
 	best, bestEl := rise, math.Inf(-1)
 	for k := 0; k <= n; k++ {
 		t := rise.Add(time.Duration(k) * step)
-		look, err := orbit.Observe(prop, observer, t)
+		look, err := orbit.Observe(prop, sites, j, t)
 		if err != nil {
 			return time.Time{}, 0, err
 		}

@@ -12,6 +12,7 @@ import (
 	"dgs/internal/frames"
 	"dgs/internal/orbit"
 	"dgs/internal/sgp4"
+	"dgs/internal/spatial"
 	"dgs/internal/station"
 	"dgs/internal/tle"
 )
@@ -185,6 +186,9 @@ func passesOver(t testing.TB, prop orbit.Propagator, site frames.Geodetic, maskD
 // several times a day.
 var midLatitude = frames.NewGeodeticDeg(45.0, 7.0, 0.2)
 
+// midSites indexes a station at midLatitude for orbit.Observe.
+var midSites = spatial.NewSites(station.Network{{Location: midLatitude}}, math.Inf(1))
+
 func TestPassesOverMidLatitude(t *testing.T) {
 	p, epoch := realProp(t, 1)
 	passes := passesOver(t, p, midLatitude, 0, epoch, 24*time.Hour)
@@ -209,8 +213,8 @@ func TestPassesOverMidLatitude(t *testing.T) {
 			t.Errorf("pass %d overlaps previous", i)
 		}
 		// Elevation at culmination must exceed elevation at rise+30s.
-		eRise, _ := orbit.Observe(p, midLatitude, ps.Rise.Add(30*time.Second))
-		eCul, _ := orbit.Observe(p, midLatitude, ps.Culmination)
+		eRise, _ := orbit.Observe(p, midSites, 0, ps.Rise.Add(30*time.Second))
+		eCul, _ := orbit.Observe(p, midSites, 0, ps.Culmination)
 		if eCul.ElevationRad+1e-6 < eRise.ElevationRad {
 			t.Errorf("pass %d: culmination lower than rise+30s", i)
 		}
@@ -312,11 +316,11 @@ func TestRangeRateSignFlipsAtCulmination(t *testing.T) {
 	}
 	// The slant-range rate over a 1 s baseline, in km/s.
 	rangeRate := func(at time.Time) float64 {
-		a, err := orbit.Observe(p, midLatitude, at)
+		a, err := orbit.Observe(p, midSites, 0, at)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := orbit.Observe(p, midLatitude, at.Add(time.Second))
+		b, err := orbit.Observe(p, midSites, 0, at.Add(time.Second))
 		if err != nil {
 			t.Fatal(err)
 		}
