@@ -232,6 +232,17 @@ esac
 if printf '%s\n' "$snapcfg" | grep -nE '^[[:space:]]+(Workers|Epoch)[[:space:]]'; then
     echo "SnapshotConfig declares no Workers or Epoch: the grid starts at dgs.Start and the pools use GOMAXPROCS" >&2; exit 1
 fi
+# A link budget propagates the one satellite it names: LinkBudgetAt takes
+# its position from poscache's SatAtWith, and fills no whole-constellation
+# slot of the grid cache (a world swap would throw it away).
+lbody=$(awk '/^func \(s \*Snapshot\) LinkBudgetAt\(/,/^}/' internal/serve/snapshot.go)
+case "$lbody" in
+    *SatAtWith*) ;;
+    *) echo "Snapshot.LinkBudgetAt (internal/serve/snapshot.go) not found, or it no longer calls SatAtWith: point the link-budget guard at it" >&2; exit 1 ;;
+esac
+if printf '%s\n' "$lbody" | grep -nE 'positions\.At\(|AtRange\('; then
+    echo "Snapshot.LinkBudgetAt propagates one satellite (SatAtWith): no positions.At or AtRange population fill" >&2; exit 1
+fi
 # Settings nothing varies are constants: the protocol's radio, chunk and
 # event sizes, ack delay and uplink rate; the forecast's error model (only
 # NewForecast builds one); the pass search's scan step and tolerance; the
@@ -308,8 +319,12 @@ go test -count=5 -cpu 1,2,4 ./internal/session ./internal/backend
 # loop races the subscription's eviction, the source's close and the
 # client's disconnect: its tests repeat here too.
 # The plan renderer's bodies ≡ encoding/json's (PlanBody: FuzzPlanBody's
-# seed corpus, every float and int form change among it) ride along.
-go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream|OptimizeStream|SSEWriter|PlanBody' ./internal/serve
+# seed corpus, every float and int form change among it) ride along, and
+# so do the link budget's (LinkBudgetMatches: a never-filled instant ≡ a
+# cached one, bit for bit; LinkBudgetLeaves: no grid-cache fill) and the
+# shard dispatch's refusals (FuzzShardQuery's seed corpus: no frame
+# panics a shard).
+go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream|OptimizeStream|SSEWriter|PlanBody|LinkBudgetMatches|LinkBudgetLeaves|FuzzShardQuery' ./internal/serve
 # The pair-subset scan shards and refines like the unrestricted one: its
 # filter-after identity must hold at every worker split, and a pass query
 # is a pure function of its span (Prune, Reanchor, Incremental, InProgress:
@@ -522,9 +537,11 @@ kill -INT "$backend_pid"
 wait "$backend_pid" || { echo "dgs-backend did not shut down cleanly:" >&2; cat "$smokedir/backend.log" >&2; exit 1; }
 
 echo "== resume smoke (dgs-sim: SIGINT saves a checkpoint, -resume finishes the run)"
-# The paper's default population over two days, interrupted a few seconds
-# in: the run must save its state and exit 0, and resuming with the same
-# flags must print an uninterrupted run's summary, bar the wall-clock line.
+# The paper's default population over two days, interrupted a second in
+# (the whole run takes about 3 s on two cores, so a later signal can find
+# it finished): the run must save its state and exit 0, and resuming with
+# the same flags must print an uninterrupted run's summary, bar the
+# wall-clock line.
 # The checkpoint is format 2 — live state only, none of the ever-acked,
 # ever-injected or per-send-time ID lists format 1 carried.
 go build -o "$smokedir/dgs-sim" ./cmd/dgs-sim
@@ -532,7 +549,7 @@ sim_flags="-days 2 -q"
 # shellcheck disable=SC2086
 "$smokedir/dgs-sim" $sim_flags -checkpoint "$smokedir/cp.json" > "$smokedir/sim_int.txt" 2> "$smokedir/sim_int.log" &
 sim_pid=$!
-sleep 3
+sleep 1
 kill -INT "$sim_pid" 2>/dev/null || true
 wait "$sim_pid" || { echo "interrupted dgs-sim did not exit 0:" >&2; cat "$smokedir/sim_int.log" >&2; exit 1; }
 if [ -s "$smokedir/sim_int.txt" ]; then

@@ -38,19 +38,19 @@ func TestCollatorReportDigest(t *testing.T) {
 	}
 
 	// Digest honors the cutoff: chunk 12 arrived an hour later.
-	d, _ := c.Digest(7, rxTime.Add(10*time.Minute), -1)
-	if len(d.ChunkIDs) != 2 || d.ChunkIDs[0] != 10 || d.ChunkIDs[1] != 11 {
-		t.Fatalf("digest = %v", d.ChunkIDs)
+	ids, _ := c.Digest(7, rxTime.Add(10*time.Minute), -1)
+	if len(ids) != 2 || ids[0] != 10 || ids[1] != 11 {
+		t.Fatalf("digest = %v", ids)
 	}
 	// Digest consumes: a second call returns only the late chunk once it is
 	// within the cutoff.
-	d, _ = c.Digest(7, rxTime.Add(2*time.Hour), -1)
-	if len(d.ChunkIDs) != 1 || d.ChunkIDs[0] != 12 {
-		t.Fatalf("second digest = %v", d.ChunkIDs)
+	ids, _ = c.Digest(7, rxTime.Add(2*time.Hour), -1)
+	if len(ids) != 1 || ids[0] != 12 {
+		t.Fatalf("second digest = %v", ids)
 	}
 	// Nothing left.
-	if d, _ = c.Digest(7, rxTime.Add(3*time.Hour), -1); len(d.ChunkIDs) != 0 {
-		t.Fatalf("third digest = %v", d.ChunkIDs)
+	if ids, _ = c.Digest(7, rxTime.Add(3*time.Hour), -1); len(ids) != 0 {
+		t.Fatalf("third digest = %v", ids)
 	}
 	// Other satellites are untouched.
 	if got := c.Receipts(9); len(got) != 0 {
@@ -72,8 +72,8 @@ func TestCollatorConcurrency(t *testing.T) {
 					Chunks: []proto.ChunkInfo{{ID: uint64(g*1000 + i), Bits: 1, Received: rxTime}},
 				})
 				if i%10 == 0 {
-					d, _ := c.Digest(uint32(g%2), rxTime.Add(time.Hour), -1)
-					digested.Add(int64(len(d.ChunkIDs)))
+					ids, _ := c.Digest(uint32(g%2), rxTime.Add(time.Hour), -1)
+					digested.Add(int64(len(ids)))
 				}
 			}
 		}(g)

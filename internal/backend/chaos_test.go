@@ -99,8 +99,8 @@ func runChaosWorkload(t *testing.T, wrap func(net.Listener) net.Listener) ([]byt
 	var receipts [][]proto.ChunkInfo
 	for sat := uint32(1); sat <= chaosSatellites; sat++ {
 		receipts = append(receipts, srv.Collator.Receipts(sat))
-		d, _ := srv.Collator.Digest(sat, rxTime.Add(24*time.Hour), -1)
-		if err := proto.Write(&buf, d); err != nil {
+		ids, _ := srv.Collator.Digest(sat, rxTime.Add(24*time.Hour), -1)
+		if err := proto.Write(&buf, &proto.AckDigest{Sat: sat, ChunkIDs: ids}); err != nil {
 			t.Fatal(err)
 		}
 	}

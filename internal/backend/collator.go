@@ -22,16 +22,26 @@ import (
 // the underlying connections fail.
 type Collator struct {
 	mu sync.Mutex
-	// receipts[sat][chunk] = ground reception time, until digested.
-	receipts map[uint32]map[uint64]time.Time
+	// receipts[sat] holds sat's receipts until digested.
+	receipts map[uint32]*pending
 	// lastSeq[station] is the highest applied report sequence number.
 	lastSeq map[uint32]uint64
+}
+
+// pending is one satellite's receipts that no digest has carried yet.
+type pending struct {
+	// at[chunk] = ground reception time.
+	at map[uint64]time.Time
+	// oldest is the earliest reception time in at, while at is not empty:
+	// a digest whose cutoff is before it carries nothing, and returns
+	// without a scan of at.
+	oldest time.Time
 }
 
 // NewCollator returns an empty collator.
 func NewCollator() *Collator {
 	return &Collator{
-		receipts: make(map[uint32]map[uint64]time.Time),
+		receipts: make(map[uint32]*pending),
 		lastSeq:  make(map[uint32]uint64),
 	}
 }
@@ -48,15 +58,19 @@ func (c *Collator) Report(r *proto.ChunkReport) bool {
 		}
 		c.lastSeq[r.StationID] = r.Seq
 	}
-	m := c.receipts[r.Sat]
-	if m == nil {
-		m = make(map[uint64]time.Time)
-		c.receipts[r.Sat] = m
+	p := c.receipts[r.Sat]
+	if p == nil {
+		p = &pending{at: make(map[uint64]time.Time)}
+		c.receipts[r.Sat] = p
 	}
 	for _, ch := range r.Chunks {
-		if _, dup := m[ch.ID]; !dup {
-			m[ch.ID] = ch.Received
+		if _, dup := p.at[ch.ID]; dup {
+			continue
 		}
+		if len(p.at) == 0 || ch.Received.Before(p.oldest) {
+			p.oldest = ch.Received
+		}
+		p.at[ch.ID] = ch.Received
 	}
 	return true
 }
@@ -69,30 +83,39 @@ func (c *Collator) LastSeq(station uint32) uint64 {
 	return c.lastSeq[station]
 }
 
-// Digest returns the acks for a satellite's next uplink: the receipts
-// received at or before cutoff that no digest has carried yet, sorted by
-// chunk ID and cut to the lowest limit of them (limit < 0: no limit). The
-// digested receipts leave the collator; left counts the eligible receipts
-// the limit held back.
-func (c *Collator) Digest(sat uint32, cutoff time.Time, limit int) (d *proto.AckDigest, left int) {
+// Digest returns the chunk IDs of a satellite's next ack digest: the
+// receipts received at or before cutoff that no digest has carried yet,
+// sorted by chunk ID and cut to the lowest limit of them (limit < 0: no
+// limit). The digested receipts leave the collator; left counts the
+// eligible receipts the limit held back. With no receipt due it returns
+// nil at the cost of a map lookup: the simulator asks at every TX contact.
+func (c *Collator) Digest(sat uint32, cutoff time.Time, limit int) (ids []uint64, left int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m := c.receipts[sat]
-	d = &proto.AckDigest{Sat: sat}
-	for id, at := range m {
+	p := c.receipts[sat]
+	if p == nil || len(p.at) == 0 || p.oldest.After(cutoff) {
+		return nil, 0
+	}
+	for id, at := range p.at {
 		if !at.After(cutoff) {
-			d.ChunkIDs = append(d.ChunkIDs, id)
+			ids = append(ids, id)
 		}
 	}
-	slices.Sort(d.ChunkIDs)
-	if limit >= 0 && len(d.ChunkIDs) > limit {
-		left = len(d.ChunkIDs) - limit
-		d.ChunkIDs = d.ChunkIDs[:limit]
+	slices.Sort(ids)
+	if limit >= 0 && len(ids) > limit {
+		left = len(ids) - limit
+		ids = ids[:limit]
 	}
-	for _, id := range d.ChunkIDs {
-		delete(m, id)
+	for _, id := range ids {
+		delete(p.at, id)
 	}
-	return d, left
+	first := true
+	for _, at := range p.at {
+		if first || at.Before(p.oldest) {
+			p.oldest, first = at, false
+		}
+	}
+	return ids, left
 }
 
 // Received reports whether chunk id of sat has reached the ground and no
@@ -100,7 +123,11 @@ func (c *Collator) Digest(sat uint32, cutoff time.Time, limit int) (d *proto.Ack
 func (c *Collator) Received(sat uint32, id uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.receipts[sat][id]
+	p := c.receipts[sat]
+	if p == nil {
+		return false
+	}
+	_, ok := p.at[id]
 	return ok
 }
 
@@ -110,7 +137,11 @@ func (c *Collator) Receipts(sat uint32) []proto.ChunkInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []proto.ChunkInfo
-	for id, at := range c.receipts[sat] {
+	p := c.receipts[sat]
+	if p == nil {
+		return nil
+	}
+	for id, at := range p.at {
 		out = append(out, proto.ChunkInfo{ID: id, Received: at})
 	}
 	slices.SortFunc(out, func(a, b proto.ChunkInfo) int { return cmp.Compare(a.ID, b.ID) })

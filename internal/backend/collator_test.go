@@ -17,14 +17,14 @@ func TestCollatorRedigestsAfterLostDigest(t *testing.T) {
 	c := NewCollator()
 	c.Report(&proto.ChunkReport{StationID: 1, Sat: 7,
 		Chunks: []proto.ChunkInfo{{ID: 10, Bits: 100, Received: rxTime}}})
-	if d, _ := c.Digest(7, rxTime, -1); !slices.Equal(d.ChunkIDs, []uint64{10}) {
-		t.Fatalf("first digest = %v, want [10]", d.ChunkIDs)
+	if ids, _ := c.Digest(7, rxTime, -1); !slices.Equal(ids, []uint64{10}) {
+		t.Fatalf("first digest = %v, want [10]", ids)
 	}
 	// That digest is lost; the re-sent chunk lands at another station.
 	c.Report(&proto.ChunkReport{StationID: 2, Sat: 7,
 		Chunks: []proto.ChunkInfo{{ID: 10, Bits: 100, Received: rxTime.Add(time.Hour)}}})
-	if d, _ := c.Digest(7, rxTime.Add(time.Hour), -1); !slices.Equal(d.ChunkIDs, []uint64{10}) {
-		t.Fatalf("redigest = %v, want [10]", d.ChunkIDs)
+	if ids, _ := c.Digest(7, rxTime.Add(time.Hour), -1); !slices.Equal(ids, []uint64{10}) {
+		t.Fatalf("redigest = %v, want [10]", ids)
 	}
 }
 
@@ -37,12 +37,12 @@ func TestCollatorMemoryBoundedByInFlight(t *testing.T) {
 	for k := uint64(0); k < 1000; k++ {
 		c.Report(&proto.ChunkReport{StationID: 1, Sat: 7,
 			Chunks: []proto.ChunkInfo{{ID: k, Bits: 1, Received: rxTime}}})
-		if held := len(c.receipts[7]); held != 1 {
+		if held := len(c.receipts[7].at); held != 1 {
 			t.Fatalf("cycle %d: %d receipts held, want 1 (the one in flight)", k, held)
 		}
-		d, _ := c.Digest(7, rxTime, -1)
-		digested += len(d.ChunkIDs)
-		if held := len(c.receipts[7]); held != 0 {
+		ids, _ := c.Digest(7, rxTime, -1)
+		digested += len(ids)
+		if held := len(c.receipts[7].at); held != 0 {
 			t.Fatalf("cycle %d: %d receipts held after the digest, want 0", k, held)
 		}
 	}
@@ -103,9 +103,9 @@ func FuzzCollator(f *testing.F) {
 				// Digest up to minute a%130 with limit b%12-2 (< 0: none).
 				cutoff := rxTime.Add(time.Duration(a%130) * time.Minute)
 				limit := int(b%12) - 2
-				d, left := c.Digest(sat, cutoff, limit)
-				if !slices.IsSorted(d.ChunkIDs) || (limit >= 0 && len(d.ChunkIDs) > limit) {
-					t.Fatalf("digest %v unsorted or over limit %d", d.ChunkIDs, limit)
+				ids, left := c.Digest(sat, cutoff, limit)
+				if !slices.IsSorted(ids) || (limit >= 0 && len(ids) > limit) {
+					t.Fatalf("digest %v unsorted or over limit %d", ids, limit)
 				}
 				var want []uint64
 				for id, at := range model[sat] {
@@ -118,17 +118,28 @@ func FuzzCollator(f *testing.F) {
 				if limit >= 0 && len(want) > limit {
 					want, wantLeft = want[:limit], len(want)-limit
 				}
-				if !slices.Equal(d.ChunkIDs, want) || left != wantLeft {
-					t.Fatalf("digest = %v left %d, want %v left %d", d.ChunkIDs, left, want, wantLeft)
+				if !slices.Equal(ids, want) || left != wantLeft {
+					t.Fatalf("digest = %v left %d, want %v left %d", ids, left, want, wantLeft)
 				}
-				for _, id := range d.ChunkIDs {
+				for _, id := range ids {
 					delete(model[sat], id)
 				}
-				digested[sat] += len(d.ChunkIDs)
+				digested[sat] += len(ids)
 			}
-			for s, m := range c.receipts {
-				if len(m) > len(model[s]) {
-					t.Fatalf("sat %d: %d receipts held, %d not yet digested", s, len(m), len(model[s]))
+			for s, p := range c.receipts {
+				if len(p.at) > len(model[s]) {
+					t.Fatalf("sat %d: %d receipts held, %d not yet digested", s, len(p.at), len(model[s]))
+				}
+				// The skip is exact: the oldest time the collator keeps is
+				// the model's earliest receipt.
+				var oldest time.Time
+				for _, at := range model[s] {
+					if oldest.IsZero() || at.Before(oldest) {
+						oldest = at
+					}
+				}
+				if len(p.at) > 0 && !p.oldest.Equal(oldest) {
+					t.Fatalf("sat %d: oldest receipt kept as %v, the model's is %v", s, p.oldest, oldest)
 				}
 			}
 			var want []proto.ChunkInfo
@@ -142,14 +153,46 @@ func FuzzCollator(f *testing.F) {
 		}
 		// Drain: every reception is digested exactly once.
 		for sat := uint32(0); sat < 3; sat++ {
-			d, left := c.Digest(sat, rxTime.Add(24*time.Hour), -1)
+			ids, left := c.Digest(sat, rxTime.Add(24*time.Hour), -1)
 			if left != 0 {
 				t.Fatalf("sat %d: unlimited digest left %d behind", sat, left)
 			}
-			digested[sat] += len(d.ChunkIDs)
+			digested[sat] += len(ids)
 			if digested[sat] != received[sat] {
 				t.Fatalf("sat %d: %d receptions, %d digested", sat, received[sat], digested[sat])
 			}
 		}
 	})
+}
+
+// TestDigestNothingDueAllocatesNothing: the simulator asks for a digest at
+// every TX contact. For a satellite with no receipt, with every receipt
+// digested, or with receipts only past the cutoff, the answer is nil and
+// costs no allocation — and a receipt that falls due is still found.
+func TestDigestNothingDueAllocatesNothing(t *testing.T) {
+	c := NewCollator()
+	for k := uint64(0); k < 64; k++ {
+		c.Report(&proto.ChunkReport{StationID: 1, Sat: 7,
+			Chunks: []proto.ChunkInfo{{ID: k, Bits: 1, Received: rxTime.Add(time.Hour + time.Duration(k)*time.Minute)}}})
+		c.Report(&proto.ChunkReport{StationID: 1, Sat: 8,
+			Chunks: []proto.ChunkInfo{{ID: k, Bits: 1, Received: rxTime}}})
+	}
+	if ids, _ := c.Digest(8, rxTime, -1); len(ids) != 64 {
+		t.Fatalf("satellite 8 digested %d receipts, want 64", len(ids))
+	}
+	for _, sat := range []uint32{7, 8, 9} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if ids, left := c.Digest(sat, rxTime.Add(59*time.Minute), 10); ids != nil || left != 0 {
+				t.Fatalf("satellite %d: digest %v left %d with nothing due", sat, ids, left)
+			}
+		}); allocs != 0 {
+			t.Fatalf("satellite %d: a digest with nothing due allocates %v times", sat, allocs)
+		}
+	}
+	if ids, left := c.Digest(7, rxTime.Add(time.Hour+time.Minute), 1); !slices.Equal(ids, []uint64{0}) || left != 1 {
+		t.Fatalf("digest of the first due receipts = %v left %d, want [0] left 1", ids, left)
+	}
+	if ids, left := c.Digest(7, rxTime.Add(time.Hour+time.Minute), -1); !slices.Equal(ids, []uint64{1}) || left != 0 {
+		t.Fatalf("digest of the one held back = %v left %d, want [1] left 0", ids, left)
+	}
 }

@@ -69,8 +69,8 @@ func (s *Server) frame(c *session.Conn, msg proto.Message) {
 		default:
 			// Zero-chunk report = digest poll (TX stations fetching the
 			// cumulative acks they should upload next pass).
-			d, _ := s.Collator.Digest(m.Sat, time.Now().Add(time.Hour), -1)
-			_ = c.Send(d)
+			ids, _ := s.Collator.Digest(m.Sat, time.Now().Add(time.Hour), -1)
+			_ = c.Send(&proto.AckDigest{Sat: m.Sat, ChunkIDs: ids})
 		}
 	default:
 		c.Reject(msg)

@@ -134,13 +134,14 @@ func (c *Cache) AtRange(ts []time.Time) [][]Entry {
 }
 
 // SatAtWith propagates satellite i to the Julian date jd, bypassing the
-// cache; rot must be frames.NewEarthRotation(jd). The pass-window
-// predictor refines AOS/LOS boundaries by bisection, probing many
-// satellites at one shared midpoint instant: it computes jd and rot once
-// per group and reuses them across every probe, and caching those
-// irregular sub-step instants would pollute the per-instant
-// whole-population slots. The entry is bit-identical to the one a fill
-// computes.
+// cache; rot must be frames.NewEarthRotation(jd). It serves the callers
+// that want a few satellites, not the population: the pass-window
+// predictor's pair subsets and its AOS/LOS bisection, which probes many
+// satellites at one shared midpoint instant (jd and rot computed once per
+// group and reused across every probe), and the query API's link budget,
+// which asks about one satellite. Caching those would fill
+// whole-population slots for one entry each. The entry is bit-identical to
+// the one a fill computes.
 func (c *Cache) SatAtWith(i int, jd float64, rot frames.EarthRotation) Entry {
 	pos, ok := c.props[i].PositionECEF(jd, rot)
 	return Entry{Pos: pos, OK: ok}

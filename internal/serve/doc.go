@@ -100,8 +100,9 @@
 // response is exactly the bytes a cold computation produces.
 //
 // Query instants are quantized to the snapshot's slot grid, so distinct
-// clients asking about the same minute share cache entries, position-
-// cache instants, and in-flight computations.
+// clients asking about the same minute share cache entries and in-flight
+// computations, and pass scans of the same minute share its position-cache
+// instant.
 //
 // A miss costs what it asks about: a pass query is one stateless scan of
 // its span over the planner's own visibility primitive (spatial.Sites), so
@@ -111,7 +112,11 @@
 // leaves the position cache alone (≈1.5 ms for 3 h at 259 × 173),
 // station= tests one station per satellite-instant (≈25 ms); only the
 // unfiltered query scans every pair (≈275 ms). The windows are the
-// unfiltered answer's, byte for byte.
+// unfiltered answer's, byte for byte. A link budget propagates its one
+// satellite to its instant (poscache.Cache.SatAtWith) and leaves the
+// position cache alone: its body is the one a filled instant would give,
+// byte for byte, and since every world swap hands the next world an empty
+// cache, a link budget fills nothing that a swap would throw away.
 //
 // # Files
 //

@@ -13,18 +13,17 @@ func (s *Server) handleLinkBudget(w http.ResponseWriter, r *http.Request, st *en
 	world := s.acquireWorld(w)
 	defer world.Release()
 	snap := world.Snap
-	cfg := snap.Config()
 	q := r.URL.Query()
 
 	sat, herr := parseInt(q, "sat", -1)
-	if herr == nil && (sat < 0 || sat >= snap.Sats()) {
-		herr = badRequest("sat required in [0, %d)", snap.Sats())
+	if herr == nil {
+		herr = checkIndex("sat", sat, snap.Sats(), false)
 	}
 	var gs int
 	if herr == nil {
 		gs, herr = parseInt(q, "station", -1)
-		if herr == nil && (gs < 0 || gs >= snap.Stations()) {
-			herr = badRequest("station required in [0, %d)", snap.Stations())
+		if herr == nil {
+			herr = checkIndex("station", gs, snap.Stations(), false)
 		}
 	}
 	var at time.Time
@@ -34,13 +33,8 @@ func (s *Server) handleLinkBudget(w http.ResponseWriter, r *http.Request, st *en
 	var lead time.Duration
 	if herr == nil {
 		lead, herr = parseDuration(q, "lead", 0)
-		if herr == nil && lead < 0 {
-			herr = badRequest("lead must be >= 0")
-		}
-	}
-	if herr == nil {
-		if at = cfg.Quantize(at); !cfg.InSpan(at) {
-			herr = outsideSpan(cfg, "t %s", at.Format(time.RFC3339))
+		if herr == nil {
+			at, herr = checkLinkBudget(snap.Config(), at, lead)
 		}
 	}
 	if herr != nil {
@@ -59,4 +53,17 @@ func (s *Server) handleLinkBudget(w http.ResponseWriter, r *http.Request, st *en
 	lb := snap.LinkBudgetAt(sat, gs, at, lead)
 	s.adm.release()
 	writeJSON(w, st, http.StatusOK, lb)
+}
+
+// checkLinkBudget refuses a negative lead and quantizes the instant t onto
+// the grid, refusing one outside the servable span. The shard server's
+// link-budget query takes the same checks.
+func checkLinkBudget(cfg SnapshotConfig, t time.Time, lead time.Duration) (time.Time, *httpError) {
+	if lead < 0 {
+		return t, badRequest("lead must be >= 0")
+	}
+	if t = cfg.Quantize(t); !cfg.InSpan(t) {
+		return t, outsideSpan(cfg, "t %s", t.Format(time.RFC3339))
+	}
+	return t, nil
 }

@@ -48,14 +48,14 @@ type passesQuery struct {
 func parsePassesQuery(q url.Values, snap WorldView) (passesQuery, *httpError) {
 	cfg := snap.Config()
 	sat, herr := parseInt(q, "sat", -1)
-	if herr == nil && (sat < -1 || sat >= snap.Sats()) {
-		herr = badRequest("sat %d out of range [0, %d) (-1 or absent = all)", sat, snap.Sats())
+	if herr == nil {
+		herr = checkIndex("sat", sat, snap.Sats(), true)
 	}
 	var gs int
 	if herr == nil {
 		gs, herr = parseInt(q, "station", -1)
-		if herr == nil && (gs < -1 || gs >= snap.Stations()) {
-			herr = badRequest("station %d out of range [0, %d) (-1 or absent = all)", gs, snap.Stations())
+		if herr == nil {
+			herr = checkIndex("station", gs, snap.Stations(), true)
 		}
 	}
 	var from time.Time

@@ -219,26 +219,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, st *endpoint
 			herr = badRequest("hours %g out of range (0, %g]", hours, cfg.MaxSpan.Hours())
 		}
 	}
+	horizon := time.Duration(hours * float64(time.Hour))
 	var slot time.Duration
 	if herr == nil {
 		slot, herr = parseDuration(q, "slot", cfg.Slot)
-		if herr == nil && (slot < time.Second || slot > time.Hour) {
-			herr = badRequest("slot %v out of range [1s, 1h]", slot)
+		if herr == nil {
+			from, herr = checkPlanWindow(cfg, from, horizon, slot)
 		}
-	}
-	if herr != nil {
-		writeHTTPError(w, herr)
-		return
-	}
-	from = cfg.Quantize(from)
-	horizon := time.Duration(hours * float64(time.Hour))
-	// The largest plan the world's own grid describes: a fresh scheduler
-	// holds every slot's positions and edges, so the slot count — not just
-	// the span — bounds what one request can make the server allocate.
-	if slots, maxSlots := int64(horizon/slot), int64(cfg.MaxSpan/cfg.Slot); slots > maxSlots {
-		herr = badRequest("hours %g at slot %v is %d slots, more than %d", hours, slot, slots, maxSlots)
-	} else {
-		herr = checkSpan(cfg, from, from.Add(horizon))
 	}
 	if herr != nil {
 		writeHTTPError(w, herr)
@@ -249,6 +236,23 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, st *endpoint
 	s.serveComputed(w, st, key, q.Get("nocache") != "", func() ([]byte, error) {
 		return renderPlan(snap.Plan(from, horizon, slot)).v1Body()
 	})
+}
+
+// checkPlanWindow refuses a scratch plan's slot length outside [1s, 1h]
+// and quantizes its start onto the grid, refusing a window outside the
+// servable span or of more slots than the world's grid holds: a fresh
+// scheduler holds every slot's positions and edges, so the slot count —
+// not just the span — bounds what one request can make the server
+// allocate. The shard server's planat query takes the same checks.
+func checkPlanWindow(cfg SnapshotConfig, from time.Time, horizon, slot time.Duration) (time.Time, *httpError) {
+	if slot < time.Second || slot > time.Hour {
+		return from, badRequest("slot %v out of range [1s, 1h]", slot)
+	}
+	from = cfg.Quantize(from)
+	if slots, maxSlots := int64(horizon/slot), int64(cfg.MaxSpan/cfg.Slot); slots > maxSlots {
+		return from, badRequest("hours %g at slot %v is %d slots, more than %d", horizon.Hours(), slot, slots, maxSlots)
+	}
+	return from, checkSpan(cfg, from, from.Add(horizon))
 }
 
 // handlePlanV2 serves the live, incrementally maintained plan: the

@@ -161,6 +161,18 @@ func parseDuration(q url.Values, name string, def time.Duration) (time.Duration,
 	return param(q, name, def, time.ParseDuration, " (want Go duration, e.g. 90m)")
 }
 
+// checkIndex validates index v of the n satellites or stations the query
+// parameter name selects; all admits -1, "every one".
+func checkIndex(name string, v, n int, all bool) *httpError {
+	switch {
+	case all && (v < -1 || v >= n):
+		return badRequest("%s %d out of range [0, %d) (-1 or absent = all)", name, v, n)
+	case !all && (v < 0 || v >= n):
+		return badRequest("%s required in [0, %d)", name, n)
+	}
+	return nil
+}
+
 // checkSpan validates a [from, to) query range against the world's
 // servable horizon.
 func checkSpan(cfg SnapshotConfig, from, to time.Time) *httpError {

@@ -95,10 +95,16 @@ func (s *ShardServer) answer(q *proto.ShardQuery) *proto.ShardReply {
 	return &proto.ShardReply{ID: q.ID, Body: body}
 }
 
+// handle answers one query body of the given kind. A body is refused, as
+// a ShardReply error, by the checks the HTTP handlers refuse the same
+// query with (satellite indices global, against the whole constellation),
+// so a shard never indexes past its population nor fills its position
+// cache outside the servable span, whatever the frame carries.
 func (s *ShardServer) handle(kind uint8, body []byte) ([]byte, error) {
 	world := s.store.Acquire()
 	defer world.Release()
 	snap := world.Snap.(*Snapshot)
+	cfg := snap.Config()
 
 	switch kind {
 	case proto.ShardKindInfo:
@@ -120,7 +126,11 @@ func (s *ShardServer) handle(kind uint8, body []byte) ([]byte, error) {
 		if err := json.Unmarshal(body, &q); err != nil {
 			return nil, fmt.Errorf("bad planat query: %w", err)
 		}
-		plan := snap.Plan(q.From, q.Horizon, q.Slot)
+		from, herr := checkPlanWindow(cfg, q.From, q.Horizon, q.Slot)
+		if herr != nil {
+			return nil, refused("planat", herr)
+		}
+		plan := snap.Plan(from, q.Horizon, q.Slot)
 		return json.Marshal(shardPlanDoc{
 			WorldEpoch: world.Epoch,
 			Plan:       plan.RemapSats(s.part.Global),
@@ -130,6 +140,17 @@ func (s *ShardServer) handle(kind uint8, body []byte) ([]byte, error) {
 		if err := json.Unmarshal(body, &q); err != nil {
 			return nil, fmt.Errorf("bad passes query: %w", err)
 		}
+		herr := checkIndex("sat", q.Sat, cfg.Satellites, true)
+		if herr == nil {
+			herr = checkIndex("station", q.Station, snap.Stations(), true)
+		}
+		from := cfg.Quantize(q.From)
+		if herr == nil {
+			herr = checkSpan(cfg, from, q.To)
+		}
+		if herr != nil {
+			return nil, refused("passes", herr)
+		}
 		sat := q.Sat
 		if sat >= 0 {
 			local, owned := s.localOf[int32(sat)]
@@ -138,7 +159,7 @@ func (s *ShardServer) handle(kind uint8, body []byte) ([]byte, error) {
 			}
 			sat = int(local)
 		}
-		ws := snap.Passes(q.From, q.To, sat, q.Station)
+		ws := snap.Passes(from, q.To, sat, q.Station)
 		for i := range ws {
 			ws[i].Sat = int(s.part.Global[ws[i].Sat])
 		}
@@ -148,11 +169,22 @@ func (s *ShardServer) handle(kind uint8, body []byte) ([]byte, error) {
 		if err := json.Unmarshal(body, &q); err != nil {
 			return nil, fmt.Errorf("bad linkbudget query: %w", err)
 		}
+		herr := checkIndex("sat", q.Sat, cfg.Satellites, false)
+		if herr == nil {
+			herr = checkIndex("station", q.Station, snap.Stations(), false)
+		}
+		t := q.T
+		if herr == nil {
+			t, herr = checkLinkBudget(cfg, t, q.Lead)
+		}
+		if herr != nil {
+			return nil, refused("linkbudget", herr)
+		}
 		local, owned := s.localOf[int32(q.Sat)]
 		if !owned {
 			return nil, fmt.Errorf("satellite %d not owned by shard %d", q.Sat, s.part.Shard)
 		}
-		lb := snap.LinkBudgetAt(int(local), q.Station, q.T, q.Lead)
+		lb := snap.LinkBudgetAt(int(local), q.Station, t, q.Lead)
 		lb.Sat = q.Sat
 		return json.Marshal(lb)
 	case proto.ShardKindApply:
@@ -170,4 +202,10 @@ func (s *ShardServer) handle(kind uint8, body []byte) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("unknown shard query kind %d", kind)
 	}
+}
+
+// refused is the ShardReply error for a query body one of the HTTP
+// handlers' checks refused.
+func refused(what string, herr *httpError) error {
+	return fmt.Errorf("bad %s query: %s", what, herr.msg)
 }

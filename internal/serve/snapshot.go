@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"dgs"
+	"dgs/internal/astro"
 	"dgs/internal/core"
 	"dgs/internal/dvbs2"
+	"dgs/internal/frames"
 	"dgs/internal/itu"
 	"dgs/internal/linkbudget"
 	"dgs/internal/orbit"
@@ -92,19 +94,22 @@ func (c SnapshotConfig) InSpan(t time.Time) bool {
 }
 
 // Snapshot is an immutable, read-optimized world the API serves from: the
-// population, a shared per-instant position cache, the forecast view, and
-// a serialized planning scheduler. All query methods are safe for
-// concurrent use and deterministic — the same query always produces the
-// same result, which is what lets the serving layer cache and deduplicate
-// responses byte-for-byte.
+// population, a per-instant position cache its pass scans share, the
+// forecast view, and a serialized planning scheduler. All query methods
+// are safe for concurrent use and deterministic — the same query always
+// produces the same result, which is what lets the serving layer cache and
+// deduplicate responses byte-for-byte.
 type Snapshot struct {
 	cfg SnapshotConfig
 	// sim is the simulator configuration the world was built from
 	// (dgs.Config), its TLEs and Stations the live population.
 	sim   sim.Config
 	props []orbit.Propagator
-	// positions is the shared grid-instant position cache: pass scans and
-	// link-budget lookups for the same quantized instant propagate once.
+	// positions is the grid-instant position cache pass scans share: the
+	// unfiltered and station-filtered scans of one quantized instant
+	// propagate the population once. A link budget asks about one
+	// satellite and propagates only that one, through the same cache's
+	// SatAtWith, without filling it.
 	positions *poscache.Cache
 	fc        *weather.Forecast
 	radio     linkbudget.Radio
@@ -319,7 +324,10 @@ type LinkBudget struct {
 }
 
 // LinkBudgetAt evaluates the link budget for (sat, gs) at grid instant t
-// under forecast weather at the given lead (lead 0 is a nowcast).
+// under forecast weather at the given lead (lead 0 is a nowcast). It
+// propagates satellite sat alone, to t, and leaves the position cache as
+// it was: the position is the entry a fill of instant t holds, bit for
+// bit, so the answer does not depend on what other queries have cached.
 func (s *Snapshot) LinkBudgetAt(sat, gs int, t time.Time, lead time.Duration) LinkBudget {
 	lb := LinkBudget{Sat: sat, Station: gs, T: t}
 	st := s.sim.Stations[gs]
@@ -330,7 +338,8 @@ func (s *Snapshot) LinkBudgetAt(sat, gs int, t time.Time, lead time.Duration) Li
 	}
 	lb.RainMmH, lb.CloudKgM2 = cond.RainMmH, cond.CloudKgM2
 
-	e := s.positions.At(t)[sat]
+	jd := astro.JulianDate(t)
+	e := s.positions.SatAtWith(sat, jd, frames.NewEarthRotation(jd))
 	if !e.OK {
 		return lb
 	}

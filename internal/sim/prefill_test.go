@@ -6,14 +6,20 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"dgs/internal/astro"
+	"dgs/internal/frames"
+	"dgs/internal/orbit"
+	"dgs/internal/poscache"
 )
 
-// prefillCfg is a scenario whose next-epoch fill takes long enough to be
-// caught in flight: epochs every 6 h over a 6 h horizon, so a prefill
-// carries every instant of its epoch afresh, at 40 satellites × 60
-// stations under weather, on four planning workers at any GOMAXPROCS.
+// prefillCfg is a scenario that prefills every next epoch on its spare
+// workers: epochs every 6 h over a 6 h horizon, so a prefill carries every
+// instant of its epoch afresh, at 40 satellites × 60 stations under
+// weather, on four planning workers at any GOMAXPROCS.
 func prefillCfg() Config {
 	cfg := smallCfg(40, 60)
 	cfg.Duration = 13 * time.Hour
@@ -23,6 +29,45 @@ func prefillCfg() Config {
 	cfg.ForecastErr = 0.3
 	cfg.Workers = 4
 	return cfg
+}
+
+// fillProbe records whether a position at or past one instant has been
+// propagated. A scheduler propagates an epoch's positions when it starts
+// the epoch's fill, before its fill goroutines start, so a probe at an
+// instant of the next epoch, read before the run steps on, tells whether
+// a prefill started — however far that fill has got since.
+type fillProbe struct {
+	jd      float64
+	reached atomic.Bool
+}
+
+// probeFill rebuilds e's position cache, which its scheduler shares, over
+// propagators probed at instant at. Call it before e's first step.
+func probeFill(e *Engine, at time.Time) *fillProbe {
+	p := &fillProbe{jd: astro.JulianDate(at)}
+	w := e.w
+	props := make([]orbit.Propagator, w.positions.Len())
+	for i, prop := range w.positions.Props() {
+		props[i] = probedProp{prop, p}
+	}
+	w.positions = poscache.New(props)
+	w.positions.Workers = w.cfg.Workers
+	w.sched.Positions = w.positions
+	return p
+}
+
+// probedProp is a propagator that marks its probe when asked for a
+// position at or past the probe's instant.
+type probedProp struct {
+	orbit.Propagator
+	p *fillProbe
+}
+
+func (p probedProp) PositionECEF(jd float64, rot frames.EarthRotation) (frames.Vec3, bool) {
+	if jd >= p.p.jd {
+		p.p.reached.Store(true)
+	}
+	return p.Propagator.PositionECEF(jd, rot)
 }
 
 // stacks returns every goroutine's stack.
@@ -74,13 +119,15 @@ func settled(base int) bool {
 // run.
 func TestPrefillEndsWithFinalize(t *testing.T) {
 	base := quiet()
-	e, err := NewEngine(prefillCfg())
+	cfg := prefillCfg()
+	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	probe := probeFill(e, cfg.Start.Add(6*time.Hour+30*time.Minute))
 	stepUntil(t, e, 1) // plans the first epoch, prefills the second
-	if runtime.NumGoroutine() <= base {
-		t.Fatal("no prefill in flight after the first plan; not a meaningful test")
+	if !probe.reached.Load() {
+		t.Fatal("no prefill started after the first plan; not a meaningful test")
 	}
 	if _, err := e.Finalize(); err != nil {
 		t.Fatal(err)
@@ -100,18 +147,24 @@ func TestPrefillEndsWithCanceledRun(t *testing.T) {
 	cfg := prefillCfg()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	inFlight := false
+	var probe *fillProbe
+	started := false
 	cfg.Observers = []Observer{&FuncObserver{Plan: func(ev PlanEvent) {
 		if ev.Sat < 0 {
-			inFlight = runtime.NumGoroutine() > base
+			started = probe.reached.Load()
 			cancel()
 		}
 	}}}
-	if _, err := Run(ctx, cfg); !errors.Is(err, context.Canceled) {
+	e, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe = probeFill(e, cfg.Start.Add(6*time.Hour+30*time.Minute))
+	if _, err := e.Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled run returned %v, want context.Canceled", err)
 	}
-	if !inFlight {
-		t.Fatal("no prefill in flight when the run was canceled; not a meaningful test")
+	if !started {
+		t.Fatal("no prefill started when the run was canceled; not a meaningful test")
 	}
 	if filling() {
 		t.Fatal("the canceled Run returned with the prefill still filling")
@@ -133,14 +186,14 @@ func TestPrefillCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base := quiet()
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	probe := probeFill(e, cfg.Start.Add(12*time.Hour+30*time.Minute))
 	stepUntil(t, e, 6*60+1) // the second epoch is planned, the third prefilled
-	if runtime.NumGoroutine() <= base {
-		t.Fatal("no prefill in flight at the checkpoint; not a meaningful test")
+	if !probe.reached.Load() {
+		t.Fatal("no prefill started before the checkpoint; not a meaningful test")
 	}
 	cp, err := e.Checkpoint()
 	if err != nil {

@@ -29,8 +29,8 @@ func (e *Engine) uplink() {
 
 		// Cumulative acks: every receipt the backend has held for at least
 		// ackDelay, as many as the budget carries (the lowest chunk IDs).
-		d, left := w.backend.Digest(uint32(i), w.now.Add(-ackDelay), max(int((upBudget-96*8)/64), 0))
-		if n := len(d.ChunkIDs); n+left > 0 {
+		acked, left := w.backend.Digest(uint32(i), w.now.Add(-ackDelay), max(int((upBudget-96*8)/64), 0))
+		if n := len(acked); n+left > 0 {
 			digestBits := 96*8 + float64(n)*64
 			if left > 0 {
 				// Partial digest: it takes the whole budget.
@@ -38,7 +38,7 @@ func (e *Engine) uplink() {
 			}
 			upBudget -= digestBits
 			ids := make([]satellite.ChunkID, n)
-			for k, id := range d.ChunkIDs {
+			for k, id := range acked {
 				ids[k] = satellite.ChunkID(id)
 			}
 			freed := s.store.Ack(ids)
