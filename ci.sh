@@ -43,9 +43,10 @@ echo "== importcheck (zero-dependency policy)"
 go run ./tools/importcheck
 
 echo "== deadcheck (the library keeps only what the system runs)"
-# Every module-level declaration outside bench/, examples/ and faultnet is
-# reached from a binary's main or init: one only tests reach fails, with
-# its users named. Bench-only declarations are listed, not failed.
+# Every module-level declaration outside bench/ and faultnet is reached
+# from a binary's main (cmd/, tools/) or init: one only tests reach fails,
+# with its users named, and so does one only a main outside cmd/ and
+# tools/ reaches. Bench-only declarations are listed, not failed.
 go run ./tools/deadcheck
 # faultnet is the tests' fault injector, exempt from the gate: only test
 # files may import it.
@@ -300,6 +301,18 @@ if git grep -nwE 'StationTx|RangeRateKmS|SatGeodetic|NackAll|OwnedSats' -- '*.go
     echo "unread outputs and test-only paths stay deleted: see the list above this check in ci.sh" >&2; exit 1
 fi
 
+echo "== docs name real programs"
+# Every `go run ./path` in README.md, EXPERIMENTS.md and DESIGN.md must
+# name a main package of this module: a command the docs hand the reader
+# fails here, not in the reader's shell, once its program moves or leaves.
+for path in $(grep -hoE 'go run \./[A-Za-z0-9_./-]*[A-Za-z0-9_-]' README.md EXPERIMENTS.md DESIGN.md | sed 's/^go run //' | sort -u); do
+    if [ "$(go list -f '{{.Name}}' "$path" 2>/dev/null)" != main ]; then
+        echo "$path is no main package of this module, but these lines go run it:" >&2
+        grep -nF "go run $path" README.md EXPERIMENTS.md DESIGN.md >&2
+        exit 1
+    fi
+done
+
 echo "== go build"
 go build ./...
 
@@ -313,6 +326,13 @@ echo "== go test -count=5 -cpu 1,2,4 (session layer and its station-side owner)"
 # waiter hung at GOMAXPROCS >= 2 and passed at 1 — so they surface under
 # repetition across CPU counts here, not in the field.
 go test -count=5 -cpu 1,2,4 ./internal/session ./internal/backend
+# go test runs an Example once whatever -count and -cpu say, so the two
+# checked examples (the facade's Fig. 3 comparison and the station agent's
+# ack relay over a managed session) repeat here, one GOMAXPROCS at a time:
+# their pinned output must not depend on scheduling.
+for procs in 1 2 4; do
+    GOMAXPROCS=$procs go test -count=1 -run '^Example(Run|StationAgent)$' . ./internal/backend
+done
 # Likewise the federated no-torn-reads probe: readers race real epoch-
 # vector movement, which only repetition across CPU counts explores. The
 # plan and optimizer streams share one SSE writer (serveSSE), whose relay
@@ -567,6 +587,18 @@ done
 grep -v '^simulated' "$smokedir/sim_resumed.txt" > "$smokedir/sim_resumed.cmp"
 grep -v '^simulated' "$smokedir/sim_full.txt" > "$smokedir/sim_full.cmp"
 cmp "$smokedir/sim_resumed.cmp" "$smokedir/sim_full.cmp"
+
+echo "== 32-bit smoke (dgs-sim GOARCH=386 ≡ host build, end to end)"
+# The paper's default population for a day on a 32-bit build: the summary
+# must match the host build's byte for byte, bar the wall-clock line. The
+# 386 vet and weather tests above cover pieces; this covers the pipeline
+# (propagation, link rates, planning, matching, acks) as a whole.
+GOARCH=386 go build -o "$smokedir/dgs-sim-386" ./cmd/dgs-sim
+"$smokedir/dgs-sim" -days 1 -q > "$smokedir/sim_host.txt"
+"$smokedir/dgs-sim-386" -days 1 -q > "$smokedir/sim_386.txt"
+grep -v '^simulated' "$smokedir/sim_host.txt" > "$smokedir/sim_host.cmp"
+grep -v '^simulated' "$smokedir/sim_386.txt" > "$smokedir/sim_386.cmp"
+cmp "$smokedir/sim_host.cmp" "$smokedir/sim_386.cmp"
 
 echo "== mega smoke (Walker population, worker invariance)"
 # A small Walker shell through the pass predictor on one worker and on

@@ -6,12 +6,15 @@
 //	dgs-tle -inspect iss.txt           # parse and describe a TLE file
 //	dgs-tle -gen 10 -seed 3            # print 10 synthetic EO constellation TLEs
 //	dgs-tle -builtin                   # print the embedded fixture TLEs
+//
+// The three modes exclude each other, and -seed is refused without -gen.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"dgs/internal/cliutil"
@@ -28,6 +31,24 @@ func main() {
 	flag.Parse()
 	cliutil.Seed("seed", *seed)
 	cliutil.NonNegativeInt("gen", *gen)
+	var modes []string
+	if *inspect != "" {
+		modes = append(modes, "-inspect")
+	}
+	if *gen > 0 {
+		modes = append(modes, "-gen")
+	}
+	if *builtin {
+		modes = append(modes, "-builtin")
+	}
+	if len(modes) > 1 {
+		cliutil.Failf("invalid %s: give one of -inspect, -gen and -builtin", strings.Join(modes, " with "))
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" && *gen == 0 {
+			cliutil.Failf("invalid -seed: only -gen reads it")
+		}
+	})
 
 	switch {
 	case *inspect != "":

@@ -61,6 +61,10 @@ func TestFlags(t *testing.T) {
 		{"unknown flag", []string{"-generate", "3"}, 2, "-generate"},
 		{"stray value", []string{"-gen", "x"}, 2, "-gen"},
 		{"missing file", []string{"-inspect", missing}, 1, "absent.tle"},
+		{"two modes", []string{"-gen", "1", "-builtin"}, 2, "invalid -gen with -builtin"},
+		{"inspect and gen", []string{"-inspect", missing, "-gen", "5"}, 2, "invalid -inspect with -gen"},
+		{"three modes", []string{"-builtin", "-inspect", missing, "-gen", "5"}, 2, "invalid -inspect with -gen with -builtin"},
+		{"seed without gen", []string{"-builtin", "-seed", "3"}, 2, "invalid -seed"},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			stdout, stderr, code := run(t, row.args...)

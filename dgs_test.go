@@ -1,7 +1,6 @@
 package dgs
 
 import (
-	"context"
 	"testing"
 	"time"
 )
@@ -80,19 +79,6 @@ func TestConfigValueAndMatcherValidation(t *testing.T) {
 		if _, err := Config(SystemDGS, opt); err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
-	}
-}
-
-func TestRunTinyDGS(t *testing.T) {
-	res, err := Run(context.Background(), SystemDGS, tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GeneratedGB <= 0 || res.DeliveredGB <= 0 {
-		t.Fatalf("generated %.1f delivered %.1f", res.GeneratedGB, res.DeliveredGB)
-	}
-	if res.BacklogGB.N() != 8 {
-		t.Fatalf("backlog samples %d, want one per satellite", res.BacklogGB.N())
 	}
 }
 

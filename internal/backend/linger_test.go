@@ -23,7 +23,8 @@ import (
 // writer reads the answer itself, as in a handshake). It makes "the reply
 // was dispatched before the request's Write returned" deterministic: the
 // order under which a client that registers its reply waiter after writing
-// loses the reply. Deadlines are accepted and ignored.
+// loses the reply. Deadlines are accepted and ignored. With zero grace no
+// Write waits: it is a plain in-memory network (ExampleStationAgent).
 type lingerNet struct {
 	grace  time.Duration
 	accept chan net.Conn

@@ -9,7 +9,6 @@ import (
 
 	"dgs/internal/astro"
 	"dgs/internal/dataset"
-	"dgs/internal/frames"
 	"dgs/internal/linkbudget"
 	"dgs/internal/match"
 	"dgs/internal/sgp4"
@@ -348,25 +347,6 @@ func TestValueFunctions(t *testing.T) {
 	urgent.MaxPriority = 5
 	if valueOne(LatencyValue{}, urgent, 60, link) <= lat {
 		t.Fatal("priority must boost latency value")
-	}
-}
-
-func TestGeographicValue(t *testing.T) {
-	inner := ThroughputValue{}
-	g := GeographicValue{
-		Inner:     inner,
-		LatMinRad: 0.5, LatMaxRad: 1.0,
-		LonMinRad: -0.5, LonMaxRad: 0.5,
-		Boost: 3,
-	}
-	sat := SatSnapshot{PendingBits: 1e12}
-	in := Link{RateBps: 1e6, Station: &station.Station{Location: frames.Geodetic{LatRad: 0.7}}}
-	out := Link{RateBps: 1e6, Station: &station.Station{Location: frames.Geodetic{LatRad: 0.1}}}
-	if valueOne(g, sat, 60, in) != 3*valueOne(inner, sat, 60, in) {
-		t.Fatal("in-region edge not boosted")
-	}
-	if valueOne(g, sat, 60, out) != valueOne(inner, sat, 60, out) {
-		t.Fatal("out-of-region edge boosted")
 	}
 }
 

@@ -246,16 +246,11 @@ func TestReduceBiddingAllocsIndependentOfEdges(t *testing.T) {
 		return testing.AllocsPerRun(10, plan)
 	}
 	bids := map[int]float64{3: 2, 17: 0.5}
-	geo := func(inner ValueFunc) GeographicValue {
-		return GeographicValue{Inner: inner, LatMinRad: 0.2, LatMaxRad: 1, LonMinRad: -1, LonMaxRad: 1, Boost: 5}
-	}
 	plain := allocs(ThroughputValue{}, n)
 	for name, v := range map[string]ValueFunc{
-		"latency":           LatencyValue{},
-		"geo(latency)":      geo(LatencyValue{}),
-		"bid(latency)":      BiddingValue{Inner: LatencyValue{}, Bids: bids},
-		"bid(throughput)":   BiddingValue{Inner: ThroughputValue{}, Bids: bids},
-		"geo(bid(latency))": geo(BiddingValue{Inner: LatencyValue{}, Bids: bids}),
+		"latency":         LatencyValue{},
+		"bid(latency)":    BiddingValue{Inner: LatencyValue{}, Bids: bids},
+		"bid(throughput)": BiddingValue{Inner: ThroughputValue{}, Bids: bids},
 	} {
 		if got := allocs(v, n); got != plain {
 			t.Errorf("%s costs %.0f allocations per plan, ThroughputValue %.0f (%d stations, %d weighted edges)", name, got, plain, len(w.net), edges)

@@ -72,30 +72,6 @@ func (ThroughputValue) Values(sat *SatSnapshot, slotSeconds float64, links []Lin
 	}
 }
 
-// GeographicValue boosts data destined for (or stations inside) a
-// bounding-box region — the paper's example of honoring SLAs or disaster
-// response by geography. It wraps an inner Φ.
-type GeographicValue struct {
-	// Inner is the base value function.
-	Inner ValueFunc
-	// LatMinRad..LonMaxRad bound the boosted region.
-	LatMinRad, LatMaxRad, LonMinRad, LonMaxRad float64
-	// Boost multiplies edge values for stations inside the region (>1).
-	Boost float64
-}
-
-// Values implements ValueFunc.
-func (g GeographicValue) Values(sat *SatSnapshot, slotSeconds float64, links []Link, w []float64) {
-	g.Inner.Values(sat, slotSeconds, links, w)
-	for x := range links {
-		loc := &links[x].Station.Location
-		if loc.LatRad >= g.LatMinRad && loc.LatRad <= g.LatMaxRad &&
-			loc.LonRad >= g.LonMinRad && loc.LonRad <= g.LonMaxRad {
-			w[x] *= g.Boost
-		}
-	}
-}
-
 // BiddingValue implements the paper's "bidding for priority access" hook: a
 // per-station multiplier (a paid priority, a subscription tier) over an
 // inner Φ.

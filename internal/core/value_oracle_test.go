@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"dgs/internal/frames"
 	"dgs/internal/station"
 )
 
@@ -20,8 +19,6 @@ type EdgeContext struct {
 	PendingBits float64
 	OldestAge   time.Duration
 	MaxPriority float64
-	// StationLatRad/StationLonRad locate the station (for geographic Φ).
-	StationLatRad, StationLonRad float64
 	// StationID is the station's ID, for Φs that price stations
 	// individually.
 	StationID int
@@ -58,15 +55,6 @@ func (ThroughputValue) Value(c EdgeContext) float64 {
 	return c.DeliverableBits()
 }
 
-func (g GeographicValue) Value(c EdgeContext) float64 {
-	v := g.Inner.(edgeValuer).Value(c)
-	if c.StationLatRad >= g.LatMinRad && c.StationLatRad <= g.LatMaxRad &&
-		c.StationLonRad >= g.LonMinRad && c.StationLonRad <= g.LonMaxRad {
-		v *= g.Boost
-	}
-	return v
-}
-
 func (b BiddingValue) Value(c EdgeContext) float64 {
 	v := b.Inner.(edgeValuer).Value(c)
 	if m, ok := b.Bids[c.StationID]; ok {
@@ -78,14 +66,12 @@ func (b BiddingValue) Value(c EdgeContext) float64 {
 // edgeContext is the oracle's view of sat's link l.
 func edgeContext(sat *SatSnapshot, slotSeconds float64, l Link) EdgeContext {
 	return EdgeContext{
-		RateBps:       l.RateBps,
-		SlotSeconds:   slotSeconds,
-		PendingBits:   sat.PendingBits,
-		OldestAge:     sat.OldestAge,
-		MaxPriority:   sat.MaxPriority,
-		StationLatRad: l.Station.Location.LatRad,
-		StationLonRad: l.Station.Location.LonRad,
-		StationID:     l.Station.ID,
+		RateBps:     l.RateBps,
+		SlotSeconds: slotSeconds,
+		PendingBits: sat.PendingBits,
+		OldestAge:   sat.OldestAge,
+		MaxPriority: sat.MaxPriority,
+		StationID:   l.Station.ID,
 	}
 }
 
@@ -96,50 +82,24 @@ func valueOne(v ValueFunc, sat SatSnapshot, slotSeconds float64, l Link) float64
 	return w[0]
 }
 
-// oracleRegion is the boosted box of the oracle's geographic Φs.
-const (
-	oracleLatMin, oracleLatMax = 0.5, 1.0
-	oracleLonMin, oracleLonMax = -0.5, 0.5
-)
-
 // oracleValues is every built-in Φ the row contract is checked on, by
-// name: the plain ones and each wrapper over an inner Φ, nested once.
+// name: the plain ones and the bidding wrapper over each, nested once.
 func oracleValues() map[string]ValueFunc {
 	bids := map[int]float64{1: 2.5, 4: 0.5, 6: -3}
-	geo := func(inner ValueFunc) GeographicValue {
-		return GeographicValue{
-			Inner:     inner,
-			LatMinRad: oracleLatMin, LatMaxRad: oracleLatMax,
-			LonMinRad: oracleLonMin, LonMaxRad: oracleLonMax,
-			Boost: 3,
-		}
-	}
 	return map[string]ValueFunc{
 		"latency":              LatencyValue{},
 		"throughput":           ThroughputValue{},
-		"geo(latency)":         geo(LatencyValue{}),
+		"bid(latency)":         BiddingValue{Inner: LatencyValue{}, Bids: bids},
 		"bid(throughput)":      BiddingValue{Inner: ThroughputValue{}, Bids: bids},
-		"geo(bid(latency))":    geo(BiddingValue{Inner: LatencyValue{}, Bids: bids}),
-		"geo(bid(throughput))": geo(BiddingValue{Inner: ThroughputValue{}, Bids: bids}),
+		"bid(bid(throughput))": BiddingValue{Inner: BiddingValue{Inner: ThroughputValue{}, Bids: bids}, Bids: map[int]float64{4: 3, 7: 0.25}},
 	}
 }
 
-// oracleStations sit inside, outside and exactly on the edges of the
-// oracle's region, and carry bid and non-bid IDs.
+// oracleStations carry bid and non-bid IDs.
 func oracleStations() []*station.Station {
-	locs := [][2]float64{
-		{0.7, 0},                                // inside
-		{oracleLatMin, oracleLonMin},            // corner
-		{oracleLatMax, oracleLonMax},            // opposite corner
-		{math.Nextafter(oracleLatMin, 0), 0},    // just south
-		{math.Nextafter(oracleLatMax, 2), 0},    // just north
-		{0.7, math.Nextafter(oracleLonMax, 1)},  // just east
-		{0.7, math.Nextafter(oracleLonMin, -1)}, // just west
-		{0.1, 2},                                // far outside
-	}
-	sts := make([]*station.Station, len(locs))
-	for j, l := range locs {
-		sts[j] = &station.Station{ID: j, Location: frames.Geodetic{LatRad: l[0], LonRad: l[1]}}
+	sts := make([]*station.Station, 8)
+	for j := range sts {
+		sts[j] = &station.Station{ID: j}
 	}
 	return sts
 }
@@ -185,8 +145,8 @@ func checkRowMatchesOracle(t *testing.T, name string, v ValueFunc, sat SatSnapsh
 // TestValuesMatchPerEdgeOracle: every built-in Φ's row Values writes, for
 // each link, the bits its per-edge Value computed — across empty, negative,
 // huge and NaN backlogs, negative to multi-day ages, priorities, zero,
-// subnormal and NaN rates, and stations on the region's edges with and
-// without a bid — however the row is cut.
+// subnormal and NaN rates, and stations with and without a bid — however
+// the row is cut.
 func TestValuesMatchPerEdgeOracle(t *testing.T) {
 	sts := oracleStations()
 	rates := []float64{0, math.SmallestNonzeroFloat64, 1e6, 37.5e6, 1.2e9, -4e6, math.NaN()}

@@ -76,41 +76,6 @@ func (g Geodetic) ECEF() Vec3 {
 	}
 }
 
-// GeodeticFromECEF converts an ECEF position (km) to geodetic coordinates
-// using Bowring's iteration, which converges to sub-millimetre accuracy in a
-// handful of rounds for any LEO-relevant altitude.
-func GeodeticFromECEF(p Vec3) Geodetic {
-	e2 := astro.EarthFlattening * (2 - astro.EarthFlattening)
-	lon := math.Atan2(p.Y, p.X)
-	r := math.Hypot(p.X, p.Y)
-	if r == 0 {
-		// On the polar axis: latitude is ±90°, altitude measured from the pole.
-		b := astro.EarthRadiusKm * (1 - astro.EarthFlattening)
-		return Geodetic{LatRad: math.Copysign(math.Pi/2, p.Z), LonRad: 0, AltKm: math.Abs(p.Z) - b}
-	}
-	lat := math.Atan2(p.Z, r*(1-e2))
-	var n float64
-	for i := 0; i < 8; i++ {
-		sinLat := math.Sin(lat)
-		n = astro.EarthRadiusKm / math.Sqrt(1-e2*sinLat*sinLat)
-		newLat := math.Atan2(p.Z+n*e2*sinLat, r)
-		if math.Abs(newLat-lat) < 1e-13 {
-			lat = newLat
-			break
-		}
-		lat = newLat
-	}
-	sinLat, cosLat := math.Sincos(lat)
-	n = astro.EarthRadiusKm / math.Sqrt(1-e2*sinLat*sinLat)
-	var alt float64
-	if math.Abs(cosLat) > 1e-10 {
-		alt = r/cosLat - n
-	} else {
-		alt = p.Z/sinLat - n*(1-e2)
-	}
-	return Geodetic{LatRad: lat, LonRad: lon, AltKm: alt}
-}
-
 // TEMEToECEF rotates a TEME position (the frame SGP4 outputs) into ECEF for
 // the given Julian date by applying Earth rotation (GMST). Polar motion is
 // neglected: it contributes metres, far below TLE accuracy.

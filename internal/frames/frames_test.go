@@ -75,35 +75,6 @@ func TestGeodeticECEFKnownPoints(t *testing.T) {
 	}
 }
 
-func TestGeodeticRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 2000; i++ {
-		g := Geodetic{
-			LatRad: (rng.Float64() - 0.5) * math.Pi * 0.998,
-			LonRad: (rng.Float64() - 0.5) * 2 * math.Pi * 0.999,
-			AltKm:  rng.Float64() * 2000,
-		}
-		back := GeodeticFromECEF(g.ECEF())
-		if math.Abs(back.LatRad-g.LatRad) > 1e-9 ||
-			math.Abs(astro.NormalizePi(back.LonRad-g.LonRad)) > 1e-9 ||
-			math.Abs(back.AltKm-g.AltKm) > 1e-6 {
-			t.Fatalf("round trip %v -> %v", g, back)
-		}
-	}
-}
-
-func TestGeodeticFromECEFPolarAxis(t *testing.T) {
-	b := astro.EarthRadiusKm * (1 - astro.EarthFlattening)
-	g := GeodeticFromECEF(Vec3{0, 0, b + 500})
-	if math.Abs(g.LatDeg()-90) > 1e-9 || math.Abs(g.AltKm-500) > 1e-6 {
-		t.Errorf("north polar axis: %v", g)
-	}
-	g = GeodeticFromECEF(Vec3{0, 0, -(b + 123)})
-	if math.Abs(g.LatDeg()+90) > 1e-9 || math.Abs(g.AltKm-123) > 1e-6 {
-		t.Errorf("south polar axis: %v", g)
-	}
-}
-
 func TestTEMEECEFRoundTrip(t *testing.T) {
 	jd := astro.JulianDate(time.Date(2020, 6, 1, 3, 45, 0, 0, time.UTC))
 	f := func(x, y, z float64) bool {

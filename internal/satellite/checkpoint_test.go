@@ -46,7 +46,7 @@ func TestStoreCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if r.GeneratedBits() != s.GeneratedBits() || r.DeliveredBits() != s.DeliveredBits() ||
+	if r.GeneratedBits() != s.GeneratedBits() || r.delivered != s.delivered ||
 		r.PendingBits() != s.PendingBits() || r.InFlightBits() != s.InFlightBits() ||
 		r.PeakStoredBits() != s.PeakStoredBits() {
 		t.Fatalf("restored totals diverge: %+v vs %+v", r, s)

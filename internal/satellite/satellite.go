@@ -206,9 +206,6 @@ func (s *Store) StoredBits() float64 { return s.PendingBits() + s.inFlightB }
 // GeneratedBits returns total bits ever captured.
 func (s *Store) GeneratedBits() float64 { return s.generated }
 
-// DeliveredBits returns total bits acked.
-func (s *Store) DeliveredBits() float64 { return s.delivered }
-
 // OldestPending returns the capture time of the oldest pending chunk and
 // whether one exists. "Oldest" follows the priority order: it is the chunk
 // that would transmit first.

@@ -113,9 +113,9 @@ func TestAckFreesStorageOnlyAfterAck(t *testing.T) {
 	if freed != 1000 {
 		t.Fatalf("freed = %v", freed)
 	}
-	if s.StoredBits() != 0 || s.BacklogBits() != 0 || s.DeliveredBits() != 1000 {
+	if s.StoredBits() != 0 || s.BacklogBits() != 0 || s.delivered != 1000 {
 		t.Fatalf("post-ack state wrong: stored %v backlog %v delivered %v",
-			s.StoredBits(), s.BacklogBits(), s.DeliveredBits())
+			s.StoredBits(), s.BacklogBits(), s.delivered)
 	}
 	// Duplicate acks are harmless.
 	if s.Ack([]ChunkID{id}) != 0 {

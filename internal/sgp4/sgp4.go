@@ -415,13 +415,3 @@ func (p *Propagator) PropagateTo(t time.Time) (State, error) {
 	tsince := (astro.JulianDate(t) - p.epochJD) * 1440.0
 	return p.PropagateMinutes(tsince)
 }
-
-// SubPoint returns the geodetic sub-satellite point (and altitude) at t.
-func (p *Propagator) SubPoint(t time.Time) (frames.Geodetic, error) {
-	st, err := p.PropagateTo(t)
-	if err != nil {
-		return frames.Geodetic{}, err
-	}
-	jd := astro.JulianDate(t)
-	return frames.GeodeticFromECEF(frames.TEMEToECEF(st.PositionKm, jd)), nil
-}

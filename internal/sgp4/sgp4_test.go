@@ -184,19 +184,29 @@ func TestCrossCheckAgainstKeplerJ2(t *testing.T) {
 
 func TestSunSyncInclinationGroundTrack(t *testing.T) {
 	// NOAA-18 is in a 99° retrograde polar orbit: the sub-satellite latitude
-	// must sweep close to ±81° and longitude must cover the globe.
+	// must sweep close to ±81° and its altitude stay in its band. Latitude
+	// is geocentric and altitude radial above the ellipsoid; at LEO heights
+	// both are within 0.2° and metres of their geodetic counterparts.
 	p := mustProp(t, noaa18TLE)
 	epoch := p.TLE().Epoch
+	b := astro.EarthRadiusKm * (1 - astro.EarthFlattening)
+	e2 := astro.EarthFlattening * (2 - astro.EarthFlattening)
 	maxLat, minLat := -90.0, 90.0
 	for i := 0; i < 200; i++ {
-		g, err := p.SubPoint(epoch.Add(time.Duration(i) * time.Minute))
+		at := epoch.Add(time.Duration(i) * time.Minute)
+		st, err := p.PropagateTo(at)
 		if err != nil {
 			t.Fatal(err)
 		}
-		maxLat = math.Max(maxLat, g.LatDeg())
-		minLat = math.Min(minLat, g.LatDeg())
-		if g.AltKm < 780 || g.AltKm > 890 {
-			t.Fatalf("NOAA-18 altitude %.1f km out of expected band", g.AltKm)
+		pos := frames.TEMEToECEF(st.PositionKm, astro.JulianDate(at))
+		r := pos.Norm()
+		lat := math.Asin(pos.Z / r)
+		cosLat := math.Cos(lat)
+		alt := r - b/math.Sqrt(1-e2*cosLat*cosLat) // the ellipse's radius at lat
+		maxLat = math.Max(maxLat, lat*astro.Rad2Deg)
+		minLat = math.Min(minLat, lat*astro.Rad2Deg)
+		if alt < 780 || alt > 890 {
+			t.Fatalf("NOAA-18 altitude %.1f km out of expected band", alt)
 		}
 	}
 	if maxLat < 75 || minLat > -75 {

@@ -1,6 +1,6 @@
 // Command deadcheck enforces the rule that the library keeps only what the
-// system runs: every module-level declaration outside bench/, examples/
-// and internal/faultnet must be reached from a binary. It type-checks
+// system runs: every module-level declaration outside bench/ and
+// internal/faultnet must be reached from a binary. It type-checks
 // every package of the module, test files included, against the export
 // data `go list -e -deps -test -export -json ./...` leaves in the build
 // cache, and marks declarations reachable, transitively, from the main
@@ -17,11 +17,13 @@
 //     uses the numbering.
 //
 // Each unreached declaration is printed with its direct users: bench,
-// example, test, or dead production code ("via"). One that neither bench
-// nor example code reaches fails the check (exit 1) unless the allowlist
-// names it or an allowlisted declaration reaches it. An allowlist key that
-// names no declaration fails the check too, so an entry cannot outlive its
-// code. Run it from the module root: go run ./tools/deadcheck
+// test, or dead production code ("via"). One that bench code does not
+// reach fails the check (exit 1) unless the allowlist names it or an
+// allowlisted declaration reaches it. A main outside cmd/ and tools/ is no
+// root: a program the repository does not ship keeps nothing alive. An
+// allowlist key that names no declaration fails the check too, so an entry
+// cannot outlive its code. Run it from the module root:
+// go run ./tools/deadcheck
 package main
 
 import (
@@ -54,7 +56,7 @@ var allow = map[string]string{
 type decl struct {
 	key   string // import path + "." + [receiver type + "."] name
 	pos   token.Position
-	class string   // "prod", "test" (and faultnet), "bench" or "example"
+	class string   // "prod", "test" (and faultnet) or "bench"
 	root  bool     // a binary's main, or production init code
 	uses  []string // keys of the declarations it names
 	iface []string // method names it calls through an interface
@@ -104,7 +106,7 @@ func run(dir string, allow map[string]string, out io.Writer) (int, error) {
 		roots[k] = append(roots[k], d)
 	}
 	live := g.reach(roots["binary"])
-	kinds := []string{"bench", "example", "allowed"}
+	kinds := []string{"bench", "allowed"}
 	reached := map[string]map[*decl]bool{}
 	for _, k := range kinds {
 		reached[k] = g.reach(append(roots[k], roots["binary"]...))
@@ -141,10 +143,10 @@ func run(dir string, allow map[string]string, out io.Writer) (int, error) {
 		}
 	}
 	if fails > 0 {
-		fmt.Fprintf(out, "deadcheck: %d failure(s): delete each DEAD declaration (no binary, bench or example reaches it) or move it into the _test.go files that use it, and drop each STALE allowlist key\n", fails)
+		fmt.Fprintf(out, "deadcheck: %d failure(s): delete each DEAD declaration (no binary or bench reaches it) or move it into the _test.go files that use it, and drop each STALE allowlist key\n", fails)
 		return 1, nil
 	}
-	fmt.Fprintf(out, "deadcheck: every declaration outside bench/ and examples/ is reached by a binary, bench or example (%d reached only by those or allowlisted)\n", listed)
+	fmt.Fprintf(out, "deadcheck: every declaration outside bench/ is reached by a binary or bench (%d reached only by bench or allowlisted)\n", listed)
 	return 0, nil
 }
 
@@ -235,8 +237,6 @@ func (g *graph) addFile(file string, fset *token.FileSet, f *ast.File, path stri
 		class = "test"
 	case top == "bench":
 		class = "bench"
-	case top == "examples":
-		class = "example"
 	}
 	add := func(d *decl) *decl {
 		g.decls[d.key] = d
@@ -434,7 +434,7 @@ func (g *graph) usersOf(d *decl) string {
 		}
 	}
 	var parts []string
-	for _, c := range []string{"bench", "example", "test", "prod"} {
+	for _, c := range []string{"bench", "test", "prod"} {
 		if names := by[c]; len(names) > 0 {
 			sort.Strings(names)
 			s := strings.Replace(c, "prod", "via", 1) + ": " + strings.Join(names[:min(3, len(names))], ", ")

@@ -1,0 +1,7 @@
+// Command demo is a program outside cmd/ and tools/: the repository does
+// not ship it, so its main is no root and keeps nothing alive.
+package main
+
+import "fixture/lib"
+
+func main() { println(lib.DemoOnly()) }

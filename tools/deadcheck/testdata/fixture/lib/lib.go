@@ -45,3 +45,6 @@ func BenchOnly() int { return 3 }
 
 // exposed is handed to the external test by export_test.go.
 func exposed() int { return 4 }
+
+// DemoOnly is called by the demo program alone.
+func DemoOnly() int { return 5 }
