@@ -46,7 +46,7 @@ echo "== deadcheck (the library keeps only what the system runs)"
 # Every module-level declaration outside bench/ and faultnet is reached
 # from a binary's main (cmd/, tools/) or init: one only tests reach fails,
 # with its users named, and so does one only a main outside cmd/ and
-# tools/ reaches. Bench-only declarations are listed, not failed.
+# tools/, or its package's init code, reaches. Bench-only declarations are listed, not failed.
 go run ./tools/deadcheck
 # faultnet is the tests' fault injector, exempt from the gate: only test
 # files may import it.
@@ -292,13 +292,23 @@ fi
 # Nothing nobody reads: the library computes no output no caller consumes
 # and keeps no second path only tests take — no StationTx on the Link Φ
 # reads, no range rate or sub-point from orbit.Observe, no NackAll on
-# the satellite store, no OwnedSats on the shard wire, no one-shot
+# the satellite store, no OwnedSats, no one-shot
 # StationAgent.Dial or session Client.Connect beside the managed session,
 # and no Name method on Φ.
 if git grep -nwE 'StationTx|RangeRateKmS|SatGeodetic|NackAll|OwnedSats' -- '*.go' ':!*_test.go' ||
     git grep -nE 'func \(a \*StationAgent\) Dial|func \(c \*Client\) Connect' -- '*.go' ':!*_test.go' ||
     git grep -nE 'Name\(\) string' -- internal/core ':!*_test.go'; then
     echo "unread outputs and test-only paths stay deleted: see the list above this check in ci.sh" >&2; exit 1
+fi
+
+# One serving topology: dgs-api plans one process's world, and its plan is
+# the one global matching of §3.1. The sharded front tier's merged plan
+# carried 18–37 % fewer planned bits than this one at 259 × 173 (2–8
+# shards, 1–12 h), while one process plans 10,000 × 500 (bench mega_epoch),
+# so no shard binary, partition package, federator or plan merge comes back.
+if git ls-files cmd/dgs-shard internal/shard | grep -q . ||
+    git grep -nwE 'Federator|MergePlans' -- '*.go'; then
+    echo "one serving topology: no cmd/dgs-shard, internal/shard, Federator or MergePlans" >&2; exit 1
 fi
 
 echo "== docs name real programs"
@@ -333,18 +343,15 @@ go test -count=5 -cpu 1,2,4 ./internal/session ./internal/backend
 for procs in 1 2 4; do
     GOMAXPROCS=$procs go test -count=1 -run '^Example(Run|StationAgent)$' . ./internal/backend
 done
-# Likewise the federated no-torn-reads probe: readers race real epoch-
-# vector movement, which only repetition across CPU counts explores. The
-# plan and optimizer streams share one SSE writer (serveSSE), whose relay
-# loop races the subscription's eviction, the source's close and the
-# client's disconnect: its tests repeat here too.
+# Likewise the plan and optimizer streams, which share one SSE writer
+# (serveSSE) whose relay loop races the subscription's eviction, the
+# store's close and the client's disconnect: only repetition across CPU
+# counts explores those orders.
 # The plan renderer's bodies ≡ encoding/json's (PlanBody: FuzzPlanBody's
 # seed corpus, every float and int form change among it) ride along, and
 # so do the link budget's (LinkBudgetMatches: a never-filled instant ≡ a
-# cached one, bit for bit; LinkBudgetLeaves: no grid-cache fill) and the
-# shard dispatch's refusals (FuzzShardQuery's seed corpus: no frame
-# panics a shard).
-go test -count=5 -cpu 1,2,4 -run 'TestFederationEpochVectorNeverTears|PlanStream|OptimizeStream|SSEWriter|PlanBody|LinkBudgetMatches|LinkBudgetLeaves|FuzzShardQuery' ./internal/serve
+# cached one, bit for bit; LinkBudgetLeaves: no grid-cache fill).
+go test -count=5 -cpu 1,2,4 -run 'PlanStream|OptimizeStream|SSEWriter|PlanBody|LinkBudgetMatches|LinkBudgetLeaves' ./internal/serve
 # The pair-subset scan shards and refines like the unrestricted one: its
 # filter-after identity must hold at every worker split, and a pass query
 # is a pure function of its span (Prune, Reanchor, Incremental, InProgress:
@@ -417,8 +424,8 @@ echo "== go test (GOARCH=386): weather"
 GOARCH=386 go test ./internal/weather
 
 echo "== go test -race (parallel pipeline + session + serving layers)"
-# session is the one managed wire session both station↔backend and
-# front-tier↔shard run on. The backend/proto/faultnet trio includes the
+# session is the managed wire session station↔backend runs on. The
+# backend/proto/faultnet trio includes the
 # seeded chunk-dedup chaos equivalence test — reconnect, resume, and
 # replay-dedup all race-checked.
 # serve hosts the HTTP query layer's 40-client mixed-workload storm plus
@@ -428,10 +435,8 @@ echo "== go test -race (parallel pipeline + session + serving layers)"
 # multi-instant cache fill behind the parallel pass-prediction pipeline.
 # spatial and sgp4 sit under every propagation worker (spatial's
 # NearRaces test races callers building and publishing the cover's cells
-# lazily); serve now also
-# hosts the federation suite (shard sessions, merge rebuilds, and the
-# seeded chaos kill/rejoin convergence run). optimize fans whole sim
-# runs over the pool with a shared memo cache. core's streamed reducer
+# lazily). optimize fans whole sim runs over the pool with a shared memo
+# cache. core's streamed reducer
 # races its fill: the caller weighs, matches and drains slot k — reading
 # the edges and rungs a worker just wrote, handed over on the readiness
 # channel — while other workers still carry and rate later slots, read the
@@ -467,76 +472,6 @@ kill -INT "$api_pid"
 wait "$api_pid" || { echo "dgs-api did not shut down cleanly:" >&2; cat "$smokedir/api.log" >&2; exit 1; }
 wait "$stream_pid" || { echo "plan stream was cut, not drained (curl exit $?)" >&2; exit 1; }
 grep -q "clean shutdown" "$smokedir/api.log"
-
-echo "== federation smoke (2 dgs-shard + front tier vs monolith)"
-# Boot two shard backends and a merging front tier over the same small
-# world as a monolith dgs-api, then require: (1) the front tier's
-# /v1/passes — shard-invariant facts — byte-identical to the monolith's,
-# unfiltered and filtered (sat= is routed to the owning shard, whose
-# subset scan runs in local indices; station= fans out a subset scan to
-# every shard and re-sorts the union);
-# (2) /v2/plan to carry a 2-component epoch vector that a weather update
-# broadcast through the front tier moves on both components; (3) a
-# 1-shard fleet's /v1/plan byte-identical to the monolith's (the
-# end-to-end merge identity); (4) a fleet whose shard 1 runs another
-# world (here -clear-sky) refused at front-tier startup, not merged. The
-# federated 2-shard plan legitimately differs only where stations were
-# contended across the partition boundary. No-torn-reads under concurrent updates is a Go test
-# (TestFederationEpochVectorNeverTears), run and raced above.
-go build -o "$smokedir/dgs-shard" ./cmd/dgs-shard
-world_flags="-sats 16 -stations 12 -max-span 6h -plan-horizon 15m"
-# shellcheck disable=SC2086
-"$smokedir/dgs-api" -listen 127.0.0.1:0 $world_flags > "$smokedir/mono.log" 2>&1 &
-mono_pid=$!
-# shellcheck disable=SC2086
-"$smokedir/dgs-shard" -listen 127.0.0.1:0 -shard 0 -shards 2 $world_flags > "$smokedir/shard0.log" 2>&1 &
-shard0_pid=$!
-# shellcheck disable=SC2086
-"$smokedir/dgs-shard" -listen 127.0.0.1:0 -shard 1 -shards 2 $world_flags > "$smokedir/shard1.log" 2>&1 &
-shard1_pid=$!
-mono_addr=$(wait_addr "$smokedir/mono.log" "serving on")
-shard0_addr=$(wait_addr "$smokedir/shard0.log" "satellites) on")
-shard1_addr=$(wait_addr "$smokedir/shard1.log" "satellites) on")
-"$smokedir/dgs-api" -listen 127.0.0.1:0 -shards "$shard0_addr,$shard1_addr" > "$smokedir/front2.log" 2>&1 &
-front2_pid=$!
-front2_addr=$(wait_addr "$smokedir/front2.log" "serving on")
-# (the pair meets only after 4 h in this world, hence its longer range)
-for q in "hours=2" "hours=2&sat=3" "hours=2&station=5" "hours=6&sat=3&station=5"; do
-    curl -sf "http://$front2_addr/v1/passes?$q" > "$smokedir/fed_passes.json"
-    curl -sf "http://$mono_addr/v1/passes?$q" > "$smokedir/mono_passes.json"
-    grep -q '"windows":\[{' "$smokedir/mono_passes.json" || { echo "monolith /v1/passes?$q has no windows" >&2; exit 1; }
-    cmp "$smokedir/fed_passes.json" "$smokedir/mono_passes.json"
-done
-curl -sf "http://$front2_addr/v2/plan" | grep -q '"epoch_vector":\[1,1\]' \
-    || { echo "front tier /v2/plan missing 2-component epoch vector" >&2; exit 1; }
-curl -sf -X POST "http://$front2_addr/v2/updates" -d '{"weather":{"seed":9,"err_fraction":0.25}}' > /dev/null
-curl -sf "http://$front2_addr/v2/plan" | grep -q '"epoch_vector":\[2,2\]' \
-    || { echo "weather update did not move both epoch-vector components" >&2; exit 1; }
-kill -INT "$front2_pid"; wait "$front2_pid" || { cat "$smokedir/front2.log" >&2; exit 1; }
-# 1-shard fleet: the federated plan must be byte-identical to the monolith.
-# shellcheck disable=SC2086
-"$smokedir/dgs-shard" -listen 127.0.0.1:0 -shard 0 -shards 1 $world_flags > "$smokedir/shard_solo.log" 2>&1 &
-solo_pid=$!
-solo_addr=$(wait_addr "$smokedir/shard_solo.log" "satellites) on")
-"$smokedir/dgs-api" -listen 127.0.0.1:0 -shards "$solo_addr" > "$smokedir/front1.log" 2>&1 &
-front1_pid=$!
-front1_addr=$(wait_addr "$smokedir/front1.log" "serving on")
-curl -sf "http://$front1_addr/v1/plan?hours=0.25" > "$smokedir/fed_plan.json"
-curl -sf "http://$mono_addr/v1/plan?hours=0.25" > "$smokedir/mono_plan.json"
-cmp "$smokedir/fed_plan.json" "$smokedir/mono_plan.json"
-kill -INT "$front1_pid"; wait "$front1_pid" || { cat "$smokedir/front1.log" >&2; exit 1; }
-# A mismatched fleet: every world flag must agree.
-# shellcheck disable=SC2086
-"$smokedir/dgs-shard" -listen 127.0.0.1:0 $world_flags -clear-sky -shard 1 -shards 2 > "$smokedir/shard_clear.log" 2>&1 &
-clear_pid=$!
-clear_addr=$(wait_addr "$smokedir/shard_clear.log" "satellites) on")
-if "$smokedir/dgs-api" -listen 127.0.0.1:0 -shards "$shard0_addr,$clear_addr" > "$smokedir/front_mismatch.log" 2>&1; then
-    echo "front tier accepted a fleet whose shard 1 runs -clear-sky" >&2; cat "$smokedir/front_mismatch.log" >&2; exit 1
-fi
-grep -q "differs from shard 0" "$smokedir/front_mismatch.log" \
-    || { echo "front tier failed without the fleet-mismatch refusal:" >&2; cat "$smokedir/front_mismatch.log" >&2; exit 1; }
-kill "$solo_pid" "$shard0_pid" "$shard1_pid" "$clear_pid" "$mono_pid" 2>/dev/null || true
-wait "$solo_pid" "$shard0_pid" "$shard1_pid" "$clear_pid" "$mono_pid" 2>/dev/null || true
 
 echo "== ack-relay smoke (dgs-backend + dgs-station)"
 # The station↔backend hop end to end, as binaries: a backend planning a

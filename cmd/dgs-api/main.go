@@ -45,8 +45,6 @@ func main() {
 	inflight := flag.Int("inflight", 0, "max concurrent compute-path requests (0 = 2x workers)")
 	watchTLE := flag.String("watch-tle", "", "TLE file to poll; on modification its elements are applied live by catalog number")
 	watchInterval := flag.Duration("watch-interval", 10*time.Second, "poll interval for -watch-tle")
-	shardAddrs := flag.String("shards", "", "comma-separated dgs-shard addresses; serve as the merging front tier of a federated fleet instead of loading a world locally")
-	shardTimeout := flag.Duration("shard-timeout", 30*time.Second, "per-query timeout against shard backends (front-tier mode)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on a dedicated address (e.g. localhost:6060), independent of the API listener")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	flag.Parse()
@@ -54,10 +52,6 @@ func main() {
 	cliutil.NonNegativeInt("inflight", *inflight)
 	cliutil.PositiveDuration("watch-interval", *watchInterval)
 	cliutil.PositiveDuration("drain", *drain)
-	cliutil.PositiveDuration("shard-timeout", *shardTimeout)
-	if *shardAddrs != "" && *watchTLE != "" {
-		cliutil.Failf("-watch-tle requires a local world; a front tier (-shards) forwards updates, so point the watcher at a dgs-shard's fleet update path instead")
-	}
 
 	if *pprofAddr != "" {
 		addr, err := cliutil.StartPprof(*pprofAddr)
@@ -68,35 +62,14 @@ func main() {
 	}
 
 	t0 := time.Now()
-	var src serve.WorldSource
-	var store *serve.Store
-	if *shardAddrs != "" {
-		// Front-tier mode: no local world — federate the shard fleet. The
-		// fleet's shared configuration (validated across every shard at
-		// startup) defines the world grid; the local world flags are unused.
-		addrs := cliutil.HostPortList("shards", *shardAddrs)
-		fed, err := serve.NewFederator(addrs, serve.FederatorConfig{
-			CallTimeout: *shardTimeout,
-			Logf:        log.Printf,
-		})
-		if err != nil {
-			log.Fatalf("dgs-api: %v", err)
-		}
-		src = fed
-		view := fed.Current().Snap
-		log.Printf("dgs-api: federating %d shards: %d satellites / %d stations in %v (front epoch %d)",
-			len(addrs), view.Sats(), view.Stations(), time.Since(t0).Round(time.Millisecond), fed.Epoch())
-	} else {
-		snap, err := serve.NewSnapshot(snapCfg)
-		if err != nil {
-			log.Fatalf("dgs-api: %v", err)
-		}
-		store = serve.NewStore(snap, serve.StoreConfig{PlanHorizon: planHorizon})
-		src = store
-		log.Printf("dgs-api: loaded %d satellites / %d stations in %v (world epoch %d)",
-			snap.Sats(), snap.Stations(), time.Since(t0).Round(time.Millisecond), store.Epoch())
+	snap, err := serve.NewSnapshot(snapCfg)
+	if err != nil {
+		log.Fatalf("dgs-api: %v", err)
 	}
-	api := serve.NewWithSource(src, serve.Config{
+	store := serve.NewStore(snap, serve.StoreConfig{PlanHorizon: planHorizon})
+	log.Printf("dgs-api: loaded %d satellites / %d stations in %v (world epoch %d)",
+		snap.Sats(), snap.Stations(), time.Since(t0).Round(time.Millisecond), store.Epoch())
+	api := serve.NewWithSource(store, serve.Config{
 		MaxInFlight:  *inflight,
 		CacheEntries: *cache,
 	})
@@ -106,9 +79,8 @@ func main() {
 		log.Fatalf("dgs-api: %v", err)
 	}
 	srv := &http.Server{Handler: api.Handler()}
-	worldCfg := src.Current().Snap.Config()
 	log.Printf("dgs-api: serving on %s (epoch %s, span %v, slot %v)",
-		ln.Addr(), dgs.Start.Format(time.RFC3339), worldCfg.MaxSpan, worldCfg.Slot)
+		ln.Addr(), dgs.Start.Format(time.RFC3339), snap.Config().MaxSpan, snap.Config().Slot)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -126,10 +98,9 @@ func main() {
 	}
 	stop()
 	log.Print("dgs-api: draining in-flight requests")
-	// Close the world source first: plan-stream handlers exit when their
-	// channel closes, so Shutdown's drain isn't held open by long-lived
-	// streams. (In front-tier mode this also drops the shard sessions.)
-	src.Close()
+	// Close the store first: plan-stream handlers exit when their channel
+	// closes, so Shutdown's drain isn't held open by long-lived streams.
+	store.Close()
 	sctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := srv.Shutdown(sctx); err != nil {

@@ -45,8 +45,10 @@ func run(t *testing.T, args ...string) (stderr string, code int) {
 // TestFlags: a bad invocation exits 2 and names the flag (the usage text
 // that follows lists every flag, so each row matches the message itself).
 // -workers and -pprof are not flags: the pools use GOMAXPROCS, and pprof
-// has its own listener behind -pprof-addr. Their rows end in a bad
-// -inflight so that a build which accepts them exits instead of serving.
+// has its own listener behind -pprof-addr. Nor are -shards and
+// -shard-timeout: dgs-api serves one world, with no sharded front tier.
+// Their rows end in a bad -inflight so that a build which accepts them
+// exits instead of serving.
 func TestFlags(t *testing.T) {
 	for _, row := range []struct {
 		name string
@@ -55,7 +57,8 @@ func TestFlags(t *testing.T) {
 	}{
 		{"negative inflight", []string{"-inflight", "-1"}, "invalid -inflight"},
 		{"perfect forecast", []string{"-forecast-err", "0"}, "invalid -forecast-err"},
-		{"watcher on a front tier", []string{"-shards", "127.0.0.1:1", "-watch-tle", "elements.tle"}, "-watch-tle requires a local world"},
+		{"front tier", []string{"-shards", "127.0.0.1:1", "-inflight", "-1"}, "not defined: -shards"},
+		{"shard timeout", []string{"-shard-timeout", "1s", "-inflight", "-1"}, "not defined: -shard-timeout"},
 		{"workers", []string{"-workers", "2", "-inflight", "-1"}, "not defined: -workers"},
 		{"pprof on the API mux", []string{"-pprof", "-inflight", "-1"}, "not defined: -pprof"},
 	} {

@@ -9,10 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"dgs"
 	"dgs/internal/backend"
 	"dgs/internal/proto"
-	"dgs/internal/serve"
 )
 
 // lingerNet is an in-memory network of buffered pipes that pins one
@@ -157,96 +155,60 @@ func (c *lingerConn) SetDeadline(time.Time) error      { return nil }
 func (c *lingerConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *lingerConn) SetWriteDeadline(time.Time) error { return nil }
 
-// TestReplyBeforeWriteReturns pins the ordering that used to lose replies,
-// for both owners of a session client: over a connection whose Write
-// returns only after the peer's answer has been read and dispatched, every
-// round trip must still find its waiter. An owner that registers the waiter
-// after writing drops the reply as unsolicited and waits forever — the
-// StationAgent did, already in its Resume probe.
+// TestReplyBeforeWriteReturns pins the ordering that used to lose replies
+// for a session client: over a connection whose Write returns only after
+// the peer's answer has been read and dispatched, every round trip must
+// still find its waiter. A client that registers the waiter after writing
+// drops the reply as unsolicited and waits forever — the StationAgent did,
+// already in its Resume probe.
 func TestReplyBeforeWriteReturns(t *testing.T) {
 	const trips = 1000
-	owners := map[string]func(t *testing.T, ln *lingerNet, logf func(string, ...any)) error{
-		"StationAgent": func(t *testing.T, ln *lingerNet, logf func(string, ...any)) error {
-			srv := backend.NewServer(nil)
-			srv.Serve(ln)
-			t.Cleanup(func() { srv.Close() })
-			a := &backend.StationAgent{ID: 8, Name: "eager", TxCapable: true, Logf: logf}
-			backend.SetDial(a, func(context.Context) (net.Conn, error) { return ln.Dial() })
+	t.Run("StationAgent", func(t *testing.T) {
+		var mu sync.Mutex
+		var logged []string
+		logf := func(format string, args ...any) {
+			mu.Lock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		}
+		ln := newLingerNet(20 * time.Millisecond)
+		srv := backend.NewServer(nil)
+		srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+		a := &backend.StationAgent{ID: 8, Name: "eager", TxCapable: true, Logf: logf}
+		backend.SetDial(a, func(context.Context) (net.Conn, error) { return ln.Dial() })
+		done := make(chan error, 1)
+		go func() {
 			if err := a.Connect(t.Context(), "linger"); err != nil {
-				return err
+				done <- err
+				return
 			}
-			t.Cleanup(func() { a.Close() })
 			for i := uint64(1); i <= trips/2; i++ {
 				if err := a.Report(&proto.ChunkReport{StationID: 8, Sat: 1,
 					Chunks: []proto.ChunkInfo{{ID: i, Bits: 1, Received: backend.RxTime}}}); err != nil {
-					return fmt.Errorf("report %d: %w", i, err)
+					done <- fmt.Errorf("report %d: %w", i, err)
+					return
 				}
 				if d, err := a.FetchDigest(1); err != nil || len(d.ChunkIDs) != 1 {
-					return fmt.Errorf("digest %d: %v, %v", i, d, err)
+					done <- fmt.Errorf("digest %d: %v, %v", i, d, err)
+					return
 				}
 			}
-			return nil
-		},
-		"Federator": func(t *testing.T, ln *lingerNet, logf func(string, ...any)) error {
-			snap, part, err := serve.NewShardWorld(serve.SnapshotConfig{Satellites: 8, Stations: 6, Seed: 1, MaxSpan: 6 * time.Hour}, 0, 1)
+			done <- nil
+		}()
+		t.Cleanup(func() { a.Close() })
+		select {
+		case err := <-done:
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
-			store := serve.NewStore(snap, serve.StoreConfig{PlanHorizon: 15 * time.Minute})
-			t.Cleanup(store.Close)
-			srv := serve.NewShardServer(store, part)
-			srv.Serve(ln)
-			t.Cleanup(func() { srv.Close() })
-			fed, err := serve.NewFederator([]string{"linger"}, serve.FederatorConfig{
-				CallTimeout: 2 * time.Second, // what a lost reply costs
-				Dial:        func(string) (net.Conn, error) { return ln.Dial() },
-				Logf:        logf,
-			})
-			if err != nil {
-				return err
-			}
-			t.Cleanup(fed.Close)
-			// One shard query per evaluation; a query whose reply is lost
-			// comes back as the not-visible zero answer.
-			view := fed.Current().Snap
-			cfg := view.Config()
-			ws := view.Passes(dgs.Start, dgs.Start.Add(cfg.MaxSpan), -1, -1)
-			if len(ws) == 0 {
-				return fmt.Errorf("world has no passes to evaluate")
-			}
-			mid := cfg.Quantize(ws[0].Start.Add(ws[0].End.Sub(ws[0].Start) / 2))
-			for i := 0; i < trips; i++ {
-				if lb := view.LinkBudgetAt(ws[0].Sat, ws[0].Station, mid, 0); !lb.Visible {
-					return fmt.Errorf("query %d: lost (%+v)", i, lb)
-				}
-			}
-			return nil
-		},
-	}
-	for name, drive := range owners {
-		t.Run(name, func(t *testing.T) {
-			var mu sync.Mutex
-			var logged []string
-			logf := func(format string, args ...any) {
-				mu.Lock()
-				logged = append(logged, fmt.Sprintf(format, args...))
-				mu.Unlock()
-			}
-			done := make(chan error, 1)
-			go func() { done <- drive(t, newLingerNet(20*time.Millisecond), logf) }()
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatal(err)
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatal("round trips hung: a reply was dispatched before its waiter existed")
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if s := strings.Join(logged, "\n"); strings.Contains(s, "unsolicited") {
-				t.Fatalf("replies dropped as unsolicited:\n%s", s)
-			}
-		})
-	}
+		case <-time.After(30 * time.Second):
+			t.Fatal("round trips hung: a reply was dispatched before its waiter existed")
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if s := strings.Join(logged, "\n"); strings.Contains(s, "unsolicited") {
+			t.Fatalf("replies dropped as unsolicited:\n%s", s)
+		}
+	})
 }

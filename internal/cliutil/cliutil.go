@@ -10,9 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"net"
 	"os"
-	"strings"
 	"time"
 )
 
@@ -111,27 +109,4 @@ func Seed(name string, v int64) {
 	if v < 0 {
 		Failf("invalid -%s: must be >= 0 (got %d)", name, v)
 	}
-}
-
-// HostPortList parses a comma-separated host:port list for flag name,
-// requiring every element to be a valid dialable address. Returns the
-// split list with surrounding whitespace trimmed.
-func HostPortList(name, v string) []string {
-	var addrs []string
-	for _, part := range strings.Split(v, ",") {
-		addr := strings.TrimSpace(part)
-		if addr == "" {
-			Failf("invalid -%s: empty address in %q", name, v)
-		}
-		host, port, err := net.SplitHostPort(addr)
-		if err != nil {
-			Failf("invalid -%s: %q: %v", name, addr, err)
-		}
-		if port == "" {
-			Failf("invalid -%s: %q: missing port", name, addr)
-		}
-		_ = host // empty host means localhost by dial convention
-		addrs = append(addrs, addr)
-	}
-	return addrs
 }

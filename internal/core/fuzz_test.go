@@ -7,18 +7,17 @@ import (
 )
 
 // FuzzCheckPlan holds CheckPlan to be the whole guard for a plan decoded
-// from outside the process: a plan it accepts can be indexed, merged and
-// looked up without panicking.
+// from outside the process: a plan it accepts can be indexed and looked
+// up without panicking.
 func FuzzCheckPlan(f *testing.F) {
 	const nSats, nStations = 4, 3
-	caps := []int{1, 2, 1}
-	valid := NewPlan(2, epoch, time.Minute, []Slot{
+	valid := &Plan{Version: 2, Issued: epoch, SlotDur: time.Minute, Slots: []Slot{
 		{Start: epoch, Assignments: []Assignment{
 			{Sat: 1, Station: 2, PlannedRateBps: 1e6, Weight: 1.5},
 			{Sat: 3, Station: 2, PlannedRateBps: 2e6, Weight: 0.5},
 		}},
 		{Start: epoch.Add(time.Minute)},
-	})
+	}}
 	raw, err := json.Marshal(valid)
 	if err != nil {
 		f.Fatal(err)
@@ -35,23 +34,14 @@ func FuzzCheckPlan(f *testing.F) {
 			return
 		}
 		p.BuildIndex()
-		merged, err := MergePlans([]*Plan{p, valid}, caps)
-		if err != nil {
-			// A grid unlike valid's; merge the plan alone.
-			if merged, err = MergePlans([]*Plan{p}, caps); err != nil {
-				t.Fatalf("single-part merge of an accepted plan: %v", err)
+		for k := range p.Slots {
+			at := p.Issued.Add(time.Duration(k) * p.SlotDur)
+			for sat := -1; sat <= nSats; sat++ {
+				p.AssignmentFor(sat, at)
 			}
 		}
-		for _, q := range []*Plan{p, merged} {
-			for k := range q.Slots {
-				at := q.Issued.Add(time.Duration(k) * q.SlotDur)
-				for sat := -1; sat <= nSats; sat++ {
-					q.AssignmentFor(sat, at)
-				}
-			}
-			for sat := -1; sat <= nSats; sat++ {
-				q.AssignedSlotCount(sat)
-			}
+		for sat := -1; sat <= nSats; sat++ {
+			p.AssignedSlotCount(sat)
 		}
 	})
 }

@@ -49,19 +49,10 @@ type Plan struct {
 	// index[k*nSats + sat] holds sat's position in Slots[k].Assignments,
 	// or -1. A flat []int32 instead of a per-slot map: the simulator does
 	// this lookup for every satellite at every step, and the dense table
-	// costs one bounds check and no hashing. Every constructor (PlanEpoch,
-	// NewPlan, RemapSats, MergePlans) builds it; a plan decoded from JSON
-	// carries none until BuildIndex runs.
+	// costs one bounds check and no hashing. PlanEpoch builds it; a plan
+	// decoded from JSON carries none until BuildIndex runs.
 	index []int32
 	nSats int
-}
-
-// NewPlan assembles a plan from finished slots and builds its lookup
-// index.
-func NewPlan(version int, issued time.Time, slotDur time.Duration, slots []Slot) *Plan {
-	p := &Plan{Version: version, Issued: issued, SlotDur: slotDur, Slots: slots}
-	p.BuildIndex()
-	return p
 }
 
 // BuildIndex (re)builds the per-slot satellite→assignment lookup. Call it
@@ -129,36 +120,11 @@ func (p *Plan) AssignedSlotCount(sat int) int {
 	return n
 }
 
-// RemapSats returns a copy of the plan with every assignment's satellite
-// index translated through global: an assignment for shard-local satellite
-// i becomes one for global[i]. Shard backends plan over their partition's
-// local index space and use this to lift the result onto the
-// constellation-wide numbering before it crosses the shard protocol.
-// global must cover every satellite index the plan references and, for the
-// merged plan to stay canonically ordered, must be ascending (which
-// shard.Partition guarantees).
-func (p *Plan) RemapSats(global []int32) *Plan {
-	q := &Plan{Version: p.Version, Issued: p.Issued, SlotDur: p.SlotDur, Slots: make([]Slot, len(p.Slots))}
-	for k, sl := range p.Slots {
-		ns := Slot{Start: sl.Start}
-		if sl.Assignments != nil {
-			ns.Assignments = make([]Assignment, len(sl.Assignments))
-			for j, a := range sl.Assignments {
-				a.Sat = int(global[a.Sat])
-				ns.Assignments[j] = a
-			}
-		}
-		q.Slots[k] = ns
-	}
-	q.BuildIndex()
-	return q
-}
-
 // CheckPlan is the one check for a plan decoded from outside the process
-// (a checkpoint, a shard reply): it rejects a null plan, a non-positive
-// slot length, and an assignment naming a satellite or station outside
-// [0, nSats) or [0, nStations) — everything that would make BuildIndex,
-// MergePlans or AssignmentFor panic or allocate without bound. Its message
+// (a checkpoint): it rejects a null plan, a non-positive slot length, and
+// an assignment naming a satellite or station outside [0, nSats) or
+// [0, nStations) — everything that would make BuildIndex or AssignmentFor
+// panic or allocate without bound. Its message
 // continues a phrase naming the plan, as in
 // fmt.Errorf("checkpoint plan %d %w", k, err).
 func CheckPlan(p *Plan, nSats, nStations int) error {

@@ -94,14 +94,22 @@ func TestPlanEpochWindowsMatchSweepOddSlot(t *testing.T) {
 	}
 }
 
-// TestNewPlanIndexes checks that NewPlan-built plans answer AssignmentFor
+// newPlan assembles a plan from finished slots and builds its lookup
+// index.
+func newPlan(version int, issued time.Time, slotDur time.Duration, slots []Slot) *Plan {
+	p := &Plan{Version: version, Issued: issued, SlotDur: slotDur, Slots: slots}
+	p.BuildIndex()
+	return p
+}
+
+// TestNewPlanIndexes checks that newPlan-built plans answer AssignmentFor
 // and AssignedSlotCount through the index identically to a linear scan of
 // their slots, and that an empty plan answers -1.
 func TestNewPlanIndexes(t *testing.T) {
 	sched, sats := smallWorld(t, 16, 32)
 	built := sched.PlanEpoch(sats, epoch, time.Hour, time.Minute, 100*8e9/86400.0)
 
-	indexed := NewPlan(built.Version, built.Issued, built.SlotDur, built.Slots)
+	indexed := newPlan(built.Version, built.Issued, built.SlotDur, built.Slots)
 	counts := make([]int, len(sats))
 	for k := range built.Slots {
 		at := epoch.Add(time.Duration(k)*time.Minute + 29*time.Second)
@@ -122,7 +130,7 @@ func TestNewPlanIndexes(t *testing.T) {
 		}
 	}
 
-	empty := NewPlan(1, epoch, time.Minute, nil)
+	empty := newPlan(1, epoch, time.Minute, nil)
 	if gs, _ := empty.AssignmentFor(0, epoch); gs != -1 {
 		t.Fatal("empty plan lookup must return -1")
 	}

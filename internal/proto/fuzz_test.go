@@ -6,6 +6,16 @@ import (
 	"time"
 )
 
+// rawMsg is a frame of any type number with a verbatim payload.
+type rawMsg struct {
+	typ  MsgType
+	body []byte
+}
+
+func (m rawMsg) Type() MsgType                 { return m.typ }
+func (m rawMsg) appendPayload(b []byte) []byte { return append(b, m.body...) }
+func (m rawMsg) decodePayload(b []byte) error  { return nil }
+
 // FuzzRead throws arbitrary bytes at the frame decoder: it must never
 // panic, never allocate unboundedly, and either return a valid message or
 // an error. Run with `go test -fuzz FuzzRead ./internal/proto` for a real
@@ -28,9 +38,11 @@ func FuzzRead(f *testing.F) {
 		seed(&Error{Code: CodeVersion, Msg: "boom"}),
 		seed(&Heartbeat{Seq: 5, Ack: true}),
 		seed(&Resume{StationID: 3, LastSeq: 11}),
-		seed(&ShardQuery{ID: 4, Kind: ShardKindPasses, Body: []byte(`{"from":0}`)}),
-		seed(&ShardReply{ID: 4, Body: []byte(`{"windows":[]}`)}),
-		seed(&ShardEpoch{Epoch: 12}),
+		// Well-formed frames of the retired type numbers 9–11, which Read
+		// must refuse as unknown.
+		seed(rawMsg{9, []byte{0, 0, 0, 4, 4, '{', '}'}}),
+		seed(rawMsg{10, []byte{0, 0, 0, 4, '[', ']'}}),
+		seed(rawMsg{11, []byte{0, 0, 0, 0, 0, 0, 0, 12}}),
 	}
 	for _, v := range valid {
 		f.Add(v)

@@ -448,12 +448,6 @@ func Read(r io.Reader) (Message, error) {
 		m = &Heartbeat{}
 	case TypeResume:
 		m = &Resume{}
-	case TypeShardQuery:
-		m = &ShardQuery{}
-	case TypeShardReply:
-		m = &ShardReply{}
-	case TypeShardEpoch:
-		m = &ShardEpoch{}
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownMsg, typ)
 	}

@@ -64,24 +64,6 @@
 // not_ready, internal. Wrong-method requests get 405 plus an Allow
 // header (Go 1.22 method patterns with a method-less fallback route).
 //
-// # Federation
-//
-// A Federator implements the same WorldSource over a fleet of ShardServers,
-// each exposing one partition's Store. The hop between them is the managed
-// session of internal/session — the one stations use toward the backend:
-// version-gated Hello, heartbeats, per-frame deadlines, seeded-backoff
-// redial, and a Resume probe whose LastSeq carries the shard's world epoch,
-// so a reconnect is also the rejoin. This package adds the ShardQuery
-// dispatch and epoch pusher on the shard side, and on the front tier reply
-// correlation by ShardReply.ID that fails fast while a session is down: a
-// lost shard degrades the merged plan (degraded:true + missing_shards)
-// instead of erroring, and is folded back in when its session comes up.
-// Every shard reports its resolved SnapshotConfig and live-plan horizon;
-// the front tier starts only if all of them equal shard 0's (plain ==),
-// the station capacity vectors agree, and the partitions cover the constellation exactly. Its
-// view then serves shard 0's configuration, so a fleet is one world by
-// construction, never a merge of two.
-//
 // # The query hot path
 //
 // The layer is built for load, not just correctness:
@@ -129,10 +111,8 @@
 //	updates_api.go     /v2/updates
 //	optimize.go        /v2/optimize jobs
 //	stream.go          subHub and serveSSE, the one event-stream writer
-//	store.go source.go the versioned world: Store, World, worldPub
+//	store.go           the versioned world: Store, World
 //	snapshot.go        the immutable query world (SnapshotConfig, Snapshot)
-//	federator.go       the front tier; shardserver.go, shardclient.go and
-//	                   fedwire.go the shard hop
 //	cache.go flight.go admission.go stats.go   the hot-path layers
-//	flags.go           the world flags dgs-api and dgs-shard share
+//	flags.go           dgs-api's world flags
 package serve

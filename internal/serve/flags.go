@@ -8,15 +8,11 @@ import (
 )
 
 // WorldFlags registers, on the command line's flag set, the ten flags
-// that define a served world, and returns the function that — after
-// flag.Parse — validates them (a bad value exits with the usage status;
-// so do -forecast-err 0 and -tx-fraction 0, which SnapshotConfig cannot
-// express)
-// and yields the snapshot configuration and the live-plan horizon. Every
-// dgs-shard of a fleet must agree on all of them (the front tier compares
-// each shard's resolved world with shard 0's and refuses a fleet that
-// differs), so they are declared once, here, for dgs-api and dgs-shard
-// alike.
+// that define dgs-api's served world, and returns the function that —
+// after flag.Parse — validates them (a bad value exits with the usage
+// status; so do -forecast-err 0 and -tx-fraction 0, which SnapshotConfig
+// cannot express) and yields the snapshot configuration and the live-plan
+// horizon.
 func WorldFlags() func() (SnapshotConfig, time.Duration) {
 	sats := flag.Int("sats", 259, "constellation size")
 	stations := flag.Int("stations", 173, "ground-station count")

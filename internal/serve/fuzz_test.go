@@ -3,16 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
-
-	"dgs"
-	"dgs/internal/proto"
 )
 
 // FuzzQueryParams feeds raw query strings to every endpoint that parses
@@ -123,73 +119,6 @@ func FuzzUpdates(f *testing.F) {
 			}
 		default:
 			t.Fatalf("%q: status %d: %s", body, rec.Code, rec.Body.String())
-		}
-	})
-}
-
-// FuzzShardQuery feeds raw (kind, body) shard query frames to a shard's
-// dispatch. Whatever the frame, the shard answers with a body or refuses
-// with an error: never a panic, which would end the whole dgs-shard
-// process. Apply frames run on a fresh store each, so a failing input
-// reproduces on its own; the other kinds only read the world.
-func FuzzShardQuery(f *testing.F) {
-	cfg := SnapshotConfig{Satellites: 24, Stations: 12, Seed: 1, MaxSpan: 2 * time.Hour}
-	snap, part, err := NewShardWorld(cfg, 0, 2)
-	if err != nil {
-		f.Fatal(err)
-	}
-	storeCfg := StoreConfig{PlanHorizon: 30 * time.Minute}
-	store := NewStore(snap, storeCfg)
-	f.Cleanup(store.Close)
-	srv := NewShardServer(store, part)
-
-	at := func(d time.Duration) string { return dgs.Start.Add(d).Format(time.RFC3339) }
-	owned := part.Global[0]
-	for _, seed := range []struct {
-		kind uint8
-		body string
-	}{
-		// One valid body of each kind.
-		{proto.ShardKindInfo, ``},
-		{proto.ShardKindPlan, ``},
-		{proto.ShardKindPlanAt, fmt.Sprintf(`{"from":%q,"horizon_ns":%d,"slot_ns":%d}`, at(0), 30*time.Minute, time.Minute)},
-		{proto.ShardKindPasses, fmt.Sprintf(`{"from":%q,"to":%q,"sat":-1,"station":-1}`, at(0), at(time.Hour))},
-		{proto.ShardKindPasses, fmt.Sprintf(`{"from":%q,"to":%q,"sat":%d,"station":3}`, at(0), at(time.Hour), owned)},
-		{proto.ShardKindLinkBudget, fmt.Sprintf(`{"sat":%d,"station":3,"t":%q,"lead_ns":%d}`, owned, at(30*time.Minute), time.Hour)},
-		{proto.ShardKindApply, `{"update":{"weather":{"seed":9,"err_fraction":0.25}}}`},
-		// Stations and satellites outside the world: the link-budget ones
-		// indexed past the station list.
-		{proto.ShardKindLinkBudget, fmt.Sprintf(`{"sat":%d,"station":99,"t":%q}`, owned, at(0))},
-		{proto.ShardKindLinkBudget, fmt.Sprintf(`{"sat":%d,"station":-1,"t":%q}`, owned, at(0))},
-		{proto.ShardKindLinkBudget, fmt.Sprintf(`{"sat":%d,"station":0,"t":%q}`, int64(owned)+1<<32, at(0))},
-		{proto.ShardKindPasses, fmt.Sprintf(`{"from":%q,"to":%q,"sat":-2,"station":-1}`, at(0), at(time.Hour))},
-		{proto.ShardKindPasses, fmt.Sprintf(`{"from":%q,"to":%q,"sat":-1,"station":-7}`, at(0), at(time.Hour))},
-		// Instants and spans outside the servable span, a negative lead.
-		{proto.ShardKindLinkBudget, fmt.Sprintf(`{"sat":%d,"station":0,"t":%q}`, owned, at(48*time.Hour))},
-		{proto.ShardKindLinkBudget, fmt.Sprintf(`{"sat":%d,"station":0,"t":%q,"lead_ns":-1}`, owned, at(0))},
-		{proto.ShardKindPasses, fmt.Sprintf(`{"from":%q,"to":%q,"sat":-1,"station":-1}`, at(-time.Hour), at(30*time.Hour))},
-		{proto.ShardKindPasses, fmt.Sprintf(`{"from":%q,"to":%q,"sat":-1,"station":-1}`, at(time.Hour), at(0))},
-		// Scratch plans past the slot cap, of no slot length, and unaligned.
-		{proto.ShardKindPlanAt, fmt.Sprintf(`{"from":%q,"horizon_ns":%d,"slot_ns":%d}`, at(0), 2*time.Hour, time.Second)},
-		{proto.ShardKindPlanAt, fmt.Sprintf(`{"from":%q,"horizon_ns":%d,"slot_ns":0}`, at(0), time.Hour)},
-		{proto.ShardKindPlanAt, fmt.Sprintf(`{"from":%q,"horizon_ns":%d,"slot_ns":%d}`, at(90*time.Second), int64(math.MaxInt64), time.Hour)},
-		// Malformed frames.
-		{proto.ShardKindPasses, `{"from":0}`},
-		{proto.ShardKindApply, `{"update":{"remove_stations":[99]}}`},
-		{0, ``},
-		{255, `{}`},
-	} {
-		f.Add(seed.kind, []byte(seed.body))
-	}
-	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
-		s := srv
-		if kind == proto.ShardKindApply {
-			st := NewStore(snap, storeCfg)
-			defer st.Close()
-			s = NewShardServer(st, part)
-		}
-		if out, err := s.handle(kind, body); (err == nil) == (out == nil) {
-			t.Fatalf("kind %d %q: body %q and error %v", kind, body, out, err)
 		}
 	})
 }

@@ -56,8 +56,7 @@ func (s *Server) handleLinkBudget(w http.ResponseWriter, r *http.Request, st *en
 }
 
 // checkLinkBudget refuses a negative lead and quantizes the instant t onto
-// the grid, refusing one outside the servable span. The shard server's
-// link-budget query takes the same checks.
+// the grid, refusing one outside the servable span.
 func checkLinkBudget(cfg SnapshotConfig, t time.Time, lead time.Duration) (time.Time, *httpError) {
 	if lead < 0 {
 		return t, badRequest("lead must be >= 0")

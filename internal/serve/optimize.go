@@ -178,21 +178,12 @@ func (s *Server) handleOptimizeCreate(w http.ResponseWriter, r *http.Request, st
 
 	world := s.acquireWorld(w)
 	defer world.Release()
-	snap, ok := world.Snap.(*Snapshot)
-	if !ok {
-		// A federated front tier has no single-process population to
-		// branch simulations from; run the optimizer against a shard
-		// backend (or a monolith) instead.
-		writeError(w, http.StatusBadRequest, errInvalidArgument,
-			"optimize requires a single-process world, not a federated front tier")
-		return
-	}
 
 	var req optimizeRequest
 	if !decodeBody(w, r, &req, "optimize") {
 		return
 	}
-	ev, search, herr := s.buildOptimize(snap, &req)
+	ev, search, herr := s.buildOptimize(world.Snap, &req)
 	if herr != nil {
 		writeHTTPError(w, herr)
 		return

@@ -45,7 +45,7 @@ type passesQuery struct {
 	from, to time.Time
 }
 
-func parsePassesQuery(q url.Values, snap WorldView) (passesQuery, *httpError) {
+func parsePassesQuery(q url.Values, snap *Snapshot) (passesQuery, *httpError) {
 	cfg := snap.Config()
 	sat, herr := parseInt(q, "sat", -1)
 	if herr == nil {
@@ -80,7 +80,7 @@ func parsePassesQuery(q url.Values, snap WorldView) (passesQuery, *httpError) {
 	return passesQuery{sat: sat, gs: gs, from: from, to: to}, nil
 }
 
-func passesWire(snap WorldView, q passesQuery) passesResponse {
+func passesWire(snap *Snapshot, q passesQuery) passesResponse {
 	ws := snap.Passes(q.from, q.to, q.sat, q.gs)
 	resp := passesResponse{
 		From: q.from, To: q.to, Sat: q.sat, Station: q.gs,

@@ -121,35 +121,12 @@ func (r *planRender) v1Body() ([]byte, error) {
 }
 
 // appendHead opens w's epoch envelope, the fields the live plan and its
-// stream deltas share. The federated fields are left out when unset, so
-// monolith bodies stay byte-frozen: a single-process world never sets
-// them.
+// stream deltas share.
 func appendHead(b []byte, w *World) []byte {
 	b = append(b, `{"epoch":`...)
 	b = strconv.AppendUint(b, w.Epoch, 10)
 	b = append(b, `,"plan_version":`...)
-	b = strconv.AppendInt(b, int64(w.Plan.Version), 10)
-	if len(w.EpochVec) > 0 {
-		b = append(b, `,"epoch_vector":[`...)
-		for i, e := range w.EpochVec {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendUint(b, e, 10)
-		}
-		b = append(b, ']')
-	}
-	if w.Degraded() {
-		b = append(b, `,"degraded":true,"missing_shards":[`...)
-		for i, m := range w.Missing {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, int64(m), 10)
-		}
-		b = append(b, ']')
-	}
-	return b
+	return strconv.AppendInt(b, int64(w.Plan.Version), 10)
 }
 
 // must returns a live-plan payload, whose plan a planner made: a number
@@ -243,7 +220,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, st *endpoint
 // servable span or of more slots than the world's grid holds: a fresh
 // scheduler holds every slot's positions and edges, so the slot count —
 // not just the span — bounds what one request can make the server
-// allocate. The shard server's planat query takes the same checks.
+// allocate.
 func checkPlanWindow(cfg SnapshotConfig, from time.Time, horizon, slot time.Duration) (time.Time, *httpError) {
 	if slot < time.Second || slot > time.Hour {
 		return from, badRequest("slot %v out of range [1s, 1h]", slot)

@@ -37,11 +37,8 @@ type planResponse struct {
 // planHead is the epoch envelope the live plan and its stream deltas
 // share.
 type planHead struct {
-	Epoch         uint64   `json:"epoch"`
-	PlanVersion   int      `json:"plan_version"`
-	EpochVec      []uint64 `json:"epoch_vector,omitempty"`
-	Degraded      bool     `json:"degraded,omitempty"`
-	MissingShards []int    `json:"missing_shards,omitempty"`
+	Epoch       uint64 `json:"epoch"`
+	PlanVersion int    `json:"plan_version"`
 }
 
 // planV2Response is the epoch-tagged live-plan shape.
@@ -58,13 +55,7 @@ type planDeltaEvent struct {
 }
 
 func (w *World) head() planHead {
-	return planHead{
-		Epoch:         w.Epoch,
-		PlanVersion:   w.Plan.Version,
-		EpochVec:      w.EpochVec,
-		Degraded:      w.Degraded(),
-		MissingShards: w.Missing,
-	}
+	return planHead{Epoch: w.Epoch, PlanVersion: w.Plan.Version}
 }
 
 func wireSlot(sl core.Slot) planSlot {
@@ -191,16 +182,16 @@ func recovered(f func()) (p any) {
 // instant JSON cannot carry).
 func FuzzPlanBody(f *testing.F) {
 	for _, seed := range []struct {
-		shape         []byte
-		rate, weight  float64
-		sat, station  int64
-		issued, slot  int64
-		epoch         uint64
-		fed, shrinkBy uint8
+		shape           []byte
+		rate, weight    float64
+		sat, station    int64
+		issued, slot    int64
+		epoch           uint64
+		flags, shrinkBy uint8
 	}{
 		{[]byte{1, 2, 3, 0x41, 0x82, 0xc3, 0xff, 0}, 1e-6, 1e21, 3, 5, 1590969600e9, 60e9, 1, 0, 0},
 		// Three assignments a slot, starting 3 further along the palettes
-		// each slot: every palette number is a rate, on a federated head.
+		// each slot: every palette number is a rate.
 		{[]byte{0x03, 0x0f, 0x1b, 0x27, 0x33, 0x3f, 0x4b, 0x57}, 2.5, -0.5, math.MaxInt32, 0, 1590969600e9, 60e9, 9, 3, 0},
 		{[]byte{}, 0, 0, 0, 0, 0, 60e9, 0, 0, 0},
 		{[]byte{0, 0x40, 0x80, 0xc0}, math.Copysign(0, -1), 5e-324, -1, -2, -1, 1, 7, 3, 1},
@@ -208,24 +199,18 @@ func FuzzPlanBody(f *testing.F) {
 		{[]byte{0x13, 0x27}, math.NaN(), 1, 1, 1, 1590969600e9, 1e9, 2, 2, 0},
 		{[]byte{0x93, 0x27}, 1, math.Inf(-1), 1, 1, 1590969600e9, 1e9, 2, 4, 0},
 	} {
-		f.Add(seed.shape, seed.rate, seed.weight, seed.sat, seed.station, seed.issued, seed.slot, seed.epoch, seed.fed, seed.shrinkBy)
+		f.Add(seed.shape, seed.rate, seed.weight, seed.sat, seed.station, seed.issued, seed.slot, seed.epoch, seed.flags, seed.shrinkBy)
 	}
-	f.Fuzz(func(t *testing.T, shape []byte, rate, weight float64, sat, station, issuedNs, slotNs int64, epoch uint64, fed, shrinkBy uint8) {
+	f.Fuzz(func(t *testing.T, shape []byte, rate, weight float64, sat, station, issuedNs, slotNs int64, epoch uint64, flags, shrinkBy uint8) {
 		if len(shape) > 64 {
 			shape = shape[:64]
 		}
 		plan, prev := fuzzPlan(shape, rate, weight, int(sat), int(station), time.Unix(0, issuedNs).UTC(), time.Duration(slotNs))
 		prev.Slots = prev.Slots[:len(prev.Slots)-min(len(prev.Slots), int(shrinkBy%4))]
-		if fed&4 != 0 {
+		if flags&4 != 0 {
 			prev = nil
 		}
 		w := &World{Epoch: epoch, Plan: plan}
-		if fed&1 != 0 {
-			w.EpochVec = []uint64{epoch, 0, math.MaxUint64}
-		}
-		if fed&2 != 0 {
-			w.Missing = []int{0, int(fed >> 3)}
-		}
 		r := renderPlan(plan)
 
 		want, wantErr := marshalBody(planWire(plan))

@@ -41,7 +41,7 @@ func (c Config) withDefaults() Config {
 // computed against one world version is never served for another, and
 // requests from different epochs never merge into one computation.
 type Server struct {
-	store WorldSource
+	store *Store
 	cache *lruCache
 	fl    flightGroup
 	adm   *admission
@@ -63,13 +63,11 @@ type Server struct {
 	computeHook func(key string)
 }
 
-// NewWithSource builds a Server over any world source — a single-process
-// Store or a Federator fronting shard backends. The handlers are
-// identical either way; only the source decides where worlds come from.
-func NewWithSource(src WorldSource, cfg Config) *Server {
+// NewWithSource builds a Server over a live-world Store.
+func NewWithSource(store *Store, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		store:     src,
+		store:     store,
 		cache:     newLRU(cfg.CacheEntries),
 		adm:       newAdmission(cfg.MaxInFlight),
 		start:     time.Now(),
@@ -148,20 +146,13 @@ func timed(st *endpointStats, h handler) http.HandlerFunc {
 // response with its epoch. Callers must Release the world when done.
 func (s *Server) acquireWorld(w http.ResponseWriter) *World {
 	world := s.store.Acquire()
-	h := w.Header()
-	h.Set("X-World-Epoch", strconv.FormatUint(world.Epoch, 10))
-	if len(world.EpochVec) > 0 {
-		h.Set("X-World-Epoch-Vector", joinUints(world.EpochVec, ','))
-	}
-	if world.Degraded() {
-		h.Set("X-World-Degraded", joinUints(world.Missing, ','))
-	}
+	w.Header().Set("X-World-Epoch", strconv.FormatUint(world.Epoch, 10))
 	return world
 }
 
 // notModified handles conditional revalidation: when the client's
-// If-None-Match already names this world's validator — the epoch, or in
-// federated serving the full epoch vector — reply 304 with no body.
+// If-None-Match already names this world's validator, its epoch, reply
+// 304 with no body.
 func notModified(w http.ResponseWriter, r *http.Request, world *World) bool {
 	etag := world.etag()
 	w.Header().Set("ETag", etag)
@@ -250,7 +241,7 @@ type readyResponse struct {
 	Epoch uint64 `json:"epoch"`
 }
 
-// handleReadyz reports world availability. A source publishes its first
+// handleReadyz reports world availability. The store publishes its first
 // world before the server exists, so this is always 200 with the serving
 // epoch; it stays for probes and load generators that poll it.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request, st *endpointStats) {

@@ -16,7 +16,6 @@ import (
 	"dgs/internal/passes"
 	"dgs/internal/poscache"
 	"dgs/internal/sgp4"
-	"dgs/internal/shard"
 	"dgs/internal/sim"
 	"dgs/internal/spatial"
 	"dgs/internal/tle"
@@ -122,56 +121,9 @@ type Snapshot struct {
 }
 
 // NewSnapshot loads the world a SnapshotConfig describes: the
-// simulator's DGS system (dgs.Config) at the same size and seed.
+// simulator's DGS system (dgs.Config) at the same size, seed and weather.
 func NewSnapshot(cfg SnapshotConfig) (*Snapshot, error) {
 	cfg = cfg.withDefaults()
-	sc, err := simWorld(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newSnapshotLoaded(cfg, sc)
-}
-
-// NewShardWorld loads the slice of the world one control-plane shard
-// owns: the full constellation is built exactly as NewSnapshot would,
-// then reduced to the partition the pinned shard.Map assigns to shard idx
-// of count. The station network stays complete — stations are the shared
-// resource the front tier resolves contention over — so the returned
-// snapshot plans the shard's satellites against every station, in local
-// satellite indices 0..Partition.Len()-1. The caller translates through
-// the returned Partition when speaking global indices.
-func NewShardWorld(cfg SnapshotConfig, idx, count int) (*Snapshot, shard.Partition, error) {
-	cfg = cfg.withDefaults()
-	if idx < 0 || idx >= count {
-		return nil, shard.Partition{}, fmt.Errorf("serve: shard %d out of range [0, %d)", idx, count)
-	}
-	sc, err := simWorld(cfg)
-	if err != nil {
-		return nil, shard.Partition{}, err
-	}
-	norads := make([]int, len(sc.TLEs))
-	for i, el := range sc.TLEs {
-		norads[i] = el.NoradID
-	}
-	part := shard.New(count).Partition(norads, idx)
-	if part.Len() == 0 {
-		return nil, part, fmt.Errorf("serve: shard %d/%d owns no satellites of a %d-satellite constellation — use fewer shards", idx, count, len(sc.TLEs))
-	}
-	sub := make([]tle.TLE, part.Len())
-	for i, g := range part.Global {
-		sub[i] = sc.TLEs[g]
-	}
-	sc.TLEs = sub
-	snap, err := newSnapshotLoaded(cfg, sc)
-	if err != nil {
-		return nil, part, err
-	}
-	return snap, part, nil
-}
-
-// simWorld is the simulator configuration of a resolved SnapshotConfig's
-// world: the paper's DGS system at the config's size, seed and weather.
-func simWorld(cfg SnapshotConfig) (sim.Config, error) {
 	sc, err := dgs.Config(dgs.SystemDGS, dgs.Options{
 		Satellites:  cfg.Satellites,
 		Stations:    cfg.Stations,
@@ -182,15 +134,8 @@ func simWorld(cfg SnapshotConfig) (sim.Config, error) {
 		GenGBPerDay: cfg.GenGBPerDay,
 	})
 	if err != nil {
-		return sim.Config{}, fmt.Errorf("serve: %w", err)
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	return sc, nil
-}
-
-// newSnapshotLoaded loads a snapshot over a simulator configuration (cfg
-// must already have defaults resolved; sc's satellites may be a shard
-// subset of cfg.Satellites).
-func newSnapshotLoaded(cfg SnapshotConfig, sc sim.Config) (*Snapshot, error) {
 	if err := sc.Stations.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}

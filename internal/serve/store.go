@@ -2,9 +2,11 @@ package serve
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,55 +41,24 @@ func (c StoreConfig) withDefaults() StoreConfig {
 // an epoch swap never mutates a published World, so a request observes
 // one consistent world even while updates land.
 type World struct {
-	// Epoch is the monotonic world version (1 is the first build). In a
-	// federated world it is the front tier's own counter, bumped on every
-	// merged rebuild.
+	// Epoch is the monotonic world version (1 is the first build).
 	Epoch uint64
 	// Built is when this world version was assembled.
 	Built time.Time
 	// Snap serves pass, link-budget, and ad-hoc plan queries.
-	Snap WorldView
+	Snap *Snapshot
 	// Plan is the live incrementally maintained plan.
 	Plan *core.Plan
-
-	// EpochVec, set only on federated worlds, is the composite epoch
-	// vector: component s is the world epoch of shard s this merged world
-	// was built from (the last-known epoch for a currently missing shard).
-	// Monolith worlds leave it nil, which keeps their wire bodies frozen.
-	EpochVec []uint64
-	// Missing, set only on federated worlds, lists the shards whose
-	// partitions this world does not cover (degraded serving).
-	Missing []int
 
 	planJSON []byte // canonical /v2/plan body, no trailing newline
 	refs     atomic.Int64
 }
 
 // etag is the strong validator of every epoch-tagged v2 response: the
-// bare epoch for monolith worlds, the dotted epoch vector for federated
-// ones (so a 304 certifies every component, not just the local counter).
+// world epoch, quoted.
 func (w *World) etag() string {
-	if len(w.EpochVec) == 0 {
-		return `"` + strconv.FormatUint(w.Epoch, 10) + `"`
-	}
-	return `"` + joinUints(w.EpochVec, '.') + `"`
+	return `"` + strconv.FormatUint(w.Epoch, 10) + `"`
 }
-
-// joinUints renders non-negative integers in decimal, separated by sep.
-func joinUints[T int | uint64](xs []T, sep byte) string {
-	var b []byte
-	for i, x := range xs {
-		if i > 0 {
-			b = append(b, sep)
-		}
-		b = strconv.AppendUint(b, uint64(x), 10)
-	}
-	return string(b)
-}
-
-// Degraded reports whether this world covers only part of the
-// constellation (one or more shards missing).
-func (w *World) Degraded() bool { return len(w.Missing) > 0 }
 
 // Refs returns the number of requests currently serving from this world.
 // Draining is observable, not enforced: a retired world stays valid until
@@ -97,20 +68,26 @@ func (w *World) Refs() int64 { return w.refs.Load() }
 // Release returns a World acquired from Store.Acquire.
 func (w *World) Release() { w.refs.Add(-1) }
 
-// Store owns the versioned world: the embedded publisher (current World,
-// drain queue, plan-stream subscribers) and the single-writer incremental
-// planner that revises it. Readers are wait-free (one atomic load);
-// writers serialize on the publisher's mutex, which also guards the
-// fields below it.
+// Store owns the versioned world: the atomically swapped current World
+// (readers are wait-free, one atomic load), the drain queue of superseded
+// worlds that still have readers, the plan-stream subscribers, and the
+// single-writer incremental planner that revises the world. Writers
+// serialize on mu, which guards every field below it.
 type Store struct {
 	cfg StoreConfig
-	worldPub
+	cur atomic.Pointer[World]
+	hub *subHub
 
-	ip     *core.IncrementalPlanner
-	tles   []tle.TLE
-	fc     *weather.Forecast
-	closed bool
+	mu      sync.Mutex
+	retired []*World
+	ip      *core.IncrementalPlanner
+	tles    []tle.TLE
+	fc      *weather.Forecast
+	closed  bool
 }
+
+// errStoreClosed is what Subscribe and Apply return after Close.
+var errStoreClosed = errors.New("serve: store closed")
 
 // NewStore builds a store over a loaded snapshot, synchronously building
 // the first world (epoch 1) — including its live plan — before returning,
@@ -131,11 +108,11 @@ func NewStore(snap *Snapshot, cfg StoreConfig) *Store {
 		panic(fmt.Sprintf("serve: initial plan: %v", err))
 	}
 	s := &Store{
-		cfg:      cfg,
-		worldPub: newWorldPub("serve: store closed"),
-		ip:       ip,
-		tles:     append([]tle.TLE(nil), snap.sim.TLEs...),
-		fc:       snap.fc,
+		cfg:  cfg,
+		hub:  newSubHub(subBuffer),
+		ip:   ip,
+		tles: append([]tle.TLE(nil), snap.sim.TLEs...),
+		fc:   snap.fc,
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -147,6 +124,83 @@ func NewStore(snap *Snapshot, cfg StoreConfig) *Store {
 	})
 	return s
 }
+
+// Acquire returns the current world with its refcount taken. Callers must
+// Release.
+func (s *Store) Acquire() *World {
+	w := s.Current()
+	w.refs.Add(1)
+	return w
+}
+
+// Current returns the current world without taking a reference. For
+// point-in-time inspection only.
+func (s *Store) Current() *World { return s.cur.Load() }
+
+// Epoch returns the current world epoch.
+func (s *Store) Epoch() uint64 { return s.Current().Epoch }
+
+// RetiredWorlds returns how many superseded worlds still have active
+// readers (the drain queue length).
+func (s *Store) RetiredWorlds() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, w := range s.retired {
+		if w.Refs() > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// publishLocked makes w the current world: its /v2/plan wire body is
+// built, the pointer swapped, and — when w supersedes a world — the old
+// one joins the drain queue and every stream subscriber gets the plan
+// delta. Callers hold mu.
+func (s *Store) publishLocked(w *World) {
+	r := renderPlan(w.Plan)
+	w.planJSON = r.v2Body(w)
+	old := s.cur.Swap(w)
+	if old == nil {
+		return
+	}
+	s.retired = append(s.retired, old)
+	s.pruneRetiredLocked()
+	s.hub.broadcast(sseEvent("delta", w.Epoch, r.delta(w, old.Plan)))
+}
+
+// pruneRetiredLocked drops retired worlds with no remaining readers.
+func (s *Store) pruneRetiredLocked() {
+	kept := s.retired[:0]
+	for _, w := range s.retired {
+		if w.Refs() > 0 {
+			kept = append(kept, w)
+		}
+	}
+	clear(s.retired[len(kept):])
+	s.retired = kept
+}
+
+// Subscribers returns the number of connected plan-stream subscribers.
+func (s *Store) Subscribers() int { return s.hub.count() }
+
+// Subscribe registers a plan-stream subscriber: the returned channel
+// first-in carries nothing (the caller writes the returned initial event
+// itself), then receives one prebuilt SSE event per epoch swap. The
+// channel is closed when the store shuts down or the subscriber falls too
+// far behind. Callers must Unsubscribe.
+func (s *Store) Subscribe() (id int, ch <-chan []byte, initial []byte, err error) {
+	w := s.Current()
+	id, c, ok := s.hub.add()
+	if !ok {
+		return 0, nil, nil, errStoreClosed
+	}
+	return id, c, sseEvent("plan", w.Epoch, w.planJSON), nil
+}
+
+// Unsubscribe removes a subscriber. Safe after the store evicted it.
+func (s *Store) Unsubscribe(id int) { s.hub.remove(id) }
 
 // HasNorad reports whether a satellite with the given catalog number is
 // in the constellation. The TLE file watcher uses it to skip elements
@@ -239,14 +293,14 @@ func (s *Store) Apply(u Update) (ApplyResult, error) {
 	if w := u.Weather; w != nil && (w.ErrFraction < 0 || w.ErrFraction > 1) {
 		return ApplyResult{}, badUpdate("weather: err_fraction %g out of [0, 1]", w.ErrFraction)
 	} else if w != nil && !w.ClearSky {
-		fc = weather.NewForecast(weather.NewField(w.Seed), cmp.Or(w.ErrFraction, s.cur.Load().Snap.Config().ForecastErr))
+		fc = weather.NewForecast(weather.NewField(w.Seed), cmp.Or(w.ErrFraction, s.Current().Snap.Config().ForecastErr))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return ApplyResult{}, s.errClosed
+		return ApplyResult{}, errStoreClosed
 	}
-	old := s.cur.Load()
+	old := s.Current()
 	if len(u.TLEs) == 0 && u.Weather == nil && len(u.AddStations) == 0 && len(u.RemoveStations) == 0 {
 		return ApplyResult{}, badUpdate("empty update: no tles, weather, or station changes")
 	}
@@ -337,7 +391,7 @@ func (s *Store) Apply(u Update) (ApplyResult, error) {
 	}
 
 	plan := s.ip.Replan()
-	snap := old.Snap.(*Snapshot).rederive(s.ip, s.tles, s.fc)
+	snap := old.Snap.rederive(s.ip, s.tles, s.fc)
 	w := &World{
 		Epoch: old.Epoch + 1,
 		Built: time.Now(),

@@ -27,7 +27,7 @@ func sseEvent(event string, id uint64, data []byte) []byte {
 // serveSSE is the one event-stream writer behind /v2/plan/stream and
 // /v2/optimize/{id}/stream: the stream headers, the initial event, then
 // every event the subscription delivers until its channel closes (the
-// source shut down, the job finished, or the subscriber was evicted) or
+// store shut down, the job finished, or the subscriber was evicted) or
 // the client goes away. A nil channel ends the stream after the initial
 // event. The caller owns the subscription and removes it when this
 // returns.

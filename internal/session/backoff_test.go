@@ -8,10 +8,9 @@ import (
 	"dgs/internal/session"
 )
 
-// The backoff policy is part of the federation determinism story: the
-// front tier seeds each shard session's rng by shard index, so a replayed
-// chaos schedule sees the identical reconnect cadence. These tests pin
-// the semantics that replay depends on.
+// The backoff policy is part of the determinism story: an owner seeds its
+// session's rng, so a replayed chaos schedule sees the identical reconnect
+// cadence. These tests pin the semantics that replay depends on.
 
 func TestBackoffDefaults(t *testing.T) {
 	var b session.Backoff // zero value → documented defaults

@@ -1,7 +1,6 @@
-// Package session is the managed wire session every internal/proto hop in
-// the system runs on: station↔backend (internal/backend) and
-// front-tier↔shard (internal/serve). It owns what those hops share and
-// nothing of what they say to each other.
+// Package session is the managed wire session the station↔backend
+// internal/proto hop (internal/backend) runs on. It owns the connection's
+// life and nothing of what the two ends say to each other.
 //
 // Both ends put a deadline around every frame in either direction and
 // serialize writers on one lock. The accepting end (Server) gates each
@@ -14,10 +13,10 @@
 // handed to the owner.
 //
 // Reply correlation is deliberately not here: stations match replies in
-// FIFO order and replay by sequence number across reconnects, the front
-// tier matches by ShardReply.ID and fails fast. The one rule both owners
-// follow is to register the reply's waiter before handing the request to
-// Conn.Send, so a reply can never arrive ahead of whoever waits for it.
+// FIFO order and replay by sequence number across reconnects. The one rule
+// an owner follows is to register the reply's waiter before handing the
+// request to Conn.Send, so a reply can never arrive ahead of whoever waits
+// for it.
 package session
 
 import (

@@ -25,7 +25,7 @@ type Server struct {
 	// Logf, when set, receives diagnostic messages.
 	Logf func(format string, args ...any)
 
-	self, peer string // "backend"/"station", "shard"/"front tier"
+	self, peer string // "backend", "station"
 	handler    Handler
 
 	mu     sync.Mutex

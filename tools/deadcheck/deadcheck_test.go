@@ -15,9 +15,10 @@ import (
 // A test-only method, a test-only helper and the helper only it calls
 // fail, named, unless the allowlist names them; BenchOnly is listed and
 // does not fail. The demo's main sits outside cmd/ and tools/, so it is no
-// root: it and DemoOnly, which only it calls, fail too, and a returning
-// examples/ directory would fail the gate. An allowlist key that names no
-// declaration fails.
+// root, and neither is its package's init code: it, DemoOnly, which only
+// it calls, its var n and DemoInit, which only n's initializer calls, fail
+// too, and a returning examples/ directory would fail the gate. An
+// allowlist key that names no declaration fails.
 func TestFixture(t *testing.T) {
 	testOnly := map[string]string{
 		"fixture/lib.square.Perimeter": "kept",
@@ -34,40 +35,48 @@ func TestFixture(t *testing.T) {
 		code  int
 		want  string
 	}{
-		{"no allowlist", nil, 1, `examples/demo/main.go:7: examples/demo.main: DEAD; no users
+		{"no allowlist", nil, 1, `examples/demo/main.go:7: examples/demo.n: DEAD; via: examples/demo.main
+examples/demo/main.go:9: examples/demo.main: DEAD; no users
 lib/lib.go:23: lib.square.Perimeter: DEAD; test: lib.TestPerimeter
 lib/lib.go:38: lib.testOnly: DEAD; test: lib.TestTestOnly
 lib/lib.go:41: lib.viaTestOnly: DEAD; via: lib.testOnly
 lib/lib.go:44: lib.BenchOnly: bench; bench: bench.main
 lib/lib.go:47: lib.exposed: DEAD; test: lib.Exposed
 lib/lib.go:50: lib.DemoOnly: DEAD; via: examples/demo.main
-deadcheck: 6 failure(s): delete each DEAD declaration (no binary or bench reaches it) or move it into the _test.go files that use it, and drop each STALE allowlist key
+lib/lib.go:53: lib.DemoInit: DEAD; via: examples/demo.n
+deadcheck: 8 failure(s): delete each DEAD declaration (no binary or bench reaches it) or move it into the _test.go files that use it, and drop each STALE allowlist key
 `},
-		{"every test-only declaration allowlisted", testOnly, 1, `examples/demo/main.go:7: examples/demo.main: DEAD; no users
+		{"every test-only declaration allowlisted", testOnly, 1, `examples/demo/main.go:7: examples/demo.n: DEAD; via: examples/demo.main
+examples/demo/main.go:9: examples/demo.main: DEAD; no users
 lib/lib.go:23: lib.square.Perimeter: allowed (kept); test: lib.TestPerimeter
 lib/lib.go:38: lib.testOnly: allowed (kept); test: lib.TestTestOnly
 lib/lib.go:41: lib.viaTestOnly: allowed; via: lib.testOnly
 lib/lib.go:44: lib.BenchOnly: bench; bench: bench.main
 lib/lib.go:47: lib.exposed: allowed (kept); test: lib.Exposed
 lib/lib.go:50: lib.DemoOnly: DEAD; via: examples/demo.main
-deadcheck: 2 failure(s): delete each DEAD declaration (no binary or bench reaches it) or move it into the _test.go files that use it, and drop each STALE allowlist key
+lib/lib.go:53: lib.DemoInit: DEAD; via: examples/demo.n
+deadcheck: 4 failure(s): delete each DEAD declaration (no binary or bench reaches it) or move it into the _test.go files that use it, and drop each STALE allowlist key
 `},
-		{"every unreached declaration allowlisted", unreached, 0, `examples/demo/main.go:7: examples/demo.main: allowed (kept); no users
+		{"every unreached declaration allowlisted", unreached, 0, `examples/demo/main.go:7: examples/demo.n: allowed; via: examples/demo.main
+examples/demo/main.go:9: examples/demo.main: allowed (kept); no users
 lib/lib.go:23: lib.square.Perimeter: allowed (kept); test: lib.TestPerimeter
 lib/lib.go:38: lib.testOnly: allowed (kept); test: lib.TestTestOnly
 lib/lib.go:41: lib.viaTestOnly: allowed; via: lib.testOnly
 lib/lib.go:44: lib.BenchOnly: bench; bench: bench.main
 lib/lib.go:47: lib.exposed: allowed (kept); test: lib.Exposed
 lib/lib.go:50: lib.DemoOnly: allowed; via: examples/demo.main
-deadcheck: every declaration outside bench/ is reached by a binary or bench (7 reached only by bench or allowlisted)
+lib/lib.go:53: lib.DemoInit: allowed; via: examples/demo.n
+deadcheck: every declaration outside bench/ is reached by a binary or bench (9 reached only by bench or allowlisted)
 `},
-		{"stale allowlist key", stale, 1, `examples/demo/main.go:7: examples/demo.main: allowed (kept); no users
+		{"stale allowlist key", stale, 1, `examples/demo/main.go:7: examples/demo.n: allowed; via: examples/demo.main
+examples/demo/main.go:9: examples/demo.main: allowed (kept); no users
 lib/lib.go:23: lib.square.Perimeter: allowed (kept); test: lib.TestPerimeter
 lib/lib.go:38: lib.testOnly: allowed (kept); test: lib.TestTestOnly
 lib/lib.go:41: lib.viaTestOnly: allowed; via: lib.testOnly
 lib/lib.go:44: lib.BenchOnly: bench; bench: bench.main
 lib/lib.go:47: lib.exposed: allowed (kept); test: lib.Exposed
 lib/lib.go:50: lib.DemoOnly: allowed; via: examples/demo.main
+lib/lib.go:53: lib.DemoInit: allowed; via: examples/demo.n
 allowlist: fixture/lib.Gone: STALE; names no declaration
 deadcheck: 1 failure(s): delete each DEAD declaration (no binary or bench reaches it) or move it into the _test.go files that use it, and drop each STALE allowlist key
 `},

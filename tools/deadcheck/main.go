@@ -4,8 +4,8 @@
 // every package of the module, test files included, against the export
 // data `go list -e -deps -test -export -json ./...` leaves in the build
 // cache, and marks declarations reachable, transitively, from the main
-// functions of cmd/* and tools/* and from every package's init functions
-// and var initializers.
+// functions of cmd/* and tools/* and from the init functions and var
+// initializers of every package but a main package outside them.
 //
 //   - A declaration whose only users are dead is itself dead.
 //   - A method of a live type is live if live code calls it, if live code
@@ -19,10 +19,11 @@
 // Each unreached declaration is printed with its direct users: bench,
 // test, or dead production code ("via"). One that bench code does not
 // reach fails the check (exit 1) unless the allowlist names it or an
-// allowlisted declaration reaches it. A main outside cmd/ and tools/ is no
-// root: a program the repository does not ship keeps nothing alive. An
-// allowlist key that names no declaration fails the check too, so an entry
-// cannot outlive its code. Run it from the module root:
+// allowlisted declaration reaches it. A main outside cmd/ and tools/, and
+// its package's init code, are no root: a program the repository does not
+// ship keeps nothing alive. An allowlist key that names no declaration
+// fails the check too, so an entry cannot outlive its code. Run it from
+// the module root:
 // go run ./tools/deadcheck
 package main
 
@@ -57,7 +58,7 @@ type decl struct {
 	key   string // import path + "." + [receiver type + "."] name
 	pos   token.Position
 	class string   // "prod", "test" (and faultnet) or "bench"
-	root  bool     // a binary's main, or production init code
+	root  bool     // a binary's main, or init code of its or a library's package
 	uses  []string // keys of the declarations it names
 	iface []string // method names it calls through an interface
 	recv  string   // a method's receiver type key
@@ -246,18 +247,26 @@ func (g *graph) addFile(file string, fset *token.FileSet, f *ast.File, path stri
 	declare := func(id *ast.Ident) *decl {
 		return add(&decl{key: keyOf(info.Defs[id]), pos: fset.Position(id.Pos()), class: class})
 	}
-	init := g.decls[path+".init#"+class]
-	if init == nil {
-		init = add(&decl{key: path + ".init#" + class, pos: fset.Position(f.Package), class: class, root: class == "prod"})
+	// A binary's main is a root, and so is the init code of every
+	// production package but a main package outside cmd/ and tools/: a
+	// program the repository does not ship runs no init code either.
+	binary := top == "cmd" || top == "tools"
+	initRoot := class == "prod" && (f.Name.Name != "main" || binary)
+	init := func() *decl { // made on first use: no init code, no decl
+		d := g.decls[path+".init#"+class]
+		if d == nil {
+			d = add(&decl{key: path + ".init#" + class, pos: fset.Position(f.Package), class: class, root: initRoot})
+		}
+		return d
 	}
 	for _, fd := range f.Decls {
 		if fd, ok := fd.(*ast.FuncDecl); ok {
 			if fd.Recv == nil && fd.Name.Name == "init" {
-				g.refs(init, fd, info)
+				g.refs(init(), fd, info)
 				continue
 			}
 			d := declare(fd.Name)
-			d.root = class == "prod" && fd.Recv == nil && fd.Name.Name == "main" && (top == "cmd" || top == "tools")
+			d.root = class == "prod" && fd.Recv == nil && fd.Name.Name == "main" && binary
 			if fn := info.Defs[fd.Name].(*types.Func); fd.Recv != nil {
 				d.recv, d.name, d.std = recvKey(fn), fn.Name(), std(fn)
 				g.methods[d.recv] = append(g.methods[d.recv], d)
@@ -274,9 +283,10 @@ func (g *graph) addFile(file string, fset *token.FileSet, f *ast.File, path stri
 				g.refs(declare(s.Name), s, info)
 			case *ast.ValueSpec:
 				for _, id := range s.Names {
-					d := init // a blank var's initializer runs, used or not
+					var d *decl
 					switch {
 					case id.Name == "_":
+						d = init() // a blank var's initializer runs, used or not
 					case block != nil:
 						g.decls[keyOf(info.Defs[id])] = block
 						d = block
@@ -288,9 +298,9 @@ func (g *graph) addFile(file string, fset *token.FileSet, f *ast.File, path stri
 					}
 					g.refs(d, s, info)
 				}
-				if gd.Tok == token.VAR && init.root { // initializers run at start-up
+				if gd.Tok == token.VAR && initRoot { // initializers run at start-up
 					for _, v := range s.Values {
-						g.refs(init, v, info)
+						g.refs(init(), v, info)
 					}
 				}
 			}

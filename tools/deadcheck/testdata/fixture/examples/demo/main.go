@@ -4,4 +4,6 @@ package main
 
 import "fixture/lib"
 
-func main() { println(lib.DemoOnly()) }
+var n = lib.DemoInit()
+
+func main() { println(lib.DemoOnly(), n) }

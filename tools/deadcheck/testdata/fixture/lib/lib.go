@@ -48,3 +48,6 @@ func exposed() int { return 4 }
 
 // DemoOnly is called by the demo program alone.
 func DemoOnly() int { return 5 }
+
+// DemoInit is called by the demo program's var initializer alone.
+func DemoInit() int { return 6 }
